@@ -25,11 +25,29 @@ EXIT_DATA_MISSING = 3
 EXIT_TIE = 4
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--odlyzko", help="path to the bound-pair table", default=None)
     p.add_argument("--fields", help="path to the field catalog", default=None)
     p.add_argument(
-        "--precision", type=int, default=256, help="working precision in bits"
+        "--precision",
+        type=_int_at_least(16),
+        default=256,
+        help="working precision in bits (at least 16)",
     )
 
 
@@ -41,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prove = sub.add_parser("prove", help="run the pipeline for one or all ranks")
-    prove.add_argument("--n", type=int, default=None, help="rank to certify")
+    prove.add_argument(
+        "--n", type=_int_at_least(2), default=None, help="rank to certify (at least 2)"
+    )
     prove.add_argument(
         "--all", action="store_true", help="certify every rank from 2 to 8"
     )
@@ -143,24 +163,24 @@ def _cmd_field(args) -> int:
         return EXIT_DATA_MISSING
     try:
         field = numberfields.field_by_label(catalog, args.label)
-    except numberfields.UnsupportedField as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_STEP_FAILED
-    if args.op == "zeta":
-        iv = numberfields.dedekind_zeta_enclosure(field, args.s, args.precision)
-        print(f"zeta_{field.label}({args.s}) in [{float(iv.lo):.15g}, {float(iv.hi):.15g}]")
-    elif args.op == "units":
-        if field.degree == 2:
-            a, b = numberfields.pell_fundamental_unit(field.discriminant)
-            print(f"fundamental unit: ({a} + {b} sqrt({field.discriminant})) / 2")
-        index = numberfields.totally_positive_index(field)
-        print(f"totally positive unit index: {index}")
-    else:
-        split = numberfields.splitting_type(field, args.p)
-        print(
-            f"prime {args.p}: {split.kind}, residue cardinalities "
-            f"{list(split.residue_cardinalities)}"
-        )
+        if args.op == "zeta":
+            iv = numberfields.dedekind_zeta_enclosure(field, args.s, args.precision)
+            print(f"zeta_{field.label}({args.s}) in [{float(iv.lo):.15g}, {float(iv.hi):.15g}]")
+        elif args.op == "units":
+            if field.degree == 2:
+                a, b = numberfields.pell_fundamental_unit(field.discriminant)
+                print(f"fundamental unit: ({a} + {b} sqrt({field.discriminant})) / 2")
+            index = numberfields.totally_positive_index(field)
+            print(f"totally positive unit index: {index}")
+        else:
+            split = numberfields.splitting_type(field, args.p)
+            print(
+                f"prime {args.p}: {split.kind}, residue cardinalities "
+                f"{list(split.residue_cardinalities)}"
+            )
+    except (numberfields.UnsupportedField, numberfields.UnsupportedArgument) as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_DATA_MISSING
     return EXIT_OK
 
 

@@ -495,24 +495,6 @@ def _gcd_deg_with_cubic(g: Sequence[int], f_full: Sequence[int], p: int) -> int:
     return len(a) - 1 if a else -1
 
 
-@lru_cache(maxsize=8)
-def _cubic_splitting_table(poly: Tuple[int, ...], disc: int, limit: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """(p, residue degrees) for all primes p < limit, via factoring mod p.
-
-    Valid when disc(poly) equals the field discriminant (index 1), so the
-    residue degrees are the degrees of the distinct irreducible factors.
-    """
-    is_comp = bytearray(limit)
-    table = []
-    for p in range(2, limit):
-        if is_comp[p]:
-            continue
-        for multiple in range(p * p, limit, p):
-            is_comp[multiple] = 1
-        table.append((p, _cubic_splitting_degrees(poly, disc, p)))
-    return tuple(table)
-
-
 def _cubic_splitting_degrees(poly: Tuple[int, ...], disc: int, p: int) -> Tuple[int, ...]:
     """Degrees of the distinct irreducible factors of the cubic mod p."""
     if disc % p == 0:
@@ -556,23 +538,37 @@ def _cubic_splitting_degrees(poly: Tuple[int, ...], disc: int, p: int) -> Tuple[
     raise InvariantViolation(f"unexpected root count {r} for squarefree cubic mod {p}")
 
 
-_EULER_PRODUCT_LIMIT = 100_000
+_CUBIC_49_CONDUCTOR = 7
+_CUBIC_49_GENERATOR = 3  # a primitive root mod 7
 
 
 @lru_cache(maxsize=None)
-def _cubic_zeta_point(poly: Tuple[int, ...], disc: int, s: int, precision_bits: int) -> Interval:
-    limit = _EULER_PRODUCT_LIMIT
-    prod = Interval.exact(1)
-    work = precision_bits + 32
-    for p, degrees in _cubic_splitting_table(poly, disc, limit):
-        factor = Interval.exact(1)
-        for g in degrees:
-            factor = factor * Interval.exact(1 - Fraction(1, p ** (s * g)))
-        prod = (prod / factor).coarsen(work)
-    # primes above the cutoff: 1 <= tail <= exp(6 P^(1-s) / (s-1))
-    tail_exp = Fraction(6) * Fraction(1, limit ** (s - 1)) / (s - 1)
-    tail_hi = _exp_point(tail_exp, 64).hi
-    return (prod * Interval(Fraction(1), tail_hi)).coarsen(precision_bits + 8)
+def dedekind_zeta_cubic49_exact_coeff(j: int) -> Fraction:
+    """Exact rational q with zeta_K(2j) = q * pi^(6j) for K = 3.3.49.1.
+
+    K is the cyclic cubic field of conductor 7, so
+    zeta_K(s) = zeta(s) L(s, chi) L(s, conj(chi)) with chi the cubic
+    character mod 7, chi(3^e) = w^e, w = exp(2 pi i / 3).  The closed form
+    for even characters (Washington, Thm 4.2) gives
+    |L(2j, chi)|^2 = 7/4 (2 pi / 7)^(4j) |B_(2j, chi)|^2 / ((2j)!)^2, where
+    B_(k, chi) = 7^(k-1) sum_a chi(a) B_k(a/7) = x + y w lies in Q(w).
+    """
+    f, k = _CUBIC_49_CONDUCTOR, 2 * j
+    sums = [Fraction(0)] * 3  # coefficients of 1, w, w^2
+    for e in range(f - 1):
+        a = pow(_CUBIC_49_GENERATOR, e, f)
+        sums[e % 3] += specfun.bernoulli_polynomial(k, Fraction(a, f))
+    scale = Fraction(f) ** (k - 1)
+    # w^2 = -1 - w
+    x, y = (sums[0] - sums[2]) * scale, (sums[1] - sums[2]) * scale
+    norm = x * x - x * y + y * y  # |x + y w|^2
+    return (
+        zeta_even_exact(j)
+        * Fraction(f, 4)
+        * Fraction(2, f) ** (2 * k)
+        * norm
+        / math.factorial(k) ** 2
+    )
 
 
 def dedekind_zeta_enclosure(
@@ -593,7 +589,10 @@ def dedekind_zeta_enclosure(
         L = dirichlet_L_enclosure(field.discriminant, Interval.exact(s), precision_bits)
         return (z * L).coarsen(precision_bits + 8)
     if field.degree == 3 and field.discriminant == 49:
-        return _cubic_zeta_point(field.polynomial, field.discriminant, s, precision_bits)
+        c = dedekind_zeta_cubic49_exact_coeff(s // 2)
+        return (Interval.exact(c) * pi_enclosure(precision_bits).pow_int(3 * s)).coarsen(
+            precision_bits + 8
+        )
     raise UnsupportedField(f"zeta_K not supported for {field.label}")
 
 

@@ -1,11 +1,18 @@
 """End-to-end tests for the certificate pipeline, serialization, and CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covcert
 from covcert import certifier as ct
-from covcert import cli
+from covcert import cli, optimizer
+from covcert.bounds import OdlyzkoPair
+from covcert.rigor import Interval
 
 PREC = 160
 
@@ -169,3 +176,100 @@ def test_cli_optimize(capsys):
     out = capsys.readouterr().out
     assert "13047/1000" in out
     assert "3.30724" in out
+
+
+# ---------------------------------------------------------------------------
+# witness checks, history independence, high-rank emission, bad CLI input
+
+
+def test_rank3_witness_is_search_minimum(table):
+    best = optimizer.optimize_n3(table, precision_bits=PREC).best_pair
+    assert best == OdlyzkoPair(*ct.N3_WITNESS)
+
+
+def test_proof_path_does_not_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the proof path ran a grid search")
+
+    for name in ("optimize_n2", "optimize_n3", "_minimize"):
+        monkeypatch.setattr(optimizer, name, forbidden)
+    for n in (2, 3):
+        cert = ct.run_case(n, precision_bits=PREC)
+        assert cert.all_proved, n
+        assert cert.step("degree_threshold").verdict == "Proved", n
+
+
+@pytest.mark.parametrize(
+    "n, witness", [(2, ct.N2_WITNESS[:2]), (3, ct.N3_WITNESS)]
+)
+def test_missing_witness_row(tmp_path, table, n, witness):
+    rows = [f"{p.A},{p.E}" for p in table if (p.A, p.E) != witness]
+    assert len(rows) == len(table) - 1
+    path = tmp_path / "odlyzko.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ct.DataMissing):
+        ct.run_case(n, precision_bits=PREC, odlyzko_path=str(path))
+
+
+def test_overlap_gives_tie_that_verifies():
+    builder = ct._Builder(PREC)
+    one = Interval.exact(1)
+    builder.record("overlap", "claim", "anchor", [ct._less(one, one)])
+    step = builder.steps[0]
+    assert step.verdict == "Tie"
+    cert = ct.Certificate(1, PREC, builder.steps, [], "")
+    assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
+
+
+@pytest.mark.parametrize("n", [34, 55])
+def test_high_rank_reports_emit_and_verify(n):
+    cert = ct.run_case(n, precision_bits=64)
+    assert cert.all_proved
+    assert ct.verify_report(ct.emit_report(cert)) == "Proved"
+
+
+def test_prove_all_matches_separate_processes():
+    """A report's bytes do not depend on what ran earlier in the process."""
+    env = dict(os.environ)
+    src = str(Path(covcert.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def prove(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "covcert.cli", "prove", "--format", "json", *args],
+            env=env,
+            capture_output=True,
+            check=True,
+            timeout=300,
+        ).stdout
+
+    together = prove("--all")
+    separate = b"".join(prove("--n", str(n)) for n in range(2, 9))
+    assert together == separate
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--n", "1"],
+        ["prove", "--n", "3", "--precision", "8"],
+    ],
+)
+def test_cli_rejects_bad_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "4.4.725.1", "--op", "zeta"],
+        ["field", "2.2.5.1", "--op", "zeta", "--s", "3"],
+    ],
+)
+def test_cli_field_unsupported(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_DATA_MISSING
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err

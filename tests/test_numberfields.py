@@ -313,6 +313,37 @@ def test_zeta_cubic_euler_vs_galois_shortcut(catalog):
     assert product <= hi
 
 
+@pytest.mark.parametrize(
+    "j, q",
+    [
+        (1, Fraction(8, 7203)),
+        (2, Fraction(2528, 2334744405)),
+        (3, Fraction(473152, 420429098730375)),
+    ],
+)
+def test_zeta_cubic_exact_coeff_oracle(catalog, j, q):
+    """zeta_K(2j) = q pi^(6j) against zeta(2j) |L(2j, chi)|^2 at 60 digits.
+
+    chi is the cubic character mod 7 with chi(3^e) = w^e, and
+    L(s, chi) = 7^(-s) sum_a chi(a) zeta(s, a/7) via Hurwitz zeta.
+    """
+    assert nf.dedekind_zeta_cubic49_exact_coeff(j) == q
+    s = 2 * j
+    with mpmath.workdps(60):
+        w = mpmath.exp(2j * mpmath.pi / 3)
+        L = sum(
+            w**e * mpmath.zeta(s, mpmath.mpf(pow(3, e, 7)) / 7) for e in range(6)
+        ) / mpmath.mpf(7) ** s
+        oracle = mpmath.zeta(s) * abs(L) ** 2
+        value = mpmath.mpf(q.numerator) / q.denominator * mpmath.pi ** (6 * j)
+        assert abs(value - oracle) < mpmath.mpf(10) ** -58 * oracle
+        iv = nf.dedekind_zeta_enclosure(nf.field_by_discriminant(catalog, 3, 49), s, PREC)
+        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+        assert lo <= oracle <= hi
+        assert hi - lo < mpmath.mpf(2) ** -(PREC - 8)
+
+
 def test_zeta_unsupported_cases(catalog):
     with pytest.raises(nf.UnsupportedArgument):
         nf.dedekind_zeta_enclosure(catalog[0], 3, PREC)
