@@ -66,28 +66,18 @@ def f_n(n: int) -> Fraction:
     return Fraction(2 * n * n + n - 6, 2)
 
 
-@dataclass(frozen=True)
-class RankParams:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("rank must be >= 2")
-
-    @property
-    def f(self) -> Fraction:
-        return f_n(self.n)
-
-
 # ---------------------------------------------------------------------------
 # reference covolume constants
+
+
+MAX_RANK = 64
 
 
 @lru_cache(maxsize=None)
 def pi_n_coefficient(n: int) -> Fraction:
     """Exact rational c with Pi(n) = c * pi^(-n(n+1))."""
-    if not 2 <= n <= 64:
-        raise ValueError("rank out of supported range [2, 64]")
+    if not 2 <= n <= MAX_RANK:
+        raise ValueError(f"rank out of supported range [2, {MAX_RANK}]")
     num = 1
     for j in range(1, n + 1):
         num *= math.factorial(2 * j - 1)
@@ -143,14 +133,6 @@ def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
     tail_sum = Fraction(2, 3) * Fraction(1, 4**J)
     tail = Interval(Fraction(1), _exp_point(tail_sum, 64).hi)
     return (partial * tail).coarsen(precision_bits + 8)
-
-
-def zeta_product_upper(precision_bits: int = 256) -> Fraction:
-    """The certified constant 1.83 bounding prod zeta(2j) from above."""
-    enclosure = zeta_product_enclosure(20, precision_bits)
-    if not enclosure.hi < ZETA_PRODUCT_UPPER:
-        raise ValueError("failed to certify the zeta-product constant")
-    return ZETA_PRODUCT_UPPER
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +214,40 @@ _COEFF_0_46 = Fraction(46, 100)
 _COEFF_750 = Fraction(1, 750)
 
 
+def inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
+    """The degree-power base 7.6 e^0.46 A^f(n) Pi(n) of O(n, d, A, E)."""
+    return coarsen_relative(
+        Interval.exact(_COEFF_7_6)
+        * _exp_point(_COEFF_0_46, precision_bits)
+        * pow_frac(Interval.exact(A), f_n(n), precision_bits)
+        * pi_n(n, precision_bits),
+        precision_bits + 8,
+    )
+
+
 def F_bound(d: int, D: Interval, n: int, precision_bits: int = 256) -> Interval:
-    """F(d, D, n) = (1/750) D^(n^2+n/2-3) (7.6 e^0.46 Pi(n))^d."""
+    """F(d, D, n) = (1/750) D^(n^2+n/2-3) (7.6 e^0.46 Pi(n))^d.
+
+    The base is the inner factor at A = 1; O(n, d, A, E) is F at
+    D = A^d e^(-E).
+    """
     if D.lo < 1:
         raise ValueError("discriminant interval must have D.lo >= 1")
-    e_part = _exp_point(_COEFF_0_46, precision_bits)
-    inner = Interval.exact(_COEFF_7_6) * e_part * pi_n(n, precision_bits)
     return coarsen_relative(
         Interval.exact(_COEFF_750)
         * pow_frac(D, f_n(n), precision_bits)
-        * inner.pow_int(d),
+        * inner_factor(n, 1, precision_bits).pow_int(d),
         precision_bits + 8,
     )
 
 
 def O_bound(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
     """O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d."""
-    f = f_n(n)
-    e_decay = _exp_point(-pair.E * f, precision_bits)
-    e_part = _exp_point(_COEFF_0_46, precision_bits)
-    a_pow = pow_frac(Interval.exact(pair.A), f, precision_bits)
-    inner = Interval.exact(_COEFF_7_6) * e_part * a_pow * pi_n(n, precision_bits)
+    e_decay = _exp_point(-pair.E * f_n(n), precision_bits)
     return coarsen_relative(
-        Interval.exact(_COEFF_750) * e_decay * inner.pow_int(d),
+        Interval.exact(_COEFF_750)
+        * e_decay
+        * inner_factor(n, pair.A, precision_bits).pow_int(d),
         precision_bits + 8,
     )
 
@@ -271,64 +264,47 @@ def normalized_O(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -
 # feasibility conditions on a bound pair
 
 
-def lemma35_conditions(
+def lemma35_comparisons(
     pair: OdlyzkoPair, precision_bits: int = 256
-) -> Dict[str, bool]:
-    """Certify the three sufficient conditions on (A, E).
+) -> Dict[str, Tuple[Interval, Interval]]:
+    """Both sides of the three sufficient conditions on (A, E).
 
-    cond_a: 2 log A - E >= log(2 pi) + 1 - log 5 (monotone chain condition)
+    Each condition holds when its left side is certainly greater:
+
+    cond_a: 2 log A - E > log(2 pi) + 1 - log 5 (monotone chain condition)
     cond_b: A > 5.66 (positivity of the inner factor for all ranks)
     cond_c: -E + 2 log A > (log 9.47 - log Pi(4)) / f(4) (base case at n=4)
-
-    A condition is reported True only when the interval comparison is
-    certain; an overlap verdict yields False.
     """
     log_A = log_enclosure(Interval.exact(pair.A), precision_bits)
     two_pi = Interval.exact(2) * pi_enclosure(precision_bits)
     log_2pi = log_enclosure(two_pi, precision_bits)
     log_5 = log_enclosure(Interval.exact(5), precision_bits)
-    one = Interval.exact(1)
-
     lhs_a = Interval.exact(2) * log_A - Interval.exact(pair.E)
-    rhs_a = log_2pi + one - log_5
-    cond_a = iv_compare(lhs_a, rhs_a) is Comparison.CERTAINLY_GREATER
-
-    cond_b = pair.A > Fraction(566, 100)
+    rhs_a = log_2pi + Interval.exact(1) - log_5
 
     log_pi4 = log_enclosure(pi_n(4, precision_bits), precision_bits)
     log_947 = log_enclosure(Interval.exact(Fraction(947, 100)), precision_bits)
     rhs_c = (log_947 - log_pi4) / Interval.exact(f_n(4))
     lhs_c = Interval.exact(-pair.E) + Interval.exact(2) * log_A
-    cond_c = iv_compare(lhs_c, rhs_c) is Comparison.CERTAINLY_GREATER
-
-    return {"cond_a": cond_a, "cond_b": cond_b, "cond_c": cond_c}
-
-
-def claim_a_sufficient(pair: OdlyzkoPair, n: int, precision_bits: int = 256) -> bool:
-    """Per-rank sufficient condition 4 log A - 2E >= 2 log 2pi + 2 - 2 log(2n+1)."""
-    log_A = log_enclosure(Interval.exact(pair.A), precision_bits)
-    log_2pi = log_enclosure(
-        Interval.exact(2) * pi_enclosure(precision_bits), precision_bits
-    )
-    log_odd = log_enclosure(Interval.exact(2 * n + 1), precision_bits)
-    lhs = Interval.exact(4) * log_A - Interval.exact(2 * pair.E)
-    rhs = Interval.exact(2) * log_2pi + Interval.exact(2) - Interval.exact(2) * log_odd
-    return iv_compare(lhs, rhs) is Comparison.CERTAINLY_GREATER
+    return {
+        "cond_a": (lhs_a, rhs_a),
+        "cond_b": (Interval.exact(pair.A), Interval.exact(Fraction(566, 100))),
+        "cond_c": (lhs_c, rhs_c),
+    }
 
 
-def claim_a_direct(pair: OdlyzkoPair, n: int, precision_bits: int = 256) -> bool:
-    """Certify Pi(n+1)^(-1) O(n+1,2,pair) > Pi(n)^(-1) O(n,2,pair) directly."""
-    lo_rank = normalized_O(n, 2, pair, precision_bits)
-    hi_rank = normalized_O(n + 1, 2, pair, precision_bits)
-    return iv_compare(hi_rank, lo_rank) is Comparison.CERTAINLY_GREATER
+def lemma35_conditions(
+    pair: OdlyzkoPair, precision_bits: int = 256
+) -> Dict[str, bool]:
+    """Certify the three sufficient conditions on (A, E).
 
-
-def claim_b_condition(pair: OdlyzkoPair, n: int, precision_bits: int = 256) -> bool:
-    """Certify 7.6 e^0.46 A^f(n) Pi(n) >= 1 at the given rank."""
-    e_part = _exp_point(_COEFF_0_46, precision_bits)
-    a_pow = pow_frac(Interval.exact(pair.A), f_n(n), precision_bits)
-    inner = Interval.exact(_COEFF_7_6) * e_part * a_pow * pi_n(n, precision_bits)
-    return iv_compare(inner, Interval.exact(1)) is Comparison.CERTAINLY_GREATER
+    A condition is reported True only when the interval comparison is
+    certain; an overlap verdict yields False.
+    """
+    return {
+        name: iv_compare(lhs, rhs) is Comparison.CERTAINLY_GREATER
+        for name, (lhs, rhs) in lemma35_comparisons(pair, precision_bits).items()
+    }
 
 
 def n3_degree_threshold(pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
@@ -347,15 +323,6 @@ def n3_degree_threshold(pair: OdlyzkoPair, precision_bits: int = 256) -> Interva
         )
     numer = Interval.exact(Fraction(15, 2) * pair.E - Fraction(33, 4))
     return (numer / denom).coarsen(precision_bits + 8)
-
-
-def pi_ratio(n: int, precision_bits: int = 256) -> Interval:
-    """Enclosure of Pi(n+1)/Pi(n) = (2n+1)! / (2 pi)^(2n+2)."""
-    fact = math.factorial(2 * n + 1)
-    two_pi = Interval.exact(2) * pi_enclosure(precision_bits)
-    return (Interval.exact(fact) / two_pi.pow_int(2 * n + 2)).coarsen(
-        precision_bits + 8
-    )
 
 
 # ---------------------------------------------------------------------------

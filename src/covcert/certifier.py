@@ -18,9 +18,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rigor import Comparison, Interval, coarsen_relative, iv_compare
+from .rigor import Comparison, Interval, iv_compare
 from . import bounds, localfactors, numberfields, optimizer
-from .specfun import _exp_point, pow_frac
 
 SCHEMA_VERSION = 1
 
@@ -201,6 +200,9 @@ def _load_inputs(odlyzko_path: Optional[str], fields_path: Optional[str]):
 # ``covcert optimize``.
 N2_WITNESS = (Fraction("21.512"), Fraction("6.0001"), Fraction("1.2"))
 N3_WITNESS = (Fraction("13.047"), Fraction("3.8667"))
+# The only table row passing the three rank >= 4 conditions of
+# ``bounds.lemma35_conditions``.
+L35_WITNESS = (Fraction("6.894"), Fraction("2.2667"))
 
 
 def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
@@ -335,41 +337,21 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
 
 
 def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
-    pair = optimizer.find_lemma35_pair(table, prec)
-    log_A = bounds.log_enclosure(Interval.exact(pair.A), prec)
-    two_pi = Interval.exact(2) * bounds.pi_enclosure(prec)
-    log_2pi = bounds.log_enclosure(two_pi, prec)
-    log_5 = bounds.log_enclosure(Interval.exact(5), prec)
-    lhs_a = Interval.exact(2) * log_A - Interval.exact(pair.E)
-    rhs_a = log_2pi + ONE - log_5
-    log_pi4 = bounds.log_enclosure(bounds.pi_n(4, prec), prec)
-    log_947 = bounds.log_enclosure(Interval.exact(Fraction(947, 100)), prec)
-    rhs_c = (log_947 - log_pi4) / Interval.exact(bounds.f_n(4))
-    lhs_c = Interval.exact(-pair.E) + Interval.exact(2) * log_A
+    pair = _table_row(table, *L35_WITNESS)
+    conditions = bounds.lemma35_comparisons(pair, prec)
     builder.record(
         "feasible_pair",
         f"bound pair (A, E) = ({pair.A}, {pair.E}) satisfies the three "
         "high-rank conditions",
-        "feasibility scan over the vendored table",
-        [
-            _greater(lhs_a, rhs_a),
-            _greater(Interval.exact(pair.A), Interval.exact(Fraction(566, 100))),
-            _greater(lhs_c, rhs_c),
-        ],
+        "stated row of the vendored table",
+        [_greater(lhs, rhs) for lhs, rhs in conditions.values()],
         deps=["A3"],
-        enclosures=[lhs_a, rhs_a, lhs_c, rhs_c],
+        enclosures=[*conditions["cond_a"], *conditions["cond_c"]],
     )
-    inner = coarsen_relative(
-        Interval.exact(Fraction(38, 5))
-        * _exp_point(Fraction(46, 100), prec)
-        * pow_frac(Interval.exact(pair.A), bounds.f_n(n), prec)
-        * bounds.pi_n(n, prec),
-        prec + 8,
-    )
-    # at rank 55 the base has about 4400 decimal digits, past Python's
-    # default 4300-digit limit for int -> str, so the report records its
-    # logarithm
-    log_inner = bounds.log_enclosure(inner, prec)
+    # from rank 55 on the base and the bound have more decimal digits than
+    # Python's 4300-digit limit for int -> str, so the report records their
+    # logarithms
+    log_inner = bounds.log_enclosure(bounds.inner_factor(n, pair.A, prec), prec)
     builder.record(
         "inner_factor_ge_one",
         f"the degree-power base at rank {n} is at least one, so the lower "
@@ -379,30 +361,16 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
         deps=["feasible_pair"],
         enclosures=[log_inner],
     )
-    chain_cmps = []
-    chain_encl = []
-    prev = bounds.normalized_O(4, 2, pair, prec)
-    for m in range(5, n + 1):
-        cur = bounds.normalized_O(m, 2, pair, prec)
-        chain_cmps.append(_greater(cur, prev))
-        chain_encl.append(cur)
-        prev = cur
-    base4 = bounds.normalized_O(4, 2, pair, prec)
-    builder.record(
-        "normalized_O_exceeds",
-        f"the normalized covolume lower bound at rank {n} exceeds 1.83",
-        "base case at rank 4 plus the monotone chain",
-        [_greater(base4, THRESH_183)] + chain_cmps,
-        deps=["feasible_pair", "inner_factor_ge_one"],
-        enclosures=[base4] + chain_encl,
-    )
     _zeta_product_step(builder, prec)
+    log_bound = bounds.log_enclosure(bounds.normalized_O(n, 2, pair, prec), prec)
     builder.record(
         "high_rank_conclusion",
         f"no field of degree above one yields a smaller covolume at rank {n}",
-        "combination of the high-rank steps",
-        [_greater(bounds.normalized_O(n, 2, pair, prec), THRESH_183)],
-        deps=["normalized_O_exceeds", "zeta_product_bound", "A4"],
+        f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, "
+        "via logarithms",
+        [_greater(log_bound, bounds.log_enclosure(THRESH_183, prec))],
+        deps=["inner_factor_ge_one", "zeta_product_bound", "A4"],
+        enclosures=[log_bound],
     )
     return ["1.1.1.1"]
 
@@ -421,8 +389,8 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     )
     cut2 = bounds.n3_D_bound(2, prec)
     cut3 = bounds.n3_D_bound(3, prec)
-    quad = [f.discriminant for f in catalog if f.degree == 2 and f.discriminant < cut2.lo]
-    cubic = [f.discriminant for f in catalog if f.degree == 3 and f.discriminant < cut3.lo]
+    quad = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 2, cut2.lo)]
+    cubic = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 3, cut3.lo)]
     builder.record(
         "discriminant_cutoffs",
         f"discriminant cutoffs leave quadratic candidates {quad} and cubic "
@@ -472,7 +440,7 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     )
     cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
     counts = {
-        d: [f.discriminant for f in catalog if f.degree == d and f.discriminant < cuts[d].lo]
+        d: [f.discriminant for f in numberfields.fields_by_degree_below(catalog, d, cuts[d].lo)]
         for d in (2, 3, 4, 5)
     }
     builder.record(

@@ -13,9 +13,10 @@ unresolved tie at maximum precision.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from . import bounds, certifier, numberfields, optimizer
 
@@ -25,19 +26,33 @@ EXIT_DATA_MISSING = 3
 EXIT_TIE = 4
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+
+
+def _int_between(minimum: int, maximum: Optional[int] = None):
+    """argparse type: an integer in [minimum, maximum] (no upper limit if None)."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        value = _integer(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
+
+
+def _prime(text: str) -> int:
+    """argparse type: a prime below 2^32, checked by trial division."""
+    p = _integer(text)
+    if not 2 <= p < 1 << 32 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"must be a prime below 2^32, got {p}")
+    return p
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -45,7 +60,7 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fields", help="path to the field catalog", default=None)
     p.add_argument(
         "--precision",
-        type=_int_at_least(16),
+        type=_int_between(16),
         default=256,
         help="working precision in bits (at least 16)",
     )
@@ -60,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove = sub.add_parser("prove", help="run the pipeline for one or all ranks")
     prove.add_argument(
-        "--n", type=_int_at_least(2), default=None, help="rank to certify (at least 2)"
+        "--n",
+        type=_int_between(2, bounds.MAX_RANK),
+        default=None,
+        help=f"rank to certify (2 to {bounds.MAX_RANK})",
     )
     prove.add_argument(
         "--all", action="store_true", help="certify every rank from 2 to 8"
@@ -81,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     fld.add_argument("label", help="catalog label, e.g. 2.2.5.1")
     fld.add_argument("--op", choices=("zeta", "units", "splitting"), required=True)
     fld.add_argument("--s", type=int, default=2, help="zeta argument (even)")
-    fld.add_argument("--p", type=int, default=2, help="prime for splitting")
+    fld.add_argument("--p", type=_prime, default=2, help="prime below 2^32 for splitting")
     _add_data_args(fld)
 
     return parser

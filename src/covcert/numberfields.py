@@ -2,8 +2,8 @@
 
 Covers the candidate field catalog (a vendored snapshot with checksums),
 fundamental units from Pell's equation, totally-positive unit indices via
-certified sign computations, regulator and class-number bounds, Dedekind
-zeta enclosures, and prime splitting data.
+certified sign computations, Dedekind zeta enclosures, and prime
+splitting data.
 """
 
 from __future__ import annotations
@@ -20,16 +20,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .rigor import Interval, Rational
 from . import specfun
 from .specfun import (
-    Interval as _Interval,  # noqa: F401  (re-export convenience)
     dirichlet_L_enclosure,
     dirichlet_L_even_coeff,
-    exp_enclosure,
-    gamma_enclosure,
     pi_enclosure,
-    pow_frac,
     zeta_even_exact,
     zeta_real_enclosure,
-    _exp_point,
 )
 
 
@@ -336,44 +331,6 @@ def totally_positive_index(field: NumberFieldRecord) -> int:
                         count += 1
         return count
     raise UnsupportedField(f"unit index not supported for {field.label}")
-
-
-# ---------------------------------------------------------------------------
-# regulator / class number bounds
-
-
-def zimmert_lower(d: int, precision_bits: int = 256) -> Interval:
-    """Regulator lower bound 0.04 e^(0.46 d)."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    e_part = _exp_point(Fraction(46 * d, 100), precision_bits)
-    return Interval(e_part.lo / 25, e_part.hi / 25)
-
-
-def brauer_siegel_H(
-    d: int, D: Interval, t: Rational, precision_bits: int = 256
-) -> Interval:
-    """Upper bound H(d, D, t) for R_K h_K:
-
-    2 t (t+1) (Gamma((t+1)/2) / (2 pi^((1+t)/2)))^d D^((1+t)/2) zeta(t+1)^d
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if D.lo < 1:
-        raise ValueError("discriminant interval must have D.lo >= 1")
-    half = (t + 1) / 2
-    pi_iv = pi_enclosure(precision_bits)
-    gamma_part = gamma_enclosure(Interval.exact(half), precision_bits)
-    pi_pow = pow_frac(pi_iv, half, precision_bits)
-    ratio = gamma_part / (Interval.exact(2) * pi_pow)
-    zeta_part = zeta_real_enclosure(Interval.exact(t + 1), precision_bits)
-    return (
-        Interval.exact(2 * t * (t + 1))
-        * ratio.pow_int(d)
-        * pow_frac(D, half, precision_bits)
-        * zeta_part.pow_int(d)
-    ).coarsen(precision_bits + 8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Certified grid searches over the vendored bound-pair table.
 
-Reproduces three parameter searches: the (A, E, t) grid minimizing the
-rank-2 degree threshold, the (A, E) search minimizing the rank-3 degree
-threshold, and the feasibility scan for the three rank >= 4 conditions.
+Reproduces two parameter searches: the (A, E, t) grid minimizing the
+rank-2 degree threshold and the (A, E) search minimizing the rank-3 degree
+threshold.  Proofs evaluate the thresholds at the stated minima and do not
+run these searches.
 
 Every comparison used to select a minimum is a certified interval
 comparison.  When enclosures overlap at the minimum, the search refines
@@ -18,11 +19,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .rigor import Comparison, Interval, Rational, iv_compare
-from .bounds import (
-    DenominatorNotPositive,
-    OdlyzkoPair,
-    lemma35_conditions,
-)
+from .bounds import DenominatorNotPositive, OdlyzkoPair
 from .specfun import (
     _exp_point,
     alpha_enclosure,
@@ -231,27 +228,3 @@ def optimize_n3(
         rows_scanned=len(table),
         ties=tuple(ties),
     )
-
-
-def lemma35_passing(
-    table: Sequence[OdlyzkoPair], precision_bits: int = 256
-) -> List[OdlyzkoPair]:
-    """All table rows passing the three rank >= 4 feasibility conditions."""
-    passing = []
-    for pair in table:
-        verdicts = lemma35_conditions(pair, precision_bits)
-        if all(verdicts.values()):
-            passing.append(pair)
-    return passing
-
-
-def find_lemma35_pair(
-    table: Sequence[OdlyzkoPair], precision_bits: int = 256
-) -> OdlyzkoPair:
-    """First table row passing the three rank >= 4 conditions."""
-    if not table:
-        raise EmptyTable("bound-pair table is empty")
-    passing = lemma35_passing(table, precision_bits)
-    if not passing:
-        raise NoFeasiblePoint("no table row satisfies the feasibility conditions")
-    return passing[0]

@@ -1,6 +1,5 @@
 """Tests for the covolume constants, counting bounds, and cutoffs."""
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -48,16 +47,12 @@ def test_f_n():
     assert b.f_n(2) == 2
     assert b.f_n(3) == Fraction(15, 2)
     assert b.f_n(4) == 15
-    assert b.RankParams(3).f == Fraction(15, 2)
-    with pytest.raises(ValueError):
-        b.RankParams(1)
 
 
 def test_zeta_product_bounded():
     enclosure = b.zeta_product_enclosure(20, PREC)
     assert enclosure.hi < Fraction("1.83")
     assert enclosure.lo > Fraction("1.82")
-    assert b.zeta_product_upper(PREC) == Fraction("1.83")
 
 
 def test_zeta_product_single_factor():
@@ -80,21 +75,6 @@ def test_zeta_product_partial_monotone():
         if previous is not None:
             assert partial.lo > previous.hi
         previous = partial
-
-
-def test_pi_ratio_crossover():
-    """Pi(n+1)/Pi(n) = (2n+1)!/(2 pi)^(2n+2) crosses 1 between n=7 and n=8.
-
-    (Direct exact check; the ratio is below 1 only for n <= 7, so any
-    claim that the crossover happens later is refuted here.)
-    """
-    for n in range(2, 8):
-        assert b.pi_ratio(n, PREC).hi < 1, n
-    for n in range(8, 21):
-        assert b.pi_ratio(n, PREC).lo > 1, n
-    # the same fact by exact integer arithmetic: (2n+1)!^? vs (2pi)^(2n+2)
-    assert math.factorial(15) < float((2 * math.pi) ** 16)
-    assert math.factorial(17) > float((2 * math.pi) ** 18)
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +196,24 @@ def test_normalized_O_exceeds_threshold():
     assert b.normalized_O(4, 2, pair, PREC).lo > Fraction("1.83")
 
 
-def test_claim_a_chain_direct_and_sufficient():
-    pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
-    for n in range(2, 21):
-        assert b.claim_a_direct(pair, n, PREC), n
-        assert b.claim_a_sufficient(pair, n, PREC), n
+def test_inner_factor_oracle():
+    A = Fraction("6.894")
+    iv = b.inner_factor(4, A, PREC)
+    Af = mpmath.mpf(A.numerator) / A.denominator
+    pi4 = mpmath.mpf(1)
+    for j in range(1, 5):
+        pi4 *= mpmath.factorial(2 * j - 1) / (2 * mpmath.pi) ** (2 * j)
+    value = mpmath.mpf("7.6") * mpmath.exp(mpmath.mpf("0.46")) * Af**15 * pi4
+    lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+    hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+    assert lo <= value <= hi
 
 
 def test_claim_b_range():
+    """The inner factor 7.6 e^0.46 A^f(n) Pi(n) exceeds one."""
     pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
     for n in range(3, 15):
-        assert b.claim_b_condition(pair, n, PREC), n
+        assert b.inner_factor(n, pair.A, PREC).lo > 1, n
 
 
 # ---------------------------------------------------------------------------

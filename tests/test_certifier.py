@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import covcert
+from covcert import bounds
 from covcert import certifier as ct
 from covcert import cli, optimizer
 from covcert.bounds import OdlyzkoPair
@@ -199,8 +200,30 @@ def test_proof_path_does_not_search(monkeypatch):
         assert cert.step("degree_threshold").verdict == "Proved", n
 
 
+def test_l35_witness_is_only_passing_row(table):
+    passing = [p for p in table if all(bounds.lemma35_conditions(p, PREC).values())]
+    assert passing == [OdlyzkoPair(*ct.L35_WITNESS)]
+
+
+def test_high_rank_proof_has_no_rank_chain(monkeypatch):
+    calls = []
+    normalized_O = bounds.normalized_O
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return normalized_O(n, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "normalized_O", counted)
+    counts = {}
+    for n in (9, 30):
+        calls.clear()
+        assert ct.run_case(n, precision_bits=64).all_proved, n
+        counts[n] = len(calls)
+    assert counts[9] == counts[30] > 0
+
+
 @pytest.mark.parametrize(
-    "n, witness", [(2, ct.N2_WITNESS[:2]), (3, ct.N3_WITNESS)]
+    "n, witness", [(2, ct.N2_WITNESS[:2]), (3, ct.N3_WITNESS), (4, ct.L35_WITNESS)]
 )
 def test_missing_witness_row(tmp_path, table, n, witness):
     rows = [f"{p.A},{p.E}" for p in table if (p.A, p.E) != witness]
@@ -221,7 +244,7 @@ def test_overlap_gives_tie_that_verifies():
     assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
 
 
-@pytest.mark.parametrize("n", [34, 55])
+@pytest.mark.parametrize("n", [34, 55, 64])
 def test_high_rank_reports_emit_and_verify(n):
     cert = ct.run_case(n, precision_bits=64)
     assert cert.all_proved
@@ -248,18 +271,25 @@ def test_prove_all_matches_separate_processes():
     assert together == separate
 
 
+BAD_FLAGS = [
+    (["prove", "--n", "1"], "must be at least 2"),
+    (["prove", "--n", "3", "--precision", "8"], "must be at least 16"),
+    (["prove", "--n", "65"], "must be at most 64"),
+    *(
+        (["field", "2.2.5.1", "--op", "splitting", "--p", p], "must be a prime")
+        for p in ("0", "1", "4", "-3")
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["prove", "--n", "1"],
-        ["prove", "--n", "3", "--precision", "8"],
-    ],
+    "argv, message", BAD_FLAGS, ids=[f"argv{i}" for i in range(len(BAD_FLAGS))]
 )
-def test_cli_rejects_bad_flags(argv, capsys):
+def test_cli_rejects_bad_flags(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "at least" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -182,44 +182,6 @@ def test_root_isolation_matches_sturm():
 
 
 # ---------------------------------------------------------------------------
-# regulator and class-number bounds
-
-
-def test_zimmert_lower_oracle():
-    with mpmath.workdps(80):
-        for d in (1, 2, 3):
-            iv = nf.zimmert_lower(d, PREC)
-            value = mpmath.mpf("0.04") * mpmath.exp(mpmath.mpf("0.46") * d)
-            lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
-            hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-            assert lo <= value <= hi
-
-
-def test_zimmert_monotone():
-    assert nf.zimmert_lower(2, PREC).lo > nf.zimmert_lower(1, PREC).hi
-
-
-def test_brauer_siegel_oracle():
-    d, D, t = 2, 5, Fraction("1.2")
-    iv = nf.brauer_siegel_H(d, Interval.exact(D), t, PREC)
-    tf = mpmath.mpf("1.2")
-    value = (
-        2 * tf * (tf + 1)
-        * (mpmath.gamma((tf + 1) / 2) / (2 * mpmath.pi ** ((1 + tf) / 2))) ** d
-        * mpmath.mpf(D) ** ((tf + 1) / 2)
-        * mpmath.zeta(tf + 1) ** d
-    )
-    lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
-    hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-    assert lo <= value <= hi
-
-
-def test_brauer_siegel_rejects_bad_t():
-    with pytest.raises(ValueError):
-        nf.brauer_siegel_H(1, Interval.exact(1), Fraction(0), PREC)
-
-
-# ---------------------------------------------------------------------------
 # splitting and p-adic squares
 
 

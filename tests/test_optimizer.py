@@ -49,8 +49,6 @@ def test_empty_table_rejected():
         opt.optimize_n2([], precision_bits=PREC)
     with pytest.raises(opt.EmptyTable):
         opt.optimize_n3([], precision_bits=PREC)
-    with pytest.raises(opt.EmptyTable):
-        opt.find_lemma35_pair([], precision_bits=PREC)
 
 
 def test_optimize_n2_full_table(table):
@@ -110,17 +108,3 @@ def test_optimize_n3_without_best_row(table):
     result = opt.optimize_n3(reduced, precision_bits=PREC)
     full = opt.optimize_n3(table, precision_bits=PREC)
     assert result.best_value.lo > full.best_value.hi
-
-
-def test_find_lemma35_pair(table):
-    pair = opt.find_lemma35_pair(table, precision_bits=PREC)
-    assert pair == OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
-    passing = opt.lemma35_passing(table, precision_bits=PREC)
-    assert passing == [pair]
-    assert all(p.A > Fraction("5.66") for p in passing)
-
-
-def test_find_lemma35_pair_infeasible():
-    bad = [OdlyzkoPair(Fraction(5), Fraction(1))]
-    with pytest.raises(opt.NoFeasiblePoint):
-        opt.find_lemma35_pair(bad, precision_bits=PREC)
