@@ -1,9 +1,10 @@
 """Global covolume bounds and discriminant cutoffs.
 
-Implements the reference covolume constants Pi(n) and Psi(n), the lattice
-covolume quantity S(Lambda), the counting-function lower bounds F and O,
-the three feasibility conditions on a bound pair (A, E), and the various
-discriminant cutoff formulas used to enumerate candidate fields.
+Implements the reference covolume constants Pi(n) and Psi(n), the exact
+global-stage quotient Psi(n) / S(Lambda), the counting-function lower
+bounds F and O, the three feasibility conditions on a bound pair (A, E),
+and the various discriminant cutoff formulas used to enumerate candidate
+fields.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -21,11 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
-    UnsupportedField,
     _verify_checksum,
     data_dir,
-    dedekind_zeta_enclosure,
-    dedekind_zeta_quadratic_exact_coeff,
+    dedekind_zeta_exact_coeff,
 )
 from .specfun import (
     _exp_point,
@@ -136,59 +135,31 @@ def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# lattice covolume quantity S(Lambda)
-
-
-def S_lambda(field: NumberFieldRecord, n: int, precision_bits: int = 256) -> Interval:
-    """Enclosure of S = D^(n(2n+1)/2) * Pi(n)^d * prod_{j<=n} zeta_K(2j)."""
-    if n not in (2, 3):
-        raise ValueError("S(Lambda) supported for n in {2, 3}")
-    d, D = field.degree, field.discriminant
-    acc = pow_frac(
-        Interval.exact(D), Fraction(n * (2 * n + 1), 2), precision_bits
-    ) * pi_n(n, precision_bits).pow_int(d)
-    for j in range(1, n + 1):
-        acc = acc * dedekind_zeta_enclosure(field, 2 * j, precision_bits)
-    return coarsen_relative(acc, precision_bits + 8)
-
-
-def s_lambda_shifted(
-    field: NumberFieldRecord, n: int, precision_bits: int = 256
-) -> Interval:
-    """S(Lambda) / 2^(2d - 1), the normalized covolume of the model lattice."""
-    shift = Fraction(1, 1 << (2 * field.degree - 1))
-    return coarsen_relative(
-        S_lambda(field, n, precision_bits) * Interval.exact(shift),
-        precision_bits + 8,
-    )
+# the global-stage quotient against the lattice covolume S(Lambda)
 
 
 def s_lambda_quotient(
     field: NumberFieldRecord, n: int, precision_bits: int = 256
 ) -> Interval:
-    """Quotient Psi(n) / (S(Lambda) / 2^(2d-1)) comparing against Sp_2n(Z)."""
-    return (
-        Interval.exact(psi_n_exact(n)) / s_lambda_shifted(field, n, precision_bits)
-    ).coarsen(precision_bits + 8)
+    """Quotient Psi(n) / (S(Lambda) / 2^(2d-1)) comparing against Sp_2n(Z).
 
-
-def s_lambda_quotient_exact(field: NumberFieldRecord, n: int) -> Fraction:
-    """Exact value of the quotient for Q and real quadratic fields.
-
-    For quadratic fields every zeta_K(2j) is a rational multiple of
-    pi^(4j) sqrt(D), so the pi powers cancel against Pi(n)^2 and the
-    half-integer powers of D combine to the integer power D^(n(n+1)).
+    S(Lambda) = D^(n(2n+1)/2) Pi(n)^d prod_{j<=n} zeta_K(2j).  With
+    Pi(n) = c_n pi^(-n(n+1)) and zeta_K(2j) = r_K(j) pi^(2jd) / sqrt(D),
+    the pi powers cancel and the powers of D combine to D^(n^2), so the
+    quotient is the exact rational
+    Psi(n) 2^(2d-1) / (D^(n^2) c_n^d prod_j r_K(j)).  The point enclosure
+    does not depend on precision_bits.
     """
-    if field.degree == 1:
-        return Fraction(1)
-    if field.degree != 2:
-        raise UnsupportedField("exact quotient known only for degree <= 2")
-    D = field.discriminant
-    coeff = pi_n_coefficient(n) ** 2
+    d, D = field.degree, field.discriminant
+    S = Fraction(D) ** (n * n) * pi_n_coefficient(n) ** d
     for j in range(1, n + 1):
-        coeff *= dedekind_zeta_quadratic_exact_coeff(D, j)
-    S_shifted = Fraction(D) ** (n * (n + 1)) * coeff / (1 << 3)
-    return psi_n_exact(n) / S_shifted
+        S *= dedekind_zeta_exact_coeff(field, j)
+    return Interval.exact(psi_n_exact(n) * (1 << (2 * d - 1)) / S)
+
+
+def unit_scale(field: NumberFieldRecord, unit_index: int) -> Fraction:
+    """The factor unit_index / 2^(2d-1) taking the quotient to the adjusted one."""
+    return Fraction(unit_index, 1 << (2 * field.degree - 1))
 
 
 def adjusted_quotient(
@@ -199,10 +170,7 @@ def adjusted_quotient(
     The model lattice's covolume carries a factor 2^(2d-1) / [U^+ : U^2];
     values below 1 certify that the field cannot beat the rational lattice.
     """
-    scale = Fraction(unit_index, 1 << (2 * field.degree - 1))
-    return (
-        s_lambda_quotient(field, n, precision_bits) * Interval.exact(scale)
-    ).coarsen(precision_bits + 8)
+    return s_lambda_quotient(field, n) * Interval.exact(unit_scale(field, unit_index))
 
 
 # ---------------------------------------------------------------------------

@@ -241,14 +241,13 @@ def _unit_adjusted_quotient_steps(
     survivors: List[str],
     candidates: Sequence[Tuple[int, int]],
     deps: Sequence[str],
-    prec: int,
 ) -> None:
-    """Quotient and unit-index adjustment for each remaining (d, D)."""
+    """Exact quotient and unit-index adjustment for each remaining (d, D)."""
     for d, D in candidates:
         fld = numberfields.field_by_discriminant(catalog, d, D)
-        quotient = bounds.s_lambda_quotient(fld, n, prec)
+        quotient = bounds.s_lambda_quotient(fld, n)
         unit_index = numberfields.totally_positive_index(fld)
-        adjusted = bounds.adjusted_quotient(fld, n, unit_index, prec)
+        adjusted = quotient * Interval.exact(bounds.unit_scale(fld, unit_index))
         step_id = f"quotient_d{d}_D{D}"
         builder.record(
             step_id,
@@ -327,9 +326,8 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
                     frag.claim,
                     frag.detail,
                     [
-                        _greater(ONE, Interval.exact(0))
-                        if frag.verdict == "Proved"
-                        else _less(ONE, Interval.exact(0))
+                        _greater(Interval.exact(lhs), Interval.exact(rhs))
+                        for lhs, rhs in frag.comparisons
                     ],
                     deps=["local_T_values"],
                 )
@@ -420,7 +418,7 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     )
     survivors = ["1.1.1.1"]
     _unit_adjusted_quotient_steps(
-        builder, catalog, 3, survivors, [(2, 5)], ["refined_cutoffs"], prec
+        builder, catalog, 3, survivors, [(2, 5)], ["refined_cutoffs"]
     )
     return survivors
 
@@ -482,7 +480,6 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
         survivors,
         [(3, 49), (2, 8), (2, 5)],
         ["refined_cutoffs"],
-        prec,
     )
     return survivors
 
@@ -615,67 +612,98 @@ def emit_report(cert: Certificate, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def _typed(obj, key: str, kind: type):
+    """obj[key] when obj is a JSON object and the value has the given type."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise SchemaMismatch(f"{key!r} missing or not a {kind.__name__} in {obj!r:.80}")
+    return value
+
+
+def _parse_interval(pair) -> Interval:
+    """An enclosure recorded as a list of two fraction strings [lo, hi]."""
+    try:
+        lo, hi = pair
+        if not isinstance(lo, str) or not isinstance(hi, str):
+            raise TypeError("endpoints are not strings")
+        return Interval(Fraction(lo), Fraction(hi))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
 def verify_report(stream: bytes) -> str:
     """Re-check every recorded comparison of a JSON report.
 
     Returns the overall verdict string when consistent; raises
-    SchemaMismatch or TamperDetected otherwise.  Only exact rational
-    arithmetic is used, so verification is cheap.
+    SchemaMismatch for a report that does not parse as this schema and
+    TamperDetected for one whose contents contradict themselves or do not
+    amount to a proof (no steps, a Proved step without comparisons, a
+    repeated step id, an axiom step that does not state its axiom).  Only
+    exact rational arithmetic is used, so verification is cheap.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaMismatch(f"not a report: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaMismatch(
-            f"unsupported schema version {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise SchemaMismatch(f"unsupported schema version {version!r}")
+    steps = _typed(doc, "steps", list)
+    if not steps:
+        raise TamperDetected("report has no steps")
     seen: Dict[str, str] = {}
     all_ok = True
-    for s in doc.get("steps", []):
-        for dep in s.get("dependencies", []):
+    for s in steps:
+        step_id = _typed(s, "id", str)
+        if step_id in seen:
+            raise TamperDetected(f"step id {step_id} recorded twice")
+        for dep in _typed(s, "dependencies", list):
+            if not isinstance(dep, str):
+                raise SchemaMismatch(f"step {step_id}: dependency {dep!r} is not a string")
             if dep not in seen:
                 raise TamperDetected(
-                    f"step {s['id']} depends on missing or later step {dep}"
+                    f"step {step_id} depends on missing or later step {dep}"
                 )
             if seen[dep] == "Failed":
                 raise TamperDetected(
-                    f"step {s['id']} depends on failed step {dep}"
+                    f"step {step_id} depends on failed step {dep}"
                 )
+        comparisons = _typed(s, "comparisons", list)
         satisfied = True
-        for c in s.get("comparisons", []):
-            lhs = Interval(_parse_frac(c["lhs"][0]), _parse_frac(c["lhs"][1]))
-            rhs = Interval(_parse_frac(c["rhs"][0]), _parse_frac(c["rhs"][1]))
+        for c in comparisons:
+            lhs = _parse_interval(_typed(c, "lhs", list))
+            rhs = _parse_interval(_typed(c, "rhs", list))
+            relation = _typed(c, "relation", str)
             actual = iv_compare(lhs, rhs).value
-            if actual != c["relation"]:
+            if actual != relation:
                 raise TamperDetected(
-                    f"step {s['id']}: recorded relation {c['relation']} but "
+                    f"step {step_id}: recorded relation {relation} but "
                     f"enclosures give {actual}"
                 )
-            if c["relation"] != c["required"]:
+            if relation != _typed(c, "required", str):
                 satisfied = False
         verdict = s.get("verdict")
         if verdict == "Axiom":
-            if s.get("comparisons"):
-                raise TamperDetected(f"axiom step {s['id']} has comparisons")
+            if comparisons:
+                raise TamperDetected(f"axiom step {step_id} has comparisons")
+            if s.get("claim") != AXIOMS.get(step_id):
+                raise TamperDetected(f"axiom step {step_id} does not state axiom {step_id}")
         elif verdict == "Proved":
+            if not comparisons:
+                raise TamperDetected(f"step {step_id} marked Proved without comparisons")
             if not satisfied:
                 raise TamperDetected(
-                    f"step {s['id']} marked Proved but a comparison fails"
+                    f"step {step_id} marked Proved but a comparison fails"
                 )
         elif verdict in ("Failed", "Tie"):
-            if satisfied and s.get("comparisons"):
+            if satisfied and comparisons:
                 raise TamperDetected(
-                    f"step {s['id']} marked {verdict} but all comparisons hold"
+                    f"step {step_id} marked {verdict} but all comparisons hold"
                 )
             all_ok = False
         else:
             raise SchemaMismatch(f"unknown verdict {verdict!r}")
-        seen[s["id"]] = verdict
+        seen[step_id] = verdict
     conclusion = doc.get("final_conclusion", "")
     if all_ok and conclusion != FINAL_CONCLUSION:
         raise TamperDetected("all steps hold but the conclusion is absent")

@@ -12,43 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .rigor import Comparison, Interval, iv_compare
+from .rigor import Comparison, Interval, RationalLike, iv_compare
 from . import numberfields
 from .numberfields import padic_square_test, splitting_type
 
-HYPERSPECIAL = "hyperspecial"
-SPECIAL_NONHYPERSPECIAL = "special_nonhyperspecial"
-NONSPECIAL_RANK2_LEVI = "nonspecial_rank2_levi"
-
-_KINDS = (HYPERSPECIAL, SPECIAL_NONHYPERSPECIAL, NONSPECIAL_RANK2_LEVI)
-
 # the component-group cardinality dividing a non-special factor is 1 or 2
 XI_CARDINALITY_MAX = 2
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    q: int  # residue cardinality, a prime power >= 2
-    n: int  # rank
-    kind: str
-    value: Interval
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError("residue cardinality must be >= 2")
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown local factor kind {self.kind!r}")
-        if self.value.lo < 1:
-            raise ValueError(f"local factor value must be >= 1, got {self.value}")
-        is_one = self.value.is_point() and self.value.lo == 1
-        if (self.kind == HYPERSPECIAL) != is_one:
-            raise ValueError("kind is hyperspecial iff value is exactly 1")
-
-
-def hyperspecial_factor(q: int, n: int) -> LocalFactor:
-    return LocalFactor(q, n, HYPERSPECIAL, Interval.exact(1))
 
 
 def T_factor(q: int) -> Fraction:
@@ -101,27 +72,18 @@ def nonspecial_gt_two(q: int, n: int) -> Comparison:
     return iv_compare(lower, Interval.exact(XI_CARDINALITY_MAX))
 
 
-def exclusion_inequality(factors: Sequence[LocalFactor]) -> Comparison:
-    """Certified comparison prod e'(P_v) vs 5 * 2^(#T).
-
-    CERTAINLY_GREATER excludes the candidate lattice; #T counts the
-    non-hyperspecial factors.
-    """
-    product = Interval.exact(1)
-    sharp_count = 0
-    for factor in factors:
-        product = product * factor.value
-        if factor.kind != HYPERSPECIAL:
-            sharp_count += 1
-    threshold = Interval.exact(5 * 2**sharp_count)
-    return iv_compare(product, threshold)
-
-
 @dataclass(frozen=True)
 class ExclusionStep:
     claim: str
-    verdict: str  # Proved | Axiom
     detail: str
+    # pairs (lhs, rhs), each needing lhs > rhs; none for an axiom
+    comparisons: Tuple[Tuple[RationalLike, RationalLike], ...] = ()
+
+    @property
+    def verdict(self) -> str:
+        if not self.comparisons:
+            return "Axiom"
+        return "Proved" if all(lhs > rhs for lhs, rhs in self.comparisons) else "Failed"
 
 
 def qsqrt5_local_exclusion(catalog=None) -> Tuple[ExclusionStep, ...]:
@@ -140,39 +102,31 @@ def qsqrt5_local_exclusion(catalog=None) -> Tuple[ExclusionStep, ...]:
     steps: List[ExclusionStep] = []
     for p in (2, 3):
         split = splitting_type(field, p)
-        ok = split.kind == "inert" and split.residue_cardinalities == (p * p,)
         square_check = padic_square_test(field.discriminant, p)
         steps.append(
             ExclusionStep(
                 claim=f"no place above {p} has residue cardinality {p}",
-                verdict="Proved" if ok and not square_check else "Failed",
                 detail=(
                     f"prime {p} is {split.kind} with residue cardinality "
                     f"{split.residue_cardinalities[0]}; discriminant is "
                     f"{'' if square_check else 'not '}a square in the "
                     f"{p}-adic field"
                 ),
+                comparisons=((min(split.residue_cardinalities), p),),
             )
         )
     steps.append(
         ExclusionStep(
             claim="sharp factors at the remaining places satisfy the "
             "exclusion inequality",
-            verdict="Proved"
-            if all(
-                nonspecial_gt_two(q, 2) is Comparison.CERTAINLY_GREATER
-                or Fraction(T_factor(q)) > 10
-                for q in (4, 5, 9)
-            )
-            else "Failed",
             detail="T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
+            comparisons=tuple((T_factor(q), 10) for q in (4, 5, 9)),
         )
     )
     steps.append(
         ExclusionStep(
             claim="archimedean ramification parity rules out the residual "
             "rank-2 case",
-            verdict="Axiom",
             detail="parity of ramified real places; outside certified scope",
         )
     )

@@ -19,13 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rigor import Interval, Rational
 from . import specfun
-from .specfun import (
-    dirichlet_L_enclosure,
-    dirichlet_L_even_coeff,
-    pi_enclosure,
-    zeta_even_exact,
-    zeta_real_enclosure,
-)
+from .specfun import dirichlet_L_even_coeff, pi_enclosure, sqrt_enclosure, zeta_even_exact
 
 
 class MalformedCatalog(ValueError):
@@ -499,14 +493,11 @@ _CUBIC_49_CONDUCTOR = 7
 _CUBIC_49_GENERATOR = 3  # a primitive root mod 7
 
 
-@lru_cache(maxsize=None)
-def dedekind_zeta_cubic49_exact_coeff(j: int) -> Fraction:
-    """Exact rational q with zeta_K(2j) = q * pi^(6j) for K = 3.3.49.1.
+def _cubic49_L_norm(j: int) -> Fraction:
+    """Exact rational q with |L(2j, chi)|^2 = q * pi^(4j) for chi cubic mod 7.
 
-    K is the cyclic cubic field of conductor 7, so
-    zeta_K(s) = zeta(s) L(s, chi) L(s, conj(chi)) with chi the cubic
-    character mod 7, chi(3^e) = w^e, w = exp(2 pi i / 3).  The closed form
-    for even characters (Washington, Thm 4.2) gives
+    chi(3^e) = w^e with w = exp(2 pi i / 3).  The closed form for even
+    characters (Washington, Thm 4.2) gives
     |L(2j, chi)|^2 = 7/4 (2 pi / 7)^(4j) |B_(2j, chi)|^2 / ((2j)!)^2, where
     B_(k, chi) = 7^(k-1) sum_a chi(a) B_k(a/7) = x + y w lies in Q(w).
     """
@@ -519,13 +510,26 @@ def dedekind_zeta_cubic49_exact_coeff(j: int) -> Fraction:
     # w^2 = -1 - w
     x, y = (sums[0] - sums[2]) * scale, (sums[1] - sums[2]) * scale
     norm = x * x - x * y + y * y  # |x + y w|^2
-    return (
-        zeta_even_exact(j)
-        * Fraction(f, 4)
-        * Fraction(2, f) ** (2 * k)
-        * norm
-        / math.factorial(k) ** 2
-    )
+    return Fraction(f, 4) * Fraction(2, f) ** (2 * k) * norm / math.factorial(k) ** 2
+
+
+def dedekind_zeta_exact_coeff(field: NumberFieldRecord, j: int) -> Fraction:
+    """Exact rational r with zeta_K(2j) = r * pi^(2jd) / sqrt(D_K).
+
+    Siegel--Klingen: r is rational for every totally real K.  For the
+    supported fields it comes from generalized Bernoulli numbers:
+    zeta_K = zeta for Q, zeta * L(chi_D) for real quadratic K, and
+    zeta * L(chi) * L(conj(chi)) for the cyclic cubic field 3.3.49.1 of
+    conductor 7.
+    """
+    if field.degree == 1:
+        return zeta_even_exact(j)
+    if field.degree == 2 and field.discriminant in specfun.SUPPORTED_L_MODULI:
+        D = field.discriminant
+        return D * zeta_even_exact(j) * dirichlet_L_even_coeff(D, j)
+    if field.degree == 3 and field.discriminant == 49:
+        return 7 * zeta_even_exact(j) * _cubic49_L_norm(j)
+    raise UnsupportedField(f"zeta_K not supported for {field.label}")
 
 
 def dedekind_zeta_enclosure(
@@ -534,25 +538,14 @@ def dedekind_zeta_enclosure(
     """Enclosure of zeta_K(s) at even s in {2, 4, 6}."""
     if s not in (2, 4, 6):
         raise UnsupportedArgument(f"zeta_K supported at s in {{2,4,6}}, got {s}")
-    if field.degree == 1:
-        c = zeta_even_exact(s // 2)
-        return (Interval.exact(c) * pi_enclosure(precision_bits).pow_int(s)).coarsen(
-            precision_bits + 8
-        )
-    if field.degree == 2:
-        if field.discriminant not in specfun.SUPPORTED_L_MODULI:
-            raise UnsupportedField(f"no L-data for {field.label}")
-        z = zeta_real_enclosure(Interval.exact(s), precision_bits)
-        L = dirichlet_L_enclosure(field.discriminant, Interval.exact(s), precision_bits)
-        return (z * L).coarsen(precision_bits + 8)
-    if field.degree == 3 and field.discriminant == 49:
-        c = dedekind_zeta_cubic49_exact_coeff(s // 2)
-        return (Interval.exact(c) * pi_enclosure(precision_bits).pow_int(3 * s)).coarsen(
-            precision_bits + 8
-        )
-    raise UnsupportedField(f"zeta_K not supported for {field.label}")
-
-
-def dedekind_zeta_quadratic_exact_coeff(D: int, j: int) -> Fraction:
-    """Exact rational c with zeta_K(2j) = c * pi^(4j) * sqrt(D) for quadratic K."""
-    return zeta_even_exact(j) * dirichlet_L_even_coeff(D, j)
+    r = dedekind_zeta_exact_coeff(field, s // 2)
+    D = field.discriminant
+    root = math.isqrt(D)
+    sqrt_D = (
+        Interval.exact(root)
+        if root * root == D
+        else sqrt_enclosure(Interval.exact(D), precision_bits)
+    )
+    return (
+        Interval.exact(r) * pi_enclosure(precision_bits).pow_int(s * field.degree) / sqrt_D
+    ).coarsen(precision_bits + 8)

@@ -8,6 +8,7 @@ import pytest
 from covcert.rigor import Comparison, Interval, iv_compare
 from covcert import bounds as b
 from covcert import numberfields as nf
+from covcert import specfun as sf
 
 mpmath.mp.dps = 50
 
@@ -82,31 +83,48 @@ def test_zeta_product_partial_monotone():
 
 
 def test_s_lambda_Q_collapses_to_psi(catalog):
-    iv = b.S_lambda(catalog[0], 2, PREC)
-    assert iv.contains(b.psi_n_exact(2))
+    """For Q, S(Lambda) = Psi(n): the quotient is the shift 2^(2d-1) = 2 and
+    the adjusted quotient at unit index 1 is exactly 1."""
+    for n in (2, 3):
+        assert b.s_lambda_quotient(catalog[0], n) == Interval.exact(2)
+        assert b.adjusted_quotient(catalog[0], n, 1) == Interval.exact(1)
 
 
 def test_quotient_exact_values(catalog):
-    f5 = nf.field_by_discriminant(catalog, 2, 5)
-    f8 = nf.field_by_discriminant(catalog, 2, 8)
-    assert b.s_lambda_quotient_exact(f5, 2) == 40
-    assert b.s_lambda_quotient_exact(f8, 2) == Fraction(32, 11)
-    assert b.s_lambda_quotient_exact(f5, 3) == Fraction(200, 67)
+    for (d, D), n, value in (
+        ((3, 49), 2, Fraction(1568, 79)),
+        ((2, 8), 2, Fraction(32, 11)),
+        ((2, 5), 2, Fraction(40)),
+        ((2, 5), 3, Fraction(200, 67)),
+    ):
+        field = nf.field_by_discriminant(catalog, d, D)
+        assert b.s_lambda_quotient(field, n, PREC) == Interval.exact(value), (D, n)
 
 
 def test_quotient_interval_matches_exact(catalog):
+    """The closed form against Psi(n) 2^(2d-1) / S(Lambda), with S(Lambda)
+    built from the specfun series for zeta and L(chi_D) at 160 bits."""
     for D, n in ((5, 2), (8, 2), (5, 3)):
         field = nf.field_by_discriminant(catalog, 2, D)
-        iv = b.s_lambda_quotient(field, n, PREC)
-        assert iv.contains(b.s_lambda_quotient_exact(field, n)), (D, n)
+        S = sf.pow_frac(Interval.exact(D), Fraction(n * (2 * n + 1), 2), PREC)
+        S = S * b.pi_n(n, PREC).pow_int(2)
+        for j in range(1, n + 1):
+            s = Interval.exact(2 * j)
+            S = S * sf.zeta_real_enclosure(s, PREC) * sf.dirichlet_L_enclosure(D, s, PREC)
+        series = Interval.exact(b.psi_n_exact(n) * 2**3) / S
+        assert series.contains(b.s_lambda_quotient(field, n).lo), (D, n)
 
 
 def test_shifted_covolume_printed_values(catalog):
-    f5 = nf.field_by_discriminant(catalog, 2, 5)
-    f49 = nf.field_by_discriminant(catalog, 3, 49)
-    assert _close(b.s_lambda_shifted(f5, 2, PREC), "4.34e-6")
-    assert _close(b.s_lambda_shifted(f49, 2, PREC), "8.75e-6")
-    assert _close(b.s_lambda_shifted(f5, 3, PREC), "1.154e-7")
+    """S(Lambda) / 2^(2d-1) = Psi(n) / quotient."""
+    for (d, D), n, printed in (
+        ((2, 5), 2, "4.34e-6"),
+        ((3, 49), 2, "8.75e-6"),
+        ((2, 5), 3, "1.154e-7"),
+    ):
+        field = nf.field_by_discriminant(catalog, d, D)
+        shifted = Interval.exact(b.psi_n_exact(n)) / b.s_lambda_quotient(field, n)
+        assert _close(shifted, printed), (D, n)
 
 
 def test_quotient_printed_values(catalog):
@@ -135,7 +153,7 @@ def test_adjusted_quotient_rulings(catalog):
 
 def test_adjusted_quotient_exact_survivor(catalog):
     f5 = nf.field_by_discriminant(catalog, 2, 5)
-    assert b.s_lambda_quotient_exact(f5, 2) / 8 == 5
+    assert b.adjusted_quotient(f5, 2, nf.totally_positive_index(f5)) == Interval.exact(5)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,71 @@ def test_verify_schema_mismatch(cert_by_rank):
         ct.verify_report(b"not json at all")
 
 
+def _step(doc, step_id):
+    return next(s for s in doc["steps"] if s["id"] == step_id)
+
+
+def _no_steps(doc):
+    doc["steps"] = []
+
+
+def _proved_without_comparisons(doc):
+    _step(doc, "degree_threshold")["comparisons"] = []
+
+
+def _duplicate_step(doc):
+    doc["steps"].append(dict(doc["steps"][-1]))
+
+
+def _axiom_text_edited(doc):
+    _step(doc, "A3")["claim"] = "any statement at all"
+
+
+def _non_dict_step(doc):
+    doc["steps"].insert(1, "step")
+
+
+def _zero_denominator(doc):
+    _step(doc, "degree_threshold")["comparisons"][0]["lhs"][0] = "1/0"
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (_no_steps, ct.TamperDetected),
+        (_proved_without_comparisons, ct.TamperDetected),
+        (_duplicate_step, ct.TamperDetected),
+        (_axiom_text_edited, ct.TamperDetected),
+        (_non_dict_step, ct.SchemaMismatch),
+        (_zero_denominator, ct.SchemaMismatch),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
+)
+def test_verify_rejects_forged_and_malformed(cert_by_rank, mutate, error):
+    doc = json.loads(ct.emit_report(cert_by_rank[2]).decode())
+    mutate(doc)
+    with pytest.raises(error):
+        ct.verify_report(json.dumps(doc).encode())
+
+
+def test_global_stage_quotients_are_exact(cert_by_rank):
+    for n in (2, 3):
+        steps = [
+            s for s in cert_by_rank[n].steps if s.id.startswith(("quotient_", "verdict_"))
+        ]
+        assert steps, n
+        for step in steps:
+            assert all(e.is_point() for e in step.enclosures), step.id
+            assert all(c.lhs.is_point() and c.rhs.is_point() for c in step.comparisons)
+
+
+def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
+    trivial = [(Interval.exact(1), Interval.exact(0))]
+    for step in cert_by_rank[2].steps:
+        if step.verdict == "Proved":
+            assert [(c.lhs, c.rhs) for c in step.comparisons] != trivial, step.id
+
+
 def test_data_missing():
     with pytest.raises(ct.DataMissing):
         ct.run_case(3, precision_bits=PREC, odlyzko_path="/nonexistent/table.csv")

@@ -69,34 +69,6 @@ def test_nonspecial_gt_two():
             assert lf.nonspecial_gt_two(q, n) is Comparison.CERTAINLY_GREATER, (q, n)
 
 
-def test_exclusion_inequality():
-    assert lf.exclusion_inequality([]) is Comparison.CERTAINLY_LESS
-    held = [
-        lf.LocalFactor(4, 2, lf.SPECIAL_NONHYPERSPECIAL,
-                       Interval.exact(lf.T_factor(4))),
-        lf.hyperspecial_factor(3, 2),
-    ]
-    assert lf.exclusion_inequality(held) is Comparison.CERTAINLY_GREATER
-    evades = [
-        lf.LocalFactor(2, 2, lf.SPECIAL_NONHYPERSPECIAL,
-                       Interval.exact(lf.T_factor(2))),
-    ]
-    assert lf.exclusion_inequality(evades) is Comparison.CERTAINLY_LESS
-
-
-def test_local_factor_invariants():
-    with pytest.raises(ValueError):
-        lf.LocalFactor(1, 2, lf.HYPERSPECIAL, Interval.exact(1))
-    with pytest.raises(ValueError):
-        lf.LocalFactor(2, 2, "bogus", Interval.exact(1))
-    with pytest.raises(ValueError):
-        lf.LocalFactor(2, 2, lf.SPECIAL_NONHYPERSPECIAL, Interval.exact(Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        lf.LocalFactor(2, 2, lf.HYPERSPECIAL, Interval.exact(2))
-    with pytest.raises(ValueError):
-        lf.LocalFactor(2, 2, lf.SPECIAL_NONHYPERSPECIAL, Interval.exact(1))
-
-
 def test_qsqrt5_exclusion_chain(catalog):
     steps = lf.qsqrt5_local_exclusion(catalog)
     assert len(steps) == 4

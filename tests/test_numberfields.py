@@ -240,19 +240,41 @@ def test_zeta_Q_is_riemann(catalog):
     iv.intersect(exact)
 
 
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def test_zeta_quadratic_oracle(catalog):
-    f5 = nf.field_by_discriminant(catalog, 2, 5)
-    for s in (2, 4):
-        iv = nf.dedekind_zeta_enclosure(f5, s, PREC)
-        coeff = nf.dedekind_zeta_quadratic_exact_coeff(5, s // 2)
-        value = (
-            mpmath.mpf(coeff.numerator) / coeff.denominator
-            * mpmath.pi ** (2 * s)
-            * mpmath.sqrt(5)
-        )
-        lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
-        hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-        assert lo <= value <= hi
+    """zeta_K(2j) = r pi^(4j) / sqrt(D) against zeta(2j) L(2j, chi_D) at 60 digits.
+
+    L(s, chi_D) = D^(-s) sum_a chi_D(a) zeta(s, a/D) via Hurwitz zeta.
+    """
+    for D in (5, 8):
+        field = nf.field_by_discriminant(catalog, 2, D)
+        for j in (1, 2, 3):
+            s = 2 * j
+            with mpmath.workdps(60):
+                L = sum(
+                    sympy.kronecker_symbol(D, a) * mpmath.zeta(s, mpmath.mpf(a) / D)
+                    for a in range(1, D)
+                ) / mpmath.mpf(D) ** s
+                oracle = mpmath.zeta(s) * L
+                r = nf.dedekind_zeta_exact_coeff(field, j)
+                value = _mp(r) * mpmath.pi ** (2 * s) / mpmath.sqrt(D)
+                assert abs(value - oracle) < mpmath.mpf(10) ** -58 * oracle, (D, j)
+                iv = nf.dedekind_zeta_enclosure(field, s, PREC)
+                assert _mp(iv.lo) <= oracle <= _mp(iv.hi), (D, j)
+
+
+def test_zeta_quadratic_closed_form_inside_series(catalog):
+    """The closed form lies inside the independent Hurwitz-series product."""
+    for D in (5, 8):
+        field = nf.field_by_discriminant(catalog, 2, D)
+        for s in (2, 4, 6):
+            series = sf.zeta_real_enclosure(Interval.exact(s), PREC) * sf.dirichlet_L_enclosure(
+                D, Interval.exact(s), PREC
+            )
+            assert nf.dedekind_zeta_enclosure(field, s, PREC).subset_of(series), (D, s)
 
 
 def test_zeta_cubic_euler_vs_galois_shortcut(catalog):
@@ -289,7 +311,8 @@ def test_zeta_cubic_exact_coeff_oracle(catalog, j, q):
     chi is the cubic character mod 7 with chi(3^e) = w^e, and
     L(s, chi) = 7^(-s) sum_a chi(a) zeta(s, a/7) via Hurwitz zeta.
     """
-    assert nf.dedekind_zeta_cubic49_exact_coeff(j) == q
+    f49 = nf.field_by_discriminant(catalog, 3, 49)
+    assert nf.dedekind_zeta_exact_coeff(f49, j) == 7 * q
     s = 2 * j
     with mpmath.workdps(60):
         w = mpmath.exp(2j * mpmath.pi / 3)
@@ -299,7 +322,7 @@ def test_zeta_cubic_exact_coeff_oracle(catalog, j, q):
         oracle = mpmath.zeta(s) * abs(L) ** 2
         value = mpmath.mpf(q.numerator) / q.denominator * mpmath.pi ** (6 * j)
         assert abs(value - oracle) < mpmath.mpf(10) ** -58 * oracle
-        iv = nf.dedekind_zeta_enclosure(nf.field_by_discriminant(catalog, 3, 49), s, PREC)
+        iv = nf.dedekind_zeta_enclosure(f49, s, PREC)
         lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
         hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
         assert lo <= oracle <= hi
@@ -313,3 +336,6 @@ def test_zeta_unsupported_cases(catalog):
         nf.dedekind_zeta_enclosure(
             nf.field_by_discriminant(catalog, 4, 725), 2, PREC
         )
+    for label in ("3.3.81.1", "4.4.725.1"):
+        with pytest.raises(nf.UnsupportedField):
+            nf.dedekind_zeta_exact_coeff(nf.field_by_label(catalog, label), 1)
