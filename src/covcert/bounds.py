@@ -1,10 +1,10 @@
 """Global covolume bounds and discriminant cutoffs.
 
 Implements the reference covolume constants Pi(n) and Psi(n), the exact
-global-stage quotient Psi(n) / S(Lambda), the counting-function lower
-bounds F and O, the three feasibility conditions on a bound pair (A, E),
-and the various discriminant cutoff formulas used to enumerate candidate
-fields.
+global-stage quotient Psi(n) / S(Lambda), the logarithms of Pi(n) and of
+the high-rank lower bound on the covolume, the three feasibility
+conditions on a bound pair (A, E), and the various discriminant cutoff
+formulas used to enumerate candidate fields.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -28,6 +28,7 @@ from .numberfields import (
 )
 from .specfun import (
     _exp_point,
+    _log_point,
     log_enclosure,
     pi_enclosure,
     pow_frac,
@@ -174,56 +175,51 @@ def adjusted_quotient(
 
 
 # ---------------------------------------------------------------------------
-# counting-function lower bounds F and O
+# the high-rank lower bound, in logarithms
+#
+# Pi(n) and O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d
+# reach ~10^2721 and ~10^8299 at rank 64 and d = 2, so the proof only handles
+# their logarithms: short sums of point logarithms, each evaluated with guard
+# bits that absorb the multipliers n(n+1) and f(n).
 
 
 _COEFF_7_6 = Fraction(38, 5)
 _COEFF_0_46 = Fraction(46, 100)
-_COEFF_750 = Fraction(1, 750)
+_LOG_GUARD_BITS = 16
 
 
-def inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
-    """The degree-power base 7.6 e^0.46 A^f(n) Pi(n) of O(n, d, A, E)."""
+def log_pi_n(n: int, precision_bits: int = 256) -> Interval:
+    """Enclosure of log Pi(n) = log c_n - n(n+1) log pi."""
+    work = precision_bits + _LOG_GUARD_BITS
+    log_pi = log_enclosure(pi_enclosure(work), work)
     return coarsen_relative(
-        Interval.exact(_COEFF_7_6)
-        * _exp_point(_COEFF_0_46, precision_bits)
-        * pow_frac(Interval.exact(A), f_n(n), precision_bits)
-        * pi_n(n, precision_bits),
+        _log_point(pi_n_coefficient(n), work) - Interval.exact(n * (n + 1)) * log_pi,
         precision_bits + 8,
     )
 
 
-def F_bound(d: int, D: Interval, n: int, precision_bits: int = 256) -> Interval:
-    """F(d, D, n) = (1/750) D^(n^2+n/2-3) (7.6 e^0.46 Pi(n))^d.
-
-    The base is the inner factor at A = 1; O(n, d, A, E) is F at
-    D = A^d e^(-E).
-    """
-    if D.lo < 1:
-        raise ValueError("discriminant interval must have D.lo >= 1")
+def log_inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
+    """Log of the degree-power base 7.6 e^0.46 A^f(n) Pi(n) of O(n, d, A, E)."""
+    work = precision_bits + _LOG_GUARD_BITS
     return coarsen_relative(
-        Interval.exact(_COEFF_750)
-        * pow_frac(D, f_n(n), precision_bits)
-        * inner_factor(n, 1, precision_bits).pow_int(d),
+        _log_point(_COEFF_7_6, work)
+        + Interval.exact(_COEFF_0_46)
+        + Interval.exact(f_n(n)) * _log_point(A, work)
+        + log_pi_n(n, work),
         precision_bits + 8,
     )
 
 
-def O_bound(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
-    """O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d."""
-    e_decay = _exp_point(-pair.E * f_n(n), precision_bits)
+def log_normalized_O(
+    n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256
+) -> Interval:
+    """Log of Pi(n)^(-1) O(n, d, A, E), the quantity compared against log 1.83."""
+    work = precision_bits + _LOG_GUARD_BITS
     return coarsen_relative(
-        Interval.exact(_COEFF_750)
-        * e_decay
-        * inner_factor(n, pair.A, precision_bits).pow_int(d),
-        precision_bits + 8,
-    )
-
-
-def normalized_O(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
-    """Pi(n)^(-1) O(n, d, A, E), the quantity compared against 1.83."""
-    return coarsen_relative(
-        O_bound(n, d, pair, precision_bits) / pi_n(n, precision_bits),
+        Interval.exact(-pair.E * f_n(n))
+        - _log_point(Fraction(750), work)
+        + Interval.exact(d) * log_inner_factor(n, pair.A, work)
+        - log_pi_n(n, work),
         precision_bits + 8,
     )
 
@@ -250,7 +246,7 @@ def lemma35_comparisons(
     lhs_a = Interval.exact(2) * log_A - Interval.exact(pair.E)
     rhs_a = log_2pi + Interval.exact(1) - log_5
 
-    log_pi4 = log_enclosure(pi_n(4, precision_bits), precision_bits)
+    log_pi4 = log_pi_n(4, precision_bits)
     log_947 = log_enclosure(Interval.exact(Fraction(947, 100)), precision_bits)
     rhs_c = (log_947 - log_pi4) / Interval.exact(f_n(4))
     lhs_c = Interval.exact(-pair.E) + Interval.exact(2) * log_A

@@ -30,14 +30,6 @@ class DataMissing(FileNotFoundError):
     """A required data file is absent."""
 
 
-class StepFailed(RuntimeError):
-    """A certificate step failed; the step is attached."""
-
-    def __init__(self, step: "CertificateStep") -> None:
-        super().__init__(f"step {step.id} failed: {step.claim}")
-        self.step = step
-
-
 class SchemaMismatch(ValueError):
     """Report schema version is not supported."""
 
@@ -290,11 +282,7 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
             enclosures=[value],
         )
     q_ref = 3 if n == 2 else 2
-    lower = (
-        Interval.exact(localfactors.T_factor(2))
-        if (q_ref, n) == (2, 2)
-        else localfactors.h_rigidity(q_ref, n)
-    )
+    lower = localfactors.h_rigidity(q_ref, n)
     builder.record(
         "local_nonspecial_factor",
         f"non-special local factors at rank {n} exceed the component bound",
@@ -346,10 +334,9 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
         deps=["A3"],
         enclosures=[*conditions["cond_a"], *conditions["cond_c"]],
     )
-    # from rank 55 on the base and the bound have more decimal digits than
-    # Python's 4300-digit limit for int -> str, so the report records their
-    # logarithms
-    log_inner = bounds.log_enclosure(bounds.inner_factor(n, pair.A, prec), prec)
+    # the base and the bound run to thousands of digits at high rank, so the
+    # report records their logarithms, which bounds evaluates directly
+    log_inner = bounds.log_inner_factor(n, pair.A, prec)
     builder.record(
         "inner_factor_ge_one",
         f"the degree-power base at rank {n} is at least one, so the lower "
@@ -360,7 +347,7 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
         enclosures=[log_inner],
     )
     _zeta_product_step(builder, prec)
-    log_bound = bounds.log_enclosure(bounds.normalized_O(n, 2, pair, prec), prec)
+    log_bound = bounds.log_normalized_O(n, 2, pair, prec)
     builder.record(
         "high_rank_conclusion",
         f"no field of degree above one yields a smaller covolume at rank {n}",
@@ -489,7 +476,6 @@ def run_case(
     precision_bits: int = 256,
     odlyzko_path: Optional[str] = None,
     fields_path: Optional[str] = None,
-    raise_on_failure: bool = False,
 ) -> Certificate:
     """Execute the full exclusion pipeline for one rank."""
     if n < 2:
@@ -531,10 +517,6 @@ def run_case(
     )
     if cert.all_proved:
         cert.final_conclusion = FINAL_CONCLUSION
-    if raise_on_failure:
-        for s in cert.steps:
-            if s.verdict == "Failed":
-                raise StepFailed(s)
     return cert
 
 
@@ -615,7 +597,7 @@ def emit_report(cert: Certificate, fmt: str = "json") -> bytes:
 def _typed(obj, key: str, kind: type):
     """obj[key] when obj is a JSON object and the value has the given type."""
     value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaMismatch(f"{key!r} missing or not a {kind.__name__} in {obj!r:.80}")
     return value
 
@@ -635,11 +617,14 @@ def verify_report(stream: bytes) -> str:
     """Re-check every recorded comparison of a JSON report.
 
     Returns the overall verdict string when consistent; raises
-    SchemaMismatch for a report that does not parse as this schema and
-    TamperDetected for one whose contents contradict themselves or do not
-    amount to a proof (no steps, a Proved step without comparisons, a
-    repeated step id, an axiom step that does not state its axiom).  Only
-    exact rational arithmetic is used, so verification is cheap.
+    SchemaMismatch for a report that does not parse as this schema (among
+    others: an enclosure that is not an interval of fractions, a rank that
+    is not an integer, a precision below 16 bits or not equal to every
+    step's) and TamperDetected for one whose contents contradict themselves
+    or do not amount to a proof (no steps, a Proved step without
+    comparisons, a repeated step id, an axiom step that does not state its
+    axiom).  Only exact rational arithmetic is used, so verification is
+    cheap.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -648,6 +633,10 @@ def verify_report(stream: bytes) -> str:
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported schema version {version!r}")
+    _typed(doc, "rank", int)
+    precision_bits = _typed(doc, "precision_bits", int)
+    if precision_bits < 16:
+        raise SchemaMismatch(f"precision_bits {precision_bits} is below 16")
     steps = _typed(doc, "steps", list)
     if not steps:
         raise TamperDetected("report has no steps")
@@ -657,6 +646,12 @@ def verify_report(stream: bytes) -> str:
         step_id = _typed(s, "id", str)
         if step_id in seen:
             raise TamperDetected(f"step id {step_id} recorded twice")
+        if _typed(s, "precision_bits", int) != precision_bits:
+            raise SchemaMismatch(
+                f"step {step_id}: precision_bits differs from the report's"
+            )
+        for enclosure in _typed(s, "enclosures", list):
+            _parse_interval(enclosure)
         for dep in _typed(s, "dependencies", list):
             if not isinstance(dep, str):
                 raise SchemaMismatch(f"step {step_id}: dependency {dep!r} is not a string")

@@ -363,9 +363,6 @@ def padic_square_test(x: int, p: int) -> bool:
     """Whether x is a square in the field of p-adic numbers."""
     if x == 0:
         raise ValueError("x must be nonzero")
-    if x < 0:
-        # negative numbers can still be p-adic squares for odd p
-        pass
     n = 0
     u = x
     while u % p == 0:

@@ -1,4 +1,4 @@
-"""Tests for the covolume constants, counting bounds, and cutoffs."""
+"""Tests for the covolume constants, the high-rank bound, and cutoffs."""
 
 from fractions import Fraction
 
@@ -157,41 +157,7 @@ def test_adjusted_quotient_exact_survivor(catalog):
 
 
 # ---------------------------------------------------------------------------
-# F and O bounds
-
-
-def test_F_bound_basic():
-    iv = b.F_bound(1, Interval.exact(1), 2, PREC)
-    # (1/750) * 7.6 * e^0.46 * Pi(2)
-    value = (
-        mpmath.mpf("7.6")
-        * mpmath.exp(mpmath.mpf("0.46"))
-        * 3
-        / (32 * mpmath.pi**6)
-        / 750
-    )
-    lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
-    hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-    assert lo <= value <= hi
-
-
-def test_F_monotone_in_D():
-    small = b.F_bound(2, Interval.exact(10), 3, PREC)
-    large = b.F_bound(2, Interval.exact(20), 3, PREC)
-    assert large.lo > small.hi
-
-
-def test_O_equals_F_at_substituted_D(table):
-    pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
-    n, d = 4, 2
-    o_val = b.O_bound(n, d, pair, PREC)
-    from covcert.specfun import _exp_point, pow_frac
-
-    D_sub = pow_frac(Interval.exact(pair.A), Fraction(d), PREC) * _exp_point(
-        -pair.E, PREC
-    )
-    f_val = b.F_bound(d, D_sub, n, PREC)
-    o_val.intersect(f_val)  # raises if disjoint
+# feasibility conditions and the high-rank bound in logarithms
 
 
 def test_lemma35_conditions_examples():
@@ -211,27 +177,39 @@ def test_lemma35_conditions_examples():
 
 def test_normalized_O_exceeds_threshold():
     pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
-    assert b.normalized_O(4, 2, pair, PREC).lo > Fraction("1.83")
+    log_183 = sf.log_enclosure(Interval.exact(Fraction("1.83")), PREC)
+    assert b.log_normalized_O(4, 2, pair, PREC).lo > log_183.hi
 
 
 def test_inner_factor_oracle():
+    """log Pi(n) and log(7.6 e^0.46 A^f(n) Pi(n)) against 60-digit mpmath."""
     A = Fraction("6.894")
-    iv = b.inner_factor(4, A, PREC)
-    Af = mpmath.mpf(A.numerator) / A.denominator
-    pi4 = mpmath.mpf(1)
-    for j in range(1, 5):
-        pi4 *= mpmath.factorial(2 * j - 1) / (2 * mpmath.pi) ** (2 * j)
-    value = mpmath.mpf("7.6") * mpmath.exp(mpmath.mpf("0.46")) * Af**15 * pi4
-    lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
-    hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-    assert lo <= value <= hi
+    with mpmath.workdps(60):
+        log_A = mpmath.log(mpmath.mpf(A.numerator) / A.denominator)
+        log_2pi = mpmath.log(2 * mpmath.pi)
+        for n in (4, 33, 64):
+            log_pi_n = mpmath.fsum(
+                mpmath.log(mpmath.factorial(2 * j - 1)) - 2 * j * log_2pi
+                for j in range(1, n + 1)
+            )
+            f = n * n + mpmath.mpf(n) / 2 - 3
+            log_inner = (
+                mpmath.log(mpmath.mpf("7.6")) + mpmath.mpf("0.46") + f * log_A + log_pi_n
+            )
+            for iv, value in (
+                (b.log_pi_n(n, PREC), log_pi_n),
+                (b.log_inner_factor(n, A, PREC), log_inner),
+            ):
+                lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+                hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+                assert lo <= value <= hi, n
 
 
 def test_claim_b_range():
     """The inner factor 7.6 e^0.46 A^f(n) Pi(n) exceeds one."""
     pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
     for n in range(3, 15):
-        assert b.inner_factor(n, pair.A, PREC).lo > 1, n
+        assert b.log_inner_factor(n, pair.A, PREC).lo > 0, n
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +274,6 @@ def test_cutoff_preconditions():
         b.n2_D_bound(6, PREC)
     with pytest.raises(ValueError):
         b.proto_D_bound(1, 2, 1, PREC)
-    with pytest.raises(ValueError):
-        b.F_bound(1, Interval.exact(Fraction(1, 2)), 2, PREC)
 
 
 # ---------------------------------------------------------------------------

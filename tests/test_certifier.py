@@ -153,6 +153,26 @@ def _zero_denominator(doc):
     _step(doc, "degree_threshold")["comparisons"][0]["lhs"][0] = "1/0"
 
 
+def _enclosure_reversed(doc):
+    _step(doc, "degree_threshold")["enclosures"] = [["2", "1"]]
+
+
+def _enclosure_not_fractions(doc):
+    _step(doc, "degree_threshold")["enclosures"] = [["x", "y"]]
+
+
+def _rank_not_int(doc):
+    doc["rank"] = "seven"
+
+
+def _precision_below_16(doc):
+    doc["precision_bits"] = -1
+
+
+def _step_precision_differs(doc):
+    _step(doc, "degree_threshold")["precision_bits"] += 1
+
+
 @pytest.mark.parametrize(
     "mutate, error",
     [
@@ -162,6 +182,11 @@ def _zero_denominator(doc):
         (_axiom_text_edited, ct.TamperDetected),
         (_non_dict_step, ct.SchemaMismatch),
         (_zero_denominator, ct.SchemaMismatch),
+        (_enclosure_reversed, ct.SchemaMismatch),
+        (_enclosure_not_fractions, ct.SchemaMismatch),
+        (_rank_not_int, ct.SchemaMismatch),
+        (_precision_below_16, ct.SchemaMismatch),
+        (_step_precision_differs, ct.SchemaMismatch),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -272,19 +297,30 @@ def test_l35_witness_is_only_passing_row(table):
 
 def test_high_rank_proof_has_no_rank_chain(monkeypatch):
     calls = []
-    normalized_O = bounds.normalized_O
+    log_normalized_O = bounds.log_normalized_O
 
     def counted(n, *args, **kwargs):
         calls.append(n)
-        return normalized_O(n, *args, **kwargs)
+        return log_normalized_O(n, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "normalized_O", counted)
+    monkeypatch.setattr(bounds, "log_normalized_O", counted)
     counts = {}
     for n in (9, 30):
         calls.clear()
         assert ct.run_case(n, precision_bits=64).all_proved, n
         counts[n] = len(calls)
     assert counts[9] == counts[30] > 0
+
+
+def test_high_rank_proof_does_not_evaluate_pi_n(monkeypatch):
+    """Above rank 8 the proof only needs log Pi(n), never Pi(n) itself."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the high-rank proof evaluated pi_n")
+
+    monkeypatch.setattr(bounds, "pi_n", forbidden)
+    for n in (9, 64):
+        assert ct.run_case(n, precision_bits=64).all_proved, n
 
 
 @pytest.mark.parametrize(
