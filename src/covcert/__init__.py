@@ -1,16 +1,4 @@
 """Certified interval-arithmetic verification of minimal-covolume lattice
 bounds for symplectic groups."""
 
-from .rigor import Comparison, Interval, Rational, iv_arith, iv_compare, iv_exact
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Comparison",
-    "Interval",
-    "Rational",
-    "iv_arith",
-    "iv_compare",
-    "iv_exact",
-    "__version__",
-]

@@ -1,9 +1,15 @@
-"""Proof pipeline orchestration and certificate serialization.
+"""Proof pipeline orchestration.
 
 ``run_case(n)`` executes the full exclusion argument for one rank and
 returns an ordered :class:`Certificate`.  Every numerical verdict in the
 certificate is backed by a recorded interval comparison, so a report can
 be re-verified later without recomputing any transcendental enclosure.
+
+The certificate records, ``emit_report`` and the checker ``verify_report``
+live in :mod:`covcert.report`, which imports nothing from covcert, so that
+checking a report does not mean trusting this module.  They are
+re-exported here.  Each step's verdict comes from ``report.step_verdict``,
+the rule the checker applies.
 
 Non-numerical inputs (structural group theory, the validity of the
 vendored bound table, and so on) are recorded as explicit axiom steps
@@ -12,92 +18,29 @@ A1 through A5 rather than silently assumed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .rigor import Comparison, Interval, iv_compare
+from .rigor import Comparison, Interval
 from . import bounds, localfactors, numberfields, optimizer
-
-SCHEMA_VERSION = 1
-
-FINAL_CONCLUSION = "Sp_{2n}(Z) uniquely minimal (mod axioms)"
+from .report import (  # noqa: F401  (re-exported)
+    AXIOMS,
+    FINAL_CONCLUSION,
+    SCHEMA_VERSION,
+    Certificate,
+    CertificateStep,
+    RecordedComparison,
+    SchemaMismatch,
+    TamperDetected,
+    compare,
+    emit_report,
+    step_verdict,
+    verify_report,
+)
 
 
 class DataMissing(FileNotFoundError):
     """A required data file is absent."""
-
-
-class SchemaMismatch(ValueError):
-    """Report schema version is not supported."""
-
-
-class TamperDetected(ValueError):
-    """Recorded comparisons or verdicts are internally inconsistent."""
-
-
-@dataclass(frozen=True)
-class RecordedComparison:
-    lhs: Interval
-    rhs: Interval
-    relation: str  # the relation that actually holds
-    required: str  # the relation the step needs
-
-    @property
-    def satisfied(self) -> bool:
-        return self.relation == self.required
-
-
-@dataclass(frozen=True)
-class CertificateStep:
-    id: str
-    claim: str
-    anchor: str
-    enclosures: Tuple[Interval, ...]
-    comparisons: Tuple[RecordedComparison, ...]
-    verdict: str  # Proved | Failed | Axiom | Tie
-    dependencies: Tuple[str, ...]
-    precision_bits: int
-
-
-@dataclass
-class Certificate:
-    rank: int
-    precision_bits: int
-    steps: List[CertificateStep]
-    surviving_fields_after_global: List[str]
-    final_conclusion: str
-
-    def step(self, step_id: str) -> CertificateStep:
-        for s in self.steps:
-            if s.id == step_id:
-                return s
-        raise KeyError(step_id)
-
-    @property
-    def all_proved(self) -> bool:
-        return all(s.verdict in ("Proved", "Axiom") for s in self.steps)
-
-    @property
-    def has_tie(self) -> bool:
-        return any(s.verdict == "Tie" for s in self.steps)
-
-
-AXIOMS = {
-    "A1": "ramification parity of the residual rank-2 quaternionic case "
-    "at the archimedean places",
-    "A2": "identification of the surviving rational lattice with the "
-    "integral symplectic group (class number one and conjugation "
-    "transitivity)",
-    "A3": "validity of the vendored discriminant bound table: each pair "
-    "(A, E) satisfies D_K >= A^d exp(-E) for totally real K",
-    "A4": "index bound for the normalizer of a parahoric-stabilized "
-    "lattice",
-    "A5": "existence of a lattice of minimal covolume in the ambient "
-    "group",
-}
 
 
 class _Builder:
@@ -106,9 +49,6 @@ class _Builder:
     def __init__(self, precision_bits: int) -> None:
         self.precision_bits = precision_bits
         self.steps: List[CertificateStep] = []
-
-    def _ids(self) -> set:
-        return {s.id for s in self.steps}
 
     def axiom(self, axiom_id: str, deps: Sequence[str] = ()) -> None:
         self.steps.append(
@@ -132,40 +72,24 @@ class _Builder:
         comparisons: Sequence[Tuple[Interval, Interval, Comparison]],
         deps: Sequence[str] = (),
         enclosures: Sequence[Interval] = (),
-    ) -> bool:
-        """Run the given comparisons and append a Proved/Failed/Tie step."""
-        recorded = []
-        any_overlap = False
-        for lhs, rhs, required in comparisons:
-            relation = iv_compare(lhs, rhs)
-            if relation is Comparison.OVERLAP:
-                any_overlap = True
-            recorded.append(
-                RecordedComparison(
-                    lhs=lhs,
-                    rhs=rhs,
-                    relation=relation.value,
-                    required=required.value,
-                )
-            )
-        ok = all(c.satisfied for c in recorded)
-        if ok:
-            verdict = "Proved"
-        else:
-            verdict = "Tie" if any_overlap else "Failed"
+    ) -> None:
+        """Run the given comparisons and append a step with their verdict."""
+        recorded = tuple(
+            RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required.value)
+            for lhs, rhs, required in comparisons
+        )
         self.steps.append(
             CertificateStep(
                 id=step_id,
                 claim=claim,
                 anchor=anchor,
                 enclosures=tuple(enclosures),
-                comparisons=tuple(recorded),
-                verdict=verdict,
+                comparisons=recorded,
+                verdict=step_verdict(recorded),
                 dependencies=tuple(deps),
                 precision_bits=self.precision_bits,
             )
         )
-        return ok
 
 
 def _greater(lhs: Interval, rhs: Interval):
@@ -206,7 +130,7 @@ def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
 
 
 ONE = Interval.exact(1)
-THRESH_183 = Interval.exact(Fraction(183, 100))
+THRESH_183 = Interval.exact(bounds.ZETA_PRODUCT_UPPER)
 
 
 def _global_stage_common(builder: _Builder) -> None:
@@ -306,7 +230,7 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
             enclosures=[t2, t3],
         )
         for i, frag in enumerate(localfactors.qsqrt5_local_exclusion(catalog)):
-            if frag.verdict == "Axiom":
+            if not frag.comparisons:
                 builder.axiom("A1", deps=["local_T_values"])
             else:
                 builder.record(
@@ -518,190 +442,3 @@ def run_case(
     if cert.all_proved:
         cert.final_conclusion = FINAL_CONCLUSION
     return cert
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _iv_json(iv: Interval) -> List[str]:
-    return [_frac_str(iv.lo), _frac_str(iv.hi)]
-
-
-def _sig12(x: Fraction) -> str:
-    """Deterministic 12-significant-digit decimal rendering (reporting only)."""
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
-
-
-def emit_report(cert: Certificate, fmt: str = "json") -> bytes:
-    if fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "rank": cert.rank,
-            "precision_bits": cert.precision_bits,
-            "surviving_fields_after_global": cert.surviving_fields_after_global,
-            "final_conclusion": cert.final_conclusion,
-            "steps": [
-                {
-                    "id": s.id,
-                    "claim": s.claim,
-                    "anchor": s.anchor,
-                    "verdict": s.verdict,
-                    "dependencies": list(s.dependencies),
-                    "precision_bits": s.precision_bits,
-                    "enclosures": [_iv_json(e) for e in s.enclosures],
-                    "comparisons": [
-                        {
-                            "lhs": _iv_json(c.lhs),
-                            "rhs": _iv_json(c.rhs),
-                            "relation": c.relation,
-                            "required": c.required,
-                        }
-                        for c in s.comparisons
-                    ],
-                }
-                for s in cert.steps
-            ],
-        }
-        return (
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-    if fmt == "text":
-        lines = [
-            f"certificate schema {SCHEMA_VERSION}",
-            f"rank: {cert.rank}",
-            f"precision: {cert.precision_bits} bits",
-            "surviving fields after global stage: "
-            + ", ".join(cert.surviving_fields_after_global),
-        ]
-        for s in cert.steps:
-            lines.append(f"[{s.verdict}] {s.id}: {s.claim}")
-            for e in s.enclosures:
-                lines.append(f"    enclosure [{_sig12(e.lo)}, {_sig12(e.hi)}]")
-            for c in s.comparisons:
-                lines.append(
-                    f"    {_sig12(c.lhs.hi)} {c.relation} {_sig12(c.rhs.lo)}"
-                    f" (required {c.required})"
-                )
-        lines.append(f"conclusion: {cert.final_conclusion or 'NOT PROVED'}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _typed(obj, key: str, kind: type):
-    """obj[key] when obj is a JSON object and the value has the given type."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaMismatch(f"{key!r} missing or not a {kind.__name__} in {obj!r:.80}")
-    return value
-
-
-def _parse_interval(pair) -> Interval:
-    """An enclosure recorded as a list of two fraction strings [lo, hi]."""
-    try:
-        lo, hi = pair
-        if not isinstance(lo, str) or not isinstance(hi, str):
-            raise TypeError("endpoints are not strings")
-        return Interval(Fraction(lo), Fraction(hi))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
-
-
-def verify_report(stream: bytes) -> str:
-    """Re-check every recorded comparison of a JSON report.
-
-    Returns the overall verdict string when consistent; raises
-    SchemaMismatch for a report that does not parse as this schema (among
-    others: an enclosure that is not an interval of fractions, a rank that
-    is not an integer, a precision below 16 bits or not equal to every
-    step's) and TamperDetected for one whose contents contradict themselves
-    or do not amount to a proof (no steps, a Proved step without
-    comparisons, a repeated step id, an axiom step that does not state its
-    axiom).  Only exact rational arithmetic is used, so verification is
-    cheap.
-    """
-    try:
-        doc = json.loads(stream.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaMismatch(f"not a report: {exc}") from exc
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise SchemaMismatch(f"unsupported schema version {version!r}")
-    _typed(doc, "rank", int)
-    precision_bits = _typed(doc, "precision_bits", int)
-    if precision_bits < 16:
-        raise SchemaMismatch(f"precision_bits {precision_bits} is below 16")
-    steps = _typed(doc, "steps", list)
-    if not steps:
-        raise TamperDetected("report has no steps")
-    seen: Dict[str, str] = {}
-    all_ok = True
-    for s in steps:
-        step_id = _typed(s, "id", str)
-        if step_id in seen:
-            raise TamperDetected(f"step id {step_id} recorded twice")
-        if _typed(s, "precision_bits", int) != precision_bits:
-            raise SchemaMismatch(
-                f"step {step_id}: precision_bits differs from the report's"
-            )
-        for enclosure in _typed(s, "enclosures", list):
-            _parse_interval(enclosure)
-        for dep in _typed(s, "dependencies", list):
-            if not isinstance(dep, str):
-                raise SchemaMismatch(f"step {step_id}: dependency {dep!r} is not a string")
-            if dep not in seen:
-                raise TamperDetected(
-                    f"step {step_id} depends on missing or later step {dep}"
-                )
-            if seen[dep] == "Failed":
-                raise TamperDetected(
-                    f"step {step_id} depends on failed step {dep}"
-                )
-        comparisons = _typed(s, "comparisons", list)
-        satisfied = True
-        for c in comparisons:
-            lhs = _parse_interval(_typed(c, "lhs", list))
-            rhs = _parse_interval(_typed(c, "rhs", list))
-            relation = _typed(c, "relation", str)
-            actual = iv_compare(lhs, rhs).value
-            if actual != relation:
-                raise TamperDetected(
-                    f"step {step_id}: recorded relation {relation} but "
-                    f"enclosures give {actual}"
-                )
-            if relation != _typed(c, "required", str):
-                satisfied = False
-        verdict = s.get("verdict")
-        if verdict == "Axiom":
-            if comparisons:
-                raise TamperDetected(f"axiom step {step_id} has comparisons")
-            if s.get("claim") != AXIOMS.get(step_id):
-                raise TamperDetected(f"axiom step {step_id} does not state axiom {step_id}")
-        elif verdict == "Proved":
-            if not comparisons:
-                raise TamperDetected(f"step {step_id} marked Proved without comparisons")
-            if not satisfied:
-                raise TamperDetected(
-                    f"step {step_id} marked Proved but a comparison fails"
-                )
-        elif verdict in ("Failed", "Tie"):
-            if satisfied and comparisons:
-                raise TamperDetected(
-                    f"step {step_id} marked {verdict} but all comparisons hold"
-                )
-            all_ok = False
-        else:
-            raise SchemaMismatch(f"unknown verdict {verdict!r}")
-        seen[step_id] = verdict
-    conclusion = doc.get("final_conclusion", "")
-    if all_ok and conclusion != FINAL_CONCLUSION:
-        raise TamperDetected("all steps hold but the conclusion is absent")
-    if not all_ok and conclusion == FINAL_CONCLUSION:
-        raise TamperDetected("conclusion recorded despite a failed step")
-    return "Proved" if all_ok else "NotProved"

@@ -6,8 +6,9 @@ Subcommands:
   verify    re-check a previously emitted JSON report
   field     inspect one catalog field (zeta values, units, splitting)
 
-Exit codes: 0 all proved, 2 a step failed, 3 data missing, 4 an
-unresolved tie at maximum precision.
+Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
+3 data missing or malformed, a report that does not parse, or an
+unsupported field operation, 4 an unresolved tie at maximum precision.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import bounds, certifier, numberfields, optimizer
+from . import bounds, certifier, numberfields, optimizer, report
 
 EXIT_OK = 0
 EXIT_STEP_FAILED = 2
@@ -109,17 +110,13 @@ def _cmd_prove(args) -> int:
     ranks = range(2, 9) if args.all else [args.n if args.n is not None else 2]
     worst = EXIT_OK
     for n in ranks:
-        try:
-            cert = certifier.run_case(
-                n,
-                precision_bits=args.precision,
-                odlyzko_path=args.odlyzko,
-                fields_path=args.fields,
-            )
-        except certifier.DataMissing as exc:
-            print(f"data missing: {exc}", file=sys.stderr)
-            return EXIT_DATA_MISSING
-        sys.stdout.buffer.write(certifier.emit_report(cert, args.fmt))
+        cert = certifier.run_case(
+            n,
+            precision_bits=args.precision,
+            odlyzko_path=args.odlyzko,
+            fields_path=args.fields,
+        )
+        sys.stdout.buffer.write(report.emit_report(cert, args.fmt))
         sys.stdout.flush()
         if cert.has_tie:
             worst = max(worst, EXIT_TIE)
@@ -129,11 +126,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        table = bounds.load_odlyzko_table(args.odlyzko)
-    except FileNotFoundError as exc:
-        print(f"data missing: {exc}", file=sys.stderr)
-        return EXIT_DATA_MISSING
+    table = bounds.load_odlyzko_table(args.odlyzko)
     if args.case == "n2":
         result = optimizer.optimize_n2(table, precision_bits=args.precision)
     else:
@@ -157,16 +150,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        data = Path(args.report).read_bytes()
-    except FileNotFoundError as exc:
-        print(f"data missing: {exc}", file=sys.stderr)
-        return EXIT_DATA_MISSING
-    try:
-        verdict = certifier.verify_report(data)
-    except certifier.SchemaMismatch as exc:
-        print(f"schema mismatch: {exc}", file=sys.stderr)
-        return EXIT_DATA_MISSING
-    except certifier.TamperDetected as exc:
+        verdict = report.verify_report(Path(args.report).read_bytes())
+    except report.TamperDetected as exc:
         print(f"tamper detected: {exc}", file=sys.stderr)
         return EXIT_STEP_FAILED
     print(f"verdict: {verdict}")
@@ -174,43 +159,45 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    try:
-        catalog = numberfields.default_catalog(args.fields)
-    except FileNotFoundError as exc:
-        print(f"data missing: {exc}", file=sys.stderr)
-        return EXIT_DATA_MISSING
-    try:
-        field = numberfields.field_by_label(catalog, args.label)
-        if args.op == "zeta":
-            iv = numberfields.dedekind_zeta_enclosure(field, args.s, args.precision)
-            print(f"zeta_{field.label}({args.s}) in [{float(iv.lo):.15g}, {float(iv.hi):.15g}]")
-        elif args.op == "units":
-            if field.degree == 2:
-                a, b = numberfields.pell_fundamental_unit(field.discriminant)
-                print(f"fundamental unit: ({a} + {b} sqrt({field.discriminant})) / 2")
-            index = numberfields.totally_positive_index(field)
-            print(f"totally positive unit index: {index}")
-        else:
-            split = numberfields.splitting_type(field, args.p)
-            print(
-                f"prime {args.p}: {split.kind}, residue cardinalities "
-                f"{list(split.residue_cardinalities)}"
-            )
-    except (numberfields.UnsupportedField, numberfields.UnsupportedArgument) as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_DATA_MISSING
+    catalog = numberfields.default_catalog(args.fields)
+    field = numberfields.field_by_label(catalog, args.label)
+    if args.op == "zeta":
+        iv = numberfields.dedekind_zeta_enclosure(field, args.s, args.precision)
+        print(f"zeta_{field.label}({args.s}) in [{float(iv.lo):.15g}, {float(iv.hi):.15g}]")
+    elif args.op == "units":
+        if field.degree == 2:
+            a, b = numberfields.pell_fundamental_unit(field.discriminant)
+            print(f"fundamental unit: ({a} + {b} sqrt({field.discriminant})) / 2")
+        index = numberfields.totally_positive_index(field)
+        print(f"totally positive unit index: {index}")
+    else:
+        split = numberfields.splitting_type(field, args.p)
+        print(
+            f"prime {args.p}: {split.kind}, residue cardinalities "
+            f"{list(split.residue_cardinalities)}"
+        )
     return EXIT_OK
+
+
+_COMMANDS = {
+    "prove": _cmd_prove, "optimize": _cmd_optimize, "verify": _cmd_verify, "field": _cmd_field,
+}
+
+# bad input ends the command with exit 3 and one line on stderr, not a traceback
+_DATA_ERRORS = (
+    FileNotFoundError, IsADirectoryError, report.SchemaMismatch, bounds.MalformedTable,
+    numberfields.MalformedCatalog, numberfields.InvariantViolation,
+    numberfields.UnsupportedField, numberfields.UnsupportedArgument,
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "prove":
-        return _cmd_prove(args)
-    if args.command == "optimize":
-        return _cmd_optimize(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_field(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _DATA_ERRORS as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA_MISSING
 
 
 if __name__ == "__main__":

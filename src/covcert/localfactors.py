@@ -79,12 +79,6 @@ class ExclusionStep:
     # pairs (lhs, rhs), each needing lhs > rhs; none for an axiom
     comparisons: Tuple[Tuple[RationalLike, RationalLike], ...] = ()
 
-    @property
-    def verdict(self) -> str:
-        if not self.comparisons:
-            return "Axiom"
-        return "Proved" if all(lhs > rhs for lhs, rhs in self.comparisons) else "Failed"
-
 
 def qsqrt5_local_exclusion(catalog=None) -> Tuple[ExclusionStep, ...]:
     """Exclusion of small residue cardinalities for the rank-2 survivor.

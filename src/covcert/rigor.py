@@ -13,9 +13,11 @@ disjoint; an ``OVERLAP`` verdict is never treated as a proof of anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Union
+
+# the relation lives with the certificate format, so a re-checker needs only report
+from .report import Comparison, compare
 
 Rational = Fraction
 
@@ -24,12 +26,6 @@ RationalLike = Union[Fraction, int, str]
 
 class DivisionByIntervalContainingZero(ZeroDivisionError):
     """Raised when dividing by an interval that contains zero."""
-
-
-class Comparison(Enum):
-    CERTAINLY_LESS = "CertainlyLess"
-    CERTAINLY_GREATER = "CertainlyGreater"
-    OVERLAP = "Overlap"
 
 
 def _to_rational(value: RationalLike) -> Fraction:
@@ -186,11 +182,7 @@ def iv_exact(r: RationalLike) -> Interval:
 
 
 def iv_compare(a: Interval, b: Interval) -> Comparison:
-    if a.hi < b.lo:
-        return Comparison.CERTAINLY_LESS
-    if a.lo > b.hi:
-        return Comparison.CERTAINLY_GREATER
-    return Comparison.OVERLAP
+    return compare(a, b)
 
 
 _BINARY_OPS = {

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Tuple
 
-from .rigor import Interval, Rational, coarsen_relative
+from .rigor import Interval, coarsen_relative
 
 GUARD_BITS = 16
 
@@ -370,13 +370,6 @@ def _pochhammer(s: Fraction, length: int) -> Fraction:
     return acc
 
 
-def _rational_neg_pow(base: Fraction, s: Fraction, q: int) -> Interval:
-    """Enclosure of base**(-s)."""
-    if s.denominator == 1:
-        return Interval.exact(Fraction(1) / base ** int(s))
-    return exp_enclosure(Interval.exact(-s) * _log_point(base, q), q)
-
-
 def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
     """Hurwitz zeta(s, a) for rational s > 1 and 0 < a <= 1."""
 
@@ -385,10 +378,10 @@ def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
         n_cut = 28 if q <= 350 else 48
         acc = Interval.exact(0)
         for k in range(n_cut):
-            acc = acc + _rational_neg_pow(k + a, s, q)
+            acc = acc + rational_pow_point(k + a, -s, q)
             acc = acc.coarsen(q + 32)
         edge = n_cut + a
-        edge_pow = _rational_neg_pow(edge, s, q)  # edge^(-s)
+        edge_pow = rational_pow_point(edge, -s, q)  # edge^(-s)
         acc = acc + edge_pow * Interval.exact(edge) / Interval.exact(s - 1)
         acc = acc + Interval(edge_pow.lo / 2, edge_pow.hi / 2)
         inv_edge = Fraction(1) / edge
@@ -481,7 +474,7 @@ def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Int
                 continue
             term = _hurwitz_point(sp, Fraction(a, D), precision_bits)
             acc = acc + (term if chi == 1 else -term)
-        return acc * _rational_neg_pow(Fraction(D), sp, precision_bits + GUARD_BITS)
+        return acc * rational_pow_point(Fraction(D), -sp, precision_bits + GUARD_BITS)
 
     if s.is_point():
         return at_point(s.lo).coarsen(precision_bits + 8)
@@ -490,9 +483,7 @@ def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Int
     sigma = s.lo
     deriv = Interval.exact(0)
     for k in range(2, 20):
-        deriv = deriv + _log_point(Fraction(k), 64) * _rational_neg_pow(
-            Fraction(k), sigma, 64
-        )
+        deriv = deriv + _log_point(Fraction(k), 64) * rational_pow_point(Fraction(k), -sigma, 64)
     tail = (
         _log_point(Fraction(20), 64) / Interval.exact(sigma - 1)
         + Interval.exact(Fraction(1) / (sigma - 1) ** 2)

@@ -1,5 +1,6 @@
 """End-to-end tests for the certificate pipeline, serialization, and CLI."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import covcert
 from covcert import bounds
 from covcert import certifier as ct
-from covcert import cli, optimizer
+from covcert import cli, numberfields, optimizer
 from covcert.bounds import OdlyzkoPair
 from covcert.rigor import Interval
 
@@ -173,6 +174,22 @@ def _step_precision_differs(doc):
     _step(doc, "degree_threshold")["precision_bits"] += 1
 
 
+def _tie_without_overlap(doc):
+    step = _step(doc, "verdict_d2_D5")
+    step["comparisons"][0]["required"] = "CertainlyLess"
+    step["verdict"] = "Tie"
+    doc["final_conclusion"] = ""
+
+
+def _failed_with_overlap(doc):
+    step = _step(doc, "verdict_d2_D5")
+    comparison = step["comparisons"][0]
+    comparison["lhs"] = comparison["rhs"]
+    comparison["relation"] = "Overlap"
+    step["verdict"] = "Failed"
+    doc["final_conclusion"] = ""
+
+
 @pytest.mark.parametrize(
     "mutate, error",
     [
@@ -187,6 +204,8 @@ def _step_precision_differs(doc):
         (_rank_not_int, ct.SchemaMismatch),
         (_precision_below_16, ct.SchemaMismatch),
         (_step_precision_differs, ct.SchemaMismatch),
+        (_tie_without_overlap, ct.TamperDetected),
+        (_failed_with_overlap, ct.TamperDetected),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -345,6 +364,62 @@ def test_overlap_gives_tie_that_verifies():
     assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
 
 
+def test_step_without_comparisons_is_not_proved():
+    builder = ct._Builder(PREC)
+    builder.record("empty", "claim", "anchor", [])
+    assert builder.steps[0].verdict == "Failed"
+    cert = ct.Certificate(1, PREC, builder.steps, [], "")
+    assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
+
+
+STANDALONE_CHECK = """
+import importlib.util, sys
+module_path, *reports = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("report", module_path)
+report = importlib.util.module_from_spec(spec)
+sys.modules["report"] = report
+spec.loader.exec_module(report)
+for path in reports:
+    try:
+        print(report.verify_report(open(path, "rb").read()))
+    except report.TamperDetected:
+        print("TamperDetected")
+print(sorted(name for name in sys.modules if name.startswith("covcert")))
+"""
+
+
+def test_report_module_verifies_alone(cert_by_rank, tmp_path):
+    """report.py, copied alone and loaded by path, re-checks reports without covcert."""
+    source = (Path(covcert.__file__).parent / "report.py").read_text()
+    nodes = list(ast.walk(ast.parse(source)))
+    from_imports = [node for node in nodes if isinstance(node, ast.ImportFrom)]
+    assert all(node.level == 0 for node in from_imports)  # no relative import
+    imported = [node.module for node in from_imports] + [
+        alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names
+    ]
+    assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
+    module = tmp_path / "report.py"
+    module.write_text(source)
+    paths = []
+    for n, cert in cert_by_rank.items():
+        paths.append(tmp_path / f"rank{n}.json")
+        paths[-1].write_bytes(ct.emit_report(cert))
+    doc = json.loads(ct.emit_report(cert_by_rank[3]))
+    _step(doc, "degree_threshold")["verdict"] = "Failed"
+    paths.append(tmp_path / "tampered.json")
+    paths[-1].write_text(json.dumps(doc))
+    # -I: no PYTHONPATH, no user site and no script directory on sys.path
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", STANDALONE_CHECK, str(module), *map(str, paths)],
+        cwd=tmp_path,
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout.splitlines()
+    assert out == ["Proved"] * len(cert_by_rank) + ["TamperDetected", "[]"]
+
+
 @pytest.mark.parametrize("n", [34, 55, 64])
 def test_high_rank_reports_emit_and_verify(n):
     cert = ct.run_case(n, precision_bits=64)
@@ -393,14 +468,51 @@ def test_cli_rejects_bad_flags(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture
+def bad_data(tmp_path):
+    """Paths of inputs that are missing, malformed or incomplete."""
+    (tmp_path / "malformed").write_text("1,2,3\n")
+    vendored = Path(numberfields.__file__).parent / "data"
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name in ("CHECKSUMS", "fields.catalog", "odlyzko.csv"):
+        (data_dir / name).write_bytes((vendored / name).read_bytes())
+    with open(data_dir / "fields.catalog", "a") as f:
+        f.write("# edited\n")
+    lines = (vendored / "fields.catalog").read_text().splitlines(keepends=True)
+    (tmp_path / "no_49.catalog").write_text(
+        "".join(line for line in lines if not line.startswith("3.3.49.1|"))
+    )
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    return {"tmp": str(tmp_path), "data": str(data_dir)}
+
+
+BAD_INPUT = [
+    ({}, ["field", "4.4.725.1", "--op", "zeta"]),
+    ({}, ["field", "2.2.5.1", "--op", "zeta", "--s", "3"]),
+    ({}, ["prove", "--n", "3", "--fields", "{tmp}/malformed"]),
+    ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/malformed"]),
+    ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/malformed"]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/malformed"]),
+    ({"COVCERT_DATA_DIR": "{data}"}, ["prove", "--n", "3"]),
+    ({"COVCERT_DATA_DIR": "{data}"}, ["field", "2.2.5.1", "--op", "units"]),
+    ({}, ["prove", "--n", "2", "--precision", "64", "--fields", "{tmp}/no_49.catalog"]),
+    ({}, ["verify", "{tmp}"]),
+    ({}, ["verify", "{tmp}/deep.json"]),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["field", "4.4.725.1", "--op", "zeta"],
-        ["field", "2.2.5.1", "--op", "zeta", "--s", "3"],
-    ],
+    "env, argv", BAD_INPUT, ids=[f"argv{i}" for i in range(len(BAD_INPUT))]
 )
-def test_cli_field_unsupported(argv, capsys):
-    assert cli.main(argv) == cli.EXIT_DATA_MISSING
+def test_cli_bad_input(env, argv, bad_data, monkeypatch, capsys):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value.format(**bad_data))
+    numberfields.default_catalog.cache_clear()  # cached by path, not by data directory
+    try:
+        rc = cli.main([arg.format(**bad_data) for arg in argv])
+    finally:
+        numberfields.default_catalog.cache_clear()
+    assert rc == cli.EXIT_DATA_MISSING
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
