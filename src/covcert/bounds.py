@@ -14,17 +14,16 @@ only and never feed back into a comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
-    _verify_checksum,
     data_dir,
     dedekind_zeta_exact_coeff,
+    read_data_file,
 )
 from .specfun import (
     _exp_point,
@@ -45,20 +44,23 @@ class MalformedTable(ValueError):
     """Bound-pair table does not parse."""
 
 
-@dataclass(frozen=True)
-class OdlyzkoPair:
-    """A pair (A, E) certifying D_K >= A^d * exp(-E) for totally real K."""
-
+class _PairFields(NamedTuple):
     A: Fraction
     E: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "E", Fraction(self.E))
-        if self.A <= 1:
-            raise ValueError(f"bound pair needs A > 1, got A={self.A}")
-        if self.E <= 0:
-            raise ValueError(f"bound pair needs E > 0, got E={self.E}")
+
+class OdlyzkoPair(_PairFields):
+    """A pair (A, E) certifying D_K >= A^d * exp(-E) for totally real K."""
+
+    __slots__ = ()
+
+    def __new__(cls, A, E) -> "OdlyzkoPair":
+        A, E = Fraction(A), Fraction(E)
+        if A <= 1:
+            raise ValueError(f"bound pair needs A > 1, got A={A}")
+        if E <= 0:
+            raise ValueError(f"bound pair needs E > 0, got E={E}")
+        return super().__new__(cls, A, E)
 
 
 def f_n(n: int) -> Fraction:
@@ -356,11 +358,12 @@ def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
     from pathlib import Path
 
     p = Path(path) if path else data_dir() / "odlyzko.csv"
-    if not p.exists():
-        raise FileNotFoundError(p)
-    _verify_checksum(p)
+    try:
+        text = read_data_file(p).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedTable(f"not UTF-8: {exc}") from exc
     pairs: List[OdlyzkoPair] = []
-    for lineno, raw in enumerate(p.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,9 +10,8 @@ exclusion argument for the rank-2 survivor field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .rigor import Comparison, Interval, RationalLike, iv_compare
 from . import numberfields
@@ -72,8 +71,7 @@ def nonspecial_gt_two(q: int, n: int) -> Comparison:
     return iv_compare(lower, Interval.exact(XI_CARDINALITY_MAX))
 
 
-@dataclass(frozen=True)
-class ExclusionStep:
+class ExclusionStep(NamedTuple):
     claim: str
     detail: str
     # pairs (lhs, rhs), each needing lhs > rhs; none for an axiom

@@ -8,14 +8,12 @@ splitting data.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rigor import Interval, Rational
 from . import specfun
@@ -144,8 +142,7 @@ def isolate_real_roots(coeffs: Sequence[int], width_bits: int = 64) -> List[Inte
 # field records and the catalog
 
 
-@dataclass(frozen=True)
-class NumberFieldRecord:
+class _FieldRecordFields(NamedTuple):
     label: str
     degree: int
     discriminant: int
@@ -153,27 +150,34 @@ class NumberFieldRecord:
     polynomial: Tuple[int, ...]  # ascending, monic
     is_totally_real: bool = True
 
-    def __post_init__(self) -> None:
-        if self.polynomial[-1] != 1:
-            raise InvariantViolation(f"{self.label}: polynomial is not monic")
-        if len(self.polynomial) - 1 != self.degree:
-            raise InvariantViolation(f"{self.label}: degree mismatch")
-        if self.degree == 1 and (self.discriminant != 1 or self.class_number != 1):
-            raise InvariantViolation(f"{self.label}: rational field invariants")
-        if self.degree > 1:
-            if sturm_real_root_count(self.polynomial) != self.degree:
-                raise InvariantViolation(f"{self.label}: not totally real")
+
+class NumberFieldRecord(_FieldRecordFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, label, degree, discriminant, class_number, polynomial, is_totally_real=True
+    ) -> "NumberFieldRecord":
+        if polynomial[-1] != 1:
+            raise InvariantViolation(f"{label}: polynomial is not monic")
+        if len(polynomial) - 1 != degree:
+            raise InvariantViolation(f"{label}: degree mismatch")
+        if degree == 1 and (discriminant != 1 or class_number != 1):
+            raise InvariantViolation(f"{label}: rational field invariants")
+        if degree > 1:
+            if sturm_real_root_count(polynomial) != degree:
+                raise InvariantViolation(f"{label}: not totally real")
+        return super().__new__(
+            cls, label, degree, discriminant, class_number, polynomial, is_totally_real
+        )
 
 
 def load_catalog(source) -> List[NumberFieldRecord]:
     """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv)."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise MalformedCatalog(f"not UTF-8: {exc}") from exc
     records = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -200,30 +204,54 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def _verify_checksum(path: Path) -> None:
-    manifest = path.parent / "CHECKSUMS"
-    if not manifest.exists():
-        return
+def _manifest_digests(manifest: Path) -> Dict[str, str]:
+    """File name -> SHA-256 hex digest, from lines 'digest name' of CHECKSUMS."""
+    try:
+        text = manifest.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvariantViolation(f"{manifest.name} is not UTF-8: {exc}") from exc
     digests = {}
-    for line in manifest.read_text().splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        digest, name = line.split()
+        fields = line.split()
+        if len(fields) != 2:
+            raise InvariantViolation(
+                f"{manifest.name} line {lineno}: expected 'digest name', got {line!r}"
+            )
+        digest, name = fields
         digests[name] = digest
-    if path.name in digests:
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
-        if actual != digests[path.name]:
+    return digests
+
+
+def read_data_file(path: Path) -> bytes:
+    """The bytes of a data file, checked against its entry in CHECKSUMS beside it.
+
+    The file is read once, so the bytes hashed are the bytes the caller
+    parses.  A file with no manifest, or no entry in it, is not checked.
+    """
+    data = path.read_bytes()
+    manifest = path.parent / "CHECKSUMS"
+    expected = _manifest_digests(manifest).get(path.name) if manifest.exists() else None
+    if expected is not None:
+        import hashlib  # imported here only: it adds ~4 ms to the start of every process
+
+        if hashlib.sha256(data).hexdigest() != expected:
             raise InvariantViolation(f"checksum mismatch for {path.name}")
+    return data
+
+
+def default_catalog(path: Optional[str] = None) -> Tuple[NumberFieldRecord, ...]:
+    """The catalog at ``path``, by default ``fields.catalog`` of the data directory."""
+    p = Path(path) if path else data_dir() / "fields.catalog"
+    return _catalog_at(p.resolve())
 
 
 @lru_cache(maxsize=4)
-def default_catalog(path: Optional[str] = None) -> Tuple[NumberFieldRecord, ...]:
-    p = Path(path) if path else data_dir() / "fields.catalog"
-    if not p.exists():
-        raise FileNotFoundError(p)
-    _verify_checksum(p)
-    return tuple(load_catalog(p.read_bytes()))
+def _catalog_at(path: Path) -> Tuple[NumberFieldRecord, ...]:
+    # keyed on the resolved path, so a changed COVCERT_DATA_DIR is read afresh
+    return tuple(load_catalog(read_data_file(path)))
 
 
 def fields_by_degree_below(
@@ -331,8 +359,7 @@ def totally_positive_index(field: NumberFieldRecord) -> int:
 # prime splitting
 
 
-@dataclass(frozen=True)
-class SplittingResult:
+class SplittingResult(NamedTuple):
     kind: str  # split, inert, ramified
     residue_cardinalities: Tuple[int, ...]
 

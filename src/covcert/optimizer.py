@@ -13,10 +13,9 @@ overlaps are reported as ties rather than silently broken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rigor import Comparison, Interval, Rational, iv_compare
 from .bounds import DenominatorNotPositive, OdlyzkoPair
@@ -44,8 +43,7 @@ class NoFeasiblePoint(ValueError):
     """No grid point satisfies the feasibility conditions."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     best_value: Interval
     best_pair: OdlyzkoPair
     best_t: Optional[Fraction]

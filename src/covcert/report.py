@@ -12,7 +12,6 @@ records ``rigor.Interval``, the checker parses ``Enclosure``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -67,8 +66,7 @@ def compare(a, b) -> Comparison:
     return Comparison.OVERLAP
 
 
-@dataclass(frozen=True)
-class RecordedComparison:
+class RecordedComparison(NamedTuple):
     lhs: Enclosure
     rhs: Enclosure
     relation: str  # the relation that actually holds
@@ -87,8 +85,7 @@ def step_verdict(comparisons: Sequence[RecordedComparison]) -> str:
     return "Tie" if tie else "Failed"
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(NamedTuple):
     id: str
     claim: str
     anchor: str
@@ -99,13 +96,23 @@ class CertificateStep:
     precision_bits: int
 
 
-@dataclass
 class Certificate:
-    rank: int
-    precision_bits: int
-    steps: List[CertificateStep]
-    surviving_fields_after_global: List[str]
-    final_conclusion: str
+    """A rank's proof steps.  Mutable: the prover sets ``final_conclusion``
+    once every step holds."""
+
+    def __init__(
+        self,
+        rank: int,
+        precision_bits: int,
+        steps: List[CertificateStep],
+        surviving_fields_after_global: List[str],
+        final_conclusion: str,
+    ) -> None:
+        self.rank = rank
+        self.precision_bits = precision_bits
+        self.steps = steps
+        self.surviving_fields_after_global = surviving_fields_after_global
+        self.final_conclusion = final_conclusion
 
     def step(self, step_id: str) -> CertificateStep:
         for s in self.steps:

@@ -12,7 +12,6 @@ disjoint; an ``OVERLAP`` verdict is never treated as a proof of anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -34,18 +33,41 @@ def _to_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints.
+
+    Immutable, and equal and hashed by its endpoints; never equal to an
+    object of another type, such as a tuple or a report ``Enclosure``.
+    """
+
+    __slots__ = ("lo", "hi")
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _to_rational(self.lo))
-        object.__setattr__(self, "hi", _to_rational(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: RationalLike, hi: RationalLike) -> None:
+        lo, hi = _to_rational(lo), _to_rational(hi)
+        if lo > hi:
+            raise ValueError(f"invalid interval: lo={lo} > hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Interval is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Interval is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     # -- constructors ------------------------------------------------------
 

@@ -484,7 +484,13 @@ def bad_data(tmp_path):
         "".join(line for line in lines if not line.startswith("3.3.49.1|"))
     )
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
-    return {"tmp": str(tmp_path), "data": str(data_dir)}
+    (tmp_path / "latin1").write_bytes(b"\xff\xfe not UTF-8\n")
+    torn = tmp_path / "torn"
+    torn.mkdir()
+    for name in ("fields.catalog", "odlyzko.csv"):
+        (torn / name).write_bytes((vendored / name).read_bytes())
+    (torn / "CHECKSUMS").write_bytes((vendored / "CHECKSUMS").read_bytes() + b"garbage\n")
+    return {"tmp": str(tmp_path), "data": str(data_dir), "torn": str(torn)}
 
 
 BAD_INPUT = [
@@ -499,6 +505,9 @@ BAD_INPUT = [
     ({}, ["prove", "--n", "2", "--precision", "64", "--fields", "{tmp}/no_49.catalog"]),
     ({}, ["verify", "{tmp}"]),
     ({}, ["verify", "{tmp}/deep.json"]),
+    ({"COVCERT_DATA_DIR": "{torn}"}, ["prove", "--n", "3"]),
+    ({}, ["prove", "--n", "3", "--fields", "{tmp}/latin1"]),
+    ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/latin1"]),
 ]
 
 
@@ -508,11 +517,49 @@ BAD_INPUT = [
 def test_cli_bad_input(env, argv, bad_data, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value.format(**bad_data))
-    numberfields.default_catalog.cache_clear()  # cached by path, not by data directory
-    try:
-        rc = cli.main([arg.format(**bad_data) for arg in argv])
-    finally:
-        numberfields.default_catalog.cache_clear()
+    rc = cli.main([arg.format(**bad_data) for arg in argv])
     assert rc == cli.EXIT_DATA_MISSING
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch):
+    """Each load hashes and parses one read; a changed data directory is read afresh."""
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    bounds.load_odlyzko_table()
+    assert opened.count("odlyzko.csv") == 1
+    numberfields.default_catalog()
+    monkeypatch.setenv("COVCERT_DATA_DIR", bad_data["data"])  # its catalog fails its checksum
+    opened.clear()
+    with pytest.raises(numberfields.InvariantViolation):
+        numberfields.default_catalog()
+    assert opened.count("fields.catalog") == 1
+
+
+def test_cli_import_graph():
+    """``import covcert.cli`` loads all eight layers and none of dataclasses, inspect, hashlib."""
+    layers = ["rigor", "specfun", "numberfields", "bounds", "optimizer", "localfactors",
+              "certifier", "cli"]
+    probe = (
+        "import sys, covcert.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('covcert.'))); "
+        "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])"
+    )
+    src = str(Path(covcert.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],  # -S: no site hooks of the environment
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout.splitlines()
+    assert set(ast.literal_eval(out[0])) >= {f"covcert.{name}" for name in layers}
+    assert out[1] == "[]"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covcert.numberfields import InvariantViolation, NumberFieldRecord
+from covcert.report import Enclosure
 from covcert.rigor import (
     Comparison,
     DivisionByIntervalContainingZero,
@@ -139,8 +141,19 @@ def test_pow_int_negative_exponent():
 
 
 def test_invalid_interval_rejected():
+    """Values are checked once, at construction, and cannot change after it."""
     with pytest.raises(ValueError):
         Interval(2, 1)
+    iv = Interval(1, 2)
+    with pytest.raises(AttributeError):
+        iv.lo = Fraction(3)
+    assert iv == Interval(Fraction(1), Fraction(2)) and iv != Interval(1, 3)
+    assert hash(iv) == hash(Interval(Fraction(2, 2), 2))
+    assert iv != (1, 2) and iv != Enclosure(Fraction(1), Fraction(2))
+    third = Interval(Fraction(1, 3), Fraction(2, 3))
+    assert eval(repr(third), {"Interval": Interval, "Fraction": Fraction}) == third
+    with pytest.raises(InvariantViolation):
+        NumberFieldRecord("2.2.5.1", 2, 5, 1, (-1, -1, 2))  # not monic
 
 
 def test_hull_intersect():
