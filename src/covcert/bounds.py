@@ -129,12 +129,20 @@ def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
     coeff = Fraction(1)
     for j in range(1, J + 1):
         coeff *= zeta_even_exact(j)
-    partial = Interval.exact(coeff) * pi_enclosure(precision_bits).pow_int(
-        J * (J + 1)
-    )
+    m = J * (J + 1)
+    pi_iv = pi_enclosure(precision_bits)
     tail_sum = Fraction(2, 3) * Fraction(1, 4**J)
-    tail = Interval(Fraction(1), _exp_point(tail_sum, 64).hi)
-    return (partial * tail).coarsen(precision_bits + 8)
+    tail_hi = _exp_point(tail_sum, 64).hi
+    # every factor is positive: round coeff pi_lo^m down and
+    # coeff pi_hi^m tail_hi up, both to the grid 2^-(p+8)
+    bits = precision_bits + 8
+    lo_num = coeff.numerator * pi_iv.lo.numerator**m << bits
+    lo_den = coeff.denominator * pi_iv.lo.denominator**m
+    hi_num = coeff.numerator * pi_iv.hi.numerator**m * tail_hi.numerator << bits
+    hi_den = coeff.denominator * pi_iv.hi.denominator**m * tail_hi.denominator
+    return Interval(
+        Fraction(lo_num // lo_den, 1 << bits), Fraction(-(-hi_num // hi_den), 1 << bits)
+    )
 
 
 # ---------------------------------------------------------------------------

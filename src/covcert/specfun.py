@@ -4,7 +4,14 @@ Provides pi, exp, log, sqrt, Gamma, the Riemann and Hurwitz zeta functions,
 real Dirichlet L-functions, and the Robbins factorial brackets.  Every
 routine returns an :class:`~covcert.rigor.Interval` that provably contains
 the exact value: series are truncated with explicit remainder bounds, and
-all intermediate arithmetic is outward-rounded interval arithmetic.
+all intermediate arithmetic is outward-rounded.
+
+pi, ln 2, e and exp and log at rational points are summed by fixed-point
+kernels: integer series at scale 2^w whose lower bound comes from floor
+divisions and whose upper bound comes from ceiling divisions or an ulp
+count, so they never take a gcd.  Their results become intervals with
+dyadic endpoints; everything built on them (Gamma, Hurwitz zeta, L,
+alpha) is exact-rational interval arithmetic.
 
 Point evaluations are memoized through a refinement cache: asking for more
 precision re-evaluates the series at a higher working precision and
@@ -106,21 +113,105 @@ def zeta_even_exact(j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# pi, ln 2, e
+# fixed-point kernels
+#
+# Each kernel works on integers at scale 2^w and returns (lo, hi) with
+# lo <= 2^w * v <= hi for the exact value v.  Lower bounds come from floor
+# divisions and upper bounds from ceiling divisions (or from an ulp count),
+# so no rounding goes unaccounted and no gcd is ever taken.
 
 
-def _atan_inv_core(x: int, q: int) -> Interval:
-    """Enclosure of arctan(1/x) for integer x >= 2 (alternating series)."""
-    threshold = Fraction(1, 1 << (q + 16))
-    acc = Fraction(0)
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _dyadic(lo: int, hi: int, w: int) -> Interval:
+    return Interval(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+
+
+def _exp_kernel(p: int, d: int, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * exp(p/d) for |p/d| <= 1 and d > 0."""
+    if p < 0:
+        # e^-x = 1/e^x: dividing 2^2w by an upper bound gives a lower bound
+        lo, hi = _exp_kernel(-p, d, w)
+        return (1 << 2 * w) // hi, _ceil_div(1 << 2 * w, lo)
+    # floor chain t_k <= 2^w f^k / k! from x_lo <= 2^w f, ceiling chain above it
+    x_lo, x_hi = (p << w) // d, _ceil_div(p << w, d)
+    lo = hi = t_lo = t_hi = 1 << w
     k = 0
     while True:
-        term = Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
-        acc += term
         k += 1
-        nxt = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-        if nxt < threshold:
-            return Interval(acc - nxt, acc + nxt)
+        t_lo = (t_lo * x_lo >> w) // k
+        t_hi = _ceil_div(t_hi * x_hi, k << w)
+        if t_hi <= 1:
+            # f/(j+1) <= 1/2 for j >= k, so the tail from term k on is <= 2 t_hi
+            return lo + t_lo, hi + 2 * t_hi
+        lo += t_lo
+        hi += t_hi
+
+
+def _atanh_kernel(p: int, d: int, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * atanh(p/d) for |p/d| <= 1/3 and d > 0."""
+    if p < 0:
+        lo, hi = _atanh_kernel(-p, d, w)  # atanh is odd
+        return -hi, -lo
+    # floor chain of the powers u^(2j+1) from x_lo <= 2^w u, ceiling chain above
+    x_lo, x_hi = (p << w) // d, _ceil_div(p << w, d)
+    sq_lo, sq_hi = x_lo * x_lo >> w, _ceil_div(x_hi * x_hi, 1 << w)
+    lo = pw_lo = x_lo
+    hi = pw_hi = x_hi
+    j = 0
+    while True:
+        j += 1
+        pw_lo = pw_lo * sq_lo >> w
+        pw_hi = _ceil_div(pw_hi * sq_hi, 1 << w)
+        t_hi = _ceil_div(pw_hi, 2 * j + 1)
+        if t_hi <= 1:
+            # u^2 <= 1/9, so the tail from term j on is <= t_hi / (1 - 1/9) <= 2 t_hi
+            return lo + pw_lo // (2 * j + 1), hi + 2 * t_hi
+        lo += pw_lo // (2 * j + 1)
+        hi += t_hi
+
+
+def _arccot_kernel(c: int, x: int, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * c * arctan(1/x) for integers c >= 1 and x >= 2."""
+    x_sq = x * x
+    power = (c << w) // x  # floor(2^w c / x^(2k+1)), an exact floor at every k
+    acc = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        acc += -term if k & 1 else term
+        k += 1
+        power //= x_sq
+    # each of the k floored terms is off by less than one ulp, and the
+    # alternating remainder is below the first omitted term, itself < 1 ulp
+    return acc - k - 1, acc + k + 1
+
+
+def _pi_kernel(w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * pi from Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
+    lo5, hi5 = _arccot_kernel(16, 5, w)
+    lo239, hi239 = _arccot_kernel(4, 239, w)
+    return lo5 - hi239, hi5 - lo239
+
+
+def _log_kernel(num: int, den: int, w: int) -> Tuple[int, int, int]:
+    """k and bounds on 2^w * log(m) for num/den = 2^k m, m in [2/3, 4/3]."""
+    k = num.bit_length() - den.bit_length()
+    a, b = (num, den << k) if k >= 0 else (num << -k, den)  # m = a/b in (1/2, 2)
+    if 3 * a > 4 * b:
+        k += 1
+        b <<= 1
+    elif 3 * a < 2 * b:
+        k -= 1
+        a <<= 1
+    # log m = 2 atanh(u) with u = (m - 1)/(m + 1) in [-1/5, 1/7]
+    lo, hi = _atanh_kernel(a - b, a + b, w)
+    return k, 2 * lo, 2 * hi
+
+
+# ---------------------------------------------------------------------------
+# pi, ln 2, e
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
@@ -129,43 +220,25 @@ def pi_enclosure(precision_bits: int) -> Interval:
         raise ValueError("precision_bits must be >= 16")
 
     def compute(q: int) -> Interval:
-        a5 = _atan_inv_core(5, q)
-        a239 = _atan_inv_core(239, q)
-        sixteen = Interval.exact(16)
-        four = Interval.exact(4)
-        return (sixteen * a5 - four * a239).coarsen(q + 8)
+        work = q + 32
+        return _dyadic(*_pi_kernel(work), work).coarsen(q + 8)
 
     return _cached_point(("pi",), precision_bits, compute)
 
 
 def _ln2(prec: int) -> Interval:
     def compute(q: int) -> Interval:
-        # 2 atanh(1/3) = 2 sum u^(2j+1)/(2j+1), u = 1/3
-        threshold = Fraction(1, 1 << (q + 16))
-        acc = Fraction(0)
-        j = 0
-        while True:
-            acc += Fraction(2, (2 * j + 1) * 3 ** (2 * j + 1))
-            j += 1
-            tail = Fraction(2, (2 * j + 1) * 3 ** (2 * j + 1)) * Fraction(9, 8)
-            if tail < threshold:
-                return Interval(acc, acc + tail)
+        work = q + 32
+        lo, hi = _atanh_kernel(1, 3, work)  # ln 2 = 2 atanh(1/3)
+        return _dyadic(2 * lo, 2 * hi, work)
 
     return _cached_point(("ln2",), prec, compute)
 
 
 def _euler_e(prec: int) -> Interval:
     def compute(q: int) -> Interval:
-        threshold = Fraction(1, 1 << (q + 16))
-        acc = Fraction(0)
-        term = Fraction(1)
-        k = 0
-        while True:
-            acc += term
-            k += 1
-            term /= k
-            if 2 * term < threshold:
-                return Interval(acc, acc + 2 * term)
+        work = q + 32
+        return _dyadic(*_exp_kernel(1, 1, work), work)
 
     return _cached_point(("e",), prec, compute)
 
@@ -178,22 +251,9 @@ def _exp_point(r: Fraction, prec: int) -> Interval:
     def compute(q: int) -> Interval:
         work = q + 32
         n = (2 * r.numerator + r.denominator) // (2 * r.denominator)  # round
-        f = r - n
-        # series sum f^k / k!, |f| <= 1/2, tail <= 2 |next term|
-        threshold = Fraction(1, 1 << (q + 16))
-        term = Interval.exact(1)
-        acc = Interval.exact(1)
-        f_iv = Interval.exact(f).coarsen(work)
-        k = 0
-        while True:
-            k += 1
-            term = (term * f_iv).coarsen(work)
-            term = Interval(term.lo / k, term.hi / k)
-            acc = (acc + term).coarsen(work)
-            bound = max(abs(term.lo), abs(term.hi))
-            if bound * 2 < threshold:
-                acc = acc + Interval(-2 * bound, 2 * bound)
-                break
+        # e^r = e^f e^n with f = r - n in [-1/2, 1/2]
+        lo, hi = _exp_kernel(r.numerator - n * r.denominator, r.denominator, work)
+        acc = _dyadic(lo, hi, work)
         if n != 0:
             acc = acc * _euler_e(q).pow_int(int(n))
         return coarsen_relative(acc, q + 8)
@@ -207,31 +267,8 @@ def _log_point(r: Fraction, prec: int) -> Interval:
 
     def compute(q: int) -> Interval:
         work = q + 32
-        k = r.numerator.bit_length() - r.denominator.bit_length()
-        m = r / Fraction(2) ** k  # m in [1/2, 2)
-        if m > Fraction(4, 3):
-            k += 1
-            m /= 2
-        elif m < Fraction(2, 3):
-            k -= 1
-            m *= 2
-        u = (m - 1) / (m + 1)  # |u| <= 1/5
-        u_iv = Interval.exact(u).coarsen(work)
-        u_sq = (u_iv * u_iv).coarsen(work)
-        threshold = Fraction(1, 1 << (q + 16))
-        power = u_iv
-        acc = Interval.exact(0)
-        j = 0
-        while True:
-            term = Interval(power.lo / (2 * j + 1), power.hi / (2 * j + 1))
-            acc = (acc + term).coarsen(work)
-            j += 1
-            power = (power * u_sq).coarsen(work)
-            tail = max(abs(power.lo), abs(power.hi)) * Fraction(25, 24) / (2 * j + 1)
-            if 2 * tail < threshold:
-                acc = acc + Interval(-2 * tail, 2 * tail)
-                break
-        result = Interval(2 * acc.lo, 2 * acc.hi)
+        k, lo, hi = _log_kernel(r.numerator, r.denominator, work)
+        result = _dyadic(lo, hi, work)
         if k != 0:
             result = result + Interval.exact(k) * _ln2(q)
         return result.coarsen(q + 8)

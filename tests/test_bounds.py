@@ -64,6 +64,20 @@ def test_zeta_product_single_factor():
     assert iv.contains(b.zeta_product_enclosure(20, PREC).midpoint())
 
 
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+@pytest.mark.parametrize("J", [1, 20])
+def test_zeta_product_matches_interval_route(J, prec):
+    """The integer floor/ceiling route equals the interval product, coarsened."""
+    coeff = Fraction(1)
+    for j in range(1, J + 1):
+        coeff *= sf.zeta_even_exact(j)
+    tail_sum = Fraction(2, 3) * Fraction(1, 4**J)
+    tail = Interval(Fraction(1), sf._exp_point(tail_sum, 64).hi)
+    pi_power = sf.pi_enclosure(prec).pow_int(J * (J + 1))
+    expected = (Interval.exact(coeff) * pi_power * tail).coarsen(prec + 8)
+    assert b.zeta_product_enclosure(J, prec) == expected
+
+
 def test_zeta_product_partial_monotone():
     previous = None
     for J in (1, 2, 5, 10, 20):

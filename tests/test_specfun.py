@@ -10,7 +10,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from covcert.bounds import pi_n_coefficient
 from covcert.rigor import Interval
 from covcert import specfun as sf
 
@@ -115,6 +118,16 @@ def test_log_oracle(r):
     iv = sf._log_point(r, PREC)
     value = mpmath.log(mpmath.mpf(r.numerator) / r.denominator)
     assert _contains_mp(iv, value)
+    assert iv.width() < Fraction(1, 2**150)
+
+
+def test_ln2_and_e_oracle():
+    ln2 = sf._ln2(PREC)
+    assert _contains_mp(ln2, mpmath.log(2))
+    assert ln2.width() < Fraction(1, 2**150)
+    e = sf._euler_e(PREC)
+    assert _contains_mp(e, mpmath.e)
+    assert e.width() < Fraction(1, 2**150)
 
 
 def test_log_of_nonpositive_rejected():
@@ -264,7 +277,11 @@ def _refinement_cases():
     yield lambda p: sf.pi_enclosure(p)
     yield lambda p: sf._exp_point(Fraction(46, 100), p)
     yield lambda p: sf._exp_point(Fraction(-2949, 20), p)
+    yield lambda p: sf._exp_point(Fraction(-1, 2), p)
+    yield lambda p: sf._ln2(p)
+    yield lambda p: sf._euler_e(p)
     yield lambda p: sf._log_point(Fraction(2689, 125), p)
+    yield lambda p: sf._log_point(pi_n_coefficient(53), p)
     yield lambda p: sf.sqrt_enclosure(Interval.exact(5), p)
     yield lambda p: sf.gamma_enclosure(Interval.exact(Fraction(11, 10)), p)
     yield lambda p: sf.zeta_real_enclosure(Interval.exact(Fraction(11, 5)), p)
@@ -290,3 +307,78 @@ def test_point_cache_intersection_is_sound():
     narrow = sf._exp_point(Fraction(1), 256)
     assert narrow.subset_of(wide)
     assert _contains_mp(narrow, mpmath.e)
+
+
+# ---------------------------------------------------------------------------
+# fixed-point kernels against mpmath at w + 64 bits
+#
+# Each kernel must bracket 2^w v, and lose at most log2(w) <= 12 of the 32
+# guard bits its callers add: hi - lo <= w ulps.
+
+kernel_bits = st.integers(min_value=64, max_value=2100)
+
+
+def _assert_brackets(lo: int, hi: int, w: int, value) -> None:
+    """lo <= 2^w v <= hi, with v = value() evaluated at w + 64 bits."""
+    with mpmath.workprec(w + 64):
+        assert lo <= mpmath.ldexp(value(), w) <= hi
+    assert hi - lo <= w
+
+
+def _mp(r: Fraction):
+    return mpmath.mpf(r.numerator) / r.denominator
+
+
+@given(st.fractions(min_value=-1, max_value=1, max_denominator=10**40), kernel_bits)
+@example(Fraction(0), 64)
+@example(Fraction(1, 2), 2100)
+@example(Fraction(-1, 2), 2100)
+@example(Fraction(1, 2) - Fraction(1, 10**30), 160)
+@example(Fraction(-1, 2) + Fraction(1, 10**30), 64)
+@example(Fraction(1), 1056)
+@settings(deadline=None)
+def test_exp_kernel_brackets(f, w):
+    lo, hi = sf._exp_kernel(f.numerator, f.denominator, w)
+    _assert_brackets(lo, hi, w, lambda: mpmath.exp(_mp(f)))
+
+
+@given(st.fractions(min_value=Fraction(-1, 3), max_value=Fraction(1, 3),
+                    max_denominator=10**40), kernel_bits)
+@example(Fraction(0), 64)
+@example(Fraction(1, 3), 2100)
+@example(Fraction(-1, 5), 160)
+@example(Fraction(1, 7), 544)
+@settings(deadline=None)
+def test_atanh_kernel_brackets(u, w):
+    lo, hi = sf._atanh_kernel(u.numerator, u.denominator, w)
+    _assert_brackets(lo, hi, w, lambda: mpmath.atanh(_mp(u)))
+
+
+@given(st.integers(min_value=1, max_value=2**400),
+       st.integers(min_value=1, max_value=2**400), kernel_bits)
+@example(1, 1, 64)
+@example(2**40, 1, 2100)
+@example(1, 2**17, 160)
+@example(2, 3, 288)
+@example(4, 3, 288)
+@example(2 * 10**30 - 1, 3 * 10**30, 100)
+@example(4 * 10**30 + 1, 3 * 10**30, 100)
+@example(2**9 * 4, 3, 1056)
+@example(1, 10**12, 176)
+@example(pi_n_coefficient(64).numerator, pi_n_coefficient(64).denominator, 96)
+@example(pi_n_coefficient(64).numerator, pi_n_coefficient(64).denominator, 2100)
+@settings(deadline=None)
+def test_log_kernel_brackets(num, den, w):
+    k, lo, hi = sf._log_kernel(num, den, w)
+    m = Fraction(num, den) / Fraction(2) ** k
+    assert Fraction(2, 3) <= m <= Fraction(4, 3)
+    _assert_brackets(lo, hi, w, lambda: mpmath.log(_mp(m)))
+
+
+@given(kernel_bits)
+@example(64)
+@example(2100)
+@settings(deadline=None)
+def test_pi_kernel_brackets(w):
+    lo, hi = sf._pi_kernel(w)
+    _assert_brackets(lo, hi, w, lambda: +mpmath.pi)
