@@ -1,10 +1,15 @@
 """Global covolume bounds and discriminant cutoffs.
 
-Implements the reference covolume constants Pi(n) and Psi(n), the exact
-global-stage quotient Psi(n) / S(Lambda), the logarithms of Pi(n) and of
-the high-rank lower bound on the covolume, the three feasibility
-conditions on a bound pair (A, E), and the various discriminant cutoff
-formulas used to enumerate candidate fields.
+Implements the reference covolume constants, the exact global-stage
+quotient Psi(n) / S(Lambda), the high-rank lower bound on the covolume,
+the three feasibility conditions on a bound pair (A, E), and the various
+discriminant cutoff formulas used to enumerate candidate fields.
+
+Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
+ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
+zeta(2j).  Pi(n) is only ever its logarithm ``log_pi_n``: the high-rank
+bound, the discriminant cutoffs and the infinite zeta product are sums of
+point logarithms, exponentiated where the value itself is compared.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -26,13 +31,12 @@ from .numberfields import (
     read_data_file,
 )
 from .specfun import (
-    _exp_point,
     _log_point,
+    exp_enclosure,
     log_enclosure,
     pi_enclosure,
     pow_frac,
     zeta_even_exact,
-    zeta_real_enclosure,
 )
 
 
@@ -86,15 +90,6 @@ def pi_n_coefficient(n: int) -> Fraction:
     return Fraction(num, 1 << (n * (n + 1)))
 
 
-def pi_n(n: int, precision_bits: int = 256) -> Interval:
-    """Enclosure of Pi(n) = prod_{j<=n} (2j-1)! / (2 pi)^(2j)."""
-    c = pi_n_coefficient(n)
-    return coarsen_relative(
-        Interval.exact(c) * pi_enclosure(precision_bits).pow_int(-n * (n + 1)),
-        precision_bits + 8,
-    )
-
-
 @lru_cache(maxsize=None)
 def psi_n_exact(n: int) -> Fraction:
     """Exact value of Psi(n) = Pi(n) * prod_{j<=n} zeta(2j).
@@ -108,41 +103,27 @@ def psi_n_exact(n: int) -> Fraction:
     return c
 
 
-def psi_n(n: int, precision_bits: int = 256) -> Interval:
-    """Interval route for Psi(n), cross-checkable against psi_n_exact."""
-    acc = pi_n(n, precision_bits)
-    for j in range(1, n + 1):
-        acc = acc * zeta_real_enclosure(Interval.exact(2 * j), precision_bits)
-    return coarsen_relative(acc, precision_bits + 8)
-
-
 ZETA_PRODUCT_UPPER = Fraction(183, 100)
 
 
 def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
     """Enclosure of the infinite product prod_{j>=1} zeta(2j).
 
-    Partial product up to J is exact up to the pi enclosure; the tail is
-    bracketed by [1, exp(sum_{j>J} 2 * 2^(-2j))] since zeta(s) <= 1 + 2^(1-s)
-    for s >= 2 and log(1+x) <= x.
+    The partial product up to J is c pi^(J(J+1)) with c exact, and the log of
+    the tail lies in [0, sum_{j>J} 2 * 2^(-2j)] = [0, (2/3) 4^(-J)] since
+    zeta(s) <= 1 + 2^(1-s) for s >= 2 and log(1+x) <= x.  The product is the
+    exponential of the sum of these logarithms.
     """
     coeff = Fraction(1)
     for j in range(1, J + 1):
         coeff *= zeta_even_exact(j)
-    m = J * (J + 1)
-    pi_iv = pi_enclosure(precision_bits)
-    tail_sum = Fraction(2, 3) * Fraction(1, 4**J)
-    tail_hi = _exp_point(tail_sum, 64).hi
-    # every factor is positive: round coeff pi_lo^m down and
-    # coeff pi_hi^m tail_hi up, both to the grid 2^-(p+8)
-    bits = precision_bits + 8
-    lo_num = coeff.numerator * pi_iv.lo.numerator**m << bits
-    lo_den = coeff.denominator * pi_iv.lo.denominator**m
-    hi_num = coeff.numerator * pi_iv.hi.numerator**m * tail_hi.numerator << bits
-    hi_den = coeff.denominator * pi_iv.hi.denominator**m * tail_hi.denominator
-    return Interval(
-        Fraction(lo_num // lo_den, 1 << bits), Fraction(-(-hi_num // hi_den), 1 << bits)
+    work = precision_bits + _LOG_GUARD_BITS
+    log_product = (
+        _log_point(coeff, work)
+        + Interval.exact(J * (J + 1)) * log_enclosure(pi_enclosure(work), work)
+        + Interval(0, Fraction(2, 3 * 4**J))
     )
+    return exp_enclosure(log_product, work).coarsen(precision_bits + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +298,23 @@ def _proto_multiplier(n: int, d: int) -> int:
     return 1 << (2 * d - 1)
 
 
+def _cutoff(
+    coeff: Fraction, n: int, d: int, exponent: Fraction, precision_bits: int
+) -> Interval:
+    """Enclosure of (coeff Pi(n)^(1-d))^exponent, evaluated in logarithms."""
+    work = precision_bits + _LOG_GUARD_BITS
+    log_base = _log_point(coeff, work) + Interval.exact(1 - d) * log_pi_n(n, work)
+    return exp_enclosure(Interval.exact(exponent) * log_base, work).coarsen(
+        precision_bits + 8
+    )
+
+
 def proto_D_bound(n: int, d: int, h: int, precision_bits: int = 256) -> Interval:
     """Discriminant cutoff (1.83 m(n,d) h Pi(n)^(1-d))^(1/(n^2+n/2))."""
     if n < 2 or d < 1 or h < 1:
         raise ValueError("need n >= 2, d >= 1, h >= 1")
-    base = (
-        Interval.exact(ZETA_PRODUCT_UPPER * _proto_multiplier(n, d) * h)
-        * pow_frac(pi_n(n, precision_bits), Fraction(1 - d), precision_bits)
-    ).coarsen(precision_bits + 8)
-    return pow_frac(base, Fraction(2, n * (2 * n + 1)), precision_bits).coarsen(
-        precision_bits + 8
-    )
+    coeff = ZETA_PRODUCT_UPPER * _proto_multiplier(n, d) * h
+    return _cutoff(coeff, n, d, Fraction(2, n * (2 * n + 1)), precision_bits)
 
 
 # rational lower bound for e^0.46 used in the rank-3 cutoff; a smaller
@@ -339,12 +326,8 @@ def n3_D_bound(d: int, precision_bits: int = 256) -> Interval:
     """Rank-3 cutoff (1372.5 Pi(3)^(1-d) (7.6 * 1.58)^(-d))^(1/7.5)."""
     if d not in (2, 3):
         raise ValueError("rank-3 cutoff supported for d in {2, 3}")
-    base = (
-        Interval.exact(Fraction(27450, 20))
-        * pow_frac(pi_n(3, precision_bits), Fraction(1 - d), precision_bits)
-        * Interval.exact((_COEFF_7_6 * _E_046_LOWER) ** (-d))
-    ).coarsen(precision_bits + 8)
-    return pow_frac(base, Fraction(2, 15), precision_bits).coarsen(precision_bits + 8)
+    coeff = Fraction(27450, 20) * (_COEFF_7_6 * _E_046_LOWER) ** (-d)
+    return _cutoff(coeff, 3, d, Fraction(2, 15), precision_bits)
 
 
 def n2_D_bound(d: int, precision_bits: int = 256) -> Interval:

@@ -408,20 +408,6 @@ def run_case(
     builder = _Builder(precision_bits)
     _global_stage_common(builder)
 
-    psi = bounds.psi_n_exact(n) if n <= 8 else None
-    if psi is not None:
-        psi_iv = bounds.psi_n(n, precision_bits)
-        builder.record(
-            f"psi{n}_exact",
-            f"reference covolume at rank {n} equals {psi} exactly",
-            "closed-form evaluation cross-checked against the enclosure",
-            [
-                _greater(Interval.exact(psi), Interval.exact(psi_iv.lo)),
-                _less(Interval.exact(psi), Interval.exact(psi_iv.hi)),
-            ],
-            enclosures=[Interval.exact(psi), psi_iv],
-        )
-
     if n >= 4:
         survivors = _run_high_rank(builder, table, catalog, n, precision_bits)
     elif n == 3:

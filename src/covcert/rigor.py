@@ -5,8 +5,7 @@ on closed intervals with exact rational endpoints.  Field operations on
 rationals are exact, so the only widening in the whole system comes from
 series truncation and the floor and ceiling divisions of the fixed-point
 kernels in ``specfun``, and from outward rounding to a dyadic grid: the
-optional ``coarsen`` step that caps denominator growth, and the integer
-floor and ceiling of ``bounds.zeta_product_enclosure``.
+optional ``coarsen`` step that caps denominator growth.
 
 A comparison between two intervals is *certified* when the intervals are
 disjoint; an ``OVERLAP`` verdict is never treated as a proof of anything.

@@ -21,6 +21,42 @@ def _close(iv: Interval, printed: str, rel=Fraction(1, 200)) -> bool:
     return abs(iv.midpoint() - target) <= rel * target
 
 
+def _mp(r: Fraction) -> "mpmath.mpf":
+    return mpmath.mpf(r.numerator) / r.denominator
+
+
+def _meets_oracle(iv: Interval, value: "mpmath.mpf", digits: int = 55) -> bool:
+    """The enclosure meets the oracle's ball of relative radius 10^-digits.
+
+    Enclosures at 256 or 1024 bits are far narrower than a 60-digit oracle,
+    so containment is checked up to the oracle's own error.
+    """
+    eps = abs(value) * mpmath.mpf(10) ** -digits
+    return _mp(iv.lo) <= value + eps and value - eps <= _mp(iv.hi)
+
+
+def _relative_width(iv: Interval) -> Fraction:
+    return iv.width() / max(abs(iv.lo), abs(iv.hi))
+
+
+# Reference interval routes, kept here to cross-check the proof's routes:
+# Pi(n) as c_n times a power of the pi enclosure, and Psi(n) as Pi(n) times
+# the Euler-Maclaurin enclosures of zeta(2j).
+
+
+def _pi_n_interval(n: int, prec: int) -> Interval:
+    return Interval.exact(b.pi_n_coefficient(n)) * sf.pi_enclosure(prec).pow_int(
+        -n * (n + 1)
+    )
+
+
+def _psi_n_interval(n: int, prec: int) -> Interval:
+    acc = _pi_n_interval(n, prec)
+    for j in range(1, n + 1):
+        acc = acc * sf.zeta_real_enclosure(Interval.exact(2 * j), prec)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Pi, Psi, zeta product
 
@@ -31,7 +67,7 @@ def test_pi_n_coefficients():
 
 
 def test_pi_4_printed_value():
-    assert _close(b.pi_n(4, PREC), "3.9465e-10", Fraction(1, 1000))
+    assert _close(_pi_n_interval(4, PREC), "3.9465e-10", Fraction(1, 1000))
 
 
 def test_psi_exact_values():
@@ -41,7 +77,7 @@ def test_psi_exact_values():
 
 def test_psi_interval_contains_exact():
     for n in (2, 3, 4, 5):
-        assert b.psi_n(n, PREC).contains(b.psi_n_exact(n))
+        assert _psi_n_interval(n, PREC).contains(b.psi_n_exact(n))
 
 
 def test_f_n():
@@ -64,18 +100,30 @@ def test_zeta_product_single_factor():
     assert iv.contains(b.zeta_product_enclosure(20, PREC).midpoint())
 
 
-@pytest.mark.parametrize("prec", [64, 256, 1024])
+@pytest.mark.parametrize("prec", [16, 64, 256, 1024])
 @pytest.mark.parametrize("J", [1, 20])
 def test_zeta_product_matches_interval_route(J, prec):
-    """The integer floor/ceiling route equals the interval product, coarsened."""
+    """The log route meets the interval product c pi^(J(J+1)) [1, e^tail]
+    and is at least as narrow, relative to its magnitude."""
     coeff = Fraction(1)
     for j in range(1, J + 1):
         coeff *= sf.zeta_even_exact(j)
     tail_sum = Fraction(2, 3) * Fraction(1, 4**J)
     tail = Interval(Fraction(1), sf._exp_point(tail_sum, 64).hi)
     pi_power = sf.pi_enclosure(prec).pow_int(J * (J + 1))
-    expected = (Interval.exact(coeff) * pi_power * tail).coarsen(prec + 8)
-    assert b.zeta_product_enclosure(J, prec) == expected
+    reference = (Interval.exact(coeff) * pi_power * tail).coarsen(prec + 8)
+    enclosure = b.zeta_product_enclosure(J, prec)
+    assert enclosure.lo <= reference.hi and reference.lo <= enclosure.hi
+    assert _relative_width(enclosure) <= _relative_width(reference)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_zeta_product_oracle(prec):
+    """prod_{j>=1} zeta(2j) against 60-digit mpmath; the omitted factors
+    beyond j = 110 change its logarithm by less than 4^-110."""
+    with mpmath.workdps(60):
+        value = mpmath.exp(mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(1, 111)))
+        assert _meets_oracle(b.zeta_product_enclosure(20, prec), value)
 
 
 def test_zeta_product_partial_monotone():
@@ -121,7 +169,7 @@ def test_quotient_interval_matches_exact(catalog):
     for D, n in ((5, 2), (8, 2), (5, 3)):
         field = nf.field_by_discriminant(catalog, 2, D)
         S = sf.pow_frac(Interval.exact(D), Fraction(n * (2 * n + 1), 2), PREC)
-        S = S * b.pi_n(n, PREC).pow_int(2)
+        S = S * _pi_n_interval(n, PREC).pow_int(2)
         for j in range(1, n + 1):
             s = Interval.exact(2 * j)
             S = S * sf.zeta_real_enclosure(s, PREC) * sf.dirichlet_L_enclosure(D, s, PREC)
@@ -243,6 +291,28 @@ def test_claim_b_range():
 )
 def test_proto_D_bound_values(n, d, printed):
     assert _close(b.proto_D_bound(n, d, 1, PREC), printed)
+
+
+def _cutoff_oracle(coeff, n: int, d: int, exponent) -> "mpmath.mpf":
+    """(coeff Pi(n)^(1-d))^exponent, with Pi(n) = prod_j (2j-1)! / (2 pi)^(2j)."""
+    pi_n = mpmath.fprod(
+        mpmath.factorial(2 * j - 1) / (2 * mpmath.pi) ** (2 * j) for j in range(1, n + 1)
+    )
+    return (_mp(Fraction(coeff)) * pi_n ** (1 - d)) ** _mp(Fraction(exponent))
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_cutoff_oracle(prec):
+    """The cutoffs the proof records, against 60-digit mpmath."""
+    with mpmath.workdps(60):
+        for n, d in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)):
+            coeff = b.ZETA_PRODUCT_UPPER * b._proto_multiplier(n, d)
+            value = _cutoff_oracle(coeff, n, d, Fraction(2, n * (2 * n + 1)))
+            assert _meets_oracle(b.proto_D_bound(n, d, 1, prec), value), (n, d)
+        for d in (2, 3):
+            coeff = Fraction("1372.5") * (Fraction("7.6") * Fraction("1.58")) ** -d
+            value = _cutoff_oracle(coeff, 3, d, Fraction(2, 15))
+            assert _meets_oracle(b.n3_D_bound(d, prec), value), d
 
 
 def test_proto_D_bound_monotone_in_h():

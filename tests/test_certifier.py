@@ -12,7 +12,7 @@ import pytest
 import covcert
 from covcert import bounds
 from covcert import certifier as ct
-from covcert import cli, numberfields, optimizer
+from covcert import cli, numberfields, optimizer, specfun
 from covcert.bounds import OdlyzkoPair
 from covcert.rigor import Interval
 
@@ -47,13 +47,6 @@ def test_rank2_survivors(cert_by_rank):
         assert cert_by_rank[n].surviving_fields_after_global == ["1.1.1.1"], n
 
 
-def test_psi_step_containment(cert_by_rank):
-    for n in (2, 3, 4):
-        step = cert_by_rank[n].step(f"psi{n}_exact")
-        assert step.verdict == "Proved"
-        assert all(c.satisfied for c in step.comparisons)
-
-
 def test_dependency_dag(cert_by_rank):
     """Dependencies point to earlier, non-failed steps only."""
     for cert in cert_by_rank.values():
@@ -85,7 +78,7 @@ def test_json_schema_basics(cert_by_rank):
 def test_text_report_contents(cert_by_rank):
     text = ct.emit_report(cert_by_rank[2], "text").decode()
     assert "rank: 2" in text
-    assert "1/5760" in ct.emit_report(cert_by_rank[2]).decode()
+    assert "1568/79" in ct.emit_report(cert_by_rank[2]).decode()
     assert "conclusion: " + ct.FINAL_CONCLUSION in text
     with pytest.raises(ValueError):
         ct.emit_report(cert_by_rank[2], "xml")
@@ -331,15 +324,32 @@ def test_high_rank_proof_has_no_rank_chain(monkeypatch):
     assert counts[9] == counts[30] > 0
 
 
-def test_high_rank_proof_does_not_evaluate_pi_n(monkeypatch):
-    """Above rank 8 the proof only needs log Pi(n), never Pi(n) itself."""
+def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
+    """zeta(2j) enters the proof only through its closed form; the Hurwitz
+    series runs at rank 2 alone, for alpha(2.2) in the degree threshold."""
+    calls = []
+    hurwitz_point = specfun._hurwitz_point
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the high-rank proof evaluated pi_n")
+    def counted(*args):
+        calls.append(args)
+        return hurwitz_point(*args)
 
-    monkeypatch.setattr(bounds, "pi_n", forbidden)
-    for n in (9, 64):
+    monkeypatch.setattr(specfun, "_hurwitz_point", counted)
+    for n in (3, 4, 8, 9):
         assert ct.run_case(n, precision_bits=64).all_proved, n
+        assert calls == [], n
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_report_bytes_do_not_depend_on_history(n):
+    """A 128-bit report is the same before and after a 1500-bit run."""
+    specfun._clear_point_cache()
+    try:
+        cold = ct.emit_report(ct.run_case(n, precision_bits=128))
+        ct.run_case(n, precision_bits=1500)
+        assert ct.emit_report(ct.run_case(n, precision_bits=128)) == cold
+    finally:
+        specfun._clear_point_cache()
 
 
 @pytest.mark.parametrize(
