@@ -9,7 +9,12 @@ Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
 ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
 zeta(2j).  Pi(n) is only ever its logarithm ``log_pi_n``: the high-rank
 bound, the discriminant cutoffs and the infinite zeta product are sums of
-point logarithms, exponentiated where the value itself is compared.
+point logarithms, exponentiated where the value itself is compared.  log pi
+is the one cached point ``specfun._log_pi``.  Each public entry of a
+logarithm chain adds ``_LOG_GUARD_BITS`` once and calls private helpers that
+add none: a cached point asked for 16 bits more than it holds is recomputed
+at twice its working precision, so nested entries would recompute ln 2 and
+log pi at ever higher precision within one proof.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -31,10 +36,10 @@ from .numberfields import (
     read_data_file,
 )
 from .specfun import (
+    _log_pi,
     _log_point,
     exp_enclosure,
     log_enclosure,
-    pi_enclosure,
     pow_frac,
     zeta_even_exact,
 )
@@ -120,7 +125,7 @@ def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
     work = precision_bits + _LOG_GUARD_BITS
     log_product = (
         _log_point(coeff, work)
-        + Interval.exact(J * (J + 1)) * log_enclosure(pi_enclosure(work), work)
+        + Interval.exact(J * (J + 1)) * _log_pi(work)
         + Interval(0, Fraction(2, 3 * 4**J))
     )
     return exp_enclosure(log_product, work).coarsen(precision_bits + 8)
@@ -170,8 +175,9 @@ def adjusted_quotient(
 #
 # Pi(n) and O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d
 # reach ~10^2721 and ~10^8299 at rank 64 and d = 2, so the proof only handles
-# their logarithms: short sums of point logarithms, each evaluated with guard
-# bits that absorb the multipliers n(n+1) and f(n).
+# their logarithms: short sums of point logarithms, evaluated with guard bits
+# that absorb the multipliers n(n+1) and f(n).  The public functions add the
+# guard bits once; the private helpers take the working precision as given.
 
 
 _COEFF_7_6 = Fraction(38, 5)
@@ -179,26 +185,29 @@ _COEFF_0_46 = Fraction(46, 100)
 _LOG_GUARD_BITS = 16
 
 
+def _log_pi_n(n: int, work: int) -> Interval:
+    return _log_point(pi_n_coefficient(n), work) - Interval.exact(n * (n + 1)) * _log_pi(work)
+
+
+def _log_inner(n: int, A: Rational, work: int) -> Interval:
+    return (
+        _log_point(_COEFF_7_6, work)
+        + Interval.exact(_COEFF_0_46)
+        + Interval.exact(f_n(n)) * _log_point(A, work)
+        + _log_pi_n(n, work)
+    )
+
+
 def log_pi_n(n: int, precision_bits: int = 256) -> Interval:
     """Enclosure of log Pi(n) = log c_n - n(n+1) log pi."""
     work = precision_bits + _LOG_GUARD_BITS
-    log_pi = log_enclosure(pi_enclosure(work), work)
-    return coarsen_relative(
-        _log_point(pi_n_coefficient(n), work) - Interval.exact(n * (n + 1)) * log_pi,
-        precision_bits + 8,
-    )
+    return coarsen_relative(_log_pi_n(n, work), precision_bits + 8)
 
 
 def log_inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
     """Log of the degree-power base 7.6 e^0.46 A^f(n) Pi(n) of O(n, d, A, E)."""
     work = precision_bits + _LOG_GUARD_BITS
-    return coarsen_relative(
-        _log_point(_COEFF_7_6, work)
-        + Interval.exact(_COEFF_0_46)
-        + Interval.exact(f_n(n)) * _log_point(A, work)
-        + log_pi_n(n, work),
-        precision_bits + 8,
-    )
+    return coarsen_relative(_log_inner(n, A, work), precision_bits + 8)
 
 
 def log_normalized_O(
@@ -209,8 +218,8 @@ def log_normalized_O(
     return coarsen_relative(
         Interval.exact(-pair.E * f_n(n))
         - _log_point(Fraction(750), work)
-        + Interval.exact(d) * log_inner_factor(n, pair.A, work)
-        - log_pi_n(n, work),
+        + Interval.exact(d) * _log_inner(n, pair.A, work)
+        - _log_pi_n(n, work),
         precision_bits + 8,
     )
 
@@ -230,16 +239,13 @@ def lemma35_comparisons(
     cond_b: A > 5.66 (positivity of the inner factor for all ranks)
     cond_c: -E + 2 log A > (log 9.47 - log Pi(4)) / f(4) (base case at n=4)
     """
-    log_A = log_enclosure(Interval.exact(pair.A), precision_bits)
-    two_pi = Interval.exact(2) * pi_enclosure(precision_bits)
-    log_2pi = log_enclosure(two_pi, precision_bits)
-    log_5 = log_enclosure(Interval.exact(5), precision_bits)
+    work = precision_bits + _LOG_GUARD_BITS
+    log_A = _log_point(pair.A, work)
+    log_2pi = _log_point(Fraction(2), work) + _log_pi(work)
     lhs_a = Interval.exact(2) * log_A - Interval.exact(pair.E)
-    rhs_a = log_2pi + Interval.exact(1) - log_5
-
-    log_pi4 = log_pi_n(4, precision_bits)
-    log_947 = log_enclosure(Interval.exact(Fraction(947, 100)), precision_bits)
-    rhs_c = (log_947 - log_pi4) / Interval.exact(f_n(4))
+    rhs_a = log_2pi + Interval.exact(1) - _log_point(Fraction(5), work)
+    log_947 = _log_point(Fraction(947, 100), work)
+    rhs_c = (log_947 - _log_pi_n(4, work)) / Interval.exact(f_n(4))
     lhs_c = Interval.exact(-pair.E) + Interval.exact(2) * log_A
     return {
         "cond_a": (lhs_a, rhs_a),
@@ -303,7 +309,7 @@ def _cutoff(
 ) -> Interval:
     """Enclosure of (coeff Pi(n)^(1-d))^exponent, evaluated in logarithms."""
     work = precision_bits + _LOG_GUARD_BITS
-    log_base = _log_point(coeff, work) + Interval.exact(1 - d) * log_pi_n(n, work)
+    log_base = _log_point(coeff, work) + Interval.exact(1 - d) * _log_pi_n(n, work)
     return exp_enclosure(Interval.exact(exponent) * log_base, work).coarsen(
         precision_bits + 8
     )

@@ -19,12 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rigor import Comparison, Interval, Rational, iv_compare
 from .bounds import DenominatorNotPositive, OdlyzkoPair
-from .specfun import (
-    _exp_point,
-    alpha_enclosure,
-    log_enclosure,
-    pi_enclosure,
-)
+from .specfun import _log_pi, _log_point, alpha_enclosure, log_enclosure
 
 
 class InfeasibleBase(ValueError):
@@ -64,19 +59,13 @@ class SearchResult(NamedTuple):
 _PSI2 = Fraction(1, 5760)
 
 
-@lru_cache(maxsize=8)
 def _ln_eta(precision_bits: int) -> Interval:
-    eta = (
-        Interval.exact(3)
-        * _exp_point(Fraction(46, 100), precision_bits)
-        / (Interval.exact(64) * pi_enclosure(precision_bits).pow_int(6))
+    """log eta = log(3/64) + 0.46 - 6 log pi."""
+    return (
+        _log_point(Fraction(3, 64), precision_bits)
+        + Interval.exact(Fraction(46, 100))
+        - Interval.exact(6) * _log_pi(precision_bits)
     )
-    return log_enclosure(eta, precision_bits)
-
-
-@lru_cache(maxsize=None)
-def _ln_A(A: Fraction, precision_bits: int) -> Interval:
-    return log_enclosure(Interval.exact(A), precision_bits)
 
 
 @lru_cache(maxsize=None)
@@ -86,17 +75,12 @@ def _ln_alpha(t: Fraction, precision_bits: int) -> Interval:
     )
 
 
-@lru_cache(maxsize=None)
-def _ln_rational(r: Fraction, precision_bits: int) -> Interval:
-    return log_enclosure(Interval.exact(r), precision_bits)
-
-
 def n2_base_log(pair: OdlyzkoPair, t: Fraction, precision_bits: int = 256) -> Interval:
     """log of the threshold base eta * A^(4.5 - t/2) * alpha(t + 1)."""
     exponent = Fraction(9, 2) - t / 2
     return (
         _ln_eta(precision_bits)
-        + Interval.exact(exponent) * _ln_A(pair.A, precision_bits)
+        + Interval.exact(exponent) * _log_point(pair.A, precision_bits)
         + _ln_alpha(t, precision_bits)
     ).coarsen(precision_bits + 8)
 
@@ -114,9 +98,9 @@ def n2_rhs(pair: OdlyzkoPair, t: Rational, precision_bits: int = 256) -> Interva
         )
     log_x_coeff = (
         Interval.exact(pair.E * (t + 1) / 2 - 5 * pair.E)
-        - _ln_rational(25 * t * (t + 1), precision_bits)
+        - _log_point(25 * t * (t + 1), precision_bits)
     )
-    numerator = _ln_rational(_PSI2, precision_bits) - log_x_coeff
+    numerator = _log_point(_PSI2, precision_bits) - log_x_coeff
     return (numerator / ln_base).coarsen(precision_bits + 8)
 
 

@@ -200,10 +200,6 @@ def coarsen_relative(iv: Interval, bits: int = 256) -> Interval:
     return iv.coarsen(bits + max(extra + 1, 0))
 
 
-def iv_exact(r: RationalLike) -> Interval:
-    return Interval.exact(r)
-
-
 def iv_compare(a: Interval, b: Interval) -> Comparison:
     return compare(a, b)
 

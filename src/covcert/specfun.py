@@ -13,6 +13,11 @@ count, so they never take a gcd.  Their results become intervals with
 dyadic endpoints; everything built on them (Gamma, Hurwitz zeta, L,
 alpha) is exact-rational interval arithmetic.
 
+Each constant has one route.  log pi is the cached point ``_log_pi``, which
+Gamma, alpha and the bounds share, and x^e has the one route ``pow_frac``.
+Gamma, zeta, L and alpha are evaluated at points only: an interval argument
+that is not a point raises ``NotAPoint``.
+
 Point evaluations are memoized through a refinement cache: asking for more
 precision re-evaluates the series at a higher working precision and
 intersects with the previous enclosure, so increasing precision never widens
@@ -47,6 +52,16 @@ class ArgumentNotGreaterThanOne(ValueError):
 
 class UnsupportedModulus(ValueError):
     """Dirichlet L requested for a modulus outside the catalog."""
+
+
+class NotAPoint(ValueError):
+    """A special function was given an interval argument that is not a point."""
+
+
+def _point(x: Interval) -> Fraction:
+    if not x.is_point():
+        raise NotAPoint(f"expected a point argument, got {x}")
+    return x.lo
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +305,22 @@ def log_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
     return Interval(lo.lo, hi.hi)
 
 
+def _log_pi(prec: int) -> Interval:
+    """log pi, the one route every caller shares."""
+
+    def compute(q: int) -> Interval:
+        # log is increasing, so the logs of pi's kernel bounds bracket log pi;
+        # both reduce to m = pi/4 in [2/3, 4/3] with k = 2.  ln 2 is asked
+        # for at q, as in _log_point, so both share one cached ln 2.
+        work = q + 32
+        pi_lo, pi_hi = _pi_kernel(work)
+        _, lo, _ = _log_kernel(pi_lo, 1 << work, work)
+        _, _, hi = _log_kernel(pi_hi, 1 << work, work)
+        return (_dyadic(lo, hi, work) + Interval.exact(2) * _ln2(q)).coarsen(q + 8)
+
+    return _cached_point(("log", "pi"), prec, compute)
+
+
 def _sqrt_point_lo(r: Fraction, bits: int) -> Fraction:
     scale = 1 << (2 * bits)
     s = math.isqrt(r.numerator * scale // r.denominator)
@@ -325,7 +356,7 @@ def _lngamma_point(x: Fraction, prec: int) -> Interval:
             y += 1
             shift += 1
         ln_y = _log_point(y, q)
-        ln_2pi = _ln2(q) + log_enclosure(pi_enclosure(q), q)
+        ln_2pi = _log_point(Fraction(2), q) + _log_pi(q)
         y_iv = Interval.exact(y)
         acc = (y_iv - Interval.exact(Fraction(1, 2))) * ln_y - y_iv
         acc = acc + Interval(ln_2pi.lo / 2, ln_2pi.hi / 2)
@@ -344,39 +375,13 @@ def _lngamma_point(x: Fraction, prec: int) -> Interval:
     return _cached_point(("lngamma", x), prec, compute)
 
 
-def _gamma_point(x: Fraction, prec: int) -> Interval:
-    return exp_enclosure(_lngamma_point(x, prec), prec)
-
-
-# lower bound for Gamma over (1, 2); the true minimum is ~0.885603
-_GAMMA_DIP_FLOOR = Fraction(8855, 10000)
-
-
 def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
-    if x.lo <= 0:
-        raise NonPositiveArgument(f"gamma of interval {x} touching zero")
-    lo_enc = _gamma_point(x.lo, precision_bits)
-    hi_enc = lo_enc if x.is_point() else _gamma_point(x.hi, precision_bits)
-    result = lo_enc.hull(hi_enc)
-    # an interior minimum can occur only near the dip of Gamma in (1, 2)
-    if x.lo < Fraction(147, 100) and x.hi > Fraction(145, 100):
-        result = Interval(min(result.lo, _GAMMA_DIP_FLOOR), result.hi)
-    return result
+    """Enclosure of Gamma at a positive point."""
+    return exp_enclosure(_lngamma_point(_point(x), precision_bits), precision_bits)
 
 
 # ---------------------------------------------------------------------------
 # rational powers
-
-
-def rational_pow_point(base: Fraction, exponent: Fraction, prec: int) -> Interval:
-    """Enclosure of base**exponent for rational base > 0."""
-    if exponent.denominator == 1:
-        return Interval.exact(base ** int(exponent))
-    if base <= 0:
-        raise NonPositiveArgument(f"rational power of non-positive base {base}")
-    return exp_enclosure(
-        Interval.exact(exponent) * _log_point(base, prec), prec
-    )
 
 
 def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Interval:
@@ -415,10 +420,10 @@ def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
         n_cut = 28 if q <= 350 else 48
         acc = Interval.exact(0)
         for k in range(n_cut):
-            acc = acc + rational_pow_point(k + a, -s, q)
+            acc = acc + pow_frac(Interval.exact(k + a), -s, q)
             acc = acc.coarsen(q + 32)
         edge = n_cut + a
-        edge_pow = rational_pow_point(edge, -s, q)  # edge^(-s)
+        edge_pow = pow_frac(Interval.exact(edge), -s, q)  # edge^(-s)
         acc = acc + edge_pow * Interval.exact(edge) / Interval.exact(s - 1)
         acc = acc + Interval(edge_pow.lo / 2, edge_pow.hi / 2)
         inv_edge = Fraction(1) / edge
@@ -449,13 +454,11 @@ def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
 
 
 def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of the Riemann zeta function on an interval s with s.lo > 1."""
-    if s.lo <= 1:
+    """Enclosure of the Riemann zeta function at a point s > 1."""
+    sp = _point(s)
+    if sp <= 1:
         raise ArgumentNotGreaterThanOne(f"zeta requested at {s}")
-    # zeta is strictly decreasing on (1, oo)
-    hi = _hurwitz_point(s.lo, Fraction(1), precision_bits)
-    lo = hi if s.is_point() else _hurwitz_point(s.hi, Fraction(1), precision_bits)
-    return Interval(lo.lo, hi.hi)
+    return _hurwitz_point(sp, Fraction(1), precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -497,36 +500,21 @@ def dirichlet_character(D: int, k: int) -> int:
 
 
 def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of L(s, chi_D) for catalog moduli, via Hurwitz zeta."""
+    """Enclosure of L(s, chi_D) at a point s > 1 for catalog moduli, via Hurwitz zeta."""
     if D not in SUPPORTED_L_MODULI:
         raise UnsupportedModulus(f"modulus {D} not supported")
-    if s.lo <= 1:
+    sp = _point(s)
+    if sp <= 1:
         raise ArgumentNotGreaterThanOne(f"L requested at {s}")
-
-    def at_point(sp: Fraction) -> Interval:
-        acc = Interval.exact(0)
-        for a in range(1, D + 1):
-            chi = dirichlet_character(D, a)
-            if chi == 0:
-                continue
-            term = _hurwitz_point(sp, Fraction(a, D), precision_bits)
-            acc = acc + (term if chi == 1 else -term)
-        return acc * rational_pow_point(Fraction(D), -sp, precision_bits + GUARD_BITS)
-
-    if s.is_point():
-        return at_point(s.lo).coarsen(precision_bits + 8)
-    # mean-value widening: |L'(sigma)| <= sum_(k>=2) ln(k) k^(-sigma)
-    base = at_point(s.lo)
-    sigma = s.lo
-    deriv = Interval.exact(0)
-    for k in range(2, 20):
-        deriv = deriv + _log_point(Fraction(k), 64) * rational_pow_point(Fraction(k), -sigma, 64)
-    tail = (
-        _log_point(Fraction(20), 64) / Interval.exact(sigma - 1)
-        + Interval.exact(Fraction(1) / (sigma - 1) ** 2)
-    ) * rational_pow_point(Fraction(20), 1 - sigma, 64)
-    slack = (deriv.hi + tail.hi) * s.width()
-    return Interval(base.lo - slack, base.hi + slack).coarsen(precision_bits + 8)
+    acc = Interval.exact(0)
+    for a in range(1, D + 1):
+        chi = dirichlet_character(D, a)
+        if chi == 0:
+            continue
+        term = _hurwitz_point(sp, Fraction(a, D), precision_bits)
+        acc = acc + (term if chi == 1 else -term)
+    d_pow = pow_frac(Interval.exact(D), -sp, precision_bits + GUARD_BITS)
+    return (acc * d_pow).coarsen(precision_bits + 8)
 
 
 def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
@@ -565,15 +553,12 @@ def dirichlet_L_even_coeff(D: int, j: int) -> Fraction:
 
 
 def alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of pi^(s/2) / (Gamma(s/2) zeta(s)) for s.lo > 1."""
-    if s.lo <= 1:
+    """Enclosure of pi^(s/2) / (Gamma(s/2) zeta(s)) at a point s > 1."""
+    sp = _point(s)
+    if sp <= 1:
         raise ArgumentNotGreaterThanOne(f"alpha requested at {s}")
-    pi_iv = pi_enclosure(precision_bits)
-    half = Interval(s.lo / 2, s.hi / 2)
-    if s.is_point():
-        numerator = pow_frac(pi_iv, s.lo / 2, precision_bits)
-    else:
-        numerator = exp_enclosure(half * log_enclosure(pi_iv, precision_bits), precision_bits)
+    half = Interval.exact(sp / 2)
+    numerator = exp_enclosure(half * _log_pi(precision_bits), precision_bits)
     denom = gamma_enclosure(half, precision_bits) * zeta_real_enclosure(s, precision_bits)
     return (numerator / denom).coarsen(precision_bits + 8)
 

@@ -340,6 +340,29 @@ def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
         assert calls == [], n
 
 
+def test_rank_4_proof_computes_no_point_far_above_its_precision(monkeypatch):
+    """Guard bits are added once per logarithm chain, so no cached point is
+    recomputed at a doubled working precision within one proof."""
+    computed = []
+    cached_point = specfun._cached_point
+
+    def recorded(key, prec, compute):
+        def run(q):
+            computed.append((key[0], q))
+            return compute(q)
+
+        return cached_point(key, prec, run)
+
+    monkeypatch.setattr(specfun, "_cached_point", recorded)
+    specfun._clear_point_cache()
+    try:
+        assert ct.run_case(4, precision_bits=2048).all_proved
+    finally:
+        specfun._clear_point_cache()
+    assert computed
+    assert max(q for _, q in computed) <= 2048 + 128, sorted(computed, key=lambda c: -c[1])[:3]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_report_bytes_do_not_depend_on_history(n):
     """A 128-bit report is the same before and after a 1500-bit run."""

@@ -16,7 +16,6 @@ from covcert.rigor import (
     coarsen_relative,
     iv_arith,
     iv_compare,
-    iv_exact,
 )
 
 rationals = st.fractions(
@@ -85,7 +84,7 @@ def test_division_soundness_randomized():
 
 @given(rationals)
 def test_exact_embedding(r):
-    iv = iv_exact(r)
+    iv = Interval.exact(r)
     assert iv.lo == iv.hi == r
     assert iv.is_point()
 

@@ -121,6 +121,15 @@ def test_log_oracle(r):
     assert iv.width() < Fraction(1, 2**150)
 
 
+@pytest.mark.parametrize("prec", [64, 256, 2048])
+def test_log_pi_oracle(prec):
+    iv = sf._log_pi(prec)
+    # at least 60 digits, and 64 bits beyond the enclosure's own precision
+    with mpmath.workprec(max(200, prec + 64)):
+        assert _contains_mp(iv, mpmath.log(mpmath.pi))
+    assert iv.width() < Fraction(1, 2**prec)
+
+
 def test_ln2_and_e_oracle():
     ln2 = sf._ln2(PREC)
     assert _contains_mp(ln2, mpmath.log(2))
@@ -165,21 +174,19 @@ def test_gamma_half_is_sqrt_pi():
     g.intersect(sqrt_pi)  # raises if disjoint
 
 
-def test_gamma_recurrence_containment():
-    # Gamma(x+1) = x Gamma(x) on interval arguments
-    for lo, hi in ((Fraction(3, 2), Fraction(8, 5)), (Fraction(3), Fraction(13, 4))):
-        x = Interval(lo, hi)
-        lhs = sf.gamma_enclosure(x + Interval.exact(1), PREC)
-        rhs = x * sf.gamma_enclosure(x, PREC)
-        lhs.intersect(rhs)
-
-
-def test_gamma_interval_spanning_minimum():
-    # interval straddling the minimum of Gamma keeps a sound floor
-    iv = sf.gamma_enclosure(Interval(Fraction(14, 10), Fraction(15, 10)), PREC)
-    minimum = mpmath.gamma(1.4616321449683623)
-    assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= minimum
-    assert iv.lo > Fraction(8, 10)
+@pytest.mark.parametrize(
+    "special",
+    [
+        lambda s: sf.gamma_enclosure(s, PREC),
+        lambda s: sf.zeta_real_enclosure(s, PREC),
+        lambda s: sf.dirichlet_L_enclosure(5, s, PREC),
+        lambda s: sf.alpha_enclosure(s, PREC),
+    ],
+    ids=["gamma", "zeta", "L", "alpha"],
+)
+def test_special_functions_reject_non_point_arguments(special):
+    with pytest.raises(sf.NotAPoint):
+        special(Interval(Fraction(3), Fraction(13, 4)))
 
 
 @pytest.mark.parametrize(
@@ -279,6 +286,7 @@ def _refinement_cases():
     yield lambda p: sf._exp_point(Fraction(-2949, 20), p)
     yield lambda p: sf._exp_point(Fraction(-1, 2), p)
     yield lambda p: sf._ln2(p)
+    yield lambda p: sf._log_pi(p)
     yield lambda p: sf._euler_e(p)
     yield lambda p: sf._log_point(Fraction(2689, 125), p)
     yield lambda p: sf._log_point(pi_n_coefficient(53), p)
@@ -288,7 +296,7 @@ def _refinement_cases():
     yield lambda p: sf._hurwitz_point(Fraction(2), Fraction(1, 5), p)
     yield lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(2), p)
     yield lambda p: sf.alpha_enclosure(Interval.exact(Fraction(22, 10)), p)
-    yield lambda p: sf.rational_pow_point(Fraction(5), Fraction(21, 2), p)
+    yield lambda p: sf.pow_frac(Interval.exact(5), Fraction(21, 2), p)
 
 
 @pytest.mark.parametrize("make", list(_refinement_cases()))
