@@ -2,19 +2,20 @@
 
 Implements the reference covolume constants, the exact global-stage
 quotient Psi(n) / S(Lambda), the high-rank lower bound on the covolume,
-the three feasibility conditions on a bound pair (A, E), and the various
-discriminant cutoff formulas used to enumerate candidate fields.
+the three feasibility conditions on a bound pair (A, E), the rank-2 and
+rank-3 degree thresholds, and the various discriminant cutoff formulas used
+to enumerate candidate fields.
 
 Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
 ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
-zeta(2j).  Pi(n) is only ever its logarithm ``log_pi_n``: the high-rank
+zeta(2j).  Pi(n) is only ever its logarithm ``_log_pi_n``: the high-rank
 bound, the discriminant cutoffs and the infinite zeta product are sums of
 point logarithms, exponentiated where the value itself is compared.  log pi
 is the one cached point ``specfun._log_pi``.  Each public entry of a
 logarithm chain adds ``_LOG_GUARD_BITS`` once and calls private helpers that
-add none: a cached point asked for 16 bits more than it holds is recomputed
-at twice its working precision, so nested entries would recompute ln 2 and
-log pi at ever higher precision within one proof.
+add none: a cached point asked for more bits than it holds is recomputed at
+the precision asked for, so nested entries that each added guard bits would
+recompute ln 2 and log pi once per nesting level within one proof.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -38,6 +39,7 @@ from .numberfields import (
 from .specfun import (
     _log_pi,
     _log_point,
+    alpha_enclosure,
     exp_enclosure,
     log_enclosure,
     pow_frac,
@@ -47,6 +49,10 @@ from .specfun import (
 
 class DenominatorNotPositive(ValueError):
     """Degree-threshold denominator could not be certified positive."""
+
+
+class NonPositiveT(ValueError):
+    """Rank-2 threshold parameter t must be positive."""
 
 
 class MalformedTable(ValueError):
@@ -154,11 +160,6 @@ def s_lambda_quotient(
     return Interval.exact(psi_n_exact(n) * (1 << (2 * d - 1)) / S)
 
 
-def unit_scale(field: NumberFieldRecord, unit_index: int) -> Fraction:
-    """The factor unit_index / 2^(2d-1) taking the quotient to the adjusted one."""
-    return Fraction(unit_index, 1 << (2 * field.degree - 1))
-
-
 def adjusted_quotient(
     field: NumberFieldRecord, n: int, unit_index: int, precision_bits: int = 256
 ) -> Interval:
@@ -167,7 +168,8 @@ def adjusted_quotient(
     The model lattice's covolume carries a factor 2^(2d-1) / [U^+ : U^2];
     values below 1 certify that the field cannot beat the rational lattice.
     """
-    return s_lambda_quotient(field, n) * Interval.exact(unit_scale(field, unit_index))
+    scale = Fraction(unit_index, 1 << (2 * field.degree - 1))
+    return s_lambda_quotient(field, n) * Interval.exact(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +198,6 @@ def _log_inner(n: int, A: Rational, work: int) -> Interval:
         + Interval.exact(f_n(n)) * _log_point(A, work)
         + _log_pi_n(n, work)
     )
-
-
-def log_pi_n(n: int, precision_bits: int = 256) -> Interval:
-    """Enclosure of log Pi(n) = log c_n - n(n+1) log pi."""
-    work = precision_bits + _LOG_GUARD_BITS
-    return coarsen_relative(_log_pi_n(n, work), precision_bits + 8)
 
 
 def log_inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
@@ -268,13 +264,71 @@ def lemma35_conditions(
     }
 
 
+# ---------------------------------------------------------------------------
+# degree thresholds
+#
+# Degrees strictly above a threshold are excluded at its rank.  The rank-2
+# threshold for (A, E, t) is
+#     (log(1/5760) - logXcoeff) / log(eta * A^(4.5 - t/2) * alpha(t+1))
+# with logXcoeff = E(t+1)/2 - 5E - log(25 t (t+1)),
+#      eta = 3 e^0.46 / (64 pi^6),
+#      alpha(s) = pi^(s/2) / (Gamma(s/2) zeta(s)).
+# Both thresholds take log A through the one cached point ``_log_point``.
+
+_PSI2 = Fraction(1, 5760)
+
+
+def _ln_eta(precision_bits: int) -> Interval:
+    """log eta = log(3/64) + 0.46 - 6 log pi."""
+    return (
+        _log_point(Fraction(3, 64), precision_bits)
+        + Interval.exact(_COEFF_0_46)
+        - Interval.exact(6) * _log_pi(precision_bits)
+    )
+
+
+@lru_cache(maxsize=None)
+def _ln_alpha(t: Fraction, precision_bits: int) -> Interval:
+    return log_enclosure(
+        alpha_enclosure(Interval.exact(t + 1), precision_bits), precision_bits
+    )
+
+
+def n2_degree_threshold(
+    pair: OdlyzkoPair, t: Rational, precision_bits: int = 256
+) -> Interval:
+    """Rank-2 degree threshold at one (A, E, t).
+
+    The denominator, the log of the base eta * A^(4.5 - t/2) * alpha(t + 1),
+    must be certified positive.
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise NonPositiveT(f"t must be positive, got {t}")
+    ln_base = (
+        _ln_eta(precision_bits)
+        + Interval.exact(Fraction(9, 2) - t / 2) * _log_point(pair.A, precision_bits)
+        + _ln_alpha(t, precision_bits)
+    ).coarsen(precision_bits + 8)
+    if ln_base.lo <= 0:
+        raise DenominatorNotPositive(
+            f"threshold base not certified > 1 at (A, E, t) = "
+            f"({pair.A}, {pair.E}, {t})"
+        )
+    log_x_coeff = (
+        Interval.exact(pair.E * (t + 1) / 2 - 5 * pair.E)
+        - _log_point(25 * t * (t + 1), precision_bits)
+    )
+    numerator = _log_point(_PSI2, precision_bits) - log_x_coeff
+    return (numerator / ln_base).coarsen(precision_bits + 8)
+
+
 def n3_degree_threshold(pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
     """Rank-3 degree threshold (7.5 E - 8.25) / (7.5 log A - 12.99).
 
-    Degrees strictly above the threshold are excluded at rank 3.  The
-    denominator must be certified positive.
+    The denominator must be certified positive.
     """
-    log_A = log_enclosure(Interval.exact(pair.A), precision_bits)
+    log_A = _log_point(pair.A, precision_bits)
     denom = Interval.exact(Fraction(15, 2)) * log_A - Interval.exact(
         Fraction(1299, 100)
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .rigor import Comparison, Interval
-from . import bounds, localfactors, numberfields, optimizer
+from . import bounds, localfactors, numberfields
 from .report import (  # noqa: F401  (re-exported)
     AXIOMS,
     FINAL_CONCLUSION,
@@ -163,7 +163,7 @@ def _unit_adjusted_quotient_steps(
         fld = numberfields.field_by_discriminant(catalog, d, D)
         quotient = bounds.s_lambda_quotient(fld, n)
         unit_index = numberfields.totally_positive_index(fld)
-        adjusted = quotient * Interval.exact(bounds.unit_scale(fld, unit_index))
+        adjusted = bounds.adjusted_quotient(fld, n, unit_index)
         step_id = f"quotient_d{d}_D{D}"
         builder.record(
             step_id,
@@ -337,7 +337,7 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
 def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
     A, E, t = N2_WITNESS
     pair = _table_row(table, A, E)
-    value = optimizer.n2_rhs(pair, t, precision_bits=min(prec, 160))
+    value = bounds.n2_degree_threshold(pair, t, precision_bits=min(prec, 160))
     builder.record(
         "degree_threshold",
         "the optimized rank-2 degree threshold lies below 6, excluding "

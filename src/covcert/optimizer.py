@@ -2,8 +2,9 @@
 
 Reproduces two parameter searches: the (A, E, t) grid minimizing the
 rank-2 degree threshold and the (A, E) search minimizing the rank-3 degree
-threshold.  Proofs evaluate the thresholds at the stated minima and do not
-run these searches.
+threshold.  Both thresholds live in :mod:`covcert.bounds`; this module holds
+only the searches.  Proofs evaluate the thresholds at the stated minima and
+never import this module.
 
 Every comparison used to select a minimum is a certified interval
 comparison.  When enclosures overlap at the minimum, the search refines
@@ -14,20 +15,15 @@ overlaps are reported as ties rather than silently broken.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rigor import Comparison, Interval, Rational, iv_compare
-from .bounds import DenominatorNotPositive, OdlyzkoPair
-from .specfun import _log_pi, _log_point, alpha_enclosure, log_enclosure
-
-
-class InfeasibleBase(ValueError):
-    """Threshold base could not be certified greater than one."""
-
-
-class NonPositiveT(ValueError):
-    """Grid parameter t must be positive."""
+from .bounds import (
+    DenominatorNotPositive,
+    OdlyzkoPair,
+    n2_degree_threshold,
+    n3_degree_threshold,
+)
 
 
 class EmptyTable(ValueError):
@@ -44,64 +40,6 @@ class SearchResult(NamedTuple):
     best_t: Optional[Fraction]
     rows_scanned: int
     ties: Tuple[Tuple[Fraction, Fraction, Optional[Fraction]], ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# rank-2 threshold
-#
-# The threshold for (A, E, t) is
-#     (log(1/5760) - logXcoeff) / log(eta * A^(4.5 - t/2) * alpha(t+1))
-# with logXcoeff = E(t+1)/2 - 5E - log(25 t (t+1)),
-#      eta = 3 e^0.46 / (64 pi^6),
-#      alpha(s) = pi^(s/2) / (Gamma(s/2) zeta(s)).
-# Degrees strictly above the threshold are excluded at rank 2.
-
-_PSI2 = Fraction(1, 5760)
-
-
-def _ln_eta(precision_bits: int) -> Interval:
-    """log eta = log(3/64) + 0.46 - 6 log pi."""
-    return (
-        _log_point(Fraction(3, 64), precision_bits)
-        + Interval.exact(Fraction(46, 100))
-        - Interval.exact(6) * _log_pi(precision_bits)
-    )
-
-
-@lru_cache(maxsize=None)
-def _ln_alpha(t: Fraction, precision_bits: int) -> Interval:
-    return log_enclosure(
-        alpha_enclosure(Interval.exact(t + 1), precision_bits), precision_bits
-    )
-
-
-def n2_base_log(pair: OdlyzkoPair, t: Fraction, precision_bits: int = 256) -> Interval:
-    """log of the threshold base eta * A^(4.5 - t/2) * alpha(t + 1)."""
-    exponent = Fraction(9, 2) - t / 2
-    return (
-        _ln_eta(precision_bits)
-        + Interval.exact(exponent) * _log_point(pair.A, precision_bits)
-        + _ln_alpha(t, precision_bits)
-    ).coarsen(precision_bits + 8)
-
-
-def n2_rhs(pair: OdlyzkoPair, t: Rational, precision_bits: int = 256) -> Interval:
-    """Certified rank-2 degree threshold at one grid point."""
-    t = Fraction(t)
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
-    ln_base = n2_base_log(pair, t, precision_bits)
-    if iv_compare(ln_base, Interval.exact(0)) is not Comparison.CERTAINLY_GREATER:
-        raise InfeasibleBase(
-            f"threshold base not certified > 1 at (A, E, t) = "
-            f"({pair.A}, {pair.E}, {t})"
-        )
-    log_x_coeff = (
-        Interval.exact(pair.E * (t + 1) / 2 - 5 * pair.E)
-        - _log_point(25 * t * (t + 1), precision_bits)
-    )
-    numerator = _log_point(_PSI2, precision_bits) - log_x_coeff
-    return (numerator / ln_base).coarsen(precision_bits + 8)
 
 
 def default_t_grid() -> Tuple[Fraction, ...]:
@@ -156,57 +94,52 @@ def _minimize(
     return best_val, best_key, ties
 
 
-def optimize_n2(
+def _search(
     table: Sequence[OdlyzkoPair],
-    t_grid: Optional[Sequence[Rational]] = None,
-    precision_bits: int = 256,
+    ts: Sequence[Optional[Fraction]],
+    threshold: Callable[[OdlyzkoPair, Optional[Fraction], int], Interval],
+    precision_bits: int,
 ) -> SearchResult:
-    """Minimize the rank-2 degree threshold over (pair, t) grid points."""
+    """Minimize ``threshold(pair, t, prec)`` over the table rows times ``ts``.
+
+    A point whose threshold denominator is not certified positive is
+    infeasible and skipped.
+    """
     if not table:
         raise EmptyTable("bound-pair table is empty")
-    ts = tuple(Fraction(t) for t in (t_grid if t_grid is not None else default_t_grid()))
     by_key = {(p.A, p.E): p for p in table}
     points = [(p.A, p.E, t) for p in table for t in ts]
 
     def evaluate(key, prec):
-        A, E, t = key
         try:
-            return n2_rhs(by_key[(A, E)], t, prec)
-        except (InfeasibleBase, NonPositiveT):
-            return None
-
-    best_val, best_key, ties = _minimize(points, evaluate, precision_bits)
-    return SearchResult(
-        best_value=best_val,
-        best_pair=by_key[(best_key[0], best_key[1])],
-        best_t=best_key[2],
-        rows_scanned=len(table),
-        ties=tuple(ties),
-    )
-
-
-def optimize_n3(
-    table: Sequence[OdlyzkoPair], precision_bits: int = 256
-) -> SearchResult:
-    """Minimize the rank-3 degree threshold over the table."""
-    if not table:
-        raise EmptyTable("bound-pair table is empty")
-    from .bounds import n3_degree_threshold
-
-    by_key = {(p.A, p.E): p for p in table}
-    points = [(p.A, p.E, None) for p in table]
-
-    def evaluate(key, prec):
-        try:
-            return n3_degree_threshold(by_key[(key[0], key[1])], prec)
+            return threshold(by_key[key[:2]], key[2], prec)
         except DenominatorNotPositive:
             return None
 
     best_val, best_key, ties = _minimize(points, evaluate, precision_bits)
     return SearchResult(
         best_value=best_val,
-        best_pair=by_key[(best_key[0], best_key[1])],
-        best_t=None,
+        best_pair=by_key[best_key[:2]],
+        best_t=best_key[2],
         rows_scanned=len(table),
         ties=tuple(ties),
+    )
+
+
+def optimize_n2(
+    table: Sequence[OdlyzkoPair],
+    t_grid: Optional[Sequence[Rational]] = None,
+    precision_bits: int = 256,
+) -> SearchResult:
+    """Minimize the rank-2 degree threshold over (pair, t) grid points."""
+    ts = tuple(Fraction(t) for t in (t_grid if t_grid is not None else default_t_grid()))
+    return _search(table, ts, n2_degree_threshold, precision_bits)
+
+
+def optimize_n3(
+    table: Sequence[OdlyzkoPair], precision_bits: int = 256
+) -> SearchResult:
+    """Minimize the rank-3 degree threshold over the table."""
+    return _search(
+        table, (None,), lambda pair, _t, prec: n3_degree_threshold(pair, prec), precision_bits
     )

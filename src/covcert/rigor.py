@@ -156,9 +156,6 @@ class Interval:
 
     # -- lattice operations ------------------------------------------------
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def intersect(self, other: "Interval") -> "Interval":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)

@@ -75,14 +75,15 @@ def _cached_point(key: tuple, prec: int, compute: Callable[[int], Interval]) -> 
     """Memoized point enclosure with guaranteed refinement nesting.
 
     ``compute(q)`` must return an enclosure of the same exact real number for
-    any working precision q.  The cache keeps the narrowest core seen so far
+    any working precision q.  A miss computes at the precision asked for,
+    never above it.  The cache keeps the narrowest core seen so far
     (intersection of recomputations), so results at higher precision are
     always subsets of results at lower precision.
     """
     needed = prec + GUARD_BITS
     entry = _POINT_CACHE.get(key)
     if entry is None or entry[0] < needed:
-        q = max(needed, 2 * entry[0] if entry else 0, 128)
+        q = max(needed, 128)
         core = compute(q)
         if entry is not None:
             core = core.intersect(entry[1])
@@ -391,8 +392,6 @@ def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Inte
         return x.pow_int(int(exponent))
     if x.lo <= 0:
         raise NonPositiveArgument(f"fractional power of {x} touching zero")
-    if exponent.denominator == 2:
-        return sqrt_enclosure(x.pow_int(int(exponent.numerator)), precision_bits)
     return exp_enclosure(
         Interval.exact(exponent) * log_enclosure(x, precision_bits), precision_bits
     )

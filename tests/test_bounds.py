@@ -259,7 +259,7 @@ def test_inner_factor_oracle():
                 mpmath.log(mpmath.mpf("7.6")) + mpmath.mpf("0.46") + f * log_A + log_pi_n
             )
             for iv, value in (
-                (b.log_pi_n(n, PREC), log_pi_n),
+                (b._log_pi_n(n, PREC), log_pi_n),
                 (b.log_inner_factor(n, A, PREC), log_inner),
             ):
                 lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator

@@ -340,9 +340,11 @@ def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
         assert calls == [], n
 
 
-def test_rank_4_proof_computes_no_point_far_above_its_precision(monkeypatch):
-    """Guard bits are added once per logarithm chain, so no cached point is
-    recomputed at a doubled working precision within one proof."""
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_proof_computes_no_point_far_above_its_precision(monkeypatch, n):
+    """Guard bits are added once per logarithm chain, and a cache miss
+    computes at the precision asked for, so no cached point is recomputed at
+    a doubled working precision within one proof."""
     computed = []
     cached_point = specfun._cached_point
 
@@ -356,7 +358,7 @@ def test_rank_4_proof_computes_no_point_far_above_its_precision(monkeypatch):
     monkeypatch.setattr(specfun, "_cached_point", recorded)
     specfun._clear_point_cache()
     try:
-        assert ct.run_case(4, precision_bits=2048).all_proved
+        assert ct.run_case(n, precision_bits=2048).all_proved
     finally:
         specfun._clear_point_cache()
     assert computed
@@ -574,6 +576,21 @@ def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch):
     with pytest.raises(numberfields.InvariantViolation):
         numberfields.default_catalog()
     assert opened.count("fields.catalog") == 1
+
+
+def test_proof_does_not_import_the_search():
+    """``import covcert.certifier`` leaves ``covcert.optimizer`` unloaded."""
+    probe = "import sys, covcert.certifier; print('covcert.optimizer' in sys.modules)"
+    src = str(Path(covcert.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_import_graph():

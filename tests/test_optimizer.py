@@ -7,7 +7,12 @@ import pytest
 
 from covcert import certifier
 from covcert import optimizer as opt
-from covcert.bounds import OdlyzkoPair
+from covcert.bounds import (
+    DenominatorNotPositive,
+    NonPositiveT,
+    OdlyzkoPair,
+    n2_degree_threshold,
+)
 
 PREC = 160
 
@@ -16,25 +21,25 @@ N2_TARGET = Fraction("5.5535611217287")
 
 def test_n2_rhs_at_optimum(table):
     pair = OdlyzkoPair(Fraction("21.512"), Fraction("6.0001"))
-    iv = opt.n2_rhs(pair, Fraction(6, 5), PREC)
+    iv = n2_degree_threshold(pair, Fraction(6, 5), PREC)
     assert abs(iv.midpoint() - N2_TARGET) < Fraction(1, 10**6)
     assert iv.width() < Fraction(1, 10**9)
 
 
 def test_n2_rhs_rejects_nonpositive_t():
     pair = OdlyzkoPair(Fraction("21.512"), Fraction("6.0001"))
-    with pytest.raises(opt.NonPositiveT):
-        opt.n2_rhs(pair, Fraction(0), PREC)
-    with pytest.raises(opt.NonPositiveT):
-        opt.n2_rhs(pair, Fraction(-1), PREC)
+    with pytest.raises(NonPositiveT):
+        n2_degree_threshold(pair, Fraction(0), PREC)
+    with pytest.raises(NonPositiveT):
+        n2_degree_threshold(pair, Fraction(-1), PREC)
 
 
 def test_n2_rhs_infeasible_base():
     # for A barely above 1 and large t the base eta * A^(4.5-t/2) * alpha
     # drops below one and the threshold is meaningless
     pair = OdlyzkoPair(Fraction(101, 100), Fraction(1))
-    with pytest.raises(opt.InfeasibleBase):
-        opt.n2_rhs(pair, Fraction(1, 10), PREC)
+    with pytest.raises(DenominatorNotPositive):
+        n2_degree_threshold(pair, Fraction(1, 10), PREC)
 
 
 def test_default_t_grid():

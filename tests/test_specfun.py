@@ -270,6 +270,14 @@ def test_stirling_brackets_factorials():
         assert lo.hi < fact < hi.lo or (lo.hi <= fact <= hi.lo)
 
 
+@pytest.mark.parametrize("prec", [64, 256])
+def test_half_integer_power_delivers_relative_precision(prec):
+    """48^(-21/2) keeps prec relative bits, though its value is near 2^-59."""
+    iv = sf.pow_frac(Interval.exact(48), Fraction(-21, 2), prec)
+    assert _contains_mp(iv, mpmath.mpf(48) ** mpmath.mpf(-10.5))
+    assert iv.width() * 2**prec <= iv.lo
+
+
 def test_exp_log_roundtrip():
     x = Interval(Fraction(3, 2), Fraction(8, 5))
     back = sf.log_enclosure(sf.exp_enclosure(x, PREC), PREC)
