@@ -33,6 +33,7 @@ from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
     data_dir,
+    data_fields,
     dedekind_zeta_exact_coeff,
     read_data_file,
 )
@@ -275,8 +276,6 @@ def lemma35_conditions(
 #      alpha(s) = pi^(s/2) / (Gamma(s/2) zeta(s)).
 # Both thresholds take log A through the one cached point ``_log_point``.
 
-_PSI2 = Fraction(1, 5760)
-
 
 def _ln_eta(precision_bits: int) -> Interval:
     """log eta = log(3/64) + 0.46 - 6 log pi."""
@@ -319,7 +318,7 @@ def n2_degree_threshold(
         Interval.exact(pair.E * (t + 1) / 2 - 5 * pair.E)
         - _log_point(25 * t * (t + 1), precision_bits)
     )
-    numerator = _log_point(_PSI2, precision_bits) - log_x_coeff
+    numerator = _log_point(psi_n_exact(2), precision_bits) - log_x_coeff
     return (numerator / ln_base).coarsen(precision_bits + 8)
 
 
@@ -409,20 +408,10 @@ def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
     from pathlib import Path
 
     p = Path(path) if path else data_dir() / "odlyzko.csv"
-    try:
-        text = read_data_file(p).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedTable(f"not UTF-8: {exc}") from exc
     pairs: List[OdlyzkoPair] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise MalformedTable(f"line {lineno}: expected 'A,E', got {line!r}")
+    for lineno, (A, E) in data_fields(read_data_file(p), ",", 2, MalformedTable):
         try:
-            pairs.append(OdlyzkoPair(Fraction(parts[0]), Fraction(parts[1])))
+            pairs.append(OdlyzkoPair(Fraction(A), Fraction(E)))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedTable(f"line {lineno}: {exc}") from exc
     return tuple(pairs)

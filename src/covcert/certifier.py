@@ -230,19 +230,17 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
             enclosures=[t2, t3],
         )
         for i, frag in enumerate(localfactors.qsqrt5_local_exclusion(catalog)):
-            if not frag.comparisons:
-                builder.axiom("A1", deps=["local_T_values"])
-            else:
-                builder.record(
-                    f"local_exclusion_{i}",
-                    frag.claim,
-                    frag.detail,
-                    [
-                        _greater(Interval.exact(lhs), Interval.exact(rhs))
-                        for lhs, rhs in frag.comparisons
-                    ],
-                    deps=["local_T_values"],
-                )
+            builder.record(
+                f"local_exclusion_{i}",
+                frag.claim,
+                frag.detail,
+                [
+                    _greater(Interval.exact(lhs), Interval.exact(rhs))
+                    for lhs, rhs in frag.comparisons
+                ],
+                deps=["local_T_values"],
+            )
+        builder.axiom("A1", deps=["local_T_values"])
     builder.axiom("A2")
 
 

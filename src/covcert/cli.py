@@ -7,8 +7,9 @@ Subcommands:
   field     inspect one catalog field (zeta values, units, splitting)
 
 Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
-3 data missing or malformed, a report that does not parse, or an
-unsupported field operation, 4 an unresolved tie at maximum precision.
+3 data missing or malformed, a bound-pair table with no row for the search,
+a report that does not parse, or an unsupported field operation, 4 an
+unresolved tie at maximum precision.
 """
 
 from __future__ import annotations
@@ -188,6 +189,7 @@ _DATA_ERRORS = (
     FileNotFoundError, IsADirectoryError, report.SchemaMismatch, bounds.MalformedTable,
     numberfields.MalformedCatalog, numberfields.InvariantViolation,
     numberfields.UnsupportedField, numberfields.UnsupportedArgument,
+    optimizer.NoFeasiblePoint, optimizer.EmptyTable,
 )
 
 

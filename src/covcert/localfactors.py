@@ -74,22 +74,20 @@ def nonspecial_gt_two(q: int, n: int) -> Comparison:
 class ExclusionStep(NamedTuple):
     claim: str
     detail: str
-    # pairs (lhs, rhs), each needing lhs > rhs; none for an axiom
-    comparisons: Tuple[Tuple[RationalLike, RationalLike], ...] = ()
+    # pairs (lhs, rhs), each needing lhs > rhs
+    comparisons: Tuple[Tuple[RationalLike, RationalLike], ...]
 
 
-def qsqrt5_local_exclusion(catalog=None) -> Tuple[ExclusionStep, ...]:
+def qsqrt5_local_exclusion(catalog) -> Tuple[ExclusionStep, ...]:
     """Exclusion of small residue cardinalities for the rank-2 survivor.
 
     A sharp local factor small enough to evade the exclusion inequality
     would need residue cardinality 2 or 3.  Both are ruled out for the
     quadratic field of discriminant 5: the rational primes 2 and 3 are
     inert, so every residue cardinality is a square >= 4.  The remaining
-    rigidity input (ramification parity at the archimedean places) is
-    recorded as an axiom.
+    rigidity input (ramification parity at the archimedean places) is not
+    checked here; the certifier records it as axiom A1.
     """
-    if catalog is None:
-        catalog = numberfields.default_catalog()
     field = numberfields.field_by_discriminant(catalog, 2, 5)
     steps: List[ExclusionStep] = []
     for p in (2, 3):
@@ -113,13 +111,6 @@ def qsqrt5_local_exclusion(catalog=None) -> Tuple[ExclusionStep, ...]:
             "exclusion inequality",
             detail="T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
             comparisons=tuple((T_factor(q), 10) for q in (4, 5, 9)),
-        )
-    )
-    steps.append(
-        ExclusionStep(
-            claim="archimedean ramification parity rules out the residual "
-            "rank-2 case",
-            detail="parity of ramified real places; outside certified scope",
         )
     )
     return tuple(steps)

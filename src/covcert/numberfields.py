@@ -1,9 +1,10 @@
 """Totally real number field records and their certified arithmetic data.
 
 Covers the candidate field catalog (a vendored snapshot with checksums),
-fundamental units from Pell's equation, totally-positive unit indices via
-certified sign computations, Dedekind zeta enclosures, and prime
-splitting data.
+fundamental units from Pell's equation, totally-positive unit indices from
+exact Sturm counts of the roots between -1, 0 and 1, Dedekind zeta
+enclosures, and prime splitting data from one F_p route, the degree of
+gcd(x^p - x, f mod p), for every prime.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type,
+)
 
 from .rigor import Interval, Rational
 from . import specfun
@@ -70,8 +73,8 @@ def _poly_rem(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def sturm_real_root_count(coeffs: Sequence[int]) -> int:
-    """Number of distinct real roots of a squarefree integer polynomial."""
+def sturm_chain(coeffs: Sequence[int]) -> List[List[Fraction]]:
+    """Sturm chain p, p', -rem(p, p'), ... of a squarefree integer polynomial."""
     p0 = _poly_trim([Fraction(c) for c in coeffs])
     chain = [p0, _poly_trim(poly_derivative(p0))]
     while chain[-1]:
@@ -79,63 +82,28 @@ def sturm_real_root_count(coeffs: Sequence[int]) -> int:
         if not rem:
             break
         chain.append([-c for c in rem])
-
-    def sign_changes_at_infinity(direction: int) -> int:
-        signs = []
-        for p in chain:
-            if not p:
-                continue
-            lead = p[-1]
-            s = lead if direction > 0 else lead * (-1) ** (len(p) - 1)
-            signs.append(1 if s > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return sign_changes_at_infinity(-1) - sign_changes_at_infinity(1)
+    return chain
 
 
-def isolate_real_roots(coeffs: Sequence[int], width_bits: int = 64) -> List[Interval]:
-    """Isolating intervals for all real roots of a squarefree polynomial.
+def sign_changes(chain: Sequence[Sequence[Fraction]], at) -> int:
+    """Sign changes along a Sturm chain at a rational point or at +-math.inf.
 
-    Brackets sign changes on a grid of step 1/4 inside the root bound, then
-    bisects each bracket down to width 2**-width_bits.  The number of
-    brackets is verified against the Sturm count.
+    For a < b, sign_changes(chain, a) - sign_changes(chain, b) is the number
+    of distinct real roots in (a, b] (Sturm's theorem).
     """
-    expected = sturm_real_root_count(coeffs)
-    bound = 1 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1]) + 1
-    step = Fraction(1, 4)
-    grid_point = Fraction(-bound)
-    brackets: List[Tuple[Fraction, Fraction]] = []
-    prev_val = poly_eval(coeffs, grid_point)
-    while grid_point < bound:
-        nxt = grid_point + step
-        val = poly_eval(coeffs, nxt)
-        if prev_val == 0:
-            brackets.append((grid_point, grid_point))
-        elif val != 0 and (prev_val < 0) != (val < 0):
-            brackets.append((grid_point, nxt))
-        grid_point, prev_val = nxt, val
-    if poly_eval(coeffs, Fraction(bound)) == 0:
-        brackets.append((Fraction(bound), Fraction(bound)))
-    if len(brackets) != expected:
-        raise InvariantViolation(
-            f"root isolation found {len(brackets)} brackets, Sturm count {expected}"
-        )
-    target = Fraction(1, 1 << width_bits)
-    roots = []
-    for lo, hi in brackets:
-        flo = poly_eval(coeffs, lo)
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            fmid = poly_eval(coeffs, mid)
-            if fmid == 0:
-                lo = hi = mid
-                break
-            if (flo < 0) != (fmid < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(Interval(lo, hi))
-    return roots
+    if at in (math.inf, -math.inf):
+        # the sign of the leading coefficient, flipped at -inf for odd degree
+        values = [p[-1] if at > 0 or len(p) % 2 else -p[-1] for p in chain if p]
+    else:
+        values = [poly_eval(p, at) for p in chain if p]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_real_root_count(coeffs: Sequence[int]) -> int:
+    """Number of distinct real roots of a squarefree integer polynomial."""
+    chain = sturm_chain(coeffs)
+    return sign_changes(chain, -math.inf) - sign_changes(chain, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +116,13 @@ class _FieldRecordFields(NamedTuple):
     discriminant: int
     class_number: int
     polynomial: Tuple[int, ...]  # ascending, monic
-    is_totally_real: bool = True
 
 
 class NumberFieldRecord(_FieldRecordFields):
     __slots__ = ()
 
     def __new__(
-        cls, label, degree, discriminant, class_number, polynomial, is_totally_real=True
+        cls, label, degree, discriminant, class_number, polynomial
     ) -> "NumberFieldRecord":
         if polynomial[-1] != 1:
             raise InvariantViolation(f"{label}: polynomial is not monic")
@@ -166,33 +133,41 @@ class NumberFieldRecord(_FieldRecordFields):
         if degree > 1:
             if sturm_real_root_count(polynomial) != degree:
                 raise InvariantViolation(f"{label}: not totally real")
-        return super().__new__(
-            cls, label, degree, discriminant, class_number, polynomial, is_totally_real
-        )
+        return super().__new__(cls, label, degree, discriminant, class_number, polynomial)
 
 
-def load_catalog(source) -> List[NumberFieldRecord]:
-    """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv)."""
-    data = source if isinstance(source, (bytes, str)) else source.read()
+def data_fields(
+    data: bytes, sep: Optional[str], count: int, error: Type[ValueError]
+) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each non-blank, non-comment line of a UTF-8 data file.
+
+    A line is split on ``sep`` (on whitespace if None).  Bytes that are not
+    UTF-8, or a line without exactly ``count`` fields, raise ``error``.
+    """
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedCatalog(f"not UTF-8: {exc}") from exc
-    records = []
+        raise error(f"not UTF-8: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("|")
-        if len(parts) != 5:
-            raise MalformedCatalog(f"line {lineno}: expected 5 fields, got {len(parts)}")
+        fields = line.split(sep)
+        if len(fields) != count:
+            raise error(f"line {lineno}: expected {count} fields, got {line!r}")
+        yield lineno, fields
+
+
+def load_catalog(data: bytes) -> List[NumberFieldRecord]:
+    """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv)."""
+    records = []
+    for lineno, fields in data_fields(data, "|", 5, MalformedCatalog):
         try:
-            label = parts[0].strip()
-            d, D, h = (int(p) for p in parts[1:4])
-            coeffs = tuple(int(c) for c in parts[4].split(","))
+            d, D, h = (int(f) for f in fields[1:4])
+            coeffs = tuple(int(c) for c in fields[4].split(","))
         except ValueError as exc:
             raise MalformedCatalog(f"line {lineno}: {exc}") from exc
-        records.append(NumberFieldRecord(label, d, D, h, coeffs))
+        records.append(NumberFieldRecord(fields[0].strip(), d, D, h, coeffs))
     records.sort(key=lambda r: (r.degree, r.discriminant))
     return records
 
@@ -206,23 +181,8 @@ def data_dir() -> Path:
 
 def _manifest_digests(manifest: Path) -> Dict[str, str]:
     """File name -> SHA-256 hex digest, from lines 'digest name' of CHECKSUMS."""
-    try:
-        text = manifest.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvariantViolation(f"{manifest.name} is not UTF-8: {exc}") from exc
-    digests = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise InvariantViolation(
-                f"{manifest.name} line {lineno}: expected 'digest name', got {line!r}"
-            )
-        digest, name = fields
-        digests[name] = digest
-    return digests
+    lines = data_fields(manifest.read_bytes(), None, 2, InvariantViolation)
+    return {name: digest for _, (digest, name) in lines}
 
 
 def read_data_file(path: Path) -> bytes:
@@ -300,37 +260,28 @@ def pell_norm(D: int) -> int:
 _CUBIC_49_POLY = (-1, -2, 1, 1)  # x^3 + x^2 - 2x - 1
 
 
-def _certain_sign(iv: Interval) -> Optional[int]:
-    if iv.lo > 0:
-        return 1
-    if iv.hi < 0:
-        return -1
-    return None
-
-
 def _cubic49_unit_signs() -> List[Tuple[int, int]]:
-    """Certified signs of the fundamental units at each real embedding.
+    """Signs of the fundamental units at each real embedding, roots ascending.
 
     The units are eps1 = alpha and eps2 = alpha^2 - 1 where alpha runs over
-    the three real roots of the defining cubic.  Root enclosures are bisected
-    until both unit enclosures exclude zero.
+    the three real roots of the defining cubic.  Both signs are constant on
+    each of (-inf, -1), (-1, 0), (0, 1) and (1, inf), so exact Sturm counts of
+    the roots in these intervals give them.
     """
+    cuts = (-1, 0, 1)
+    if any(poly_eval(_CUBIC_49_POLY, c) == 0 for c in cuts):
+        raise InvariantViolation("the cubic vanishes at -1, 0 or 1")
+    ends = (-math.inf, *cuts, math.inf)
+    chain = sturm_chain(_CUBIC_49_POLY)
+    changes = [sign_changes(chain, at) for at in ends]
     signs = []
-    for bits in (64, 128, 256):
-        roots = isolate_real_roots(_CUBIC_49_POLY, width_bits=bits)
-        signs = []
-        ok = True
-        for root in roots:
-            eps1 = root
-            eps2 = root * root - Interval.exact(1)
-            s1, s2 = _certain_sign(eps1), _certain_sign(eps2)
-            if s1 is None or s2 is None:
-                ok = False
-                break
-            signs.append((s1, s2))
-        if ok:
-            return signs
-    raise InvariantViolation("could not certify unit signs for the cubic field")
+    for lo, hi, v_lo, v_hi in zip(ends, ends[1:], changes, changes[1:]):
+        eps1 = 1 if lo >= 0 else -1
+        eps2 = 1 if hi <= -1 or lo >= 1 else -1
+        signs += [(eps1, eps2)] * (v_lo - v_hi)
+    if len(signs) != 3:
+        raise InvariantViolation(f"Sturm counts found {len(signs)} real roots, not 3")
+    return signs
 
 
 def totally_positive_index(field: NumberFieldRecord) -> int:
@@ -471,46 +422,23 @@ def _gcd_deg_with_cubic(g: Sequence[int], f_full: Sequence[int], p: int) -> int:
 
 
 def _cubic_splitting_degrees(poly: Tuple[int, ...], disc: int, p: int) -> Tuple[int, ...]:
-    """Degrees of the distinct irreducible factors of the cubic mod p."""
-    if disc % p == 0:
-        # small ramified primes: factor by exhaustive root search
-        roots = [r for r in range(p) if poly_eval(poly, Fraction(r)) % p == 0]
-        if not roots:
-            return (3,)
-        if len(roots) >= 2:
-            # a repeated factor of a cubic is linear, so two distinct roots
-            # means shape (x-r)^2 (x-s)
-            return tuple(1 for _ in roots)
+    """Degrees of the distinct irreducible factors of the cubic mod p.
 
-        # single root r: shape (x-r)^e * cofactor; test the multiplicity
-        def divide_once(cs, root):
-            out = []
-            carry = 0
-            for c in reversed(cs):
-                carry = (carry * root + c) % p
-                out.append(carry)
-            out.pop()  # remainder, zero by construction at a root
-            return list(reversed(out))
-
-        r = roots[0]
-        q1 = divide_once([c % p for c in poly], r)
-        carry = 0
-        for c in reversed(q1):
-            carry = (carry * r + c) % p
-        if carry == 0:
-            return (1,)  # (x-r)^2 or (x-r)^3 with the same root
-        return (1, 2)  # simple root times an irreducible quadratic
+    r = deg gcd(x^p - x, f) over F_p counts the distinct roots of f mod p
+    (Cohen, GTM 138, 3.4).  For p not dividing the discriminant f is
+    squarefree mod p.  A p dividing it ramifies, so for a defining
+    polynomial of index prime to p, f is (x - a)^3 when r = 1 and
+    (x - a)^2 (x - b) when r = 2.
+    """
     xp = _xp_mod(_poly_mod_p(poly, p), p)
-    # gcd(x^p - x, f): subtract x
-    g = [xp[0], (xp[1] - 1) % p, xp[2]]
-    r = _gcd_deg_with_cubic(g, poly, p)
-    if r <= 0:
-        return (3,)
-    if r == 3:
-        return (1, 1, 1)
-    if r == 1:
-        return (1, 2)
-    raise InvariantViolation(f"unexpected root count {r} for squarefree cubic mod {p}")
+    r = _gcd_deg_with_cubic([xp[0], (xp[1] - 1) % p, xp[2]], poly, p)
+    if disc % p == 0:
+        shapes = {1: (1,), 2: (1, 1)}
+    else:
+        shapes = {0: (3,), 1: (1, 2), 3: (1, 1, 1)}
+    if r not in shapes:
+        raise InvariantViolation(f"unexpected root count {r} for the cubic mod {p}")
+    return shapes[r]
 
 
 _CUBIC_49_CONDUCTOR = 7

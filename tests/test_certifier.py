@@ -507,6 +507,8 @@ def test_cli_rejects_bad_flags(argv, message, capsys):
 def bad_data(tmp_path):
     """Paths of inputs that are missing, malformed or incomplete."""
     (tmp_path / "malformed").write_text("1,2,3\n")
+    (tmp_path / "infeasible").write_text("2,1\n3,1\n")
+    (tmp_path / "comments_only").write_text("# no rows\n\n")
     vendored = Path(numberfields.__file__).parent / "data"
     data_dir = tmp_path / "data"
     data_dir.mkdir()
@@ -543,6 +545,8 @@ BAD_INPUT = [
     ({"COVCERT_DATA_DIR": "{torn}"}, ["prove", "--n", "3"]),
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/latin1"]),
     ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/latin1"]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"]),
 ]
 
 

@@ -69,15 +69,15 @@ def test_polynomials_totally_real_against_sympy(catalog):
 
 def test_load_catalog_errors():
     with pytest.raises(nf.MalformedCatalog):
-        nf.load_catalog("bad|line")
+        nf.load_catalog(b"bad|line")
     with pytest.raises(nf.MalformedCatalog):
-        nf.load_catalog("a|2|5|x|1,1,1")
+        nf.load_catalog(b"a|2|5|x|1,1,1")
     with pytest.raises(nf.InvariantViolation):
-        nf.load_catalog("a|2|5|1|-1,-1,2")  # non-monic
+        nf.load_catalog(b"a|2|5|1|-1,-1,2")  # non-monic
     with pytest.raises(nf.InvariantViolation):
-        nf.load_catalog("a|2|5|1|1,0,1")  # not totally real
+        nf.load_catalog(b"a|2|5|1|1,0,1")  # not totally real
     with pytest.raises(nf.InvariantViolation):
-        nf.load_catalog("a|1|5|1|0,1")  # rational field invariants
+        nf.load_catalog(b"a|1|5|1|0,1")  # rational field invariants
 
 
 def test_checksum_detects_corruption(tmp_path):
@@ -173,10 +173,20 @@ def test_cubic_unit_signs_against_mpmath():
     assert signs == expected
 
 
-def test_root_isolation_matches_sturm():
-    roots = nf.isolate_real_roots((-1, -2, 1, 1))
-    assert len(roots) == 3
-    assert nf.sturm_real_root_count((-1, -2, 1, 1)) == 3
+def test_sturm_counts_in_intervals_against_sympy(catalog):
+    """Roots in (a, b] from Sturm sign changes, against sympy's exact real roots."""
+    x = sympy.symbols("x")
+    cuts = [-5, -2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(3, 2), 2, 5]
+    for f in catalog:
+        chain = nf.sturm_chain(f.polynomial)
+        roots = sympy.Poly(list(reversed(f.polynomial)), x).real_roots()
+        above = {c: sum(1 for r in roots if r > c) for c in cuts}  # roots in (c, inf)
+        for i, a in enumerate(cuts):
+            for b in cuts[i + 1:]:
+                expected = above[a] - above[b]
+                count = nf.sign_changes(chain, a) - nf.sign_changes(chain, b)
+                assert count == expected, (f.label, a, b)
+        assert nf.sturm_real_root_count(f.polynomial) == f.degree, f.label
     assert nf.sturm_real_root_count((1, 0, 1)) == 0  # x^2 + 1
     assert nf.sturm_real_root_count((-2, 0, 1)) == 2  # x^2 - 2
 
@@ -205,6 +215,22 @@ def test_cubic_splitting_galois_oracle(catalog):
         else:
             assert result == nf.SplittingResult("inert", (p**3,)), p
     assert nf.splitting_type(f49, 7) == nf.SplittingResult("ramified", (7,))
+
+
+def test_cubic_splitting_against_sympy_factoring(catalog):
+    """Distinct factor degrees mod p against sympy, ramified primes included."""
+    x = sympy.symbols("x")
+    for f in catalog:
+        if f.degree != 3:
+            continue
+        poly = sum(c * x**i for i, c in enumerate(f.polynomial))
+        primes = set(sympy.primerange(2, 200)) | set(sympy.primefactors(f.discriminant))
+        for p in sorted(primes):
+            _, factors = sympy.Poly(poly, x, modulus=p).factor_list()
+            expected = tuple(sorted(g.degree() for g, _ in factors))
+            assert nf._cubic_splitting_degrees(f.polynomial, f.discriminant, p) == expected, (
+                f.label, p,
+            )
 
 
 def test_splitting_consistent_with_padic_squares(catalog):
