@@ -24,6 +24,7 @@ only and never feed back into a comparison.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -118,14 +119,60 @@ def psi_n_exact(n: int) -> Fraction:
 ZETA_PRODUCT_UPPER = Fraction(183, 100)
 
 
+def _prime_powers(limit: int) -> List[Tuple[int, int]]:
+    """(m, k) for every prime power m = p^k <= limit."""
+    is_prime = bytearray([1]) * (limit + 1)
+    is_prime[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    powers = []
+    for p in itertools.compress(range(limit + 1), is_prime):
+        m, k = p, 1
+        while m <= limit:
+            powers.append((m, k))
+            m, k = m * p, k + 1
+    return powers
+
+
+def _prime_power_cutoff(J: int, w: int) -> int:
+    """An M, about 2^(w/(2J+1)), with M^-(2J+1) / ((2J+1)(1 - M^-2)) <= 2^-w."""
+    a = 2 * J + 1
+    M = max(2, int(2.0 ** (w / a)))
+    while a * (M**a - M ** (a - 2)) < 1 << w:
+        M += 1
+    return M
+
+
+def _log_zeta_tail(J: int, w: int) -> Interval:
+    """Enclosure of sum_{j>J} log zeta(2j), to within about 2^-w.
+
+    By the Euler product the sum is sum_{m = p^k} (1/k) / (m^(2J) (m^2 - 1)),
+    summed here over the prime powers m <= M = ``_prime_power_cutoff(J, w)``;
+    the omitted m > M add at most M^-(2J+1) / ((2J+1)(1 - M^-2)).
+    """
+    M = _prime_power_cutoff(J, w)
+    terms = _prime_powers(M)
+    scale = w + len(terms).bit_length()  # each term below is off by under one ulp
+    lo = hi = 0
+    for m, k in terms:
+        q, r = divmod(1 << scale, k * m ** (2 * J) * (m * m - 1))
+        lo += q
+        hi += q + (r != 0)
+    a = 2 * J + 1
+    hi += -(-(1 << scale) // (a * (M**a - M ** (a - 2))))  # the omitted prime powers
+    return Interval(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
+
+
 def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
     """Enclosure of the infinite product prod_{j>=1} zeta(2j).
 
-    The partial product up to J is c pi^(J(J+1)) with c exact, and the log of
-    the tail lies in [0, sum_{j>J} 2 * 2^(-2j)] = [0, (2/3) 4^(-J)] since
-    zeta(s) <= 1 + 2^(1-s) for s >= 2 and log(1+x) <= x.  The product is the
+    The first J' = max(J, min(64, ceil((p + 8)/12))) factors, at p =
+    precision_bits, are the exact c pi^(J'(J'+1)); the logarithm of the rest
+    is ``_log_zeta_tail``, summed to 2^-(p + 24).  The product is the
     exponential of the sum of these logarithms.
     """
+    J = max(J, min(64, -(-(precision_bits + 8) // 12)))
     coeff = Fraction(1)
     for j in range(1, J + 1):
         coeff *= zeta_even_exact(j)
@@ -133,7 +180,7 @@ def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
     log_product = (
         _log_point(coeff, work)
         + Interval.exact(J * (J + 1)) * _log_pi(work)
-        + Interval(0, Fraction(2, 3 * 4**J))
+        + _log_zeta_tail(J, work + 8)
     )
     return exp_enclosure(log_product, work).coarsen(precision_bits + 8)
 
@@ -286,10 +333,26 @@ def _ln_eta(precision_bits: int) -> Interval:
     )
 
 
+class _N2Terms(NamedTuple):
+    """The parts of the rank-2 threshold that depend on t alone."""
+
+    ln_base: Interval  # log eta + log alpha(t + 1)
+    log_A_coeff: Interval  # 4.5 - t/2
+    numerator: Interval  # log Psi(2) + log(25 t (t + 1))
+    E_coeff: Fraction  # (t + 1)/2 - 5
+
+
 @lru_cache(maxsize=None)
-def _ln_alpha(t: Fraction, precision_bits: int) -> Interval:
-    return log_enclosure(
+def _n2_t_terms(t: Fraction, precision_bits: int) -> _N2Terms:
+    ln_alpha = log_enclosure(
         alpha_enclosure(Interval.exact(t + 1), precision_bits), precision_bits
+    )
+    return _N2Terms(
+        _ln_eta(precision_bits) + ln_alpha,
+        Interval.exact(Fraction(9, 2) - t / 2),
+        _log_point(psi_n_exact(2), precision_bits)
+        + _log_point(25 * t * (t + 1), precision_bits),
+        (t + 1) / 2 - 5,
     )
 
 
@@ -304,21 +367,17 @@ def n2_degree_threshold(
     t = Fraction(t)
     if t <= 0:
         raise NonPositiveT(f"t must be positive, got {t}")
-    ln_base = (
-        _ln_eta(precision_bits)
-        + Interval.exact(Fraction(9, 2) - t / 2) * _log_point(pair.A, precision_bits)
-        + _ln_alpha(t, precision_bits)
-    ).coarsen(precision_bits + 8)
+    terms = _n2_t_terms(t, precision_bits)
+    ln_base = terms.ln_base + terms.log_A_coeff * _log_point(pair.A, precision_bits)
+    if ln_base.lo > 0:  # rounding cannot make a non-positive bound positive
+        ln_base = ln_base.coarsen(precision_bits + 8)
     if ln_base.lo <= 0:
         raise DenominatorNotPositive(
             f"threshold base not certified > 1 at (A, E, t) = "
             f"({pair.A}, {pair.E}, {t})"
         )
-    log_x_coeff = (
-        Interval.exact(pair.E * (t + 1) / 2 - 5 * pair.E)
-        - _log_point(25 * t * (t + 1), precision_bits)
-    )
-    numerator = _log_point(psi_n_exact(2), precision_bits) - log_x_coeff
+    # log Psi(2) - logXcoeff
+    numerator = terms.numerator - Interval.exact(pair.E * terms.E_coeff)
     return (numerator / ln_base).coarsen(precision_bits + 8)
 
 
@@ -379,6 +438,14 @@ def proto_D_bound(n: int, d: int, h: int, precision_bits: int = 256) -> Interval
 # rational lower bound for e^0.46 used in the rank-3 cutoff; a smaller
 # denominator there only weakens (enlarges) the cutoff, keeping it valid
 _E_046_LOWER = Fraction(158, 100)
+
+
+def e046_lower_sides(precision_bits: int = 256) -> Tuple[Interval, Interval]:
+    """Both sides of e^0.46 > 1.58, the premise ``n3_D_bound`` rests on."""
+    return (
+        exp_enclosure(Interval.exact(_COEFF_0_46), precision_bits),
+        Interval.exact(_E_046_LOWER),
+    )
 
 
 def n3_D_bound(d: int, precision_bits: int = 256) -> Interval:

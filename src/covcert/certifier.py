@@ -119,6 +119,10 @@ N3_WITNESS = (Fraction("13.047"), Fraction("3.8667"))
 # The only table row passing the three rank >= 4 conditions of
 # ``bounds.lemma35_conditions``.
 L35_WITNESS = (Fraction("6.894"), Fraction("2.2667"))
+# The rank-2 degree threshold is evaluated at no more bits than this: at
+# 2048 bits its zeta(2.2) needs about 250 Euler-Maclaurin terms, each a log
+# and an exp series of 2100 bits, and takes seconds.
+RANK2_THRESHOLD_BITS = 160
 
 
 def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
@@ -296,19 +300,21 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     )
     cut2 = bounds.n3_D_bound(2, prec)
     cut3 = bounds.n3_D_bound(3, prec)
+    e046, e046_lower = bounds.e046_lower_sides(prec)
     quad = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 2, cut2.lo)]
     cubic = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 3, cut3.lo)]
     builder.record(
         "discriminant_cutoffs",
         f"discriminant cutoffs leave quadratic candidates {quad} and cubic "
         f"candidates {cubic}",
-        "catalog pruning by the coarse cutoffs",
+        "catalog pruning by the coarse cutoffs, which take e^0.46 > 1.58",
         [
             _less(Interval.exact(max(quad)), cut2),
             _less(Interval.exact(max(cubic) if cubic else 0), cut3),
+            _greater(e046, e046_lower),
         ],
         deps=["degree_threshold"],
-        enclosures=[cut2, cut3],
+        enclosures=[cut2, cut3, e046],
     )
     proto2 = bounds.proto_D_bound(3, 2, 1, prec)
     proto3 = bounds.proto_D_bound(3, 3, 1, prec)
@@ -335,7 +341,7 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
 def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
     A, E, t = N2_WITNESS
     pair = _table_row(table, A, E)
-    value = bounds.n2_degree_threshold(pair, t, precision_bits=min(prec, 160))
+    value = bounds.n2_degree_threshold(pair, t, min(prec, RANK2_THRESHOLD_BITS))
     builder.record(
         "degree_threshold",
         "the optimized rank-2 degree threshold lies below 6, excluding "

@@ -110,6 +110,12 @@ def sturm_real_root_count(coeffs: Sequence[int]) -> int:
 # field records and the catalog
 
 
+def _cubic_discriminant(polynomial: Sequence[int]) -> int:
+    """Discriminant of x^3 + b x^2 + c x + d, from ascending coefficients."""
+    d, c, b, _ = polynomial
+    return b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+
+
 class _FieldRecordFields(NamedTuple):
     label: str
     degree: int
@@ -133,6 +139,14 @@ class NumberFieldRecord(_FieldRecordFields):
         if degree > 1:
             if sturm_real_root_count(polynomial) != degree:
                 raise InvariantViolation(f"{label}: not totally real")
+        if degree == 3:
+            # the splitting law reads ramified primes assuming index 1
+            poly_disc = _cubic_discriminant(polynomial)
+            if poly_disc != discriminant:
+                raise InvariantViolation(
+                    f"{label}: polynomial discriminant {poly_disc} "
+                    f"is not the field discriminant {discriminant}"
+                )
         return super().__new__(cls, label, degree, discriminant, class_number, polynomial)
 
 

@@ -6,15 +6,19 @@ routine returns an :class:`~covcert.rigor.Interval` that provably contains
 the exact value: series are truncated with explicit remainder bounds, and
 all intermediate arithmetic is outward-rounded.
 
-pi, ln 2, e and exp and log at rational points are summed by fixed-point
-kernels: integer series at scale 2^w whose lower bound comes from floor
-divisions and whose upper bound comes from ceiling divisions or an ulp
-count, so they never take a gcd.  Their results become intervals with
-dyadic endpoints; everything built on them (Gamma, Hurwitz zeta, L,
-alpha) is exact-rational interval arithmetic.
+Every point value is summed by a fixed-point kernel: integer arithmetic at
+scale 2^w whose lower bound comes from floor divisions and whose upper bound
+comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
+kernels cover pi, ln 2, e, exp and log, x^e as one log and one exp series,
+log Gamma by the Stirling series and Hurwitz zeta by Euler-Maclaurin
+summation, and every series length, shift and cut-off follows from w.
+Their results become intervals with dyadic endpoints; only the
+combinations built on them (Gamma, L, alpha) are exact-rational interval
+arithmetic.
 
-Each constant has one route.  log pi is the cached point ``_log_pi``, which
-Gamma, alpha and the bounds share, and x^e has the one route ``pow_frac``.
+Each constant has one route.  log pi is the kernel ``_log_pi_kernel``,
+which the log Gamma kernel reads directly and alpha and the bounds read as
+the cached point ``_log_pi``, and x^e has the one route ``pow_frac``.
 Gamma, zeta, L and alpha are evaluated at points only: an interval argument
 that is not a point raises ``NotAPoint``.
 
@@ -68,7 +72,7 @@ def _point(x: Interval) -> Fraction:
 # refinement cache for point enclosures
 
 
-_POINT_CACHE: Dict[tuple, Tuple[int, Interval]] = {}
+_POINT_CACHE: Dict[tuple, Tuple[int, Interval, Dict[int, Interval]]] = {}
 
 
 def _cached_point(key: tuple, prec: int, compute: Callable[[int], Interval]) -> Interval:
@@ -78,7 +82,8 @@ def _cached_point(key: tuple, prec: int, compute: Callable[[int], Interval]) -> 
     any working precision q.  A miss computes at the precision asked for,
     never above it.  The cache keeps the narrowest core seen so far
     (intersection of recomputations), so results at higher precision are
-    always subsets of results at lower precision.
+    always subsets of results at lower precision.  The core's rounding to
+    each requested precision is kept with it until the core changes.
     """
     needed = prec + GUARD_BITS
     entry = _POINT_CACHE.get(key)
@@ -87,9 +92,13 @@ def _cached_point(key: tuple, prec: int, compute: Callable[[int], Interval]) -> 
         core = compute(q)
         if entry is not None:
             core = core.intersect(entry[1])
-        entry = (q, core)
+        entry = (q, core, {})
         _POINT_CACHE[key] = entry
-    return coarsen_relative(entry[1], prec + 8)
+    views = entry[2]
+    view = views.get(prec)
+    if view is None:
+        view = views[prec] = coarsen_relative(entry[1], prec + 8)
+    return view
 
 
 def _clear_point_cache() -> None:
@@ -99,6 +108,20 @@ def _clear_point_cache() -> None:
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and exact even zeta values
+
+
+@lru_cache(maxsize=None)
+def _tangent_numbers(count: int) -> Tuple[int, ...]:
+    """Tangent numbers T_1 .. T_count, by the integer recurrence of Brent and
+    Harvey (2011): O(count^2) additions of integers, no fractions."""
+    t = [0] * (count + 1)
+    t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t[1:])
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +135,16 @@ def bernoulli_number(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli_number(j)
-    return -acc / (n + 1)
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); tables grow 64 entries at a time
+    k = n // 2
+    t = _tangent_numbers(-(-k // 64) * 64)[k - 1]
+    return Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1))
+
+
+@lru_cache(maxsize=None)
+def _em_coefficient(j: int) -> Fraction:
+    """B_2j / (2j)!, the j-th Euler-Maclaurin coefficient."""
+    return bernoulli_number(2 * j) / math.factorial(2 * j)
 
 
 def zeta_even_exact(j: int) -> Fraction:
@@ -142,6 +170,9 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _dyadic(lo: int, hi: int, w: int) -> Interval:
+    """[lo, hi] / 2^w, for any integer w."""
+    if w < 0:
+        return Interval(lo << -w, hi << -w)
     return Interval(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
@@ -226,8 +257,90 @@ def _log_kernel(num: int, den: int, w: int) -> Tuple[int, int, int]:
     return k, 2 * lo, 2 * hi
 
 
+def _rescale(lo: int, hi: int, shift: int) -> Tuple[int, int]:
+    """[lo, hi] times 2^shift, rounded outward to integers."""
+    if shift >= 0:
+        return lo << shift, hi << shift
+    return lo >> -shift, -(-hi >> -shift)
+
+
+# ln 2 enters multiplied by the binary exponent of a logarithm or of an
+# exponential, which reaches tens of thousands (log Pi(64), the Stirling
+# shift); with this many extra bits that product stays within one ulp.
+_LN2_EXTRA = 64
+
+
+@lru_cache(maxsize=16)
+def _ln2_table(w: int) -> Tuple[int, int]:
+    lo, hi = _atanh_kernel(1, 3, w)  # ln 2 = 2 atanh(1/3)
+    return 2 * lo, 2 * hi
+
+
+def _ln2_kernel(w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * ln 2, cut from a table at the next multiple of 512 bits."""
+    top = -(-w // 512) * 512
+    return _rescale(*_ln2_table(top), w - top)
+
+
+def _times_ln2(k: int, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * k ln 2."""
+    lo, hi = _ln2_kernel(w + _LN2_EXTRA)
+    if k < 0:
+        lo, hi = hi, lo
+    return _rescale(k * lo, k * hi, -_LN2_EXTRA)
+
+
+def _log_fixed(num: int, den: int, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * log(num/den) for positive integers num, den."""
+    k, lo, hi = _log_kernel(num, den, w)
+    if k:
+        k_lo, k_hi = _times_ln2(k, w)
+        lo, hi = lo + k_lo, hi + k_hi
+    return lo, hi
+
+
+@lru_cache(maxsize=16)
+def _log_pi_kernel(w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * log pi: log is increasing, so the logs of pi's kernel
+    bounds bracket it."""
+    pi_lo, pi_hi = _pi_kernel(w)
+    return _log_fixed(pi_lo, 1 << w, w)[0], _log_fixed(pi_hi, 1 << w, w)[1]
+
+
+def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
+    """n and bounds 2^n lo <= 2^w e^y <= 2^n hi for every y with
+    y_lo <= 2^w y <= y_hi, where y_hi - y_lo <= 2^w.
+
+    e^y = 2^n e^f with n the integer nearest y / ln 2, so |f| <= 0.35 and one
+    exp series at the lower end of f serves both bounds."""
+    l2_lo = _ln2_kernel(w + _LN2_EXTRA)[0]
+    n = ((y_lo << _LN2_EXTRA) + l2_lo // 2) // l2_lo
+    nl2_lo, nl2_hi = _times_ln2(n, w)
+    f_lo, f_hi = y_lo - nl2_hi, y_hi - nl2_lo
+    if f_hi - f_lo > 1 << w:
+        raise ValueError("exponent bracket wider than 1")
+    lo, hi = _exp_kernel(f_lo, 1 << w, w)
+    # e^(f_hi) = e^(f_lo) e^d with 0 <= d <= 1, and e^d <= 1 + 2d there
+    return n, lo, hi + _ceil_div(hi * 2 * (f_hi - f_lo), 1 << w)
+
+
+def _pow_kernel(num: int, den: int, e: Fraction, w: int) -> Tuple[int, int, int]:
+    """n and bounds 2^n lo <= 2^w (num/den)^e <= 2^n hi for positive integers
+    num, den: one log kernel of the base, times e, then one exp kernel."""
+    # e times log's ulps, plus the exp kernel's own, stay below 2^guard ulps
+    guard = ((abs(e.numerator) // e.denominator + 2) * 4 * w).bit_length()
+    work = w + guard
+    log_lo, log_hi = _log_fixed(num, den, work)
+    if e < 0:
+        log_lo, log_hi = log_hi, log_lo
+    y_lo = log_lo * e.numerator // e.denominator
+    y_hi = _ceil_div(log_hi * e.numerator, e.denominator)
+    n, lo, hi = _exp_fixed(y_lo, y_hi, work)
+    return (n, *_rescale(lo, hi, -guard))
+
+
 # ---------------------------------------------------------------------------
-# pi, ln 2, e
+# pi and e
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
@@ -240,15 +353,6 @@ def pi_enclosure(precision_bits: int) -> Interval:
         return _dyadic(*_pi_kernel(work), work).coarsen(q + 8)
 
     return _cached_point(("pi",), precision_bits, compute)
-
-
-def _ln2(prec: int) -> Interval:
-    def compute(q: int) -> Interval:
-        work = q + 32
-        lo, hi = _atanh_kernel(1, 3, work)  # ln 2 = 2 atanh(1/3)
-        return _dyadic(2 * lo, 2 * hi, work)
-
-    return _cached_point(("ln2",), prec, compute)
 
 
 def _euler_e(prec: int) -> Interval:
@@ -266,13 +370,9 @@ def _euler_e(prec: int) -> Interval:
 def _exp_point(r: Fraction, prec: int) -> Interval:
     def compute(q: int) -> Interval:
         work = q + 32
-        n = (2 * r.numerator + r.denominator) // (2 * r.denominator)  # round
-        # e^r = e^f e^n with f = r - n in [-1/2, 1/2]
-        lo, hi = _exp_kernel(r.numerator - n * r.denominator, r.denominator, work)
-        acc = _dyadic(lo, hi, work)
-        if n != 0:
-            acc = acc * _euler_e(q).pow_int(int(n))
-        return coarsen_relative(acc, q + 8)
+        y = r.numerator << work
+        n, lo, hi = _exp_fixed(y // r.denominator, _ceil_div(y, r.denominator), work)
+        return coarsen_relative(_dyadic(lo, hi, work - n), q + 8)
 
     return _cached_point(("exp", r), prec, compute)
 
@@ -283,11 +383,7 @@ def _log_point(r: Fraction, prec: int) -> Interval:
 
     def compute(q: int) -> Interval:
         work = q + 32
-        k, lo, hi = _log_kernel(r.numerator, r.denominator, work)
-        result = _dyadic(lo, hi, work)
-        if k != 0:
-            result = result + Interval.exact(k) * _ln2(q)
-        return result.coarsen(q + 8)
+        return _dyadic(*_log_fixed(r.numerator, r.denominator, work), work).coarsen(q + 8)
 
     return _cached_point(("log", r), prec, compute)
 
@@ -310,14 +406,8 @@ def _log_pi(prec: int) -> Interval:
     """log pi, the one route every caller shares."""
 
     def compute(q: int) -> Interval:
-        # log is increasing, so the logs of pi's kernel bounds bracket log pi;
-        # both reduce to m = pi/4 in [2/3, 4/3] with k = 2.  ln 2 is asked
-        # for at q, as in _log_point, so both share one cached ln 2.
         work = q + 32
-        pi_lo, pi_hi = _pi_kernel(work)
-        _, lo, _ = _log_kernel(pi_lo, 1 << work, work)
-        _, _, hi = _log_kernel(pi_hi, 1 << work, work)
-        return (_dyadic(lo, hi, work) + Interval.exact(2) * _ln2(q)).coarsen(q + 8)
+        return _dyadic(*_log_pi_kernel(work), work).coarsen(q + 8)
 
     return _cached_point(("log", "pi"), prec, compute)
 
@@ -342,8 +432,61 @@ def sqrt_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 # Gamma via the Stirling series
 
 
-_STIRLING_TERMS = 10
-_STIRLING_SHIFT_TARGET = 8
+def _stirling_cutoffs(x: Fraction, w: int) -> Tuple[int, int]:
+    """Term count K and shift r that put the Stirling remainder at y = x + r,
+    |B_(2K+2)| / ((2K+2)(2K+1) y^(2K+1)), below about 2^-w."""
+    terms = max(4, w // 10)
+    b = bernoulli_number(2 * terms + 2)
+    size = (
+        abs(b.numerator).bit_length()
+        - b.denominator.bit_length()
+        - ((2 * terms + 2) * (2 * terms + 1)).bit_length()
+        + 2
+    )
+    y_min = 2.0 ** ((size + w) / (2 * terms + 1))
+    return terms, max(0, math.ceil(y_min - x))
+
+
+def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * log Gamma(x) for rational x > 0.
+
+    log Gamma(x) = log Gamma(y) - log(x (x+1) ... (y-1)) at y = x + r, with
+    log Gamma(y) = (y - 1/2) log y - y + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) y^(2k-1))
+    and a remainder below the first omitted term."""
+    terms, shift = _stirling_cutoffs(x, w)
+    xn, xd = x.numerator, x.denominator
+    yn = xn + shift * xd  # y = yn / xd
+    # (y - 1/2) multiplies log y's ulps
+    guard = (4 * w * (yn // xd + 1)).bit_length()
+    work = w + guard
+    log_lo, log_hi = _log_fixed(yn, xd, work)
+    lo = log_lo * (2 * yn - xd) // (2 * xd) - _ceil_div(yn << work, xd)
+    hi = _ceil_div(log_hi * (2 * yn - xd), 2 * xd) - (yn << work) // xd
+    pi_lo, pi_hi = _log_pi_kernel(work)
+    l2_lo, l2_hi = _ln2_kernel(work)
+    lo += (pi_lo + l2_lo) >> 1
+    hi += -(-(pi_hi + l2_hi) >> 1)
+    inv_num, inv_den = xd, yn  # 1 / y^(2k-1)
+    for k in range(1, terms + 2):  # the last pass bounds the remainder
+        b = bernoulli_number(2 * k)
+        q, r = divmod(
+            b.numerator * inv_num << work, b.denominator * 2 * k * (2 * k - 1) * inv_den
+        )
+        if k <= terms:
+            lo += q
+            hi += q + (r != 0)
+        else:
+            rem = max(-q, q + (r != 0))
+            lo -= rem
+            hi += rem
+        inv_num *= xd * xd
+        inv_den *= yn * yn
+    if shift:
+        prod_num = math.prod(xn + i * xd for i in range(shift))
+        p_lo, p_hi = _log_fixed(prod_num, xd**shift, work)
+        lo -= p_hi
+        hi -= p_lo
+    return _rescale(lo, hi, -guard)
 
 
 def _lngamma_point(x: Fraction, prec: int) -> Interval:
@@ -351,27 +494,8 @@ def _lngamma_point(x: Fraction, prec: int) -> Interval:
         raise NonPositiveArgument(f"lngamma of non-positive point {x}")
 
     def compute(q: int) -> Interval:
-        shift = 0
-        y = x
-        while y < _STIRLING_SHIFT_TARGET:
-            y += 1
-            shift += 1
-        ln_y = _log_point(y, q)
-        ln_2pi = _log_point(Fraction(2), q) + _log_pi(q)
-        y_iv = Interval.exact(y)
-        acc = (y_iv - Interval.exact(Fraction(1, 2))) * ln_y - y_iv
-        acc = acc + Interval(ln_2pi.lo / 2, ln_2pi.hi / 2)
-        for k in range(1, _STIRLING_TERMS + 1):
-            coeff = bernoulli_number(2 * k) / Fraction((2 * k) * (2 * k - 1))
-            acc = acc + Interval.exact(coeff / y ** (2 * k - 1))
-        # remainder of the real-argument Stirling series is bounded by the
-        # magnitude of the first omitted term
-        k = _STIRLING_TERMS + 1
-        rem = abs(bernoulli_number(2 * k)) / Fraction((2 * k) * (2 * k - 1)) / y ** (2 * k - 1)
-        acc = acc + Interval(-rem, rem)
-        for i in range(shift):
-            acc = acc - _log_point(x + i, q)
-        return acc.coarsen(q + 8)
+        work = q + 32
+        return _dyadic(*_lngamma_kernel(x, work), work).coarsen(q + 8)
 
     return _cached_point(("lngamma", x), prec, compute)
 
@@ -385,6 +509,15 @@ def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 # rational powers
 
 
+def _pow_point(x: Fraction, e: Fraction, prec: int) -> Interval:
+    def compute(q: int) -> Interval:
+        work = q + 32
+        n, lo, hi = _pow_kernel(x.numerator, x.denominator, e, work)
+        return coarsen_relative(_dyadic(lo, hi, work - n), q + 8)
+
+    return _cached_point(("pow", x, e), prec, compute)
+
+
 def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Interval:
     """Enclosure of x**exponent for a positive interval x."""
     exponent = Fraction(exponent)
@@ -392,62 +525,82 @@ def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Inte
         return x.pow_int(int(exponent))
     if x.lo <= 0:
         raise NonPositiveArgument(f"fractional power of {x} touching zero")
-    return exp_enclosure(
-        Interval.exact(exponent) * log_enclosure(x, precision_bits), precision_bits
-    )
+    lo = _pow_point(x.lo, exponent, precision_bits)
+    hi = lo if x.is_point() else _pow_point(x.hi, exponent, precision_bits)
+    if exponent < 0:
+        lo, hi = hi, lo
+    return Interval(lo.lo, hi.hi)
 
 
 # ---------------------------------------------------------------------------
 # Hurwitz/Riemann zeta via Euler-Maclaurin
 
 
-_EM_CORRECTION_TERMS = 10
+def _hurwitz_cutoffs(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
+    """Partial-sum length N and Euler-Maclaurin term count M that put the
+    remainder, at most the M-th term |B_2M/(2M)!| (s)_(2M-1) X^(1-2M-s) at
+    X = N + a, below about 2^-w (Johansson 2015)."""
+    terms = max(2, w // 4)
+    c = _em_coefficient(terms)
+    sigma = float(s)
+    size = (
+        abs(c.numerator).bit_length()
+        - c.denominator.bit_length()
+        + 1
+        + (math.lgamma(sigma + 2 * terms - 1) - math.lgamma(sigma)) / math.log(2)
+    )
+    x_min = 2.0 ** ((size + w) / (2 * terms - 1 + sigma))
+    return max(1, math.ceil(x_min - a)), terms
 
 
-def _pochhammer(s: Fraction, length: int) -> Fraction:
-    acc = Fraction(1)
-    for i in range(length):
-        acc *= s + i
-    return acc
+def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * zeta(s, a) for rational s > 1 and 0 < a <= 1.
+
+    zeta(s, a) = sum_{k<N} (k + a)^-s
+                 + X^-s (X/(s-1) + 1/2 + sum_{j<=M} B_2j/(2j)! (s)_(2j-1) X^(1-2j)) + R
+    at X = N + a.  The derivatives of (a + t)^-s have one sign each, so |R| is
+    at most the M-th term."""
+    n_cut, terms = _hurwitz_cutoffs(s, a, w)
+    sn, sd = s.numerator, s.denominator
+    an, ad = a.numerator, a.denominator
+    sigma = float(s)
+    lo = hi = 0
+    for k in range(n_cut):
+        base = k * ad + an
+        # a term near 2^-b, b = s log2(k + a), keeps its absolute error with b fewer bits
+        work = max(w - math.floor(sigma * math.log2(base / ad)), 16)
+        n, t_lo, t_hi = _pow_kernel(base, ad, -s, work)
+        t_lo, t_hi = _rescale(t_lo, t_hi, n + w - work)
+        lo += t_lo
+        hi += t_hi
+    xn = n_cut * ad + an  # X = xn / ad
+    q, r = divmod(xn * sd << w, ad * (sn - sd))
+    v_lo = q + (1 << (w - 1))
+    v_hi = v_lo + (r != 0)
+    g_num, g_den = sn * ad, sd * xn  # (s)_(2j-1) / X^(2j-1) at j = 1
+    for j in range(1, terms + 1):
+        c = _em_coefficient(j)
+        q, r = divmod(c.numerator * g_num << w, c.denominator * g_den)
+        v_lo += q
+        v_hi += q + (r != 0)
+        g_num *= (sn + (2 * j - 1) * sd) * (sn + 2 * j * sd) * ad * ad
+        g_den *= sd * sd * xn * xn
+    last = max(-q, q + (r != 0))
+    v_lo -= last
+    v_hi += last
+    n, p_lo, p_hi = _pow_kernel(xn, ad, -s, w)
+    t_lo, t_hi = _rescale(
+        min(p_lo * v_lo, p_hi * v_lo), max(p_lo * v_hi, p_hi * v_hi), n - w
+    )
+    return lo + t_lo, hi + t_hi
 
 
 def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
     """Hurwitz zeta(s, a) for rational s > 1 and 0 < a <= 1."""
 
     def compute(q: int) -> Interval:
-        m = _EM_CORRECTION_TERMS
-        n_cut = 28 if q <= 350 else 48
-        acc = Interval.exact(0)
-        for k in range(n_cut):
-            acc = acc + pow_frac(Interval.exact(k + a), -s, q)
-            acc = acc.coarsen(q + 32)
-        edge = n_cut + a
-        edge_pow = pow_frac(Interval.exact(edge), -s, q)  # edge^(-s)
-        acc = acc + edge_pow * Interval.exact(edge) / Interval.exact(s - 1)
-        acc = acc + Interval(edge_pow.lo / 2, edge_pow.hi / 2)
-        inv_edge = Fraction(1) / edge
-        for j in range(1, m + 1):
-            coeff = (
-                bernoulli_number(2 * j)
-                / Fraction(math.factorial(2 * j))
-                * _pochhammer(s, 2 * j - 1)
-                * inv_edge ** (2 * j - 1)
-            )
-            acc = acc + edge_pow * Interval.exact(coeff)
-            acc = acc.coarsen(q + 32)
-        # remainder: |R| <= 2.6 (s)_(2m+1) (2 pi)^(-(2m+1)) edge^(-s-2m) / (s+2m)
-        # from the periodic-Bernoulli integral form of the remainder
-        pi_lo = pi_enclosure(64).lo
-        rem_coeff = (
-            Fraction(26, 10)
-            * _pochhammer(s, 2 * m + 1)
-            / (2 * pi_lo) ** (2 * m + 1)
-            * inv_edge ** (2 * m)
-            / (s + 2 * m)
-        )
-        rem = rem_coeff * max(abs(edge_pow.lo), abs(edge_pow.hi))
-        acc = acc + Interval(-rem, rem)
-        return acc.coarsen(q + 8)
+        work = q + 32
+        return _dyadic(*_hurwitz_kernel(s, a, work), work).coarsen(q + 8)
 
     return _cached_point(("hurwitz", s, a), prec, compute)
 

@@ -93,11 +93,42 @@ def test_zeta_product_bounded():
 
 
 def test_zeta_product_single_factor():
-    # with only one factor the lower endpoint is zeta(2); the tail bracket
-    # is wide but still contains the full product
+    """Asked for one closed-form factor, the enclosure still holds the full
+    product and is no wider than the bracket zeta(2) [1, e^((2/3)/4)] that
+    one factor and the crude tail bound zeta(s) <= 1 + 2^(1-s) give."""
     iv = b.zeta_product_enclosure(1, PREC)
-    assert abs(iv.lo - Fraction("1.6449")) < Fraction(1, 1000)
+    with mpmath.workdps(60):
+        value = mpmath.exp(mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(1, 111)))
+        assert _meets_oracle(iv, value)
+    bracket = (
+        Interval.exact(sf.zeta_even_exact(1))
+        * sf.pi_enclosure(PREC).pow_int(2)
+        * Interval(1, sf._exp_point(Fraction(1, 6), PREC).hi)
+    )
+    assert iv.width() <= bracket.width()
     assert iv.contains(b.zeta_product_enclosure(20, PREC).midpoint())
+
+
+@pytest.mark.parametrize("J, w", [(1, 8), (1, 24), (5, 40), (20, 100), (64, 300)])
+def test_log_zeta_tail_oracle(J, w):
+    """The prime-power sum plus its remainder bound holds sum_{j>J} log zeta(2j)
+    and is at most 2^(1-w) wide."""
+    tail = b._log_zeta_tail(J, w)
+    with mpmath.workdps(120):
+        value = mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(J + 1, J + 400))
+        assert _mp(tail.lo) <= value <= _mp(tail.hi)
+    assert tail.width() <= Fraction(2, 2**w)
+
+
+@pytest.mark.parametrize("J, M", [(1, 2), (1, 3), (2, 4), (3, 10), (20, 5)])
+def test_log_zeta_tail_sound_at_any_cutoff(J, M, monkeypatch):
+    """A cut-off M far below the request widens the tail but keeps it sound:
+    the bound on the omitted prime powers holds for every M."""
+    monkeypatch.setattr(b, "_prime_power_cutoff", lambda *_: M)
+    tail = b._log_zeta_tail(J, 300)
+    with mpmath.workdps(120):
+        value = mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(J + 1, J + 400))
+        assert _mp(tail.lo) <= value <= _mp(tail.hi)
 
 
 @pytest.mark.parametrize("prec", [16, 64, 256, 1024])

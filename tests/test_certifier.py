@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -365,16 +366,47 @@ def test_proof_computes_no_point_far_above_its_precision(monkeypatch, n):
     assert max(q for _, q in computed) <= 2048 + 128, sorted(computed, key=lambda c: -c[1])[:3]
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_report_bytes_do_not_depend_on_history(n):
-    """A 128-bit report is the same before and after a 1500-bit run."""
-    specfun._clear_point_cache()
+    """A report at 96, 256 or 1024 bits is the same before and after a
+    1500-bit run."""
     try:
-        cold = ct.emit_report(ct.run_case(n, precision_bits=128))
-        ct.run_case(n, precision_bits=1500)
-        assert ct.emit_report(ct.run_case(n, precision_bits=128)) == cold
+        for prec in (96, 256, 1024):
+            specfun._clear_point_cache()
+            cold = ct.emit_report(ct.run_case(n, precision_bits=prec))
+            ct.run_case(n, precision_bits=1500)
+            assert ct.emit_report(ct.run_case(n, precision_bits=prec)) == cold, prec
     finally:
         specfun._clear_point_cache()
+
+
+@pytest.mark.parametrize(
+    "n, prec", [(n, 256) for n in range(2, 9)] + [(9, 64), (64, 64)]
+)
+def test_every_enclosure_delivers_the_requested_bits(n, prec):
+    """Each recorded enclosure is narrower than 2^-(p - 16) relative to its
+    magnitude, where p is the precision its step was evaluated at."""
+    for step in ct.run_case(n, precision_bits=prec).steps:
+        floor = prec - 16
+        if n == 2 and step.id == "degree_threshold":
+            floor = min(prec, ct.RANK2_THRESHOLD_BITS) - 16
+        for e in step.enclosures:
+            assert (e.hi - e.lo) * 2**floor <= max(abs(e.lo), abs(e.hi)), (step.id, e)
+
+
+def test_rank3_cutoffs_check_their_e046_constant(monkeypatch):
+    """The rank-3 cutoffs use 1.58 in place of e^0.46 = 1.5841; the step
+    records that comparison, so a constant of 1.59 makes it fail."""
+
+    def cutoff_step():
+        cert = ct.run_case(3, precision_bits=PREC)
+        return next(s for s in cert.steps if s.id == "discriminant_cutoffs")
+
+    assert cutoff_step().verdict == "Proved"
+    monkeypatch.setattr(bounds, "_E_046_LOWER", Fraction(159, 100))
+    step = cutoff_step()
+    assert step.verdict == "Failed"
+    assert step.comparisons[-1].relation == "CertainlyLess"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ transcendental value; sympy checks the exact rational identities.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -20,6 +21,14 @@ from covcert import specfun as sf
 mpmath.mp.dps = 60
 
 PREC = 160
+
+
+@pytest.fixture(autouse=True)
+def _oracle_digits():
+    """60-digit oracles in every test here, whatever digits another test
+    module sets when it is imported after this one."""
+    with mpmath.workdps(60):
+        yield
 
 
 def _contains_mp(iv: Interval, value: "mpmath.mpf") -> bool:
@@ -131,7 +140,7 @@ def test_log_pi_oracle(prec):
 
 
 def test_ln2_and_e_oracle():
-    ln2 = sf._ln2(PREC)
+    ln2 = sf._log_point(Fraction(2), PREC)  # k = 1 and m = 1: the ln 2 kernel alone
     assert _contains_mp(ln2, mpmath.log(2))
     assert ln2.width() < Fraction(1, 2**150)
     e = sf._euler_e(PREC)
@@ -262,6 +271,55 @@ def test_alpha_oracle():
     assert abs(iv.midpoint() - Fraction("15.2199430285")) < Fraction(1, 10**9)
 
 
+def _log2(x: Fraction) -> float:
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    return shift + math.log2(x / Fraction(2) ** shift)
+
+
+def _relative_bits(iv: Interval) -> float:
+    return _log2(max(abs(iv.lo), abs(iv.hi))) - _log2(iv.hi - iv.lo)
+
+
+def _mp_L5(s):
+    chi = [sf.dirichlet_character(5, k) for k in range(1, 6)]
+    return mpmath.mpf(5) ** -s * mpmath.fsum(
+        chi[a - 1] * mpmath.zeta(s, mpmath.mpf(a) / 5) for a in range(1, 6)
+    )
+
+
+_S22, _S105, _X11 = Fraction(11, 5), Fraction(21, 2), Fraction(11, 10)
+_PRECISION_CASES = {
+    "alpha(2.2)": (
+        lambda p: sf.alpha_enclosure(Interval.exact(_S22), p),
+        lambda: mpmath.pi ** (_mp(_S22) / 2) / (mpmath.gamma(_mp(_S22) / 2) * mpmath.zeta(_mp(_S22))),
+    ),
+    "zeta(2.2)": (lambda p: sf.zeta_real_enclosure(Interval.exact(_S22), p), lambda: mpmath.zeta(_mp(_S22))),
+    "zeta(21/2)": (lambda p: sf.zeta_real_enclosure(Interval.exact(_S105), p), lambda: mpmath.zeta(_mp(_S105))),
+    "Gamma(11/10)": (lambda p: sf.gamma_enclosure(Interval.exact(_X11), p), lambda: mpmath.gamma(_mp(_X11))),
+    "L(2.2, chi_5)": (lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(_S22), p), lambda: _mp_L5(_mp(_S22))),
+}
+# relative bits the fixed-cut-off series delivered at 64 bits, the only
+# precision where they exceeded p - 16 (at 160 bits and above they gave
+# 58.6 to 139.4)
+_EARLIER_BITS_AT_64 = {
+    "alpha(2.2)": 58.63, "zeta(2.2)": 73.57, "zeta(21/2)": 73.00,
+    "Gamma(11/10)": 58.63, "L(2.2, chi_5)": 71.57,
+}
+
+
+@pytest.mark.parametrize("prec", [64, 160, 256, 1024])
+@pytest.mark.parametrize("name", list(_PRECISION_CASES))
+def test_special_functions_deliver_requested_bits(name, prec):
+    """The cut-offs follow the request: each enclosure holds the mpmath value
+    and delivers at least p - 16 relative bits, and no fewer than before."""
+    enclose, oracle = _PRECISION_CASES[name]
+    iv = enclose(prec)
+    with mpmath.workprec(max(200, prec + 64)):
+        assert _contains_mp(iv, oracle())
+    floor = max(prec - 16, _EARLIER_BITS_AT_64[name] if prec == 64 else 0)
+    assert _relative_bits(iv) >= floor, _relative_bits(iv)
+
+
 def test_stirling_brackets_factorials():
     """The factorial bracketing encloses n! exactly for n <= 100."""
     for n in range(1, 101):
@@ -293,7 +351,7 @@ def _refinement_cases():
     yield lambda p: sf._exp_point(Fraction(46, 100), p)
     yield lambda p: sf._exp_point(Fraction(-2949, 20), p)
     yield lambda p: sf._exp_point(Fraction(-1, 2), p)
-    yield lambda p: sf._ln2(p)
+    yield lambda p: sf._log_point(Fraction(2), p)
     yield lambda p: sf._log_pi(p)
     yield lambda p: sf._euler_e(p)
     yield lambda p: sf._log_point(Fraction(2689, 125), p)
@@ -388,7 +446,9 @@ def test_log_kernel_brackets(num, den, w):
     k, lo, hi = sf._log_kernel(num, den, w)
     m = Fraction(num, den) / Fraction(2) ** k
     assert Fraction(2, 3) <= m <= Fraction(4, 3)
-    _assert_brackets(lo, hi, w, lambda: mpmath.log(_mp(m)))
+    # log1p of the exact m - 1: m itself, rounded to w + 64 bits, loses the
+    # low bits of an m within 2^-w of 1
+    _assert_brackets(lo, hi, w, lambda: mpmath.log1p(_mp(m - 1)))
 
 
 @given(kernel_bits)
@@ -398,3 +458,92 @@ def test_log_kernel_brackets(num, den, w):
 def test_pi_kernel_brackets(w):
     lo, hi = sf._pi_kernel(w)
     _assert_brackets(lo, hi, w, lambda: +mpmath.pi)
+
+
+# The kernels below return values of any magnitude, so the oracle runs at
+# w + 64 bits plus the bit length of the scaled result.
+
+
+@given(st.fractions(min_value=-300, max_value=300, max_denominator=10**9),
+       st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=1000), kernel_bits)
+@example(Fraction(0), Fraction(0), 64)
+@example(Fraction(-2949, 20), Fraction(1, 2), 160)
+@settings(deadline=None)
+def test_exp_fixed_brackets_both_ends(y, d, w):
+    """One series at the lower end of [y, y + d] bounds e^y below and
+    e^(y + d) above."""
+    y_lo = math.floor(y * 2**w)
+    y_hi = y_lo + math.floor(d * 2**w)
+    n, lo, hi = sf._exp_fixed(y_lo, y_hi, w)
+    with mpmath.workprec(w + 64 + max(n, 0)):
+        assert lo <= mpmath.ldexp(mpmath.exp(mpmath.ldexp(y_lo, -w)), w - n)
+        assert mpmath.ldexp(mpmath.exp(mpmath.ldexp(y_hi, -w)), w - n) <= hi
+
+positive_rationals = st.fractions(min_value=Fraction(1, 10**30), max_value=10**30, max_denominator=10**30)
+
+
+@given(positive_rationals, st.fractions(min_value=-30, max_value=30, max_denominator=100),
+       kernel_bits)
+@example(Fraction(48), Fraction(-21, 2), 64)
+@example(Fraction(1, 10**30), Fraction(30), 2100)
+@settings(deadline=None)
+def test_pow_kernel_brackets(x, e, w):
+    n, lo, hi = sf._pow_kernel(x.numerator, x.denominator, e, w)
+    with mpmath.workprec(w + 64):
+        assert lo <= mpmath.ldexp(mpmath.power(_mp(x), _mp(e)), w - n) <= hi
+    assert hi - lo <= w
+
+
+@given(st.fractions(min_value=Fraction(11, 10), max_value=40, max_denominator=20),
+       st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=64, max_value=400))
+@example(Fraction(11, 5), 1, 1, 208)
+@example(Fraction(117), 1, 3, 81)
+@settings(deadline=None, max_examples=40)
+def test_hurwitz_kernel_brackets(s, i, D, w):
+    a = Fraction(min(i, D), D)
+    lo, hi = sf._hurwitz_kernel(s, a, w)
+    with mpmath.workprec(w + 64 + hi.bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.zeta(_mp(s), _mp(a)), w) <= hi
+    assert hi - lo <= w
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=10**6, max_denominator=1000),
+       st.integers(min_value=64, max_value=700))
+@example(Fraction(11, 10), 208)
+@example(Fraction(1), 64)
+@example(Fraction(2), 64)
+@settings(deadline=None, max_examples=50)
+def test_lngamma_kernel_brackets(x, w):
+    lo, hi = sf._lngamma_kernel(x, w)
+    with mpmath.workprec(w + 64 + abs(hi).bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), w) <= hi
+    assert hi - lo <= w
+
+
+# Cut-offs far below the request widen a bracket but must keep it sound: the
+# remainder bounds hold for every N, M, K and shift, not only the derived ones.
+
+
+@given(st.fractions(min_value=Fraction(11, 10), max_value=12, max_denominator=10),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
+@example(Fraction(11, 10), 1, 1, 1, 1)
+@settings(deadline=None, max_examples=60)
+def test_hurwitz_kernel_sound_at_any_cutoff(s, i, D, n_cut, terms):
+    a = Fraction(min(i, D), D)
+    with mock.patch.object(sf, "_hurwitz_cutoffs", lambda *_: (n_cut, terms)):
+        lo, hi = sf._hurwitz_kernel(s, a, 64)
+    with mpmath.workprec(128 + hi.bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.zeta(_mp(s), _mp(a)), 64) <= hi
+
+
+@given(st.fractions(min_value=1, max_value=20, max_denominator=100),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=6))
+@example(Fraction(1), 1, 0)
+@settings(deadline=None, max_examples=60)
+def test_lngamma_kernel_sound_at_any_cutoff(x, terms, shift):
+    with mock.patch.object(sf, "_stirling_cutoffs", lambda *_: (terms, shift)):
+        lo, hi = sf._lngamma_kernel(x, 64)
+    with mpmath.workprec(128 + abs(hi).bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), 64) <= hi
