@@ -39,6 +39,8 @@ from .numberfields import (
     read_data_file,
 )
 from .specfun import (
+    _dyadic,
+    _log_fixed,
     _log_pi,
     _log_point,
     alpha_enclosure,
@@ -164,21 +166,25 @@ def _log_zeta_tail(J: int, w: int) -> Interval:
     return Interval(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
 
 
-def zeta_product_enclosure(J: int = 20, precision_bits: int = 256) -> Interval:
+def zeta_product_enclosure(precision_bits: int = 256) -> Interval:
     """Enclosure of the infinite product prod_{j>=1} zeta(2j).
 
-    The first J' = max(J, min(64, ceil((p + 8)/12))) factors, at p =
-    precision_bits, are the exact c pi^(J'(J'+1)); the logarithm of the rest
-    is ``_log_zeta_tail``, summed to 2^-(p + 24).  The product is the
-    exponential of the sum of these logarithms.
+    The first J = ceil((p + 8)/24) factors, at p = precision_bits, are the
+    exact c pi^(J(J+1)); the logarithm of the rest is ``_log_zeta_tail``,
+    summed to 2^-(p + 24).  This J keeps its prime-power cut-off below 2^14
+    at every p >= 16.  The product is the exponential of the sum of these
+    logarithms.
     """
-    J = max(J, min(64, -(-(precision_bits + 8) // 12)))
-    coeff = Fraction(1)
+    J = -(-(precision_bits + 8) // 24)
+    num = den = 1
     for j in range(1, J + 1):
-        coeff *= zeta_even_exact(j)
+        c = zeta_even_exact(j)
+        num *= c.numerator
+        den *= c.denominator
     work = precision_bits + _LOG_GUARD_BITS
+    w = work + 32  # c = num/den, unreduced: its gcd would cost more than its log
     log_product = (
-        _log_point(coeff, work)
+        _dyadic(*_log_fixed(num, den, w), w)
         + Interval.exact(J * (J + 1)) * _log_pi(work)
         + _log_zeta_tail(J, work + 8)
     )

@@ -144,7 +144,7 @@ def _global_stage_common(builder: _Builder) -> None:
 
 
 def _zeta_product_step(builder: _Builder, prec: int) -> None:
-    enclosure = bounds.zeta_product_enclosure(20, prec)
+    enclosure = bounds.zeta_product_enclosure(prec)
     builder.record(
         "zeta_product_bound",
         "the infinite product of zeta at even integers is below 1.83",

@@ -109,16 +109,7 @@ class Interval:
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
-    def _times(self, c: Fraction) -> "Interval":
-        a, b = self.lo * c, self.hi * c
-        return Interval(a, b) if a <= b else Interval(b, a)
-
     def __mul__(self, other: "Interval") -> "Interval":
-        # a point from ``exact`` holds one Fraction twice: two products suffice
-        if other.lo is other.hi:
-            return self._times(other.lo)
-        if self.lo is self.hi:
-            return other._times(self.lo)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -131,11 +122,6 @@ class Interval:
         if other.contains_zero():
             raise DivisionByIntervalContainingZero(
                 f"division by {other} which contains zero"
-            )
-        if other.lo > 0:  # the common case: one quotient per endpoint
-            return Interval(
-                self.lo / (other.hi if self.lo >= 0 else other.lo),
-                self.hi / (other.lo if self.hi >= 0 else other.hi),
             )
         quotients = (
             self.lo / other.lo,

@@ -149,8 +149,8 @@ def _em_coefficient(j: int) -> Fraction:
 
 def zeta_even_exact(j: int) -> Fraction:
     """Exact rational c with zeta(2j) = c * pi^(2j)."""
-    if not 1 <= j <= 64:
-        raise ValueError("zeta_even_exact supports 1 <= j <= 64")
+    if j < 1:
+        raise ValueError("zeta_even_exact needs j >= 1")
     k = 2 * j
     c = (-1) ** (j + 1) * bernoulli_number(k) * Fraction(2 ** (k - 1), math.factorial(k))
     return Fraction(c)

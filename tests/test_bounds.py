@@ -87,16 +87,16 @@ def test_f_n():
 
 
 def test_zeta_product_bounded():
-    enclosure = b.zeta_product_enclosure(20, PREC)
+    enclosure = b.zeta_product_enclosure(PREC)
     assert enclosure.hi < Fraction("1.83")
     assert enclosure.lo > Fraction("1.82")
 
 
 def test_zeta_product_single_factor():
-    """Asked for one closed-form factor, the enclosure still holds the full
-    product and is no wider than the bracket zeta(2) [1, e^((2/3)/4)] that
-    one factor and the crude tail bound zeta(s) <= 1 + 2^(1-s) give."""
-    iv = b.zeta_product_enclosure(1, PREC)
+    """The enclosure holds the full product and is no wider than the bracket
+    zeta(2) [1, e^((2/3)/4)] that one closed-form factor and the crude tail
+    bound zeta(s) <= 1 + 2^(1-s) give."""
+    iv = b.zeta_product_enclosure(PREC)
     with mpmath.workdps(60):
         value = mpmath.exp(mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(1, 111)))
         assert _meets_oracle(iv, value)
@@ -105,8 +105,8 @@ def test_zeta_product_single_factor():
         * sf.pi_enclosure(PREC).pow_int(2)
         * Interval(1, sf._exp_point(Fraction(1, 6), PREC).hi)
     )
+    assert bracket.contains(iv.midpoint())
     assert iv.width() <= bracket.width()
-    assert iv.contains(b.zeta_product_enclosure(20, PREC).midpoint())
 
 
 @pytest.mark.parametrize("J, w", [(1, 8), (1, 24), (5, 40), (20, 100), (64, 300)])
@@ -134,8 +134,9 @@ def test_log_zeta_tail_sound_at_any_cutoff(J, M, monkeypatch):
 @pytest.mark.parametrize("prec", [16, 64, 256, 1024])
 @pytest.mark.parametrize("J", [1, 20])
 def test_zeta_product_matches_interval_route(J, prec):
-    """The log route meets the interval product c pi^(J(J+1)) [1, e^tail]
-    and is at least as narrow, relative to its magnitude."""
+    """The enclosure meets the interval product c pi^(J(J+1)) [1, e^tail] of
+    the first J factors and the crude tail bound, and is at least as narrow,
+    relative to its magnitude."""
     coeff = Fraction(1)
     for j in range(1, J + 1):
         coeff *= sf.zeta_even_exact(j)
@@ -143,7 +144,7 @@ def test_zeta_product_matches_interval_route(J, prec):
     tail = Interval(Fraction(1), sf._exp_point(tail_sum, 64).hi)
     pi_power = sf.pi_enclosure(prec).pow_int(J * (J + 1))
     reference = (Interval.exact(coeff) * pi_power * tail).coarsen(prec + 8)
-    enclosure = b.zeta_product_enclosure(J, prec)
+    enclosure = b.zeta_product_enclosure(prec)
     assert enclosure.lo <= reference.hi and reference.lo <= enclosure.hi
     assert _relative_width(enclosure) <= _relative_width(reference)
 
@@ -154,7 +155,24 @@ def test_zeta_product_oracle(prec):
     beyond j = 110 change its logarithm by less than 4^-110."""
     with mpmath.workdps(60):
         value = mpmath.exp(mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(1, 111)))
-        assert _meets_oracle(b.zeta_product_enclosure(20, prec), value)
+        assert _meets_oracle(b.zeta_product_enclosure(prec), value)
+
+
+def test_zeta_product_cutoff_stays_small_at_high_precision(monkeypatch):
+    """At 4096 bits the prime powers of the tail stop below 2^14, and the
+    enclosure still delivers the bits asked for."""
+    cutoffs = []
+    real_cutoff = b._prime_power_cutoff
+
+    def recording_cutoff(J, w):
+        cutoffs.append(real_cutoff(J, w))
+        return cutoffs[-1]
+
+    monkeypatch.setattr(b, "_prime_power_cutoff", recording_cutoff)
+    prec = 4096
+    iv = b.zeta_product_enclosure(prec)
+    assert cutoffs and max(cutoffs) < 2**14
+    assert iv.width() * 2**prec <= iv.lo
 
 
 def test_zeta_product_partial_monotone():
