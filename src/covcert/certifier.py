@@ -119,10 +119,6 @@ N3_WITNESS = (Fraction("13.047"), Fraction("3.8667"))
 # The only table row passing the three rank >= 4 conditions of
 # ``bounds.lemma35_conditions``.
 L35_WITNESS = (Fraction("6.894"), Fraction("2.2667"))
-# The rank-2 degree threshold is evaluated at no more bits than this: at
-# 2048 bits its zeta(2.2) needs about 250 Euler-Maclaurin terms, each a log
-# and an exp series of 2100 bits, and takes seconds.
-RANK2_THRESHOLD_BITS = 160
 
 
 def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
@@ -341,7 +337,7 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
 def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
     A, E, t = N2_WITNESS
     pair = _table_row(table, A, E)
-    value = bounds.n2_degree_threshold(pair, t, min(prec, RANK2_THRESHOLD_BITS))
+    value = bounds.n2_degree_threshold(pair, t, prec)
     builder.record(
         "degree_threshold",
         "the optimized rank-2 degree threshold lies below 6, excluding "

@@ -11,7 +11,8 @@ scale 2^w whose lower bound comes from floor divisions and whose upper bound
 comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
 kernels cover pi, ln 2, e, exp and log, x^e as one log and one exp series,
 log Gamma by the Stirling series and Hurwitz zeta by Euler-Maclaurin
-summation, and every series length, shift and cut-off follows from w.
+summation (at a = 1 only the primes take a power kernel), and every series
+length, shift and cut-off follows from w.
 Their results become intervals with dyadic endpoints; only the
 combinations built on them (Gamma, L, alpha) are exact-rational interval
 arithmetic.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .rigor import Interval, coarsen_relative
 
@@ -110,7 +111,6 @@ def _clear_point_cache() -> None:
 # Bernoulli numbers and exact even zeta values
 
 
-@lru_cache(maxsize=None)
 def _tangent_numbers(count: int) -> Tuple[int, ...]:
     """Tangent numbers T_1 .. T_count, by the integer recurrence of Brent and
     Harvey (2011): O(count^2) additions of integers, no fractions."""
@@ -124,6 +124,20 @@ def _tangent_numbers(count: int) -> Tuple[int, ...]:
     return tuple(t[1:])
 
 
+# The one table of tangent numbers.  Its entries are exact integers, so what
+# a lookup returns cannot depend on how large earlier requests made it.
+_TANGENT_TABLE: Tuple[int, ...] = ()
+
+
+def _tangent_number(k: int) -> int:
+    """T_k, read from the table; a larger k rebuilds it once, at the next
+    multiple of 64, so that ascending requests rebuild it rarely."""
+    global _TANGENT_TABLE
+    if k > len(_TANGENT_TABLE):
+        _TANGENT_TABLE = _tangent_numbers(-(-k // 64) * 64)
+    return _TANGENT_TABLE[k - 1]
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
@@ -135,9 +149,9 @@ def bernoulli_number(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); tables grow 64 entries at a time
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
     k = n // 2
-    t = _tangent_numbers(-(-k // 64) * 64)[k - 1]
+    t = _tangent_number(k)
     return Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1))
 
 
@@ -169,6 +183,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _ceil_shift(a: int, w: int) -> int:
+    """ceil(a / 2^w), by a shift rather than a division."""
+    return -(-a >> w)
+
+
 def _dyadic(lo: int, hi: int, w: int) -> Interval:
     """[lo, hi] / 2^w, for any integer w."""
     if w < 0:
@@ -189,7 +208,8 @@ def _exp_kernel(p: int, d: int, w: int) -> Tuple[int, int]:
     while True:
         k += 1
         t_lo = (t_lo * x_lo >> w) // k
-        t_hi = _ceil_div(t_hi * x_hi, k << w)
+        # ceil(ceil(a / 2^w) / k) = ceil(a / (k 2^w)): a shift, then a small division
+        t_hi = _ceil_div(_ceil_shift(t_hi * x_hi, w), k)
         if t_hi <= 1:
             # f/(j+1) <= 1/2 for j >= k, so the tail from term k on is <= 2 t_hi
             return lo + t_lo, hi + 2 * t_hi
@@ -204,14 +224,24 @@ def _atanh_kernel(p: int, d: int, w: int) -> Tuple[int, int]:
         return -hi, -lo
     # floor chain of the powers u^(2j+1) from x_lo <= 2^w u, ceiling chain above
     x_lo, x_hi = (p << w) // d, _ceil_div(p << w, d)
-    sq_lo, sq_hi = x_lo * x_lo >> w, _ceil_div(x_hi * x_hi, 1 << w)
+    # a small d steps the chains by the exact u^2 = p^2/d^2, one product and
+    # one division by small integers; a large one by the w-bit square of u
+    small = d.bit_length() <= 32
+    if small:
+        p_sq, d_sq = p * p, d * d
+    else:
+        sq_lo, sq_hi = x_lo * x_lo >> w, _ceil_shift(x_hi * x_hi, w)
     lo = pw_lo = x_lo
     hi = pw_hi = x_hi
     j = 0
     while True:
         j += 1
-        pw_lo = pw_lo * sq_lo >> w
-        pw_hi = _ceil_div(pw_hi * sq_hi, 1 << w)
+        if small:
+            pw_lo = pw_lo * p_sq // d_sq
+            pw_hi = _ceil_div(pw_hi * p_sq, d_sq)
+        else:
+            pw_lo = pw_lo * sq_lo >> w
+            pw_hi = _ceil_shift(pw_hi * sq_hi, w)
         t_hi = _ceil_div(pw_hi, 2 * j + 1)
         if t_hi <= 1:
             # u^2 <= 1/9, so the tail from term j on is <= t_hi / (1 - 1/9) <= 2 t_hi
@@ -321,7 +351,7 @@ def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
         raise ValueError("exponent bracket wider than 1")
     lo, hi = _exp_kernel(f_lo, 1 << w, w)
     # e^(f_hi) = e^(f_lo) e^d with 0 <= d <= 1, and e^d <= 1 + 2d there
-    return n, lo, hi + _ceil_div(hi * 2 * (f_hi - f_lo), 1 << w)
+    return n, lo, hi + _ceil_shift(hi * 2 * (f_hi - f_lo), w)
 
 
 def _pow_kernel(num: int, den: int, e: Fraction, w: int) -> Tuple[int, int, int]:
@@ -553,6 +583,42 @@ def _hurwitz_cutoffs(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
     return max(1, math.ceil(x_min - a)), terms
 
 
+def _least_prime_factors(n: int) -> List[int]:
+    """least[m] is the least prime factor of m for 2 <= m <= n; least[1] = 1."""
+    least = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if least[p] == p:
+            for m in range(p * p, n + 1, p):
+                if least[m] == m:
+                    least[m] = p
+    return least
+
+
+def _hurwitz_terms(s: Fraction, a: Fraction, n_cut: int, w: int) -> List[Tuple[int, int]]:
+    """Bounds lo <= 2^w (k + a)^-s <= hi for k < n_cut.
+
+    At a = 1 the terms m^-s are completely multiplicative, so only m = 1 and
+    the primes take a power kernel: a composite m with least prime factor p
+    is p^-s (m/p)^-s, the floor and the ceiling product of two earlier
+    brackets, which adds at most about one ulp."""
+    an, ad = a.numerator, a.denominator
+    sigma = float(s)
+    least = _least_prime_factors(n_cut) if a == 1 else None
+    terms: List[Tuple[int, int]] = []
+    for k in range(n_cut):
+        base = k * ad + an
+        p = base if least is None else least[base]
+        if p < base:  # base = k + 1, so m's bracket is terms[m - 1]
+            (p_lo, p_hi), (r_lo, r_hi) = terms[p - 1], terms[base // p - 1]
+            terms.append((p_lo * r_lo >> w, _ceil_shift(p_hi * r_hi, w)))
+            continue
+        # a term near 2^-b, b = s log2(k + a), keeps its absolute error with b fewer bits
+        work = max(w - math.floor(sigma * math.log2(base / ad)), 16)
+        n, t_lo, t_hi = _pow_kernel(base, ad, -s, work)
+        terms.append(_rescale(t_lo, t_hi, n + w - work))
+    return terms
+
+
 def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
     """Bounds on 2^w * zeta(s, a) for rational s > 1 and 0 < a <= 1.
 
@@ -563,16 +629,9 @@ def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
     n_cut, terms = _hurwitz_cutoffs(s, a, w)
     sn, sd = s.numerator, s.denominator
     an, ad = a.numerator, a.denominator
-    sigma = float(s)
-    lo = hi = 0
-    for k in range(n_cut):
-        base = k * ad + an
-        # a term near 2^-b, b = s log2(k + a), keeps its absolute error with b fewer bits
-        work = max(w - math.floor(sigma * math.log2(base / ad)), 16)
-        n, t_lo, t_hi = _pow_kernel(base, ad, -s, work)
-        t_lo, t_hi = _rescale(t_lo, t_hi, n + w - work)
-        lo += t_lo
-        hi += t_hi
+    partial = _hurwitz_terms(s, a, n_cut, w)
+    lo = sum(t_lo for t_lo, _ in partial)
+    hi = sum(t_hi for _, t_hi in partial)
     xn = n_cut * ad + an  # X = xn / ad
     q, r = divmod(xn * sd << w, ad * (sn - sd))
     v_lo = q + (1 << (w - 1))

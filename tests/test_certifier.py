@@ -381,15 +381,13 @@ def test_report_bytes_do_not_depend_on_history(n):
 
 
 @pytest.mark.parametrize(
-    "n, prec", [(n, 256) for n in range(2, 9)] + [(9, 64), (64, 64)]
+    "n, prec", [(n, 256) for n in range(2, 9)] + [(9, 64), (64, 64), (2, 1024), (2, 2048)]
 )
 def test_every_enclosure_delivers_the_requested_bits(n, prec):
     """Each recorded enclosure is narrower than 2^-(p - 16) relative to its
-    magnitude, where p is the precision its step was evaluated at."""
+    magnitude, where p is the precision the report was asked for."""
+    floor = prec - 16
     for step in ct.run_case(n, precision_bits=prec).steps:
-        floor = prec - 16
-        if n == 2 and step.id == "degree_threshold":
-            floor = min(prec, ct.RANK2_THRESHOLD_BITS) - 16
         for e in step.enclosures:
             assert (e.hi - e.lo) * 2**floor <= max(abs(e.lo), abs(e.hi)), (step.id, e)
 

@@ -403,6 +403,18 @@ def _mp(r: Fraction):
     return mpmath.mpf(r.numerator) / r.denominator
 
 
+@given(st.integers(min_value=0, max_value=2**4400), st.integers(min_value=1, max_value=2**40),
+       st.integers(min_value=0, max_value=2200))
+@example(0, 1, 0)
+@example(2**2200 + 1, 3, 2200)
+@example(2**64 * 7 - 1, 7, 64)
+def test_ceil_shift_then_divide_is_the_ceiling_quotient(a, k, w):
+    """ceil(ceil(a / 2^w) / k) = ceil(a / (k 2^w)), which lets the kernels
+    replace each division by k 2^w with a shift and a small division."""
+    assert sf._ceil_shift(a, w) == sf._ceil_div(a, 1 << w)
+    assert sf._ceil_div(sf._ceil_shift(a, w), k) == sf._ceil_div(a, k << w)
+
+
 @given(st.fractions(min_value=-1, max_value=1, max_denominator=10**40), kernel_bits)
 @example(Fraction(0), 64)
 @example(Fraction(1, 2), 2100)
@@ -422,8 +434,11 @@ def test_exp_kernel_brackets(f, w):
 @example(Fraction(1, 3), 2100)
 @example(Fraction(-1, 5), 160)
 @example(Fraction(1, 7), 544)
+@example(Fraction(1431655765, 4294967297), 2100)  # d above 2^32: the w-bit square
 @settings(deadline=None)
 def test_atanh_kernel_brackets(u, w):
+    """Both chains, the exact ratio p^2/d^2 for d below 2^32 and the w-bit
+    square of u above it, bracket atanh(u)."""
     lo, hi = sf._atanh_kernel(u.numerator, u.denominator, w)
     _assert_brackets(lo, hi, w, lambda: mpmath.atanh(_mp(u)))
 
@@ -519,6 +534,42 @@ def test_lngamma_kernel_brackets(x, w):
     with mpmath.workprec(w + 64 + abs(hi).bit_length()):
         assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), w) <= hi
     assert hi - lo <= w
+
+
+_ZETA_POINTS = [Fraction(11, 10), Fraction(3, 2), Fraction(11, 5), Fraction(21, 2)]
+_ZETA_BITS = [64, 300, 1100, 2100]
+
+
+@pytest.mark.parametrize("s", _ZETA_POINTS)
+@pytest.mark.parametrize("w", _ZETA_BITS)
+def test_zeta_kernel_brackets_with_prime_only_terms(s, w):
+    """At a = 1 only m = 1 and the primes take a power kernel, and each
+    composite term is a product of two brackets.  The sum still brackets
+    zeta(s), within two ulps per partial-sum term plus 16 for the tail."""
+    n_cut = sf._hurwitz_cutoffs(s, Fraction(1), w)[0]
+    lo, hi = sf._hurwitz_kernel(s, Fraction(1), w)
+    with mpmath.workprec(hi.bit_length() + 64):  # 64 bits below the kernel's ulp
+        assert lo <= mpmath.ldexp(mpmath.zeta(_mp(s)), w) <= hi
+    assert hi - lo <= 2 * n_cut + 16
+
+
+def test_zeta_kernel_runs_power_kernels_for_primes_only(monkeypatch):
+    """zeta(11/5) at w = 2080 runs one power kernel for m = 1, one per prime
+    below the cut-off N and one for the tail X^-s, and builds the tangent
+    table once."""
+    s, w = Fraction(11, 5), 2080
+    n_cut = sf._hurwitz_cutoffs(s, Fraction(1), w)[0]
+    primes = [m for m in range(2, n_cut + 1) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+    monkeypatch.setattr(sf, "_TANGENT_TABLE", ())
+    sf._em_coefficient.cache_clear()
+    sf.bernoulli_number.cache_clear()
+    pow_calls = mock.Mock(wraps=sf._pow_kernel)
+    builds = mock.Mock(wraps=sf._tangent_numbers)
+    monkeypatch.setattr(sf, "_pow_kernel", pow_calls)
+    monkeypatch.setattr(sf, "_tangent_numbers", builds)
+    sf._hurwitz_kernel(s, Fraction(1), w)
+    assert pow_calls.call_count == len(primes) + 2
+    assert builds.call_count == 1
 
 
 # Cut-offs far below the request widen a bracket but must keep it sound: the
