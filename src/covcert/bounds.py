@@ -24,7 +24,6 @@ only and never feed back into a comparison.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -40,6 +39,7 @@ from .numberfields import (
 )
 from .specfun import (
     _dyadic,
+    _least_prime_factors,
     _log_fixed,
     _log_pi,
     _log_point,
@@ -123,13 +123,9 @@ ZETA_PRODUCT_UPPER = Fraction(183, 100)
 
 def _prime_powers(limit: int) -> List[Tuple[int, int]]:
     """(m, k) for every prime power m = p^k <= limit."""
-    is_prime = bytearray([1]) * (limit + 1)
-    is_prime[:2] = b"\0\0"
-    for i in range(2, math.isqrt(limit) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    least = _least_prime_factors(limit)
     powers = []
-    for p in itertools.compress(range(limit + 1), is_prime):
+    for p in [m for m in range(2, limit + 1) if least[m] == m]:
         m, k = p, 1
         while m <= limit:
             powers.append((m, k))

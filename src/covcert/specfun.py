@@ -224,24 +224,14 @@ def _atanh_kernel(p: int, d: int, w: int) -> Tuple[int, int]:
         return -hi, -lo
     # floor chain of the powers u^(2j+1) from x_lo <= 2^w u, ceiling chain above
     x_lo, x_hi = (p << w) // d, _ceil_div(p << w, d)
-    # a small d steps the chains by the exact u^2 = p^2/d^2, one product and
-    # one division by small integers; a large one by the w-bit square of u
-    small = d.bit_length() <= 32
-    if small:
-        p_sq, d_sq = p * p, d * d
-    else:
-        sq_lo, sq_hi = x_lo * x_lo >> w, _ceil_shift(x_hi * x_hi, w)
+    sq_lo, sq_hi = x_lo * x_lo >> w, _ceil_shift(x_hi * x_hi, w)
     lo = pw_lo = x_lo
     hi = pw_hi = x_hi
     j = 0
     while True:
         j += 1
-        if small:
-            pw_lo = pw_lo * p_sq // d_sq
-            pw_hi = _ceil_div(pw_hi * p_sq, d_sq)
-        else:
-            pw_lo = pw_lo * sq_lo >> w
-            pw_hi = _ceil_shift(pw_hi * sq_hi, w)
+        pw_lo = pw_lo * sq_lo >> w
+        pw_hi = _ceil_shift(pw_hi * sq_hi, w)
         t_hi = _ceil_div(pw_hi, 2 * j + 1)
         if t_hi <= 1:
             # u^2 <= 1/9, so the tail from term j on is <= t_hi / (1 - 1/9) <= 2 t_hi
@@ -586,11 +576,12 @@ def _hurwitz_cutoffs(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
 def _least_prime_factors(n: int) -> List[int]:
     """least[m] is the least prime factor of m for 2 <= m <= n; least[1] = 1."""
     least = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if least[p] == p:
-            for m in range(p * p, n + 1, p):
-                if least[m] == m:
-                    least[m] = p
+    root = math.isqrt(n)
+    below = _least_prime_factors(root) if root > 1 else []
+    # the primes up to sqrt(n), largest first, so the least one is written last
+    for p in range(root, 1, -1):
+        if below[p] == p:
+            least[p * p :: p] = [p] * len(range(p * p, n + 1, p))
     return least
 
 
