@@ -436,10 +436,12 @@ def test_exp_kernel_brackets(f, w):
 @example(Fraction(-1, 5), 160)
 @example(Fraction(1, 7), 544)
 # few terms leave the tail bound little slack: at these arguments an upper
-# chain that floored its products would fall below 2^w atanh(u)
+# chain that floored its products, or its square of u, would fall below
+# 2^w atanh(u)
 @example(Fraction(1, 67), 36)
 @example(Fraction(10, 53), 12)
 @example(Fraction(14653, 211194), 32)
+@example(Fraction(1, 32), 9)
 @settings(deadline=None)
 def test_atanh_kernel_brackets(u, w):
     lo, hi = sf._atanh_kernel(u.numerator, u.denominator, w)
