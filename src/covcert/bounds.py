@@ -27,8 +27,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from .report import MAX_RANK, InputError
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
@@ -59,7 +61,7 @@ class NonPositiveT(ValueError):
     """Rank-2 threshold parameter t must be positive."""
 
 
-class MalformedTable(ValueError):
+class MalformedTable(InputError):
     """Bound-pair table does not parse."""
 
 
@@ -89,9 +91,6 @@ def f_n(n: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # reference covolume constants
-
-
-MAX_RANK = 64
 
 
 @lru_cache(maxsize=None)
@@ -473,12 +472,18 @@ def n2_D_bound(d: int, precision_bits: int = 256) -> Interval:
 
 
 def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
-    """Load the vendored (A, E) table: CSV rows of exact decimal strings."""
-    from pathlib import Path
-
+    """The (A, E) table at ``path``, by default ``odlyzko.csv`` of the data
+    directory: CSV rows of exact decimal strings."""
     p = Path(path) if path else data_dir() / "odlyzko.csv"
+    return _table_at(p.resolve())
+
+
+@lru_cache(maxsize=4)
+def _table_at(path: Path) -> Tuple[OdlyzkoPair, ...]:
+    # keyed on the resolved path, as numberfields._catalog_at; a file that
+    # fails to load raises again on the next call, since errors are not cached
     pairs: List[OdlyzkoPair] = []
-    for lineno, (A, E) in data_fields(read_data_file(p), ",", 2, MalformedTable):
+    for lineno, (A, E) in data_fields(read_data_file(path), ",", 2, MalformedTable):
         try:
             pairs.append(OdlyzkoPair(Fraction(A), Fraction(E)))
         except (ValueError, ZeroDivisionError) as exc:

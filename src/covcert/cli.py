@@ -10,17 +10,49 @@ Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
 3 data missing or malformed, a bound-pair table with no row for the search,
 a report that does not parse, or an unsupported field operation, 4 an
 unresolved tie at maximum precision.
+
+Only ``report`` is imported eagerly.  The seven proof layers are bound with
+``importlib.util.LazyLoader``: each is registered in ``sys.modules`` and on
+the ``covcert`` package as usual, but its body runs on the first attribute
+access.  So ``verify`` executes ``report.py`` alone, while ``prove``,
+``optimize`` and ``field`` load what they use when they first use it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import sys
 from pathlib import Path
 from typing import Optional
 
-from . import bounds, certifier, numberfields, optimizer, report
+from . import report
+
+
+def _lazy(name: str):
+    """Module covcert.<name>, registered now and executed on first attribute access."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# all seven are registered, as an eager import would: the tests and the
+# benchmark's tracer find every layer in sys.modules after importing cli
+rigor = _lazy("rigor")
+specfun = _lazy("specfun")
+numberfields = _lazy("numberfields")
+bounds = _lazy("bounds")
+localfactors = _lazy("localfactors")
+optimizer = _lazy("optimizer")
+certifier = _lazy("certifier")
 
 EXIT_OK = 0
 EXIT_STEP_FAILED = 2
@@ -78,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     prove = sub.add_parser("prove", help="run the pipeline for one or all ranks")
     prove.add_argument(
         "--n",
-        type=_int_between(2, bounds.MAX_RANK),
+        type=_int_between(2, report.MAX_RANK),
         default=None,
-        help=f"rank to certify (2 to {bounds.MAX_RANK})",
+        help=f"rank to certify (2 to {report.MAX_RANK})",
     )
     prove.add_argument(
         "--all", action="store_true", help="certify every rank from 2 to 8"
@@ -184,13 +216,10 @@ _COMMANDS = {
     "prove": _cmd_prove, "optimize": _cmd_optimize, "verify": _cmd_verify, "field": _cmd_field,
 }
 
-# bad input ends the command with exit 3 and one line on stderr, not a traceback
-_DATA_ERRORS = (
-    FileNotFoundError, IsADirectoryError, report.SchemaMismatch, bounds.MalformedTable,
-    numberfields.MalformedCatalog, numberfields.InvariantViolation,
-    numberfields.UnsupportedField, numberfields.UnsupportedArgument,
-    optimizer.NoFeasiblePoint, optimizer.EmptyTable,
-)
+# bad input ends the command with exit 3 and one line on stderr, not a
+# traceback; every layer's input error subclasses report.InputError, so
+# naming them here loads no layer
+_DATA_ERRORS = (FileNotFoundError, IsADirectoryError, report.InputError)
 
 
 def main(argv=None) -> int:

@@ -18,29 +18,30 @@ from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type,
 )
 
+from .report import InputError
 from .rigor import Interval, Rational
 from . import specfun
 from .specfun import dirichlet_L_even_coeff, pi_enclosure, sqrt_enclosure, zeta_even_exact
 
 
-class MalformedCatalog(ValueError):
+class MalformedCatalog(InputError):
     """Catalog stream does not parse."""
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(InputError):
     """A catalog record violates a structural invariant."""
 
 
-class UnsupportedField(ValueError):
+class UnsupportedField(InputError):
     """Operation requested for a field outside its supported set."""
 
 
-class UnsupportedArgument(ValueError):
+class UnsupportedArgument(InputError):
     """Zeta argument outside the supported set."""
 
 
 # ---------------------------------------------------------------------------
-# polynomials with exact rational arithmetic (coefficients ascending)
+# polynomials with integer coefficients (ascending)
 
 
 def poly_eval(coeffs: Sequence[int], x: Fraction) -> Fraction:
@@ -50,42 +51,52 @@ def poly_eval(coeffs: Sequence[int], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_derivative(coeffs: Sequence[Fraction]) -> List[Fraction]:
-    return [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
+def poly_derivative(coeffs: Sequence[int]) -> List[int]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
+def _poly_trim(p: List[int]) -> List[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_rem(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """|lc(b)|^(deg a - deg b + 1) rem(a, b), with integer coefficients.
+
+    Every quotient coefficient of the scaled division is an integer (the
+    pseudo-division theorem), so each step's floor division is exact.
+    """
+    lc = b[-1]
+    r = [c * abs(lc) ** (len(a) - len(b) + 1) for c in a]
+    while len(r) >= len(b):
+        q = r[-1] // lc
+        shift = len(r) - len(b)
         for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
+            r[shift + i] -= q * c
+        _poly_trim(r)
+    return r
 
 
-def sturm_chain(coeffs: Sequence[int]) -> List[List[Fraction]]:
-    """Sturm chain p, p', -rem(p, p'), ... of a squarefree integer polynomial."""
-    p0 = _poly_trim([Fraction(c) for c in coeffs])
+def sturm_chain(coeffs: Sequence[int]) -> List[List[int]]:
+    """Sturm chain of a squarefree integer polynomial, in integers.
+
+    The entries are p, p' and then -prem(p_{i-1}, p_i) divided by its
+    content.  Each is a positive multiple of the rational chain p, p',
+    -rem(p, p'), ..., so every sign, and every sign count, is the same.
+    """
+    p0 = _poly_trim(list(coeffs))
     chain = [p0, _poly_trim(poly_derivative(p0))]
     while chain[-1]:
-        rem = _poly_rem(chain[-2], chain[-1])
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
+        content = math.gcd(*rem)
+        chain.append([-c // content for c in rem])
     return chain
 
 
-def sign_changes(chain: Sequence[Sequence[Fraction]], at) -> int:
+def sign_changes(chain: Sequence[Sequence[int]], at) -> int:
     """Sign changes along a Sturm chain at a rational point or at +-math.inf.
 
     For a < b, sign_changes(chain, a) - sign_changes(chain, b) is the number

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from .report import InputError
 from .rigor import Comparison, Interval, Rational, iv_compare
 from .bounds import (
     DenominatorNotPositive,
@@ -26,11 +27,11 @@ from .bounds import (
 )
 
 
-class EmptyTable(ValueError):
+class EmptyTable(InputError):
     """The bound-pair table is empty."""
 
 
-class NoFeasiblePoint(ValueError):
+class NoFeasiblePoint(InputError):
     """No grid point satisfies the feasibility conditions."""
 
 

@@ -19,6 +19,10 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
+# the highest rank the prover certifies; defined here, with no covcert
+# import, so that the command line can state it without loading the prover
+MAX_RANK = 64
+
 FINAL_CONCLUSION = "Sp_{2n}(Z) uniquely minimal (mod axioms)"
 
 AXIOMS = {
@@ -36,7 +40,12 @@ AXIOMS = {
 }
 
 
-class SchemaMismatch(ValueError):
+class InputError(ValueError):
+    """Bad input: a data file, catalog, table, report or request that the
+    command cannot use.  The command line ends with exit 3 on any subclass."""
+
+
+class SchemaMismatch(InputError):
     """Report schema version is not supported."""
 
 

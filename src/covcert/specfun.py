@@ -761,7 +761,9 @@ def alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
         raise ArgumentNotGreaterThanOne(f"alpha requested at {s}")
     half = Interval.exact(sp / 2)
     numerator = exp_enclosure(half * _log_pi(precision_bits), precision_bits)
-    denom = gamma_enclosure(half, precision_bits) * zeta_real_enclosure(s, precision_bits)
+    # zeta first: its Euler-Maclaurin cut-off asks for more Bernoulli numbers
+    # than Stirling's, so the tangent table is built once, at the larger size
+    denom = zeta_real_enclosure(s, precision_bits) * gamma_enclosure(half, precision_bits)
     return (numerator / denom).coarsen(precision_bits + 8)
 
 

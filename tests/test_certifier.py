@@ -13,7 +13,7 @@ import pytest
 import covcert
 from covcert import bounds
 from covcert import certifier as ct
-from covcert import cli, numberfields, optimizer, specfun
+from covcert import cli, numberfields, optimizer, report, specfun
 from covcert.bounds import OdlyzkoPair
 from covcert.rigor import Interval
 
@@ -592,16 +592,25 @@ def test_cli_bad_input(env, argv, bad_data, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch):
-    """Each load hashes and parses one read; a changed data directory is read afresh."""
-    opened = []
+@pytest.fixture
+def opened(monkeypatch):
+    """Names of the files opened through ``Path.open`` during the test."""
+    names = []
     real_open = Path.open
 
     def counting_open(self, *args, **kwargs):
-        opened.append(self.name)
+        names.append(self.name)
         return real_open(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", counting_open)
+    return names
+
+
+def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch, opened):
+    """Each load hashes and parses one read, once per path; a changed data
+    directory is read afresh."""
+    bounds._table_at.cache_clear()
+    bounds.load_odlyzko_table()
     bounds.load_odlyzko_table()
     assert opened.count("odlyzko.csv") == 1
     numberfields.default_catalog()
@@ -610,6 +619,71 @@ def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch):
     with pytest.raises(numberfields.InvariantViolation):
         numberfields.default_catalog()
     assert opened.count("fields.catalog") == 1
+
+
+def test_prove_all_reads_the_table_once(bad_data, opened, capsysbinary):
+    """``prove --all`` reads the bound-pair table once for its seven ranks; a
+    malformed table is not cached and exits 3 on every attempt."""
+    bounds._table_at.cache_clear()
+    assert cli.main(["prove", "--all", "--precision", str(PREC)]) == cli.EXIT_OK
+    assert opened.count("odlyzko.csv") == 1
+    malformed = ["prove", "--n", "3", "--odlyzko", f"{bad_data['tmp']}/malformed"]
+    assert cli.main(malformed) == cli.main(malformed) == cli.EXIT_DATA_MISSING
+    assert capsysbinary.readouterr().err.count(b"MalformedTable") == 2
+
+
+def test_input_errors_share_one_base():
+    """Every input error is a ``report.InputError``, which the CLI maps to exit
+    3 without naming a layer; a tampered report is not one and exits 2."""
+    errors = [
+        ct.SchemaMismatch, bounds.MalformedTable, numberfields.MalformedCatalog,
+        numberfields.InvariantViolation, numberfields.UnsupportedField,
+        numberfields.UnsupportedArgument, optimizer.NoFeasiblePoint, optimizer.EmptyTable,
+    ]
+    assert all(issubclass(error, report.InputError) for error in errors)
+    assert issubclass(report.InputError, ValueError)
+    assert not issubclass(ct.TamperDetected, report.InputError)
+
+
+VERIFY_PROBE = """
+import json, sys, types
+from covcert import cli
+layers = ["rigor", "specfun", "numberfields", "bounds", "localfactors", "optimizer", "certifier"]
+
+def executed():
+    return [name for name in layers if type(sys.modules[f"covcert.{name}"]) is types.ModuleType]
+
+results = [(cli.main(["verify", path]), executed()) for path in sys.argv[1:]]
+results.append((cli.main(["prove", "--n", "4", "--precision", "64"]), executed()))
+print(json.dumps(results))
+"""
+
+
+def test_verify_executes_no_layer(cert_by_rank, tmp_path):
+    """``verify`` runs ``report.py`` alone: on an honest, a tampered and a
+    malformed report every proof layer stays registered but unexecuted.
+    ``prove`` in the same process executes every layer but the search."""
+    honest = tmp_path / "honest.json"
+    honest.write_bytes(ct.emit_report(cert_by_rank[4]))
+    doc = json.loads(honest.read_bytes())
+    _step(doc, "high_rank_conclusion")["verdict"] = "Failed"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    src = str(Path(covcert.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", VERIFY_PROBE, str(honest), str(tampered), str(malformed)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout.splitlines()
+    results = json.loads(out[-1])
+    assert results[:3] == [[0, []], [2, []], [3, []]]
+    assert results[3] == [0, ["rigor", "specfun", "numberfields", "bounds", "localfactors",
+                              "certifier"]]
 
 
 def test_proof_does_not_import_the_search():
@@ -628,7 +702,8 @@ def test_proof_does_not_import_the_search():
 
 
 def test_cli_import_graph():
-    """``import covcert.cli`` loads all eight layers and none of dataclasses, inspect, hashlib."""
+    """``import covcert.cli`` registers all eight layers and loads none of
+    dataclasses, inspect, hashlib."""
     layers = ["rigor", "specfun", "numberfields", "bounds", "optimizer", "localfactors",
               "certifier", "cli"]
     probe = (

@@ -76,6 +76,8 @@ def test_load_catalog_errors():
         nf.load_catalog(b"a|2|5|1|-1,-1,2")  # non-monic
     with pytest.raises(nf.InvariantViolation):
         nf.load_catalog(b"a|2|5|1|1,0,1")  # not totally real
+    with pytest.raises(nf.InvariantViolation, match="not totally real"):
+        nf.load_catalog(b"5.1.1.1|5|1|1|1,-5,0,0,0,1")  # a quintic with three real roots
     with pytest.raises(nf.InvariantViolation):
         nf.load_catalog(b"a|1|5|1|0,1")  # rational field invariants
     with pytest.raises(nf.InvariantViolation, match="discriminant 3136"):
@@ -176,20 +178,27 @@ def test_cubic_unit_signs_against_mpmath():
     assert signs == expected
 
 
+# x^4 + x - 3, x^4 + 3x + 3 and x^4 + 3x - 5: p' leaves a remainder of degree
+# 1, so the next pseudo-remainder scales by |lc|^3, an odd power whose sign
+# matters; x^5 - 5x + 1 is a quintic with three real roots
+_NOT_TOTALLY_REAL = [(-3, 1, 0, 0, 1), (3, 3, 0, 0, 1), (-5, 3, 0, 0, 1), (1, -5, 0, 0, 0, 1)]
+
+
 def test_sturm_counts_in_intervals_against_sympy(catalog):
     """Roots in (a, b] from Sturm sign changes, against sympy's exact real roots."""
     x = sympy.symbols("x")
     cuts = [-5, -2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(3, 2), 2, 5]
-    for f in catalog:
-        chain = nf.sturm_chain(f.polynomial)
-        roots = sympy.Poly(list(reversed(f.polynomial)), x).real_roots()
+    for poly in [f.polynomial for f in catalog] + _NOT_TOTALLY_REAL:
+        chain = nf.sturm_chain(poly)
+        roots = sympy.Poly(list(reversed(poly)), x).real_roots()
         above = {c: sum(1 for r in roots if r > c) for c in cuts}  # roots in (c, inf)
         for i, a in enumerate(cuts):
             for b in cuts[i + 1:]:
                 expected = above[a] - above[b]
                 count = nf.sign_changes(chain, a) - nf.sign_changes(chain, b)
-                assert count == expected, (f.label, a, b)
-        assert nf.sturm_real_root_count(f.polynomial) == f.degree, f.label
+                assert count == expected, (poly, a, b)
+        assert nf.sturm_real_root_count(poly) == len(roots), poly
+    assert all(nf.sturm_real_root_count(f.polynomial) == f.degree for f in catalog)
     assert nf.sturm_real_root_count((1, 0, 1)) == 0  # x^2 + 1
     assert nf.sturm_real_root_count((-2, 0, 1)) == 2  # x^2 - 2
 

@@ -587,6 +587,20 @@ def test_zeta_kernel_runs_power_kernels_for_primes_only(monkeypatch):
     assert builds.call_count == 1
 
 
+def test_alpha_builds_the_tangent_table_once(monkeypatch):
+    """alpha(11/5) at 2048 bits, from an empty table and cold caches, builds
+    the tangent table once: zeta(s), whose Euler-Maclaurin cut-off needs the
+    larger index, runs before Gamma(s/2), whose Stirling cut-off fits in it."""
+    monkeypatch.setattr(sf, "_TANGENT_TABLE", ())
+    monkeypatch.setattr(sf, "_POINT_CACHE", {})
+    sf._em_coefficient.cache_clear()
+    sf.bernoulli_number.cache_clear()
+    builds = mock.Mock(wraps=sf._tangent_numbers)
+    monkeypatch.setattr(sf, "_tangent_numbers", builds)
+    sf.alpha_enclosure(Interval.exact(Fraction(11, 5)), 2048)
+    assert builds.call_count == 1
+
+
 # Cut-offs far below the request widen a bracket but must keep it sound: the
 # remainder bounds hold for every N, M, K and shift, not only the derived ones.
 
