@@ -16,18 +16,34 @@ Only ``report`` is imported eagerly.  The seven proof layers are bound with
 the ``covcert`` package as usual, but its body runs on the first attribute
 access.  So ``verify`` executes ``report.py`` alone, while ``prove``,
 ``optimize`` and ``field`` load what they use when they first use it.
+
+``covcert verify PATH`` builds no parser: when the arguments are exactly
+``verify`` and a path that does not start with ``-``, ``main`` calls the
+verify command directly, and ``argparse`` (with ``gettext`` and ``locale``)
+is never imported.  Every other command line goes through ``build_parser``,
+so every help text and usage error is argparse's own.
+
+``run`` is the process entry point (``python -m covcert.cli`` and the
+installed ``covcert`` script).  It flushes stdout and stderr after ``main``
+returns and then ends the process with ``os._exit``, skipping interpreter
+teardown: finalizing the modules that site hooks import costs more than
+the check itself.  ``main`` is the in-process API and returns the exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import math
+import os
 import sys
+import types
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import report
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _lazy(name: str):
@@ -60,11 +76,18 @@ EXIT_DATA_MISSING = 3
 EXIT_TIE = 4
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's error for a bad argument value; only parsing imports argparse."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        raise _type_error(f"invalid integer {text!r}") from None
 
 
 def _int_between(minimum: int, maximum: Optional[int] = None):
@@ -73,9 +96,9 @@ def _int_between(minimum: int, maximum: Optional[int] = None):
     def parse(text: str) -> int:
         value = _integer(text)
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise _type_error(f"must be at least {minimum}, got {value}")
         if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+            raise _type_error(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -85,7 +108,7 @@ def _prime(text: str) -> int:
     """argparse type: a prime below 2^32, checked by trial division."""
     p = _integer(text)
     if not 2 <= p < 1 << 32 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-        raise argparse.ArgumentTypeError(f"must be a prime below 2^32, got {p}")
+        raise _type_error(f"must be a prime below 2^32, got {p}")
     return p
 
 
@@ -101,6 +124,8 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="covcert",
         description="certified verification of minimal-covolume lattice bounds",
@@ -223,7 +248,12 @@ _DATA_ERRORS = (FileNotFoundError, IsADirectoryError, report.InputError)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "verify" and not argv[1].startswith("-"):
+        # the re-checker's command line, which argparse would parse the same way
+        args = types.SimpleNamespace(command="verify", report=argv[1])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except _DATA_ERRORS as exc:
@@ -231,5 +261,22 @@ def main(argv=None) -> int:
         return EXIT_DATA_MISSING
 
 
+def run() -> None:
+    """Run ``main`` on the process's arguments and exit with its code.
+
+    A returned code ends the process without interpreter teardown, once
+    stdout and stderr are flushed.  A ``SystemExit`` (help, usage errors) or
+    an uncaught exception leaves the normal way, and so does a flush that
+    fails, e.g. on a closed pipe, so the interpreter reports it as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,6 +15,7 @@ import json
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 SCHEMA_VERSION = 1
@@ -37,6 +38,56 @@ AXIOMS = {
     "lattice",
     "A5": "existence of a lattice of minimal covolume in the ambient "
     "group",
+}
+
+
+# The steps that a proof of each rank class consists of, in the order the
+# prover records them, each with the steps it depends on.  Ranks 4 to
+# MAX_RANK share one plan.  A report whose steps all hold verifies as Proved
+# only when its steps and edges are exactly its class's plan: a consistent
+# subset of a proof proves nothing.
+_GLOBAL_AXIOMS = {"A5": (), "A4": (), "A3": ()}
+STEP_PLANS: Dict[int, Dict[str, Tuple[str, ...]]] = {
+    2: {
+        **_GLOBAL_AXIOMS,
+        "degree_threshold": ("A3",),
+        "discriminant_cutoffs": ("degree_threshold",),
+        "refined_cutoffs": ("discriminant_cutoffs",),
+        "quotient_d3_D49": ("refined_cutoffs",),
+        "verdict_d3_D49": ("quotient_d3_D49",),
+        "quotient_d2_D8": ("refined_cutoffs",),
+        "verdict_d2_D8": ("quotient_d2_D8",),
+        "quotient_d2_D5": ("refined_cutoffs",),
+        "verdict_d2_D5": ("quotient_d2_D5",),
+        "local_nonspecial_factor": (),
+        "local_T_values": (),
+        "local_exclusion_0": ("local_T_values",),
+        "local_exclusion_1": ("local_T_values",),
+        "local_exclusion_2": ("local_T_values",),
+        "A1": ("local_T_values",),
+        "A2": (),
+    },
+    3: {
+        **_GLOBAL_AXIOMS,
+        "degree_threshold": ("A3",),
+        "discriminant_cutoffs": ("degree_threshold",),
+        "refined_cutoffs": ("discriminant_cutoffs",),
+        "quotient_d2_D5": ("refined_cutoffs",),
+        "verdict_d2_D5": ("quotient_d2_D5",),
+        "local_special_factor": (),
+        "local_nonspecial_factor": (),
+        "A2": (),
+    },
+    4: {
+        **_GLOBAL_AXIOMS,
+        "feasible_pair": ("A3",),
+        "inner_factor_ge_one": ("feasible_pair",),
+        "zeta_product_bound": (),
+        "high_rank_conclusion": ("inner_factor_ge_one", "zeta_product_bound", "A4"),
+        "local_special_factor": (),
+        "local_nonspecial_factor": (),
+        "A2": (),
+    },
 }
 
 
@@ -238,6 +289,28 @@ def _parse_interval(pair) -> Enclosure:
         raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
+def _check_plan(doc) -> None:
+    """TamperDetected unless a parsed report records its rank class's plan,
+    step for step and edge for edge, with field labels, claims and anchors
+    that are strings."""
+    rank = doc["rank"]
+    if not 2 <= rank <= MAX_RANK:
+        raise TamperDetected(f"rank {rank} is outside 2..{MAX_RANK}")
+    recorded = [(s["id"], tuple(s["dependencies"])) for s in doc["steps"]]
+    for step, planned in zip_longest(recorded, STEP_PLANS[min(rank, 4)].items()):
+        if step != planned:
+            raise TamperDetected(f"rank {rank} proof records step {step} where its plan has {planned}")
+    surviving = doc.get("surviving_fields_after_global")
+    if not isinstance(surviving, list) or not all(isinstance(x, str) for x in surviving):
+        raise TamperDetected(
+            f"surviving_fields_after_global {surviving!r:.80} is not a list of field labels"
+        )
+    for s in doc["steps"]:
+        for key in ("claim", "anchor"):
+            if not isinstance(s.get(key), str):
+                raise TamperDetected(f"step {s['id']}: {key} {s.get(key)!r:.80} is not a string")
+
+
 def verify_report(stream: bytes) -> str:
     """Re-check every recorded comparison of a JSON report.
 
@@ -248,7 +321,12 @@ def verify_report(stream: bytes) -> str:
     step's) and TamperDetected for one whose contents contradict themselves
     or do not amount to a proof (no steps, a step whose verdict is not
     ``step_verdict`` of its re-checked comparisons, a repeated step id, an
-    axiom step that does not state its axiom).  Only exact rational
+    axiom step that does not state its axiom).  A report whose steps all
+    hold is checked against ``STEP_PLANS`` once every step has parsed: a
+    rank outside 2..MAX_RANK, a missing, extra or reordered step, a changed
+    dependency, surviving fields that are not a list of labels, or a claim
+    or anchor that is not a string raises TamperDetected.  A report with a step that
+    does not hold is NotProved whatever its plan.  Only exact rational
     arithmetic is used, so verification is cheap.
     """
     try:
@@ -323,4 +401,6 @@ def verify_report(stream: bytes) -> str:
         raise TamperDetected("all steps hold but the conclusion is absent")
     if not all_ok and conclusion == FINAL_CONCLUSION:
         raise TamperDetected("conclusion recorded despite a failed step")
+    if all_ok:
+        _check_plan(doc)
     return "Proved" if all_ok else "NotProved"

@@ -1,8 +1,10 @@
 """End-to-end tests for the certificate pipeline, serialization, and CLI."""
 
 import ast
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -184,9 +186,62 @@ def _failed_with_overlap(doc):
     doc["final_conclusion"] = ""
 
 
+def _cut_to_two_steps(doc):
+    doc["steps"] = [_step(doc, "A5"), _step(doc, "local_T_values")]
+    doc["surviving_fields_after_global"] = ["1.1.1.1"]
+
+
+def _step_added(doc):
+    extra = dict(_step(doc, "verdict_d2_D5"), id="verdict_d2_D13")
+    doc["steps"].insert(len(doc["steps"]) - 1, extra)
+
+
+def _edge_dropped(doc):
+    _step(doc, "refined_cutoffs")["dependencies"] = []
+
+
+def _axioms_reordered(doc):
+    doc["steps"][0], doc["steps"][1] = doc["steps"][1], doc["steps"][0]
+
+
+def _rank_outside_plans(doc):
+    doc["rank"] = 99
+
+
+def _rank_of_another_class(doc):
+    doc["rank"] = 3
+
+
+def _survivors_not_labels(doc):
+    doc["surviving_fields_after_global"] = [1]
+
+
+def _claim_not_string(doc):
+    _step(doc, "degree_threshold")["claim"] = 5
+
+
+def _anchor_null(doc):
+    _step(doc, "degree_threshold")["anchor"] = None
+
+
+def _cut_and_unknown_verdict(doc):
+    _cut_to_two_steps(doc)
+    doc["steps"].append(dict(doc["steps"][-1], id="extra", verdict="Plausible"))
+
+
 @pytest.mark.parametrize(
     "mutate, error",
     [
+        (_cut_to_two_steps, ct.TamperDetected),
+        (_step_added, ct.TamperDetected),
+        (_edge_dropped, ct.TamperDetected),
+        (_axioms_reordered, ct.TamperDetected),
+        (_rank_outside_plans, ct.TamperDetected),
+        (_rank_of_another_class, ct.TamperDetected),
+        (_survivors_not_labels, ct.TamperDetected),
+        (_claim_not_string, ct.TamperDetected),
+        (_anchor_null, ct.TamperDetected),
+        (_cut_and_unknown_verdict, ct.SchemaMismatch),
         (_no_steps, ct.TamperDetected),
         (_proved_without_comparisons, ct.TamperDetected),
         (_duplicate_step, ct.TamperDetected),
@@ -208,6 +263,62 @@ def test_verify_rejects_forged_and_malformed(cert_by_rank, mutate, error):
     mutate(doc)
     with pytest.raises(error):
         ct.verify_report(json.dumps(doc).encode())
+
+
+def test_verify_rejects_forged_rank9_reports():
+    """Forgeries of a rank-9 report that hold step by step but prove
+    nothing: two steps with their dependencies emptied, then also rank 99
+    and surviving fields 7; and the whole report with surviving fields 7
+    and a numeric claim and no anchor on its conclusion."""
+    honest = json.loads(ct.emit_report(ct.run_case(9, precision_bits=64)))
+    cut = json.loads(json.dumps(honest))
+    cut["steps"] = [_step(cut, "A5"), _step(cut, "zeta_product_bound")]
+    for step in cut["steps"]:
+        step["dependencies"] = []
+    relabelled = dict(cut, rank=99, surviving_fields_after_global=7)
+    conclusion_edited = json.loads(json.dumps(honest))
+    conclusion_edited["surviving_fields_after_global"] = 7
+    _step(conclusion_edited, "high_rank_conclusion").update(claim=5, anchor=None)
+    for doc in (cut, relabelled, conclusion_edited):
+        with pytest.raises(ct.TamperDetected):
+            ct.verify_report(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize(
+    "n, bits",
+    [(n, bits) for bits in (16, 256) for n in (2, 3, 4, 9, 64)] + [(2, 2048), (3, 2048), (4, 2048)],
+)
+def test_honest_reports_follow_the_plan(n, bits):
+    """run_case records its rank class's plan: every step, edge and order."""
+    cert = ct.run_case(n, precision_bits=bits)
+    plan = report.STEP_PLANS[min(n, 4)]
+    assert [(s.id, s.dependencies) for s in cert.steps] == list(plan.items())
+    assert ct.verify_report(ct.emit_report(cert)) == "Proved"
+
+
+def test_verify_corpus_keeps_its_exit_codes(cert_by_rank, tmp_path, capsys):
+    """Every variant kind of the benchmark's verify corpus gets its documented
+    exit code: 0 honest, 2 tampered or forged, 3 malformed or crashing."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("verify_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    expected = {kind: corpus.EXIT_TAMPERED for kind in corpus.TAMPERED + corpus.FORGED}
+    expected.update({kind: corpus.EXIT_MALFORMED for kind in corpus.MALFORMED + corpus.CRASHING})
+    reports = [ct.emit_report(cert) for cert in cert_by_rank.values()]
+    reports.append(ct.emit_report(ct.run_case(9, precision_bits=64)))
+    for i, honest in enumerate(reports):
+        target = tmp_path / f"honest{i}.json"
+        target.write_bytes(honest)
+        assert cli.main(["verify", str(target)]) == corpus.EXIT_OK
+        for kind, code in expected.items():
+            for seed in range(3):
+                data = corpus.variant(kind, honest, random.Random(seed))
+                target = tmp_path / f"{kind.__name__}{i}_{seed}.json"
+                if data is not corpus.MISSING:
+                    target.write_bytes(data)
+                assert cli.main(["verify", str(target)]) == code, (kind.__name__, i, seed)
+    capsys.readouterr()
 
 
 def test_global_stage_quotients_are_exact(cert_by_rank):
@@ -654,6 +765,7 @@ def executed():
     return [name for name in layers if type(sys.modules[f"covcert.{name}"]) is types.ModuleType]
 
 results = [(cli.main(["verify", path]), executed()) for path in sys.argv[1:]]
+results.append([name for name in ("argparse", "gettext", "locale") if name in sys.modules])
 results.append((cli.main(["prove", "--n", "4", "--precision", "64"]), executed()))
 print(json.dumps(results))
 """
@@ -661,8 +773,9 @@ print(json.dumps(results))
 
 def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     """``verify`` runs ``report.py`` alone: on an honest, a tampered and a
-    malformed report every proof layer stays registered but unexecuted.
-    ``prove`` in the same process executes every layer but the search."""
+    malformed report every proof layer stays registered but unexecuted, and
+    argparse, gettext and locale are not imported.  ``prove`` in the same
+    process executes every layer but the search."""
     honest = tmp_path / "honest.json"
     honest.write_bytes(ct.emit_report(cert_by_rank[4]))
     doc = json.loads(honest.read_bytes())
@@ -681,9 +794,53 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
         timeout=120,
     ).stdout.splitlines()
     results = json.loads(out[-1])
-    assert results[:3] == [[0, []], [2, []], [3, []]]
-    assert results[3] == [0, ["rigor", "specfun", "numberfields", "bounds", "localfactors",
+    assert results[:4] == [[0, []], [2, []], [3, []], []]
+    assert results[4] == [0, ["rigor", "specfun", "numberfields", "bounds", "localfactors",
                               "certifier"]]
+
+
+PROCESS_ARGV = [
+    (["verify", "{honest}"], 0),
+    (["verify", "{tampered}"], 2),
+    (["verify", "{malformed}"], 3),
+    (["verify", "{missing}"], 3),
+    (["verify"], 2),
+    (["verify", "-h"], 0),
+    (["verify", "{honest}", "{honest}"], 2),
+    (["verify", "--", "-x"], 3),
+    (["prove", "--n", "4", "--format", "json"], 0),
+]
+
+
+def test_process_entry_matches_main(cert_by_rank, tmp_path, monkeypatch, capsysbinary):
+    """A ``python -m covcert.cli`` process gives the exit code, stdout and
+    stderr of ``cli.main`` in this process, for the ``verify`` shortcut, the
+    parser's help and usage errors, and ``prove``.  Stdout goes to a file,
+    block-buffered, so a report line reaches it only through ``run``'s flush."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("honest", "tampered", "malformed", "missing")}
+    paths["honest"].write_bytes(ct.emit_report(cert_by_rank[4]))
+    doc = json.loads(paths["honest"].read_bytes())
+    _step(doc, "high_rank_conclusion")["verdict"] = "Failed"
+    paths["tampered"].write_text(json.dumps(doc))
+    paths["malformed"].write_text("{not json")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    env = {**os.environ, "PYTHONPATH": str(Path(covcert.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
+    for template, code in PROCESS_ARGV:
+        argv = [arg.format(**paths) for arg in template]
+        try:
+            assert cli.main(argv) == code, argv
+        except SystemExit as exc:
+            assert exc.code == code, argv
+        expected = (code, *capsysbinary.readouterr())
+        with open(out_path, "wb") as out, open(err_path, "wb") as err:
+            proc = subprocess.run(
+                [sys.executable, "-m", "covcert.cli", *argv],
+                stdout=out, stderr=err, env=env, timeout=120,
+            )
+        assert (proc.returncode, out_path.read_bytes(), err_path.read_bytes()) == expected, argv
+        assert expected[1] or expected[2], argv
 
 
 def test_proof_does_not_import_the_search():
