@@ -11,9 +11,12 @@ checking a report does not mean trusting this module.  They are
 re-exported here.  Each step's verdict comes from ``report.step_verdict``,
 the rule the checker applies.
 
-Non-numerical inputs (structural group theory, the validity of the
-vendored bound table, and so on) are recorded as explicit axiom steps
-A1 through A5 rather than silently assumed.
+``report.STEP_PLANS`` is the proof's one description: ``run_case`` builds
+every report from its rank class's plan, which fixes each step's id,
+position and dependencies.  Non-numerical inputs (structural group theory,
+the validity of the vendored bound table, and so on) are the axiom steps A1
+through A5, which the builder records where the plan places them rather
+than silently assuming them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .report import (  # noqa: F401  (re-exported)
     TamperDetected,
     compare,
     emit_report,
+    step_plan,
     step_verdict,
     verify_report,
 )
@@ -43,26 +47,62 @@ class DataMissing(FileNotFoundError):
     """A required data file is absent."""
 
 
-class _Builder:
-    """Accumulates certificate steps in canonical order."""
+def proof_step(
+    step_id: str,
+    claim: str,
+    anchor: str,
+    comparisons: Sequence[Tuple[Interval, Interval, Comparison]],
+    precision_bits: int,
+    dependencies: Sequence[str] = (),
+    enclosures: Sequence[Interval] = (),
+) -> CertificateStep:
+    """A step that runs the given comparisons; its verdict is their ``step_verdict``."""
+    recorded = tuple(
+        RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required.value)
+        for lhs, rhs, required in comparisons
+    )
+    return CertificateStep(
+        id=step_id,
+        claim=claim,
+        anchor=anchor,
+        enclosures=tuple(enclosures),
+        comparisons=recorded,
+        verdict=step_verdict(recorded),
+        dependencies=tuple(dependencies),
+        precision_bits=precision_bits,
+    )
 
-    def __init__(self, precision_bits: int) -> None:
+
+class _Builder:
+    """Records one rank's proof along its class's plan, ``report.step_plan``.
+
+    Each recorded step takes its dependencies from the plan, and each axiom
+    step is recorded where the plan places it.  Recording a step that is not
+    the plan's next one, or finishing before the plan does, is a fault of
+    this module that no input reaches: it raises RuntimeError.
+    """
+
+    def __init__(self, rank: int, precision_bits: int) -> None:
         self.precision_bits = precision_bits
         self.steps: List[CertificateStep] = []
+        self._pending = list(step_plan(rank).items())[::-1]  # the next step last
+        self._place_axioms()
 
-    def axiom(self, axiom_id: str, deps: Sequence[str] = ()) -> None:
-        self.steps.append(
-            CertificateStep(
-                id=axiom_id,
-                claim=AXIOMS[axiom_id],
-                anchor="structural input, outside certified numerics",
-                enclosures=(),
-                comparisons=(),
-                verdict="Axiom",
-                dependencies=tuple(deps),
-                precision_bits=self.precision_bits,
+    def _place_axioms(self) -> None:
+        while self._pending and self._pending[-1][0] in AXIOMS:
+            axiom_id, deps = self._pending.pop()
+            self.steps.append(
+                CertificateStep(
+                    id=axiom_id,
+                    claim=AXIOMS[axiom_id],
+                    anchor="structural input, outside certified numerics",
+                    enclosures=(),
+                    comparisons=(),
+                    verdict="Axiom",
+                    dependencies=deps,
+                    precision_bits=self.precision_bits,
+                )
             )
-        )
 
     def record(
         self,
@@ -70,26 +110,22 @@ class _Builder:
         claim: str,
         anchor: str,
         comparisons: Sequence[Tuple[Interval, Interval, Comparison]],
-        deps: Sequence[str] = (),
         enclosures: Sequence[Interval] = (),
     ) -> None:
-        """Run the given comparisons and append a step with their verdict."""
-        recorded = tuple(
-            RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required.value)
-            for lhs, rhs, required in comparisons
-        )
+        """Run the given comparisons and append the plan's next step."""
+        planned, deps = self._pending.pop() if self._pending else (None, ())
+        if step_id != planned:
+            raise RuntimeError(f"recorded step {step_id} where the plan has {planned}")
         self.steps.append(
-            CertificateStep(
-                id=step_id,
-                claim=claim,
-                anchor=anchor,
-                enclosures=tuple(enclosures),
-                comparisons=recorded,
-                verdict=step_verdict(recorded),
-                dependencies=tuple(deps),
-                precision_bits=self.precision_bits,
-            )
+            proof_step(step_id, claim, anchor, comparisons, self.precision_bits, deps, enclosures)
         )
+        self._place_axioms()
+
+    def finish(self) -> List[CertificateStep]:
+        """The recorded steps, once the plan is complete."""
+        if self._pending:
+            raise RuntimeError(f"proof ended before its planned step {self._pending[-1][0]}")
+        return self.steps
 
 
 def _greater(lhs: Interval, rhs: Interval):
@@ -133,30 +169,12 @@ ONE = Interval.exact(1)
 THRESH_183 = Interval.exact(bounds.ZETA_PRODUCT_UPPER)
 
 
-def _global_stage_common(builder: _Builder) -> None:
-    builder.axiom("A5")
-    builder.axiom("A4")
-    builder.axiom("A3")
-
-
-def _zeta_product_step(builder: _Builder, prec: int) -> None:
-    enclosure = bounds.zeta_product_enclosure(prec)
-    builder.record(
-        "zeta_product_bound",
-        "the infinite product of zeta at even integers is below 1.83",
-        "reference covolume constant bound",
-        [_less(enclosure, THRESH_183)],
-        enclosures=[enclosure],
-    )
-
-
 def _unit_adjusted_quotient_steps(
     builder: _Builder,
     catalog,
     n: int,
     survivors: List[str],
     candidates: Sequence[Tuple[int, int]],
-    deps: Sequence[str],
 ) -> None:
     """Exact quotient and unit-index adjustment for each remaining (d, D)."""
     for d, D in candidates:
@@ -170,10 +188,7 @@ def _unit_adjusted_quotient_steps(
             f"covolume quotient for (d, D) = ({d}, {D}) at rank {n}, "
             f"adjusted by unit index {unit_index}",
             "global covolume comparison against the rational lattice",
-            [
-                _greater(quotient, Interval.exact(0)),
-            ],
-            deps=deps,
+            [_greater(quotient, Interval.exact(0))],
             enclosures=[quotient, adjusted],
         )
         survives = adjusted.lo > 1
@@ -182,12 +197,7 @@ def _unit_adjusted_quotient_steps(
             f"field (d, D) = ({d}, {D}) "
             + ("survives the global stage" if survives else "is excluded"),
             "adjusted quotient versus 1",
-            [
-                _greater(adjusted, ONE)
-                if survives
-                else _less(adjusted, ONE)
-            ],
-            deps=[step_id],
+            [_greater(adjusted, ONE) if survives else _less(adjusted, ONE)],
             enclosures=[adjusted],
         )
         if survives:
@@ -211,9 +221,7 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
         "local_nonspecial_factor",
         f"non-special local factors at rank {n} exceed the component bound",
         "volume rigidity lower bound",
-        [
-            _greater(lower, Interval.exact(localfactors.XI_CARDINALITY_MAX)),
-        ],
+        [_greater(lower, Interval.exact(localfactors.XI_CARDINALITY_MAX))],
         enclosures=[lower],
     )
     if n == 2:
@@ -223,10 +231,7 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
             "local_T_values",
             "rank-2 sharp factor values T(2) = 5/2 and T(3) = 10",
             "closed-form local factors at small residue cardinality",
-            [
-                _greater(t2, Interval.exact(2)),
-                _greater(t3, Interval.exact(5)),
-            ],
+            [_greater(t2, Interval.exact(2)), _greater(t3, Interval.exact(5))],
             enclosures=[t2, t3],
         )
         for i, frag in enumerate(localfactors.qsqrt5_local_exclusion(catalog)):
@@ -238,10 +243,7 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
                     _greater(Interval.exact(lhs), Interval.exact(rhs))
                     for lhs, rhs in frag.comparisons
                 ],
-                deps=["local_T_values"],
             )
-        builder.axiom("A1", deps=["local_T_values"])
-    builder.axiom("A2")
 
 
 def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
@@ -253,7 +255,6 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
         "high-rank conditions",
         "stated row of the vendored table",
         [_greater(lhs, rhs) for lhs, rhs in conditions.values()],
-        deps=["A3"],
         enclosures=[*conditions["cond_a"], *conditions["cond_c"]],
     )
     # the base and the bound run to thousands of digits at high rank, so the
@@ -265,10 +266,16 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
         "bound is increasing in the degree",
         "monotonicity in the field degree, via the logarithm of the base",
         [_greater(log_inner, Interval.exact(0))],
-        deps=["feasible_pair"],
         enclosures=[log_inner],
     )
-    _zeta_product_step(builder, prec)
+    zeta_product = bounds.zeta_product_enclosure(prec)
+    builder.record(
+        "zeta_product_bound",
+        "the infinite product of zeta at even integers is below 1.83",
+        "reference covolume constant bound",
+        [_less(zeta_product, THRESH_183)],
+        enclosures=[zeta_product],
+    )
     log_bound = bounds.log_normalized_O(n, 2, pair, prec)
     builder.record(
         "high_rank_conclusion",
@@ -276,7 +283,6 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
         f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, "
         "via logarithms",
         [_greater(log_bound, bounds.log_enclosure(THRESH_183, prec))],
-        deps=["inner_factor_ge_one", "zeta_product_bound", "A4"],
         enclosures=[log_bound],
     )
     return ["1.1.1.1"]
@@ -291,7 +297,6 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
         "degrees 4 and higher",
         f"table minimum at (A, E) = ({pair.A}, {pair.E})",
         [_less(value, Interval.exact(4))],
-        deps=["A3"],
         enclosures=[value],
     )
     cut2 = bounds.n3_D_bound(2, prec)
@@ -309,7 +314,6 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
             _less(Interval.exact(max(cubic) if cubic else 0), cut3),
             _greater(e046, e046_lower),
         ],
-        deps=["degree_threshold"],
         enclosures=[cut2, cut3, e046],
     )
     proto2 = bounds.proto_D_bound(3, 2, 1, prec)
@@ -324,13 +328,10 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
             _less(proto2, Interval.exact(8)),
             _less(proto3, Interval.exact(49)),
         ],
-        deps=["discriminant_cutoffs"],
         enclosures=[proto2, proto3],
     )
     survivors = ["1.1.1.1"]
-    _unit_adjusted_quotient_steps(
-        builder, catalog, 3, survivors, [(2, 5)], ["refined_cutoffs"]
-    )
+    _unit_adjusted_quotient_steps(builder, catalog, 3, survivors, [(2, 5)])
     return survivors
 
 
@@ -344,7 +345,6 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
         "degrees 6 and higher",
         f"grid minimum at (A, E, t) = ({pair.A}, {pair.E}, {t})",
         [_less(value, Interval.exact(6))],
-        deps=["A3"],
         enclosures=[value],
     )
     cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
@@ -362,7 +362,6 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
             for d in (2, 3, 4, 5)
             if counts[d]
         ],
-        deps=["degree_threshold"],
         enclosures=[cuts[d] for d in (2, 3, 4, 5)],
     )
     protos = {d: bounds.proto_D_bound(2, d, 1, prec) for d in (2, 3, 4, 5)}
@@ -380,18 +379,10 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
             _greater(protos[2], Interval.exact(8)),
             _less(protos[2], Interval.exact(12)),
         ],
-        deps=["discriminant_cutoffs"],
         enclosures=[protos[d] for d in (2, 3, 4, 5)],
     )
     survivors = ["1.1.1.1"]
-    _unit_adjusted_quotient_steps(
-        builder,
-        catalog,
-        2,
-        survivors,
-        [(3, 49), (2, 8), (2, 5)],
-        ["refined_cutoffs"],
-    )
+    _unit_adjusted_quotient_steps(builder, catalog, 2, survivors, [(3, 49), (2, 8), (2, 5)])
     return survivors
 
 
@@ -405,8 +396,7 @@ def run_case(
     if n < 2:
         raise ValueError("rank must be >= 2")
     table, catalog = _load_inputs(odlyzko_path, fields_path)
-    builder = _Builder(precision_bits)
-    _global_stage_common(builder)
+    builder = _Builder(n, precision_bits)
 
     if n >= 4:
         survivors = _run_high_rank(builder, table, catalog, n, precision_bits)
@@ -421,7 +411,7 @@ def run_case(
     cert = Certificate(
         rank=n,
         precision_bits=precision_bits,
-        steps=builder.steps,
+        steps=builder.finish(),
         surviving_fields_after_global=surviving_after_global,
         final_conclusion="",
     )

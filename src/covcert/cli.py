@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
 3 data missing or malformed, a bound-pair table with no row for the search,
 a report that does not parse, or an unsupported field operation, 4 an
-unresolved tie at maximum precision.
+unresolved tie at maximum precision, 141 (128 + SIGPIPE, as a shell reports
+for ``yes | head -1``) stdout was a pipe whose reader went away.
 
 Only ``report`` is imported eagerly.  The seven proof layers are bound with
 ``importlib.util.LazyLoader``: each is registered in ``sys.modules`` and on
@@ -27,7 +28,8 @@ so every help text and usage error is argparse's own.
 installed ``covcert`` script).  It flushes stdout and stderr after ``main``
 returns and then ends the process with ``os._exit``, skipping interpreter
 teardown: finalizing the modules that site hooks import costs more than
-the check itself.  ``main`` is the in-process API and returns the exit code.
+the check itself.  A closed stdout pipe ends the process with exit 141 and
+nothing on stderr.  ``main`` is the in-process API and returns the exit code.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ EXIT_OK = 0
 EXIT_STEP_FAILED = 2
 EXIT_DATA_MISSING = 3
 EXIT_TIE = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _type_error(message: str) -> Exception:
@@ -265,14 +268,22 @@ def run() -> None:
     """Run ``main`` on the process's arguments and exit with its code.
 
     A returned code ends the process without interpreter teardown, once
-    stdout and stderr are flushed.  A ``SystemExit`` (help, usage errors) or
-    an uncaught exception leaves the normal way, and so does a flush that
-    fails, e.g. on a closed pipe, so the interpreter reports it as before.
+    stdout and stderr are flushed.  A ``BrokenPipeError`` from ``main`` or
+    from that flush, a reader that closed the pipe early, ends the process
+    with exit 141 and writes nothing to stderr.  A ``SystemExit`` (help,
+    usage errors) or any other uncaught exception leaves the normal way, and
+    so does a flush that fails for another reason, e.g. a full disk, so the
+    interpreter reports it as before.
     """
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        os._exit(EXIT_BROKEN_PIPE)
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(EXIT_BROKEN_PIPE)
     except OSError:
         sys.exit(code)
     os._exit(code)

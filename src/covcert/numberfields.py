@@ -420,15 +420,8 @@ def _xp_mod(f: Sequence[int], p: int) -> Tuple[int, ...]:
 
 def _gcd_deg_with_cubic(g: Sequence[int], f_full: Sequence[int], p: int) -> int:
     """Degree of gcd(g, f) over F_p where f is the monic cubic (full coeffs)."""
-    a = [c % p for c in f_full]
-    b = [c % p for c in g]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
+    a = _poly_trim([c % p for c in f_full])
+    b = _poly_trim([c % p for c in g])
     while b:
         inv = pow(b[-1], p - 2, p)
         b_monic = [(c * inv) % p for c in b]
@@ -439,7 +432,7 @@ def _gcd_deg_with_cubic(g: Sequence[int], f_full: Sequence[int], p: int) -> int:
             if lead:
                 for i, c in enumerate(b_monic):
                     r[shift + i] = (r[shift + i] - lead * c) % p
-            r = trim(r)
+            r = _poly_trim(r)
             if not r:
                 break
         a, b = b_monic, r

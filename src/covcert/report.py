@@ -41,11 +41,13 @@ AXIOMS = {
 }
 
 
-# The steps that a proof of each rank class consists of, in the order the
-# prover records them, each with the steps it depends on.  Ranks 4 to
-# MAX_RANK share one plan.  A report whose steps all hold verifies as Proved
-# only when its steps and edges are exactly its class's plan: a consistent
-# subset of a proof proves nothing.
+# The steps that a proof of each rank class consists of, in order, each with
+# the steps it depends on.  Ranks 4 to MAX_RANK share one plan.  This is the
+# proof's one description: the prover builds each report from it, recording
+# every step where its plan places it, with the plan's dependencies, and the
+# axioms at the plan's positions.  A report whose steps all hold verifies as
+# Proved only when its steps and edges are exactly its class's plan: a
+# consistent subset of a proof proves nothing.
 _GLOBAL_AXIOMS = {"A5": (), "A4": (), "A3": ()}
 STEP_PLANS: Dict[int, Dict[str, Tuple[str, ...]]] = {
     2: {
@@ -89,6 +91,11 @@ STEP_PLANS: Dict[int, Dict[str, Tuple[str, ...]]] = {
         "A2": (),
     },
 }
+
+
+def step_plan(rank: int) -> Dict[str, Tuple[str, ...]]:
+    """The plan of a rank's class: rank 2, rank 3, or ranks 4 to MAX_RANK."""
+    return STEP_PLANS[min(rank, 4)]
 
 
 class InputError(ValueError):
@@ -297,7 +304,7 @@ def _check_plan(doc) -> None:
     if not 2 <= rank <= MAX_RANK:
         raise TamperDetected(f"rank {rank} is outside 2..{MAX_RANK}")
     recorded = [(s["id"], tuple(s["dependencies"])) for s in doc["steps"]]
-    for step, planned in zip_longest(recorded, STEP_PLANS[min(rank, 4)].items()):
+    for step, planned in zip_longest(recorded, step_plan(rank).items()):
         if step != planned:
             raise TamperDetected(f"rank {rank} proof records step {step} where its plan has {planned}")
     surviving = doc.get("surviving_fields_after_global")

@@ -9,7 +9,7 @@ all intermediate arithmetic is outward-rounded.
 Every point value is summed by a fixed-point kernel: integer arithmetic at
 scale 2^w whose lower bound comes from floor divisions and whose upper bound
 comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
-kernels cover pi, ln 2, e, exp and log, x^e as one log and one exp series,
+kernels cover pi, ln 2, exp and log, x^e as one log and one exp series,
 log Gamma by the Stirling series and Hurwitz zeta by Euler-Maclaurin
 summation (at a = 1 only the primes take a power kernel), and every series
 length, shift and cut-off follows from w.
@@ -17,9 +17,10 @@ Their results become intervals with dyadic endpoints; only the
 combinations built on them (Gamma, L, alpha) are exact-rational interval
 arithmetic.
 
-Each constant has one route.  log pi is the kernel ``_log_pi_kernel``,
-which the log Gamma kernel reads directly and alpha and the bounds read as
-the cached point ``_log_pi``, and x^e has the one route ``pow_frac``.
+Each constant has one route.  e is the exp point ``_exp_point(1)``.  log pi
+is the kernel ``_log_pi_kernel``, which the log Gamma kernel reads directly
+and alpha and the bounds read as the cached point ``_log_pi``, and x^e has
+the one route ``pow_frac``.
 Gamma, zeta, L and alpha are evaluated at points only: an interval argument
 that is not a point raises ``NotAPoint``.
 
@@ -360,7 +361,7 @@ def _pow_kernel(num: int, den: int, e: Fraction, w: int) -> Tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# pi and e
+# pi
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
@@ -373,14 +374,6 @@ def pi_enclosure(precision_bits: int) -> Interval:
         return _dyadic(*_pi_kernel(work), work).coarsen(q + 8)
 
     return _cached_point(("pi",), precision_bits, compute)
-
-
-def _euler_e(prec: int) -> Interval:
-    def compute(q: int) -> Interval:
-        work = q + 32
-        return _dyadic(*_exp_kernel(1, 1, work), work)
-
-    return _cached_point(("e",), prec, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +766,7 @@ def stirling_bounds(n: int, precision_bits: int = 256) -> Tuple[Interval, Interv
         raise ValueError("n must be >= 1")
     pi_iv = pi_enclosure(precision_bits)
     root = sqrt_enclosure(Interval.exact(2 * n) * pi_iv, precision_bits)
-    e_iv = _euler_e(precision_bits)
+    e_iv = _exp_point(Fraction(1), precision_bits)
     core = root * Interval.exact(Fraction(n) ** n) / e_iv.pow_int(n)
     lower = core * _exp_point(Fraction(1, 12 * n + 1), precision_bits)
     upper = core * _exp_point(Fraction(1, 12 * n), precision_bits)

@@ -531,21 +531,34 @@ def test_missing_witness_row(tmp_path, table, n, witness):
 
 
 def test_overlap_gives_tie_that_verifies():
-    builder = ct._Builder(PREC)
     one = Interval.exact(1)
-    builder.record("overlap", "claim", "anchor", [ct._less(one, one)])
-    step = builder.steps[0]
+    step = ct.proof_step("overlap", "claim", "anchor", [ct._less(one, one)], PREC)
     assert step.verdict == "Tie"
-    cert = ct.Certificate(1, PREC, builder.steps, [], "")
+    cert = ct.Certificate(1, PREC, [step], [], "")
     assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
 
 
 def test_step_without_comparisons_is_not_proved():
-    builder = ct._Builder(PREC)
-    builder.record("empty", "claim", "anchor", [])
-    assert builder.steps[0].verdict == "Failed"
-    cert = ct.Certificate(1, PREC, builder.steps, [], "")
+    step = ct.proof_step("empty", "claim", "anchor", [], PREC)
+    assert step.verdict == "Failed"
+    cert = ct.Certificate(1, PREC, [step], [], "")
     assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
+
+
+@pytest.mark.parametrize("n, step_id", [(2, "refined_cutoffs"), (3, "A3"), (4, "degree_threshold")])
+def test_builder_rejects_a_step_out_of_plan_order(n, step_id):
+    """Recording a step that is not the plan's next one raises."""
+    builder = ct._Builder(n, PREC)
+    with pytest.raises(RuntimeError, match="where the plan has"):
+        builder.record(step_id, "claim", "anchor", [])
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_builder_rejects_a_proof_that_ends_before_its_plan(n, monkeypatch):
+    """run_case without its local stage finishes before its plan does."""
+    monkeypatch.setattr(ct, "_local_stage", lambda *args: None)
+    with pytest.raises(RuntimeError, match="ended before its planned step local_"):
+        ct.run_case(n, precision_bits=64)
 
 
 STANDALONE_CHECK = """
@@ -841,6 +854,31 @@ def test_process_entry_matches_main(cert_by_rank, tmp_path, monkeypatch, capsysb
             )
         assert (proc.returncode, out_path.read_bytes(), err_path.read_bytes()) == expected, argv
         assert expected[1] or expected[2], argv
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["prove", "--all", "--format", "json"], ["prove", "--all"],
+                                  ["verify", "{honest}"]])
+def test_closed_stdout_pipe_exits_141_quietly(cert_by_rank, tmp_path, argv, unbuffered):
+    """A ``python -m covcert.cli`` process whose stdout is a pipe with its read
+    end already closed exits 141 (128 + SIGPIPE) with nothing on stderr, with
+    block-buffered and with unbuffered stdout."""
+    honest = tmp_path / "honest.json"
+    honest.write_bytes(ct.emit_report(cert_by_rank[4]))
+    env = {**os.environ, "PYTHONPATH": str(Path(covcert.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "covcert.cli", *(arg.format(honest=honest) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def test_proof_does_not_import_the_search():

@@ -144,7 +144,7 @@ def test_ln2_and_e_oracle():
     ln2 = sf._log_point(Fraction(2), PREC)  # k = 1 and m = 1: the ln 2 kernel alone
     assert _contains_mp(ln2, mpmath.log(2))
     assert ln2.width() < Fraction(1, 2**150)
-    e = sf._euler_e(PREC)
+    e = sf._exp_point(Fraction(1), PREC)
     assert _contains_mp(e, mpmath.e)
     assert e.width() < Fraction(1, 2**150)
 
@@ -354,7 +354,7 @@ def _refinement_cases():
     yield lambda p: sf._exp_point(Fraction(-1, 2), p)
     yield lambda p: sf._log_point(Fraction(2), p)
     yield lambda p: sf._log_pi(p)
-    yield lambda p: sf._euler_e(p)
+    yield lambda p: sf._exp_point(Fraction(1), p)
     yield lambda p: sf._log_point(Fraction(2689, 125), p)
     yield lambda p: sf._log_point(pi_n_coefficient(53), p)
     yield lambda p: sf.sqrt_enclosure(Interval.exact(5), p)
