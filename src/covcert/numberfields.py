@@ -382,61 +382,23 @@ def padic_square_test(x: int, p: int) -> bool:
 # Dedekind zeta enclosures
 
 
-def _poly_mod_p(coeffs: Sequence[int], p: int) -> Tuple[int, ...]:
-    return tuple(c % p for c in coeffs)
+def _rem_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """rem(a, b) over F_p up to a unit factor, trimmed, for b whose leading
+    coefficient is a unit mod p: the pseudo-remainder reduced mod p."""
+    r = _pseudo_rem(a, b) if len(a) >= len(b) else a
+    return _poly_trim([c % p for c in r])
 
 
-def _polmul_mod(a, b, f, p):
-    """Multiply polynomials (low-degree tuples) modulo monic cubic f, mod p."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce modulo f (monic cubic): x^3 = -(f2 x^2 + f1 x + f0)
-    while len(prod) > 3:
-        top = prod.pop()
-        if top:
-            k = len(prod) - 3
-            for i in range(3):
-                prod[k + i] = (prod[k + i] - top * f[i]) % p
-    while len(prod) < 3:
-        prod.append(0)
-    return tuple(prod)
-
-
-def _xp_mod(f: Sequence[int], p: int) -> Tuple[int, ...]:
+def _xp_mod(f: Sequence[int], p: int) -> List[int]:
     """x^p modulo the monic cubic f, over F_p, by square and multiply."""
-    result = (1, 0, 0)
-    base = (0, 1, 0)
-    e = p
-    while e:
-        if e & 1:
-            result = _polmul_mod(result, base, f, p)
-        base = _polmul_mod(base, base, f, p)
-        e >>= 1
+    result: List[int] = [1]
+    for bit in bin(p)[2:]:
+        square = [0] * (2 * len(result) - 1)
+        for i, ci in enumerate(result):
+            for j, cj in enumerate(result):
+                square[i + j] += ci * cj
+        result = _rem_mod_p([0] + square if bit == "1" else square, f, p)
     return result
-
-
-def _gcd_deg_with_cubic(g: Sequence[int], f_full: Sequence[int], p: int) -> int:
-    """Degree of gcd(g, f) over F_p where f is the monic cubic (full coeffs)."""
-    a = _poly_trim([c % p for c in f_full])
-    b = _poly_trim([c % p for c in g])
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        b_monic = [(c * inv) % p for c in b]
-        r = list(a)
-        while len(r) >= len(b_monic) and r:
-            lead = r[-1]
-            shift = len(r) - len(b_monic)
-            if lead:
-                for i, c in enumerate(b_monic):
-                    r[shift + i] = (r[shift + i] - lead * c) % p
-            r = _poly_trim(r)
-            if not r:
-                break
-        a, b = b_monic, r
-    return len(a) - 1 if a else -1
 
 
 def _cubic_splitting_degrees(poly: Tuple[int, ...], disc: int, p: int) -> Tuple[int, ...]:
@@ -448,8 +410,12 @@ def _cubic_splitting_degrees(poly: Tuple[int, ...], disc: int, p: int) -> Tuple[
     polynomial of index prime to p, f is (x - a)^3 when r = 1 and
     (x - a)^2 (x - b) when r = 2.
     """
-    xp = _xp_mod(_poly_mod_p(poly, p), p)
-    r = _gcd_deg_with_cubic([xp[0], (xp[1] - 1) % p, xp[2]], poly, p)
+    g = _xp_mod(poly, p) + [0, 0]
+    g[1] -= 1  # x^p - x
+    a, b = poly, _rem_mod_p(g, poly, p)
+    while b:  # Euclid over F_p: a ends as gcd(x^p - x, f)
+        a, b = b, _rem_mod_p(a, b, p)
+    r = len(a) - 1
     if disc % p == 0:
         shapes = {1: (1,), 2: (1, 1)}
     else:

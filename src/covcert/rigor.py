@@ -85,10 +85,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, value: RationalLike) -> bool:
-        r = _to_rational(value)
-        return self.lo <= r <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 

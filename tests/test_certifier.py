@@ -530,19 +530,45 @@ def test_missing_witness_row(tmp_path, table, n, witness):
         ct.run_case(n, precision_bits=PREC, odlyzko_path=str(path))
 
 
-def test_overlap_gives_tie_that_verifies():
-    one = Interval.exact(1)
-    step = ct.proof_step("overlap", "claim", "anchor", [ct._less(one, one)], PREC)
-    assert step.verdict == "Tie"
-    cert = ct.Certificate(1, PREC, [step], [], "")
-    assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
+def test_overlap_gives_tie_that_verifies(cert_by_rank):
+    """A rank-4 report with one comparison overlapped: a Tie, so no conclusion."""
+    doc = json.loads(ct.emit_report(cert_by_rank[4]))
+    step = _step(doc, "feasible_pair")
+    step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
+    step["verdict"] = "Tie"
+    doc["final_conclusion"] = ""
+    assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
 
-def test_step_without_comparisons_is_not_proved():
+def test_step_without_comparisons_is_not_proved(cert_by_rank):
+    """A failing step that later steps depend on (inner_factor_ge_one on
+    feasible_pair) leaves a plan-shaped report NotProved."""
+    doc = json.loads(ct.emit_report(cert_by_rank[4]))
+    _step(doc, "feasible_pair").update(comparisons=[], verdict="Failed")
+    doc["final_conclusion"] = ""
+    assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
+
+
+def test_off_plan_report_with_a_failing_step_is_tampered():
+    """A one-step rank-1 report follows no plan, whatever its verdicts."""
     step = ct.proof_step("empty", "claim", "anchor", [], PREC)
     assert step.verdict == "Failed"
     cert = ct.Certificate(1, PREC, [step], [], "")
-    assert ct.verify_report(ct.emit_report(cert)) == "NotProved"
+    with pytest.raises(ct.TamperDetected, match="rank 1 is outside"):
+        ct.verify_report(ct.emit_report(cert))
+
+
+def test_plans_depend_only_on_earlier_steps_and_known_axioms():
+    """The checker's one rule for edges: each planned dependency names an
+    earlier step of its plan, and the axiom steps are exactly A1-A5."""
+    planned_axioms = set()
+    for rank, plan in report.STEP_PLANS.items():
+        earlier = set()
+        for step_id, deps in plan.items():
+            assert set(deps) <= earlier, (rank, step_id, deps)
+            earlier.add(step_id)
+        planned_axioms |= {step_id for step_id in plan if step_id[0] == "A"}
+    assert planned_axioms == set(report.AXIOMS)
 
 
 @pytest.mark.parametrize("n, step_id", [(2, "refined_cutoffs"), (3, "A3"), (4, "degree_threshold")])

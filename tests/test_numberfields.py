@@ -230,13 +230,14 @@ def test_cubic_splitting_galois_oracle(catalog):
 
 
 def test_cubic_splitting_against_sympy_factoring(catalog):
-    """Distinct factor degrees mod p against sympy, ramified primes included."""
+    """Distinct factor degrees mod p against sympy, ramified and large primes included."""
     x = sympy.symbols("x")
     for f in catalog:
         if f.degree != 3:
             continue
         poly = sum(c * x**i for i, c in enumerate(f.polynomial))
         primes = set(sympy.primerange(2, 200)) | set(sympy.primefactors(f.discriminant))
+        primes |= {2**31 - 1, 4294967291}  # the largest primes below 2^31 and 2^32
         for p in sorted(primes):
             _, factors = sympy.Poly(poly, x, modulus=p).factor_list()
             expected = tuple(sorted(g.degree() for g, _ in factors))
