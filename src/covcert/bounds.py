@@ -30,7 +30,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .report import MAX_RANK, InputError
+from .report import COND_B_A_LOWER, E_046_LOWER, MAX_RANK, ZETA_PRODUCT_UPPER, InputError
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
@@ -115,9 +115,6 @@ def psi_n_exact(n: int) -> Fraction:
     for j in range(1, n + 1):
         c *= zeta_even_exact(j)
     return c
-
-
-ZETA_PRODUCT_UPPER = Fraction(183, 100)
 
 
 def _prime_powers(limit: int) -> List[Tuple[int, int]]:
@@ -294,7 +291,7 @@ def lemma35_comparisons(
     lhs_c = Interval.exact(-pair.E) + Interval.exact(2) * log_A
     return {
         "cond_a": (lhs_a, rhs_a),
-        "cond_b": (Interval.exact(pair.A), Interval.exact(Fraction(566, 100))),
+        "cond_b": (Interval.exact(pair.A), Interval.exact(COND_B_A_LOWER)),
         "cond_c": (lhs_c, rhs_c),
     }
 
@@ -436,24 +433,17 @@ def proto_D_bound(n: int, d: int, h: int, precision_bits: int = 256) -> Interval
     return _cutoff(coeff, n, d, Fraction(2, n * (2 * n + 1)), precision_bits)
 
 
-# rational lower bound for e^0.46 used in the rank-3 cutoff; a smaller
-# denominator there only weakens (enlarges) the cutoff, keeping it valid
-_E_046_LOWER = Fraction(158, 100)
-
-
-def e046_lower_sides(precision_bits: int = 256) -> Tuple[Interval, Interval]:
-    """Both sides of e^0.46 > 1.58, the premise ``n3_D_bound`` rests on."""
-    return (
-        exp_enclosure(Interval.exact(_COEFF_0_46), precision_bits),
-        Interval.exact(_E_046_LOWER),
-    )
+def e046_enclosure(precision_bits: int = 256) -> Interval:
+    """e^0.46, which the rank-3 cutoffs replace by ``E_046_LOWER``; that
+    only weakens (enlarges) them while e^0.46 exceeds it."""
+    return exp_enclosure(Interval.exact(_COEFF_0_46), precision_bits)
 
 
 def n3_D_bound(d: int, precision_bits: int = 256) -> Interval:
     """Rank-3 cutoff (1372.5 Pi(3)^(1-d) (7.6 * 1.58)^(-d))^(1/7.5)."""
     if d not in (2, 3):
         raise ValueError("rank-3 cutoff supported for d in {2, 3}")
-    coeff = Fraction(27450, 20) * (_COEFF_7_6 * _E_046_LOWER) ** (-d)
+    coeff = Fraction(27450, 20) * (_COEFF_7_6 * E_046_LOWER) ** (-d)
     return _cutoff(coeff, 3, d, Fraction(2, 15), precision_bits)
 
 

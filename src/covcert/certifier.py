@@ -11,12 +11,12 @@ checking a report does not mean trusting this module.  They are
 re-exported here.  Each step's verdict comes from ``report.step_verdict``,
 the rule the checker applies.
 
-``report.STEP_PLANS`` is the proof's one description: ``run_case`` builds
-every report from its rank class's plan, which fixes each step's id,
-position and dependencies.  Non-numerical inputs (structural group theory,
-the validity of the vendored bound table, and so on) are the axiom steps A1
-through A5, which the builder records where the plan places them rather
-than silently assuming them.
+``report.STEP_PLANS`` is the proof's one statement: every step's id,
+position, dependencies, claim, required relations and constant sides come
+from its rank class's plan, and this module supplies only the evidence.
+Non-numerical inputs (structural group theory, the validity of the vendored
+bound table, and so on) are the axiom steps A1 through A5, which the
+builder records where the plan places them rather than assuming them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .rigor import Comparison, Interval
+from .rigor import Interval
 from . import bounds, localfactors, numberfields
 from .report import (  # noqa: F401  (re-exported)
     AXIOMS,
@@ -47,93 +47,66 @@ class DataMissing(FileNotFoundError):
     """A required data file is absent."""
 
 
-def proof_step(
-    step_id: str,
-    claim: str,
-    anchor: str,
-    comparisons: Sequence[Tuple[Interval, Interval, Comparison]],
-    precision_bits: int,
-    dependencies: Sequence[str] = (),
-    enclosures: Sequence[Interval] = (),
-) -> CertificateStep:
-    """A step that runs the given comparisons; its verdict is their ``step_verdict``."""
-    recorded = tuple(
-        RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required.value)
-        for lhs, rhs, required in comparisons
-    )
-    return CertificateStep(
-        id=step_id,
-        claim=claim,
-        anchor=anchor,
-        enclosures=tuple(enclosures),
-        comparisons=recorded,
-        verdict=step_verdict(recorded),
-        dependencies=tuple(dependencies),
-        precision_bits=precision_bits,
-    )
-
-
 class _Builder:
     """Records one rank's proof along its class's plan, ``report.step_plan``.
 
-    Each recorded step takes its dependencies from the plan, and each axiom
-    step is recorded where the plan places it.  Recording a step that is not
-    the plan's next one, or finishing before the plan does, is a fault of
-    this module that no input reaches: it raises RuntimeError.
+    The plan states every step: its claim, its dependencies, and for each
+    comparison the relation it requires and any constant right side.  The
+    caller gives only the evidence: the anchor, the enclosures and the
+    computed sides of each comparison, the left side alone where the plan
+    fixes the right.  Axiom steps are recorded where the plan places them.
+    Recording a step that is not the plan's next one, with a number of
+    comparisons other than its plan's, or finishing before the plan does, is
+    a fault of this module that no input reaches: it raises RuntimeError.
     """
 
     def __init__(self, rank: int, precision_bits: int) -> None:
+        self.rank = rank
         self.precision_bits = precision_bits
         self.steps: List[CertificateStep] = []
         self._pending = list(step_plan(rank).items())[::-1]  # the next step last
-        self._place_axioms()
+        self._record_axiom()
 
-    def _place_axioms(self) -> None:
-        while self._pending and self._pending[-1][0] in AXIOMS:
-            axiom_id, deps = self._pending.pop()
-            self.steps.append(
-                CertificateStep(
-                    id=axiom_id,
-                    claim=AXIOMS[axiom_id],
-                    anchor="structural input, outside certified numerics",
-                    enclosures=(),
-                    comparisons=(),
-                    verdict="Axiom",
-                    dependencies=deps,
-                    precision_bits=self.precision_bits,
-                )
-            )
+    def _record_axiom(self) -> None:
+        """Record the plan's next step if it is an axiom (and so on)."""
+        if self._pending and self._pending[-1][0] in AXIOMS:
+            self.record(self._pending[-1][0], "structural input, outside certified numerics")
 
     def record(
-        self,
-        step_id: str,
-        claim: str,
-        anchor: str,
-        comparisons: Sequence[Tuple[Interval, Interval, Comparison]],
-        enclosures: Sequence[Interval] = (),
+        self, step_id: str, anchor: str, sides: Sequence = (), enclosures: Sequence[Interval] = ()
     ) -> None:
-        """Run the given comparisons and append the plan's next step."""
-        planned, deps = self._pending.pop() if self._pending else (None, ())
-        if step_id != planned:
-            raise RuntimeError(f"recorded step {step_id} where the plan has {planned}")
-        self.steps.append(
-            proof_step(step_id, claim, anchor, comparisons, self.precision_bits, deps, enclosures)
+        """Append the plan's next step, its verdict the ``step_verdict`` of
+        its comparisons (or Axiom), then any axiom steps that follow it."""
+        planned_id, (dependencies, claim, planned) = (
+            self._pending.pop() if self._pending else (None, ((), "", ()))
         )
-        self._place_axioms()
+        if step_id != planned_id or len(sides) != len(planned):
+            raise RuntimeError(
+                f"recorded step {step_id} with {len(sides)} sides where the plan has {planned_id}"
+            )
+        comparisons = []
+        for given, (required, constant) in zip(sides, planned):
+            lhs, rhs = given if constant is None else (given, Interval.exact(constant))
+            comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
+        self.steps.append(
+            CertificateStep(
+                id=step_id,
+                claim=claim.format(rank=self.rank),
+                anchor=anchor,
+                enclosures=tuple(enclosures),
+                comparisons=tuple(comparisons),
+                verdict="Axiom" if step_id in AXIOMS else step_verdict(comparisons),
+                dependencies=dependencies,
+                precision_bits=self.precision_bits,
+            )
+        )
+        self._record_axiom()
 
     def finish(self) -> List[CertificateStep]:
         """The recorded steps, once the plan is complete."""
         if self._pending:
             raise RuntimeError(f"proof ended before its planned step {self._pending[-1][0]}")
         return self.steps
-
-
-def _greater(lhs: Interval, rhs: Interval):
-    return (lhs, rhs, Comparison.CERTAINLY_GREATER)
-
-
-def _less(lhs: Interval, rhs: Interval):
-    return (lhs, rhs, Comparison.CERTAINLY_LESS)
 
 
 def _load_inputs(odlyzko_path: Optional[str], fields_path: Optional[str]):
@@ -165,10 +138,6 @@ def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
     raise DataMissing(f"bound-pair table has no witness row (A, E) = ({A}, {E})")
 
 
-ONE = Interval.exact(1)
-THRESH_183 = Interval.exact(bounds.ZETA_PRODUCT_UPPER)
-
-
 def _unit_adjusted_quotient_steps(
     builder: _Builder,
     catalog,
@@ -182,25 +151,15 @@ def _unit_adjusted_quotient_steps(
         quotient = bounds.s_lambda_quotient(fld, n)
         unit_index = numberfields.totally_positive_index(fld)
         adjusted = bounds.adjusted_quotient(fld, n, unit_index)
-        step_id = f"quotient_d{d}_D{D}"
         builder.record(
-            step_id,
-            f"covolume quotient for (d, D) = ({d}, {D}) at rank {n}, "
-            f"adjusted by unit index {unit_index}",
-            "global covolume comparison against the rational lattice",
-            [_greater(quotient, Interval.exact(0))],
+            f"quotient_d{d}_D{D}",
+            "global covolume comparison against the rational lattice; unit index "
+            f"{unit_index}",
+            [quotient],
             enclosures=[quotient, adjusted],
         )
-        survives = adjusted.lo > 1
-        builder.record(
-            f"verdict_d{d}_D{D}",
-            f"field (d, D) = ({d}, {D}) "
-            + ("survives the global stage" if survives else "is excluded"),
-            "adjusted quotient versus 1",
-            [_greater(adjusted, ONE) if survives else _less(adjusted, ONE)],
-            enclosures=[adjusted],
-        )
-        if survives:
+        builder.record(f"verdict_d{d}_D{D}", "adjusted quotient versus 1", [adjusted], [adjusted])
+        if adjusted.lo > 1:
             survivors.append(fld.label)
 
 
@@ -208,42 +167,23 @@ def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
     if n >= 3:
         value = Interval.exact(localfactors.eprime_special(n, 2))
         builder.record(
-            "local_special_factor",
-            f"smallest special non-hyperspecial local factor at rank {n} "
-            "exceeds the exclusion threshold",
-            "local covolume factor lower bound",
-            [_greater(value, Interval.exact(10))],
-            enclosures=[value],
+            "local_special_factor", "local covolume factor lower bound", [value], [value]
         )
     q_ref = 3 if n == 2 else 2
     lower = localfactors.h_rigidity(q_ref, n)
-    builder.record(
-        "local_nonspecial_factor",
-        f"non-special local factors at rank {n} exceed the component bound",
-        "volume rigidity lower bound",
-        [_greater(lower, Interval.exact(localfactors.XI_CARDINALITY_MAX))],
-        enclosures=[lower],
-    )
+    builder.record("local_nonspecial_factor", "volume rigidity lower bound", [lower], [lower])
     if n == 2:
         t2 = Interval.exact(localfactors.T_factor(2))
         t3 = Interval.exact(localfactors.T_factor(3))
         builder.record(
             "local_T_values",
-            "rank-2 sharp factor values T(2) = 5/2 and T(3) = 10",
             "closed-form local factors at small residue cardinality",
-            [_greater(t2, Interval.exact(2)), _greater(t3, Interval.exact(5))],
+            [t2, t3],
             enclosures=[t2, t3],
         )
         for i, frag in enumerate(localfactors.qsqrt5_local_exclusion(catalog)):
-            builder.record(
-                f"local_exclusion_{i}",
-                frag.claim,
-                frag.detail,
-                [
-                    _greater(Interval.exact(lhs), Interval.exact(rhs))
-                    for lhs, rhs in frag.comparisons
-                ],
-            )
+            sides = [Interval.exact(v) for v in frag.values]
+            builder.record(f"local_exclusion_{i}", frag.detail, sides)
 
 
 def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
@@ -251,10 +191,8 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
     conditions = bounds.lemma35_comparisons(pair, prec)
     builder.record(
         "feasible_pair",
-        f"bound pair (A, E) = ({pair.A}, {pair.E}) satisfies the three "
-        "high-rank conditions",
-        "stated row of the vendored table",
-        [_greater(lhs, rhs) for lhs, rhs in conditions.values()],
+        f"stated row (A, E) = ({pair.A}, {pair.E}) of the vendored table",
+        [conditions["cond_a"], conditions["cond_b"][0], conditions["cond_c"]],
         enclosures=[*conditions["cond_a"], *conditions["cond_c"]],
     )
     # the base and the bound run to thousands of digits at high rank, so the
@@ -262,27 +200,20 @@ def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List
     log_inner = bounds.log_inner_factor(n, pair.A, prec)
     builder.record(
         "inner_factor_ge_one",
-        f"the degree-power base at rank {n} is at least one, so the lower "
-        "bound is increasing in the degree",
         "monotonicity in the field degree, via the logarithm of the base",
-        [_greater(log_inner, Interval.exact(0))],
+        [log_inner],
         enclosures=[log_inner],
     )
     zeta_product = bounds.zeta_product_enclosure(prec)
     builder.record(
-        "zeta_product_bound",
-        "the infinite product of zeta at even integers is below 1.83",
-        "reference covolume constant bound",
-        [_less(zeta_product, THRESH_183)],
-        enclosures=[zeta_product],
+        "zeta_product_bound", "reference covolume constant bound", [zeta_product], [zeta_product]
     )
     log_bound = bounds.log_normalized_O(n, 2, pair, prec)
+    log_183 = bounds.log_enclosure(Interval.exact(bounds.ZETA_PRODUCT_UPPER), prec)
     builder.record(
         "high_rank_conclusion",
-        f"no field of degree above one yields a smaller covolume at rank {n}",
-        f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, "
-        "via logarithms",
-        [_greater(log_bound, bounds.log_enclosure(THRESH_183, prec))],
+        f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, via logarithms",
+        [(log_bound, log_183)],
         enclosures=[log_bound],
     )
     return ["1.1.1.1"]
@@ -292,27 +223,21 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     pair = _table_row(table, *N3_WITNESS)
     value = bounds.n3_degree_threshold(pair, prec)
     builder.record(
-        "degree_threshold",
-        "the optimized rank-3 degree threshold lies below 4, excluding "
-        "degrees 4 and higher",
-        f"table minimum at (A, E) = ({pair.A}, {pair.E})",
-        [_less(value, Interval.exact(4))],
-        enclosures=[value],
+        "degree_threshold", f"table minimum at (A, E) = ({pair.A}, {pair.E})", [value], [value]
     )
     cut2 = bounds.n3_D_bound(2, prec)
     cut3 = bounds.n3_D_bound(3, prec)
-    e046, e046_lower = bounds.e046_lower_sides(prec)
+    e046 = bounds.e046_enclosure(prec)
     quad = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 2, cut2.lo)]
     cubic = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 3, cut3.lo)]
     builder.record(
         "discriminant_cutoffs",
-        f"discriminant cutoffs leave quadratic candidates {quad} and cubic "
-        f"candidates {cubic}",
-        "catalog pruning by the coarse cutoffs, which take e^0.46 > 1.58",
+        f"catalog pruning by the coarse cutoffs, leaving quadratic candidates {quad} and "
+        f"cubic candidates {cubic}",
         [
-            _less(Interval.exact(max(quad)), cut2),
-            _less(Interval.exact(max(cubic) if cubic else 0), cut3),
-            _greater(e046, e046_lower),
+            (Interval.exact(max(quad, default=0)), cut2),
+            (Interval.exact(max(cubic, default=0)), cut3),
+            e046,
         ],
         enclosures=[cut2, cut3, e046],
     )
@@ -320,14 +245,8 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     proto3 = bounds.proto_D_bound(3, 3, 1, prec)
     builder.record(
         "refined_cutoffs",
-        "refined cutoffs exclude every cubic candidate and every quadratic "
-        "candidate except discriminant 5",
         "sharpened discriminant cutoffs with unit-index powers",
-        [
-            _greater(proto2, Interval.exact(5)),
-            _less(proto2, Interval.exact(8)),
-            _less(proto3, Interval.exact(49)),
-        ],
+        [proto2, proto2, proto3],
         enclosures=[proto2, proto3],
     )
     survivors = ["1.1.1.1"]
@@ -341,10 +260,8 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     value = bounds.n2_degree_threshold(pair, t, prec)
     builder.record(
         "degree_threshold",
-        "the optimized rank-2 degree threshold lies below 6, excluding "
-        "degrees 6 and higher",
         f"grid minimum at (A, E, t) = ({pair.A}, {pair.E}, {t})",
-        [_less(value, Interval.exact(6))],
+        [value],
         enclosures=[value],
     )
     cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
@@ -354,31 +271,16 @@ def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
     }
     builder.record(
         "discriminant_cutoffs",
-        "coarse cutoffs leave candidate counts "
+        "catalog pruning by the coarse cutoffs, leaving candidate counts "
         + ", ".join(f"{len(counts[d])} at degree {d}" for d in (2, 3, 4, 5)),
-        "catalog pruning by the coarse cutoffs",
-        [
-            _less(Interval.exact(max(counts[d])), cuts[d])
-            for d in (2, 3, 4, 5)
-            if counts[d]
-        ],
+        [(Interval.exact(max(counts[d], default=0)), cuts[d]) for d in (2, 3, 4, 5)],
         enclosures=[cuts[d] for d in (2, 3, 4, 5)],
     )
     protos = {d: bounds.proto_D_bound(2, d, 1, prec) for d in (2, 3, 4, 5)}
     builder.record(
         "refined_cutoffs",
-        "refined cutoffs exclude all candidates of degree 4 and 5, all "
-        "cubic candidates except discriminant 49, and all quadratic "
-        "candidates except discriminants 5 and 8",
         "sharpened discriminant cutoffs with unit-index powers",
-        [
-            _less(protos[5], Interval.exact(14641)),
-            _less(protos[4], Interval.exact(725)),
-            _greater(protos[3], Interval.exact(49)),
-            _less(protos[3], Interval.exact(81)),
-            _greater(protos[2], Interval.exact(8)),
-            _less(protos[2], Interval.exact(12)),
-        ],
+        [protos[5], protos[4], protos[3], protos[3], protos[2], protos[2]],
         enclosures=[protos[d] for d in (2, 3, 4, 5)],
     )
     survivors = ["1.1.1.1"]

@@ -120,9 +120,9 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fields", help="path to the field catalog", default=None)
     p.add_argument(
         "--precision",
-        type=_int_between(16),
+        type=_int_between(16, 8192),
         default=256,
-        help="working precision in bits (at least 16)",
+        help="working precision in bits (16 to 8192)",
     )
 
 

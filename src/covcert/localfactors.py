@@ -13,12 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
+from .report import XI_CARDINALITY_MAX
 from .rigor import Comparison, Interval, RationalLike, iv_compare
 from . import numberfields
 from .numberfields import padic_square_test, splitting_type
-
-# the component-group cardinality dividing a non-special factor is 1 or 2
-XI_CARDINALITY_MAX = 2
 
 
 def T_factor(q: int) -> Fraction:
@@ -72,10 +70,10 @@ def nonspecial_gt_two(q: int, n: int) -> Comparison:
 
 
 class ExclusionStep(NamedTuple):
-    claim: str
     detail: str
-    # pairs (lhs, rhs), each needing lhs > rhs
-    comparisons: Tuple[Tuple[RationalLike, RationalLike], ...]
+    # the left sides; the certifier's step plan states the claim and the
+    # constant each side must exceed
+    values: Tuple[RationalLike, ...]
 
 
 def qsqrt5_local_exclusion(catalog) -> Tuple[ExclusionStep, ...]:
@@ -86,7 +84,9 @@ def qsqrt5_local_exclusion(catalog) -> Tuple[ExclusionStep, ...]:
     quadratic field of discriminant 5: the rational primes 2 and 3 are
     inert, so every residue cardinality is a square >= 4.  The remaining
     rigidity input (ramification parity at the archimedean places) is not
-    checked here; the certifier records it as axiom A1.
+    checked here; the certifier records it as axiom A1.  The values are the
+    smallest residue cardinality at the places above 2, then above 3, then
+    T(4), T(5) and T(9).
     """
     field = numberfields.field_by_discriminant(catalog, 2, 5)
     steps: List[ExclusionStep] = []
@@ -95,22 +95,19 @@ def qsqrt5_local_exclusion(catalog) -> Tuple[ExclusionStep, ...]:
         square_check = padic_square_test(field.discriminant, p)
         steps.append(
             ExclusionStep(
-                claim=f"no place above {p} has residue cardinality {p}",
                 detail=(
                     f"prime {p} is {split.kind} with residue cardinality "
                     f"{split.residue_cardinalities[0]}; discriminant is "
                     f"{'' if square_check else 'not '}a square in the "
                     f"{p}-adic field"
                 ),
-                comparisons=((min(split.residue_cardinalities), p),),
+                values=(min(split.residue_cardinalities),),
             )
         )
     steps.append(
         ExclusionStep(
-            claim="sharp factors at the remaining places satisfy the "
-            "exclusion inequality",
             detail="T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
-            comparisons=tuple((T_factor(q), 10) for q in (4, 5, 9)),
+            values=tuple(T_factor(q) for q in (4, 5, 9)),
         )
     )
     return tuple(steps)

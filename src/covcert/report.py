@@ -2,11 +2,11 @@
 
 This file is the trusted base of verification.  It imports only the standard
 library, so a re-checker can copy it alone and run ``verify_report`` on a
-JSON report without trusting the code that produced it.  ``compare`` is the
-three-way interval relation and ``step_verdict`` the rule that turns a
-step's comparisons into its verdict; the prover and the checker both apply
-them.  An interval is any object with exact ``lo`` and ``hi``: the prover
-records ``rigor.Interval``, the checker parses ``Enclosure``.
+JSON report without trusting the code that produced it.  ``STEP_PLANS``
+states the proof, ``compare`` is the three-way interval relation and
+``step_verdict`` the rule that turns comparisons into a verdict; the prover
+and the checker both apply them.  An interval is any object with exact
+``lo`` and ``hi``: ``rigor.Interval`` or the checker's ``Enclosure``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -39,63 +39,6 @@ AXIOMS = {
     "A5": "existence of a lattice of minimal covolume in the ambient "
     "group",
 }
-
-
-# The steps that a proof of each rank class consists of, in order, each with
-# the steps it depends on.  Ranks 4 to MAX_RANK share one plan.  This is the
-# proof's one description: the prover builds each report from it, recording
-# every step where its plan places it, with the plan's dependencies, and the
-# axioms at the plan's positions.  Every report must record exactly its
-# class's steps and edges, whatever its verdicts: a consistent subset of a
-# proof proves nothing.
-_GLOBAL_AXIOMS = {"A5": (), "A4": (), "A3": ()}
-STEP_PLANS: Dict[int, Dict[str, Tuple[str, ...]]] = {
-    2: {
-        **_GLOBAL_AXIOMS,
-        "degree_threshold": ("A3",),
-        "discriminant_cutoffs": ("degree_threshold",),
-        "refined_cutoffs": ("discriminant_cutoffs",),
-        "quotient_d3_D49": ("refined_cutoffs",),
-        "verdict_d3_D49": ("quotient_d3_D49",),
-        "quotient_d2_D8": ("refined_cutoffs",),
-        "verdict_d2_D8": ("quotient_d2_D8",),
-        "quotient_d2_D5": ("refined_cutoffs",),
-        "verdict_d2_D5": ("quotient_d2_D5",),
-        "local_nonspecial_factor": (),
-        "local_T_values": (),
-        "local_exclusion_0": ("local_T_values",),
-        "local_exclusion_1": ("local_T_values",),
-        "local_exclusion_2": ("local_T_values",),
-        "A1": ("local_T_values",),
-        "A2": (),
-    },
-    3: {
-        **_GLOBAL_AXIOMS,
-        "degree_threshold": ("A3",),
-        "discriminant_cutoffs": ("degree_threshold",),
-        "refined_cutoffs": ("discriminant_cutoffs",),
-        "quotient_d2_D5": ("refined_cutoffs",),
-        "verdict_d2_D5": ("quotient_d2_D5",),
-        "local_special_factor": (),
-        "local_nonspecial_factor": (),
-        "A2": (),
-    },
-    4: {
-        **_GLOBAL_AXIOMS,
-        "feasible_pair": ("A3",),
-        "inner_factor_ge_one": ("feasible_pair",),
-        "zeta_product_bound": (),
-        "high_rank_conclusion": ("inner_factor_ge_one", "zeta_product_bound", "A4"),
-        "local_special_factor": (),
-        "local_nonspecial_factor": (),
-        "A2": (),
-    },
-}
-
-
-def step_plan(rank: int) -> Dict[str, Tuple[str, ...]]:
-    """The plan of a rank's class: rank 2, rank 3, or ranks 4 to MAX_RANK."""
-    return STEP_PLANS[min(rank, 4)]
 
 
 class InputError(ValueError):
@@ -150,6 +93,162 @@ def step_verdict(comparisons: Sequence[RecordedComparison]) -> str:
         return "Proved"
     tie = any(c.relation == Comparison.OVERLAP.value for c in comparisons)
     return "Tie" if tie else "Failed"
+
+
+# Constants that a planned comparison and a prover formula share.  Each is
+# defined here once, and ``bounds`` and ``localfactors`` import it, so the
+# constant a report is checked against is the one its formula used.
+ZETA_PRODUCT_UPPER = Fraction(183, 100)  # the product of zeta(2j) over j >= 1 is below it
+E_046_LOWER = Fraction(158, 100)  # below e^0.46; the rank-3 cutoffs take it in its place
+COND_B_A_LOWER = Fraction(566, 100)  # condition (b) on a bound pair (A, E): A exceeds it
+XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 1 or 2 elements
+
+
+# A planned step is a triple: the steps it depends on, its claim (a template
+# whose one field is {rank}) and its planned comparisons.  A planned
+# comparison is the relation it requires and the exact constant that its
+# right side must equal, or None where the prover computes that side.
+def _gt(constant=None) -> Tuple[str, Optional[Fraction]]:
+    return (Comparison.CERTAINLY_GREATER.value, constant)
+
+
+def _lt(constant=None) -> Tuple[str, Optional[Fraction]]:
+    return (Comparison.CERTAINLY_LESS.value, constant)
+
+
+def _candidate(d: int, D: int, survives: bool) -> Dict[str, tuple]:
+    """The global-stage quotient and verdict steps of the candidate field (d, D)."""
+    field = f"(d, D) = ({d}, {D})"
+    return {
+        f"quotient_d{d}_D{D}": (
+            ("refined_cutoffs",),
+            f"covolume quotient for {field} at rank {{rank}}, adjusted by its unit index",
+            (_gt(0),),
+        ),
+        f"verdict_d{d}_D{D}": (
+            (f"quotient_d{d}_D{D}",),
+            f"field {field} " + ("survives the global stage" if survives else "is excluded"),
+            (_gt(1) if survives else _lt(1),),
+        ),
+    }
+
+
+# The steps that a proof of each rank class consists of, in order, each with
+# its whole statement.  Ranks 4 to MAX_RANK share one plan.  This is the
+# proof's one description: the prover renders every step's claim,
+# dependencies, required relations and constant sides from it and supplies
+# only the evidence (computed sides, enclosures, anchor), and the checker
+# holds every report to it, whatever its verdicts: a consistent subset of a
+# proof, or a proof of another statement, proves nothing.
+_AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
+_NONSPECIAL = (
+    (),
+    "non-special local factors at rank {rank} exceed the component bound",
+    (_gt(XI_CARDINALITY_MAX),),
+)
+_LOCAL_STAGE = {
+    "local_special_factor": (
+        (),
+        "smallest special non-hyperspecial local factor at rank {rank} exceeds the exclusion "
+        "threshold",
+        (_gt(10),),
+    ),
+    "local_nonspecial_factor": _NONSPECIAL,
+    "A2": ((), AXIOMS["A2"], ()),
+}
+STEP_PLANS: Dict[int, Dict[str, tuple]] = {
+    2: {
+        **_AXIOMS_FIRST,
+        "degree_threshold": (
+            ("A3",),
+            "the optimized rank-2 degree threshold lies below 6, excluding degrees 6 and higher",
+            (_lt(6),),
+        ),
+        "discriminant_cutoffs": (
+            ("degree_threshold",),
+            "coarse cutoffs bound the discriminants of the candidate fields of degrees 2 to 5",
+            (_lt(),) * 4,
+        ),
+        "refined_cutoffs": (
+            ("discriminant_cutoffs",),
+            "refined cutoffs exclude all candidates of degree 4 and 5, all cubic candidates except "
+            "discriminant 49, and all quadratic candidates except discriminants 5 and 8",
+            (_lt(14641), _lt(725), _gt(49), _lt(81), _gt(8), _lt(12)),
+        ),
+        **_candidate(3, 49, survives=False),
+        **_candidate(2, 8, survives=False),
+        **_candidate(2, 5, survives=True),
+        "local_nonspecial_factor": _NONSPECIAL,
+        "local_T_values": (
+            (), "rank-2 sharp factor values T(2) = 5/2 and T(3) = 10", (_gt(2), _gt(5))
+        ),
+        "local_exclusion_0": (
+            ("local_T_values",), "no place above 2 has residue cardinality 2", (_gt(2),)
+        ),
+        "local_exclusion_1": (
+            ("local_T_values",), "no place above 3 has residue cardinality 3", (_gt(3),)
+        ),
+        "local_exclusion_2": (
+            ("local_T_values",),
+            "sharp factors at the remaining places satisfy the exclusion inequality",
+            (_gt(10),) * 3,
+        ),
+        "A1": (("local_T_values",), AXIOMS["A1"], ()),
+        "A2": _LOCAL_STAGE["A2"],
+    },
+    3: {
+        **_AXIOMS_FIRST,
+        "degree_threshold": (
+            ("A3",),
+            "the optimized rank-3 degree threshold lies below 4, excluding degrees 4 and higher",
+            (_lt(4),),
+        ),
+        "discriminant_cutoffs": (
+            ("degree_threshold",),
+            "coarse cutoffs, which take e^0.46 > 1.58, bound the discriminants of the quadratic "
+            "and cubic candidate fields",
+            (_lt(), _lt(), _gt(E_046_LOWER)),
+        ),
+        "refined_cutoffs": (
+            ("discriminant_cutoffs",),
+            "refined cutoffs exclude every cubic candidate and every quadratic candidate except "
+            "discriminant 5",
+            (_gt(5), _lt(8), _lt(49)),
+        ),
+        **_candidate(2, 5, survives=False),
+        **_LOCAL_STAGE,
+    },
+    4: {
+        **_AXIOMS_FIRST,
+        "feasible_pair": (
+            ("A3",),
+            "the stated bound pair (A, E) satisfies the three high-rank conditions",
+            (_gt(), _gt(COND_B_A_LOWER), _gt()),
+        ),
+        "inner_factor_ge_one": (
+            ("feasible_pair",),
+            "the degree-power base at rank {rank} is at least one, so the lower bound is "
+            "increasing in the degree",
+            (_gt(0),),
+        ),
+        "zeta_product_bound": (
+            (),
+            "the infinite product of zeta at even integers is below 1.83",
+            (_lt(ZETA_PRODUCT_UPPER),),
+        ),
+        "high_rank_conclusion": (
+            ("inner_factor_ge_one", "zeta_product_bound", "A4"),
+            "no field of degree above one yields a smaller covolume at rank {rank}",
+            (_gt(),),
+        ),
+        **_LOCAL_STAGE,
+    },
+}
+
+
+def step_plan(rank: int) -> Dict[str, tuple]:
+    """The plan of a rank's class: rank 2, rank 3, or ranks 4 to MAX_RANK."""
+    return STEP_PLANS[min(rank, 4)]
 
 
 class CertificateStep(NamedTuple):
@@ -282,13 +381,21 @@ def _typed(obj, key: str, kind: type):
     return value
 
 
+def _endpoint(text) -> Fraction:
+    """An endpoint as ``_frac_str`` writes it, -?[0-9]+ or -?[0-9]+/[0-9]+.
+    ``Fraction`` alone would also take an exponent, and expand "1e10000000"
+    to ten million digits."""
+    num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
+    digits = [num.removeprefix("-")] + ([den] if slash else [])
+    if not all(x.isascii() and x.isdigit() for x in digits):
+        raise ValueError(f"endpoint {text!r:.40} is not an integer or a fraction p/q")
+    return Fraction(int(num), int(den or 1))
+
+
 def _parse_interval(pair) -> Enclosure:
     """An enclosure recorded as a list of two fraction strings [lo, hi]."""
     try:
-        lo, hi = pair
-        if not isinstance(lo, str) or not isinstance(hi, str):
-            raise TypeError("endpoints are not strings")
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = map(_endpoint, pair)
         if lo > hi:
             raise ValueError(f"lo={lo} > hi={hi}")
         return Enclosure(lo, hi)
@@ -296,46 +403,61 @@ def _parse_interval(pair) -> Enclosure:
         raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
-def _check_plan(doc) -> None:
-    """TamperDetected unless a parsed report records its rank class's plan,
-    step for step and edge for edge, with field labels, claims and anchors
-    that are strings."""
+def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
+    """TamperDetected unless a parsed report, whose steps recorded the given
+    comparisons, states its rank class's plan step for step: each step's
+    id, dependencies and claim, and each comparison's required relation and
+    constant right side.  Field labels and anchors must be strings."""
     rank = doc["rank"]
     if not 2 <= rank <= MAX_RANK:
         raise TamperDetected(f"rank {rank} is outside 2..{MAX_RANK}")
-    recorded = [(s["id"], tuple(s["dependencies"])) for s in doc["steps"]]
-    for step, planned in zip_longest(recorded, step_plan(rank).items()):
-        if step != planned:
-            raise TamperDetected(f"rank {rank} proof records step {step} where its plan has {planned}")
+    plan = step_plan(rank)
+    recorded_edges = [(s["id"], tuple(s["dependencies"])) for s in doc["steps"]]
+    planned_edges = [(step_id, dependencies) for step_id, (dependencies, _, _) in plan.items()]
+    for step, expected in zip_longest(recorded_edges, planned_edges):
+        if step != expected:
+            raise TamperDetected(
+                f"rank {rank} proof records step {step} where its plan has {expected}"
+            )
     surviving = doc.get("surviving_fields_after_global")
     if not isinstance(surviving, list) or not all(isinstance(x, str) for x in surviving):
         raise TamperDetected(
             f"surviving_fields_after_global {surviving!r:.80} is not a list of field labels"
         )
-    for s in doc["steps"]:
-        for key in ("claim", "anchor"):
-            if not isinstance(s.get(key), str):
-                raise TamperDetected(f"step {s['id']}: {key} {s.get(key)!r:.80} is not a string")
+    for s, recorded, (_, claim, planned) in zip(doc["steps"], comparisons, plan.values()):
+        if s.get("claim") != claim.format(rank=rank):
+            raise TamperDetected(f"step {s['id']}: claim {s.get('claim')!r:.80} is not its plan's")
+        if not isinstance(s.get("anchor"), str):
+            raise TamperDetected(f"step {s['id']}: anchor {s.get('anchor')!r:.80} is not a string")
+        if len(recorded) != len(planned) or any(
+            c.required != required or constant is not None and c.rhs != (constant, constant)
+            for c, (required, constant) in zip(recorded, planned)
+        ):
+            raise TamperDetected(f"step {s['id']}: comparisons are not its plan's {planned}")
 
 
 def verify_report(stream: bytes) -> str:
-    """Re-check a JSON report: every report follows its rank class's plan.
+    """Re-check a JSON report: every report states its rank class's plan.
 
     Returns "Proved" when every step holds, else "NotProved".  Raises
     SchemaMismatch for a report that does not parse as this schema (among
-    others: an enclosure that is not an interval of fractions, a rank that
-    is not an integer, a dependency that is not a string, a precision below
-    16 bits or not equal to every step's) and TamperDetected for one that
-    contradicts itself (a verdict that is not ``step_verdict`` of its
-    re-checked comparisons, an axiom step that does not state its axiom, a
-    conclusion that disagrees with the verdicts) or, once every step has
-    parsed, departs from its class's plan (``_check_plan``).  The plan is
-    the only rule for steps and edges: each planned dependency names an
-    earlier step of its plan.  Only exact rational arithmetic is used.
+    others: an enclosure that is not an interval of fractions written as
+    ``emit_report`` writes them, a rank that is not an integer, a
+    dependency that is not a string, a precision below 16 bits or not equal
+    to every step's) and TamperDetected for one that contradicts itself or
+    its plan.  Every step is checked by one rule: it is an axiom exactly
+    when its id is in ``AXIOMS``, any other step's verdict is
+    ``step_verdict`` of its re-checked comparisons, and, once every step
+    has parsed, its id, dependencies, claim, comparison count, required
+    relations and constant right sides are its plan's (``_check_plan``).
+    A conclusion that disagrees with the verdicts is tampered too.  Only
+    exact rational arithmetic is used.  What it does not recompute it
+    trusts: the computed sides of the comparisons, and the catalog data
+    behind the candidate lists.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
         raise SchemaMismatch(f"not a report: {exc}") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
@@ -345,6 +467,7 @@ def verify_report(stream: bytes) -> str:
     if precision_bits < 16:
         raise SchemaMismatch(f"precision_bits {precision_bits} is below 16")
     all_ok = True
+    parsed = []
     for s in _typed(doc, "steps", list):
         step_id = _typed(s, "id", str)
         if _typed(s, "precision_bits", int) != precision_bits:
@@ -371,24 +494,17 @@ def verify_report(stream: bytes) -> str:
                 RecordedComparison(lhs, rhs, relation, _typed(c, "required", str))
             )
         verdict = s.get("verdict")
-        if verdict == "Axiom":
-            if comparisons:
-                raise TamperDetected(f"axiom step {step_id} has comparisons")
-            if s.get("claim") != AXIOMS.get(step_id):
-                raise TamperDetected(f"axiom step {step_id} does not state axiom {step_id}")
-        elif verdict in ("Proved", "Failed", "Tie"):
-            expected = step_verdict(comparisons)
-            if verdict != expected:
-                raise TamperDetected(
-                    f"step {step_id} marked {verdict} but its comparisons give {expected}"
-                )
-            all_ok = all_ok and verdict == "Proved"
-        else:
+        if verdict not in ("Proved", "Failed", "Tie", "Axiom"):
             raise SchemaMismatch(f"unknown verdict {verdict!r}")
+        expected = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
+        if verdict != expected:
+            raise TamperDetected(f"step {step_id} marked {verdict} where the rule gives {expected}")
+        all_ok = all_ok and verdict in ("Proved", "Axiom")
+        parsed.append(comparisons)
     conclusion = doc.get("final_conclusion", "")
     if all_ok and conclusion != FINAL_CONCLUSION:
         raise TamperDetected("all steps hold but the conclusion is absent")
     if not all_ok and conclusion == FINAL_CONCLUSION:
         raise TamperDetected("conclusion recorded despite a failed step")
-    _check_plan(doc)
+    _check_plan(doc, parsed)
     return "Proved" if all_ok else "NotProved"

@@ -5,10 +5,11 @@ import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
+from string import Formatter
 
 import pytest
 
@@ -284,15 +285,112 @@ def test_verify_rejects_forged_rank9_reports():
             ct.verify_report(json.dumps(doc).encode())
 
 
+def _relabelled_rank9(doc):
+    doc["rank"] = 9
+
+
+def _axiom_a3_proved(doc):
+    comparison = {"lhs": ["0", "0"], "rhs": ["1", "1"], "relation": "CertainlyLess",
+                  "required": "CertainlyLess"}
+    _step(doc, "A3").update(
+        verdict="Proved", claim="any statement at all", comparisons=[comparison]
+    )
+
+
+def _conclusion_claim_edited(doc):
+    _step(doc, "high_rank_conclusion")["claim"] = "1 + 1 = 3"
+
+
+def _zeta_product_sides_replaced(doc):
+    _step(doc, "zeta_product_bound")["comparisons"][0].update(lhs=["1", "1"], rhs=["100", "100"])
+
+
+def _constant_side_moved(doc):
+    _step(doc, "inner_factor_ge_one")["comparisons"][0]["rhs"] = ["-5", "-5"]
+
+
+def _constant_side_flipped(doc):
+    _step(doc, "inner_factor_ge_one")["comparisons"][0].update(
+        rhs=[str(10**8)] * 2, relation="CertainlyLess", required="CertainlyLess"
+    )
+
+
+def _comparison_dropped(doc):
+    del _step(doc, "feasible_pair")["comparisons"][1]
+
+
+@pytest.mark.parametrize(
+    "n, mutate",
+    [
+        (5, _relabelled_rank9),
+        (5, _axiom_a3_proved),
+        (5, _conclusion_claim_edited),
+        (4, _zeta_product_sides_replaced),
+        (4, _constant_side_moved),
+        (4, _constant_side_flipped),
+        (4, _comparison_dropped),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
+)
+def test_verify_rejects_forgeries_of_the_plan(n, mutate):
+    """Each forgery holds step by step, but states another proof than its
+    plan's: a relabelled rank, an axiom turned into a proof, an edited
+    claim, replaced or moved constant sides, a flipped relation, a dropped
+    comparison."""
+    doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
+    mutate(doc)
+    with pytest.raises(ct.TamperDetected):
+        ct.verify_report(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("endpoint", ["1e400", "100.5", "+100", "\u0661\u0660\u0660"])
+def test_verify_takes_endpoints_only_as_emitted(cert_by_rank, endpoint):
+    """An endpoint is an integer or a fraction p/q in ASCII digits, as
+    ``emit_report`` writes it; Fraction would also expand an exponent."""
+    doc = json.loads(ct.emit_report(cert_by_rank[2]))
+    _step(doc, "degree_threshold")["enclosures"][0][1] = endpoint
+    with pytest.raises(ct.SchemaMismatch, match="does not parse"):
+        ct.verify_report(json.dumps(doc).encode())
+
+
+def test_verify_rejects_an_over_long_integer(cert_by_rank):
+    """A JSON integer beyond Python's digit limit is a schema mismatch."""
+    data = ct.emit_report(cert_by_rank[2]).replace(b'"rank":2', b'"rank":' + b"9" * 5001)
+    with pytest.raises(ct.SchemaMismatch):
+        ct.verify_report(data)
+
+
 @pytest.mark.parametrize(
     "n, bits",
     [(n, bits) for bits in (16, 256) for n in (2, 3, 4, 9, 64)] + [(2, 2048), (3, 2048), (4, 2048)],
 )
 def test_honest_reports_follow_the_plan(n, bits):
-    """run_case records its rank class's plan: every step, edge and order."""
+    """run_case states its rank class's plan: every step in order, with the
+    plan's dependencies, claim, required relations and constant sides."""
     cert = ct.run_case(n, precision_bits=bits)
-    plan = report.STEP_PLANS[min(n, 4)]
-    assert [(s.id, s.dependencies) for s in cert.steps] == list(plan.items())
+    plan = report.step_plan(n)
+    assert [s.id for s in cert.steps] == list(plan)
+    for step, (dependencies, claim, planned) in zip(cert.steps, plan.values()):
+        assert step.dependencies == dependencies, step.id
+        assert step.claim == claim.format(rank=n), step.id
+        assert len(step.comparisons) == len(planned), step.id
+        for c, (required, constant) in zip(step.comparisons, planned):
+            assert c.required == required, step.id
+            assert constant is None or (c.rhs.lo, c.rhs.hi) == (constant, constant), step.id
+        assert step.verdict == ("Axiom" if step.id in report.AXIOMS else "Proved"), step.id
+    assert ct.verify_report(ct.emit_report(cert)) == "Proved"
+
+
+def test_rank2_cutoffs_compare_every_degree(tmp_path):
+    """A degree with no candidate in the catalog still records its cutoff
+    comparison, so a rank-2 proof from a catalog without quintic fields
+    keeps its plan's four comparisons and verifies."""
+    catalog = (Path(numberfields.__file__).parent / "data" / "fields.catalog").read_text()
+    path = tmp_path / "no_quintic.catalog"
+    path.write_text("".join(x for x in catalog.splitlines(True) if not x.startswith("5.")))
+    cert = ct.run_case(2, precision_bits=64, fields_path=str(path))
+    comparisons = cert.step("discriminant_cutoffs").comparisons
+    assert len(comparisons) == 4 and comparisons[3].lhs == Interval.exact(0)
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
 
 
@@ -503,19 +601,31 @@ def test_every_enclosure_delivers_the_requested_bits(n, prec):
             assert (e.hi - e.lo) * 2**floor <= max(abs(e.lo), abs(e.hi)), (step.id, e)
 
 
-def test_rank3_cutoffs_check_their_e046_constant(monkeypatch):
-    """The rank-3 cutoffs use 1.58 in place of e^0.46 = 1.5841; the step
-    records that comparison, so a constant of 1.59 makes it fail."""
-
-    def cutoff_step():
-        cert = ct.run_case(3, precision_bits=PREC)
-        return next(s for s in cert.steps if s.id == "discriminant_cutoffs")
-
-    assert cutoff_step().verdict == "Proved"
-    monkeypatch.setattr(bounds, "_E_046_LOWER", Fraction(159, 100))
-    step = cutoff_step()
-    assert step.verdict == "Failed"
-    assert step.comparisons[-1].relation == "CertainlyLess"
+def test_rank3_cutoffs_check_their_e046_constant(cert_by_rank, tmp_path):
+    """The rank-3 cutoffs use 1.58 in place of e^0.46 = 1.5841, and the step
+    records that comparison.  1.58 has one definition, in report.py: in a
+    copy of the package where it reads 1.59, the cutoffs change with it and
+    the step fails."""
+    package = Path(covcert.__file__).parent
+    copy = tmp_path / "covcert"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / "report.py").read_text()
+    assert source.count("Fraction(158, 100)") == 1
+    (copy / "report.py").write_text(source.replace("Fraction(158, 100)", "Fraction(159, 100)"))
+    out = subprocess.run(
+        [sys.executable, "-m", "covcert.cli", "prove", "--n", "3", "--precision", str(PREC),
+         "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        timeout=120,
+    )
+    assert out.returncode == cli.EXIT_STEP_FAILED
+    edited = _step(json.loads(out.stdout), "discriminant_cutoffs")
+    honest = _step(json.loads(ct.emit_report(cert_by_rank[3])), "discriminant_cutoffs")
+    assert edited["verdict"] == "Failed"
+    assert edited["comparisons"][-1]["relation"] == "CertainlyLess"
+    assert edited["comparisons"][-1]["rhs"] == ["159/100", "159/100"]
+    assert edited["enclosures"][:2] != honest["enclosures"][:2]  # the cutoffs
 
 
 @pytest.mark.parametrize(
@@ -541,42 +651,63 @@ def test_overlap_gives_tie_that_verifies(cert_by_rank):
 
 
 def test_step_without_comparisons_is_not_proved(cert_by_rank):
-    """A failing step that later steps depend on (inner_factor_ge_one on
-    feasible_pair) leaves a plan-shaped report NotProved."""
-    doc = json.loads(ct.emit_report(cert_by_rank[4]))
-    _step(doc, "feasible_pair").update(comparisons=[], verdict="Failed")
-    doc["final_conclusion"] = ""
-    assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
+    """A step emptied of its comparisons departs from its plan.  A step
+    that keeps them but does not hold, on one overlapped comparison, leaves
+    a plan-shaped report NotProved, though a later step depends on it
+    (high_rank_conclusion on inner_factor_ge_one)."""
+    for overlapped in (False, True):
+        doc = json.loads(ct.emit_report(cert_by_rank[4]))
+        doc["final_conclusion"] = ""
+        step = _step(doc, "inner_factor_ge_one")
+        if not overlapped:
+            step.update(comparisons=[], verdict="Failed")
+            with pytest.raises(ct.TamperDetected, match="not its plan's"):
+                ct.verify_report(json.dumps(doc).encode())
+        else:
+            step["comparisons"][0].update(lhs=["-1", "1"], relation="Overlap")
+            step["verdict"] = "Tie"
+            assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
 
 def test_off_plan_report_with_a_failing_step_is_tampered():
     """A one-step rank-1 report follows no plan, whatever its verdicts."""
-    step = ct.proof_step("empty", "claim", "anchor", [], PREC)
-    assert step.verdict == "Failed"
+    step = ct.CertificateStep("empty", "claim", "anchor", (), (), "Failed", (), PREC)
     cert = ct.Certificate(1, PREC, [step], [], "")
     with pytest.raises(ct.TamperDetected, match="rank 1 is outside"):
         ct.verify_report(ct.emit_report(cert))
 
 
 def test_plans_depend_only_on_earlier_steps_and_known_axioms():
-    """The checker's one rule for edges: each planned dependency names an
-    earlier step of its plan, and the axiom steps are exactly A1-A5."""
+    """Each planned dependency names an earlier step of its plan; the axiom
+    steps are exactly A1-A5, each claiming its axiom's text with no
+    comparison; every claim is a template whose only field is {rank}."""
     planned_axioms = set()
     for rank, plan in report.STEP_PLANS.items():
         earlier = set()
-        for step_id, deps in plan.items():
-            assert set(deps) <= earlier, (rank, step_id, deps)
+        for step_id, (dependencies, claim, comparisons) in plan.items():
+            assert set(dependencies) <= earlier, (rank, step_id)
             earlier.add(step_id)
-        planned_axioms |= {step_id for step_id in plan if step_id[0] == "A"}
+            fields = {field for _, field, _, _ in Formatter().parse(claim)}
+            assert fields <= {None, "rank"}, (rank, step_id)
+            assert (step_id in report.AXIOMS) == (step_id[0] == "A"), step_id
+            if step_id in report.AXIOMS:
+                assert (claim, comparisons) == (report.AXIOMS[step_id], ()), step_id
+            else:
+                assert comparisons, (rank, step_id)
+        planned_axioms |= set(plan) & set(report.AXIOMS)
     assert planned_axioms == set(report.AXIOMS)
 
 
-@pytest.mark.parametrize("n, step_id", [(2, "refined_cutoffs"), (3, "A3"), (4, "degree_threshold")])
+@pytest.mark.parametrize(
+    "n, step_id",
+    [(2, "refined_cutoffs"), (3, "A3"), (4, "degree_threshold"), (2, "degree_threshold")],
+)
 def test_builder_rejects_a_step_out_of_plan_order(n, step_id):
-    """Recording a step that is not the plan's next one raises."""
+    """Recording a step that is not the plan's next one, or the next one
+    without its planned comparison, raises."""
     builder = ct._Builder(n, PREC)
     with pytest.raises(RuntimeError, match="where the plan has"):
-        builder.record(step_id, "claim", "anchor", [])
+        builder.record(step_id, "anchor")
 
 
 @pytest.mark.parametrize("n", [2, 3, 9])
@@ -665,6 +796,7 @@ def test_prove_all_matches_separate_processes():
 BAD_FLAGS = [
     (["prove", "--n", "1"], "must be at least 2"),
     (["prove", "--n", "3", "--precision", "8"], "must be at least 16"),
+    (["prove", "--n", "4", "--precision", "16384"], "must be at most 8192"),
     (["prove", "--n", "65"], "must be at most 64"),
     *(
         (["field", "2.2.5.1", "--op", "splitting", "--p", p], "must be a prime")
@@ -700,7 +832,11 @@ def bad_data(tmp_path):
     (tmp_path / "no_49.catalog").write_text(
         "".join(line for line in lines if not line.startswith("3.3.49.1|"))
     )
+    (tmp_path / "no_quadratic.catalog").write_text(
+        "".join(line for line in lines if not line.startswith("2."))
+    )
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    (tmp_path / "long_int.json").write_text('{"schema_version": 1, "rank": ' + "9" * 5001 + "}")
     (tmp_path / "latin1").write_bytes(b"\xff\xfe not UTF-8\n")
     torn = tmp_path / "torn"
     torn.mkdir()
@@ -727,6 +863,8 @@ BAD_INPUT = [
     ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/latin1"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"]),
+    ({}, ["prove", "--n", "3", "--fields", "{tmp}/no_quadratic.catalog"]),
+    ({}, ["verify", "{tmp}/long_int.json"]),
 ]
 
 

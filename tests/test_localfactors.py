@@ -6,6 +6,7 @@ import pytest
 
 from covcert.rigor import Comparison, Interval
 from covcert import localfactors as lf
+from covcert import report
 
 
 def test_T_factor_values():
@@ -70,9 +71,14 @@ def test_nonspecial_gt_two():
 
 
 def test_qsqrt5_exclusion_chain(catalog):
+    """Each fragment's values exceed the constants of its planned step."""
     steps = lf.qsqrt5_local_exclusion(catalog)
+    plan = report.STEP_PLANS[2]
     assert len(steps) == 3
-    assert all(s.comparisons for s in steps)
-    assert all(lhs > rhs for s in steps for lhs, rhs in s.comparisons)
-    assert "residue cardinality 2" in steps[0].claim
+    for i, step in enumerate(steps):
+        _, _, planned = plan[f"local_exclusion_{i}"]
+        assert len(step.values) == len(planned)
+        for value, (required, constant) in zip(step.values, planned):
+            assert (required, value > constant) == ("CertainlyGreater", True), (i, value)
+    assert "residue cardinality 2" in plan["local_exclusion_0"][1]
     assert "inert" in steps[0].detail
