@@ -1,7 +1,7 @@
 """Proof pipeline orchestration.
 
 ``run_case(n)`` executes the full exclusion argument for one rank and
-returns an ordered :class:`Certificate`.  Every numerical verdict in the
+returns its :class:`Certificate`.  Every numerical verdict in the
 certificate is backed by a recorded interval comparison, so a report can
 be re-verified later without recomputing any transcendental enclosure.
 
@@ -11,18 +11,20 @@ checking a report does not mean trusting this module.  They are
 re-exported here.  Each step's verdict comes from ``report.step_verdict``,
 the rule the checker applies.
 
-``report.STEP_PLANS`` is the proof's one statement: every step's id,
-position, dependencies, claim, required relations and constant sides come
-from its rank class's plan, and this module supplies only the evidence.
-Non-numerical inputs (structural group theory, the validity of the vendored
-bound table, and so on) are the axiom steps A1 through A5, which the
-builder records where the plan places them rather than assuming them.
+``report.STEP_PLANS`` is the proof's one statement, and ``run_case`` walks
+it: every step's id, position, dependencies, claim, required relations and
+constant sides come from its rank class's plan, and the surviving fields
+from ``report.SURVIVING_FIELDS``.  This module supplies only the evidence,
+looked up by step id in ``_EVIDENCE``.  Non-numerical inputs (structural
+group theory, the validity of the vendored bound table, and so on) are the
+axiom steps A1 through A5, which the plan places like any other step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from .rigor import Interval
 from . import bounds, localfactors, numberfields
@@ -30,6 +32,7 @@ from .report import (  # noqa: F401  (re-exported)
     AXIOMS,
     FINAL_CONCLUSION,
     SCHEMA_VERSION,
+    SURVIVING_FIELDS,
     Certificate,
     CertificateStep,
     RecordedComparison,
@@ -45,68 +48,6 @@ from .report import (  # noqa: F401  (re-exported)
 
 class DataMissing(FileNotFoundError):
     """A required data file is absent."""
-
-
-class _Builder:
-    """Records one rank's proof along its class's plan, ``report.step_plan``.
-
-    The plan states every step: its claim, its dependencies, and for each
-    comparison the relation it requires and any constant right side.  The
-    caller gives only the evidence: the anchor, the enclosures and the
-    computed sides of each comparison, the left side alone where the plan
-    fixes the right.  Axiom steps are recorded where the plan places them.
-    Recording a step that is not the plan's next one, with a number of
-    comparisons other than its plan's, or finishing before the plan does, is
-    a fault of this module that no input reaches: it raises RuntimeError.
-    """
-
-    def __init__(self, rank: int, precision_bits: int) -> None:
-        self.rank = rank
-        self.precision_bits = precision_bits
-        self.steps: List[CertificateStep] = []
-        self._pending = list(step_plan(rank).items())[::-1]  # the next step last
-        self._record_axiom()
-
-    def _record_axiom(self) -> None:
-        """Record the plan's next step if it is an axiom (and so on)."""
-        if self._pending and self._pending[-1][0] in AXIOMS:
-            self.record(self._pending[-1][0], "structural input, outside certified numerics")
-
-    def record(
-        self, step_id: str, anchor: str, sides: Sequence = (), enclosures: Sequence[Interval] = ()
-    ) -> None:
-        """Append the plan's next step, its verdict the ``step_verdict`` of
-        its comparisons (or Axiom), then any axiom steps that follow it."""
-        planned_id, (dependencies, claim, planned) = (
-            self._pending.pop() if self._pending else (None, ((), "", ()))
-        )
-        if step_id != planned_id or len(sides) != len(planned):
-            raise RuntimeError(
-                f"recorded step {step_id} with {len(sides)} sides where the plan has {planned_id}"
-            )
-        comparisons = []
-        for given, (required, constant) in zip(sides, planned):
-            lhs, rhs = given if constant is None else (given, Interval.exact(constant))
-            comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
-        self.steps.append(
-            CertificateStep(
-                id=step_id,
-                claim=claim.format(rank=self.rank),
-                anchor=anchor,
-                enclosures=tuple(enclosures),
-                comparisons=tuple(comparisons),
-                verdict="Axiom" if step_id in AXIOMS else step_verdict(comparisons),
-                dependencies=dependencies,
-                precision_bits=self.precision_bits,
-            )
-        )
-        self._record_axiom()
-
-    def finish(self) -> List[CertificateStep]:
-        """The recorded steps, once the plan is complete."""
-        if self._pending:
-            raise RuntimeError(f"proof ended before its planned step {self._pending[-1][0]}")
-        return self.steps
 
 
 def _load_inputs(odlyzko_path: Optional[str], fields_path: Optional[str]):
@@ -138,100 +79,55 @@ def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
     raise DataMissing(f"bound-pair table has no witness row (A, E) = ({A}, {E})")
 
 
-def _unit_adjusted_quotient_steps(
-    builder: _Builder,
-    catalog,
-    n: int,
-    survivors: List[str],
-    candidates: Sequence[Tuple[int, int]],
-) -> None:
-    """Exact quotient and unit-index adjustment for each remaining (d, D)."""
-    for d, D in candidates:
-        fld = numberfields.field_by_discriminant(catalog, d, D)
-        quotient = bounds.s_lambda_quotient(fld, n)
-        unit_index = numberfields.totally_positive_index(fld)
-        adjusted = bounds.adjusted_quotient(fld, n, unit_index)
-        builder.record(
-            f"quotient_d{d}_D{D}",
-            "global covolume comparison against the rational lattice; unit index "
-            f"{unit_index}",
-            [quotient],
-            enclosures=[quotient, adjusted],
-        )
-        builder.record(f"verdict_d{d}_D{D}", "adjusted quotient versus 1", [adjusted], [adjusted])
-        if adjusted.lo > 1:
-            survivors.append(fld.label)
+# The evidence for one step: its anchor, the computed sides of its planned
+# comparisons (a pair, or the left side alone where the plan fixes the
+# right) and its enclosures.  Each takes the bound-pair table, the field
+# catalog, the rank and the precision in bits.
 
 
-def _local_stage(builder: _Builder, catalog, n: int, prec: int) -> None:
-    if n >= 3:
-        value = Interval.exact(localfactors.eprime_special(n, 2))
-        builder.record(
-            "local_special_factor", "local covolume factor lower bound", [value], [value]
-        )
-    q_ref = 3 if n == 2 else 2
-    lower = localfactors.h_rigidity(q_ref, n)
-    builder.record("local_nonspecial_factor", "volume rigidity lower bound", [lower], [lower])
-    if n == 2:
-        t2 = Interval.exact(localfactors.T_factor(2))
-        t3 = Interval.exact(localfactors.T_factor(3))
-        builder.record(
-            "local_T_values",
-            "closed-form local factors at small residue cardinality",
-            [t2, t3],
-            enclosures=[t2, t3],
-        )
-        for i, frag in enumerate(localfactors.qsqrt5_local_exclusion(catalog)):
-            sides = [Interval.exact(v) for v in frag.values]
-            builder.record(f"local_exclusion_{i}", frag.detail, sides)
+def _degree_threshold_n2(table, catalog, n: int, prec: int):
+    A, E, t = N2_WITNESS
+    pair = _table_row(table, A, E)
+    value = bounds.n2_degree_threshold(pair, t, prec)
+    return f"grid minimum at (A, E, t) = ({pair.A}, {pair.E}, {t})", [value], [value]
 
 
-def _run_high_rank(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
-    pair = _table_row(table, *L35_WITNESS)
-    conditions = bounds.lemma35_comparisons(pair, prec)
-    builder.record(
-        "feasible_pair",
-        f"stated row (A, E) = ({pair.A}, {pair.E}) of the vendored table",
-        [conditions["cond_a"], conditions["cond_b"][0], conditions["cond_c"]],
-        enclosures=[*conditions["cond_a"], *conditions["cond_c"]],
+def _discriminant_cutoffs_n2(table, catalog, n: int, prec: int):
+    cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
+    counts = {
+        d: [f.discriminant for f in numberfields.fields_by_degree_below(catalog, d, cuts[d].lo)]
+        for d in (2, 3, 4, 5)
+    }
+    return (
+        "catalog pruning by the coarse cutoffs, leaving candidate counts "
+        + ", ".join(f"{len(counts[d])} at degree {d}" for d in (2, 3, 4, 5)),
+        [(Interval.exact(max(counts[d], default=0)), cuts[d]) for d in (2, 3, 4, 5)],
+        [cuts[d] for d in (2, 3, 4, 5)],
     )
-    # the base and the bound run to thousands of digits at high rank, so the
-    # report records their logarithms, which bounds evaluates directly
-    log_inner = bounds.log_inner_factor(n, pair.A, prec)
-    builder.record(
-        "inner_factor_ge_one",
-        "monotonicity in the field degree, via the logarithm of the base",
-        [log_inner],
-        enclosures=[log_inner],
-    )
-    zeta_product = bounds.zeta_product_enclosure(prec)
-    builder.record(
-        "zeta_product_bound", "reference covolume constant bound", [zeta_product], [zeta_product]
-    )
-    log_bound = bounds.log_normalized_O(n, 2, pair, prec)
-    log_183 = bounds.log_enclosure(Interval.exact(bounds.ZETA_PRODUCT_UPPER), prec)
-    builder.record(
-        "high_rank_conclusion",
-        f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, via logarithms",
-        [(log_bound, log_183)],
-        enclosures=[log_bound],
-    )
-    return ["1.1.1.1"]
 
 
-def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
+def _refined_cutoffs_n2(table, catalog, n: int, prec: int):
+    protos = {d: bounds.proto_D_bound(2, d, 1, prec) for d in (2, 3, 4, 5)}
+    return (
+        "sharpened discriminant cutoffs with unit-index powers",
+        [protos[5], protos[4], protos[3], protos[3], protos[2], protos[2]],
+        [protos[d] for d in (2, 3, 4, 5)],
+    )
+
+
+def _degree_threshold_n3(table, catalog, n: int, prec: int):
     pair = _table_row(table, *N3_WITNESS)
     value = bounds.n3_degree_threshold(pair, prec)
-    builder.record(
-        "degree_threshold", f"table minimum at (A, E) = ({pair.A}, {pair.E})", [value], [value]
-    )
+    return f"table minimum at (A, E) = ({pair.A}, {pair.E})", [value], [value]
+
+
+def _discriminant_cutoffs_n3(table, catalog, n: int, prec: int):
     cut2 = bounds.n3_D_bound(2, prec)
     cut3 = bounds.n3_D_bound(3, prec)
     e046 = bounds.e046_enclosure(prec)
     quad = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 2, cut2.lo)]
     cubic = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 3, cut3.lo)]
-    builder.record(
-        "discriminant_cutoffs",
+    return (
         f"catalog pruning by the coarse cutoffs, leaving quadratic candidates {quad} and "
         f"cubic candidates {cubic}",
         [
@@ -239,53 +135,135 @@ def _run_rank3(builder: _Builder, table, catalog, n: int, prec: int) -> List[str
             (Interval.exact(max(cubic, default=0)), cut3),
             e046,
         ],
-        enclosures=[cut2, cut3, e046],
+        [cut2, cut3, e046],
     )
+
+
+def _refined_cutoffs_n3(table, catalog, n: int, prec: int):
     proto2 = bounds.proto_D_bound(3, 2, 1, prec)
     proto3 = bounds.proto_D_bound(3, 3, 1, prec)
-    builder.record(
-        "refined_cutoffs",
+    return (
         "sharpened discriminant cutoffs with unit-index powers",
         [proto2, proto2, proto3],
-        enclosures=[proto2, proto3],
+        [proto2, proto3],
     )
-    survivors = ["1.1.1.1"]
-    _unit_adjusted_quotient_steps(builder, catalog, 3, survivors, [(2, 5)])
-    return survivors
 
 
-def _run_rank2(builder: _Builder, table, catalog, n: int, prec: int) -> List[str]:
-    A, E, t = N2_WITNESS
-    pair = _table_row(table, A, E)
-    value = bounds.n2_degree_threshold(pair, t, prec)
-    builder.record(
-        "degree_threshold",
-        f"grid minimum at (A, E, t) = ({pair.A}, {pair.E}, {t})",
-        [value],
-        enclosures=[value],
+def _quotient(d: int, D: int, table, catalog, n: int, prec: int):
+    fld = numberfields.field_by_discriminant(catalog, d, D)
+    quotient = bounds.s_lambda_quotient(fld, n)
+    unit_index = numberfields.totally_positive_index(fld)
+    adjusted = bounds.adjusted_quotient(fld, n, unit_index)
+    return (
+        f"global covolume comparison against the rational lattice; unit index {unit_index}",
+        [quotient],
+        [quotient, adjusted],
     )
-    cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
-    counts = {
-        d: [f.discriminant for f in numberfields.fields_by_degree_below(catalog, d, cuts[d].lo)]
-        for d in (2, 3, 4, 5)
+
+
+def _verdict(d: int, D: int, table, catalog, n: int, prec: int):
+    fld = numberfields.field_by_discriminant(catalog, d, D)
+    adjusted = bounds.adjusted_quotient(fld, n, numberfields.totally_positive_index(fld))
+    return "adjusted quotient versus 1", [adjusted], [adjusted]
+
+
+def _candidate(d: int, D: int) -> Dict[str, Callable]:
+    """Evidence for the quotient and verdict steps of the candidate field (d, D)."""
+    return {
+        f"quotient_d{d}_D{D}": partial(_quotient, d, D),
+        f"verdict_d{d}_D{D}": partial(_verdict, d, D),
     }
-    builder.record(
-        "discriminant_cutoffs",
-        "catalog pruning by the coarse cutoffs, leaving candidate counts "
-        + ", ".join(f"{len(counts[d])} at degree {d}" for d in (2, 3, 4, 5)),
-        [(Interval.exact(max(counts[d], default=0)), cuts[d]) for d in (2, 3, 4, 5)],
-        enclosures=[cuts[d] for d in (2, 3, 4, 5)],
+
+
+def _feasible_pair(table, catalog, n: int, prec: int):
+    pair = _table_row(table, *L35_WITNESS)
+    conditions = bounds.lemma35_comparisons(pair, prec)
+    return (
+        f"stated row (A, E) = ({pair.A}, {pair.E}) of the vendored table",
+        [conditions["cond_a"], conditions["cond_b"][0], conditions["cond_c"]],
+        [*conditions["cond_a"], *conditions["cond_c"]],
     )
-    protos = {d: bounds.proto_D_bound(2, d, 1, prec) for d in (2, 3, 4, 5)}
-    builder.record(
-        "refined_cutoffs",
-        "sharpened discriminant cutoffs with unit-index powers",
-        [protos[5], protos[4], protos[3], protos[3], protos[2], protos[2]],
-        enclosures=[protos[d] for d in (2, 3, 4, 5)],
+
+
+# the base and the bound run to thousands of digits at high rank, so the
+# report records their logarithms, which bounds evaluates directly
+def _inner_factor_ge_one(table, catalog, n: int, prec: int):
+    log_inner = bounds.log_inner_factor(n, _table_row(table, *L35_WITNESS).A, prec)
+    return (
+        "monotonicity in the field degree, via the logarithm of the base",
+        [log_inner],
+        [log_inner],
     )
-    survivors = ["1.1.1.1"]
-    _unit_adjusted_quotient_steps(builder, catalog, 2, survivors, [(3, 49), (2, 8), (2, 5)])
-    return survivors
+
+
+def _zeta_product_bound(table, catalog, n: int, prec: int):
+    zeta_product = bounds.zeta_product_enclosure(prec)
+    return "reference covolume constant bound", [zeta_product], [zeta_product]
+
+
+def _high_rank_conclusion(table, catalog, n: int, prec: int):
+    log_bound = bounds.log_normalized_O(n, 2, _table_row(table, *L35_WITNESS), prec)
+    log_183 = bounds.log_enclosure(Interval.exact(bounds.ZETA_PRODUCT_UPPER), prec)
+    return (
+        f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, via logarithms",
+        [(log_bound, log_183)],
+        [log_bound],
+    )
+
+
+def _local_special_factor(table, catalog, n: int, prec: int):
+    value = Interval.exact(localfactors.eprime_special(n, 2))
+    return "local covolume factor lower bound", [value], [value]
+
+
+def _local_nonspecial_factor(q: int, table, catalog, n: int, prec: int):
+    lower = localfactors.h_rigidity(q, n)
+    return "volume rigidity lower bound", [lower], [lower]
+
+
+def _local_T_values(table, catalog, n: int, prec: int):
+    t2 = Interval.exact(localfactors.T_factor(2))
+    t3 = Interval.exact(localfactors.T_factor(3))
+    return "closed-form local factors at small residue cardinality", [t2, t3], [t2, t3]
+
+
+def _local_exclusion(i: int, table, catalog, n: int, prec: int):
+    frag = localfactors.qsqrt5_local_exclusion(catalog)[i]
+    return frag.detail, [Interval.exact(v) for v in frag.values], []
+
+
+# Each rank class's evidence, by the id of every step of its plan but the axioms.
+_LOCAL_EVIDENCE = {
+    "local_special_factor": _local_special_factor,
+    "local_nonspecial_factor": partial(_local_nonspecial_factor, 2),
+}
+_EVIDENCE: Dict[int, Dict[str, Callable]] = {
+    2: {
+        "degree_threshold": _degree_threshold_n2,
+        "discriminant_cutoffs": _discriminant_cutoffs_n2,
+        "refined_cutoffs": _refined_cutoffs_n2,
+        **_candidate(3, 49),
+        **_candidate(2, 8),
+        **_candidate(2, 5),
+        "local_nonspecial_factor": partial(_local_nonspecial_factor, 3),
+        "local_T_values": _local_T_values,
+        **{f"local_exclusion_{i}": partial(_local_exclusion, i) for i in range(3)},
+    },
+    3: {
+        "degree_threshold": _degree_threshold_n3,
+        "discriminant_cutoffs": _discriminant_cutoffs_n3,
+        "refined_cutoffs": _refined_cutoffs_n3,
+        **_candidate(2, 5),
+        **_LOCAL_EVIDENCE,
+    },
+    4: {
+        "feasible_pair": _feasible_pair,
+        "inner_factor_ge_one": _inner_factor_ge_one,
+        "zeta_product_bound": _zeta_product_bound,
+        "high_rank_conclusion": _high_rank_conclusion,
+        **_LOCAL_EVIDENCE,
+    },
+}
 
 
 def run_case(
@@ -294,29 +272,32 @@ def run_case(
     odlyzko_path: Optional[str] = None,
     fields_path: Optional[str] = None,
 ) -> Certificate:
-    """Execute the full exclusion pipeline for one rank."""
+    """Execute the full exclusion pipeline for one rank: walk its class's plan,
+    giving each step the plan's statement, the evidence of ``_EVIDENCE`` (an
+    axiom: a fixed anchor, no comparison) and the ``step_verdict`` of its
+    comparisons.  Evidence with another number of sides than the plan has
+    comparisons is a fault of this module that no input reaches: ValueError.
+    """
     if n < 2:
         raise ValueError("rank must be >= 2")
     table, catalog = _load_inputs(odlyzko_path, fields_path)
-    builder = _Builder(n, precision_bits)
-
-    if n >= 4:
-        survivors = _run_high_rank(builder, table, catalog, n, precision_bits)
-    elif n == 3:
-        survivors = _run_rank3(builder, table, catalog, n, precision_bits)
-    else:
-        survivors = _run_rank2(builder, table, catalog, n, precision_bits)
-
-    surviving_after_global = sorted(set(survivors))
-    _local_stage(builder, catalog, n, precision_bits)
-
-    cert = Certificate(
-        rank=n,
-        precision_bits=precision_bits,
-        steps=builder.finish(),
-        surviving_fields_after_global=surviving_after_global,
-        final_conclusion="",
-    )
-    if cert.all_proved:
-        cert.final_conclusion = FINAL_CONCLUSION
-    return cert
+    evidence = _EVIDENCE[min(n, 4)]
+    steps = []
+    for step_id, (dependencies, claim, planned) in step_plan(n).items():
+        if step_id in AXIOMS:
+            anchor, sides, enclosures = "structural input, outside certified numerics", (), ()
+        else:
+            anchor, sides, enclosures = evidence[step_id](table, catalog, n, precision_bits)
+        comparisons = []
+        for given, (required, constant) in zip(sides, planned, strict=True):
+            lhs, rhs = given if constant is None else (given, Interval.exact(constant))
+            comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
+        verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
+        steps.append(
+            CertificateStep(step_id, claim.format(rank=n), anchor, tuple(enclosures),
+                            tuple(comparisons), verdict, dependencies, precision_bits)
+        )
+    proved = all(s.verdict in ("Proved", "Axiom") for s in steps)
+    conclusion = FINAL_CONCLUSION if proved else ""
+    survivors = list(SURVIVING_FIELDS[min(n, 4)])
+    return Certificate(n, precision_bits, tuple(steps), survivors, conclusion)

@@ -7,10 +7,11 @@ Subcommands:
   field     inspect one catalog field (zeta values, units, splitting)
 
 Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
-3 data missing or malformed, a bound-pair table with no row for the search,
-a report that does not parse, or an unsupported field operation, 4 an
-unresolved tie at maximum precision, 141 (128 + SIGPIPE, as a shell reports
-for ``yes | head -1``) stdout was a pipe whose reader went away.
+3 data missing, unreadable or malformed, a bound-pair table with no row for
+the search, a report that does not parse, or an unsupported field
+operation, 4 an unresolved tie at maximum precision, 141 (128 + SIGPIPE, as
+a shell reports for ``yes | head -1``) stdout was a pipe whose reader went
+away.
 
 Only ``report`` is imported eagerly.  The seven proof layers are bound with
 ``importlib.util.LazyLoader``: each is registered in ``sys.modules`` and on
@@ -245,9 +246,9 @@ _COMMANDS = {
 }
 
 # bad input ends the command with exit 3 and one line on stderr, not a
-# traceback; every layer's input error subclasses report.InputError, so
-# naming them here loads no layer
-_DATA_ERRORS = (FileNotFoundError, IsADirectoryError, report.InputError)
+# traceback: a path that cannot be read (OSError), or an input error of any
+# layer, each a report.InputError, so naming them here loads no layer
+_DATA_ERRORS = (OSError, report.InputError)
 
 
 def main(argv=None) -> int:
@@ -259,6 +260,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # a reader that went away, which ``run`` ends with exit 141
     except _DATA_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA_MISSING

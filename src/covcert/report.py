@@ -246,6 +246,11 @@ STEP_PLANS: Dict[int, Dict[str, tuple]] = {
 }
 
 
+# The fields that survive each rank class's global stage: the rational
+# field, and at rank 2 the one candidate its plan keeps, verdict_d2_D5.
+SURVIVING_FIELDS = {2: ("1.1.1.1", "2.2.5.1"), 3: ("1.1.1.1",), 4: ("1.1.1.1",)}
+
+
 def step_plan(rank: int) -> Dict[str, tuple]:
     """The plan of a rank's class: rank 2, rank 3, or ranks 4 to MAX_RANK."""
     return STEP_PLANS[min(rank, 4)]
@@ -262,23 +267,15 @@ class CertificateStep(NamedTuple):
     precision_bits: int
 
 
-class Certificate:
-    """A rank's proof steps.  Mutable: the prover sets ``final_conclusion``
-    once every step holds."""
+class Certificate(NamedTuple):
+    """A rank's proof: its steps, the fields that survive its global stage,
+    and the conclusion, which the prover records once every step holds."""
 
-    def __init__(
-        self,
-        rank: int,
-        precision_bits: int,
-        steps: List[CertificateStep],
-        surviving_fields_after_global: List[str],
-        final_conclusion: str,
-    ) -> None:
-        self.rank = rank
-        self.precision_bits = precision_bits
-        self.steps = steps
-        self.surviving_fields_after_global = surviving_fields_after_global
-        self.final_conclusion = final_conclusion
+    rank: int
+    precision_bits: int
+    steps: Tuple[CertificateStep, ...]
+    surviving_fields_after_global: List[str]
+    final_conclusion: str
 
     def step(self, step_id: str) -> CertificateStep:
         for s in self.steps:
@@ -407,7 +404,8 @@ def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
     """TamperDetected unless a parsed report, whose steps recorded the given
     comparisons, states its rank class's plan step for step: each step's
     id, dependencies and claim, and each comparison's required relation and
-    constant right side.  Field labels and anchors must be strings."""
+    constant right side.  Its surviving fields must be its class's
+    ``SURVIVING_FIELDS`` and its anchors strings."""
     rank = doc["rank"]
     if not 2 <= rank <= MAX_RANK:
         raise TamperDetected(f"rank {rank} is outside 2..{MAX_RANK}")
@@ -420,10 +418,8 @@ def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
                 f"rank {rank} proof records step {step} where its plan has {expected}"
             )
     surviving = doc.get("surviving_fields_after_global")
-    if not isinstance(surviving, list) or not all(isinstance(x, str) for x in surviving):
-        raise TamperDetected(
-            f"surviving_fields_after_global {surviving!r:.80} is not a list of field labels"
-        )
+    if surviving != list(SURVIVING_FIELDS[min(rank, 4)]):
+        raise TamperDetected(f"surviving_fields_after_global {surviving!r:.80} is not its plan's")
     for s, recorded, (_, claim, planned) in zip(doc["steps"], comparisons, plan.values()):
         if s.get("claim") != claim.format(rank=rank):
             raise TamperDetected(f"step {s['id']}: claim {s.get('claim')!r:.80} is not its plan's")

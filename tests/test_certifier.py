@@ -319,6 +319,14 @@ def _comparison_dropped(doc):
     del _step(doc, "feasible_pair")["comparisons"][1]
 
 
+def _survivors_forged(doc):
+    doc["surviving_fields_after_global"] = ["7.7.7.7", "2.2.5.1"]
+
+
+def _survivor_dropped(doc):
+    doc["surviving_fields_after_global"] = ["1.1.1.1"]
+
+
 @pytest.mark.parametrize(
     "n, mutate",
     [
@@ -329,6 +337,8 @@ def _comparison_dropped(doc):
         (4, _constant_side_moved),
         (4, _constant_side_flipped),
         (4, _comparison_dropped),
+        (4, _survivors_forged),
+        (2, _survivor_dropped),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -336,7 +346,7 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     """Each forgery holds step by step, but states another proof than its
     plan's: a relabelled rank, an axiom turned into a proof, an edited
     claim, replaced or moved constant sides, a flipped relation, a dropped
-    comparison."""
+    comparison, surviving fields that are not the plan's."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -698,23 +708,22 @@ def test_plans_depend_only_on_earlier_steps_and_known_axioms():
     assert planned_axioms == set(report.AXIOMS)
 
 
-@pytest.mark.parametrize(
-    "n, step_id",
-    [(2, "refined_cutoffs"), (3, "A3"), (4, "degree_threshold"), (2, "degree_threshold")],
-)
-def test_builder_rejects_a_step_out_of_plan_order(n, step_id):
-    """Recording a step that is not the plan's next one, or the next one
-    without its planned comparison, raises."""
-    builder = ct._Builder(n, PREC)
-    with pytest.raises(RuntimeError, match="where the plan has"):
-        builder.record(step_id, "anchor")
-
-
 @pytest.mark.parametrize("n", [2, 3, 9])
-def test_builder_rejects_a_proof_that_ends_before_its_plan(n, monkeypatch):
-    """run_case without its local stage finishes before its plan does."""
-    monkeypatch.setattr(ct, "_local_stage", lambda *args: None)
-    with pytest.raises(RuntimeError, match="ended before its planned step local_"):
+def test_run_case_walks_the_plan(n, monkeypatch):
+    """The prover's evidence covers exactly its class's plan steps that are
+    not axioms, and evidence with one side fewer than the plan's
+    comparisons stops the proof."""
+    evidence = ct._EVIDENCE[min(n, 4)]
+    assert set(evidence) == set(report.step_plan(n)) - set(report.AXIOMS)
+    step_id = next(step_id for step_id in report.step_plan(n) if step_id in evidence)
+    full = evidence[step_id]
+
+    def short(*args):
+        anchor, sides, enclosures = full(*args)
+        return anchor, sides[:-1], enclosures
+
+    monkeypatch.setitem(evidence, step_id, short)
+    with pytest.raises(ValueError, match="longer than argument 1"):
         ct.run_case(n, precision_bits=64)
 
 
@@ -865,6 +874,11 @@ BAD_INPUT = [
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"]),
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/no_quadratic.catalog"]),
     ({}, ["verify", "{tmp}/long_int.json"]),
+    # a file name longer than the system allows (ENAMETOOLONG)
+    ({}, ["verify", "{tmp}/" + "x" * 300]),
+    ({}, ["prove", "--n", "4", "--odlyzko", "{tmp}/" + "x" * 300]),
+    ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/" + "x" * 300]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/" + "x" * 300]),
 ]
 
 
