@@ -206,16 +206,22 @@ def s_lambda_quotient(
     return Interval.exact(psi_n_exact(n) * (1 << (2 * d - 1)) / S)
 
 
-def adjusted_quotient(
-    field: NumberFieldRecord, n: int, unit_index: int, precision_bits: int = 256
+def adjust_by_unit_index(
+    quotient: Interval, field: NumberFieldRecord, unit_index: int
 ) -> Interval:
-    """Quotient rescaled by unit_index / 2^(2d-1).
+    """A quotient of ``s_lambda_quotient`` rescaled by unit_index / 2^(2d-1).
 
     The model lattice's covolume carries a factor 2^(2d-1) / [U^+ : U^2];
     values below 1 certify that the field cannot beat the rational lattice.
     """
-    scale = Fraction(unit_index, 1 << (2 * field.degree - 1))
-    return s_lambda_quotient(field, n) * Interval.exact(scale)
+    return quotient * Interval.exact(Fraction(unit_index, 1 << (2 * field.degree - 1)))
+
+
+def adjusted_quotient(
+    field: NumberFieldRecord, n: int, unit_index: int, precision_bits: int = 256
+) -> Interval:
+    """The quotient of ``s_lambda_quotient`` adjusted by its unit index."""
+    return adjust_by_unit_index(s_lambda_quotient(field, n), field, unit_index)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .report import (  # noqa: F401  (re-exported)
     TamperDetected,
     compare,
     emit_report,
+    rank_class,
     step_plan,
     step_verdict,
     verify_report,
@@ -149,30 +150,17 @@ def _refined_cutoffs_n3(table, catalog, n: int, prec: int):
     )
 
 
-def _quotient(d: int, D: int, table, catalog, n: int, prec: int):
-    fld = numberfields.field_by_discriminant(catalog, d, D)
-    quotient = bounds.s_lambda_quotient(fld, n)
-    unit_index = numberfields.totally_positive_index(fld)
-    adjusted = bounds.adjusted_quotient(fld, n, unit_index)
-    return (
-        f"global covolume comparison against the rational lattice; unit index {unit_index}",
-        [quotient],
-        [quotient, adjusted],
-    )
-
-
 def _verdict(d: int, D: int, table, catalog, n: int, prec: int):
     fld = numberfields.field_by_discriminant(catalog, d, D)
-    adjusted = bounds.adjusted_quotient(fld, n, numberfields.totally_positive_index(fld))
-    return "adjusted quotient versus 1", [adjusted], [adjusted]
-
-
-def _candidate(d: int, D: int) -> Dict[str, Callable]:
-    """Evidence for the quotient and verdict steps of the candidate field (d, D)."""
-    return {
-        f"quotient_d{d}_D{D}": partial(_quotient, d, D),
-        f"verdict_d{d}_D{D}": partial(_verdict, d, D),
-    }
+    unit_index = numberfields.totally_positive_index(fld)
+    quotient = bounds.s_lambda_quotient(fld, n)
+    adjusted = bounds.adjust_by_unit_index(quotient, fld, unit_index)
+    return (
+        f"covolume quotient against the rational lattice, adjusted by unit index {unit_index}, "
+        "versus 1",
+        [adjusted],
+        [quotient, adjusted],
+    )
 
 
 def _feasible_pair(table, catalog, n: int, prec: int):
@@ -242,9 +230,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "degree_threshold": _degree_threshold_n2,
         "discriminant_cutoffs": _discriminant_cutoffs_n2,
         "refined_cutoffs": _refined_cutoffs_n2,
-        **_candidate(3, 49),
-        **_candidate(2, 8),
-        **_candidate(2, 5),
+        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D) for d, D in ((3, 49), (2, 8), (2, 5))},
         "local_nonspecial_factor": partial(_local_nonspecial_factor, 3),
         "local_T_values": _local_T_values,
         **{f"local_exclusion_{i}": partial(_local_exclusion, i) for i in range(3)},
@@ -253,7 +239,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "degree_threshold": _degree_threshold_n3,
         "discriminant_cutoffs": _discriminant_cutoffs_n3,
         "refined_cutoffs": _refined_cutoffs_n3,
-        **_candidate(2, 5),
+        "verdict_d2_D5": partial(_verdict, 2, 5),
         **_LOCAL_EVIDENCE,
     },
     4: {
@@ -281,7 +267,7 @@ def run_case(
     if n < 2:
         raise ValueError("rank must be >= 2")
     table, catalog = _load_inputs(odlyzko_path, fields_path)
-    evidence = _EVIDENCE[min(n, 4)]
+    evidence = _EVIDENCE[rank_class(n)]
     steps = []
     for step_id, (dependencies, claim, planned) in step_plan(n).items():
         if step_id in AXIOMS:
@@ -299,5 +285,5 @@ def run_case(
         )
     proved = all(s.verdict in ("Proved", "Axiom") for s in steps)
     conclusion = FINAL_CONCLUSION if proved else ""
-    survivors = list(SURVIVING_FIELDS[min(n, 4)])
+    survivors = list(SURVIVING_FIELDS[rank_class(n)])
     return Certificate(n, precision_bits, tuple(steps), survivors, conclusion)

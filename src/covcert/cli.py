@@ -137,13 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prove = sub.add_parser("prove", help="run the pipeline for one or all ranks")
-    prove.add_argument(
+    ranks = prove.add_mutually_exclusive_group()
+    # a string default goes through the type like a given value, so that
+    # argparse still counts an explicit "--n 2" as present next to --all
+    ranks.add_argument(
         "--n",
         type=_int_between(2, report.MAX_RANK),
-        default=None,
-        help=f"rank to certify (2 to {report.MAX_RANK})",
+        default="2",
+        help=f"rank to certify (2 to {report.MAX_RANK}, default 2)",
     )
-    prove.add_argument(
+    ranks.add_argument(
         "--all", action="store_true", help="certify every rank from 2 to 8"
     )
     prove.add_argument(
@@ -169,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_prove(args) -> int:
-    ranks = range(2, 9) if args.all else [args.n if args.n is not None else 2]
+    ranks = range(2, 9) if args.all else [args.n]
     worst = EXIT_OK
     for n in ranks:
         cert = certifier.run_case(

@@ -117,17 +117,13 @@ def _lt(constant=None) -> Tuple[str, Optional[Fraction]]:
 
 
 def _candidate(d: int, D: int, survives: bool) -> Dict[str, tuple]:
-    """The global-stage quotient and verdict steps of the candidate field (d, D)."""
-    field = f"(d, D) = ({d}, {D})"
+    """The global-stage step of the candidate field (d, D): its covolume
+    quotient, adjusted by its unit index, against 1."""
     return {
-        f"quotient_d{d}_D{D}": (
-            ("refined_cutoffs",),
-            f"covolume quotient for {field} at rank {{rank}}, adjusted by its unit index",
-            (_gt(0),),
-        ),
         f"verdict_d{d}_D{D}": (
-            (f"quotient_d{d}_D{D}",),
-            f"field {field} " + ("survives the global stage" if survives else "is excluded"),
+            ("refined_cutoffs",),
+            f"field (d, D) = ({d}, {D}) "
+            + ("survives the global stage" if survives else "is excluded"),
             (_gt(1) if survives else _lt(1),),
         ),
     }
@@ -251,9 +247,15 @@ STEP_PLANS: Dict[int, Dict[str, tuple]] = {
 SURVIVING_FIELDS = {2: ("1.1.1.1", "2.2.5.1"), 3: ("1.1.1.1",), 4: ("1.1.1.1",)}
 
 
+def rank_class(rank: int) -> int:
+    """The class of a rank, its key in ``STEP_PLANS``: 2, 3, or 4 for ranks
+    4 to MAX_RANK."""
+    return min(rank, 4)
+
+
 def step_plan(rank: int) -> Dict[str, tuple]:
-    """The plan of a rank's class: rank 2, rank 3, or ranks 4 to MAX_RANK."""
-    return STEP_PLANS[min(rank, 4)]
+    """The plan of a rank's class."""
+    return STEP_PLANS[rank_class(rank)]
 
 
 class CertificateStep(NamedTuple):
@@ -418,7 +420,7 @@ def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
                 f"rank {rank} proof records step {step} where its plan has {expected}"
             )
     surviving = doc.get("surviving_fields_after_global")
-    if surviving != list(SURVIVING_FIELDS[min(rank, 4)]):
+    if surviving != list(SURVIVING_FIELDS[rank_class(rank)]):
         raise TamperDetected(f"surviving_fields_after_global {surviving!r:.80} is not its plan's")
     for s, recorded, (_, claim, planned) in zip(doc["steps"], comparisons, plan.values()):
         if s.get("claim") != claim.format(rank=rank):

@@ -430,21 +430,49 @@ def test_verify_corpus_keeps_its_exit_codes(cert_by_rank, tmp_path, capsys):
 
 
 def test_global_stage_quotients_are_exact(cert_by_rank):
+    """Each verdict step records the exact quotient and the quotient adjusted
+    by its unit index, and compares the adjusted one with 1."""
+    catalog = numberfields.default_catalog()
     for n in (2, 3):
-        steps = [
-            s for s in cert_by_rank[n].steps if s.id.startswith(("quotient_", "verdict_"))
-        ]
-        assert steps, n
+        steps = [s for s in cert_by_rank[n].steps if s.id.startswith("verdict_")]
+        assert len(steps) == {2: 3, 3: 1}[n]
         for step in steps:
-            assert all(e.is_point() for e in step.enclosures), step.id
-            assert all(c.lhs.is_point() and c.rhs.is_point() for c in step.comparisons)
+            d, D = (int(x[1:]) for x in step.id.split("_")[1:])
+            field = numberfields.field_by_discriminant(catalog, d, D)
+            index = numberfields.totally_positive_index(field)
+            adjusted = bounds.adjusted_quotient(field, n, index)
+            assert step.enclosures == (bounds.s_lambda_quotient(field, n), adjusted), step.id
+            assert [c.lhs for c in step.comparisons] == [adjusted], step.id
+            assert step.comparisons[0].rhs == Interval.exact(1), step.id
+            assert f"unit index {index}" in step.anchor, step.id
 
 
 def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
-    trivial = [(Interval.exact(1), Interval.exact(0))]
-    for step in cert_by_rank[2].steps:
-        if step.verdict == "Proved":
-            assert [(c.lhs, c.rhs) for c in step.comparisons] != trivial, step.id
+    """A Proved step whose every comparison sets an exact point against the
+    constant 0 proves nothing."""
+    for n in (2, 3):
+        for step in cert_by_rank[n].steps:
+            if step.verdict == "Proved":
+                assert not all(
+                    c.lhs.is_point() and c.rhs == Interval.exact(0) for c in step.comparisons
+                ), step.id
+
+
+def test_each_candidate_quotient_is_evaluated_once(monkeypatch):
+    """run_case evaluates the exact quotient once per candidate field: three
+    at rank 2 (D = 49, 8, 5) and one at rank 3 (D = 5)."""
+    calls = []
+    quotient = bounds.s_lambda_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(bounds, "s_lambda_quotient", counted)
+    for n, expected in ((2, 3), (3, 1)):
+        calls.clear()
+        ct.run_case(n, precision_bits=64)
+        assert len(calls) == expected, n
 
 
 def test_data_missing():
@@ -600,7 +628,9 @@ def test_report_bytes_do_not_depend_on_history(n):
 
 
 @pytest.mark.parametrize(
-    "n, prec", [(n, 256) for n in range(2, 9)] + [(9, 64), (64, 64), (2, 1024), (2, 2048)]
+    "n, prec",
+    [(n, 256) for n in range(2, 9)]
+    + [(9, 64), (64, 64), (2, 1024), (2, 2048), (3, 2048), (4, 2048)],
 )
 def test_every_enclosure_delivers_the_requested_bits(n, prec):
     """Each recorded enclosure is narrower than 2^-(p - 16) relative to its
@@ -713,7 +743,7 @@ def test_run_case_walks_the_plan(n, monkeypatch):
     """The prover's evidence covers exactly its class's plan steps that are
     not axioms, and evidence with one side fewer than the plan's
     comparisons stops the proof."""
-    evidence = ct._EVIDENCE[min(n, 4)]
+    evidence = ct._EVIDENCE[report.rank_class(n)]
     assert set(evidence) == set(report.step_plan(n)) - set(report.AXIOMS)
     step_id = next(step_id for step_id in report.step_plan(n) if step_id in evidence)
     full = evidence[step_id]
@@ -811,6 +841,8 @@ BAD_FLAGS = [
         (["field", "2.2.5.1", "--op", "splitting", "--p", p], "must be a prime")
         for p in ("0", "1", "4", "-3")
     ),
+    (["prove", "--all", "--n", "5"], "not allowed with argument"),
+    (["prove", "--n", "2", "--all"], "not allowed with argument"),
 ]
 
 
