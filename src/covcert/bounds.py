@@ -1,10 +1,10 @@
 """Global covolume bounds and discriminant cutoffs.
 
 Implements the reference covolume constants, the exact global-stage
-quotient Psi(n) / S(Lambda), the high-rank lower bound on the covolume,
-the three feasibility conditions on a bound pair (A, E), the rank-2 and
-rank-3 degree thresholds, and the various discriminant cutoff formulas used
-to enumerate candidate fields.
+quotient Psi(n) / S(Lambda), the high-rank lower bound on the covolume and
+the differences in the rank of its logarithm, the three feasibility
+conditions on a bound pair (A, E), the rank-2 and rank-3 degree thresholds,
+and the discriminant cutoff formulas used to enumerate candidate fields.
 
 Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
 ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
@@ -30,7 +30,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .report import COND_B_A_LOWER, E_046_LOWER, MAX_RANK, ZETA_PRODUCT_UPPER, InputError
+from .report import COND_B_A_LOWER, E_046_LOWER, ZETA_PRODUCT_UPPER, InputError
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
@@ -96,8 +96,6 @@ def f_n(n: int) -> Fraction:
 @lru_cache(maxsize=None)
 def pi_n_coefficient(n: int) -> Fraction:
     """Exact rational c with Pi(n) = c * pi^(-n(n+1))."""
-    if not 2 <= n <= MAX_RANK:
-        raise ValueError(f"rank out of supported range [2, {MAX_RANK}]")
     num = 1
     for j in range(1, n + 1):
         num *= math.factorial(2 * j - 1)
@@ -228,10 +226,11 @@ def adjusted_quotient(
 # the high-rank lower bound, in logarithms
 #
 # Pi(n) and O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d
-# reach ~10^2721 and ~10^8299 at rank 64 and d = 2, so the proof only handles
-# their logarithms: short sums of point logarithms, evaluated with guard bits
-# that absorb the multipliers n(n+1) and f(n).  The public functions add the
-# guard bits once; the private helpers take the working precision as given.
+# are short sums of point logarithms, evaluated with guard bits that absorb
+# the multipliers n(n+1) and f(n).  The proof takes them at rank 4 only and
+# reaches every higher rank through ``log_differences``.  The public
+# functions add the guard bits once; the private helpers take the working
+# precision as given.
 
 
 _COEFF_7_6 = Fraction(38, 5)
@@ -258,17 +257,32 @@ def log_inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval
     return coarsen_relative(_log_inner(n, A, work), precision_bits + 8)
 
 
-def log_normalized_O(
-    n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256
-) -> Interval:
-    """Log of Pi(n)^(-1) O(n, d, A, E), the quantity compared against log 1.83."""
+def normalized_O(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
+    """Pi(n)^(-1) O(n, d, A, E), the quantity compared against 1.83."""
     work = precision_bits + _LOG_GUARD_BITS
-    return coarsen_relative(
+    return exp_enclosure(
         Interval.exact(-pair.E * f_n(n))
         - _log_point(Fraction(750), work)
         + Interval.exact(d) * _log_inner(n, pair.A, work)
         - _log_pi_n(n, work),
-        precision_bits + 8,
+        work,
+    ).coarsen(precision_bits + 8)
+
+
+def log_differences(A: Rational, E: Rational, precision_bits: int = 256) -> Tuple[Interval, ...]:
+    """The first and second differences at n = 4 of l(n) = log(c (A e^-E)^f(n) Pi(n)), c > 0.
+
+    With a = log A - E, l(n + 1) - l(n) = (2n + 3/2) a + log (2n + 1)! - (2n + 2) log 2 pi and
+    the second difference, 2a + log((2n + 2)(2n + 3)) - 2 log 2 pi, grows with n: where l(4)
+    and both are positive, l is positive and increasing at every n >= 4.  The log inner factor
+    is such an l for (A, 0), the log normalized bound at degree 2 for (A^2, E).
+    """
+    work = precision_bits + _LOG_GUARD_BITS
+    a = _log_point(A, work) - Interval.exact(E)
+    return tuple(  # k a + log(m / 2^j) - j log pi = k a + log m - j log 2 pi
+        coarsen_relative(Interval.exact(k) * a + _log_point(Fraction(m, 2**j), work)
+                         - Interval.exact(j) * _log_pi(work), precision_bits + 8)
+        for k, m, j in ((f_n(5) - f_n(4), math.factorial(9), 10), (2, 10 * 11, 2))
     )
 
 

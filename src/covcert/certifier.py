@@ -83,17 +83,17 @@ def _table_row(table, A: Fraction, E: Fraction) -> bounds.OdlyzkoPair:
 # The evidence for one step: its anchor, the computed sides of its planned
 # comparisons (a pair, or the left side alone where the plan fixes the
 # right) and its enclosures.  Each takes the bound-pair table, the field
-# catalog, the rank and the precision in bits.
+# catalog and the precision in bits, and is the same at every rank of its class.
 
 
-def _degree_threshold_n2(table, catalog, n: int, prec: int):
+def _degree_threshold_n2(table, catalog, prec: int):
     A, E, t = N2_WITNESS
     pair = _table_row(table, A, E)
     value = bounds.n2_degree_threshold(pair, t, prec)
     return f"grid minimum at (A, E, t) = ({pair.A}, {pair.E}, {t})", [value], [value]
 
 
-def _discriminant_cutoffs_n2(table, catalog, n: int, prec: int):
+def _discriminant_cutoffs_n2(table, catalog, prec: int):
     cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
     counts = {
         d: [f.discriminant for f in numberfields.fields_by_degree_below(catalog, d, cuts[d].lo)]
@@ -107,7 +107,7 @@ def _discriminant_cutoffs_n2(table, catalog, n: int, prec: int):
     )
 
 
-def _refined_cutoffs_n2(table, catalog, n: int, prec: int):
+def _refined_cutoffs_n2(table, catalog, prec: int):
     protos = {d: bounds.proto_D_bound(2, d, 1, prec) for d in (2, 3, 4, 5)}
     return (
         "sharpened discriminant cutoffs with unit-index powers",
@@ -116,13 +116,13 @@ def _refined_cutoffs_n2(table, catalog, n: int, prec: int):
     )
 
 
-def _degree_threshold_n3(table, catalog, n: int, prec: int):
+def _degree_threshold_n3(table, catalog, prec: int):
     pair = _table_row(table, *N3_WITNESS)
     value = bounds.n3_degree_threshold(pair, prec)
     return f"table minimum at (A, E) = ({pair.A}, {pair.E})", [value], [value]
 
 
-def _discriminant_cutoffs_n3(table, catalog, n: int, prec: int):
+def _discriminant_cutoffs_n3(table, catalog, prec: int):
     cut2 = bounds.n3_D_bound(2, prec)
     cut3 = bounds.n3_D_bound(3, prec)
     e046 = bounds.e046_enclosure(prec)
@@ -140,7 +140,7 @@ def _discriminant_cutoffs_n3(table, catalog, n: int, prec: int):
     )
 
 
-def _refined_cutoffs_n3(table, catalog, n: int, prec: int):
+def _refined_cutoffs_n3(table, catalog, prec: int):
     proto2 = bounds.proto_D_bound(3, 2, 1, prec)
     proto3 = bounds.proto_D_bound(3, 3, 1, prec)
     return (
@@ -150,7 +150,7 @@ def _refined_cutoffs_n3(table, catalog, n: int, prec: int):
     )
 
 
-def _verdict(d: int, D: int, table, catalog, n: int, prec: int):
+def _verdict(d: int, D: int, n: int, table, catalog, prec: int):
     fld = numberfields.field_by_discriminant(catalog, d, D)
     unit_index = numberfields.totally_positive_index(fld)
     quotient = bounds.s_lambda_quotient(fld, n)
@@ -163,7 +163,7 @@ def _verdict(d: int, D: int, table, catalog, n: int, prec: int):
     )
 
 
-def _feasible_pair(table, catalog, n: int, prec: int):
+def _feasible_pair(table, catalog, prec: int):
     pair = _table_row(table, *L35_WITNESS)
     conditions = bounds.lemma35_comparisons(pair, prec)
     return (
@@ -173,49 +173,48 @@ def _feasible_pair(table, catalog, n: int, prec: int):
     )
 
 
-# the base and the bound run to thousands of digits at high rank, so the
-# report records their logarithms, which bounds evaluates directly
-def _inner_factor_ge_one(table, catalog, n: int, prec: int):
-    log_inner = bounds.log_inner_factor(n, _table_row(table, *L35_WITNESS).A, prec)
-    return (
-        "monotonicity in the field degree, via the logarithm of the base",
-        [log_inner],
-        [log_inner],
-    )
+# each induction step records a quantity at rank 4 and its log's first and second differences
+def _inner_factor_ge_one(table, catalog, prec: int):
+    A = _table_row(table, *L35_WITNESS).A
+    sides = [bounds.log_inner_factor(4, A, prec), *bounds.log_differences(A, 0, prec)]
+    return "monotonicity in the field degree, via the logarithm of the base at rank 4", sides, sides
 
 
-def _zeta_product_bound(table, catalog, n: int, prec: int):
+def _zeta_product_bound(table, catalog, prec: int):
     zeta_product = bounds.zeta_product_enclosure(prec)
     return "reference covolume constant bound", [zeta_product], [zeta_product]
 
 
-def _high_rank_conclusion(table, catalog, n: int, prec: int):
-    log_bound = bounds.log_normalized_O(n, 2, _table_row(table, *L35_WITNESS), prec)
-    log_183 = bounds.log_enclosure(Interval.exact(bounds.ZETA_PRODUCT_UPPER), prec)
-    return (
-        f"the normalized lower bound at degree 2 and rank {n} exceeds 1.83, via logarithms",
-        [(log_bound, log_183)],
-        [log_bound],
-    )
+def _high_rank_conclusion(table, catalog, prec: int):
+    pair = _table_row(table, *L35_WITNESS)
+    bound = bounds.normalized_O(4, 2, pair, prec)
+    sides = [bound, *bounds.log_differences(pair.A**2, pair.E, prec)]
+    return "the normalized lower bound at degree 2, at rank 4", sides, sides
 
 
-def _local_special_factor(table, catalog, n: int, prec: int):
-    value = Interval.exact(localfactors.eprime_special(n, 2))
-    return "local covolume factor lower bound", [value], [value]
+def _local_special_factor(table, catalog, prec: int):
+    values = [Interval.exact(localfactors.eprime_special(n, 2)) for n in (3, 4)]
+    return "local covolume factor lower bounds at ranks 3 and 4", values, values
 
 
-def _local_nonspecial_factor(q: int, table, catalog, n: int, prec: int):
+def _local_nonspecial_factor(q: int, n: int, table, catalog, prec: int):
     lower = localfactors.h_rigidity(q, n)
     return "volume rigidity lower bound", [lower], [lower]
 
 
-def _local_T_values(table, catalog, n: int, prec: int):
+def _local_nonspecial_growth(table, catalog, prec: int):
+    h3 = localfactors.h_rigidity(2, 3)
+    values = [h3, localfactors.h_rigidity(2, 4) / h3]
+    return "volume rigidity lower bound at rank 3 and its growth to rank 4", values, values
+
+
+def _local_T_values(table, catalog, prec: int):
     t2 = Interval.exact(localfactors.T_factor(2))
     t3 = Interval.exact(localfactors.T_factor(3))
     return "closed-form local factors at small residue cardinality", [t2, t3], [t2, t3]
 
 
-def _local_exclusion(i: int, table, catalog, n: int, prec: int):
+def _local_exclusion(i: int, table, catalog, prec: int):
     frag = localfactors.qsqrt5_local_exclusion(catalog)[i]
     return frag.detail, [Interval.exact(v) for v in frag.values], []
 
@@ -223,15 +222,15 @@ def _local_exclusion(i: int, table, catalog, n: int, prec: int):
 # Each rank class's evidence, by the id of every step of its plan but the axioms.
 _LOCAL_EVIDENCE = {
     "local_special_factor": _local_special_factor,
-    "local_nonspecial_factor": partial(_local_nonspecial_factor, 2),
+    "local_nonspecial_factor": _local_nonspecial_growth,
 }
 _EVIDENCE: Dict[int, Dict[str, Callable]] = {
     2: {
         "degree_threshold": _degree_threshold_n2,
         "discriminant_cutoffs": _discriminant_cutoffs_n2,
         "refined_cutoffs": _refined_cutoffs_n2,
-        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D) for d, D in ((3, 49), (2, 8), (2, 5))},
-        "local_nonspecial_factor": partial(_local_nonspecial_factor, 3),
+        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D in ((3, 49), (2, 8), (2, 5))},
+        "local_nonspecial_factor": partial(_local_nonspecial_factor, 3, 2),
         "local_T_values": _local_T_values,
         **{f"local_exclusion_{i}": partial(_local_exclusion, i) for i in range(3)},
     },
@@ -239,7 +238,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "degree_threshold": _degree_threshold_n3,
         "discriminant_cutoffs": _discriminant_cutoffs_n3,
         "refined_cutoffs": _refined_cutoffs_n3,
-        "verdict_d2_D5": partial(_verdict, 2, 5),
+        "verdict_d2_D5": partial(_verdict, 2, 5, 3),
         **_LOCAL_EVIDENCE,
     },
     4: {
@@ -273,7 +272,7 @@ def run_case(
         if step_id in AXIOMS:
             anchor, sides, enclosures = "structural input, outside certified numerics", (), ()
         else:
-            anchor, sides, enclosures = evidence[step_id](table, catalog, n, precision_bits)
+            anchor, sides, enclosures = evidence[step_id](table, catalog, precision_bits)
         comparisons = []
         for given, (required, constant) in zip(sides, planned, strict=True):
             lhs, rhs = given if constant is None else (given, Interval.exact(constant))

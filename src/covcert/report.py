@@ -20,10 +20,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
-# the highest rank the prover certifies; defined here, with no covcert
-# import, so that the command line can state it without loading the prover
-MAX_RANK = 64
-
 FINAL_CONCLUSION = "Sp_{2n}(Z) uniquely minimal (mod axioms)"
 
 AXIOMS = {
@@ -130,26 +126,26 @@ def _candidate(d: int, D: int, survives: bool) -> Dict[str, tuple]:
 
 
 # The steps that a proof of each rank class consists of, in order, each with
-# its whole statement.  Ranks 4 to MAX_RANK share one plan.  This is the
+# its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: the prover renders every step's claim,
 # dependencies, required relations and constant sides from it and supplies
 # only the evidence (computed sides, enclosures, anchor), and the checker
 # holds every report to it, whatever its verdicts: a consistent subset of a
 # proof, or a proof of another statement, proves nothing.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
-_NONSPECIAL = (
-    (),
-    "non-special local factors at rank {rank} exceed the component bound",
-    (_gt(XI_CARDINALITY_MAX),),
-)
 _LOCAL_STAGE = {
     "local_special_factor": (
         (),
         "smallest special non-hyperspecial local factor at rank {rank} exceeds the exclusion "
-        "threshold",
-        (_gt(10),),
+        "threshold: it does at ranks 3 and 4 and gains factors >= 1 from rank n to n + 2",
+        (_gt(10), _gt(10)),
     ),
-    "local_nonspecial_factor": _NONSPECIAL,
+    "local_nonspecial_factor": (
+        (),
+        "non-special local factors at rank {rank} exceed the component bound: h(2, 3) does, "
+        "and h(2, n + 1)/h(2, n) = 2(1 - 4^-(n+1)) exceeds 1 at n = 3 and grows with n",
+        (_gt(XI_CARDINALITY_MAX), _gt(1)),
+    ),
     "A2": ((), AXIOMS["A2"], ()),
 }
 STEP_PLANS: Dict[int, Dict[str, tuple]] = {
@@ -174,7 +170,11 @@ STEP_PLANS: Dict[int, Dict[str, tuple]] = {
         **_candidate(3, 49, survives=False),
         **_candidate(2, 8, survives=False),
         **_candidate(2, 5, survives=True),
-        "local_nonspecial_factor": _NONSPECIAL,
+        "local_nonspecial_factor": (
+            (),
+            "non-special local factors at rank {rank} exceed the component bound",
+            (_gt(XI_CARDINALITY_MAX),),
+        ),
         "local_T_values": (
             (), "rank-2 sharp factor values T(2) = 5/2 and T(3) = 10", (_gt(2), _gt(5))
         ),
@@ -224,8 +224,9 @@ STEP_PLANS: Dict[int, Dict[str, tuple]] = {
         "inner_factor_ge_one": (
             ("feasible_pair",),
             "the degree-power base at rank {rank} is at least one, so the lower bound is "
-            "increasing in the degree",
-            (_gt(0),),
+            "increasing in the degree: at rank 4 its log and the log's first and second "
+            "differences in the rank are positive, and the second grows with the rank",
+            (_gt(0),) * 3,
         ),
         "zeta_product_bound": (
             (),
@@ -234,8 +235,10 @@ STEP_PLANS: Dict[int, Dict[str, tuple]] = {
         ),
         "high_rank_conclusion": (
             ("inner_factor_ge_one", "zeta_product_bound", "A4"),
-            "no field of degree above one yields a smaller covolume at rank {rank}",
-            (_gt(),),
+            "no field of degree above one yields a smaller covolume at rank {rank}: at rank 4 the "
+            "normalized lower bound at degree 2 exceeds 1.83 and its log's first and second "
+            "differences in the rank are positive, and the second grows with the rank",
+            (_gt(ZETA_PRODUCT_UPPER), _gt(0), _gt(0)),
         ),
         **_LOCAL_STAGE,
     },
@@ -248,8 +251,7 @@ SURVIVING_FIELDS = {2: ("1.1.1.1", "2.2.5.1"), 3: ("1.1.1.1",), 4: ("1.1.1.1",)}
 
 
 def rank_class(rank: int) -> int:
-    """The class of a rank, its key in ``STEP_PLANS``: 2, 3, or 4 for ranks
-    4 to MAX_RANK."""
+    """The class of a rank, its key in ``STEP_PLANS``: 2, 3, or 4 from rank 4 on."""
     return min(rank, 4)
 
 
@@ -409,8 +411,8 @@ def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
     constant right side.  Its surviving fields must be its class's
     ``SURVIVING_FIELDS`` and its anchors strings."""
     rank = doc["rank"]
-    if not 2 <= rank <= MAX_RANK:
-        raise TamperDetected(f"rank {rank} is outside 2..{MAX_RANK}")
+    if rank < 2:
+        raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
     plan = step_plan(rank)
     recorded_edges = [(s["id"], tuple(s["dependencies"])) for s in doc["steps"]]
     planned_edges = [(step_id, dependencies) for step_id, (dependencies, _, _) in plan.items()]

@@ -289,8 +289,47 @@ def test_lemma35_conditions_examples():
 
 def test_normalized_O_exceeds_threshold():
     pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
-    log_183 = sf.log_enclosure(Interval.exact(Fraction("1.83")), PREC)
-    assert b.log_normalized_O(4, 2, pair, PREC).lo > log_183.hi
+    assert b.normalized_O(4, 2, pair, PREC).lo > Fraction("1.83")
+
+
+@pytest.mark.parametrize("prec", [16, 64, 256])
+def test_log_differences_oracle(prec):
+    """The differences at rank 4 enclose those of log inner(n) and of log
+    normalized O(n, 2) at n = 4, 5, 6, evaluated with mpmath 64 bits beyond p."""
+    A, E = Fraction("6.894"), Fraction("2.2667")
+    with mpmath.workprec(prec + 64):
+        log_A = mpmath.log(mpmath.mpf(A.numerator) / A.denominator)
+        E_mp = mpmath.mpf(E.numerator) / E.denominator
+
+        def log_pi_n(n):
+            log_2pi = mpmath.log(2 * mpmath.pi)
+            return mpmath.fsum(
+                mpmath.log(mpmath.factorial(2 * j - 1)) - 2 * j * log_2pi for j in range(1, n + 1)
+            )
+
+        def f(n):
+            return n * n + mpmath.mpf(n) / 2 - 3
+
+        for (a_A, a_E), a in (((A, 0), log_A), ((A * A, E), 2 * log_A - E_mp)):
+            l4, l5, l6 = (f(n) * a + log_pi_n(n) for n in (4, 5, 6))
+            first, second = b.log_differences(a_A, a_E, prec)
+            for iv, value in ((first, l5 - l4), (second, l6 - 2 * l5 + l4)):
+                lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+                hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+                assert lo <= value <= hi, (a_A, prec)
+                assert (iv.hi - iv.lo) * 2 ** (prec - 16) <= abs(iv.lo)
+
+
+def test_rank_four_induction_agrees_with_the_chain():
+    """What the induction from rank 4 concludes, checked rank by rank up to 16:
+    the log inner factor and the normalized bound increase with the rank, and
+    the bound stays above 1.83."""
+    pair = b.OdlyzkoPair(Fraction("6.894"), Fraction("2.2667"))
+    inner = [b.log_inner_factor(n, pair.A, 64) for n in range(4, 17)]
+    bound = [b.normalized_O(n, 2, pair, 64) for n in range(4, 17)]
+    for values in (inner, bound):
+        assert all(x.hi < y.lo for x, y in zip(values, values[1:]))
+    assert inner[0].lo > 0 and bound[0].lo > Fraction("1.83")
 
 
 def test_inner_factor_oracle():

@@ -315,6 +315,10 @@ def _constant_side_flipped(doc):
     )
 
 
+def _conclusion_constant_side_zeroed(doc):
+    _step(doc, "high_rank_conclusion")["comparisons"][0]["rhs"] = ["0", "0"]
+
+
 def _comparison_dropped(doc):
     del _step(doc, "feasible_pair")["comparisons"][1]
 
@@ -336,6 +340,7 @@ def _survivor_dropped(doc):
         (4, _zeta_product_sides_replaced),
         (4, _constant_side_moved),
         (4, _constant_side_flipped),
+        (4, _conclusion_constant_side_zeroed),
         (4, _comparison_dropped),
         (4, _survivors_forged),
         (2, _survivor_dropped),
@@ -345,8 +350,9 @@ def _survivor_dropped(doc):
 def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     """Each forgery holds step by step, but states another proof than its
     plan's: a relabelled rank, an axiom turned into a proof, an edited
-    claim, replaced or moved constant sides, a flipped relation, a dropped
-    comparison, surviving fields that are not the plan's."""
+    claim, replaced or moved constant sides (among them the conclusion's
+    1.83 replaced by 0), a flipped relation, a dropped comparison,
+    surviving fields that are not the plan's."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -556,20 +562,37 @@ def test_l35_witness_is_only_passing_row(table):
 
 
 def test_high_rank_proof_has_no_rank_chain(monkeypatch):
+    """A proof of any rank from 4 on evaluates the normalized bound at rank 4 only."""
     calls = []
-    log_normalized_O = bounds.log_normalized_O
+    normalized_O = bounds.normalized_O
 
     def counted(n, *args, **kwargs):
         calls.append(n)
-        return log_normalized_O(n, *args, **kwargs)
+        return normalized_O(n, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "log_normalized_O", counted)
-    counts = {}
-    for n in (9, 30):
+    monkeypatch.setattr(bounds, "normalized_O", counted)
+    for n in (4, 9, 30, 1000):
         calls.clear()
         assert ct.run_case(n, precision_bits=64).all_proved, n
-        counts[n] = len(calls)
-    assert counts[9] == counts[30] > 0
+        assert calls == [4], n
+
+
+def test_reports_from_rank_four_on_differ_only_in_rank_and_claims():
+    """Reports of ranks 4, 9, 64, 65 and 1000 record the same steps, anchors,
+    enclosures and comparisons: only the rank and the claims that name it
+    differ.  The rank-3 report's local stage records the same evidence."""
+    def without_rank(n):
+        doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
+        claims = [step.pop("claim") for step in doc["steps"]]
+        assert claims == [claim.format(rank=n) for _, claim, _ in report.step_plan(n).values()]
+        assert doc.pop("rank") == n
+        return doc
+
+    docs = {n: without_rank(n) for n in (3, 4, 9, 64, 65, 1000)}
+    for n in (9, 64, 65, 1000):
+        assert docs[n] == docs[4], n
+    for step_id in ("local_special_factor", "local_nonspecial_factor"):
+        assert _step(docs[3], step_id) == _step(docs[4], step_id), step_id
 
 
 def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
@@ -836,7 +859,7 @@ BAD_FLAGS = [
     (["prove", "--n", "1"], "must be at least 2"),
     (["prove", "--n", "3", "--precision", "8"], "must be at least 16"),
     (["prove", "--n", "4", "--precision", "16384"], "must be at most 8192"),
-    (["prove", "--n", "65"], "must be at most 64"),
+    (["prove", "--n", "9" * 5000], "invalid integer"),
     *(
         (["field", "2.2.5.1", "--op", "splitting", "--p", p], "must be a prime")
         for p in ("0", "1", "4", "-3")
@@ -854,6 +877,16 @@ def test_cli_rejects_bad_flags(argv, message, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["65", "100000"])
+def test_cli_proves_every_rank_from_two(n, tmp_path, capsysbinary):
+    """``prove --n`` has no upper limit: a rank above 64 proves and verifies."""
+    assert cli.main(["prove", "--n", n, "--precision", "16", "--format", "json"]) == cli.EXIT_OK
+    path = tmp_path / "report.json"
+    path.write_bytes(capsysbinary.readouterr().out)
+    assert json.loads(path.read_bytes())["rank"] == int(n)
+    assert cli.main(["verify", str(path)]) == cli.EXIT_OK
 
 
 @pytest.fixture
