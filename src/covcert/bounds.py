@@ -2,9 +2,11 @@
 
 Implements the reference covolume constants, the exact global-stage
 quotient Psi(n) / S(Lambda), the high-rank lower bound on the covolume and
-the differences in the rank of its logarithm, the three feasibility
-conditions on a bound pair (A, E), the rank-2 and rank-3 degree thresholds,
-and the discriminant cutoff formulas used to enumerate candidate fields.
+the differences in the rank of its logarithm, the rank-2 and rank-3 degree
+thresholds, and the discriminant cutoff formulas used to enumerate candidate
+fields.  The three feasibility conditions on a bound pair (A, E) of
+``lemma35_conditions`` are not part of the certificate: its rank >= 4 steps
+record the induction from rank 4 itself, which needs none of them.
 
 Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
 ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
@@ -30,7 +32,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .report import COND_B_A_LOWER, E_046_LOWER, ZETA_PRODUCT_UPPER, InputError
+from .report import E_046_LOWER, ZETA_PRODUCT_UPPER, InputError
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
@@ -290,30 +292,7 @@ def log_differences(A: Rational, E: Rational, precision_bits: int = 256) -> Tupl
 # feasibility conditions on a bound pair
 
 
-def lemma35_comparisons(
-    pair: OdlyzkoPair, precision_bits: int = 256
-) -> Dict[str, Tuple[Interval, Interval]]:
-    """Both sides of the three sufficient conditions on (A, E).
-
-    Each condition holds when its left side is certainly greater:
-
-    cond_a: 2 log A - E > log(2 pi) + 1 - log 5 (monotone chain condition)
-    cond_b: A > 5.66 (positivity of the inner factor for all ranks)
-    cond_c: -E + 2 log A > (log 9.47 - log Pi(4)) / f(4) (base case at n=4)
-    """
-    work = precision_bits + _LOG_GUARD_BITS
-    log_A = _log_point(pair.A, work)
-    log_2pi = _log_point(Fraction(2), work) + _log_pi(work)
-    lhs_a = Interval.exact(2) * log_A - Interval.exact(pair.E)
-    rhs_a = log_2pi + Interval.exact(1) - _log_point(Fraction(5), work)
-    log_947 = _log_point(Fraction(947, 100), work)
-    rhs_c = (log_947 - _log_pi_n(4, work)) / Interval.exact(f_n(4))
-    lhs_c = Interval.exact(-pair.E) + Interval.exact(2) * log_A
-    return {
-        "cond_a": (lhs_a, rhs_a),
-        "cond_b": (Interval.exact(pair.A), Interval.exact(COND_B_A_LOWER)),
-        "cond_c": (lhs_c, rhs_c),
-    }
+_COND_B_A_LOWER = Fraction(566, 100)
 
 
 def lemma35_conditions(
@@ -321,12 +300,21 @@ def lemma35_conditions(
 ) -> Dict[str, bool]:
     """Certify the three sufficient conditions on (A, E).
 
-    A condition is reported True only when the interval comparison is
-    certain; an overlap verdict yields False.
+    A condition is reported True only when its left side is certainly
+    greater; an overlap verdict yields False:
+
+    cond_a: 2 log A - E > log(2 pi) + 1 - log 5 (monotone chain condition)
+    cond_b: A > 5.66 (positivity of the inner factor for all ranks)
+    cond_c: 2 log A - E > (log 9.47 - log Pi(4)) / f(4) (base case at n=4)
     """
+    work = precision_bits + _LOG_GUARD_BITS
+    lhs = Interval.exact(2) * _log_point(pair.A, work) - Interval.exact(pair.E)
+    rhs_a = _log_point(Fraction(2, 5), work) + _log_pi(work) + Interval.exact(1)
+    rhs_c = (_log_point(Fraction(947, 100), work) - _log_pi_n(4, work)) / Interval.exact(f_n(4))
     return {
-        name: iv_compare(lhs, rhs) is Comparison.CERTAINLY_GREATER
-        for name, (lhs, rhs) in lemma35_comparisons(pair, precision_bits).items()
+        "cond_a": iv_compare(lhs, rhs_a) is Comparison.CERTAINLY_GREATER,
+        "cond_b": pair.A > _COND_B_A_LOWER,
+        "cond_c": iv_compare(lhs, rhs_c) is Comparison.CERTAINLY_GREATER,
     }
 
 

@@ -67,8 +67,8 @@ def _load_inputs(odlyzko_path: Optional[str], fields_path: Optional[str]):
 # ``covcert optimize``.
 N2_WITNESS = (Fraction("21.512"), Fraction("6.0001"), Fraction("1.2"))
 N3_WITNESS = (Fraction("13.047"), Fraction("3.8667"))
-# The only table row passing the three rank >= 4 conditions of
-# ``bounds.lemma35_conditions``.
+# The bound pair at which both rank >= 4 induction steps, inner_factor_ge_one
+# and high_rank_conclusion, are evaluated.
 L35_WITNESS = (Fraction("6.894"), Fraction("2.2667"))
 
 
@@ -163,16 +163,6 @@ def _verdict(d: int, D: int, n: int, table, catalog, prec: int):
     )
 
 
-def _feasible_pair(table, catalog, prec: int):
-    pair = _table_row(table, *L35_WITNESS)
-    conditions = bounds.lemma35_comparisons(pair, prec)
-    return (
-        f"stated row (A, E) = ({pair.A}, {pair.E}) of the vendored table",
-        [conditions["cond_a"], conditions["cond_b"][0], conditions["cond_c"]],
-        [*conditions["cond_a"], *conditions["cond_c"]],
-    )
-
-
 # each induction step records a quantity at rank 4 and its log's first and second differences
 def _inner_factor_ge_one(table, catalog, prec: int):
     A = _table_row(table, *L35_WITNESS).A
@@ -242,7 +232,6 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         **_LOCAL_EVIDENCE,
     },
     4: {
-        "feasible_pair": _feasible_pair,
         "inner_factor_ge_one": _inner_factor_ge_one,
         "zeta_product_bound": _zeta_product_bound,
         "high_rank_conclusion": _high_rank_conclusion,

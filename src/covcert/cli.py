@@ -91,7 +91,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _type_error(f"invalid integer {text!r}") from None
+        raise _type_error(f"invalid integer {text!r:.80}") from None
 
 
 def _int_between(minimum: int, maximum: Optional[int] = None):
@@ -100,9 +100,9 @@ def _int_between(minimum: int, maximum: Optional[int] = None):
     def parse(text: str) -> int:
         value = _integer(text)
         if value < minimum:
-            raise _type_error(f"must be at least {minimum}, got {value}")
+            raise _type_error(f"must be at least {minimum}, got {value!r:.80}")
         if maximum is not None and value > maximum:
-            raise _type_error(f"must be at most {maximum}, got {value}")
+            raise _type_error(f"must be at most {maximum}, got {value!r:.80}")
         return value
 
     return parse
@@ -112,7 +112,7 @@ def _prime(text: str) -> int:
     """argparse type: a prime below 2^32, checked by trial division."""
     p = _integer(text)
     if not 2 <= p < 1 << 32 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-        raise _type_error(f"must be a prime below 2^32, got {p}")
+        raise _type_error(f"must be a prime below 2^32, got {p!r:.80}")
     return p
 
 
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     fld = sub.add_parser("field", help="inspect one catalog field")
     fld.add_argument("label", help="catalog label, e.g. 2.2.5.1")
     fld.add_argument("--op", choices=("zeta", "units", "splitting"), required=True)
-    fld.add_argument("--s", type=int, default=2, help="zeta argument (even)")
+    fld.add_argument("--s", type=_integer, default=2, help="zeta argument (even)")
     fld.add_argument("--p", type=_prime, default=2, help="prime below 2^32 for splitting")
     _add_data_args(fld)
 

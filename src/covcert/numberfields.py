@@ -249,7 +249,7 @@ def field_by_label(catalog: Iterable[NumberFieldRecord], label: str) -> NumberFi
     for f in catalog:
         if f.label == label:
             return f
-    raise UnsupportedField(f"no field labelled {label!r}")
+    raise UnsupportedField(f"no field labelled {label!r:.80}")
 
 
 def field_by_discriminant(
@@ -473,7 +473,7 @@ def dedekind_zeta_enclosure(
 ) -> Interval:
     """Enclosure of zeta_K(s) at even s in {2, 4, 6}."""
     if s not in (2, 4, 6):
-        raise UnsupportedArgument(f"zeta_K supported at s in {{2,4,6}}, got {s}")
+        raise UnsupportedArgument(f"zeta_K supported at s in {{2,4,6}}, got {s!r:.80}")
     r = dedekind_zeta_exact_coeff(field, s // 2)
     D = field.discriminant
     root = math.isqrt(D)

@@ -96,7 +96,6 @@ def step_verdict(comparisons: Sequence[RecordedComparison]) -> str:
 # constant a report is checked against is the one its formula used.
 ZETA_PRODUCT_UPPER = Fraction(183, 100)  # the product of zeta(2j) over j >= 1 is below it
 E_046_LOWER = Fraction(158, 100)  # below e^0.46; the rank-3 cutoffs take it in its place
-COND_B_A_LOWER = Fraction(566, 100)  # condition (b) on a bound pair (A, E): A exceeds it
 XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 1 or 2 elements
 
 
@@ -216,13 +215,8 @@ STEP_PLANS: Dict[int, Dict[str, tuple]] = {
     },
     4: {
         **_AXIOMS_FIRST,
-        "feasible_pair": (
-            ("A3",),
-            "the stated bound pair (A, E) satisfies the three high-rank conditions",
-            (_gt(), _gt(COND_B_A_LOWER), _gt()),
-        ),
         "inner_factor_ge_one": (
-            ("feasible_pair",),
+            ("A3",),
             "the degree-power base at rank {rank} is at least one, so the lower bound is "
             "increasing in the degree: at rank 4 its log and the log's first and second "
             "differences in the rank are positive, and the second grows with the rank",

@@ -320,7 +320,36 @@ def _conclusion_constant_side_zeroed(doc):
 
 
 def _comparison_dropped(doc):
-    del _step(doc, "feasible_pair")["comparisons"][1]
+    del _step(doc, "high_rank_conclusion")["comparisons"][1]
+
+
+def _withdrawn_step_restored(doc):
+    """The rank >= 4 plan as it stood with a step for Lemma 3.5's conditions
+    (a), (b) and (c) on the witness row between A3 and inner_factor_ge_one,
+    which depended on it."""
+
+    def greater(lhs, rhs):
+        return {"lhs": lhs, "rhs": rhs, "relation": "CertainlyGreater",
+                "required": "CertainlyGreater"}
+
+    lhs = ["15945/10000", "15947/10000"]  # 2 log A - E
+    steps = doc["steps"]
+    inner = _step(doc, "inner_factor_ge_one")
+    inner["dependencies"] = ["feasible_pair"]
+    steps[steps.index(_step(doc, "A3")) + 1:steps.index(inner)] = [{
+        "id": "feasible_pair",
+        "claim": "the stated bound pair (A, E) satisfies the three high-rank conditions",
+        "anchor": "stated row (A, E) = (3447/500, 22667/10000) of the vendored table",
+        "verdict": "Proved",
+        "dependencies": ["A3"],
+        "precision_bits": doc["precision_bits"],
+        "enclosures": [],
+        "comparisons": [
+            greater(lhs, ["12284/10000", "12285/10000"]),
+            greater(["3447/500", "3447/500"], ["283/50", "283/50"]),
+            greater(lhs, ["15933/10000", "15935/10000"]),
+        ],
+    }]
 
 
 def _survivors_forged(doc):
@@ -342,6 +371,7 @@ def _survivor_dropped(doc):
         (4, _constant_side_flipped),
         (4, _conclusion_constant_side_zeroed),
         (4, _comparison_dropped),
+        (5, _withdrawn_step_restored),
         (4, _survivors_forged),
         (2, _survivor_dropped),
     ],
@@ -352,7 +382,7 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     plan's: a relabelled rank, an axiom turned into a proof, an edited
     claim, replaced or moved constant sides (among them the conclusion's
     1.83 replaced by 0), a flipped relation, a dropped comparison,
-    surviving fields that are not the plan's."""
+    surviving fields that are not the plan's, a step the plan no longer has."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -706,7 +736,7 @@ def test_missing_witness_row(tmp_path, table, n, witness):
 def test_overlap_gives_tie_that_verifies(cert_by_rank):
     """A rank-4 report with one comparison overlapped: a Tie, so no conclusion."""
     doc = json.loads(ct.emit_report(cert_by_rank[4]))
-    step = _step(doc, "feasible_pair")
+    step = _step(doc, "zeta_product_bound")
     step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
     step["verdict"] = "Tie"
     doc["final_conclusion"] = ""
@@ -877,6 +907,34 @@ def test_cli_rejects_bad_flags(argv, message, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+LONG_ARGUMENTS = [
+    (["prove", "--n", "9" * 5000], 2),
+    (["prove", "--n", "-" + "9" * 4000], 2),
+    (["prove", "--precision", "9" * 4000], 2),
+    (["field", "2.2.5.1", "--op", "zeta", "--s", "9" * 5000], 2),
+    (["field", "2.2.5.1", "--op", "zeta", "--s", "9" * 4000], 3),
+    (["field", "2.2.5.1", "--op", "splitting", "--p", "9" * 4000], 2),
+    (["field", "x" * 4000, "--op", "units"], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", LONG_ARGUMENTS, ids=[f"argv{i}" for i in range(len(LONG_ARGUMENTS))]
+)
+def test_cli_echoes_a_long_argument_on_one_short_line(argv, code, capsys):
+    """A rejected argument thousands of characters long is echoed in part:
+    the error is one short line, after argparse's usage on a usage error."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    *usage, message = capsys.readouterr().err.splitlines()
+    assert len(message) < 160 and "Traceback" not in message
+    assert bool(usage) == (code == 2)
+    assert all(line.startswith(("usage:", " ")) for line in usage)
 
 
 @pytest.mark.parametrize("n", ["65", "100000"])
