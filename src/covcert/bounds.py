@@ -32,7 +32,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .report import E_046_LOWER, ZETA_PRODUCT_UPPER, InputError
+from . import report
+from .report import InputError
 from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
 from .numberfields import (
     NumberFieldRecord,
@@ -238,6 +239,10 @@ def adjusted_quotient(
 _COEFF_7_6 = Fraction(38, 5)
 _COEFF_0_46 = Fraction(46, 100)
 _LOG_GUARD_BITS = 16
+# the plan's constants, defined in report.py, as the Fractions that the cutoffs multiply
+ZETA_PRODUCT_UPPER, E_046_LOWER = (
+    Fraction(c.numerator, c.denominator) for c in (report.ZETA_PRODUCT_UPPER, report.E_046_LOWER)
+)
 
 
 def _log_pi_n(n: int, work: int) -> Interval:

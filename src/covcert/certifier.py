@@ -264,7 +264,10 @@ def run_case(
             anchor, sides, enclosures = evidence[step_id](table, catalog, precision_bits)
         comparisons = []
         for given, (required, constant) in zip(sides, planned, strict=True):
-            lhs, rhs = given if constant is None else (given, Interval.exact(constant))
+            if constant is None:
+                lhs, rhs = given
+            else:  # an int or a report.Ratio: the plan's exact right side
+                lhs, rhs = given, Interval.exact(Fraction(constant.numerator, constant.denominator))
             comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(

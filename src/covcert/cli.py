@@ -248,11 +248,6 @@ _COMMANDS = {
     "prove": _cmd_prove, "optimize": _cmd_optimize, "verify": _cmd_verify, "field": _cmd_field,
 }
 
-# bad input ends the command with exit 3 and one line on stderr, not a
-# traceback: a path that cannot be read (OSError), or an input error of any
-# layer, each a report.InputError, so naming them here loads no layer
-_DATA_ERRORS = (OSError, report.InputError)
-
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -261,11 +256,17 @@ def main(argv=None) -> int:
         args = types.SimpleNamespace(command="verify", report=argv[1])
     else:
         args = build_parser().parse_args(argv)
+    # bad input ends the command with exit 3 and one line on stderr, not a
+    # traceback: a path that cannot be read (OSError), or an input error of
+    # any layer, each a report.InputError, so naming it here loads no layer
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         raise  # a reader that went away, which ``run`` ends with exit 141
-    except _DATA_ERRORS as exc:
+    except OSError as exc:  # its message holds the whole path: cut, as argument echoes are
+        print(f"{type(exc).__name__}: {str(exc):.80}", file=sys.stderr)
+        return EXIT_DATA_MISSING
+    except report.InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA_MISSING
 

@@ -6,15 +6,17 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, ``compare`` is the three-way interval relation and
 ``step_verdict`` the rule that turns comparisons into a verdict; the prover
 and the checker both apply them.  An interval is any object with exact
-``lo`` and ``hi``: ``rigor.Interval`` or the checker's ``Enclosure``.
+``lo`` and ``hi``: ``rigor.Interval``, whose endpoints are ``Fraction``s, or
+the checker's ``Enclosure``, whose endpoints are ``Ratio``s.  Both kinds of
+endpoint carry ``numerator`` and ``denominator`` (an int does too), and
+every relation between them is decided by integer cross-multiplication, so
+checking a report imports neither ``fractions`` nor ``decimal``.
 """
 
 from __future__ import annotations
 
 import json
-from decimal import Decimal, localcontext
 from enum import Enum
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,18 +58,64 @@ class Comparison(Enum):
     OVERLAP = "Overlap"
 
 
+# An exact rational is anything with an int ``numerator`` and a positive int
+# ``denominator``: a Fraction, an int or a Ratio.  ``_below`` and ``_equal``
+# are the only relations between them here.
+
+
+def _below(x, y) -> bool:
+    """x < y, by cross-multiplying over the positive denominators."""
+    return x.numerator * y.denominator < y.numerator * x.denominator
+
+
+def _equal(x, y) -> bool:
+    """x == y as rationals, reduced or not."""
+    return x.numerator * y.denominator == y.numerator * x.denominator
+
+
+def _is_point(iv, x) -> bool:
+    """iv is the point interval [x, x]."""
+    return _equal(iv.lo, x) and _equal(iv.hi, x)
+
+
+class Ratio:
+    """An exact rational numerator/denominator, with a positive denominator
+    and not necessarily reduced: an endpoint as the checker reads it, or a
+    constant of the plan.  It equals another exact rational of the same
+    value and has no order: ``compare`` and ``_below`` decide one, so that
+    no ordering of its fields, such as a tuple's, can stand in for it."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1) -> None:
+        if denominator <= 0:
+            raise ValueError(f"denominator {denominator} is not positive")
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __eq__(self, other) -> bool:
+        if not hasattr(other, "denominator"):
+            return NotImplemented
+        return _equal(self, other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Ratio({self.numerator}, {self.denominator})"
+
+
 class Enclosure(NamedTuple):
     """A closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: Ratio
+    hi: Ratio
 
 
 def compare(a, b) -> Comparison:
     """Certain order of two intervals, or OVERLAP when they intersect."""
-    if a.hi < b.lo:
+    if _below(a.hi, b.lo):
         return Comparison.CERTAINLY_LESS
-    if a.lo > b.hi:
+    if _below(b.hi, a.lo):
         return Comparison.CERTAINLY_GREATER
     return Comparison.OVERLAP
 
@@ -92,22 +140,24 @@ def step_verdict(comparisons: Sequence[RecordedComparison]) -> str:
 
 
 # Constants that a planned comparison and a prover formula share.  Each is
-# defined here once, and ``bounds`` and ``localfactors`` import it, so the
-# constant a report is checked against is the one its formula used.
-ZETA_PRODUCT_UPPER = Fraction(183, 100)  # the product of zeta(2j) over j >= 1 is below it
-E_046_LOWER = Fraction(158, 100)  # below e^0.46; the rank-3 cutoffs take it in its place
+# defined here once, and ``bounds`` and ``localfactors`` import it (``bounds``
+# builds its Fractions from the two Ratios), so the constant a report is
+# checked against is the one its formula used.
+ZETA_PRODUCT_UPPER = Ratio(183, 100)  # the product of zeta(2j) over j >= 1 is below it
+E_046_LOWER = Ratio(158, 100)  # below e^0.46; the rank-3 cutoffs take it in its place
 XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 1 or 2 elements
 
 
 # A planned step is a triple: the steps it depends on, its claim (a template
 # whose one field is {rank}) and its planned comparisons.  A planned
-# comparison is the relation it requires and the exact constant that its
-# right side must equal, or None where the prover computes that side.
-def _gt(constant=None) -> Tuple[str, Optional[Fraction]]:
+# comparison is the relation it requires and the exact constant (an int or a
+# Ratio) that its right side must equal, or None where the prover computes
+# that side.
+def _gt(constant=None) -> Tuple[str, Optional[Ratio]]:
     return (Comparison.CERTAINLY_GREATER.value, constant)
 
 
-def _lt(constant=None) -> Tuple[str, Optional[Fraction]]:
+def _lt(constant=None) -> Tuple[str, Optional[Ratio]]:
     return (Comparison.CERTAINLY_LESS.value, constant)
 
 
@@ -294,16 +344,18 @@ class Certificate(NamedTuple):
 # serialization
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _iv_json(iv: Enclosure) -> List[str]:
+def _iv_json(iv) -> List[str]:
     return [_frac_str(iv.lo), _frac_str(iv.hi)]
 
 
-def _sig12(x: Fraction) -> str:
+def _sig12(x) -> str:
     """Deterministic 12-significant-digit decimal rendering (reporting only)."""
+    from decimal import Decimal, localcontext  # a text report only; verify never renders
+
     with localcontext() as ctx:
         ctx.prec = 12
         return str(Decimal(x.numerator) / Decimal(x.denominator))
@@ -376,25 +428,26 @@ def _typed(obj, key: str, kind: type):
     return value
 
 
-def _endpoint(text) -> Fraction:
-    """An endpoint as ``_frac_str`` writes it, -?[0-9]+ or -?[0-9]+/[0-9]+.
-    ``Fraction`` alone would also take an exponent, and expand "1e10000000"
-    to ten million digits."""
+def _endpoint(text) -> Ratio:
+    """An endpoint as ``_frac_str`` writes it, -?[0-9]+ or -?[0-9]+/[0-9]+,
+    with a nonzero denominator.  Only ASCII digits are taken: ``int`` alone
+    would also take other scripts' digits, and ``Fraction`` an exponent,
+    which it expands ("1e10000000" to ten million digits)."""
     num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
     digits = [num.removeprefix("-")] + ([den] if slash else [])
     if not all(x.isascii() and x.isdigit() for x in digits):
         raise ValueError(f"endpoint {text!r:.40} is not an integer or a fraction p/q")
-    return Fraction(int(num), int(den or 1))
+    return Ratio(int(num), int(den or 1))
 
 
 def _parse_interval(pair) -> Enclosure:
     """An enclosure recorded as a list of two fraction strings [lo, hi]."""
     try:
         lo, hi = map(_endpoint, pair)
-        if lo > hi:
-            raise ValueError(f"lo={lo} > hi={hi}")
+        if _below(hi, lo):
+            raise ValueError("lo > hi")
         return Enclosure(lo, hi)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
@@ -424,7 +477,8 @@ def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
         if not isinstance(s.get("anchor"), str):
             raise TamperDetected(f"step {s['id']}: anchor {s.get('anchor')!r:.80} is not a string")
         if len(recorded) != len(planned) or any(
-            c.required != required or constant is not None and c.rhs != (constant, constant)
+            c.required != required
+            or constant is not None and not _is_point(c.rhs, constant)
             for c, (required, constant) in zip(recorded, planned)
         ):
             raise TamperDetected(f"step {s['id']}: comparisons are not its plan's {planned}")
@@ -445,7 +499,8 @@ def verify_report(stream: bytes) -> str:
     has parsed, its id, dependencies, claim, comparison count, required
     relations and constant right sides are its plan's (``_check_plan``).
     A conclusion that disagrees with the verdicts is tampered too.  Only
-    exact rational arithmetic is used.  What it does not recompute it
+    exact integer arithmetic is used: every relation is decided by
+    cross-multiplication.  What it does not recompute it
     trusts: the computed sides of the comparisons, and the catalog data
     behind the candidate lists.
     """

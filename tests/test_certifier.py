@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from string import Formatter
 
@@ -422,7 +423,9 @@ def test_honest_reports_follow_the_plan(n, bits):
         assert len(step.comparisons) == len(planned), step.id
         for c, (required, constant) in zip(step.comparisons, planned):
             assert c.required == required, step.id
-            assert constant is None or (c.rhs.lo, c.rhs.hi) == (constant, constant), step.id
+            if constant is not None:  # an int or a report.Ratio, compared by value
+                value = Fraction(constant.numerator, constant.denominator)
+                assert (c.rhs.lo, c.rhs.hi) == (value, value), step.id
         assert step.verdict == ("Axiom" if step.id in report.AXIOMS else "Proved"), step.id
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
 
@@ -703,8 +706,8 @@ def test_rank3_cutoffs_check_their_e046_constant(cert_by_rank, tmp_path):
     copy = tmp_path / "covcert"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
     source = (copy / "report.py").read_text()
-    assert source.count("Fraction(158, 100)") == 1
-    (copy / "report.py").write_text(source.replace("Fraction(158, 100)", "Fraction(159, 100)"))
+    assert source.count("Ratio(158, 100)") == 1
+    (copy / "report.py").write_text(source.replace("Ratio(158, 100)", "Ratio(159, 100)"))
     out = subprocess.run(
         [sys.executable, "-m", "covcert.cli", "prove", "--n", "3", "--precision", str(PREC),
          "--format", "json"],
@@ -978,6 +981,7 @@ def bad_data(tmp_path):
     return {"tmp": str(tmp_path), "data": str(data_dir), "torn": str(torn)}
 
 
+LONG_MISSING_PATH = "{tmp}/missing/" + "/".join(["y" * 200] * 19)
 BAD_INPUT = [
     ({}, ["field", "4.4.725.1", "--op", "zeta"]),
     ({}, ["field", "2.2.5.1", "--op", "zeta", "--s", "3"]),
@@ -1002,6 +1006,10 @@ BAD_INPUT = [
     ({}, ["prove", "--n", "4", "--odlyzko", "{tmp}/" + "x" * 300]),
     ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/" + "x" * 300]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/" + "x" * 300]),
+    # a missing path thousands of characters long, each name within the limit
+    ({}, ["verify", LONG_MISSING_PATH]),
+    ({}, ["prove", "--n", "3", "--fields", LONG_MISSING_PATH]),
+    ({}, ["prove", "--n", "3", "--odlyzko", LONG_MISSING_PATH]),
 ]
 
 
@@ -1015,6 +1023,8 @@ def test_cli_bad_input(env, argv, bad_data, monkeypatch, capsys):
     assert rc == cli.EXIT_DATA_MISSING
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    if any(len(arg) > 200 for arg in argv):  # a long path is echoed in part
+        assert len(err.encode()) < 160, err[:200]
 
 
 @pytest.fixture
@@ -1079,7 +1089,8 @@ def executed():
     return [name for name in layers if type(sys.modules[f"covcert.{name}"]) is types.ModuleType]
 
 results = [(cli.main(["verify", path]), executed()) for path in sys.argv[1:]]
-results.append([name for name in ("argparse", "gettext", "locale") if name in sys.modules])
+results.append([name for name in ("argparse", "gettext", "locale", "fractions", "decimal",
+                                  "numbers") if name in sys.modules])
 results.append((cli.main(["prove", "--n", "4", "--precision", "64"]), executed()))
 print(json.dumps(results))
 """
@@ -1088,8 +1099,9 @@ print(json.dumps(results))
 def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     """``verify`` runs ``report.py`` alone: on an honest, a tampered and a
     malformed report every proof layer stays registered but unexecuted, and
-    argparse, gettext and locale are not imported.  ``prove`` in the same
-    process executes every layer but the search."""
+    argparse, gettext and locale are not imported, nor are fractions,
+    decimal and numbers: the checker decides by integer arithmetic.
+    ``prove`` in the same process executes every layer but the search."""
     honest = tmp_path / "honest.json"
     honest.write_bytes(ct.emit_report(cert_by_rank[4]))
     doc = json.loads(honest.read_bytes())
@@ -1199,13 +1211,14 @@ def test_proof_does_not_import_the_search():
 
 def test_cli_import_graph():
     """``import covcert.cli`` registers all eight layers and loads none of
-    dataclasses, inspect, hashlib."""
+    dataclasses, inspect, hashlib, fractions, decimal, numbers."""
     layers = ["rigor", "specfun", "numberfields", "bounds", "optimizer", "localfactors",
               "certifier", "cli"]
     probe = (
         "import sys, covcert.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('covcert.'))); "
-        "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'fractions', 'decimal', "
+        "'numbers') if m in sys.modules])"
     )
     src = str(Path(covcert.__file__).parent.parent)
     out = subprocess.run(

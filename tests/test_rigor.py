@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covcert import report
 from covcert.numberfields import InvariantViolation, NumberFieldRecord
 from covcert.report import Enclosure
 from covcert.rigor import (
@@ -188,3 +189,69 @@ def test_unknown_op_rejected():
         iv_arith("add", Interval(0, 1), 3)
     with pytest.raises(TypeError):
         iv_arith("pow_int", Interval(0, 1), Interval(0, 1))
+
+
+@st.composite
+def endpoint_texts(draw):
+    """An endpoint spelled -?[0-9]+ or -?[0-9]+/[0-9]+: small or of up to 4001
+    digits, reduced or not, zero also as -0 or 0/q."""
+    big = 10**4000 - 1
+    num = draw(st.one_of(st.integers(-50, 50), st.integers(-big, big)))
+    if draw(st.booleans()):
+        return ("-" if num < 0 or draw(st.booleans()) else "") + str(abs(num))
+    den = draw(st.one_of(st.integers(1, 50), st.integers(1, big)))
+    k = draw(st.integers(1, 12))  # a common factor, so that 2/4 and 0/7 occur
+    return ("-" if num < 0 else "") + f"{abs(num) * k}/{den * k}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(endpoint_texts(), min_size=4, max_size=4))
+def test_checker_relation_is_fraction_order(texts):
+    """The checker parses endpoints into integer pairs and decides order and
+    equality by cross-multiplication: the same answers as ``Fraction``, on
+    endpoints and on intervals, its own ``Enclosure`` or the prover's
+    ``Interval``."""
+    x, y = (report._endpoint(t) for t in texts[:2])
+    fx, fy = (Fraction(t) for t in texts[:2])
+    assert report._below(x, y) == (fx < fy) and report._below(y, x) == (fy < fx)
+    assert report._equal(x, y) == (x == y) == (fx == fy) == (x == fy)
+    fa_lo, fa_hi, fb_lo, fb_hi = (Fraction(t) for t in texts)
+    a_lo, a_hi = sorted(texts[:2], key=Fraction)
+    b_lo, b_hi = sorted(texts[2:], key=Fraction)
+    a = report._parse_interval([a_lo, a_hi])
+    b = report._parse_interval([b_lo, b_hi])
+    a_iv = Interval(Fraction(a_lo), Fraction(a_hi))
+    b_iv = Interval(Fraction(b_lo), Fraction(b_hi))
+    if a_iv.hi < b_iv.lo:
+        expected = Comparison.CERTAINLY_LESS
+    elif a_iv.lo > b_iv.hi:
+        expected = Comparison.CERTAINLY_GREATER
+    else:
+        expected = Comparison.OVERLAP
+    assert report.compare(a, b) == report.compare(a_iv, b_iv) == expected
+    assert report.compare(a, b_iv) == report.compare(a_iv, b) == expected
+    if fa_lo != fa_hi:
+        with pytest.raises(report.SchemaMismatch, match="does not parse"):
+            report._parse_interval([a_hi, a_lo])
+
+
+@pytest.mark.parametrize("pair", [["1/0", "1"], ["0", "-0/0"], ["2", "1"], ["1/2", "1/3"],
+                                  ["-1/3", "-1/2"], ["0/7", "-1"]])
+def test_checker_rejects_a_zero_denominator_and_lo_above_hi(pair):
+    with pytest.raises(report.SchemaMismatch, match="does not parse"):
+        report._parse_interval(pair)
+
+
+def test_checker_endpoint_has_no_order():
+    """A checker endpoint has value equality but no order: ``<`` and
+    ``sorted`` refuse it, so no ordering of its fields can decide a
+    comparison in its place."""
+    x, y = report._endpoint("2/4"), report._endpoint("1/3")
+    assert x == report._endpoint("1/2") == Fraction(1, 2) and x != y
+    assert report._endpoint("-0") == report._endpoint("0/7") == 0
+    for relation in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
+                     lambda: x < Fraction(1), lambda: sorted([x, y])):
+        with pytest.raises(TypeError):
+            relation()
+    with pytest.raises(TypeError):
+        hash(x)
