@@ -15,9 +15,11 @@ bound, the discriminant cutoffs and the infinite zeta product are sums of
 point logarithms, exponentiated where the value itself is compared.  log pi
 is the one cached point ``specfun._log_pi``.  Each public entry of a
 logarithm chain adds ``_LOG_GUARD_BITS`` once and calls private helpers that
-add none: a cached point asked for more bits than it holds is recomputed at
-the precision asked for, so nested entries that each added guard bits would
-recompute ln 2 and log pi once per nesting level within one proof.
+add none.  A cached point is computed once per rung, the first multiple of
+32 bits at or above its precision plus ``specfun.GUARD_BITS`` (at least
+128).  p and p + 16 share a rung when p is a multiple of 32, but nested
+entries that each added guard bits would climb the rungs and recompute
+log pi and every other point on each within one proof.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -27,6 +29,7 @@ only and never feed back into a comparison.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -476,9 +479,13 @@ def n2_D_bound(d: int, precision_bits: int = 256) -> Interval:
 
 def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
     """The (A, E) table at ``path``, by default ``odlyzko.csv`` of the data
-    directory: CSV rows of exact decimal strings."""
+    directory: CSV rows of plain decimals, digits with an optional fraction
+    part and no sign or exponent."""
     p = Path(path) if path else data_dir() / "odlyzko.csv"
     return _table_at(p.resolve())
+
+
+_PLAIN_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
 @lru_cache(maxsize=4)
@@ -487,8 +494,13 @@ def _table_at(path: Path) -> Tuple[OdlyzkoPair, ...]:
     # fails to load raises again on the next call, since errors are not cached
     pairs: List[OdlyzkoPair] = []
     for lineno, (A, E) in data_fields(read_data_file(path), ",", 2, MalformedTable):
+        for field in (A, E):
+            # Fraction alone would also take an exponent and expand it
+            # ("1e5000" to 5001 digits), as report._endpoint refuses to
+            if not _PLAIN_DECIMAL.fullmatch(field):
+                raise MalformedTable(f"line {lineno}: {field!r:.40} is not a plain decimal")
         try:
-            pairs.append(OdlyzkoPair(Fraction(A), Fraction(E)))
-        except (ValueError, ZeroDivisionError) as exc:
+            pairs.append(OdlyzkoPair(A, E))
+        except ValueError as exc:
             raise MalformedTable(f"line {lineno}: {exc}") from exc
     return tuple(pairs)

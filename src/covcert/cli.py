@@ -40,13 +40,8 @@ import math
 import os
 import sys
 import types
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional
 
 from . import report
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def _lazy(name: str):
@@ -94,7 +89,7 @@ def _integer(text: str) -> int:
         raise _type_error(f"invalid integer {text!r:.80}") from None
 
 
-def _int_between(minimum: int, maximum: Optional[int] = None):
+def _int_between(minimum: int, maximum: int | None = None):
     """argparse type: an integer in [minimum, maximum] (no upper limit if None)."""
 
     def parse(text: str) -> int:
@@ -214,8 +209,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    with open(args.report, "rb") as f:
+        data = f.read()
     try:
-        verdict = report.verify_report(Path(args.report).read_bytes())
+        verdict = report.verify_report(data)
     except report.TamperDetected as exc:
         print(f"tamper detected: {exc}", file=sys.stderr)
         return EXIT_STEP_FAILED

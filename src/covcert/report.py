@@ -16,9 +16,9 @@ checking a report imports neither ``fractions`` nor ``decimal``.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from enum import Enum
 from itertools import zip_longest
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -104,11 +104,10 @@ class Ratio:
         return f"Ratio({self.numerator}, {self.denominator})"
 
 
-class Enclosure(NamedTuple):
+class Enclosure(namedtuple("Enclosure", "lo hi")):
     """A closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Ratio
-    hi: Ratio
+    __slots__ = ()
 
 
 def compare(a, b) -> Comparison:
@@ -120,18 +119,18 @@ def compare(a, b) -> Comparison:
     return Comparison.OVERLAP
 
 
-class RecordedComparison(NamedTuple):
-    lhs: Enclosure
-    rhs: Enclosure
-    relation: str  # the relation that actually holds
-    required: str  # the relation the step needs
+class RecordedComparison(namedtuple("RecordedComparison", "lhs rhs relation required")):
+    """Two intervals, the relation that actually holds between them and the
+    relation the step needs."""
+
+    __slots__ = ()
 
     @property
     def satisfied(self) -> bool:
         return self.relation == self.required
 
 
-def step_verdict(comparisons: Sequence[RecordedComparison]) -> str:
+def step_verdict(comparisons: list[RecordedComparison]) -> str:
     """Proved when there is a comparison and all hold; else Tie on an overlap, else Failed."""
     if comparisons and all(c.satisfied for c in comparisons):
         return "Proved"
@@ -153,15 +152,15 @@ XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 
 # comparison is the relation it requires and the exact constant (an int or a
 # Ratio) that its right side must equal, or None where the prover computes
 # that side.
-def _gt(constant=None) -> Tuple[str, Optional[Ratio]]:
+def _gt(constant=None) -> tuple[str, Ratio | None]:
     return (Comparison.CERTAINLY_GREATER.value, constant)
 
 
-def _lt(constant=None) -> Tuple[str, Optional[Ratio]]:
+def _lt(constant=None) -> tuple[str, Ratio | None]:
     return (Comparison.CERTAINLY_LESS.value, constant)
 
 
-def _candidate(d: int, D: int, survives: bool) -> Dict[str, tuple]:
+def _candidate(d: int, D: int, survives: bool) -> dict[str, tuple]:
     """The global-stage step of the candidate field (d, D): its covolume
     quotient, adjusted by its unit index, against 1."""
     return {
@@ -197,7 +196,7 @@ _LOCAL_STAGE = {
     ),
     "A2": ((), AXIOMS["A2"], ()),
 }
-STEP_PLANS: Dict[int, Dict[str, tuple]] = {
+STEP_PLANS: dict[int, dict[str, tuple]] = {
     2: {
         **_AXIOMS_FIRST,
         "degree_threshold": (
@@ -299,31 +298,33 @@ def rank_class(rank: int) -> int:
     return min(rank, 4)
 
 
-def step_plan(rank: int) -> Dict[str, tuple]:
+def step_plan(rank: int) -> dict[str, tuple]:
     """The plan of a rank's class."""
     return STEP_PLANS[rank_class(rank)]
 
 
-class CertificateStep(NamedTuple):
-    id: str
-    claim: str
-    anchor: str
-    enclosures: Tuple[Enclosure, ...]
-    comparisons: Tuple[RecordedComparison, ...]
-    verdict: str  # Proved | Failed | Axiom | Tie
-    dependencies: Tuple[str, ...]
-    precision_bits: int
+class CertificateStep(
+    namedtuple(
+        "CertificateStep",
+        "id claim anchor enclosures comparisons verdict dependencies precision_bits",
+    )
+):
+    """One step of a proof: its enclosures and comparisons are tuples, its
+    verdict is Proved, Failed, Axiom or Tie."""
+
+    __slots__ = ()
 
 
-class Certificate(NamedTuple):
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "rank precision_bits steps surviving_fields_after_global final_conclusion",
+    )
+):
     """A rank's proof: its steps, the fields that survive its global stage,
     and the conclusion, which the prover records once every step holds."""
 
-    rank: int
-    precision_bits: int
-    steps: Tuple[CertificateStep, ...]
-    surviving_fields_after_global: List[str]
-    final_conclusion: str
+    __slots__ = ()
 
     def step(self, step_id: str) -> CertificateStep:
         for s in self.steps:
@@ -348,7 +349,7 @@ def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _iv_json(iv) -> List[str]:
+def _iv_json(iv) -> list[str]:
     return [_frac_str(iv.lo), _frac_str(iv.hi)]
 
 
@@ -451,7 +452,7 @@ def _parse_interval(pair) -> Enclosure:
         raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
-def _check_plan(doc, comparisons: List[List[RecordedComparison]]) -> None:
+def _check_plan(doc, comparisons: list[list[RecordedComparison]]) -> None:
     """TamperDetected unless a parsed report, whose steps recorded the given
     comparisons, states its rank class's plan step for step: each step's
     id, dependencies and claim, and each comparison's required relation and

@@ -24,17 +24,22 @@ the one route ``pow_frac``.
 Gamma, zeta, L and alpha are evaluated at points only: an interval argument
 that is not a point raises ``NotAPoint``.
 
-Point evaluations are memoized through a refinement cache: asking for more
-precision re-evaluates the series at a higher working precision and
-intersects with the previous enclosure, so increasing precision never widens
-any result.
+Point evaluations are memoized by ``_cached_point``, whose value for a
+point depends only on the point and the precision asked for, never on what
+was asked before.  A miss runs the point's kernel once, at 32 bits above
+its rung: the first multiple of 32 at or above the precision plus
+``GUARD_BITS``, and at least 128.  It widens the bracket by 2^-rung of its
+magnitude and then rounds it outward to the precision asked for.  Rungs lie
+at least 32 bits apart, so each rung's enclosure holds the narrower one of
+every higher rung, and asking for more precision never widens a result,
+whatever the order of the requests.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Tuple
 
 from .rigor import Interval, coarsen_relative
@@ -71,35 +76,37 @@ def _point(x: Interval) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# refinement cache for point enclosures
+# the point cache
 
 
-_POINT_CACHE: Dict[tuple, Tuple[int, Interval, Dict[int, Interval]]] = {}
+_POINT_CACHE: Dict[Tuple[tuple, int], Interval] = {}
 
 
-def _cached_point(key: tuple, prec: int, compute: Callable[[int], Interval]) -> Interval:
-    """Memoized point enclosure with guaranteed refinement nesting.
+def _cached_point(key: tuple, prec: int, compute: Callable[[int], tuple]) -> Interval:
+    """The enclosure of the point ``key`` to ``prec`` bits, memoized per (key, prec).
 
-    ``compute(q)`` must return an enclosure of the same exact real number for
-    any working precision q.  A miss computes at the precision asked for,
-    never above it.  The cache keeps the narrowest core seen so far
-    (intersection of recomputations), so results at higher precision are
-    always subsets of results at lower precision.  The core's rounding to
-    each requested precision is kept with it until the core changes.
+    ``compute(w)`` is the bare kernel of the point's exact value v: integers
+    (lo, hi) with lo <= 2^w v <= hi, or (n, lo, hi) with 2^n lo <= 2^w v <= 2^n hi.
+    A miss runs it once, at w = rung + 32, where the rung is the first multiple
+    of 32 at or above prec + GUARD_BITS and at least 128.  The bracket is
+    widened by 2^-rung of its magnitude, and by at least one unit, cut to
+    rung + 8 bits, and rounded outward to prec + 8 relative bits.
+
+    The result depends on (key, prec) alone, and results nest: a bracket at
+    a higher rung, 32 or more bits up, is narrower than the widening of every
+    lower rung, so the enclosures of the rungs shrink as the rung grows, and
+    their roundings to a finer grid shrink with them.
     """
-    needed = prec + GUARD_BITS
-    entry = _POINT_CACHE.get(key)
-    if entry is None or entry[0] < needed:
-        q = max(needed, 128)
-        core = compute(q)
-        if entry is not None:
-            core = core.intersect(entry[1])
-        entry = (q, core, {})
-        _POINT_CACHE[key] = entry
-    views = entry[2]
-    view = views.get(prec)
+    view = _POINT_CACHE.get((key, prec))
     if view is None:
-        view = views[prec] = coarsen_relative(entry[1], prec + 8)
+        rung = max(-(-(prec + GUARD_BITS) // 32) * 32, 128)
+        work = rung + 32
+        *n, lo, hi = compute(work)  # n is absent when the kernel is not scaled
+        magnitude = max(-lo, hi)
+        pad = _ceil_shift(magnitude, rung)
+        cut = max(magnitude.bit_length() - rung - 8, 0)
+        core = _dyadic((lo - pad) >> cut, _ceil_shift(hi + pad, cut), work - cut - sum(n))
+        view = _POINT_CACHE[key, prec] = coarsen_relative(core, prec + 8)
     return view
 
 
@@ -345,6 +352,12 @@ def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
     return n, lo, hi + _ceil_shift(hi * 2 * (f_hi - f_lo), w)
 
 
+def _exp_ratio(num: int, den: int, w: int) -> Tuple[int, int, int]:
+    """n and bounds 2^n lo <= 2^w e^(num/den) <= 2^n hi for den > 0."""
+    y = num << w
+    return _exp_fixed(y // den, _ceil_div(y, den), w)
+
+
 def _pow_kernel(num: int, den: int, e: Fraction, w: int) -> Tuple[int, int, int]:
     """n and bounds 2^n lo <= 2^w (num/den)^e <= 2^n hi for positive integers
     num, den: one log kernel of the base, times e, then one exp kernel."""
@@ -368,12 +381,7 @@ def pi_enclosure(precision_bits: int) -> Interval:
     """Interval containing pi, width <= 2^(-precision_bits + 4)."""
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
-
-    def compute(q: int) -> Interval:
-        work = q + 32
-        return _dyadic(*_pi_kernel(work), work).coarsen(q + 8)
-
-    return _cached_point(("pi",), precision_bits, compute)
+    return _cached_point(("pi",), precision_bits, _pi_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +389,13 @@ def pi_enclosure(precision_bits: int) -> Interval:
 
 
 def _exp_point(r: Fraction, prec: int) -> Interval:
-    def compute(q: int) -> Interval:
-        work = q + 32
-        y = r.numerator << work
-        n, lo, hi = _exp_fixed(y // r.denominator, _ceil_div(y, r.denominator), work)
-        return coarsen_relative(_dyadic(lo, hi, work - n), q + 8)
-
-    return _cached_point(("exp", r), prec, compute)
+    return _cached_point(("exp", r), prec, partial(_exp_ratio, r.numerator, r.denominator))
 
 
 def _log_point(r: Fraction, prec: int) -> Interval:
     if r <= 0:
         raise LogOfNonPositive(f"log of non-positive point {r}")
-
-    def compute(q: int) -> Interval:
-        work = q + 32
-        return _dyadic(*_log_fixed(r.numerator, r.denominator, work), work).coarsen(q + 8)
-
-    return _cached_point(("log", r), prec, compute)
+    return _cached_point(("log", r), prec, partial(_log_fixed, r.numerator, r.denominator))
 
 
 def exp_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
@@ -417,12 +414,7 @@ def log_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 
 def _log_pi(prec: int) -> Interval:
     """log pi, the one route every caller shares."""
-
-    def compute(q: int) -> Interval:
-        work = q + 32
-        return _dyadic(*_log_pi_kernel(work), work).coarsen(q + 8)
-
-    return _cached_point(("log", "pi"), prec, compute)
+    return _cached_point(("log", "pi"), prec, _log_pi_kernel)
 
 
 def _sqrt_point_lo(r: Fraction, bits: int) -> Fraction:
@@ -505,12 +497,7 @@ def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int]:
 def _lngamma_point(x: Fraction, prec: int) -> Interval:
     if x <= 0:
         raise NonPositiveArgument(f"lngamma of non-positive point {x}")
-
-    def compute(q: int) -> Interval:
-        work = q + 32
-        return _dyadic(*_lngamma_kernel(x, work), work).coarsen(q + 8)
-
-    return _cached_point(("lngamma", x), prec, compute)
+    return _cached_point(("lngamma", x), prec, partial(_lngamma_kernel, x))
 
 
 def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
@@ -523,12 +510,7 @@ def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 
 
 def _pow_point(x: Fraction, e: Fraction, prec: int) -> Interval:
-    def compute(q: int) -> Interval:
-        work = q + 32
-        n, lo, hi = _pow_kernel(x.numerator, x.denominator, e, work)
-        return coarsen_relative(_dyadic(lo, hi, work - n), q + 8)
-
-    return _cached_point(("pow", x, e), prec, compute)
+    return _cached_point(("pow", x, e), prec, partial(_pow_kernel, x.numerator, x.denominator, e))
 
 
 def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Interval:
@@ -640,12 +622,7 @@ def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
 
 def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
     """Hurwitz zeta(s, a) for rational s > 1 and 0 < a <= 1."""
-
-    def compute(q: int) -> Interval:
-        work = q + 32
-        return _dyadic(*_hurwitz_kernel(s, a, work), work).coarsen(q + 8)
-
-    return _cached_point(("hurwitz", s, a), prec, compute)
+    return _cached_point(("hurwitz", s, a), prec, partial(_hurwitz_kernel, s, a))
 
 
 def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:

@@ -478,3 +478,18 @@ def test_malformed_table(tmp_path):
         b.load_odlyzko_table(str(p))
     with pytest.raises(FileNotFoundError):
         b.load_odlyzko_table(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize(
+    "field", ["1e5000", "5E1", "-5", "+5", "1/2", "5.", ".5", " 5", "1_000", "٥", "inf", "0"]
+)
+def test_table_fields_are_plain_decimals(tmp_path, field):
+    """A table field is digits with an optional fraction part: no exponent
+    (which Fraction would expand), sign, ratio, underscore or non-ASCII digit.
+    A plain decimal that breaks a pair invariant, as E = 0, is malformed too."""
+    p = tmp_path / "odlyzko.csv"
+    p.write_text(f"4.816,1.4136\n5.252,{field}\n")
+    with pytest.raises(b.MalformedTable, match="line 2"):
+        b.load_odlyzko_table(str(p))
+    p.write_text("4.816,1.4136\n12,3\n")
+    assert b.load_odlyzko_table(str(p))[1] == b.OdlyzkoPair(12, 3)

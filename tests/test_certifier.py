@@ -647,8 +647,8 @@ def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_proof_computes_no_point_far_above_its_precision(monkeypatch, n):
     """Guard bits are added once per logarithm chain, and a cache miss
-    computes at the precision asked for, so no cached point is recomputed at
-    a doubled working precision within one proof."""
+    computes at the rung of the precision asked for, so no cached point is
+    recomputed at a doubled working precision within one proof."""
     computed = []
     cached_point = specfun._cached_point
 
@@ -728,7 +728,10 @@ def test_rank3_cutoffs_check_their_e046_constant(cert_by_rank, tmp_path):
     "n, witness", [(2, ct.N2_WITNESS[:2]), (3, ct.N3_WITNESS), (4, ct.L35_WITNESS)]
 )
 def test_missing_witness_row(tmp_path, table, n, witness):
-    rows = [f"{p.A},{p.E}" for p in table if (p.A, p.E) != witness]
+    # the vendored rows as written, since the table takes plain decimals only
+    vendored = Path(numberfields.__file__).parent / "data" / "odlyzko.csv"
+    lines = [line for line in vendored.read_text().splitlines() if line[:1].isdigit()]
+    rows = [line for line in lines if tuple(map(Fraction, line.split(","))) != witness]
     assert len(rows) == len(table) - 1
     path = tmp_path / "odlyzko.csv"
     path.write_text("\n".join(rows) + "\n")
@@ -823,14 +826,56 @@ spec.loader.exec_module(report)
 for path in reports:
     try:
         print(report.verify_report(open(path, "rb").read()))
-    except report.TamperDetected:
-        print("TamperDetected")
+    except (report.TamperDetected, report.SchemaMismatch) as exc:
+        print(type(exc).__name__)
 print(sorted(name for name in sys.modules if name.startswith("covcert")))
+print("dataclasses" in sys.modules)
 """
 
 
+def _forged_reports(docs):
+    """Forgeries of honest reports (by rank, ranks 2, 4 and 5 used), each
+    with the outcome the checker must give it."""
+
+    def edited(rank, step_id, **fields):
+        doc = json.loads(json.dumps(docs[rank]))
+        step = _step(doc, step_id)
+        step.update(fields)
+        return doc, step
+
+    overlapped, step = edited(4, "zeta_product_bound", verdict="Tie")
+    step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
+    overlapped["final_conclusion"] = ""
+    zero_below_one = {"lhs": ["0", "0"], "rhs": ["1", "1"], "relation": "CertainlyLess",
+                      "required": "CertainlyLess"}
+    axiom_proved, _ = edited(5, "A3", verdict="Proved", claim="any statement at all",
+                             comparisons=[zero_below_one])
+    claim_edited, _ = edited(5, "high_rank_conclusion", claim="1 + 1 = 3")
+    zeta_sides, step = edited(4, "zeta_product_bound")
+    step["comparisons"][0].update(lhs=["1", "1"], rhs=["100", "100"])
+    bound_side_zeroed, step = edited(4, "high_rank_conclusion")
+    step["comparisons"][0]["rhs"] = ["0", "0"]
+    exponent, step = edited(4, "zeta_product_bound")
+    step["enclosures"][0][1] = "1e10000000"
+    return {
+        "rank 2 cut to two steps": (dict(docs[2], steps=docs[2]["steps"][:2]), "TamperDetected"),
+        "rank 2 relabelled rank 3": (dict(docs[2], rank=3), "TamperDetected"),
+        "rank 4 with one comparison overlapped": (overlapped, "NotProved"),
+        "rank 5 relabelled rank 9": (dict(docs[5], rank=9), "TamperDetected"),
+        "rank 5 axiom A3 turned into a proof of 0 < 1": (axiom_proved, "TamperDetected"),
+        "rank 5 conclusion claiming 1 + 1 = 3": (claim_edited, "TamperDetected"),
+        "rank 4 zeta product sides replaced by 1 < 100": (zeta_sides, "TamperDetected"),
+        "rank 4 surviving fields forged": (
+            dict(docs[4], surviving_fields_after_global=["7.7.7.7", "2.2.5.1"]), "TamperDetected"
+        ),
+        "rank 4 conclusion's 1.83 side replaced by 0": (bound_side_zeroed, "TamperDetected"),
+        "rank 4 endpoint spelled 1e10000000": (exponent, "SchemaMismatch"),
+    }
+
+
 def test_report_module_verifies_alone(cert_by_rank, tmp_path):
-    """report.py, copied alone and loaded by path, re-checks reports without covcert."""
+    """report.py, copied alone and loaded by path, re-checks reports without
+    covcert or dataclasses, and rejects forgeries of them."""
     source = (Path(covcert.__file__).parent / "report.py").read_text()
     nodes = list(ast.walk(ast.parse(source)))
     from_imports = [node for node in nodes if isinstance(node, ast.ImportFrom)]
@@ -849,6 +894,11 @@ def test_report_module_verifies_alone(cert_by_rank, tmp_path):
     _step(doc, "degree_threshold")["verdict"] = "Failed"
     paths.append(tmp_path / "tampered.json")
     paths[-1].write_text(json.dumps(doc))
+    docs = {n: json.loads(ct.emit_report(cert)) for n, cert in cert_by_rank.items()}
+    forged = _forged_reports(docs)
+    for i, (doc, _) in enumerate(forged.values()):
+        paths.append(tmp_path / f"forged{i}.json")
+        paths[-1].write_text(json.dumps(doc))
     # -I: no PYTHONPATH, no user site and no script directory on sys.path
     out = subprocess.run(
         [sys.executable, "-I", "-c", STANDALONE_CHECK, str(module), *map(str, paths)],
@@ -858,7 +908,10 @@ def test_report_module_verifies_alone(cert_by_rank, tmp_path):
         text=True,
         timeout=120,
     ).stdout.splitlines()
-    assert out == ["Proved"] * len(cert_by_rank) + ["TamperDetected", "[]"]
+    outcomes = dict(zip(forged, out[len(cert_by_rank) + 1 : -2]))
+    assert outcomes == {name: outcome for name, (_, outcome) in forged.items()}
+    assert out[: len(cert_by_rank) + 1] == ["Proved"] * len(cert_by_rank) + ["TamperDetected"]
+    assert out[-2:] == ["[]", "False"]  # no covcert module, and no dataclasses either
 
 
 @pytest.mark.parametrize("n", [34, 55, 64])
@@ -973,6 +1026,8 @@ def bad_data(tmp_path):
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     (tmp_path / "long_int.json").write_text('{"schema_version": 1, "rank": ' + "9" * 5001 + "}")
     (tmp_path / "latin1").write_bytes(b"\xff\xfe not UTF-8\n")
+    # an exponent, which Fraction would expand to 5001 digits
+    (tmp_path / "exponent").write_bytes((vendored / "odlyzko.csv").read_bytes() + b"1e5000,1\n")
     torn = tmp_path / "torn"
     torn.mkdir()
     for name in ("fields.catalog", "odlyzko.csv"):
@@ -997,6 +1052,9 @@ BAD_INPUT = [
     ({"COVCERT_DATA_DIR": "{torn}"}, ["prove", "--n", "3"]),
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/latin1"]),
     ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/latin1"]),
+    ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/exponent"]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/exponent"]),
+    ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/exponent"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"]),
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/no_quadratic.catalog"]),
@@ -1123,6 +1181,28 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     assert results[:4] == [[0, []], [2, []], [3, []], []]
     assert results[4] == [0, ["rigor", "specfun", "numberfields", "bounds", "localfactors",
                               "certifier"]]
+
+
+def test_verify_imports_neither_pathlib_nor_typing(cert_by_rank, tmp_path):
+    """Without site hooks, a verify process imports neither pathlib nor typing:
+    it reads the report with ``open``, and the report's record types are
+    ``collections.namedtuple`` subclasses."""
+    honest = tmp_path / "honest.json"
+    honest.write_bytes(ct.emit_report(cert_by_rank[4]))
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from covcert import cli; "
+        "code = cli.main(['verify', sys.argv[2]]); "
+        "print(code, [m for m in ('pathlib', 'typing') if m in sys.modules])"
+    )
+    src = str(Path(covcert.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-I", "-c", probe, src, str(honest)],  # no site, no PYTHONPATH
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout.splitlines()
+    assert out == ["verdict: Proved", "0 []"]
 
 
 PROCESS_ARGV = [

@@ -385,6 +385,53 @@ def test_point_cache_intersection_is_sound():
     assert _contains_mp(narrow, mpmath.e)
 
 
+def test_point_value_does_not_depend_on_history():
+    """x = 1 + 2^-200 lies just above a 72-bit grid point, so a wide and a
+    narrow bracket of it round differently at 64 bits.  The 64-bit value is
+    the same from a cold cache and after a 256-bit request."""
+    x = 1 + Fraction(1, 2**200)
+
+    def kernel(w):  # bounds on 2^w x, one unit either side of the floor
+        floor = (x.numerator << w) // x.denominator
+        return floor - 1, floor + 2
+
+    try:
+        sf._clear_point_cache()
+        cold = sf._cached_point(("synthetic",), 64, kernel)
+        sf._clear_point_cache()
+        narrow = sf._cached_point(("synthetic",), 256, kernel)
+        assert sf._cached_point(("synthetic",), 64, kernel) == cold
+        assert narrow.subset_of(cold) and narrow.lo < x < narrow.hi
+    finally:
+        sf._clear_point_cache()
+
+
+_REFINEMENT_CASES = list(_refinement_cases())
+
+
+@given(st.sampled_from(range(len(_REFINEMENT_CASES))),
+       st.lists(st.integers(min_value=16, max_value=2100), min_size=2, max_size=3, unique=True))
+@example(0, [64, 256])
+@example(5, [272, 256])
+@settings(deadline=None, max_examples=8)
+def test_point_cache_is_pure_and_nests(case, precs):
+    """Each value equals its cold value, whatever was asked before it, and a
+    higher precision never widens, in whatever order the precisions come."""
+    make = _REFINEMENT_CASES[case]
+    values = {}
+    try:
+        sf._clear_point_cache()
+        for prec in precs:
+            values[prec] = make(prec)
+            sf._clear_point_cache()
+            assert make(prec) == values[prec], prec
+        ordered = sorted(values)
+        for low, high in zip(ordered, ordered[1:]):
+            assert values[high].subset_of(values[low]), (low, high)
+    finally:
+        sf._clear_point_cache()
+
+
 # ---------------------------------------------------------------------------
 # fixed-point kernels against mpmath at w + 64 bits
 #
