@@ -5,17 +5,19 @@ returns its :class:`Certificate`.  Every numerical verdict in the
 certificate is backed by a recorded interval comparison, so a report can
 be re-verified later without recomputing any transcendental enclosure.
 
-The certificate records, ``emit_report`` and the checker ``verify_report``
-live in :mod:`covcert.report`, which imports nothing from covcert, so that
-checking a report does not mean trusting this module.  They are
-re-exported here.  Each step's verdict comes from ``report.step_verdict``,
-the rule the checker applies.
+The certificate records, ``render``, ``emit_report`` and the checker
+``verify_report`` live in :mod:`covcert.report`, which imports nothing from
+covcert, so that checking a report does not mean trusting this module.
+They are re-exported here.
 
-``report.STEP_PLANS`` is the proof's one statement, and ``run_case`` walks
-it: every step's id, position, dependencies, claim, required relations and
-constant sides come from its rank class's plan, and the surviving fields
-from ``report.SURVIVING_FIELDS``.  This module supplies only the evidence,
-looked up by step id in ``_EVIDENCE``.  Non-numerical inputs (structural
+``report.STEP_PLANS`` is the proof's one statement, and ``report.render``
+the one rule that turns a plan and its evidence into a certificate: every
+step's id, position, dependencies, claim, required relations, constant
+sides and verdict, the surviving fields and the conclusion.  The checker
+renders a report's recorded evidence with the same function.  This module
+supplies only the evidence, looked up by step id in ``_EVIDENCE``, and
+``run_case`` does nothing else: it loads the inputs, evaluates the
+evidence in plan order and renders it.  Non-numerical inputs (structural
 group theory, the validity of the vendored bound table, and so on) are the
 axiom steps A1 through A5, which the plan places like any other step.
 """
@@ -29,21 +31,9 @@ from typing import Callable, Dict, Optional
 from .rigor import Interval
 from . import bounds, localfactors, numberfields
 from .report import (  # noqa: F401  (re-exported)
-    AXIOMS,
-    FINAL_CONCLUSION,
-    SCHEMA_VERSION,
-    SURVIVING_FIELDS,
-    Certificate,
-    CertificateStep,
-    RecordedComparison,
-    SchemaMismatch,
-    TamperDetected,
-    compare,
-    emit_report,
-    rank_class,
-    step_plan,
-    step_verdict,
-    verify_report,
+    AXIOMS, FINAL_CONCLUSION, SCHEMA_VERSION, SURVIVING_FIELDS, Certificate, CertificateStep,
+    RecordedComparison, SchemaMismatch, TamperDetected, compare, emit_report, rank_class,
+    render, step_plan, step_verdict, verify_report,
 )
 
 
@@ -246,35 +236,17 @@ def run_case(
     odlyzko_path: Optional[str] = None,
     fields_path: Optional[str] = None,
 ) -> Certificate:
-    """Execute the full exclusion pipeline for one rank: walk its class's plan,
-    giving each step the plan's statement, the evidence of ``_EVIDENCE`` (an
-    axiom: a fixed anchor, no comparison) and the ``step_verdict`` of its
-    comparisons.  Evidence with another number of sides than the plan has
-    comparisons is a fault of this module that no input reaches: ValueError.
+    """Execute the full exclusion pipeline for one rank: evaluate the evidence
+    of ``_EVIDENCE`` for each step of its class's plan but the axioms, in plan
+    order, and render the certificate with ``report.render``.  Evidence with
+    another number of sides than the plan has comparisons is a fault of this
+    module that no input reaches: ValueError.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
     table, catalog = _load_inputs(odlyzko_path, fields_path)
     evidence = _EVIDENCE[rank_class(n)]
-    steps = []
-    for step_id, (dependencies, claim, planned) in step_plan(n).items():
-        if step_id in AXIOMS:
-            anchor, sides, enclosures = "structural input, outside certified numerics", (), ()
-        else:
-            anchor, sides, enclosures = evidence[step_id](table, catalog, precision_bits)
-        comparisons = []
-        for given, (required, constant) in zip(sides, planned, strict=True):
-            if constant is None:
-                lhs, rhs = given
-            else:  # an int or a report.Ratio: the plan's exact right side
-                lhs, rhs = given, Interval.exact(Fraction(constant.numerator, constant.denominator))
-            comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
-        verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
-        steps.append(
-            CertificateStep(step_id, claim.format(rank=n), anchor, tuple(enclosures),
-                            tuple(comparisons), verdict, dependencies, precision_bits)
-        )
-    proved = all(s.verdict in ("Proved", "Axiom") for s in steps)
-    conclusion = FINAL_CONCLUSION if proved else ""
-    survivors = list(SURVIVING_FIELDS[rank_class(n)])
-    return Certificate(n, precision_bits, tuple(steps), survivors, conclusion)
+    return render(n, precision_bits, {
+        step_id: evidence[step_id](table, catalog, precision_bits)
+        for step_id in step_plan(n) if step_id not in AXIOMS
+    })

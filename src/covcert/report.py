@@ -3,14 +3,15 @@
 This file is the trusted base of verification.  It imports only the standard
 library, so a re-checker can copy it alone and run ``verify_report`` on a
 JSON report without trusting the code that produced it.  ``STEP_PLANS``
-states the proof, ``compare`` is the three-way interval relation and
-``step_verdict`` the rule that turns comparisons into a verdict; the prover
-and the checker both apply them.  An interval is any object with exact
-``lo`` and ``hi``: ``rigor.Interval``, whose endpoints are ``Fraction``s, or
-the checker's ``Enclosure``, whose endpoints are ``Ratio``s.  Both kinds of
-endpoint carry ``numerator`` and ``denominator`` (an int does too), and
-every relation between them is decided by integer cross-multiplication, so
-checking a report imports neither ``fractions`` nor ``decimal``.
+states the proof, and ``render`` turns a plan and its evidence into a
+certificate: the prover renders what it computed, and the checker renders
+what a report records and accepts the report only if it is that rendering.
+An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
+whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
+endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
+too) is decided by integer cross-multiplication of their ``numerator`` and
+``denominator``, so checking a report imports neither ``fractions`` nor
+``decimal``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from enum import Enum
-from itertools import zip_longest
 
 SCHEMA_VERSION = 1
 
@@ -73,25 +73,23 @@ def _equal(x, y) -> bool:
     return x.numerator * y.denominator == y.numerator * x.denominator
 
 
-def _is_point(iv, x) -> bool:
-    """iv is the point interval [x, x]."""
-    return _equal(iv.lo, x) and _equal(iv.hi, x)
-
-
 class Ratio:
     """An exact rational numerator/denominator, with a positive denominator
     and not necessarily reduced: an endpoint as the checker reads it, or a
     constant of the plan.  It equals another exact rational of the same
     value and has no order: ``compare`` and ``_below`` decide one, so that
-    no ordering of its fields, such as a tuple's, can stand in for it."""
+    no ordering of its fields, such as a tuple's, can stand in for it.
+    An endpoint keeps the ``text`` it was read from, which ``_frac_str``
+    writes back unchanged."""
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("numerator", "denominator", "text")
 
-    def __init__(self, numerator: int, denominator: int = 1) -> None:
+    def __init__(self, numerator: int, denominator: int = 1, text: str | None = None) -> None:
         if denominator <= 0:
             raise ValueError(f"denominator {denominator} is not positive")
         self.numerator = numerator
         self.denominator = denominator
+        self.text = text
 
     def __eq__(self, other) -> bool:
         if not hasattr(other, "denominator"):
@@ -125,14 +123,10 @@ class RecordedComparison(namedtuple("RecordedComparison", "lhs rhs relation requ
 
     __slots__ = ()
 
-    @property
-    def satisfied(self) -> bool:
-        return self.relation == self.required
-
 
 def step_verdict(comparisons: list[RecordedComparison]) -> str:
     """Proved when there is a comparison and all hold; else Tie on an overlap, else Failed."""
-    if comparisons and all(c.satisfied for c in comparisons):
+    if comparisons and all(c.relation == c.required for c in comparisons):
         return "Proved"
     tie = any(c.relation == Comparison.OVERLAP.value for c in comparisons)
     return "Tie" if tie else "Failed"
@@ -143,15 +137,15 @@ def step_verdict(comparisons: list[RecordedComparison]) -> str:
 # builds its Fractions from the two Ratios), so the constant a report is
 # checked against is the one its formula used.
 ZETA_PRODUCT_UPPER = Ratio(183, 100)  # the product of zeta(2j) over j >= 1 is below it
-E_046_LOWER = Ratio(158, 100)  # below e^0.46; the rank-3 cutoffs take it in its place
+E_046_LOWER = Ratio(79, 50)  # below e^0.46; the rank-3 cutoffs take it in its place
 XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 1 or 2 elements
 
 
 # A planned step is a triple: the steps it depends on, its claim (a template
 # whose one field is {rank}) and its planned comparisons.  A planned
 # comparison is the relation it requires and the exact constant (an int or a
-# Ratio) that its right side must equal, or None where the prover computes
-# that side.
+# Ratio in lowest terms, as a report writes it) that its right side equals,
+# or None where the prover computes that side.
 def _gt(constant=None) -> tuple[str, Ratio | None]:
     return (Comparison.CERTAINLY_GREATER.value, constant)
 
@@ -175,11 +169,10 @@ def _candidate(d: int, D: int, survives: bool) -> dict[str, tuple]:
 
 # The steps that a proof of each rank class consists of, in order, each with
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
-# proof's one description: the prover renders every step's claim,
-# dependencies, required relations and constant sides from it and supplies
-# only the evidence (computed sides, enclosures, anchor), and the checker
-# holds every report to it, whatever its verdicts: a consistent subset of a
-# proof, or a proof of another statement, proves nothing.
+# proof's one description: ``render`` takes every step's claim, dependencies,
+# required relations and constant sides from it, and the evidence supplies
+# only computed sides, enclosures and anchors.  So a consistent subset of a
+# proof, or a proof of another statement, is no rendering of a plan.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
     "local_special_factor": (
@@ -342,10 +335,50 @@ class Certificate(
 
 
 # ---------------------------------------------------------------------------
+# rendering
+
+
+AXIOM_ANCHOR = "structural input, outside certified numerics"
+
+
+def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
+    """The certificate of a rank's plan and its evidence, for the prover and
+    the checker alike.  ``evidence`` maps each step id of the plan but the
+    axioms to (anchor, sides, enclosures); a side is a pair (lhs, rhs), or
+    lhs alone where the plan fixes the right side to a constant.  All else
+    comes from the plan, ``compare`` and ``step_verdict``.  A missing step
+    raises KeyError, and another number of sides than the plan's ValueError.
+    """
+    steps = []
+    for step_id, (dependencies, claim, planned) in step_plan(rank).items():
+        if step_id in AXIOMS:
+            anchor, sides, enclosures = AXIOM_ANCHOR, (), ()
+        else:
+            anchor, sides, enclosures = evidence[step_id]
+        comparisons = []
+        for given, (required, constant) in zip(sides, planned, strict=True):
+            lhs, rhs = given if constant is None else (given, Enclosure(constant, constant))
+            comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
+        verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
+        steps.append(
+            CertificateStep(step_id, claim.format(rank=rank), anchor, tuple(enclosures),
+                            tuple(comparisons), verdict, dependencies, precision_bits)
+        )
+    proved = all(s.verdict in ("Proved", "Axiom") for s in steps)
+    conclusion = FINAL_CONCLUSION if proved else ""
+    survivors = list(SURVIVING_FIELDS[rank_class(rank)])
+    return Certificate(rank, precision_bits, tuple(steps), survivors, conclusion)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
 def _frac_str(x) -> str:
+    """x as a report writes it: an endpoint as it was read, else p/q, or p for q = 1."""
+    text = getattr(x, "text", None)
+    if text is not None:
+        return text
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -362,38 +395,42 @@ def _sig12(x) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
+def _document(cert: Certificate) -> dict:
+    """The JSON document of a certificate, as ``emit_report`` writes it."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "rank": cert.rank,
+        "precision_bits": cert.precision_bits,
+        "surviving_fields_after_global": list(cert.surviving_fields_after_global),
+        "final_conclusion": cert.final_conclusion,
+        "steps": [
+            {
+                "id": s.id,
+                "claim": s.claim,
+                "anchor": s.anchor,
+                "verdict": s.verdict,
+                "dependencies": list(s.dependencies),
+                "precision_bits": s.precision_bits,
+                "enclosures": [_iv_json(e) for e in s.enclosures],
+                "comparisons": [
+                    {
+                        "lhs": _iv_json(c.lhs),
+                        "rhs": _iv_json(c.rhs),
+                        "relation": c.relation,
+                        "required": c.required,
+                    }
+                    for c in s.comparisons
+                ],
+            }
+            for s in cert.steps
+        ],
+    }
+
+
 def emit_report(cert: Certificate, fmt: str = "json") -> bytes:
     if fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "rank": cert.rank,
-            "precision_bits": cert.precision_bits,
-            "surviving_fields_after_global": cert.surviving_fields_after_global,
-            "final_conclusion": cert.final_conclusion,
-            "steps": [
-                {
-                    "id": s.id,
-                    "claim": s.claim,
-                    "anchor": s.anchor,
-                    "verdict": s.verdict,
-                    "dependencies": list(s.dependencies),
-                    "precision_bits": s.precision_bits,
-                    "enclosures": [_iv_json(e) for e in s.enclosures],
-                    "comparisons": [
-                        {
-                            "lhs": _iv_json(c.lhs),
-                            "rhs": _iv_json(c.rhs),
-                            "relation": c.relation,
-                            "required": c.required,
-                        }
-                        for c in s.comparisons
-                    ],
-                }
-                for s in cert.steps
-            ],
-        }
         return (
-            json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            json.dumps(_document(cert), sort_keys=True, separators=(",", ":")) + "\n"
         ).encode("utf-8")
     if fmt == "text":
         lines = [
@@ -431,14 +468,15 @@ def _typed(obj, key: str, kind: type):
 
 def _endpoint(text) -> Ratio:
     """An endpoint as ``_frac_str`` writes it, -?[0-9]+ or -?[0-9]+/[0-9]+,
-    with a nonzero denominator.  Only ASCII digits are taken: ``int`` alone
-    would also take other scripts' digits, and ``Fraction`` an exponent,
-    which it expands ("1e10000000" to ten million digits)."""
+    with a nonzero denominator, keeping its text.  Only ASCII digits are
+    taken: ``int`` alone would also take other scripts' digits, and
+    ``Fraction`` an exponent, which it expands ("1e10000000" to ten million
+    digits)."""
     num, slash, den = text.partition("/") if isinstance(text, str) else ("", "", "")
     digits = [num.removeprefix("-")] + ([den] if slash else [])
     if not all(x.isascii() and x.isdigit() for x in digits):
         raise ValueError(f"endpoint {text!r:.40} is not an integer or a fraction p/q")
-    return Ratio(int(num), int(den or 1))
+    return Ratio(int(num), int(den or 1), text)
 
 
 def _parse_interval(pair) -> Enclosure:
@@ -452,109 +490,88 @@ def _parse_interval(pair) -> Enclosure:
         raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
-def _check_plan(doc, comparisons: list[list[RecordedComparison]]) -> None:
-    """TamperDetected unless a parsed report, whose steps recorded the given
-    comparisons, states its rank class's plan step for step: each step's
-    id, dependencies and claim, and each comparison's required relation and
-    constant right side.  Its surviving fields must be its class's
-    ``SURVIVING_FIELDS`` and its anchors strings."""
-    rank = doc["rank"]
-    if rank < 2:
-        raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
-    plan = step_plan(rank)
-    recorded_edges = [(s["id"], tuple(s["dependencies"])) for s in doc["steps"]]
-    planned_edges = [(step_id, dependencies) for step_id, (dependencies, _, _) in plan.items()]
-    for step, expected in zip_longest(recorded_edges, planned_edges):
-        if step != expected:
-            raise TamperDetected(
-                f"rank {rank} proof records step {step} where its plan has {expected}"
-            )
-    surviving = doc.get("surviving_fields_after_global")
-    if surviving != list(SURVIVING_FIELDS[rank_class(rank)]):
-        raise TamperDetected(f"surviving_fields_after_global {surviving!r:.80} is not its plan's")
-    for s, recorded, (_, claim, planned) in zip(doc["steps"], comparisons, plan.values()):
-        if s.get("claim") != claim.format(rank=rank):
-            raise TamperDetected(f"step {s['id']}: claim {s.get('claim')!r:.80} is not its plan's")
-        if not isinstance(s.get("anchor"), str):
-            raise TamperDetected(f"step {s['id']}: anchor {s.get('anchor')!r:.80} is not a string")
-        if len(recorded) != len(planned) or any(
-            c.required != required
-            or constant is not None and not _is_point(c.rhs, constant)
-            for c, (required, constant) in zip(recorded, planned)
-        ):
-            raise TamperDetected(f"step {s['id']}: comparisons are not its plan's {planned}")
+_ABSENT = type("Absent", (), {"__repr__": lambda self: "absent"})()  # a key or item lacking
+
+
+def _difference(recorded, rendered, path: str = "") -> str:
+    """Where two unequal JSON values first differ, keys in sorted order."""
+    kind = type(recorded)
+    if kind is type(rendered) and kind in (dict, list):
+        a, b = (dict(enumerate(x)) if kind is list else x for x in (recorded, rendered))
+        for key in sorted(a.keys() | b.keys()):
+            if a.get(key, _ABSENT) != b.get(key, _ABSENT):
+                where = f"{path}[{key}]" if kind is list else f"{path}.{key}" if path else key
+                return _difference(a.get(key, _ABSENT), b.get(key, _ABSENT), where)
+    return f"{path} is {recorded!r:.80}, not its plan's {rendered!r:.80}"
 
 
 def verify_report(stream: bytes) -> str:
-    """Re-check a JSON report: every report states its rank class's plan.
+    """Re-check a JSON report: it must be the rendering of its own evidence.
 
-    Returns "Proved" when every step holds, else "NotProved".  Raises
-    SchemaMismatch for a report that does not parse as this schema (among
-    others: an enclosure that is not an interval of fractions written as
-    ``emit_report`` writes them, a rank that is not an integer, a
-    dependency that is not a string, a precision below 16 bits or not equal
-    to every step's) and TamperDetected for one that contradicts itself or
-    its plan.  Every step is checked by one rule: it is an axiom exactly
-    when its id is in ``AXIOMS``, any other step's verdict is
-    ``step_verdict`` of its re-checked comparisons, and, once every step
-    has parsed, its id, dependencies, claim, comparison count, required
-    relations and constant right sides are its plan's (``_check_plan``).
-    A conclusion that disagrees with the verdicts is tampered too.  Only
-    exact integer arithmetic is used: every relation is decided by
-    cross-multiplication.  What it does not recompute it
-    trusts: the computed sides of the comparisons, and the catalog data
-    behind the candidate lists.
+    Returns "Proved" when every step holds, else "NotProved".  The whole
+    report is parsed first, so a schema error anywhere comes before any
+    tamper error: SchemaMismatch for a report that does not parse as this
+    schema (among others: an enclosure that is not an interval of fractions
+    written as ``emit_report`` writes them, a rank that is not an integer, a
+    dependency that is not a string, an unknown verdict, a precision below
+    16 bits or not equal to every step's).  Then TamperDetected for a rank
+    below 2, an anchor that is not a string, or a report that is not, field
+    for field, what ``render`` makes of its rank's plan and its recorded
+    evidence (anchors, enclosures and computed sides).  Only exact integer
+    arithmetic is used.  What it does not recompute it trusts: the computed
+    sides of the comparisons, and the catalog data behind the candidate lists.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
         raise SchemaMismatch(f"not a report: {exc}") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise SchemaMismatch(f"unsupported schema version {version!r}")
-    _typed(doc, "rank", int)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise SchemaMismatch(f"unsupported schema version {version!r:.80}")
+    rank = _typed(doc, "rank", int)
     precision_bits = _typed(doc, "precision_bits", int)
     if precision_bits < 16:
         raise SchemaMismatch(f"precision_bits {precision_bits} is below 16")
-    all_ok = True
-    parsed = []
+    recorded = {}
     for s in _typed(doc, "steps", list):
         step_id = _typed(s, "id", str)
         if _typed(s, "precision_bits", int) != precision_bits:
             raise SchemaMismatch(
                 f"step {step_id}: precision_bits differs from the report's"
             )
-        for enclosure in _typed(s, "enclosures", list):
-            _parse_interval(enclosure)
+        enclosures = [_parse_interval(e) for e in _typed(s, "enclosures", list)]
         for dep in _typed(s, "dependencies", list):
             if not isinstance(dep, str):
-                raise SchemaMismatch(f"step {step_id}: dependency {dep!r} is not a string")
-        comparisons = []
+                raise SchemaMismatch(f"step {step_id}: dependency {dep!r:.80} is not a string")
+        sides = []
         for c in _typed(s, "comparisons", list):
-            lhs = _parse_interval(_typed(c, "lhs", list))
-            rhs = _parse_interval(_typed(c, "rhs", list))
-            relation = _typed(c, "relation", str)
-            actual = compare(lhs, rhs).value
-            if actual != relation:
-                raise TamperDetected(
-                    f"step {step_id}: recorded relation {relation} but "
-                    f"enclosures give {actual}"
-                )
-            comparisons.append(
-                RecordedComparison(lhs, rhs, relation, _typed(c, "required", str))
-            )
+            sides.append((_parse_interval(_typed(c, "lhs", list)),
+                          _parse_interval(_typed(c, "rhs", list))))
+            _typed(c, "relation", str)
+            _typed(c, "required", str)
         verdict = s.get("verdict")
         if verdict not in ("Proved", "Failed", "Tie", "Axiom"):
-            raise SchemaMismatch(f"unknown verdict {verdict!r}")
-        expected = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
-        if verdict != expected:
-            raise TamperDetected(f"step {step_id} marked {verdict} where the rule gives {expected}")
-        all_ok = all_ok and verdict in ("Proved", "Axiom")
-        parsed.append(comparisons)
-    conclusion = doc.get("final_conclusion", "")
-    if all_ok and conclusion != FINAL_CONCLUSION:
-        raise TamperDetected("all steps hold but the conclusion is absent")
-    if not all_ok and conclusion == FINAL_CONCLUSION:
-        raise TamperDetected("conclusion recorded despite a failed step")
-    _check_plan(doc, parsed)
-    return "Proved" if all_ok else "NotProved"
+            raise SchemaMismatch(f"unknown verdict {verdict!r:.80}")
+        recorded[step_id] = (s.get("anchor"), sides, enclosures)
+    if rank < 2:
+        raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
+    plan = step_plan(rank)
+    evidence = {}
+    for step_id, (anchor, sides, enclosures) in recorded.items():
+        if not isinstance(anchor, str):
+            raise TamperDetected(f"step {step_id}: anchor {anchor!r:.80} is not a string")
+        if step_id in plan:
+            planned = plan[step_id][2]
+            sides = [lhs if constant is not None else (lhs, rhs)
+                     for (lhs, rhs), (_, constant) in zip(sides, planned)]
+            evidence[step_id] = (anchor, sides, enclosures)
+    try:
+        cert = render(rank, precision_bits, evidence)
+    except KeyError as exc:
+        raise TamperDetected(f"the report lacks its plan's step {exc}") from exc
+    except ValueError as exc:  # zip(strict=True): a step short of its planned comparisons
+        raise TamperDetected(f"a step's comparisons are not its plan's: {exc}") from exc
+    rendered = _document(cert)
+    if doc != rendered:
+        raise TamperDetected(_difference(doc, rendered))
+    return "Proved" if cert.all_proved else "NotProved"

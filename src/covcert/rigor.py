@@ -150,15 +150,6 @@ class Interval:
         # even power of an interval straddling zero
         return Interval(Fraction(0), max(self.lo**k, self.hi**k))
 
-    # -- lattice operations ------------------------------------------------
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError(f"empty intersection of {self} and {other}")
-        return Interval(lo, hi)
-
     # -- rounding ----------------------------------------------------------
 
     def coarsen(self, bits: int = 256) -> "Interval":

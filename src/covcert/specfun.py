@@ -33,6 +33,12 @@ magnitude and then rounds it outward to the precision asked for.  Rungs lie
 at least 32 bits apart, so each rung's enclosure holds the narrower one of
 every higher rung, and asking for more precision never widens a result,
 whatever the order of the requests.
+
+Precision is relative to a point's magnitude.  A log point near 1, whose
+value is near 0, runs its kernel at as many more bits as its atanh argument
+loses (``_log_ratio``).  lnGamma(1) = lnGamma(2) = 0 are exact zeros and have
+no relative precision: their enclosure is a bracket a few units of 2^-w
+wide around 0.
 """
 
 from __future__ import annotations
@@ -392,10 +398,19 @@ def _exp_point(r: Fraction, prec: int) -> Interval:
     return _cached_point(("exp", r), prec, partial(_exp_ratio, r.numerator, r.denominator))
 
 
+def _log_ratio(num: int, den: int, w: int) -> Tuple[int, int, int]:
+    """-s and bounds 2^-s lo <= 2^w log(num/den) <= 2^-s hi.  Near 1, the atanh
+    argument (num - den)/(num + den) has s + 16 or so leading zero bits, which
+    the absolute kernel would lose from the relative precision, so it runs at
+    w + s.  s is 0 farther than about 2^-15 from 1, as at every point of the proof."""
+    s = max((num + den).bit_length() - abs(num - den).bit_length() - 16, 0)
+    return (-s, *_log_fixed(num, den, w + s))
+
+
 def _log_point(r: Fraction, prec: int) -> Interval:
     if r <= 0:
         raise LogOfNonPositive(f"log of non-positive point {r}")
-    return _cached_point(("log", r), prec, partial(_log_fixed, r.numerator, r.denominator))
+    return _cached_point(("log", r), prec, partial(_log_ratio, r.numerator, r.denominator))
 
 
 def exp_enclosure(x: Interval, precision_bits: int = 256) -> Interval:

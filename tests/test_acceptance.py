@@ -239,14 +239,14 @@ def test_criterion_11_property_suites():
     checks.append(stirling_ok)
     # zeta cross-consistency at even integers, j <= 10
     pi_iv = sf.pi_enclosure(PREC)
-    zeta_ok = True
-    for j in range(1, 11):
-        em = sf.zeta_real_enclosure(Interval.exact(2 * j), PREC)
-        exact = Interval.exact(sf.zeta_even_exact(j)) * pi_iv.pow_int(2 * j)
-        try:
-            em.intersect(exact)
-        except ValueError:
-            zeta_ok = False
+    zeta_ok = all(
+        iv_compare(
+            sf.zeta_real_enclosure(Interval.exact(2 * j), PREC),
+            Interval.exact(sf.zeta_even_exact(j)) * pi_iv.pow_int(2 * j),
+        )
+        is Comparison.OVERLAP
+        for j in range(1, 11)
+    )
     checks.append(zeta_ok)
     _report(11, all(checks),
             "inclusion monotonicity (10^4 cases), refinement never widens, "

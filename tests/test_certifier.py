@@ -116,10 +116,13 @@ def test_verify_detects_flipped_relation(cert_by_rank):
 
 
 def test_verify_schema_mismatch(cert_by_rank):
+    """A schema version other than the integer 1, though equal to it as
+    JSON values compare in Python (true, 1.0), is a schema mismatch."""
     doc = json.loads(ct.emit_report(cert_by_rank[3]).decode())
-    doc["schema_version"] = 0
-    with pytest.raises(ct.SchemaMismatch):
-        ct.verify_report(json.dumps(doc).encode())
+    for version in (0, True, 1.0):
+        doc["schema_version"] = version
+        with pytest.raises(ct.SchemaMismatch):
+            ct.verify_report(json.dumps(doc).encode())
     with pytest.raises(ct.SchemaMismatch):
         ct.verify_report(b"not json at all")
 
@@ -357,6 +360,44 @@ def _survivors_forged(doc):
     doc["surviving_fields_after_global"] = ["7.7.7.7", "2.2.5.1"]
 
 
+def _top_level_key_added(doc):
+    doc["also_proves"] = "the Riemann hypothesis"
+
+
+def _step_key_added(doc):
+    _step(doc, "high_rank_conclusion")["also_proves"] = "the Riemann hypothesis"
+
+
+def _comparison_key_added(doc):
+    _step(doc, "high_rank_conclusion")["comparisons"][0]["strict"] = True
+
+
+def _axiom_anchor_rewritten(doc):
+    _step(doc, "A5")["anchor"] = "A5 is proved in the appendix"
+
+
+def _constant_side_respelled(doc):
+    _step(doc, "high_rank_conclusion")["comparisons"][0]["rhs"] = ["366/200", "366/200"]
+
+
+def _overlapped(doc):
+    """The report NotProved, as it verifies: zeta_product_bound ties."""
+    step = _step(doc, "zeta_product_bound")
+    step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
+    step["verdict"] = "Tie"
+    doc["final_conclusion"] = ""
+
+
+def _not_proved_conclusion_edited(doc):
+    _overlapped(doc)
+    doc["final_conclusion"] = "Sp_{2n}(Z) is not minimal"
+
+
+def _not_proved_conclusion_dropped(doc):
+    _overlapped(doc)
+    del doc["final_conclusion"]
+
+
 def _survivor_dropped(doc):
     doc["surviving_fields_after_global"] = ["1.1.1.1"]
 
@@ -375,6 +416,13 @@ def _survivor_dropped(doc):
         (5, _withdrawn_step_restored),
         (4, _survivors_forged),
         (2, _survivor_dropped),
+        (4, _top_level_key_added),
+        (4, _step_key_added),
+        (4, _comparison_key_added),
+        (4, _axiom_anchor_rewritten),
+        (4, _constant_side_respelled),
+        (4, _not_proved_conclusion_edited),
+        (4, _not_proved_conclusion_dropped),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -383,7 +431,10 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     plan's: a relabelled rank, an axiom turned into a proof, an edited
     claim, replaced or moved constant sides (among them the conclusion's
     1.83 replaced by 0), a flipped relation, a dropped comparison,
-    surviving fields that are not the plan's, a step the plan no longer has."""
+    surviving fields that are not the plan's, a step the plan no longer has,
+    a key that the rendering lacks (at the top, in a step, in a comparison),
+    a rewritten axiom anchor, a constant side spelled other than in lowest
+    terms, and a NotProved report with another conclusion or none."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -482,7 +533,8 @@ def test_global_stage_quotients_are_exact(cert_by_rank):
             adjusted = bounds.adjusted_quotient(field, n, index)
             assert step.enclosures == (bounds.s_lambda_quotient(field, n), adjusted), step.id
             assert [c.lhs for c in step.comparisons] == [adjusted], step.id
-            assert step.comparisons[0].rhs == Interval.exact(1), step.id
+            rhs = step.comparisons[0].rhs  # the plan's constant, compared by value
+            assert (rhs.lo, rhs.hi) == (1, 1), step.id
             assert f"unit index {index}" in step.anchor, step.id
 
 
@@ -493,7 +545,7 @@ def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
         for step in cert_by_rank[n].steps:
             if step.verdict == "Proved":
                 assert not all(
-                    c.lhs.is_point() and c.rhs == Interval.exact(0) for c in step.comparisons
+                    c.lhs.is_point() and (c.rhs.lo, c.rhs.hi) == (0, 0) for c in step.comparisons
                 ), step.id
 
 
@@ -706,8 +758,8 @@ def test_rank3_cutoffs_check_their_e046_constant(cert_by_rank, tmp_path):
     copy = tmp_path / "covcert"
     shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
     source = (copy / "report.py").read_text()
-    assert source.count("Ratio(158, 100)") == 1
-    (copy / "report.py").write_text(source.replace("Ratio(158, 100)", "Ratio(159, 100)"))
+    assert source.count("Ratio(79, 50)") == 1
+    (copy / "report.py").write_text(source.replace("Ratio(79, 50)", "Ratio(159, 100)"))
     out = subprocess.run(
         [sys.executable, "-m", "covcert.cli", "prove", "--n", "3", "--precision", str(PREC),
          "--format", "json"],
@@ -742,10 +794,7 @@ def test_missing_witness_row(tmp_path, table, n, witness):
 def test_overlap_gives_tie_that_verifies(cert_by_rank):
     """A rank-4 report with one comparison overlapped: a Tie, so no conclusion."""
     doc = json.loads(ct.emit_report(cert_by_rank[4]))
-    step = _step(doc, "zeta_product_bound")
-    step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
-    step["verdict"] = "Tie"
-    doc["final_conclusion"] = ""
+    _overlapped(doc)
     assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
 
@@ -843,9 +892,8 @@ def _forged_reports(docs):
         step.update(fields)
         return doc, step
 
-    overlapped, step = edited(4, "zeta_product_bound", verdict="Tie")
-    step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
-    overlapped["final_conclusion"] = ""
+    overlapped = json.loads(json.dumps(docs[4]))
+    _overlapped(overlapped)
     zero_below_one = {"lhs": ["0", "0"], "rhs": ["1", "1"], "relation": "CertainlyLess",
                       "required": "CertainlyLess"}
     axiom_proved, _ = edited(5, "A3", verdict="Proved", claim="any statement at all",
@@ -857,6 +905,20 @@ def _forged_reports(docs):
     step["comparisons"][0]["rhs"] = ["0", "0"]
     exponent, step = edited(4, "zeta_product_bound")
     step["enclosures"][0][1] = "1e10000000"
+    edits = {
+        "rank 4 with a top-level key added": _top_level_key_added,
+        "rank 4 with a key added to a step": _step_key_added,
+        "rank 4 with a key added to a comparison": _comparison_key_added,
+        "rank 4 axiom A5's anchor rewritten": _axiom_anchor_rewritten,
+        "rank 4 conclusion's 1.83 side spelled 366/200": _constant_side_respelled,
+        "rank 4 NotProved with another conclusion": _not_proved_conclusion_edited,
+        "rank 4 NotProved with no conclusion": _not_proved_conclusion_dropped,
+    }
+    closed = {}
+    for name, mutate in edits.items():
+        doc = json.loads(json.dumps(docs[4]))
+        mutate(doc)
+        closed[name] = (doc, "TamperDetected")
     return {
         "rank 2 cut to two steps": (dict(docs[2], steps=docs[2]["steps"][:2]), "TamperDetected"),
         "rank 2 relabelled rank 3": (dict(docs[2], rank=3), "TamperDetected"),
@@ -870,6 +932,7 @@ def _forged_reports(docs):
         ),
         "rank 4 conclusion's 1.83 side replaced by 0": (bound_side_zeroed, "TamperDetected"),
         "rank 4 endpoint spelled 1e10000000": (exponent, "SchemaMismatch"),
+        **closed,
     }
 
 
@@ -1007,6 +1070,7 @@ def test_cli_proves_every_rank_from_two(n, tmp_path, capsysbinary):
 def bad_data(tmp_path):
     """Paths of inputs that are missing, malformed or incomplete."""
     (tmp_path / "malformed").write_text("1,2,3\n")
+    (tmp_path / "not_json.json").write_text("{not json")
     (tmp_path / "infeasible").write_text("2,1\n3,1\n")
     (tmp_path / "comments_only").write_text("# no rows\n\n")
     vendored = Path(numberfields.__file__).parent / "data"
@@ -1068,6 +1132,8 @@ BAD_INPUT = [
     ({}, ["verify", LONG_MISSING_PATH]),
     ({}, ["prove", "--n", "3", "--fields", LONG_MISSING_PATH]),
     ({}, ["prove", "--n", "3", "--odlyzko", LONG_MISSING_PATH]),
+    ({}, ["verify", "{tmp}/not_json.json"]),
+    ({}, ["prove", "--n", "2", "--fields", "{tmp}/malformed"]),
 ]
 
 

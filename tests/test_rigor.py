@@ -158,13 +158,6 @@ def test_invalid_interval_rejected():
         NumberFieldRecord("2.2.5.1", 2, 5, 1, (-1, -1, 2))  # not monic
 
 
-def test_hull_intersect():
-    a, b = Interval(0, 2), Interval(1, 5)
-    assert a.intersect(b) == Interval(1, 2)
-    with pytest.raises(ValueError):
-        Interval(0, 1).intersect(Interval(2, 3))
-
-
 @given(rationals, rationals, st.integers(min_value=8, max_value=128))
 def test_coarsen_sound_and_idempotent(a, b, bits):
     iv = Interval(min(a, b), max(a, b))
