@@ -10,16 +10,13 @@ record the induction from rank 4 itself, which needs none of them.
 
 Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
 ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
-zeta(2j).  Pi(n) is only ever its logarithm ``_log_pi_n``: the high-rank
-bound, the discriminant cutoffs and the infinite zeta product are sums of
-point logarithms, exponentiated where the value itself is compared.  log pi
-is the one cached point ``specfun._log_pi``.  Each public entry of a
-logarithm chain adds ``_LOG_GUARD_BITS`` once and calls private helpers that
-add none.  A cached point is computed once per rung, the first multiple of
-32 bits at or above its precision plus ``specfun.GUARD_BITS`` (at least
-128).  p and p + 16 share a rung when p is a multiple of 32, but nested
-entries that each added guard bits would climb the rungs and recompute
-log pi and every other point on each within one proof.
+zeta(2j).  Pi(n) = c_n pi^(-n(n+1)) is only ever the factor table
+``_pi_n``.  The high-rank bound, its logarithms and their differences, the
+discriminant cutoffs, e^0.46 and the sides of the feasibility conditions
+are each one factor table of rationals, pi and e: one cached point of
+``specfun.power_product`` or ``log_power_product``, whose precision inside
+is specfun's choice alone.  The infinite zeta product is one cached point
+too, whose kernel sums its logarithm in fixed point.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -37,7 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import report
 from .report import InputError
-from .rigor import Comparison, Interval, Rational, coarsen_relative, iv_compare
+from .rigor import Comparison, Interval, Rational, iv_compare
 from .numberfields import (
     NumberFieldRecord,
     data_dir,
@@ -46,16 +43,8 @@ from .numberfields import (
     read_data_file,
 )
 from .specfun import (
-    _dyadic,
-    _least_prime_factors,
-    _log_fixed,
-    _log_pi,
-    _log_point,
-    alpha_enclosure,
-    exp_enclosure,
-    log_enclosure,
-    pow_frac,
-    zeta_even_exact,
+    EULER, PI, _cached_point, _least_prime_factors, _log_fixed, _log_point, _power_kernel,
+    log_alpha_enclosure, log_power_product, power_product, zeta_even_exact,
 )
 
 
@@ -142,16 +131,17 @@ def _prime_power_cutoff(J: int, w: int) -> int:
     return M
 
 
-def _log_zeta_tail(J: int, w: int) -> Interval:
-    """Enclosure of sum_{j>J} log zeta(2j), to within about 2^-w.
+def _log_zeta_tail(J: int, w: int) -> Tuple[int, int]:
+    """Bounds lo <= 2^w sum_{j>J} log zeta(2j) <= hi, at most 2 apart.
 
     By the Euler product the sum is sum_{m = p^k} (1/k) / (m^(2J) (m^2 - 1)),
-    summed here over the prime powers m <= M = ``_prime_power_cutoff(J, w)``;
+    summed here over the prime powers m <= M = ``_prime_power_cutoff(J, w + 2)``;
     the omitted m > M add at most M^-(2J+1) / ((2J+1)(1 - M^-2)).
     """
-    M = _prime_power_cutoff(J, w)
+    M = _prime_power_cutoff(J, w + 2)
     terms = _prime_powers(M)
-    scale = w + len(terms).bit_length()  # each term below is off by under one ulp
+    extra = 2 + len(terms).bit_length()  # each term below is off by under one ulp
+    scale = w + extra
     lo = hi = 0
     for m, k in terms:
         q, r = divmod(1 << scale, k * m ** (2 * J) * (m * m - 1))
@@ -159,32 +149,29 @@ def _log_zeta_tail(J: int, w: int) -> Interval:
         hi += q + (r != 0)
     a = 2 * J + 1
     hi += -(-(1 << scale) // (a * (M**a - M ** (a - 2))))  # the omitted prime powers
-    return Interval(Fraction(lo, 1 << scale), Fraction(hi, 1 << scale))
+    return lo >> extra, -(-hi >> extra)
+
+
+def _zeta_product_kernel(w: int) -> Tuple[int, int, int]:
+    """n and bounds 2^n lo <= 2^w prod_{j>=1} zeta(2j) <= 2^n hi.  The first
+    J = ceil(w/24) factors are the exact c pi^(J(J+1)), which keeps the tail's
+    prime-power cut-off below 2^14, and the log of the rest is
+    ``_log_zeta_tail``.  c = num/den enters unreduced: its gcd would cost more
+    than its log."""
+    J = -(-w // 24)
+    head = [zeta_even_exact(j) for j in range(1, J + 1)]
+    num, den = math.prod(c.numerator for c in head), math.prod(c.denominator for c in head)
+
+    def head_and_tail(work: int) -> Tuple[int, int]:
+        (h_lo, h_hi), (t_lo, t_hi) = _log_fixed(num, den, work), _log_zeta_tail(J, work)
+        return h_lo + t_lo, h_hi + t_hi
+
+    return _power_kernel(((PI, J * (J + 1)),), w, head_and_tail)
 
 
 def zeta_product_enclosure(precision_bits: int = 256) -> Interval:
-    """Enclosure of the infinite product prod_{j>=1} zeta(2j).
-
-    The first J = ceil((p + 8)/24) factors, at p = precision_bits, are the
-    exact c pi^(J(J+1)); the logarithm of the rest is ``_log_zeta_tail``,
-    summed to 2^-(p + 24).  This J keeps its prime-power cut-off below 2^14
-    at every p >= 16.  The product is the exponential of the sum of these
-    logarithms.
-    """
-    J = -(-(precision_bits + 8) // 24)
-    num = den = 1
-    for j in range(1, J + 1):
-        c = zeta_even_exact(j)
-        num *= c.numerator
-        den *= c.denominator
-    work = precision_bits + _LOG_GUARD_BITS
-    w = work + 32  # c = num/den, unreduced: its gcd would cost more than its log
-    log_product = (
-        _dyadic(*_log_fixed(num, den, w), w)
-        + Interval.exact(J * (J + 1)) * _log_pi(work)
-        + _log_zeta_tail(J, work + 8)
-    )
-    return exp_enclosure(log_product, work).coarsen(precision_bits + 8)
+    """Enclosure of the infinite product prod_{j>=1} zeta(2j)."""
+    return _cached_point(("zeta_product",), precision_bits, _zeta_product_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -229,54 +216,41 @@ def adjusted_quotient(
 
 
 # ---------------------------------------------------------------------------
-# the high-rank lower bound, in logarithms
+# the high-rank lower bound, as factor tables
 #
-# Pi(n) and O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d
-# are short sums of point logarithms, evaluated with guard bits that absorb
-# the multipliers n(n+1) and f(n).  The proof takes them at rank 4 only and
-# reaches every higher rank through ``log_differences``.  The public
-# functions add the guard bits once; the private helpers take the working
-# precision as given.
+# O(n, d, A, E) = (1/750) e^(-E f(n)) (7.6 e^0.46 A^f(n) Pi(n))^d.  The proof
+# takes it at rank 4 only and reaches every higher rank through
+# ``log_differences``.
 
 
 _COEFF_7_6 = Fraction(38, 5)
 _COEFF_0_46 = Fraction(46, 100)
-_LOG_GUARD_BITS = 16
 # the plan's constants, defined in report.py, as the Fractions that the cutoffs multiply
 ZETA_PRODUCT_UPPER, E_046_LOWER = (
     Fraction(c.numerator, c.denominator) for c in (report.ZETA_PRODUCT_UPPER, report.E_046_LOWER)
 )
 
 
-def _log_pi_n(n: int, work: int) -> Interval:
-    return _log_point(pi_n_coefficient(n), work) - Interval.exact(n * (n + 1)) * _log_pi(work)
-
-
-def _log_inner(n: int, A: Rational, work: int) -> Interval:
-    return (
-        _log_point(_COEFF_7_6, work)
-        + Interval.exact(_COEFF_0_46)
-        + Interval.exact(f_n(n)) * _log_point(A, work)
-        + _log_pi_n(n, work)
-    )
+def _pi_n(n: int, c: Fraction = Fraction(1)) -> tuple:
+    """Pi(n)^c = c_n^c pi^(-n(n+1) c), as a factor table."""
+    return (pi_n_coefficient(n), c), (PI, -n * (n + 1) * c)
 
 
 def log_inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
     """Log of the degree-power base 7.6 e^0.46 A^f(n) Pi(n) of O(n, d, A, E)."""
-    work = precision_bits + _LOG_GUARD_BITS
-    return coarsen_relative(_log_inner(n, A, work), precision_bits + 8)
+    inner = ((_COEFF_7_6, 1), (EULER, _COEFF_0_46), (A, f_n(n)), *_pi_n(n))
+    return log_power_product(inner, precision_bits)
 
 
 def normalized_O(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
-    """Pi(n)^(-1) O(n, d, A, E), the quantity compared against 1.83."""
-    work = precision_bits + _LOG_GUARD_BITS
-    return exp_enclosure(
-        Interval.exact(-pair.E * f_n(n))
-        - _log_point(Fraction(750), work)
-        + Interval.exact(d) * _log_inner(n, pair.A, work)
-        - _log_pi_n(n, work),
-        work,
-    ).coarsen(precision_bits + 8)
+    """Pi(n)^(-1) O(n, d, A, E), the quantity compared against 1.83:
+    7.6^d e^(0.46 d - E f(n)) A^(d f(n)) Pi(n)^(d-1) / 750."""
+    A, E = pair
+    return power_product(
+        ((_COEFF_7_6, d), (EULER, d * _COEFF_0_46 - E * f_n(n)), (A, d * f_n(n)),
+         *_pi_n(n, Fraction(d - 1)), (Fraction(750), -1)),
+        precision_bits,
+    )
 
 
 def log_differences(A: Rational, E: Rational, precision_bits: int = 256) -> Tuple[Interval, ...]:
@@ -287,11 +261,11 @@ def log_differences(A: Rational, E: Rational, precision_bits: int = 256) -> Tupl
     and both are positive, l is positive and increasing at every n >= 4.  The log inner factor
     is such an l for (A, 0), the log normalized bound at degree 2 for (A^2, E).
     """
-    work = precision_bits + _LOG_GUARD_BITS
-    a = _log_point(A, work) - Interval.exact(E)
     return tuple(  # k a + log(m / 2^j) - j log pi = k a + log m - j log 2 pi
-        coarsen_relative(Interval.exact(k) * a + _log_point(Fraction(m, 2**j), work)
-                         - Interval.exact(j) * _log_pi(work), precision_bits + 8)
+        log_power_product(
+            ((Fraction(A), k), (EULER, -k * Fraction(E)), (Fraction(m, 2**j), 1), (PI, -j)),
+            precision_bits,
+        )
         for k, m, j in ((f_n(5) - f_n(4), math.factorial(9), 10), (2, 10 * 11, 2))
     )
 
@@ -303,9 +277,7 @@ def log_differences(A: Rational, E: Rational, precision_bits: int = 256) -> Tupl
 _COND_B_A_LOWER = Fraction(566, 100)
 
 
-def lemma35_conditions(
-    pair: OdlyzkoPair, precision_bits: int = 256
-) -> Dict[str, bool]:
+def lemma35_conditions(pair: OdlyzkoPair, precision_bits: int = 256) -> Dict[str, bool]:
     """Certify the three sufficient conditions on (A, E).
 
     A condition is reported True only when its left side is certainly
@@ -315,10 +287,11 @@ def lemma35_conditions(
     cond_b: A > 5.66 (positivity of the inner factor for all ranks)
     cond_c: 2 log A - E > (log 9.47 - log Pi(4)) / f(4) (base case at n=4)
     """
-    work = precision_bits + _LOG_GUARD_BITS
-    lhs = Interval.exact(2) * _log_point(pair.A, work) - Interval.exact(pair.E)
-    rhs_a = _log_point(Fraction(2, 5), work) + _log_pi(work) + Interval.exact(1)
-    rhs_c = (_log_point(Fraction(947, 100), work) - _log_pi_n(4, work)) / Interval.exact(f_n(4))
+    lhs = log_power_product(((pair.A, 2), (EULER, -pair.E)), precision_bits)
+    rhs_a = log_power_product(((Fraction(2, 5), 1), (PI, 1), (EULER, 1)), precision_bits)
+    rhs_c = log_power_product(
+        ((Fraction(947, 100), 1 / f_n(4)), *_pi_n(4, -1 / f_n(4))), precision_bits
+    )
     return {
         "cond_a": iv_compare(lhs, rhs_a) is Comparison.CERTAINLY_GREATER,
         "cond_b": pair.A > _COND_B_A_LOWER,
@@ -338,13 +311,7 @@ def lemma35_conditions(
 # Both thresholds take log A through the one cached point ``_log_point``.
 
 
-def _ln_eta(precision_bits: int) -> Interval:
-    """log eta = log(3/64) + 0.46 - 6 log pi."""
-    return (
-        _log_point(Fraction(3, 64), precision_bits)
-        + Interval.exact(_COEFF_0_46)
-        - Interval.exact(6) * _log_pi(precision_bits)
-    )
+_ETA = ((Fraction(3, 64), 1), (EULER, _COEFF_0_46), (PI, -6))
 
 
 class _N2Terms(NamedTuple):
@@ -358,21 +325,16 @@ class _N2Terms(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _n2_t_terms(t: Fraction, precision_bits: int) -> _N2Terms:
-    ln_alpha = log_enclosure(
-        alpha_enclosure(Interval.exact(t + 1), precision_bits), precision_bits
-    )
     return _N2Terms(
-        _ln_eta(precision_bits) + ln_alpha,
+        log_power_product(_ETA, precision_bits)
+        + log_alpha_enclosure(Interval.exact(t + 1), precision_bits),
         Interval.exact(Fraction(9, 2) - t / 2),
-        _log_point(psi_n_exact(2), precision_bits)
-        + _log_point(25 * t * (t + 1), precision_bits),
+        log_power_product(((psi_n_exact(2), 1), (25 * t * (t + 1), 1)), precision_bits),
         (t + 1) / 2 - 5,
     )
 
 
-def n2_degree_threshold(
-    pair: OdlyzkoPair, t: Rational, precision_bits: int = 256
-) -> Interval:
+def n2_degree_threshold(pair: OdlyzkoPair, t: Rational, precision_bits: int = 256) -> Interval:
     """Rank-2 degree threshold at one (A, E, t).
 
     The denominator, the log of the base eta * A^(4.5 - t/2) * alpha(t + 1),
@@ -383,8 +345,6 @@ def n2_degree_threshold(
         raise NonPositiveT(f"t must be positive, got {t}")
     terms = _n2_t_terms(t, precision_bits)
     ln_base = terms.ln_base + terms.log_A_coeff * _log_point(pair.A, precision_bits)
-    if ln_base.lo > 0:  # rounding cannot make a non-positive bound positive
-        ln_base = ln_base.coarsen(precision_bits + 8)
     if ln_base.lo <= 0:
         raise DenominatorNotPositive(
             f"threshold base not certified > 1 at (A, E, t) = "
@@ -430,15 +390,9 @@ def _proto_multiplier(n: int, d: int) -> int:
     return 1 << (2 * d - 1)
 
 
-def _cutoff(
-    coeff: Fraction, n: int, d: int, exponent: Fraction, precision_bits: int
-) -> Interval:
-    """Enclosure of (coeff Pi(n)^(1-d))^exponent, evaluated in logarithms."""
-    work = precision_bits + _LOG_GUARD_BITS
-    log_base = _log_point(coeff, work) + Interval.exact(1 - d) * _log_pi_n(n, work)
-    return exp_enclosure(Interval.exact(exponent) * log_base, work).coarsen(
-        precision_bits + 8
-    )
+def _cutoff(coeff: Fraction, n: int, d: int, exponent: Fraction, precision_bits: int) -> Interval:
+    """Enclosure of (coeff Pi(n)^(1-d))^exponent."""
+    return power_product(((coeff, exponent), *_pi_n(n, (1 - d) * exponent)), precision_bits)
 
 
 def proto_D_bound(n: int, d: int, h: int, precision_bits: int = 256) -> Interval:
@@ -452,7 +406,7 @@ def proto_D_bound(n: int, d: int, h: int, precision_bits: int = 256) -> Interval
 def e046_enclosure(precision_bits: int = 256) -> Interval:
     """e^0.46, which the rank-3 cutoffs replace by ``E_046_LOWER``; that
     only weakens (enlarges) them while e^0.46 exceeds it."""
-    return exp_enclosure(Interval.exact(_COEFF_0_46), precision_bits)
+    return power_product(((EULER, _COEFF_0_46),), precision_bits)
 
 
 def n3_D_bound(d: int, precision_bits: int = 256) -> Interval:
@@ -468,9 +422,7 @@ def n2_D_bound(d: int, precision_bits: int = 256) -> Interval:
     if d not in (2, 3, 4, 5):
         raise ValueError("rank-2 cutoff supported for d in {2, 3, 4, 5}")
     base = Fraction(11, 960) * Fraction(19, 100000) ** (-d)
-    return pow_frac(
-        Interval.exact(base), Fraction(10, 39), precision_bits
-    ).coarsen(precision_bits + 8)
+    return power_product(((base, Fraction(10, 39)),), precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,20 @@ all intermediate arithmetic is outward-rounded.
 Every point value is summed by a fixed-point kernel: integer arithmetic at
 scale 2^w whose lower bound comes from floor divisions and whose upper bound
 comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
-kernels cover pi, ln 2, exp and log, x^e as one log and one exp series,
-log Gamma by the Stirling series and Hurwitz zeta by Euler-Maclaurin
-summation (at a = 1 only the primes take a power kernel), and every series
-length, shift and cut-off follows from w.
+kernels cover pi, ln 2, exp and log, power products, log Gamma by the
+Stirling series and Hurwitz zeta by Euler-Maclaurin summation (at a = 1
+only the primes take a power kernel), and every series length, shift and
+cut-off follows from w.
 Their results become intervals with dyadic endpoints; only the
 combinations built on them (Gamma, L, alpha) are exact-rational interval
 arithmetic.
 
-Each constant has one route.  e is the exp point ``_exp_point(1)``.  log pi
-is the kernel ``_log_pi_kernel``, which the log Gamma kernel reads directly
-and alpha and the bounds read as the cached point ``_log_pi``, and x^e has
-the one route ``pow_frac``.
+A factor table is a tuple of pairs (x, c) of a base x, a positive Fraction,
+``PI`` or ``EULER`` (e), and a rational exponent c.  ``power_product`` and
+``log_power_product`` enclose prod x^c and sum c log x as cached points of
+one core, which sums c log x from a memo of each base's log, runs one exp
+series for the product, and chooses every guard bit itself.  exp, log and
+x^e at a rational point are the tables ((e, r),), ((r, 1),) and ((x, e),).
 Gamma, zeta, L and alpha are evaluated at points only: an interval argument
 that is not a point raises ``NotAPoint``.
 
@@ -34,11 +36,12 @@ at least 32 bits apart, so each rung's enclosure holds the narrower one of
 every higher rung, and asking for more precision never widens a result,
 whatever the order of the requests.
 
-Precision is relative to a point's magnitude.  A log point near 1, whose
-value is near 0, runs its kernel at as many more bits as its atanh argument
-loses (``_log_ratio``).  lnGamma(1) = lnGamma(2) = 0 are exact zeros and have
-no relative precision: their enclosure is a bracket a few units of 2^-w
-wide around 0.
+Precision is relative to a point's magnitude.  A log sum with a rational
+base near 1, and lnGamma near its zeros at 1 and 2, run their kernels at as
+many more bits as the value loses, fixed before the kernel runs; terms of a
+log sum that cancel leave only absolute precision, as an interval sum would.
+lnGamma(1) = lnGamma(2) = 0 are exact zeros, with no relative precision:
+their enclosure is a bracket a few units of 2^-w wide around 0.
 """
 
 from __future__ import annotations
@@ -304,21 +307,9 @@ def _rescale(lo: int, hi: int, shift: int) -> Tuple[int, int]:
 _LN2_EXTRA = 64
 
 
-@lru_cache(maxsize=16)
-def _ln2_table(w: int) -> Tuple[int, int]:
-    lo, hi = _atanh_kernel(1, 3, w)  # ln 2 = 2 atanh(1/3)
-    return 2 * lo, 2 * hi
-
-
-def _ln2_kernel(w: int) -> Tuple[int, int]:
-    """Bounds on 2^w * ln 2, cut from a table at the next multiple of 512 bits."""
-    top = -(-w // 512) * 512
-    return _rescale(*_ln2_table(top), w - top)
-
-
 def _times_ln2(k: int, w: int) -> Tuple[int, int]:
     """Bounds on 2^w * k ln 2."""
-    lo, hi = _ln2_kernel(w + _LN2_EXTRA)
+    lo, hi = _log_base(2, w + _LN2_EXTRA)
     if k < 0:
         lo, hi = hi, lo
     return _rescale(k * lo, k * hi, -_LN2_EXTRA)
@@ -333,21 +324,13 @@ def _log_fixed(num: int, den: int, w: int) -> Tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=16)
-def _log_pi_kernel(w: int) -> Tuple[int, int]:
-    """Bounds on 2^w * log pi: log is increasing, so the logs of pi's kernel
-    bounds bracket it."""
-    pi_lo, pi_hi = _pi_kernel(w)
-    return _log_fixed(pi_lo, 1 << w, w)[0], _log_fixed(pi_hi, 1 << w, w)[1]
-
-
 def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
     """n and bounds 2^n lo <= 2^w e^y <= 2^n hi for every y with
     y_lo <= 2^w y <= y_hi, where y_hi - y_lo <= 2^w.
 
     e^y = 2^n e^f with n the integer nearest y / ln 2, so |f| <= 0.35 and one
     exp series at the lower end of f serves both bounds."""
-    l2_lo = _ln2_kernel(w + _LN2_EXTRA)[0]
+    l2_lo = _log_base(2, w + _LN2_EXTRA)[0]
     n = ((y_lo << _LN2_EXTRA) + l2_lo // 2) // l2_lo
     nl2_lo, nl2_hi = _times_ln2(n, w)
     f_lo, f_hi = y_lo - nl2_hi, y_hi - nl2_lo
@@ -358,25 +341,101 @@ def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
     return n, lo, hi + _ceil_shift(hi * 2 * (f_hi - f_lo), w)
 
 
-def _exp_ratio(num: int, den: int, w: int) -> Tuple[int, int, int]:
-    """n and bounds 2^n lo <= 2^w e^(num/den) <= 2^n hi for den > 0."""
-    y = num << w
-    return _exp_fixed(y // den, _ceil_div(y, den), w)
+# ---------------------------------------------------------------------------
+# power products: the one core of exp, log and x^e at points
 
 
-def _pow_kernel(num: int, den: int, e: Fraction, w: int) -> Tuple[int, int, int]:
-    """n and bounds 2^n lo <= 2^w (num/den)^e <= 2^n hi for positive integers
-    num, den: one log kernel of the base, times e, then one exp kernel."""
-    # e times log's ulps, plus the exp kernel's own, stay below 2^guard ulps
-    guard = ((abs(e.numerator) // e.denominator + 2) * 4 * w).bit_length()
-    work = w + guard
-    log_lo, log_hi = _log_fixed(num, den, work)
-    if e < 0:
-        log_lo, log_hi = log_hi, log_lo
-    y_lo = log_lo * e.numerator // e.denominator
-    y_hi = _ceil_div(log_hi * e.numerator, e.denominator)
-    n, lo, hi = _exp_fixed(y_lo, y_hi, work)
+PI, EULER = "pi", "e"  # the bases pi and e of a factor table
+
+# The one memo of logarithms: bounds on 2^top log x for a base x and a
+# multiple top of 64 bits, each computed once and depending on (x, top) alone.
+_LOG_MEMO: Dict[Tuple[object, int], Tuple[int, int]] = {}
+
+
+def _log_memo(x, top: int) -> Tuple[int, int]:
+    bounds = _LOG_MEMO.get((x, top))
+    if bounds is None:
+        if x == PI:  # log is increasing: the logs of pi's bounds bracket log pi
+            pi_lo, pi_hi = _pi_kernel(top)
+            bounds = _log_fixed(pi_lo, 1 << top, top)[0], _log_fixed(pi_hi, 1 << top, top)[1]
+        elif x == 2:
+            lo, hi = _atanh_kernel(1, 3, top)  # ln 2 = 2 atanh(1/3)
+            bounds = 2 * lo, 2 * hi
+        elif x <= 0:
+            raise LogOfNonPositive(f"log of non-positive point {x}")
+        else:
+            bounds = _log_fixed(x.numerator, x.denominator, top)
+        _LOG_MEMO[x, top] = bounds
+    return bounds
+
+
+def _log_base(x, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w log x, cut from the memo at the next multiple of 64 bits,
+    or of 512 for ln 2, which every log and exp kernel reads at its own w."""
+    if x == EULER:
+        return 1 << w, 1 << w
+    step = 512 if x == 2 else 64
+    top = -(-w // step) * step
+    return _rescale(*_log_memo(x, top), w - top)
+
+
+def _log_sum(factors: tuple, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w sum c log x."""
+    lo = hi = 0
+    for x, c in factors:
+        l_lo, l_hi = _log_base(x, w)
+        if c < 0:
+            l_lo, l_hi = l_hi, l_lo
+        lo += l_lo * c.numerator // c.denominator
+        hi += _ceil_div(l_hi * c.numerator, c.denominator)
+    return lo, hi
+
+
+def _guard_bits(factors: tuple, w: int) -> int:
+    """Bits that keep sum |c| times the log kernels' ulps, plus the exp
+    kernel's own, below one ulp at scale 2^w."""
+    return ((int(sum(abs(c) for _, c in factors)) + 2) * 4 * w).bit_length()
+
+
+def _near_one_shift(x) -> int:
+    """The leading zero bits beyond 16 of log x's atanh argument (x - 1)/(x + 1),
+    which an absolute kernel loses from the relative precision near x = 1."""
+    if x in (PI, EULER):
+        return 0
+    num, den = x.numerator, x.denominator
+    return max((num + den).bit_length() - abs(num - den).bit_length() - 16, 0)
+
+
+def _log_power_kernel(factors: tuple, w: int) -> Tuple[int, int, int]:
+    """-t and bounds 2^-t lo <= 2^w sum c log x <= 2^-t hi.  The sum runs at
+    w + s plus guard bits, s the largest near-one shift of its bases (0 at
+    every point of the proof), so a log near 1 keeps its relative bits; terms
+    that cancel leave only absolute precision."""
+    shift = max(map(_near_one_shift, (x for x, _ in factors)), default=0)
+    shift += _guard_bits(factors, w)
+    return (-shift, *_log_sum(factors, w + shift))
+
+
+def _power_kernel(factors: tuple, w: int, more=None) -> Tuple[int, int, int]:
+    """n and bounds 2^n lo <= 2^w prod x^c <= 2^n hi: one log sum, then one
+    exp series.  ``more(work)``, if given, bounds 2^work m to within a few
+    ulps for a further term m of the exponent."""
+    guard = _guard_bits(factors, w)
+    y_lo, y_hi = _log_sum(factors, w + guard)
+    m_lo, m_hi = more(w + guard) if more else (0, 0)
+    n, lo, hi = _exp_fixed(y_lo + m_lo, y_hi + m_hi, w + guard)
     return (n, *_rescale(lo, hi, -guard))
+
+
+def power_product(factors: tuple, prec: int) -> Interval:
+    """Enclosure of prod x^c over a factor table, to ``prec`` relative bits."""
+    return _cached_point(("exp", factors), prec, partial(_power_kernel, factors))
+
+
+def log_power_product(factors: tuple, prec: int) -> Interval:
+    """Enclosure of sum c log x over a factor table, to ``prec`` bits relative
+    to its value unless its terms cancel."""
+    return _cached_point(("log", factors), prec, partial(_log_power_kernel, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +454,11 @@ def pi_enclosure(precision_bits: int) -> Interval:
 
 
 def _exp_point(r: Fraction, prec: int) -> Interval:
-    return _cached_point(("exp", r), prec, partial(_exp_ratio, r.numerator, r.denominator))
-
-
-def _log_ratio(num: int, den: int, w: int) -> Tuple[int, int, int]:
-    """-s and bounds 2^-s lo <= 2^w log(num/den) <= 2^-s hi.  Near 1, the atanh
-    argument (num - den)/(num + den) has s + 16 or so leading zero bits, which
-    the absolute kernel would lose from the relative precision, so it runs at
-    w + s.  s is 0 farther than about 2^-15 from 1, as at every point of the proof."""
-    s = max((num + den).bit_length() - abs(num - den).bit_length() - 16, 0)
-    return (-s, *_log_fixed(num, den, w + s))
+    return power_product(((EULER, r),), prec)
 
 
 def _log_point(r: Fraction, prec: int) -> Interval:
-    if r <= 0:
-        raise LogOfNonPositive(f"log of non-positive point {r}")
-    return _cached_point(("log", r), prec, partial(_log_ratio, r.numerator, r.denominator))
+    return log_power_product(((r, 1),), prec)
 
 
 def exp_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
@@ -420,16 +468,12 @@ def exp_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 
 
 def log_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
+    """log over a positive interval, from one point: log x.hi <= log x.lo + (x.hi - x.lo)/x.lo."""
     if x.lo <= 0:
         raise LogOfNonPositive(f"log of interval {x} touching zero")
     lo = _log_point(x.lo, precision_bits)
-    hi = lo if x.is_point() else _log_point(x.hi, precision_bits)
-    return Interval(lo.lo, hi.hi)
-
-
-def _log_pi(prec: int) -> Interval:
-    """log pi, the one route every caller shares."""
-    return _cached_point(("log", "pi"), prec, _log_pi_kernel)
+    slope = (x.hi - x.lo) / x.lo
+    return lo if not slope else coarsen_relative(Interval(lo.lo, lo.hi + slope), precision_bits + 8)
 
 
 def _sqrt_point_lo(r: Fraction, bits: int) -> Fraction:
@@ -467,25 +511,27 @@ def _stirling_cutoffs(x: Fraction, w: int) -> Tuple[int, int]:
     return terms, max(0, math.ceil(y_min - x))
 
 
-def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int]:
-    """Bounds on 2^w * log Gamma(x) for rational x > 0.
+def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int, int]:
+    """-s and bounds 2^-s lo <= 2^w * log Gamma(x) <= 2^-s hi for rational x > 0.
 
     log Gamma(x) = log Gamma(y) - log(x (x+1) ... (y-1)) at y = x + r, with
     log Gamma(y) = (y - 1/2) log y - y + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) y^(2k-1))
-    and a remainder below the first omitted term."""
-    terms, shift = _stirling_cutoffs(x, w)
+    and a remainder below the first omitted term.  Near its zeros log Gamma(x)
+    is about -0.58 (x - 1) or 0.42 (x - 2), so the kernel runs at w + s, s the
+    near-one shift of log x or log(x/2), as a log sum does.  s is 0 at every
+    point of the proof."""
+    s = max(_near_one_shift(x), _near_one_shift(x / 2))
+    w += s
     xn, xd = x.numerator, x.denominator
+    terms, shift = _stirling_cutoffs(x, w)
     yn = xn + shift * xd  # y = yn / xd
     # (y - 1/2) multiplies log y's ulps
     guard = (4 * w * (yn // xd + 1)).bit_length()
     work = w + guard
     log_lo, log_hi = _log_fixed(yn, xd, work)
-    lo = log_lo * (2 * yn - xd) // (2 * xd) - _ceil_div(yn << work, xd)
-    hi = _ceil_div(log_hi * (2 * yn - xd), 2 * xd) - (yn << work) // xd
-    pi_lo, pi_hi = _log_pi_kernel(work)
-    l2_lo, l2_hi = _ln2_kernel(work)
-    lo += (pi_lo + l2_lo) >> 1
-    hi += -(-(pi_hi + l2_hi) >> 1)
+    h_lo, h_hi = _log_sum(((PI, Fraction(1, 2)), (2, Fraction(1, 2))), work)  # log(2 pi)/2
+    lo = log_lo * (2 * yn - xd) // (2 * xd) - _ceil_div(yn << work, xd) + h_lo
+    hi = _ceil_div(log_hi * (2 * yn - xd), 2 * xd) - (yn << work) // xd + h_hi
     inv_num, inv_den = xd, yn  # 1 / y^(2k-1)
     for k in range(1, terms + 2):  # the last pass bounds the remainder
         b = bernoulli_number(2 * k)
@@ -506,7 +552,7 @@ def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int]:
         p_lo, p_hi = _log_fixed(prod_num, xd**shift, work)
         lo -= p_hi
         hi -= p_lo
-    return _rescale(lo, hi, -guard)
+    return (-s, *_rescale(lo, hi, -guard))
 
 
 def _lngamma_point(x: Fraction, prec: int) -> Interval:
@@ -524,10 +570,6 @@ def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 # rational powers
 
 
-def _pow_point(x: Fraction, e: Fraction, prec: int) -> Interval:
-    return _cached_point(("pow", x, e), prec, partial(_pow_kernel, x.numerator, x.denominator, e))
-
-
 def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Interval:
     """Enclosure of x**exponent for a positive interval x."""
     exponent = Fraction(exponent)
@@ -535,8 +577,8 @@ def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Inte
         return x.pow_int(int(exponent))
     if x.lo <= 0:
         raise NonPositiveArgument(f"fractional power of {x} touching zero")
-    lo = _pow_point(x.lo, exponent, precision_bits)
-    hi = lo if x.is_point() else _pow_point(x.hi, exponent, precision_bits)
+    lo = power_product(((x.lo, exponent),), precision_bits)
+    hi = lo if x.is_point() else power_product(((x.hi, exponent),), precision_bits)
     if exponent < 0:
         lo, hi = hi, lo
     return Interval(lo.lo, hi.hi)
@@ -595,7 +637,7 @@ def _hurwitz_terms(s: Fraction, a: Fraction, n_cut: int, w: int) -> List[Tuple[i
             continue
         # a term near 2^-b, b = s log2(k + a), keeps its absolute error with b fewer bits
         work = max(w - math.floor(sigma * math.log2(base / ad)), 16)
-        n, t_lo, t_hi = _pow_kernel(base, ad, -s, work)
+        n, t_lo, t_hi = _power_kernel(((Fraction(base, ad), -s),), work)
         terms.append(_rescale(t_lo, t_hi, n + w - work))
     return terms
 
@@ -628,7 +670,7 @@ def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
     last = max(-q, q + (r != 0))
     v_lo -= last
     v_hi += last
-    n, p_lo, p_hi = _pow_kernel(xn, ad, -s, w)
+    n, p_lo, p_hi = _power_kernel(((Fraction(xn, ad), -s),), w)
     t_lo, t_hi = _rescale(
         min(p_lo * v_lo, p_hi * v_lo), max(p_lo * v_hi, p_hi * v_hi), n - w
     )
@@ -739,27 +781,32 @@ def dirichlet_L_even_coeff(D: int, j: int) -> Fraction:
 # alpha and the Robbins brackets
 
 
-def alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of pi^(s/2) / (Gamma(s/2) zeta(s)) at a point s > 1."""
+def log_alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
+    """Enclosure of log alpha(s) = (s/2) log pi - lnGamma(s/2) - log zeta(s)
+    at a point s > 1."""
     sp = _point(s)
     if sp <= 1:
         raise ArgumentNotGreaterThanOne(f"alpha requested at {s}")
-    half = Interval.exact(sp / 2)
-    numerator = exp_enclosure(half * _log_pi(precision_bits), precision_bits)
     # zeta first: its Euler-Maclaurin cut-off asks for more Bernoulli numbers
     # than Stirling's, so the tangent table is built once, at the larger size
-    denom = zeta_real_enclosure(s, precision_bits) * gamma_enclosure(half, precision_bits)
-    return (numerator / denom).coarsen(precision_bits + 8)
+    log_zeta = log_enclosure(zeta_real_enclosure(s, precision_bits), precision_bits)
+    log_pi_power = log_power_product(((PI, sp / 2),), precision_bits)
+    return log_pi_power - _lngamma_point(sp / 2, precision_bits) - log_zeta
+
+
+def alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
+    """Enclosure of pi^(s/2) / (Gamma(s/2) zeta(s)) at a point s > 1: the exp
+    of ``log_alpha_enclosure``, the route of the rank-2 degree threshold."""
+    return exp_enclosure(log_alpha_enclosure(s, precision_bits), precision_bits)
 
 
 def stirling_bounds(n: int, precision_bits: int = 256) -> Tuple[Interval, Interval]:
     """Robbins brackets: sqrt(2 pi n) (n/e)^n e^(1/(12n+1)) < n! < ... e^(1/12n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pi_iv = pi_enclosure(precision_bits)
-    root = sqrt_enclosure(Interval.exact(2 * n) * pi_iv, precision_bits)
-    e_iv = _exp_point(Fraction(1), precision_bits)
-    core = root * Interval.exact(Fraction(n) ** n) / e_iv.pow_int(n)
-    lower = core * _exp_point(Fraction(1, 12 * n + 1), precision_bits)
-    upper = core * _exp_point(Fraction(1, 12 * n), precision_bits)
-    return lower.coarsen(precision_bits + 8), upper.coarsen(precision_bits + 8)
+    half = Fraction(1, 2)
+    return tuple(
+        power_product(((Fraction(2 * n), half), (PI, half), (Fraction(n), n), (EULER, r - n)),
+                      precision_bits)
+        for r in (Fraction(1, 12 * n + 1), Fraction(1, 12 * n))
+    )

@@ -698,9 +698,10 @@ def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_proof_computes_no_point_far_above_its_precision(monkeypatch, n):
-    """Guard bits are added once per logarithm chain, and a cache miss
-    computes at the rung of the precision asked for, so no cached point is
-    recomputed at a doubled working precision within one proof."""
+    """Every quantity asks for the precision of its step and specfun alone
+    adds guard bits, inside the kernel, and a cache miss computes at the rung
+    of the precision asked for, so no cached point is recomputed at a
+    doubled working precision within one proof."""
     computed = []
     cached_point = specfun._cached_point
 
@@ -719,6 +720,28 @@ def test_proof_computes_no_point_far_above_its_precision(monkeypatch, n):
         specfun._clear_point_cache()
     assert computed
     assert max(q for _, q in computed) <= 2048 + 128, sorted(computed, key=lambda c: -c[1])[:3]
+
+
+def test_ranks_above_four_reuse_the_rank_four_evidence(monkeypatch):
+    """Every class-4 quantity is one cached point, so after rank 4 the proofs
+    of ranks 5 to 8 at the same precision run no kernel: they add no point
+    and no logarithm to the caches and never sum the zeta-product tail."""
+    tails = []
+    log_zeta_tail = bounds._log_zeta_tail
+
+    def counted(*args):
+        tails.append(args)
+        return log_zeta_tail(*args)
+
+    monkeypatch.setattr(bounds, "_log_zeta_tail", counted)
+    monkeypatch.setattr(specfun, "_POINT_CACHE", {})
+    assert ct.run_case(4, precision_bits=192).all_proved
+    assert tails
+    points, logs = len(specfun._POINT_CACHE), len(specfun._LOG_MEMO)
+    tails.clear()
+    for n in range(5, 9):
+        assert ct.run_case(n, precision_bits=192).all_proved, n
+    assert (len(specfun._POINT_CACHE), len(specfun._LOG_MEMO), tails) == (points, logs, [])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -936,9 +959,17 @@ def _forged_reports(docs):
     }
 
 
+# the reports CI proves through the installed script: prove --all at the
+# default 256 bits, then single ranks at 64 to 2048 bits
+_CI_REPORTS = [(n, 256) for n in range(2, 9)] + [
+    (64, 64), (64, 256), (4, 2048), (2, 1024), (2, 2048), (3, 2048), (1000, 64)
+]
+
+
 def test_report_module_verifies_alone(cert_by_rank, tmp_path):
     """report.py, copied alone and loaded by path, re-checks reports without
-    covcert or dataclasses, and rejects forgeries of them."""
+    covcert or dataclasses, those of the tier-1 suite and of CI's proofs
+    alike, and rejects forgeries of them."""
     source = (Path(covcert.__file__).parent / "report.py").read_text()
     nodes = list(ast.walk(ast.parse(source)))
     from_imports = [node for node in nodes if isinstance(node, ast.ImportFrom)]
@@ -949,9 +980,11 @@ def test_report_module_verifies_alone(cert_by_rank, tmp_path):
     assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names
     module = tmp_path / "report.py"
     module.write_text(source)
+    honest = [*cert_by_rank.values()]
+    honest += [ct.run_case(n, precision_bits=bits) for n, bits in _CI_REPORTS]
     paths = []
-    for n, cert in cert_by_rank.items():
-        paths.append(tmp_path / f"rank{n}.json")
+    for i, cert in enumerate(honest):
+        paths.append(tmp_path / f"honest{i}.json")
         paths[-1].write_bytes(ct.emit_report(cert))
     doc = json.loads(ct.emit_report(cert_by_rank[3]))
     _step(doc, "degree_threshold")["verdict"] = "Failed"
@@ -971,9 +1004,9 @@ def test_report_module_verifies_alone(cert_by_rank, tmp_path):
         text=True,
         timeout=120,
     ).stdout.splitlines()
-    outcomes = dict(zip(forged, out[len(cert_by_rank) + 1 : -2]))
+    outcomes = dict(zip(forged, out[len(honest) + 1 : -2]))
     assert outcomes == {name: outcome for name, (_, outcome) in forged.items()}
-    assert out[: len(cert_by_rank) + 1] == ["Proved"] * len(cert_by_rank) + ["TamperDetected"]
+    assert out[: len(honest) + 1] == ["Proved"] * len(honest) + ["TamperDetected"]
     assert out[-2:] == ["[]", "False"]  # no covcert module, and no dataclasses either
 
 

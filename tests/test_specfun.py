@@ -143,9 +143,23 @@ def test_log_near_one_delivers_relative_bits(x, prec):
     assert _relative_bits(iv) >= prec - 16, _relative_bits(iv)
 
 
+@pytest.mark.parametrize("prec", [16, 99, 256, 2048])
+@pytest.mark.parametrize("x", [1 + Fraction(1, 2**100), 1 - Fraction(1, 2**100),
+                               2 + Fraction(1, 2**100), 2 - Fraction(1, 2**100)])
+def test_lngamma_near_its_zeros_delivers_relative_bits(x, prec):
+    """lnGamma(x) near x = 1 or 2 is near 0: its kernel runs at as many more
+    bits as x - 1 or x - 2 has leading zeros, so the enclosure keeps p - 16
+    relative bits.  The proof's lnGamma(1.1) is far from both: no shift."""
+    iv = sf._lngamma_point(x, prec)
+    with mpmath.workprec(prec + 400):
+        assert _contains_mp(iv, mpmath.loggamma(_mp(x)))
+    assert _relative_bits(iv) >= prec - 16, _relative_bits(iv)
+    assert sf._lngamma_kernel(Fraction(11, 10), 64)[0] == 0
+
+
 @pytest.mark.parametrize("prec", [64, 256, 2048])
 def test_log_pi_oracle(prec):
-    iv = sf._log_pi(prec)
+    iv = sf.log_power_product(((sf.PI, 1),), prec)
     # at least 60 digits, and 64 bits beyond the enclosure's own precision
     with mpmath.workprec(max(200, prec + 64)):
         assert _contains_mp(iv, mpmath.log(mpmath.pi))
@@ -350,6 +364,17 @@ def test_half_integer_power_delivers_relative_precision(prec):
     assert iv.width() * 2**prec <= iv.lo
 
 
+def test_log_of_an_interval_reads_one_point(monkeypatch):
+    """log over [a, b] caches the point log a alone, and holds log a and log b."""
+    monkeypatch.setattr(sf, "_POINT_CACHE", {})
+    a, b = Fraction(3, 2), Fraction(3, 2) + Fraction(1, 2**150)
+    iv = sf.log_enclosure(Interval(a, b), PREC)
+    assert len(sf._POINT_CACHE) == 1
+    with mpmath.workprec(PREC + 200):
+        assert _contains_mp(iv, mpmath.log(_mp(a))) and _contains_mp(iv, mpmath.log(_mp(b)))
+    assert _relative_bits(iv) >= PREC - 16
+
+
 def test_exp_log_roundtrip():
     x = Interval(Fraction(3, 2), Fraction(8, 5))
     back = sf.log_enclosure(sf.exp_enclosure(x, PREC), PREC)
@@ -366,7 +391,7 @@ def _refinement_cases():
     yield lambda p: sf._exp_point(Fraction(-2949, 20), p)
     yield lambda p: sf._exp_point(Fraction(-1, 2), p)
     yield lambda p: sf._log_point(Fraction(2), p)
-    yield lambda p: sf._log_pi(p)
+    yield lambda p: sf.log_power_product(((sf.PI, 1),), p)
     yield lambda p: sf._exp_point(Fraction(1), p)
     yield lambda p: sf._log_point(Fraction(2689, 125), p)
     yield lambda p: sf._log_point(pi_n_coefficient(53), p)
@@ -377,6 +402,20 @@ def _refinement_cases():
     yield lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(2), p)
     yield lambda p: sf.alpha_enclosure(Interval.exact(Fraction(22, 10)), p)
     yield lambda p: sf.pow_frac(Interval.exact(5), Fraction(21, 2), p)
+    yield lambda p: sf.power_product(_NORMALIZED_O_4_2, p)
+    yield lambda p: sf.log_power_product(_COND_C_SIDE, p)
+
+
+# the rank-4 normalized bound at degree 2 and the (A, E) table row (6.894, 2.2667),
+# 7.6^2 e^(0.92 - 15 E) A^30 Pi(4) / 750, and (log 9.47 - log Pi(4)) / f(4)
+_NORMALIZED_O_4_2 = (
+    (Fraction(38, 5), 2), (sf.EULER, Fraction(92, 100) - 15 * Fraction(22667, 10000)),
+    (Fraction(6894, 1000), 30), (pi_n_coefficient(4), 1), (sf.PI, -20), (Fraction(750), -1),
+)
+_COND_C_SIDE = (
+    (Fraction(947, 100), Fraction(1, 15)), (pi_n_coefficient(4), Fraction(-1, 15)),
+    (sf.PI, Fraction(20, 15)),
+)
 
 
 @pytest.mark.parametrize("make", list(_refinement_cases()))
@@ -568,10 +607,45 @@ positive_rationals = st.fractions(min_value=Fraction(1, 10**30), max_value=10**3
 @example(Fraction(1, 10**30), Fraction(30), 2100)
 @settings(deadline=None)
 def test_pow_kernel_brackets(x, e, w):
-    n, lo, hi = sf._pow_kernel(x.numerator, x.denominator, e, w)
+    n, lo, hi = sf._power_kernel(((x, e),), w)
     with mpmath.workprec(w + 64):
         assert lo <= mpmath.ldexp(mpmath.power(_mp(x), _mp(e)), w - n) <= hi
     assert hi - lo <= w
+
+
+_near_one = st.builds(lambda k, sign: 1 + sign * Fraction(1, 2**k),
+                      st.integers(min_value=1, max_value=300), st.sampled_from([1, -1]))
+_bases = st.one_of(positive_rationals, _near_one, st.sampled_from([sf.PI, sf.EULER]))
+_factor_tables = st.lists(
+    st.tuples(_bases, st.fractions(min_value=-50, max_value=50, max_denominator=100)),
+    min_size=1, max_size=6,
+).map(tuple)
+
+
+def _mp_log(x):
+    if x == sf.PI:
+        return mpmath.log(mpmath.pi)
+    return mpmath.mpf(1) if x == sf.EULER else mpmath.log(_mp(x))
+
+
+@given(_factor_tables, st.integers(min_value=16, max_value=2100))
+@example(((Fraction(6894, 1000), 30), (sf.PI, -20), (sf.EULER, Fraction(-34, 1))), 2100)
+@example(((1 + Fraction(1, 2**300), Fraction(1, 100)),), 16)
+@example(((Fraction(2), 1), (Fraction(4), Fraction(-1, 2))), 64)  # log 2 - log 2 = 0
+@settings(deadline=None, max_examples=40)
+def test_power_products_against_mpmath(factors, prec):
+    """Both enclosures hold the mpmath value.  The product keeps p - 16 bits
+    relative to its value, and the log sum p - 16 bits relative to the sum of
+    its terms' magnitudes: to its value when no terms cancel."""
+    product = sf.power_product(factors, prec)
+    log_sum = sf.log_power_product(factors, prec)
+    with mpmath.workprec(prec + 800):
+        terms = [_mp(Fraction(c)) * _mp_log(x) for x, c in factors]
+        assert _contains_mp(product, mpmath.exp(mpmath.fsum(terms)))
+        assert _contains_mp(log_sum, mpmath.fsum(terms))
+        scale = mpmath.fsum(abs(t) for t in terms)
+        assert _mp(log_sum.width()) <= mpmath.ldexp(scale, 16 - prec)
+    assert _relative_bits(product) >= prec - 16, _relative_bits(product)
 
 
 @given(st.fractions(min_value=Fraction(11, 10), max_value=40, max_denominator=20),
@@ -595,9 +669,9 @@ def test_hurwitz_kernel_brackets(s, i, D, w):
 @example(Fraction(2), 64)
 @settings(deadline=None, max_examples=50)
 def test_lngamma_kernel_brackets(x, w):
-    lo, hi = sf._lngamma_kernel(x, w)
-    with mpmath.workprec(w + 64 + abs(hi).bit_length()):
-        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), w) <= hi
+    t, lo, hi = sf._lngamma_kernel(x, w)
+    with mpmath.workprec(w - t + 64 + abs(hi).bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), w - t) <= hi
     assert hi - lo <= w
 
 
@@ -640,7 +714,7 @@ def test_zeta_kernel_runs_power_kernels_for_primes_only(monkeypatch):
     sf.bernoulli_number.cache_clear()
     pow_calls = mock.Mock(return_value=(0, 1, 2))  # n, lo, hi: 2^n [lo, hi] / 2^w
     builds = mock.Mock(wraps=sf._tangent_numbers)
-    monkeypatch.setattr(sf, "_pow_kernel", pow_calls)
+    monkeypatch.setattr(sf, "_power_kernel", pow_calls)
     monkeypatch.setattr(sf, "_tangent_numbers", builds)
     sf._hurwitz_kernel(s, Fraction(1), w)
     assert pow_calls.call_count == len(primes) + 2
@@ -684,6 +758,6 @@ def test_hurwitz_kernel_sound_at_any_cutoff(s, i, D, n_cut, terms):
 @settings(deadline=None, max_examples=60)
 def test_lngamma_kernel_sound_at_any_cutoff(x, terms, shift):
     with mock.patch.object(sf, "_stirling_cutoffs", lambda *_: (terms, shift)):
-        lo, hi = sf._lngamma_kernel(x, 64)
-    with mpmath.workprec(128 + abs(hi).bit_length()):
-        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), 64) <= hi
+        t, lo, hi = sf._lngamma_kernel(x, 64)
+    with mpmath.workprec(128 - t + abs(hi).bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), 64 - t) <= hi
