@@ -12,10 +12,11 @@ Each constant has one route.  Psi(n) = Pi(n) prod_{j<=n} zeta(2j) is only
 ever the exact rational ``psi_n_exact``, from the Bernoulli closed form of
 zeta(2j).  Pi(n) = c_n pi^(-n(n+1)) is only ever the factor table
 ``_pi_n``.  The high-rank bound, its logarithms and their differences, the
-discriminant cutoffs, e^0.46 and the sides of the feasibility conditions
-are each one factor table of rationals, pi and e: one cached point of
-``specfun.power_product`` or ``log_power_product``, whose precision inside
-is specfun's choice alone.  The infinite zeta product is one cached point
+discriminant cutoffs, e^0.46, the sides of the feasibility conditions, the
+rank-3 threshold's denominator and rank 2's log eta + log alpha(t + 1),
+whose bases include Gamma and zeta, are each one factor table: one cached
+point of ``specfun.power_product`` or ``log_power_product``, whose
+precision inside is specfun's choice alone.  The infinite zeta product is one cached point
 too, whose kernel sums its logarithm in fixed point.
 
 All decimal constants appearing in the formulas are stored as exact
@@ -44,7 +45,7 @@ from .numberfields import (
 )
 from .specfun import (
     EULER, PI, _cached_point, _least_prime_factors, _log_fixed, _log_point, _power_kernel,
-    log_alpha_enclosure, log_power_product, power_product, zeta_even_exact,
+    alpha_factors, log_power_product, power_product, zeta_even_exact,
 )
 
 
@@ -307,8 +308,9 @@ def lemma35_conditions(pair: OdlyzkoPair, precision_bits: int = 256) -> Dict[str
 #     (log(1/5760) - logXcoeff) / log(eta * A^(4.5 - t/2) * alpha(t+1))
 # with logXcoeff = E(t+1)/2 - 5E - log(25 t (t+1)),
 #      eta = 3 e^0.46 / (64 pi^6),
-#      alpha(s) = pi^(s/2) / (Gamma(s/2) zeta(s)).
-# Both thresholds take log A through the one cached point ``_log_point``.
+#      alpha(s) = pi^(s/2) / (Gamma(s/2) zeta(s)),
+# and log eta + log alpha(t + 1) is one factor table.  The rank-3
+# threshold's denominator 7.5 log A - 12.99 is one factor table too.
 
 
 _ETA = ((Fraction(3, 64), 1), (EULER, _COEFF_0_46), (PI, -6))
@@ -326,8 +328,7 @@ class _N2Terms(NamedTuple):
 @lru_cache(maxsize=None)
 def _n2_t_terms(t: Fraction, precision_bits: int) -> _N2Terms:
     return _N2Terms(
-        log_power_product(_ETA, precision_bits)
-        + log_alpha_enclosure(Interval.exact(t + 1), precision_bits),
+        log_power_product((*alpha_factors(t + 1), *_ETA), precision_bits),
         Interval.exact(Fraction(9, 2) - t / 2),
         log_power_product(((psi_n_exact(2), 1), (25 * t * (t + 1), 1)), precision_bits),
         (t + 1) / 2 - 5,
@@ -360,9 +361,8 @@ def n3_degree_threshold(pair: OdlyzkoPair, precision_bits: int = 256) -> Interva
 
     The denominator must be certified positive.
     """
-    log_A = _log_point(pair.A, precision_bits)
-    denom = Interval.exact(Fraction(15, 2)) * log_A - Interval.exact(
-        Fraction(1299, 100)
+    denom = log_power_product(
+        ((pair.A, Fraction(15, 2)), (EULER, Fraction(-1299, 100))), precision_bits
     )
     if denom.lo <= 0:
         raise DenominatorNotPositive(

@@ -13,18 +13,19 @@ kernels cover pi, ln 2, exp and log, power products, log Gamma by the
 Stirling series and Hurwitz zeta by Euler-Maclaurin summation (at a = 1
 only the primes take a power kernel), and every series length, shift and
 cut-off follows from w.
-Their results become intervals with dyadic endpoints; only the
-combinations built on them (Gamma, L, alpha) are exact-rational interval
-arithmetic.
+Their results become intervals with dyadic endpoints; only L, a signed sum
+of Hurwitz values, is exact-rational interval arithmetic.
 
-A factor table is a tuple of pairs (x, c) of a base x, a positive Fraction,
-``PI`` or ``EULER`` (e), and a rational exponent c.  ``power_product`` and
-``log_power_product`` enclose prod x^c and sum c log x as cached points of
-one core, which sums c log x from a memo of each base's log, runs one exp
-series for the product, and chooses every guard bit itself.  exp, log and
-x^e at a rational point are the tables ((e, r),), ((r, 1),) and ((x, e),).
-Gamma, zeta, L and alpha are evaluated at points only: an interval argument
-that is not a point raises ``NotAPoint``.
+A factor table is a tuple of pairs (x, c) of a base x and a rational
+exponent c.  A base is a positive Fraction, ``PI``, ``EULER`` (e),
+``GAMMA(x)`` or ``ZETA(s)``.  ``power_product`` and ``log_power_product``
+enclose prod x^c and sum c log x as cached points of one core, which sums
+c log x from a memo of each base's log, runs one exp series for the
+product, and chooses every guard bit itself.  exp, log and x^e at a
+rational point are the tables ((e, r),), ((r, 1),) and ((x, e),); Gamma,
+log Gamma and alpha are tables too.  Gamma, zeta, L and alpha are evaluated
+at points only: an interval argument that is not a point raises
+``NotAPoint``.
 
 Point evaluations are memoized by ``_cached_point``, whose value for a
 point depends only on the point and the precision asked for, never on what
@@ -37,9 +38,10 @@ every higher rung, and asking for more precision never widens a result,
 whatever the order of the requests.
 
 Precision is relative to a point's magnitude.  A log sum with a rational
-base near 1, and lnGamma near its zeros at 1 and 2, run their kernels at as
-many more bits as the value loses, fixed before the kernel runs; terms of a
-log sum that cancel leave only absolute precision, as an interval sum would.
+base near 1, or with a base Gamma(x) near lnGamma's zeros at 1 and 2, runs
+at as many more bits as the value loses, fixed before the kernel runs;
+terms of a log sum that cancel leave only absolute precision, as an
+interval sum would.
 lnGamma(1) = lnGamma(2) = 0 are exact zeros, with no relative precision:
 their enclosure is a bracket a few units of 2^-w wide around 0.
 """
@@ -59,7 +61,7 @@ SUPPORTED_L_MODULI = (5, 8, 12, 13, 17, 21, 24)
 
 
 class LogOfNonPositive(ValueError):
-    """log requested of an interval touching (-inf, 0]."""
+    """log requested of a non-positive rational base."""
 
 
 class NonPositiveArgument(ValueError):
@@ -342,25 +344,54 @@ def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# power products: the one core of exp, log and x^e at points
+# power products: the one core of exp, log, x^e, Gamma and alpha at points
 
 
 PI, EULER = "pi", "e"  # the bases pi and e of a factor table
 
-# The one memo of logarithms: bounds on 2^top log x for a base x and a
-# multiple top of 64 bits, each computed once and depending on (x, top) alone.
+
+def GAMMA(x) -> tuple:
+    """The base Gamma(x) of a factor table, for rational x > 0."""
+    x = Fraction(x)
+    if x <= 0:
+        raise NonPositiveArgument(f"Gamma requested at non-positive point {x}")
+    return ("gamma", x)
+
+
+def ZETA(s) -> tuple:
+    """The base zeta(s) of a factor table, for rational s > 1."""
+    s = Fraction(s)
+    if s <= 1:
+        raise ArgumentNotGreaterThanOne(f"zeta requested at {s}")
+    return ("zeta", s)
+
+
+# The one memo of logarithms: bounds on 2^top log x for a base x and a scale
+# top, each computed once and depending on (x, top) alone.
 _LOG_MEMO: Dict[Tuple[object, int], Tuple[int, int]] = {}
+
+
+def _log_bracket(lo: int, hi: int, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w log v for every v with 0 < lo <= 2^w v <= hi: log lo
+    from one series, and log hi <= log lo + (hi - lo)/lo."""
+    l_lo, l_hi = _log_fixed(lo, 1 << w, w)
+    return l_lo, l_hi + _ceil_div((hi - lo) << w, lo)
 
 
 def _log_memo(x, top: int) -> Tuple[int, int]:
     bounds = _LOG_MEMO.get((x, top))
     if bounds is None:
-        if x == PI:  # log is increasing: the logs of pi's bounds bracket log pi
-            pi_lo, pi_hi = _pi_kernel(top)
-            bounds = _log_fixed(pi_lo, 1 << top, top)[0], _log_fixed(pi_hi, 1 << top, top)[1]
+        if x == PI:
+            bounds = _log_bracket(*_pi_kernel(top), top)
         elif x == 2:
             lo, hi = _atanh_kernel(1, 3, top)  # ln 2 = 2 atanh(1/3)
             bounds = 2 * lo, 2 * hi
+        elif isinstance(x, tuple):
+            kind, arg = x
+            if kind == "gamma":
+                bounds = _lngamma_kernel(arg, top)
+            else:
+                bounds = _log_bracket(*_hurwitz_kernel(arg, Fraction(1), top), top)
         elif x <= 0:
             raise LogOfNonPositive(f"log of non-positive point {x}")
         else:
@@ -370,10 +401,15 @@ def _log_memo(x, top: int) -> Tuple[int, int]:
 
 
 def _log_base(x, w: int) -> Tuple[int, int]:
-    """Bounds on 2^w log x, cut from the memo at the next multiple of 64 bits,
-    or of 512 for ln 2, which every log and exp kernel reads at its own w."""
+    """Bounds on 2^w log x.  A rational or pi is cut from the memo at the next
+    multiple of 64 bits, and ln 2, which every log and exp kernel reads at its
+    own w, at the next multiple of 512.  Gamma and zeta are read by one table
+    each, so they are memoized at w itself: a larger top would share nothing
+    and cost more series terms."""
     if x == EULER:
         return 1 << w, 1 << w
+    if isinstance(x, tuple):
+        return _log_memo(x, w)
     step = 512 if x == 2 else 64
     top = -(-w // step) * step
     return _rescale(*_log_memo(x, top), w - top)
@@ -399,9 +435,14 @@ def _guard_bits(factors: tuple, w: int) -> int:
 
 def _near_one_shift(x) -> int:
     """The leading zero bits beyond 16 of log x's atanh argument (x - 1)/(x + 1),
-    which an absolute kernel loses from the relative precision near x = 1."""
+    which an absolute kernel loses from the relative precision near x = 1.
+    Near its zeros lnGamma(x) is about -0.58 (x - 1) or 0.42 (x - 2), so
+    Gamma(x) takes the shift of x or x/2."""
     if x in (PI, EULER):
         return 0
+    if isinstance(x, tuple):
+        kind, arg = x
+        return max(_near_one_shift(arg), _near_one_shift(arg / 2)) if kind == "gamma" else 0
     num, den = x.numerator, x.denominator
     return max((num + den).bit_length() - abs(num - den).bit_length() - 16, 0)
 
@@ -409,7 +450,7 @@ def _near_one_shift(x) -> int:
 def _log_power_kernel(factors: tuple, w: int) -> Tuple[int, int, int]:
     """-t and bounds 2^-t lo <= 2^w sum c log x <= 2^-t hi.  The sum runs at
     w + s plus guard bits, s the largest near-one shift of its bases (0 at
-    every point of the proof), so a log near 1 keeps its relative bits; terms
+    every point of the proof), so a log near 0 keeps its relative bits; terms
     that cancel leave only absolute precision."""
     shift = max(map(_near_one_shift, (x for x, _ in factors)), default=0)
     shift += _guard_bits(factors, w)
@@ -461,21 +502,6 @@ def _log_point(r: Fraction, prec: int) -> Interval:
     return log_power_product(((r, 1),), prec)
 
 
-def exp_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
-    lo = _exp_point(x.lo, precision_bits)
-    hi = lo if x.is_point() else _exp_point(x.hi, precision_bits)
-    return Interval(lo.lo, hi.hi)
-
-
-def log_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
-    """log over a positive interval, from one point: log x.hi <= log x.lo + (x.hi - x.lo)/x.lo."""
-    if x.lo <= 0:
-        raise LogOfNonPositive(f"log of interval {x} touching zero")
-    lo = _log_point(x.lo, precision_bits)
-    slope = (x.hi - x.lo) / x.lo
-    return lo if not slope else coarsen_relative(Interval(lo.lo, lo.hi + slope), precision_bits + 8)
-
-
 def _sqrt_point_lo(r: Fraction, bits: int) -> Fraction:
     scale = 1 << (2 * bits)
     s = math.isqrt(r.numerator * scale // r.denominator)
@@ -511,17 +537,12 @@ def _stirling_cutoffs(x: Fraction, w: int) -> Tuple[int, int]:
     return terms, max(0, math.ceil(y_min - x))
 
 
-def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int, int]:
-    """-s and bounds 2^-s lo <= 2^w * log Gamma(x) <= 2^-s hi for rational x > 0.
+def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w * log Gamma(x) for rational x > 0.
 
     log Gamma(x) = log Gamma(y) - log(x (x+1) ... (y-1)) at y = x + r, with
     log Gamma(y) = (y - 1/2) log y - y + log(2 pi)/2 + sum_k B_2k / (2k (2k-1) y^(2k-1))
-    and a remainder below the first omitted term.  Near its zeros log Gamma(x)
-    is about -0.58 (x - 1) or 0.42 (x - 2), so the kernel runs at w + s, s the
-    near-one shift of log x or log(x/2), as a log sum does.  s is 0 at every
-    point of the proof."""
-    s = max(_near_one_shift(x), _near_one_shift(x / 2))
-    w += s
+    and a remainder below the first omitted term."""
     xn, xd = x.numerator, x.denominator
     terms, shift = _stirling_cutoffs(x, w)
     yn = xn + shift * xd  # y = yn / xd
@@ -552,36 +573,16 @@ def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int, int]:
         p_lo, p_hi = _log_fixed(prod_num, xd**shift, work)
         lo -= p_hi
         hi -= p_lo
-    return (-s, *_rescale(lo, hi, -guard))
+    return _rescale(lo, hi, -guard)
 
 
 def _lngamma_point(x: Fraction, prec: int) -> Interval:
-    if x <= 0:
-        raise NonPositiveArgument(f"lngamma of non-positive point {x}")
-    return _cached_point(("lngamma", x), prec, partial(_lngamma_kernel, x))
+    return log_power_product(((GAMMA(x), 1),), prec)
 
 
 def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
     """Enclosure of Gamma at a positive point."""
-    return exp_enclosure(_lngamma_point(_point(x), precision_bits), precision_bits)
-
-
-# ---------------------------------------------------------------------------
-# rational powers
-
-
-def pow_frac(x: Interval, exponent: Fraction, precision_bits: int = 256) -> Interval:
-    """Enclosure of x**exponent for a positive interval x."""
-    exponent = Fraction(exponent)
-    if exponent.denominator == 1:
-        return x.pow_int(int(exponent))
-    if x.lo <= 0:
-        raise NonPositiveArgument(f"fractional power of {x} touching zero")
-    lo = power_product(((x.lo, exponent),), precision_bits)
-    hi = lo if x.is_point() else power_product(((x.hi, exponent),), precision_bits)
-    if exponent < 0:
-        lo, hi = hi, lo
-    return Interval(lo.lo, hi.hi)
+    return power_product(((GAMMA(_point(x)), 1),), precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +685,7 @@ def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
 
 def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
     """Enclosure of the Riemann zeta function at a point s > 1."""
-    sp = _point(s)
-    if sp <= 1:
-        raise ArgumentNotGreaterThanOne(f"zeta requested at {s}")
+    _, sp = ZETA(_point(s))
     return _hurwitz_point(sp, Fraction(1), precision_bits)
 
 
@@ -742,7 +741,7 @@ def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Int
             continue
         term = _hurwitz_point(sp, Fraction(a, D), precision_bits)
         acc = acc + (term if chi == 1 else -term)
-    d_pow = pow_frac(Interval.exact(D), -sp, precision_bits + GUARD_BITS)
+    d_pow = power_product(((Fraction(D), -sp),), precision_bits + GUARD_BITS)
     return (acc * d_pow).coarsen(precision_bits + 8)
 
 
@@ -781,23 +780,17 @@ def dirichlet_L_even_coeff(D: int, j: int) -> Fraction:
 # alpha and the Robbins brackets
 
 
-def log_alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of log alpha(s) = (s/2) log pi - lnGamma(s/2) - log zeta(s)
-    at a point s > 1."""
-    sp = _point(s)
-    if sp <= 1:
-        raise ArgumentNotGreaterThanOne(f"alpha requested at {s}")
-    # zeta first: its Euler-Maclaurin cut-off asks for more Bernoulli numbers
-    # than Stirling's, so the tangent table is built once, at the larger size
-    log_zeta = log_enclosure(zeta_real_enclosure(s, precision_bits), precision_bits)
-    log_pi_power = log_power_product(((PI, sp / 2),), precision_bits)
-    return log_pi_power - _lngamma_point(sp / 2, precision_bits) - log_zeta
+def alpha_factors(s: Fraction) -> tuple:
+    """alpha(s) = pi^(s/2) / (Gamma(s/2) zeta(s)) as a factor table, for s > 1.
+    zeta comes first: its Euler-Maclaurin cut-off asks for more Bernoulli
+    numbers than Stirling's, so the tangent table is built once, at the
+    larger size."""
+    return (ZETA(s), -1), (GAMMA(s / 2), -1), (PI, s / 2)
 
 
 def alpha_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of pi^(s/2) / (Gamma(s/2) zeta(s)) at a point s > 1: the exp
-    of ``log_alpha_enclosure``, the route of the rank-2 degree threshold."""
-    return exp_enclosure(log_alpha_enclosure(s, precision_bits), precision_bits)
+    """Enclosure of alpha(s) at a point s > 1."""
+    return power_product(alpha_factors(_point(s)), precision_bits)
 
 
 def stirling_bounds(n: int, precision_bits: int = 256) -> Tuple[Interval, Interval]:

@@ -682,15 +682,23 @@ def test_reports_from_rank_four_on_differ_only_in_rank_and_claims():
 
 def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
     """zeta(2j) enters the proof only through its closed form; the Hurwitz
-    series runs at rank 2 alone, for alpha(2.2) in the degree threshold."""
+    series runs at rank 2 alone, for alpha(2.2) in the degree threshold.
+    The caches start cold, so a Hurwitz value any proof reads would run
+    the kernel."""
     calls = []
-    hurwitz_point = specfun._hurwitz_point
+    hurwitz_kernel = specfun._hurwitz_kernel
 
     def counted(*args):
         calls.append(args)
-        return hurwitz_point(*args)
+        return hurwitz_kernel(*args)
 
-    monkeypatch.setattr(specfun, "_hurwitz_point", counted)
+    monkeypatch.setattr(specfun, "_hurwitz_kernel", counted)
+    monkeypatch.setattr(specfun, "_POINT_CACHE", {})
+    monkeypatch.setattr(specfun, "_LOG_MEMO", {})
+    bounds._n2_t_terms.cache_clear()
+    assert ct.run_case(2, precision_bits=64).all_proved
+    assert calls
+    calls.clear()
     for n in (3, 4, 8, 9):
         assert ct.run_case(n, precision_bits=64).all_proved, n
         assert calls == [], n

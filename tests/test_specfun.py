@@ -154,7 +154,7 @@ def test_lngamma_near_its_zeros_delivers_relative_bits(x, prec):
     with mpmath.workprec(prec + 400):
         assert _contains_mp(iv, mpmath.loggamma(_mp(x)))
     assert _relative_bits(iv) >= prec - 16, _relative_bits(iv)
-    assert sf._lngamma_kernel(Fraction(11, 10), 64)[0] == 0
+    assert sf._near_one_shift(sf.GAMMA(Fraction(11, 10))) == 0
 
 
 @pytest.mark.parametrize("prec", [64, 256, 2048])
@@ -178,8 +178,6 @@ def test_ln2_and_e_oracle():
 def test_log_of_nonpositive_rejected():
     with pytest.raises(sf.LogOfNonPositive):
         sf._log_point(Fraction(0), PREC)
-    with pytest.raises(sf.LogOfNonPositive):
-        sf.log_enclosure(Interval(-1, 1), PREC)
 
 
 def test_sqrt_oracle():
@@ -359,26 +357,9 @@ def test_stirling_brackets_factorials():
 @pytest.mark.parametrize("prec", [64, 256])
 def test_half_integer_power_delivers_relative_precision(prec):
     """48^(-21/2) keeps prec relative bits, though its value is near 2^-59."""
-    iv = sf.pow_frac(Interval.exact(48), Fraction(-21, 2), prec)
+    iv = sf.power_product(((Fraction(48), Fraction(-21, 2)),), prec)
     assert _contains_mp(iv, mpmath.mpf(48) ** mpmath.mpf(-10.5))
     assert iv.width() * 2**prec <= iv.lo
-
-
-def test_log_of_an_interval_reads_one_point(monkeypatch):
-    """log over [a, b] caches the point log a alone, and holds log a and log b."""
-    monkeypatch.setattr(sf, "_POINT_CACHE", {})
-    a, b = Fraction(3, 2), Fraction(3, 2) + Fraction(1, 2**150)
-    iv = sf.log_enclosure(Interval(a, b), PREC)
-    assert len(sf._POINT_CACHE) == 1
-    with mpmath.workprec(PREC + 200):
-        assert _contains_mp(iv, mpmath.log(_mp(a))) and _contains_mp(iv, mpmath.log(_mp(b)))
-    assert _relative_bits(iv) >= PREC - 16
-
-
-def test_exp_log_roundtrip():
-    x = Interval(Fraction(3, 2), Fraction(8, 5))
-    back = sf.log_enclosure(sf.exp_enclosure(x, PREC), PREC)
-    assert x.subset_of(back)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +382,11 @@ def _refinement_cases():
     yield lambda p: sf._hurwitz_point(Fraction(2), Fraction(1, 5), p)
     yield lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(2), p)
     yield lambda p: sf.alpha_enclosure(Interval.exact(Fraction(22, 10)), p)
-    yield lambda p: sf.pow_frac(Interval.exact(5), Fraction(21, 2), p)
+    yield lambda p: sf.power_product(((Fraction(5), Fraction(21, 2)),), p)
     yield lambda p: sf.power_product(_NORMALIZED_O_4_2, p)
     yield lambda p: sf.log_power_product(_COND_C_SIDE, p)
+    yield lambda p: sf.log_power_product(sf.alpha_factors(Fraction(11, 5)), p)
+    yield lambda p: sf.log_power_product(_RANK3_DENOMINATOR, p)
 
 
 # the rank-4 normalized bound at degree 2 and the (A, E) table row (6.894, 2.2667),
@@ -416,6 +399,8 @@ _COND_C_SIDE = (
     (Fraction(947, 100), Fraction(1, 15)), (pi_n_coefficient(4), Fraction(-1, 15)),
     (sf.PI, Fraction(20, 15)),
 )
+# the rank-3 threshold's denominator 7.5 log A - 12.99 at the table row A = 13.047
+_RANK3_DENOMINATOR = ((Fraction(13047, 1000), Fraction(15, 2)), (sf.EULER, Fraction(-1299, 100)))
 
 
 @pytest.mark.parametrize("make", list(_refinement_cases()))
@@ -623,6 +608,9 @@ _factor_tables = st.lists(
 
 
 def _mp_log(x):
+    if isinstance(x, tuple):  # GAMMA(x) or ZETA(s)
+        kind, arg = x
+        return mpmath.loggamma(_mp(arg)) if kind == "gamma" else mpmath.log(mpmath.zeta(_mp(arg)))
     if x == sf.PI:
         return mpmath.log(mpmath.pi)
     return mpmath.mpf(1) if x == sf.EULER else mpmath.log(_mp(x))
@@ -648,6 +636,81 @@ def test_power_products_against_mpmath(factors, prec):
     assert _relative_bits(product) >= prec - 16, _relative_bits(product)
 
 
+_near_gamma_zeros = st.builds(lambda k, zero, sign: zero + sign * Fraction(1, 2**k),
+                              st.integers(min_value=1, max_value=200), st.sampled_from([1, 2]),
+                              st.sampled_from([1, -1]))
+_gamma_bases = st.one_of(
+    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
+    _near_gamma_zeros,
+).map(sf.GAMMA)
+_zeta_bases = st.fractions(min_value=Fraction(11, 10), max_value=60,
+                           max_denominator=10).map(sf.ZETA)
+_special_tables = st.lists(
+    st.tuples(st.one_of(_zeta_bases, _gamma_bases, positive_rationals, st.just(sf.PI)),
+              st.fractions(min_value=-10, max_value=10, max_denominator=10)),
+    min_size=1, max_size=4,
+).map(tuple)
+
+
+@given(_special_tables, st.integers(min_value=16, max_value=2100))
+@example(sf.alpha_factors(Fraction(11, 5)), 2048)
+@example(((sf.ZETA(60), 1),), 64)
+@example(((sf.ZETA(60), 1),), 2100)
+@example(((sf.GAMMA(1 + Fraction(1, 2**200)), 1),), 16)
+@example(((sf.GAMMA(2 - Fraction(1, 2**150)), -3), (sf.PI, Fraction(1, 2))), 1024)
+@settings(deadline=None, max_examples=25)
+def test_gamma_and_zeta_tables_against_mpmath(factors, prec):
+    """Tables with Gamma and zeta bases keep the promise of the rational ones:
+    both enclosures hold the mpmath value, the product keeps p - 16 relative
+    bits, and the log sum p - 16 bits relative to its terms' magnitudes."""
+    product = sf.power_product(factors, prec)
+    log_sum = sf.log_power_product(factors, prec)
+    with mpmath.workprec(prec + 800):
+        terms = [_mp(Fraction(c)) * _mp_log(x) for x, c in factors]
+        assert _contains_mp(product, mpmath.exp(mpmath.fsum(terms)))
+        assert _contains_mp(log_sum, mpmath.fsum(terms))
+        scale = mpmath.fsum(abs(t) for t in terms)
+        assert _mp(log_sum.width()) <= mpmath.ldexp(scale, 16 - prec)
+    assert _relative_bits(product) >= prec - 16, _relative_bits(product)
+
+
+def test_gamma_and_zeta_bases_reject_points_outside_their_domain():
+    with pytest.raises(sf.NonPositiveArgument):
+        sf.GAMMA(0)
+    with pytest.raises(sf.ArgumentNotGreaterThanOne):
+        sf.ZETA(1)
+
+
+@pytest.mark.parametrize("name", ["alpha", "Gamma"])
+def test_alpha_and_gamma_are_one_point_each(monkeypatch, name):
+    """From cold caches, alpha(11/5) and Gamma(11/10) each leave one cached
+    point, the product of their own factor table, and no exp point keyed by
+    an endpoint of an interval."""
+    monkeypatch.setattr(sf, "_POINT_CACHE", {})
+    monkeypatch.setattr(sf, "_LOG_MEMO", {})
+    if name == "alpha":
+        sf.alpha_enclosure(Interval.exact(Fraction(11, 5)), 256)
+    else:
+        sf.gamma_enclosure(Interval.exact(Fraction(11, 10)), 256)
+    assert len(sf._POINT_CACHE) == 1, list(sf._POINT_CACHE)
+    table = (sf.alpha_factors(Fraction(11, 5)) if name == "alpha"
+             else ((sf.GAMMA(Fraction(11, 10)), 1),))
+    assert list(sf._POINT_CACHE) == [(("exp", table), 256)]
+
+
+@given(st.one_of(st.just(sf.PI), _zeta_bases, _gamma_bases), kernel_bits)
+@example(sf.PI, 2100)
+@example(sf.ZETA(Fraction(11, 5)), 2127)
+@example(sf.GAMMA(Fraction(11, 10)), 64)
+@settings(deadline=None, max_examples=30)
+def test_log_memo_brackets_pi_gamma_and_zeta(x, w):
+    """The memo's bounds on 2^w log x for the bases that are not rationals:
+    log pi and log zeta(s) are one log series at the kernel's lower end plus
+    the bracket's relative width, and log Gamma(x) is the Stirling kernel."""
+    lo, hi = sf._log_memo(x, w)
+    _assert_brackets(lo, hi, w, lambda: _mp_log(x))
+
+
 @given(st.fractions(min_value=Fraction(11, 10), max_value=40, max_denominator=20),
        st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
        st.integers(min_value=64, max_value=400))
@@ -669,9 +732,9 @@ def test_hurwitz_kernel_brackets(s, i, D, w):
 @example(Fraction(2), 64)
 @settings(deadline=None, max_examples=50)
 def test_lngamma_kernel_brackets(x, w):
-    t, lo, hi = sf._lngamma_kernel(x, w)
-    with mpmath.workprec(w - t + 64 + abs(hi).bit_length()):
-        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), w - t) <= hi
+    lo, hi = sf._lngamma_kernel(x, w)
+    with mpmath.workprec(w + 64 + abs(hi).bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), w) <= hi
     assert hi - lo <= w
 
 
@@ -727,6 +790,7 @@ def test_alpha_builds_the_tangent_table_once(monkeypatch):
     larger index, runs before Gamma(s/2), whose Stirling cut-off fits in it."""
     monkeypatch.setattr(sf, "_TANGENT_TABLE", ())
     monkeypatch.setattr(sf, "_POINT_CACHE", {})
+    monkeypatch.setattr(sf, "_LOG_MEMO", {})
     sf._em_coefficient.cache_clear()
     sf.bernoulli_number.cache_clear()
     builds = mock.Mock(wraps=sf._tangent_numbers)
@@ -758,6 +822,6 @@ def test_hurwitz_kernel_sound_at_any_cutoff(s, i, D, n_cut, terms):
 @settings(deadline=None, max_examples=60)
 def test_lngamma_kernel_sound_at_any_cutoff(x, terms, shift):
     with mock.patch.object(sf, "_stirling_cutoffs", lambda *_: (terms, shift)):
-        t, lo, hi = sf._lngamma_kernel(x, 64)
-    with mpmath.workprec(128 - t + abs(hi).bit_length()):
-        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), 64 - t) <= hi
+        lo, hi = sf._lngamma_kernel(x, 64)
+    with mpmath.workprec(128 + abs(hi).bit_length()):
+        assert lo <= mpmath.ldexp(mpmath.loggamma(_mp(x)), 64) <= hi
