@@ -44,7 +44,7 @@ from .numberfields import (
     read_data_file,
 )
 from .specfun import (
-    EULER, PI, _cached_point, _least_prime_factors, _log_fixed, _log_point, _power_kernel,
+    EULER, PI, _cached_point, _least_prime_factors, _log_fixed, _power_kernel,
     alpha_factors, log_power_product, power_product, zeta_even_exact,
 )
 
@@ -345,7 +345,8 @@ def n2_degree_threshold(pair: OdlyzkoPair, t: Rational, precision_bits: int = 25
     if t <= 0:
         raise NonPositiveT(f"t must be positive, got {t}")
     terms = _n2_t_terms(t, precision_bits)
-    ln_base = terms.ln_base + terms.log_A_coeff * _log_point(pair.A, precision_bits)
+    log_A = log_power_product(((pair.A, 1),), precision_bits)
+    ln_base = terms.ln_base + terms.log_A_coeff * log_A
     if ln_base.lo <= 0:
         raise DenominatorNotPositive(
             f"threshold base not certified > 1 at (A, E, t) = "

@@ -21,7 +21,7 @@ from typing import (
 from .report import InputError
 from .rigor import Interval, Rational
 from . import specfun
-from .specfun import dirichlet_L_even_coeff, pi_enclosure, sqrt_enclosure, zeta_even_exact
+from .specfun import PI, dirichlet_L_even_coeff, power_product, zeta_even_exact
 
 
 class MalformedCatalog(InputError):
@@ -475,13 +475,7 @@ def dedekind_zeta_enclosure(
     if s not in (2, 4, 6):
         raise UnsupportedArgument(f"zeta_K supported at s in {{2,4,6}}, got {s!r:.80}")
     r = dedekind_zeta_exact_coeff(field, s // 2)
-    D = field.discriminant
-    root = math.isqrt(D)
-    sqrt_D = (
-        Interval.exact(root)
-        if root * root == D
-        else sqrt_enclosure(Interval.exact(D), precision_bits)
+    return power_product(
+        ((r, 1), (PI, s * field.degree), (Fraction(field.discriminant), Fraction(-1, 2))),
+        precision_bits,
     )
-    return (
-        Interval.exact(r) * pi_enclosure(precision_bits).pow_int(s * field.degree) / sqrt_D
-    ).coarsen(precision_bits + 8)

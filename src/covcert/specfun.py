@@ -1,7 +1,7 @@
 """Certified enclosures of the transcendental functions the bounds need.
 
-Provides pi, exp, log, sqrt, Gamma, the Riemann and Hurwitz zeta functions,
-real Dirichlet L-functions, and the Robbins factorial brackets.  Every
+Provides pi, exp, log, sqrt, Gamma, the Riemann zeta function, real
+Dirichlet L-functions, and the Robbins factorial brackets.  Every
 routine returns an :class:`~covcert.rigor.Interval` that provably contains
 the exact value: series are truncated with explicit remainder bounds, and
 all intermediate arithmetic is outward-rounded.
@@ -12,20 +12,19 @@ comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
 kernels cover pi, ln 2, exp and log, power products, log Gamma by the
 Stirling series and Hurwitz zeta by Euler-Maclaurin summation (at a = 1
 only the primes take a power kernel), and every series length, shift and
-cut-off follows from w.
-Their results become intervals with dyadic endpoints; only L, a signed sum
-of Hurwitz values, is exact-rational interval arithmetic.
+cut-off follows from w.  Their results become intervals with dyadic
+endpoints.
 
 A factor table is a tuple of pairs (x, c) of a base x and a rational
 exponent c.  A base is a positive Fraction, ``PI``, ``EULER`` (e),
-``GAMMA(x)`` or ``ZETA(s)``.  ``power_product`` and ``log_power_product``
-enclose prod x^c and sum c log x as cached points of one core, which sums
-c log x from a memo of each base's log, runs one exp series for the
-product, and chooses every guard bit itself.  exp, log and x^e at a
-rational point are the tables ((e, r),), ((r, 1),) and ((x, e),); Gamma,
-log Gamma and alpha are tables too.  Gamma, zeta, L and alpha are evaluated
-at points only: an interval argument that is not a point raises
-``NotAPoint``.
+``GAMMA(x)`` or ``L(D, s)``, whose D = 1 case is ``ZETA(s)``.
+``power_product`` and ``log_power_product`` enclose prod x^c and
+sum c log x as cached points of one core, which sums c log x from a memo of
+each base's log, runs one exp series for the product, and chooses every
+guard bit itself.  pi, Gamma, zeta, L and alpha are tables; so are exp,
+log and x^e at a rational point, ((e, r),), ((r, 1),) and ((x, e),).
+Gamma, zeta, L and alpha are evaluated at points only: an interval argument
+that is not a point raises ``NotAPoint``.
 
 Point evaluations are memoized by ``_cached_point``, whose value for a
 point depends only on the point and the precision asked for, never on what
@@ -38,10 +37,10 @@ every higher rung, and asking for more precision never widens a result,
 whatever the order of the requests.
 
 Precision is relative to a point's magnitude.  A log sum with a rational
-base near 1, or with a base Gamma(x) near lnGamma's zeros at 1 and 2, runs
-at as many more bits as the value loses, fixed before the kernel runs;
-terms of a log sum that cancel leave only absolute precision, as an
-interval sum would.
+base near 1, a base Gamma(x) near lnGamma's zeros at 1 and 2, or a base
+L(D, s) near 1, runs at as many more bits as the value loses, fixed before
+the kernel runs; terms of a log sum that cancel leave only absolute
+precision, as an interval sum would.
 lnGamma(1) = lnGamma(2) = 0 are exact zeros, with no relative precision:
 their enclosure is a bracket a few units of 2^-w wide around 0.
 """
@@ -344,7 +343,7 @@ def _exp_fixed(y_lo: int, y_hi: int, w: int) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# power products: the one core of exp, log, x^e, Gamma and alpha at points
+# power products: the one core of pi, exp, log, x^e, Gamma, zeta, L and alpha at points
 
 
 PI, EULER = "pi", "e"  # the bases pi and e of a factor table
@@ -358,12 +357,20 @@ def GAMMA(x) -> tuple:
     return ("gamma", x)
 
 
-def ZETA(s) -> tuple:
-    """The base zeta(s) of a factor table, for rational s > 1."""
+def L(D: int, s) -> tuple:
+    """The base L(s, chi_D) of a factor table, for rational s > 1 and D = 1
+    or a catalog modulus; chi_1 is trivial, so L(1, s) is zeta(s)."""
+    if D != 1 and D not in SUPPORTED_L_MODULI:
+        raise UnsupportedModulus(f"modulus {D} not supported")
     s = Fraction(s)
     if s <= 1:
-        raise ArgumentNotGreaterThanOne(f"zeta requested at {s}")
-    return ("zeta", s)
+        raise ArgumentNotGreaterThanOne(f"L requested at {s}")
+    return ("L", D, s)
+
+
+def ZETA(s) -> tuple:
+    """The base zeta(s) of a factor table, for rational s > 1."""
+    return L(1, s)
 
 
 # The one memo of logarithms: bounds on 2^top log x for a base x and a scale
@@ -387,11 +394,7 @@ def _log_memo(x, top: int) -> Tuple[int, int]:
             lo, hi = _atanh_kernel(1, 3, top)  # ln 2 = 2 atanh(1/3)
             bounds = 2 * lo, 2 * hi
         elif isinstance(x, tuple):
-            kind, arg = x
-            if kind == "gamma":
-                bounds = _lngamma_kernel(arg, top)
-            else:
-                bounds = _log_bracket(*_hurwitz_kernel(arg, Fraction(1), top), top)
+            bounds = _lngamma_kernel(x[1], top) if x[0] == "gamma" else _log_L(*x[1:], top)
         elif x <= 0:
             raise LogOfNonPositive(f"log of non-positive point {x}")
         else:
@@ -403,9 +406,9 @@ def _log_memo(x, top: int) -> Tuple[int, int]:
 def _log_base(x, w: int) -> Tuple[int, int]:
     """Bounds on 2^w log x.  A rational or pi is cut from the memo at the next
     multiple of 64 bits, and ln 2, which every log and exp kernel reads at its
-    own w, at the next multiple of 512.  Gamma and zeta are read by one table
-    each, so they are memoized at w itself: a larger top would share nothing
-    and cost more series terms."""
+    own w, at the next multiple of 512.  Gamma and L (zeta at D = 1) are read
+    by one table each, so they are memoized at w itself: a larger top would
+    share nothing and cost more series terms."""
     if x == EULER:
         return 1 << w, 1 << w
     if isinstance(x, tuple):
@@ -437,12 +440,17 @@ def _near_one_shift(x) -> int:
     """The leading zero bits beyond 16 of log x's atanh argument (x - 1)/(x + 1),
     which an absolute kernel loses from the relative precision near x = 1.
     Near its zeros lnGamma(x) is about -0.58 (x - 1) or 0.42 (x - 2), so
-    Gamma(x) takes the shift of x or x/2."""
+    Gamma(x) takes the shift of x or x/2.  L(s, chi_D) - 1 is about
+    chi_D(m) m^-s for the least m >= 2 with chi_D(m) != 0, so L(D, s) takes
+    the s log2 m zero bits of that term."""
     if x in (PI, EULER):
         return 0
     if isinstance(x, tuple):
-        kind, arg = x
-        return max(_near_one_shift(arg), _near_one_shift(arg / 2)) if kind == "gamma" else 0
+        if x[0] == "gamma":
+            return max(_near_one_shift(x[1]), _near_one_shift(x[1] / 2))
+        _, D, s = x
+        m = next(k for k in range(2, D + 2) if dirichlet_character(D, k))
+        return max(math.floor(s * math.log2(m)) - 15, 0)
     num, den = x.numerator, x.denominator
     return max((num + den).bit_length() - abs(num - den).bit_length() - 16, 0)
 
@@ -480,26 +488,14 @@ def log_power_product(factors: tuple, prec: int) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# pi
+# pi and sqrt
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
     """Interval containing pi, width <= 2^(-precision_bits + 4)."""
     if precision_bits < 16:
         raise ValueError("precision_bits must be >= 16")
-    return _cached_point(("pi",), precision_bits, _pi_kernel)
-
-
-# ---------------------------------------------------------------------------
-# exp and log at rational points
-
-
-def _exp_point(r: Fraction, prec: int) -> Interval:
-    return power_product(((EULER, r),), prec)
-
-
-def _log_point(r: Fraction, prec: int) -> Interval:
-    return log_power_product(((r, 1),), prec)
+    return power_product(((PI, 1),), precision_bits)
 
 
 def _sqrt_point_lo(r: Fraction, bits: int) -> Fraction:
@@ -574,10 +570,6 @@ def _lngamma_kernel(x: Fraction, w: int) -> Tuple[int, int]:
         lo -= p_hi
         hi -= p_lo
     return _rescale(lo, hi, -guard)
-
-
-def _lngamma_point(x: Fraction, prec: int) -> Interval:
-    return log_power_product(((GAMMA(x), 1),), prec)
 
 
 def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
@@ -678,15 +670,9 @@ def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
     return lo + t_lo, hi + t_hi
 
 
-def _hurwitz_point(s: Fraction, a: Fraction, prec: int) -> Interval:
-    """Hurwitz zeta(s, a) for rational s > 1 and 0 < a <= 1."""
-    return _cached_point(("hurwitz", s, a), prec, partial(_hurwitz_kernel, s, a))
-
-
 def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
     """Enclosure of the Riemann zeta function at a point s > 1."""
-    _, sp = ZETA(_point(s))
-    return _hurwitz_point(sp, Fraction(1), precision_bits)
+    return power_product(((ZETA(_point(s)), 1),), precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -727,22 +713,28 @@ def dirichlet_character(D: int, k: int) -> int:
     return kronecker_symbol(D, k)
 
 
-def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Interval:
-    """Enclosure of L(s, chi_D) at a point s > 1 for catalog moduli, via Hurwitz zeta."""
-    if D not in SUPPORTED_L_MODULI:
-        raise UnsupportedModulus(f"modulus {D} not supported")
-    sp = _point(s)
-    if sp <= 1:
-        raise ArgumentNotGreaterThanOne(f"L requested at {s}")
-    acc = Interval.exact(0)
+def _log_L(D: int, s: Fraction, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w log L(s, chi_D): the log of the signed sum
+    D^s L(s, chi_D) = sum_a chi_D(a) zeta(s, a/D) over 1 <= a <= D, then
+    minus s log D, a log table whose guard bits keep s times log D's ulps
+    within a few ulps."""
+    lo = hi = 0
     for a in range(1, D + 1):
         chi = dirichlet_character(D, a)
-        if chi == 0:
-            continue
-        term = _hurwitz_point(sp, Fraction(a, D), precision_bits)
-        acc = acc + (term if chi == 1 else -term)
-    d_pow = power_product(((Fraction(D), -sp),), precision_bits + GUARD_BITS)
-    return (acc * d_pow).coarsen(precision_bits + 8)
+        if chi:
+            t_lo, t_hi = _hurwitz_kernel(s, Fraction(a, D), w)
+            lo, hi = (lo + t_lo, hi + t_hi) if chi > 0 else (lo - t_hi, hi - t_lo)
+    lo, hi = _log_bracket(lo, hi, w)
+    if D > 1:
+        n, d_lo, d_hi = _log_power_kernel(((Fraction(D), -s),), w)
+        d_lo, d_hi = _rescale(d_lo, d_hi, n)
+        lo, hi = lo + d_lo, hi + d_hi
+    return lo, hi
+
+
+def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Interval:
+    """Enclosure of L(s, chi_D) at a point s > 1, for D = 1 (zeta) or a catalog modulus."""
+    return power_product(((L(D, _point(s)), 1),), precision_bits)
 
 
 def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:

@@ -213,8 +213,8 @@ def test_criterion_11_property_suites():
     # refinement never widens
     cases = (
         lambda p: sf.pi_enclosure(p),
-        lambda p: sf._exp_point(Fraction(46, 100), p),
-        lambda p: sf._log_point(Fraction(2689, 125), p),
+        lambda p: sf.power_product(((sf.EULER, Fraction(46, 100)),), p),
+        lambda p: sf.log_power_product(((Fraction(2689, 125), 1),), p),
         lambda p: sf.sqrt_enclosure(Interval.exact(5), p),
         lambda p: sf.gamma_enclosure(Interval.exact(Fraction(11, 10)), p),
         lambda p: sf.zeta_real_enclosure(Interval.exact(Fraction(11, 5)), p),

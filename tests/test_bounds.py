@@ -104,7 +104,7 @@ def test_zeta_product_single_factor():
     bracket = (
         Interval.exact(sf.zeta_even_exact(1))
         * sf.pi_enclosure(PREC).pow_int(2)
-        * Interval(1, sf._exp_point(Fraction(1, 6), PREC).hi)
+        * Interval(1, sf.power_product(((sf.EULER, Fraction(1, 6)),), PREC).hi)
     )
     assert bracket.lo <= iv.midpoint() <= bracket.hi
     assert iv.width() <= bracket.width()
@@ -142,7 +142,7 @@ def test_zeta_product_matches_interval_route(J, prec):
     for j in range(1, J + 1):
         coeff *= sf.zeta_even_exact(j)
     tail_sum = Fraction(2, 3) * Fraction(1, 4**J)
-    tail = Interval(Fraction(1), sf._exp_point(tail_sum, 64).hi)
+    tail = Interval(Fraction(1), sf.power_product(((sf.EULER, tail_sum),), 64).hi)
     pi_power = sf.pi_enclosure(prec).pow_int(J * (J + 1))
     reference = (Interval.exact(coeff) * pi_power * tail).coarsen(prec + 8)
     enclosure = b.zeta_product_enclosure(prec)

@@ -9,7 +9,7 @@ import sympy
 
 from covcert.report import Comparison, compare
 from covcert.rigor import Interval
-from covcert import numberfields as nf
+from covcert import cli, numberfields as nf
 from covcert import specfun as sf
 
 mpmath.mp.dps = 50
@@ -319,6 +319,53 @@ def test_zeta_quadratic_closed_form_inside_series(catalog):
             )
             assert series.width() < series.lo / 2 ** (PREC - 16), (D, s)
             assert nf.dedekind_zeta_enclosure(field, s, 4 * PREC).subset_of(series), (D, s)
+
+
+# What `covcert field <label> --op zeta --s <s>` printed for every supported
+# field when zeta_K was enclosed by interval arithmetic on pi and sqrt(D_K),
+# before it became one factor table.
+_FIELD_ZETA_PRINTED = {
+    "1.1.1.1": ("1.64493406684823", "1.08232323371114", "1.01734306198445"),
+    "2.2.5.1": ("1.16167119561864", "1.00584297996084", "1.00031128028365"),
+    "2.2.8.1": ("1.43497143373668", "1.06775825918094", "1.01589230224518"),
+    "2.2.12.1": ("1.56219902583328", "1.08023608141184", "1.01727003488684"),
+    "2.2.13.1": ("1.38545748488929", "1.02925140665623", "1.00299432365114"),
+    "2.2.17.1": ("1.85295488456101", "1.13806700381641", "1.03200044550816"),
+    "2.2.21.1": ("1.34961310065052", "1.02018373135904", "1.00175498106972"),
+    "2.2.24.1": ("1.6569622870946", "1.08349363834298", "1.01739872985315"),
+    "3.3.49.1": ("1.06776531286998", "1.0007744256233", "1.00001294498315"),
+}
+
+
+def _mp_zeta_K(field, s):
+    """zeta_K(s) as the product of mpmath's L(s, chi) over the characters of
+    K: the trivial one, chi_D for a quadratic K, and the two cubic
+    characters mod 7 for 3.3.49.1 (3 generates (Z/7)^*)."""
+    if field.degree == 1:
+        characters = [[1]]
+    elif field.degree == 2:
+        D = field.discriminant
+        characters = [[1], [sf.dirichlet_character(D, k) for k in range(D)]]
+    else:
+        log3 = {pow(3, e, 7): e for e in range(6)}
+        omega = mpmath.exp(2j * mpmath.pi / 3)
+        chi = [0] + [omega ** log3[k] for k in range(1, 7)]
+        characters = [[1], chi, [mpmath.conj(c) for c in chi]]
+    return mpmath.re(mpmath.fprod(mpmath.dirichlet(s, chi) for chi in characters))
+
+
+@pytest.mark.parametrize("label", list(_FIELD_ZETA_PRINTED))
+def test_field_zeta_command_output_is_pinned(catalog, capsys, label):
+    """The field command prints the line it printed before zeta_K became one
+    factor table, for every supported field and s = 2, 4, 6, and that line
+    holds mpmath's zeta_K(s) to the 15 digits it prints."""
+    field = nf.field_by_label(catalog, label)
+    for s, printed in zip((2, 4, 6), _FIELD_ZETA_PRINTED[label]):
+        assert cli.main(["field", label, "--op", "zeta", "--s", str(s)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"zeta_{label}({s}) in [{printed}, {printed}]\n"
+        with mpmath.workdps(30):
+            value = _mp_zeta_K(field, s)
+            assert abs(mpmath.mpf(printed) - value) <= mpmath.mpf(10) ** -14 * value, (label, s)
 
 
 def test_zeta_cubic_euler_vs_galois_shortcut(catalog):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from covcert.bounds import pi_n_coefficient
 from covcert.report import Comparison, compare
 from covcert.rigor import Interval
+from covcert import numberfields as nf
 from covcert import specfun as sf
 
 mpmath.mp.dps = 60
@@ -115,7 +116,7 @@ def test_pi_enclosure_oracle():
      Fraction(46, 100), Fraction(25, 7), Fraction(-2949, 20)],
 )
 def test_exp_oracle(r):
-    iv = sf._exp_point(r, PREC)
+    iv = sf.power_product(((sf.EULER, r),), PREC)
     value = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator)
     assert _contains_mp(iv, value)
     assert iv.width() / iv.lo < Fraction(1, 2**130)
@@ -126,7 +127,7 @@ def test_exp_oracle(r):
           Fraction(2689, 125), Fraction(10**12), Fraction(1, 10**12)]
 )
 def test_log_oracle(r):
-    iv = sf._log_point(r, PREC)
+    iv = sf.log_power_product(((r, 1),), PREC)
     value = mpmath.log(mpmath.mpf(r.numerator) / r.denominator)
     assert _contains_mp(iv, value)
     assert iv.width() < Fraction(1, 2**150)
@@ -137,7 +138,7 @@ def test_log_oracle(r):
 def test_log_near_one_delivers_relative_bits(x, prec):
     """log x near 1 is near 0: its kernel runs at as many more bits as the
     atanh argument loses, so the enclosure keeps p - 16 relative bits."""
-    iv = sf._log_point(x, prec)
+    iv = sf.log_power_product(((x, 1),), prec)
     with mpmath.workprec(prec + 400):
         assert _contains_mp(iv, mpmath.log(_mp(x)))
     assert _relative_bits(iv) >= prec - 16, _relative_bits(iv)
@@ -150,7 +151,7 @@ def test_lngamma_near_its_zeros_delivers_relative_bits(x, prec):
     """lnGamma(x) near x = 1 or 2 is near 0: its kernel runs at as many more
     bits as x - 1 or x - 2 has leading zeros, so the enclosure keeps p - 16
     relative bits.  The proof's lnGamma(1.1) is far from both: no shift."""
-    iv = sf._lngamma_point(x, prec)
+    iv = sf.log_power_product(((sf.GAMMA(x), 1),), prec)
     with mpmath.workprec(prec + 400):
         assert _contains_mp(iv, mpmath.loggamma(_mp(x)))
     assert _relative_bits(iv) >= prec - 16, _relative_bits(iv)
@@ -167,17 +168,18 @@ def test_log_pi_oracle(prec):
 
 
 def test_ln2_and_e_oracle():
-    ln2 = sf._log_point(Fraction(2), PREC)  # k = 1 and m = 1: the ln 2 kernel alone
+    # k = 1 and m = 1: the ln 2 kernel alone
+    ln2 = sf.log_power_product(((Fraction(2), 1),), PREC)
     assert _contains_mp(ln2, mpmath.log(2))
     assert ln2.width() < Fraction(1, 2**150)
-    e = sf._exp_point(Fraction(1), PREC)
+    e = sf.power_product(((sf.EULER, Fraction(1)),), PREC)
     assert _contains_mp(e, mpmath.e)
     assert e.width() < Fraction(1, 2**150)
 
 
 def test_log_of_nonpositive_rejected():
     with pytest.raises(sf.LogOfNonPositive):
-        sf._log_point(Fraction(0), PREC)
+        sf.log_power_product(((Fraction(0), 1),), PREC)
 
 
 def test_sqrt_oracle():
@@ -247,17 +249,6 @@ def test_zeta_cross_consistency_even_integers():
         assert compare(em, exact) is Comparison.OVERLAP, j
 
 
-def test_hurwitz_oracle():
-    for s, a in ((Fraction(2), Fraction(1, 5)), (Fraction(4), Fraction(3, 8)),
-                 (Fraction(11, 5), Fraction(7, 12))):
-        iv = sf._hurwitz_point(s, a, PREC)
-        value = mpmath.zeta(
-            mpmath.mpf(s.numerator) / s.denominator,
-            mpmath.mpf(a.numerator) / a.denominator,
-        )
-        assert _contains_mp(iv, value)
-
-
 @pytest.mark.parametrize("D", sf.SUPPORTED_L_MODULI)
 def test_dirichlet_L_oracle(D):
     s = Fraction(2)
@@ -287,6 +278,14 @@ def test_dirichlet_L_even_exact_cross_check():
 def test_unsupported_modulus_rejected():
     with pytest.raises(sf.UnsupportedModulus):
         sf.dirichlet_L_enclosure(7, Interval.exact(2), PREC)
+
+
+@pytest.mark.parametrize("s", [Fraction(11, 10), Fraction(2), Fraction(11, 5), Fraction(21, 2)])
+def test_L_at_modulus_one_is_zeta(s):
+    """chi_1 is trivial, so L(s, chi_1) is zeta(s): the same base, ZETA(s) = L(1, s)."""
+    assert sf.ZETA(s) == sf.L(1, s)
+    iv = sf.dirichlet_L_enclosure(1, Interval.exact(s), PREC)
+    assert compare(iv, sf.zeta_real_enclosure(Interval.exact(s), PREC)) is Comparison.OVERLAP
 
 
 def test_alpha_oracle():
@@ -368,18 +367,18 @@ def test_half_integer_power_delivers_relative_precision(prec):
 
 def _refinement_cases():
     yield lambda p: sf.pi_enclosure(p)
-    yield lambda p: sf._exp_point(Fraction(46, 100), p)
-    yield lambda p: sf._exp_point(Fraction(-2949, 20), p)
-    yield lambda p: sf._exp_point(Fraction(-1, 2), p)
-    yield lambda p: sf._log_point(Fraction(2), p)
+    yield lambda p: sf.power_product(((sf.EULER, Fraction(46, 100)),), p)
+    yield lambda p: sf.power_product(((sf.EULER, Fraction(-2949, 20)),), p)
+    yield lambda p: sf.power_product(((sf.EULER, Fraction(-1, 2)),), p)
+    yield lambda p: sf.log_power_product(((Fraction(2), 1),), p)
     yield lambda p: sf.log_power_product(((sf.PI, 1),), p)
-    yield lambda p: sf._exp_point(Fraction(1), p)
-    yield lambda p: sf._log_point(Fraction(2689, 125), p)
-    yield lambda p: sf._log_point(pi_n_coefficient(53), p)
+    yield lambda p: sf.power_product(((sf.EULER, Fraction(1)),), p)
+    yield lambda p: sf.log_power_product(((Fraction(2689, 125), 1),), p)
+    yield lambda p: sf.log_power_product(((pi_n_coefficient(53), 1),), p)
     yield lambda p: sf.sqrt_enclosure(Interval.exact(5), p)
     yield lambda p: sf.gamma_enclosure(Interval.exact(Fraction(11, 10)), p)
     yield lambda p: sf.zeta_real_enclosure(Interval.exact(Fraction(11, 5)), p)
-    yield lambda p: sf._hurwitz_point(Fraction(2), Fraction(1, 5), p)
+    yield lambda p: sf.log_power_product(((sf.L(24, Fraction(11, 5)), 1),), p)
     yield lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(2), p)
     yield lambda p: sf.alpha_enclosure(Interval.exact(Fraction(22, 10)), p)
     yield lambda p: sf.power_product(((Fraction(5), Fraction(21, 2)),), p)
@@ -415,8 +414,8 @@ def test_refinement_never_widens(make):
 
 def test_point_cache_intersection_is_sound():
     sf._clear_point_cache()
-    wide = sf._exp_point(Fraction(1), 64)
-    narrow = sf._exp_point(Fraction(1), 256)
+    wide = sf.power_product(((sf.EULER, Fraction(1)),), 64)
+    narrow = sf.power_product(((sf.EULER, Fraction(1)),), 256)
     assert narrow.subset_of(wide)
     assert _contains_mp(narrow, mpmath.e)
 
@@ -608,9 +607,13 @@ _factor_tables = st.lists(
 
 
 def _mp_log(x):
-    if isinstance(x, tuple):  # GAMMA(x) or ZETA(s)
-        kind, arg = x
-        return mpmath.loggamma(_mp(arg)) if kind == "gamma" else mpmath.log(mpmath.zeta(_mp(arg)))
+    if isinstance(x, tuple) and x[0] == "gamma":
+        return mpmath.loggamma(_mp(x[1]))
+    if isinstance(x, tuple):  # L(D, s) = D^-s sum_a chi_D(a) zeta(s, a/D); zeta(s) at D = 1
+        _, D, s = x
+        chi = {a: sf.dirichlet_character(D, a) for a in range(1, D + 1)}
+        terms = (c * mpmath.zeta(_mp(s), mpmath.mpf(a) / D) for a, c in chi.items() if c)
+        return mpmath.log(mpmath.mpf(D) ** -_mp(s) * mpmath.fsum(terms))
     if x == sf.PI:
         return mpmath.log(mpmath.pi)
     return mpmath.mpf(1) if x == sf.EULER else mpmath.log(_mp(x))
@@ -645,8 +648,10 @@ _gamma_bases = st.one_of(
 ).map(sf.GAMMA)
 _zeta_bases = st.fractions(min_value=Fraction(11, 10), max_value=60,
                            max_denominator=10).map(sf.ZETA)
+_L_bases = st.builds(sf.L, st.sampled_from(sf.SUPPORTED_L_MODULI),
+                     st.fractions(min_value=Fraction(11, 10), max_value=40, max_denominator=10))
 _special_tables = st.lists(
-    st.tuples(st.one_of(_zeta_bases, _gamma_bases, positive_rationals, st.just(sf.PI)),
+    st.tuples(st.one_of(_zeta_bases, _L_bases, _gamma_bases, positive_rationals, st.just(sf.PI)),
               st.fractions(min_value=-10, max_value=10, max_denominator=10)),
     min_size=1, max_size=4,
 ).map(tuple)
@@ -658,9 +663,11 @@ _special_tables = st.lists(
 @example(((sf.ZETA(60), 1),), 2100)
 @example(((sf.GAMMA(1 + Fraction(1, 2**200)), 1),), 16)
 @example(((sf.GAMMA(2 - Fraction(1, 2**150)), -3), (sf.PI, Fraction(1, 2))), 1024)
+@example(((sf.L(24, 40), 1),), 1024)  # log L near 2^-93: the near-one shift
+@example(((sf.L(5, Fraction(11, 10)), 2), (sf.L(13, 3), -1)), 300)
 @settings(deadline=None, max_examples=25)
 def test_gamma_and_zeta_tables_against_mpmath(factors, prec):
-    """Tables with Gamma and zeta bases keep the promise of the rational ones:
+    """Tables with Gamma, zeta and L bases keep the promise of the rational ones:
     both enclosures hold the mpmath value, the product keeps p - 16 relative
     bits, and the log sum p - 16 bits relative to its terms' magnitudes."""
     product = sf.power_product(factors, prec)
@@ -679,34 +686,56 @@ def test_gamma_and_zeta_bases_reject_points_outside_their_domain():
         sf.GAMMA(0)
     with pytest.raises(sf.ArgumentNotGreaterThanOne):
         sf.ZETA(1)
+    with pytest.raises(sf.UnsupportedModulus):
+        sf.L(7, 2)
+    with pytest.raises(sf.ArgumentNotGreaterThanOne):
+        sf.L(5, 1)
 
 
-@pytest.mark.parametrize("name", ["alpha", "Gamma"])
-def test_alpha_and_gamma_are_one_point_each(monkeypatch, name):
-    """From cold caches, alpha(11/5) and Gamma(11/10) each leave one cached
-    point, the product of their own factor table, and no exp point keyed by
-    an endpoint of an interval."""
+def _zeta_K_2251(prec):
+    field = nf.field_by_label(nf.default_catalog(), "2.2.5.1")
+    return nf.dedekind_zeta_enclosure(field, 2, prec)
+
+
+_ONE_POINT_ENCLOSURES = {
+    "alpha": (lambda p: sf.alpha_enclosure(Interval.exact(Fraction(11, 5)), p),
+              sf.alpha_factors(Fraction(11, 5))),
+    "Gamma": (lambda p: sf.gamma_enclosure(Interval.exact(Fraction(11, 10)), p),
+              ((sf.GAMMA(Fraction(11, 10)), 1),)),
+    "pi": (lambda p: sf.pi_enclosure(p), ((sf.PI, 1),)),
+    "zeta": (lambda p: sf.zeta_real_enclosure(Interval.exact(Fraction(11, 5)), p),
+             ((sf.ZETA(Fraction(11, 5)), 1),)),
+    "L": (lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(2), p), ((sf.L(5, 2), 1),)),
+    # zeta_K(2) = r pi^4 / sqrt(5) with r = 2/75 for Q(sqrt 5)
+    "zeta_K": (_zeta_K_2251, ((Fraction(2, 75), 1), (sf.PI, 4), (Fraction(5), Fraction(-1, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_POINT_ENCLOSURES))
+def test_special_values_are_one_point_each(monkeypatch, name):
+    """From cold caches, alpha(11/5), Gamma(11/10), pi, zeta(11/5),
+    L(2, chi_5) and zeta_K(2) of 2.2.5.1 each leave one cached point, of
+    kind exp: the product of their own factor table, with no point keyed by
+    an endpoint of an interval and no Hurwitz or pi point beside it."""
     monkeypatch.setattr(sf, "_POINT_CACHE", {})
     monkeypatch.setattr(sf, "_LOG_MEMO", {})
-    if name == "alpha":
-        sf.alpha_enclosure(Interval.exact(Fraction(11, 5)), 256)
-    else:
-        sf.gamma_enclosure(Interval.exact(Fraction(11, 10)), 256)
-    assert len(sf._POINT_CACHE) == 1, list(sf._POINT_CACHE)
-    table = (sf.alpha_factors(Fraction(11, 5)) if name == "alpha"
-             else ((sf.GAMMA(Fraction(11, 10)), 1),))
+    enclose, table = _ONE_POINT_ENCLOSURES[name]
+    enclose(256)
     assert list(sf._POINT_CACHE) == [(("exp", table), 256)]
 
 
-@given(st.one_of(st.just(sf.PI), _zeta_bases, _gamma_bases), kernel_bits)
+@given(st.one_of(st.just(sf.PI), _zeta_bases, _L_bases, _gamma_bases), kernel_bits)
 @example(sf.PI, 2100)
 @example(sf.ZETA(Fraction(11, 5)), 2127)
 @example(sf.GAMMA(Fraction(11, 10)), 64)
+@example(sf.L(24, 40), 128)  # s log 24 at a multiple of 64 bits, where log 24 is widest
+@example(sf.L(5, Fraction(11, 10)), 256)  # the Hurwitz values nearly cancel
 @settings(deadline=None, max_examples=30)
 def test_log_memo_brackets_pi_gamma_and_zeta(x, w):
     """The memo's bounds on 2^w log x for the bases that are not rationals:
-    log pi and log zeta(s) are one log series at the kernel's lower end plus
-    the bracket's relative width, and log Gamma(x) is the Stirling kernel."""
+    log pi and log L(s, chi_D) are one log series at the kernel's lower end
+    plus the bracket's relative width (minus s log D for L), and
+    log Gamma(x) is the Stirling kernel."""
     lo, hi = sf._log_memo(x, w)
     _assert_brackets(lo, hi, w, lambda: _mp_log(x))
 
