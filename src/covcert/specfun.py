@@ -10,10 +10,10 @@ Every point value is summed by a fixed-point kernel: integer arithmetic at
 scale 2^w whose lower bound comes from floor divisions and whose upper bound
 comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
 kernels cover pi, ln 2, exp and log, power products, log Gamma by the
-Stirling series and Hurwitz zeta by Euler-Maclaurin summation (at a = 1
-only the primes take a power kernel), and every series length, shift and
-cut-off follows from w.  Their results become intervals with dyadic
-endpoints.
+Stirling series, and zeta and L(s, chi_D) by one Euler-Maclaurin kernel of
+the Dirichlet series, whose terms m^-s take a power kernel only at the
+primes; every series length, shift and cut-off follows from w.  Their
+results become intervals with dyadic endpoints.
 
 A factor table is a tuple of pairs (x, c) of a base x and a rational
 exponent c.  A base is a positive Fraction, ``PI``, ``EULER`` (e),
@@ -394,7 +394,8 @@ def _log_memo(x, top: int) -> Tuple[int, int]:
             lo, hi = _atanh_kernel(1, 3, top)  # ln 2 = 2 atanh(1/3)
             bounds = 2 * lo, 2 * hi
         elif isinstance(x, tuple):
-            bounds = _lngamma_kernel(x[1], top) if x[0] == "gamma" else _log_L(*x[1:], top)
+            bounds = (_lngamma_kernel(x[1], top) if x[0] == "gamma"
+                      else _log_bracket(*_L_kernel(*x[1:], top), top))
         elif x <= 0:
             raise LogOfNonPositive(f"log of non-positive point {x}")
         else:
@@ -578,7 +579,7 @@ def gamma_enclosure(x: Interval, precision_bits: int = 256) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz/Riemann zeta via Euler-Maclaurin
+# zeta and Dirichlet L via Euler-Maclaurin
 
 
 def _hurwitz_cutoffs(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
@@ -610,64 +611,68 @@ def _least_prime_factors(n: int) -> List[int]:
     return least
 
 
-def _hurwitz_terms(s: Fraction, a: Fraction, n_cut: int, w: int) -> List[Tuple[int, int]]:
-    """Bounds lo <= 2^w (k + a)^-s <= hi for k < n_cut.
+def _L_kernel(D: int, s: Fraction, w: int) -> Tuple[int, int]:
+    """Bounds on 2^w L(s, chi_D) for rational s > 1; zeta(s) at D = 1.
 
-    At a = 1 the terms m^-s are completely multiplicative, so only m = 1 and
-    the primes take a power kernel: a composite m with least prime factor p
-    is p^-s (m/p)^-s, the floor and the ceiling product of two earlier
-    brackets, which adds at most about one ulp."""
-    an, ad = a.numerator, a.denominator
-    sigma = float(s)
-    least = _least_prime_factors(n_cut) if a == 1 else None
-    terms: List[Tuple[int, int]] = []
-    for k in range(n_cut):
-        base = k * ad + an
-        p = base if least is None else least[base]
-        if p < base:  # base = k + 1, so m's bracket is terms[m - 1]
-            (p_lo, p_hi), (r_lo, r_hi) = terms[p - 1], terms[base // p - 1]
-            terms.append((p_lo * r_lo >> w, _ceil_shift(p_hi * r_hi, w)))
-            continue
-        # a term near 2^-b, b = s log2(k + a), keeps its absolute error with b fewer bits
-        work = max(w - math.floor(sigma * math.log2(base / ad)), 16)
-        n, t_lo, t_hi = _power_kernel(((Fraction(base, ad), -s),), work)
-        terms.append(_rescale(t_lo, t_hi, n + w - work))
-    return terms
+    L(s, chi_D) = sum_{m<=ND} chi_D(m) m^-s
+                  + sum_{a<=D} chi_D(a) (ND + a)^-s V(N + a/D) + R,
+    V(X) = X/(s-1) + 1/2 + sum_{j<=M} B_2j/(2j)! (s)_(2j-1) X^(1-2j):
+    (ND + a)^-s V(X) is the Euler-Maclaurin tail of D^-s zeta(s, a/D) at
+    X = N + a/D, so N and M are chosen at the least X, N + 1/D.  The
+    derivatives of (a/D + t)^-s have one sign each, so each tail's |R| is at
+    most its M-th term.
 
-
-def _hurwitz_kernel(s: Fraction, a: Fraction, w: int) -> Tuple[int, int]:
-    """Bounds on 2^w * zeta(s, a) for rational s > 1 and 0 < a <= 1.
-
-    zeta(s, a) = sum_{k<N} (k + a)^-s
-                 + X^-s (X/(s-1) + 1/2 + sum_{j<=M} B_2j/(2j)! (s)_(2j-1) X^(1-2j)) + R
-    at X = N + a.  The derivatives of (a + t)^-s have one sign each, so |R| is
-    at most the M-th term."""
-    n_cut, terms = _hurwitz_cutoffs(s, a, w)
+    The terms m^-s are completely multiplicative, so only m = 1 and the primes
+    take a power kernel: a composite m with least prime factor p is
+    p^-s (m/p)^-s, the floor and the ceiling product of two earlier brackets,
+    which adds at most about one ulp.  The sum runs at e = (D - 1).bit_length()
+    more bits, 2^e >= D, so its ulps, about 2 per term, are about 2 N at 2^w."""
+    extra = (D - 1).bit_length()
+    w += extra
+    n_cut, terms = _hurwitz_cutoffs(s, Fraction(1, D), w)
     sn, sd = s.numerator, s.denominator
-    an, ad = a.numerator, a.denominator
-    partial = _hurwitz_terms(s, a, n_cut, w)
-    lo = sum(t_lo for t_lo, _ in partial)
-    hi = sum(t_hi for _, t_hi in partial)
-    xn = n_cut * ad + an  # X = xn / ad
-    q, r = divmod(xn * sd << w, ad * (sn - sd))
-    v_lo = q + (1 << (w - 1))
-    v_hi = v_lo + (r != 0)
-    g_num, g_den = sn * ad, sd * xn  # (s)_(2j-1) / X^(2j-1) at j = 1
-    for j in range(1, terms + 1):
-        c = _em_coefficient(j)
-        q, r = divmod(c.numerator * g_num << w, c.denominator * g_den)
-        v_lo += q
-        v_hi += q + (r != 0)
-        g_num *= (sn + (2 * j - 1) * sd) * (sn + 2 * j * sd) * ad * ad
-        g_den *= sd * sd * xn * xn
-    last = max(-q, q + (r != 0))
-    v_lo -= last
-    v_hi += last
-    n, p_lo, p_hi = _power_kernel(((Fraction(xn, ad), -s),), w)
-    t_lo, t_hi = _rescale(
-        min(p_lo * v_lo, p_hi * v_lo), max(p_lo * v_hi, p_hi * v_hi), n - w
-    )
-    return lo + t_lo, hi + t_hi
+    sigma = float(s)
+    least = _least_prime_factors(n_cut * D)
+    powers: List[Tuple[int, int]] = []  # bounds on 2^w m^-s at m = len(powers) + 1
+    signed = []  # chi and the bounds of each term of the sum
+    for m in range(1, n_cut * D + 1):
+        p = least[m]
+        if p < m:
+            (p_lo, p_hi), (r_lo, r_hi) = powers[p - 1], powers[m // p - 1]
+            powers.append((p_lo * r_lo >> w, _ceil_shift(p_hi * r_hi, w)))
+        else:
+            # a term near 2^-b, b = s log2 m, keeps its absolute error with b fewer bits
+            work = max(w - math.floor(sigma * math.log2(m)), 16)
+            n, t_lo, t_hi = _power_kernel(((Fraction(m), -s),), work)
+            powers.append(_rescale(t_lo, t_hi, n + w - work))
+        signed.append((dirichlet_character(D, m), *powers[-1]))
+    for a in range(1, D + 1):
+        chi = dirichlet_character(D, a)
+        if not chi:
+            continue
+        xn = n_cut * D + a  # X = xn / D
+        q, r = divmod(xn * sd << w, D * (sn - sd))
+        v_lo = q + (1 << (w - 1))
+        v_hi = v_lo + (r != 0)
+        g_num, g_den = sn * D, sd * xn  # (s)_(2j-1) / X^(2j-1) at j = 1
+        for j in range(1, terms + 1):
+            c = _em_coefficient(j)
+            q, r = divmod(c.numerator * g_num << w, c.denominator * g_den)
+            v_lo += q
+            v_hi += q + (r != 0)
+            g_num *= (sn + (2 * j - 1) * sd) * (sn + 2 * j * sd) * D * D
+            g_den *= sd * sd * xn * xn
+        last = max(-q, q + (r != 0))
+        v_lo -= last
+        v_hi += last
+        # D^-s X^-s = (ND + a)^-s, one power kernel of an integer
+        n, p_lo, p_hi = _power_kernel(((Fraction(xn), -s),), w)
+        signed.append((chi, *_rescale(
+            min(p_lo * v_lo, p_hi * v_lo), max(p_lo * v_hi, p_hi * v_hi), n - w
+        )))
+    lo = sum(chi * (t_hi if chi < 0 else t_lo) for chi, t_lo, t_hi in signed)
+    hi = sum(chi * (t_lo if chi < 0 else t_hi) for chi, t_lo, t_hi in signed)
+    return _rescale(lo, hi, -extra)
 
 
 def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
@@ -711,25 +716,6 @@ def kronecker_symbol(a: int, n: int) -> int:
 def dirichlet_character(D: int, k: int) -> int:
     """Real primitive character mod D (fundamental discriminant D > 0)."""
     return kronecker_symbol(D, k)
-
-
-def _log_L(D: int, s: Fraction, w: int) -> Tuple[int, int]:
-    """Bounds on 2^w log L(s, chi_D): the log of the signed sum
-    D^s L(s, chi_D) = sum_a chi_D(a) zeta(s, a/D) over 1 <= a <= D, then
-    minus s log D, a log table whose guard bits keep s times log D's ulps
-    within a few ulps."""
-    lo = hi = 0
-    for a in range(1, D + 1):
-        chi = dirichlet_character(D, a)
-        if chi:
-            t_lo, t_hi = _hurwitz_kernel(s, Fraction(a, D), w)
-            lo, hi = (lo + t_lo, hi + t_hi) if chi > 0 else (lo - t_hi, hi - t_lo)
-    lo, hi = _log_bracket(lo, hi, w)
-    if D > 1:
-        n, d_lo, d_hi = _log_power_kernel(((Fraction(D), -s),), w)
-        d_lo, d_hi = _rescale(d_lo, d_hi, n)
-        lo, hi = lo + d_lo, hi + d_hi
-    return lo, hi
 
 
 def dirichlet_L_enclosure(D: int, s: Interval, precision_bits: int = 256) -> Interval:

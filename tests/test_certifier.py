@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 from string import Formatter
@@ -681,18 +682,18 @@ def test_reports_from_rank_four_on_differ_only_in_rank_and_claims():
 
 
 def test_proof_above_rank_two_does_not_evaluate_hurwitz_zeta(monkeypatch):
-    """zeta(2j) enters the proof only through its closed form; the Hurwitz
-    series runs at rank 2 alone, for alpha(2.2) in the degree threshold.
-    The caches start cold, so a Hurwitz value any proof reads would run
-    the kernel."""
+    """zeta(2j) enters the proof only through its closed form; the
+    Euler-Maclaurin kernel of zeta and L runs at rank 2 alone, for
+    alpha(2.2) in the degree threshold.  The caches start cold, so a zeta
+    or L value any proof reads would run the kernel."""
     calls = []
-    hurwitz_kernel = specfun._hurwitz_kernel
+    L_kernel = specfun._L_kernel
 
     def counted(*args):
         calls.append(args)
-        return hurwitz_kernel(*args)
+        return L_kernel(*args)
 
-    monkeypatch.setattr(specfun, "_hurwitz_kernel", counted)
+    monkeypatch.setattr(specfun, "_L_kernel", counted)
     monkeypatch.setattr(specfun, "_POINT_CACHE", {})
     monkeypatch.setattr(specfun, "_LOG_MEMO", {})
     bounds._n2_t_terms.cache_clear()
@@ -1354,6 +1355,17 @@ def test_process_entry_matches_main(cert_by_rank, tmp_path, monkeypatch, capsysb
             )
         assert (proc.returncode, out_path.read_bytes(), err_path.read_bytes()) == expected, argv
         assert expected[1] or expected[2], argv
+
+
+def test_console_script_entry_point_resolves():
+    """pyproject.toml's ``[project.scripts] covcert`` names the callable
+    ``covcert.cli.run``, so a renamed entry point fails here, not only in
+    an installed script."""
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+        entry = tomllib.load(f)["project"]["scripts"]["covcert"]
+    module, _, name = entry.partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target) and target is cli.run
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

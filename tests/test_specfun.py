@@ -249,15 +249,18 @@ def test_zeta_cross_consistency_even_integers():
         assert compare(em, exact) is Comparison.OVERLAP, j
 
 
+def _mp_L(D, s):
+    """L(s, chi_D) = D^-s sum_a chi_D(a) zeta(s, a/D) by mpmath's Hurwitz
+    zeta, a route independent of the kernel's; zeta(s) at D = 1."""
+    chi = {a: sf.dirichlet_character(D, a) for a in range(1, D + 1)}
+    terms = (c * mpmath.zeta(s, mpmath.mpf(a) / D) for a, c in chi.items() if c)
+    return mpmath.mpf(D) ** -s * mpmath.fsum(terms)
+
+
 @pytest.mark.parametrize("D", sf.SUPPORTED_L_MODULI)
 def test_dirichlet_L_oracle(D):
-    s = Fraction(2)
-    iv = sf.dirichlet_L_enclosure(D, Interval.exact(s), PREC)
-    chi = [sf.dirichlet_character(D, k) for k in range(1, D + 1)]
-    value = mpmath.mpf(D) ** (-2) * mpmath.fsum(
-        chi[a - 1] * mpmath.zeta(2, mpmath.mpf(a) / D) for a in range(1, D + 1)
-    )
-    assert _contains_mp(iv, value)
+    iv = sf.dirichlet_L_enclosure(D, Interval.exact(2), PREC)
+    assert _contains_mp(iv, _mp_L(D, mpmath.mpf(2)))
 
 
 def test_dirichlet_L_even_exact_cross_check():
@@ -305,13 +308,6 @@ def _relative_bits(iv: Interval) -> float:
     return _log2(max(abs(iv.lo), abs(iv.hi))) - _log2(iv.hi - iv.lo)
 
 
-def _mp_L5(s):
-    chi = [sf.dirichlet_character(5, k) for k in range(1, 6)]
-    return mpmath.mpf(5) ** -s * mpmath.fsum(
-        chi[a - 1] * mpmath.zeta(s, mpmath.mpf(a) / 5) for a in range(1, 6)
-    )
-
-
 _S22, _S105, _X11 = Fraction(11, 5), Fraction(21, 2), Fraction(11, 10)
 _PRECISION_CASES = {
     "alpha(2.2)": (
@@ -321,7 +317,7 @@ _PRECISION_CASES = {
     "zeta(2.2)": (lambda p: sf.zeta_real_enclosure(Interval.exact(_S22), p), lambda: mpmath.zeta(_mp(_S22))),
     "zeta(21/2)": (lambda p: sf.zeta_real_enclosure(Interval.exact(_S105), p), lambda: mpmath.zeta(_mp(_S105))),
     "Gamma(11/10)": (lambda p: sf.gamma_enclosure(Interval.exact(_X11), p), lambda: mpmath.gamma(_mp(_X11))),
-    "L(2.2, chi_5)": (lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(_S22), p), lambda: _mp_L5(_mp(_S22))),
+    "L(2.2, chi_5)": (lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(_S22), p), lambda: _mp_L(5, _mp(_S22))),
 }
 # relative bits the fixed-cut-off series delivered at 64 bits, the only
 # precision where they exceeded p - 16 (at 160 bits and above they gave
@@ -609,11 +605,8 @@ _factor_tables = st.lists(
 def _mp_log(x):
     if isinstance(x, tuple) and x[0] == "gamma":
         return mpmath.loggamma(_mp(x[1]))
-    if isinstance(x, tuple):  # L(D, s) = D^-s sum_a chi_D(a) zeta(s, a/D); zeta(s) at D = 1
-        _, D, s = x
-        chi = {a: sf.dirichlet_character(D, a) for a in range(1, D + 1)}
-        terms = (c * mpmath.zeta(_mp(s), mpmath.mpf(a) / D) for a, c in chi.items() if c)
-        return mpmath.log(mpmath.mpf(D) ** -_mp(s) * mpmath.fsum(terms))
+    if isinstance(x, tuple):
+        return mpmath.log(_mp_L(x[1], _mp(x[2])))
     if x == sf.PI:
         return mpmath.log(mpmath.pi)
     return mpmath.mpf(1) if x == sf.EULER else mpmath.log(_mp(x))
@@ -728,29 +721,30 @@ def test_special_values_are_one_point_each(monkeypatch, name):
 @example(sf.PI, 2100)
 @example(sf.ZETA(Fraction(11, 5)), 2127)
 @example(sf.GAMMA(Fraction(11, 10)), 64)
-@example(sf.L(24, 40), 128)  # s log 24 at a multiple of 64 bits, where log 24 is widest
-@example(sf.L(5, Fraction(11, 10)), 256)  # the Hurwitz values nearly cancel
+@example(sf.L(24, 40), 128)  # L - 1 is about 5^-40, so log L is near 2^-93
+@example(sf.L(5, Fraction(11, 10)), 256)  # the terms of the signed sum nearly cancel
 @settings(deadline=None, max_examples=30)
 def test_log_memo_brackets_pi_gamma_and_zeta(x, w):
     """The memo's bounds on 2^w log x for the bases that are not rationals:
     log pi and log L(s, chi_D) are one log series at the kernel's lower end
-    plus the bracket's relative width (minus s log D for L), and
-    log Gamma(x) is the Stirling kernel."""
+    plus the bracket's relative width, and log Gamma(x) is the Stirling
+    kernel."""
     lo, hi = sf._log_memo(x, w)
     _assert_brackets(lo, hi, w, lambda: _mp_log(x))
 
 
+_moduli = st.sampled_from((1,) + sf.SUPPORTED_L_MODULI)
+
+
 @given(st.fractions(min_value=Fraction(11, 10), max_value=40, max_denominator=20),
-       st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
-       st.integers(min_value=64, max_value=400))
-@example(Fraction(11, 5), 1, 1, 208)
-@example(Fraction(117), 1, 3, 81)
+       _moduli, st.integers(min_value=64, max_value=400))
+@example(Fraction(11, 5), 1, 208)
+@example(Fraction(117), 24, 81)
 @settings(deadline=None, max_examples=40)
-def test_hurwitz_kernel_brackets(s, i, D, w):
-    a = Fraction(min(i, D), D)
-    lo, hi = sf._hurwitz_kernel(s, a, w)
+def test_L_kernel_brackets(s, D, w):
+    lo, hi = sf._L_kernel(D, s, w)
     with mpmath.workprec(w + 64 + hi.bit_length()):
-        assert lo <= mpmath.ldexp(mpmath.zeta(_mp(s), _mp(a)), w) <= hi
+        assert lo <= mpmath.ldexp(_mp_L(D, _mp(s)), w) <= hi
     assert hi - lo <= w
 
 
@@ -783,24 +777,27 @@ def _zeta_reference(s: Fraction):
 @pytest.mark.parametrize("s", _ZETA_POINTS)
 @pytest.mark.parametrize("w", _ZETA_BITS)
 def test_zeta_kernel_brackets_with_prime_only_terms(s, w):
-    """At a = 1 only m = 1 and the primes take a power kernel, and each
-    composite term is a product of two brackets.  The sum still brackets
-    zeta(s), within two ulps per partial-sum term plus 16 for the tail."""
+    """Only m = 1 and the primes take a power kernel, and each composite
+    term is a product of two brackets.  The sum still brackets zeta(s), the
+    kernel at D = 1, within two ulps per partial-sum term plus 16 for the tail."""
     n_cut = sf._hurwitz_cutoffs(s, Fraction(1), w)[0]
-    lo, hi = sf._hurwitz_kernel(s, Fraction(1), w)
+    lo, hi = sf._L_kernel(1, s, w)
     with mpmath.workprec(max(_ZETA_BITS) + 72):
         assert lo <= mpmath.ldexp(_zeta_reference(s), w) <= hi
     assert hi - lo <= 2 * n_cut + 16
 
 
-def test_zeta_kernel_runs_power_kernels_for_primes_only(monkeypatch):
-    """zeta(11/5) at w = 2080 runs one power kernel for m = 1, one per prime
-    below the cut-off N and one for the tail X^-s, and builds the tangent
-    table once.  The power kernel is a stand-in that counts its calls; the
+@pytest.mark.parametrize("D", [1, 24])
+def test_zeta_kernel_runs_power_kernels_for_primes_only(monkeypatch, D):
+    """L(11/5, chi_D) at w = 2080, zeta(11/5) at D = 1, runs one power kernel
+    for m = 1, one per prime up to the partial sum's end N D and one for
+    each of the phi(D) tails (N D + a)^-s, and builds the tangent table
+    once.  The power kernel is a stand-in that counts its calls; the
     brackets themselves are checked against mpmath above."""
     s, w = Fraction(11, 5), 2080
-    n_cut = sf._hurwitz_cutoffs(s, Fraction(1), w)[0]
-    primes = [m for m in range(2, n_cut + 1) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+    end = D * sf._hurwitz_cutoffs(s, Fraction(1, D), w + (D - 1).bit_length())[0]
+    primes = [m for m in range(2, end + 1) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+    phi = sum(math.gcd(a, D) == 1 for a in range(1, D + 1))
     monkeypatch.setattr(sf, "_TANGENT_TABLE", ())
     sf._em_coefficient.cache_clear()
     sf.bernoulli_number.cache_clear()
@@ -808,8 +805,8 @@ def test_zeta_kernel_runs_power_kernels_for_primes_only(monkeypatch):
     builds = mock.Mock(wraps=sf._tangent_numbers)
     monkeypatch.setattr(sf, "_power_kernel", pow_calls)
     monkeypatch.setattr(sf, "_tangent_numbers", builds)
-    sf._hurwitz_kernel(s, Fraction(1), w)
-    assert pow_calls.call_count == len(primes) + 2
+    sf._L_kernel(D, s, w)
+    assert pow_calls.call_count == 1 + len(primes) + phi
     assert builds.call_count == 1
 
 
@@ -833,16 +830,14 @@ def test_alpha_builds_the_tangent_table_once(monkeypatch):
 
 
 @given(st.fractions(min_value=Fraction(11, 10), max_value=12, max_denominator=10),
-       st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
-       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
-@example(Fraction(11, 10), 1, 1, 1, 1)
+       _moduli, st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))
+@example(Fraction(11, 10), 1, 1, 1)
 @settings(deadline=None, max_examples=60)
-def test_hurwitz_kernel_sound_at_any_cutoff(s, i, D, n_cut, terms):
-    a = Fraction(min(i, D), D)
+def test_L_kernel_sound_at_any_cutoff(s, D, n_cut, terms):
     with mock.patch.object(sf, "_hurwitz_cutoffs", lambda *_: (n_cut, terms)):
-        lo, hi = sf._hurwitz_kernel(s, a, 64)
+        lo, hi = sf._L_kernel(D, s, 64)
     with mpmath.workprec(128 + hi.bit_length()):
-        assert lo <= mpmath.ldexp(mpmath.zeta(_mp(s), _mp(a)), 64) <= hi
+        assert lo <= mpmath.ldexp(_mp_L(D, _mp(s)), 64) <= hi
 
 
 @given(st.fractions(min_value=1, max_value=20, max_denominator=100),
