@@ -19,11 +19,15 @@ the ``covcert`` package as usual, but its body runs on the first attribute
 access.  So ``verify`` executes ``report.py`` alone, while ``prove``,
 ``optimize`` and ``field`` load what they use when they first use it.
 
-``covcert verify PATH`` builds no parser: when the arguments are exactly
-``verify`` and a path that does not start with ``-``, ``main`` calls the
-verify command directly, and ``argparse`` (with ``gettext`` and ``locale``)
-is never imported.  Every other command line goes through ``build_parser``,
-so every help text and usage error is argparse's own.
+A plain command line builds no parser.  ``_ARGUMENTS`` lists each
+command's help and arguments once; ``build_parser`` replays it into
+argparse, and ``_plain_args`` reads it to parse a line in which every
+option is spelled in full, given once and followed by a valid value that
+does not start with ``-``, and every required argument is present (see its
+docstring).  Such a line, e.g. ``covcert verify PATH`` or ``covcert prove
+--n 4 --format json``, never imports ``argparse`` (with ``gettext`` and
+``locale``).  Every other line goes through ``build_parser``, so every help
+text and usage error is argparse's own.
 
 ``run`` is the process entry point (``python -m covcert.cli`` and the
 installed ``covcert`` script).  It flushes stdout and stderr after ``main``
@@ -111,15 +115,64 @@ def _prime(text: str) -> int:
     return p
 
 
-def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--odlyzko", help="path to the bound-pair table", default=None)
-    p.add_argument("--fields", help="path to the field catalog", default=None)
-    p.add_argument(
+# Each command's help and arguments, as (name, add_argument keywords) in
+# order: ``build_parser`` replays them and ``_plain_args`` reads them.
+_DATA_ARGS = (
+    ("--odlyzko", {"help": "path to the bound-pair table", "default": None}),
+    ("--fields", {"help": "path to the field catalog", "default": None}),
+    (
         "--precision",
-        type=_int_between(16, 8192),
-        default=256,
-        help="working precision in bits (16 to 8192)",
-    )
+        {
+            "type": _int_between(16, 8192),
+            "default": 256,
+            "help": "working precision in bits (16 to 8192)",
+        },
+    ),
+)
+_ARGUMENTS = {
+    "prove": (
+        "run the pipeline for one or all ranks",
+        (
+            # a string default goes through the type like a given value, so that
+            # argparse still counts an explicit "--n 2" as present next to --all
+            (
+                "--n",
+                {
+                    "type": _int_between(2),
+                    "default": "2",
+                    "help": "rank to certify (at least 2, default 2)",
+                },
+            ),
+            (
+                "--all",
+                {
+                    "action": "store_true",
+                    "default": False,
+                    "help": "certify every rank from 2 to 8",
+                },
+            ),
+            ("--format", {"choices": ("json", "text"), "default": "text", "dest": "fmt"}),
+            *_DATA_ARGS,
+        ),
+    ),
+    "optimize": (
+        "run a parameter grid search",
+        (("--case", {"choices": ("n2", "n3"), "required": True}), *_DATA_ARGS),
+    ),
+    "verify": ("re-check a JSON report", (("report", {"help": "path to the report file"}),)),
+    "field": (
+        "inspect one catalog field",
+        (
+            ("label", {"help": "catalog label, e.g. 2.2.5.1"}),
+            ("--op", {"choices": ("zeta", "units", "splitting"), "required": True}),
+            ("--s", {"type": _integer, "default": 2, "help": "zeta argument (even)"}),
+            ("--p", {"type": _prime, "default": 2, "help": "prime below 2^32 for splitting"}),
+            *_DATA_ARGS,
+        ),
+    ),
+}
+# a command line may give at most one of these (argparse's mutually exclusive group)
+_EXCLUSIVE = ("--n", "--all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,40 +183,78 @@ def build_parser() -> argparse.ArgumentParser:
         description="certified verification of minimal-covolume lattice bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    prove = sub.add_parser("prove", help="run the pipeline for one or all ranks")
-    ranks = prove.add_mutually_exclusive_group()
-    # a string default goes through the type like a given value, so that
-    # argparse still counts an explicit "--n 2" as present next to --all
-    ranks.add_argument(
-        "--n",
-        type=_int_between(2),
-        default="2",
-        help="rank to certify (at least 2, default 2)",
-    )
-    ranks.add_argument(
-        "--all", action="store_true", help="certify every rank from 2 to 8"
-    )
-    prove.add_argument(
-        "--format", choices=("json", "text"), default="text", dest="fmt"
-    )
-    _add_data_args(prove)
-
-    opt = sub.add_parser("optimize", help="run a parameter grid search")
-    opt.add_argument("--case", choices=("n2", "n3"), required=True)
-    _add_data_args(opt)
-
-    verify = sub.add_parser("verify", help="re-check a JSON report")
-    verify.add_argument("report", help="path to the report file")
-
-    fld = sub.add_parser("field", help="inspect one catalog field")
-    fld.add_argument("label", help="catalog label, e.g. 2.2.5.1")
-    fld.add_argument("--op", choices=("zeta", "units", "splitting"), required=True)
-    fld.add_argument("--s", type=_integer, default=2, help="zeta argument (even)")
-    fld.add_argument("--p", type=_prime, default=2, help="prime below 2^32 for splitting")
-    _add_data_args(fld)
-
+    for command, (help_text, arguments) in _ARGUMENTS.items():
+        p = sub.add_parser(command, help=help_text)
+        group = None
+        for name, keywords in arguments:
+            if name in _EXCLUSIVE:
+                if group is None:
+                    group = p.add_mutually_exclusive_group()
+                group.add_argument(name, **keywords)
+            else:
+                p.add_argument(name, **keywords)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, if ``argv`` is plain; else None.
+
+    A command line is plain when its first token is a command, and each
+    later token is either one of that command's options, spelled in full,
+    given at most once and followed by its value (``--all`` takes none),
+    or the command's next positional.  No value starts with ``-``, each
+    passes its type and choices, every required option and positional is
+    given, and at most one of ``_EXCLUSIVE`` is.  Defaults are filled in as
+    argparse fills them.  Every other line, help and usage errors included,
+    is argparse's to parse.
+    """
+    if not argv or argv[0] not in _ARGUMENTS:
+        return None
+    arguments = dict(_ARGUMENTS[argv[0]][1])
+    positionals = [name for name in arguments if not name.startswith("-")]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name = token
+            if name not in arguments or name in given:
+                return None
+            if arguments[name].get("action") == "store_true":
+                given[name] = True
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        elif positionals:
+            name = positionals.pop(0)
+        else:
+            return None
+        given[name] = _value(arguments[name], token)
+        if given[name] is None:
+            return None
+    if positionals or all(name in given for name in _EXCLUSIVE):
+        return None
+    namespace = {"command": argv[0]}
+    for name, keywords in arguments.items():
+        if name in given:
+            value = given[name]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+            if isinstance(value, str):
+                value = _value(keywords, value)
+        namespace[keywords.get("dest", name.lstrip("-"))] = value
+    return types.SimpleNamespace(**namespace)
+
+
+def _value(keywords: dict, text: str):
+    """``text`` through an argument's type and choices, or None if argparse would reject it."""
+    try:
+        value = keywords.get("type", str)(text)
+    except Exception:  # argparse converts it again, and reports or raises as it does
+        return None
+    return value if value in keywords.get("choices", (value,)) else None
 
 
 def _cmd_prove(args) -> int:
@@ -248,10 +339,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) == 2 and argv[0] == "verify" and not argv[1].startswith("-"):
-        # the re-checker's command line, which argparse would parse the same way
-        args = types.SimpleNamespace(command="verify", report=argv[1])
-    else:
+    args = _plain_args(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     # bad input ends the command with exit 3 and one line on stderr, not a
     # traceback: a path that cannot be read (OSError), or an input error of

@@ -1,7 +1,10 @@
 """End-to-end tests for the certificate pipeline, serialization, and CLI."""
 
 import ast
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -14,6 +17,8 @@ from pathlib import Path
 from string import Formatter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covcert
 from covcert import bounds
@@ -1098,6 +1103,79 @@ def test_cli_echoes_a_long_argument_on_one_short_line(argv, code, capsys):
     assert all(line.startswith(("usage:", " ")) for line in usage)
 
 
+_OPTIONS = ("--n", "--all", "--format", "--odlyzko", "--fields", "--precision", "--case",
+            "--op", "--s", "--p")
+_VALUES = (
+    "2", "4", "7", "16", "64", "json", "text", "n2", "n3", "zeta", "units", "splitting",
+    "2.2.5.1", "report.json", "",  # valid somewhere
+    "x", "0", "1", "8", "16384", "xml", "n4", "4294967296", "+4", "\u0663",  # invalid somewhere
+    "-3", "-1", "-" + "9" * 40,  # negative
+    "9" * 40, "9" * 5000,  # huge
+    "-x", "--x", "-",  # dash-led
+)
+_TOKENS = st.sampled_from(_OPTIONS + _VALUES + (
+    "--pre", "--fo", "--a", "--c", "--o", "--precision=64", "--n=4", "--format=json",
+    "--", "-h", "--help", "prove", "verify",
+))
+
+
+@st.composite
+def _argv(draw):
+    """A command line: some of the command's own arguments, each once and
+    with a drawn value, in any order, with up to two other tokens inserted."""
+    command = draw(st.sampled_from(sorted(cli._ARGUMENTS) + ["bogus", "-h", "--help", "--"]))
+    arguments = dict(cli._ARGUMENTS.get(command, ("", ()))[1])
+    tokens = [command]
+    for name in draw(st.permutations(list(arguments))):
+        if draw(st.booleans()):
+            if name.startswith("-"):
+                tokens.append(name)
+            if arguments[name].get("action") != "store_true":
+                choices = arguments[name].get("choices")
+                values = st.sampled_from(_VALUES)
+                tokens.append(draw(st.one_of(st.sampled_from(choices), values) if choices else values))
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(1, len(tokens))), draw(_TOKENS))
+    return tokens
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=_argv())
+def test_plain_args_agree_with_argparse(argv):
+    """Whenever ``_plain_args`` parses a command line, argparse parses it
+    without error to the same namespace."""
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli.build_parser().parse_args(argv)
+        assert vars(plain) == vars(parsed)
+
+
+# every command line that perfbench/run.py, perfbench/child.py and the CI
+# workflow run; each must skip argparse
+PLAIN_LINES = [
+    ["prove", "--all", "--format", "json"],
+    *(["prove", "--n", str(n), "--format", "json"] for n in range(2, 9)),
+    *(
+        ["prove", "--n", str(n), "--precision", "64", "--format", "json"]
+        for n in (*range(9, 13), *range(19, 23), *range(29, 35), 53, 55)
+    ),
+    *(["prove", "--n", str(n), "--precision", "256", "--format", "json"] for n in range(3, 9)),
+    ["verify", "report_rank4.json"],
+    ["optimize", "--case", "n3"],
+    ["field", "2.2.5.1", "--op", "zeta"],
+    ["field", "3.3.49.1", "--op", "units"],
+    ["field", "3.3.49.1", "--op", "splitting", "--p", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_LINES, ids=[" ".join(argv) for argv in PLAIN_LINES])
+def test_benchmark_and_ci_lines_are_plain(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
 @pytest.mark.parametrize("n", ["65", "100000"])
 def test_cli_proves_every_rank_from_two(n, tmp_path, capsysbinary):
     """``prove --n`` has no upper limit: a rank above 64 proves and verifies."""
@@ -1222,6 +1300,44 @@ def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch, opened):
     assert opened.count("fields.catalog") == 1
 
 
+def test_data_files_hashed_by_the_builtin_sha256(bad_data):
+    """``read_data_file`` checks each vendored file by the same SHA-256 as
+    hashlib's; a one-byte edit fails the check."""
+    vendored = Path(numberfields.__file__).parent / "data"
+    manifest = numberfields._manifest_digests(vendored / "CHECKSUMS")
+    assert sorted(manifest) == ["fields.catalog", "odlyzko.csv"]
+    for name, expected in manifest.items():
+        data = numberfields.read_data_file(vendored / name)
+        assert numberfields.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest() == expected
+    edited = Path(bad_data["data"]) / "odlyzko.csv"
+    data = bytearray(edited.read_bytes())
+    data[-2] ^= 1  # a digit of the last row
+    edited.write_bytes(bytes(data))
+    for name in manifest:  # fields.catalog has an appended line
+        with pytest.raises(numberfields.InvariantViolation, match="checksum mismatch"):
+            numberfields.read_data_file(Path(bad_data["data"]) / name)
+
+
+def test_data_files_hashed_without_builtin_sha256():
+    """A build without the builtin SHA-256 modules hashes through hashlib."""
+    probe = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "from covcert import bounds, numberfields; "
+        "print(len(bounds.load_odlyzko_table()) > 0, len(numberfields.default_catalog()) > 0, "
+        "'hashlib' in sys.modules)"
+    )
+    src = str(Path(covcert.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert out.split() == ["True", "True", "True"]
+
+
 def test_prove_all_reads_the_table_once(bad_data, opened, capsysbinary):
     """``prove --all`` reads the bound-pair table once for its seven ranks; a
     malformed table is not cached and exits 3 on every attempt."""
@@ -1258,6 +1374,8 @@ results = [(cli.main(["verify", path]), executed()) for path in sys.argv[1:]]
 results.append([name for name in ("argparse", "gettext", "locale", "fractions", "decimal",
                                   "numbers") if name in sys.modules])
 results.append((cli.main(["prove", "--n", "4", "--precision", "64"]), executed()))
+results.append([name for name in ("argparse", "gettext", "locale", "hashlib", "_hashlib")
+                if name in sys.modules])
 print(json.dumps(results))
 """
 
@@ -1267,7 +1385,10 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     malformed report every proof layer stays registered but unexecuted, and
     argparse, gettext and locale are not imported, nor are fractions,
     decimal and numbers: the checker decides by integer arithmetic.
-    ``prove`` in the same process executes every layer but the search."""
+    ``prove`` in the same process executes every layer but the search, and
+    still imports neither argparse, gettext and locale (its command line is
+    plain) nor hashlib and OpenSSL's _hashlib (the data files are hashed by
+    the builtin SHA-256)."""
     honest = tmp_path / "honest.json"
     honest.write_bytes(ct.emit_report(cert_by_rank[4]))
     doc = json.loads(honest.read_bytes())
@@ -1289,6 +1410,7 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     assert results[:4] == [[0, []], [2, []], [3, []], []]
     assert results[4] == [0, ["rigor", "specfun", "numberfields", "bounds", "localfactors",
                               "certifier"]]
+    assert results[5] == []
 
 
 def test_verify_imports_neither_pathlib_nor_typing(cert_by_rank, tmp_path):
@@ -1323,12 +1445,14 @@ PROCESS_ARGV = [
     (["verify", "{honest}", "{honest}"], 2),
     (["verify", "--", "-x"], 3),
     (["prove", "--n", "4", "--format", "json"], 0),
+    (["prove", "-h"], 0),
+    (["prove", "--n", "1"], 2),
 ]
 
 
 def test_process_entry_matches_main(cert_by_rank, tmp_path, monkeypatch, capsysbinary):
     """A ``python -m covcert.cli`` process gives the exit code, stdout and
-    stderr of ``cli.main`` in this process, for the ``verify`` shortcut, the
+    stderr of ``cli.main`` in this process, for plain command lines, the
     parser's help and usage errors, and ``prove``.  Stdout goes to a file,
     block-buffered, so a report line reaches it only through ``run``'s flush."""
     paths = {name: tmp_path / f"{name}.json" for name in ("honest", "tampered", "malformed", "missing")}
