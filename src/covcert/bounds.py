@@ -14,10 +14,9 @@ zeta(2j).  Pi(n) = c_n pi^(-n(n+1)) is only ever the factor table
 ``_pi_n``.  The high-rank bound, its logarithms and their differences, the
 discriminant cutoffs, e^0.46, the sides of the feasibility conditions, the
 rank-3 threshold's denominator and rank 2's log eta + log alpha(t + 1),
-whose bases include Gamma and zeta, are each one factor table: one cached
-point of ``specfun.power_product`` or ``log_power_product``, whose
-precision inside is specfun's choice alone.  The infinite zeta product is one cached point
-too, whose kernel sums its logarithm in fixed point.
+whose bases include Gamma and zeta, and the infinite zeta product are each
+one factor table: one cached point of ``specfun.power_product`` or
+``log_power_product``, whose precision inside is specfun's choice alone.
 
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
@@ -44,8 +43,7 @@ from .numberfields import (
     read_data_file,
 )
 from .specfun import (
-    EULER, PI, _cached_point, _least_prime_factors, _log_fixed, _power_kernel,
-    alpha_factors, log_power_product, power_product, zeta_even_exact,
+    EULER, PI, ZETA_PRODUCT, alpha_factors, log_power_product, power_product, zeta_even_exact,
 )
 
 
@@ -111,68 +109,9 @@ def psi_n_exact(n: int) -> Fraction:
     return c
 
 
-def _prime_powers(limit: int) -> List[Tuple[int, int]]:
-    """(m, k) for every prime power m = p^k <= limit."""
-    least = _least_prime_factors(limit)
-    powers = []
-    for p in [m for m in range(2, limit + 1) if least[m] == m]:
-        m, k = p, 1
-        while m <= limit:
-            powers.append((m, k))
-            m, k = m * p, k + 1
-    return powers
-
-
-def _prime_power_cutoff(J: int, w: int) -> int:
-    """An M, about 2^(w/(2J+1)), with M^-(2J+1) / ((2J+1)(1 - M^-2)) <= 2^-w."""
-    a = 2 * J + 1
-    M = max(2, int(2.0 ** (w / a)))
-    while a * (M**a - M ** (a - 2)) < 1 << w:
-        M += 1
-    return M
-
-
-def _log_zeta_tail(J: int, w: int) -> Tuple[int, int]:
-    """Bounds lo <= 2^w sum_{j>J} log zeta(2j) <= hi, at most 2 apart.
-
-    By the Euler product the sum is sum_{m = p^k} (1/k) / (m^(2J) (m^2 - 1)),
-    summed here over the prime powers m <= M = ``_prime_power_cutoff(J, w + 2)``;
-    the omitted m > M add at most M^-(2J+1) / ((2J+1)(1 - M^-2)).
-    """
-    M = _prime_power_cutoff(J, w + 2)
-    terms = _prime_powers(M)
-    extra = 2 + len(terms).bit_length()  # each term below is off by under one ulp
-    scale = w + extra
-    lo = hi = 0
-    for m, k in terms:
-        q, r = divmod(1 << scale, k * m ** (2 * J) * (m * m - 1))
-        lo += q
-        hi += q + (r != 0)
-    a = 2 * J + 1
-    hi += -(-(1 << scale) // (a * (M**a - M ** (a - 2))))  # the omitted prime powers
-    return lo >> extra, -(-hi >> extra)
-
-
-def _zeta_product_kernel(w: int) -> Tuple[int, int, int]:
-    """n and bounds 2^n lo <= 2^w prod_{j>=1} zeta(2j) <= 2^n hi.  The first
-    J = ceil(w/24) factors are the exact c pi^(J(J+1)), which keeps the tail's
-    prime-power cut-off below 2^14, and the log of the rest is
-    ``_log_zeta_tail``.  c = num/den enters unreduced: its gcd would cost more
-    than its log."""
-    J = -(-w // 24)
-    head = [zeta_even_exact(j) for j in range(1, J + 1)]
-    num, den = math.prod(c.numerator for c in head), math.prod(c.denominator for c in head)
-
-    def head_and_tail(work: int) -> Tuple[int, int]:
-        (h_lo, h_hi), (t_lo, t_hi) = _log_fixed(num, den, work), _log_zeta_tail(J, work)
-        return h_lo + t_lo, h_hi + t_hi
-
-    return _power_kernel(((PI, J * (J + 1)),), w, head_and_tail)
-
-
 def zeta_product_enclosure(precision_bits: int = 256) -> Interval:
     """Enclosure of the infinite product prod_{j>=1} zeta(2j)."""
-    return _cached_point(("zeta_product",), precision_bits, _zeta_product_kernel)
+    return power_product(((ZETA_PRODUCT, 1),), precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +285,10 @@ def n2_degree_threshold(pair: OdlyzkoPair, t: Rational, precision_bits: int = 25
         raise NonPositiveT(f"t must be positive, got {t}")
     terms = _n2_t_terms(t, precision_bits)
     log_A = log_power_product(((pair.A, 1),), precision_bits)
-    ln_base = terms.ln_base + terms.log_A_coeff * log_A
-    if ln_base.lo <= 0:
-        raise DenominatorNotPositive(
-            f"threshold base not certified > 1 at (A, E, t) = "
-            f"({pair.A}, {pair.E}, {t})"
-        )
     # log Psi(2) - logXcoeff
     numerator = terms.numerator - Interval.exact(pair.E * terms.E_coeff)
-    return (numerator / ln_base).coarsen(precision_bits + 8)
+    ln_base = terms.ln_base + terms.log_A_coeff * log_A
+    return _threshold(numerator, ln_base, precision_bits, (pair.A, pair.E, t))
 
 
 def n3_degree_threshold(pair: OdlyzkoPair, precision_bits: int = 256) -> Interval:
@@ -362,15 +296,22 @@ def n3_degree_threshold(pair: OdlyzkoPair, precision_bits: int = 256) -> Interva
 
     The denominator must be certified positive.
     """
-    denom = log_power_product(
+    numerator = Interval.exact(Fraction(15, 2) * pair.E - Fraction(33, 4))
+    denominator = log_power_product(
         ((pair.A, Fraction(15, 2)), (EULER, Fraction(-1299, 100))), precision_bits
     )
-    if denom.lo <= 0:
+    return _threshold(numerator, denominator, precision_bits, (pair.A, pair.E))
+
+
+def _threshold(numerator: Interval, denominator: Interval, precision_bits: int,
+               point: tuple) -> Interval:
+    """numerator / denominator, rounded outward to precision_bits + 8 bits,
+    once the denominator is certified positive at the table point."""
+    if denominator.lo <= 0:
         raise DenominatorNotPositive(
-            f"7.5 log A - 12.99 not certified positive at A = {pair.A}"
+            f"threshold denominator not certified positive at {tuple(map(str, point))}"
         )
-    numer = Interval.exact(Fraction(15, 2) * pair.E - Fraction(33, 4))
-    return (numer / denom).coarsen(precision_bits + 8)
+    return (numerator / denominator).coarsen(precision_bits + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +352,10 @@ def e046_enclosure(precision_bits: int = 256) -> Interval:
 
 
 def n3_D_bound(d: int, precision_bits: int = 256) -> Interval:
-    """Rank-3 cutoff (1372.5 Pi(3)^(1-d) (7.6 * 1.58)^(-d))^(1/7.5)."""
+    """Rank-3 cutoff (750 * 1.83 Pi(3)^(1-d) (7.6 * 1.58)^(-d))^(1/7.5)."""
     if d not in (2, 3):
         raise ValueError("rank-3 cutoff supported for d in {2, 3}")
-    coeff = Fraction(27450, 20) * (_COEFF_7_6 * E_046_LOWER) ** (-d)
+    coeff = 750 * ZETA_PRODUCT_UPPER * (_COEFF_7_6 * E_046_LOWER) ** (-d)
     return _cutoff(coeff, 3, d, Fraction(2, 15), precision_bits)
 
 

@@ -10,19 +10,21 @@ Every point value is summed by a fixed-point kernel: integer arithmetic at
 scale 2^w whose lower bound comes from floor divisions and whose upper bound
 comes from ceiling divisions or an ulp count, so it never takes a gcd.  The
 kernels cover pi, ln 2, exp and log, power products, log Gamma by the
-Stirling series, and zeta and L(s, chi_D) by one Euler-Maclaurin kernel of
+Stirling series, zeta and L(s, chi_D) by one Euler-Maclaurin kernel of
 the Dirichlet series, whose terms m^-s take a power kernel only at the
-primes; every series length, shift and cut-off follows from w.  Their
-results become intervals with dyadic endpoints.
+primes, and the log of prod_{j>=1} zeta(2j) by its first factors' closed
+form and a prime-power sum for the rest; every series length, shift and
+cut-off follows from w.  Their results become intervals with dyadic endpoints.
 
 A factor table is a tuple of pairs (x, c) of a base x and a rational
 exponent c.  A base is a positive Fraction, ``PI``, ``EULER`` (e),
-``GAMMA(x)`` or ``L(D, s)``, whose D = 1 case is ``ZETA(s)``.
-``power_product`` and ``log_power_product`` enclose prod x^c and
-sum c log x as cached points of one core, which sums c log x from a memo of
-each base's log, runs one exp series for the product, and chooses every
-guard bit itself.  pi, Gamma, zeta, L and alpha are tables; so are exp,
-log and x^e at a rational point, ((e, r),), ((r, 1),) and ((x, e),).
+``GAMMA(x)``, ``L(D, s)``, whose D = 1 case is ``ZETA(s)``, or
+``ZETA_PRODUCT``, prod_{j>=1} zeta(2j).  ``power_product`` and
+``log_power_product`` enclose prod x^c and sum c log x as cached points of
+one core, which sums c log x from a memo of each base's log, runs one exp
+series for the product, and chooses every guard bit itself.  pi, Gamma,
+zeta, L, alpha and the zeta product are tables; so are exp, log and x^e at
+a rational point, ((e, r),), ((r, 1),) and ((x, e),).
 Gamma, zeta, L and alpha are evaluated at points only: an interval argument
 that is not a point raises ``NotAPoint``.
 
@@ -373,6 +375,9 @@ def ZETA(s) -> tuple:
     return L(1, s)
 
 
+ZETA_PRODUCT = ("zeta_product",)  # the base prod_{j>=1} zeta(2j) of a factor table
+
+
 # The one memo of logarithms: bounds on 2^top log x for a base x and a scale
 # top, each computed once and depending on (x, top) alone.
 _LOG_MEMO: Dict[Tuple[object, int], Tuple[int, int]] = {}
@@ -393,6 +398,8 @@ def _log_memo(x, top: int) -> Tuple[int, int]:
         elif x == 2:
             lo, hi = _atanh_kernel(1, 3, top)  # ln 2 = 2 atanh(1/3)
             bounds = 2 * lo, 2 * hi
+        elif x == ZETA_PRODUCT:
+            bounds = _log_zeta_product(top)
         elif isinstance(x, tuple):
             bounds = (_lngamma_kernel(x[1], top) if x[0] == "gamma"
                       else _log_bracket(*_L_kernel(*x[1:], top), top))
@@ -407,9 +414,9 @@ def _log_memo(x, top: int) -> Tuple[int, int]:
 def _log_base(x, w: int) -> Tuple[int, int]:
     """Bounds on 2^w log x.  A rational or pi is cut from the memo at the next
     multiple of 64 bits, and ln 2, which every log and exp kernel reads at its
-    own w, at the next multiple of 512.  Gamma and L (zeta at D = 1) are read
-    by one table each, so they are memoized at w itself: a larger top would
-    share nothing and cost more series terms."""
+    own w, at the next multiple of 512.  Gamma, L (zeta at D = 1) and the
+    zeta product are read by one table each, so they are memoized at w itself:
+    a larger top would share nothing and cost more series terms."""
     if x == EULER:
         return 1 << w, 1 << w
     if isinstance(x, tuple):
@@ -444,7 +451,7 @@ def _near_one_shift(x) -> int:
     Gamma(x) takes the shift of x or x/2.  L(s, chi_D) - 1 is about
     chi_D(m) m^-s for the least m >= 2 with chi_D(m) != 0, so L(D, s) takes
     the s log2 m zero bits of that term."""
-    if x in (PI, EULER):
+    if x in (PI, EULER, ZETA_PRODUCT):
         return 0
     if isinstance(x, tuple):
         if x[0] == "gamma":
@@ -466,14 +473,11 @@ def _log_power_kernel(factors: tuple, w: int) -> Tuple[int, int, int]:
     return (-shift, *_log_sum(factors, w + shift))
 
 
-def _power_kernel(factors: tuple, w: int, more=None) -> Tuple[int, int, int]:
+def _power_kernel(factors: tuple, w: int) -> Tuple[int, int, int]:
     """n and bounds 2^n lo <= 2^w prod x^c <= 2^n hi: one log sum, then one
-    exp series.  ``more(work)``, if given, bounds 2^work m to within a few
-    ulps for a further term m of the exponent."""
+    exp series."""
     guard = _guard_bits(factors, w)
-    y_lo, y_hi = _log_sum(factors, w + guard)
-    m_lo, m_hi = more(w + guard) if more else (0, 0)
-    n, lo, hi = _exp_fixed(y_lo + m_lo, y_hi + m_hi, w + guard)
+    n, lo, hi = _exp_fixed(*_log_sum(factors, w + guard), w + guard)
     return (n, *_rescale(lo, hi, -guard))
 
 
@@ -673,6 +677,55 @@ def _L_kernel(D: int, s: Fraction, w: int) -> Tuple[int, int]:
     lo = sum(chi * (t_hi if chi < 0 else t_lo) for chi, t_lo, t_hi in signed)
     hi = sum(chi * (t_lo if chi < 0 else t_hi) for chi, t_lo, t_hi in signed)
     return _rescale(lo, hi, -extra)
+
+
+def _prime_power_cutoff(J: int, w: int) -> int:
+    """An M, about 2^(w/(2J+1)), with M^-(2J+1) / ((2J+1)(1 - M^-2)) <= 2^-w."""
+    a = 2 * J + 1
+    M = max(2, int(2.0 ** (w / a)))
+    while a * (M**a - M ** (a - 2)) < 1 << w:
+        M += 1
+    return M
+
+
+def _log_zeta_tail(J: int, w: int) -> Tuple[int, int]:
+    """Bounds lo <= 2^w sum_{j>J} log zeta(2j) <= hi, at most 2 apart.
+
+    By the Euler product the sum is sum_{m = p^k} (1/k) / (m^(2J) (m^2 - 1)),
+    summed here over the prime powers m <= M = ``_prime_power_cutoff(J, w + 2)``;
+    the omitted m > M add at most M^-(2J+1) / ((2J+1)(1 - M^-2)).
+    """
+    M = _prime_power_cutoff(J, w + 2)
+    least = _least_prime_factors(M)
+    extra = 2 + M.bit_length()  # each of the fewer than M terms is off by under one ulp
+    scale = w + extra
+    lo = hi = 0
+    for p in [p for p in range(2, M + 1) if least[p] == p]:
+        m, k = p, 1
+        while m <= M:
+            q, r = divmod(1 << scale, k * m ** (2 * J) * (m * m - 1))
+            lo += q
+            hi += q + (r != 0)
+            m, k = m * p, k + 1
+    a = 2 * J + 1
+    hi += -(-(1 << scale) // (a * (M**a - M ** (a - 2))))  # the omitted prime powers
+    return lo >> extra, -(-hi >> extra)
+
+
+def _log_zeta_product(w: int) -> Tuple[int, int]:
+    """Bounds on 2^w log prod_{j>=1} zeta(2j).  The first J = ceil(w/24)
+    factors are the exact c pi^(J(J+1)), which keeps the tail's prime-power
+    cut-off below 2^14, and the log of the rest is ``_log_zeta_tail``.
+    c = num/den enters unreduced: its gcd would cost more than its log."""
+    J = -(-w // 24)
+    head = [zeta_even_exact(j) for j in range(1, J + 1)]
+    num, den = math.prod(c.numerator for c in head), math.prod(c.denominator for c in head)
+    pi_power = ((PI, J * (J + 1)),)
+    guard = _guard_bits(pi_power, w)
+    (c_lo, c_hi), (p_lo, p_hi), (t_lo, t_hi) = (
+        _log_fixed(num, den, w + guard), _log_sum(pi_power, w + guard), _log_zeta_tail(J, w + guard)
+    )
+    return _rescale(c_lo + p_lo + t_lo, c_hi + p_hi + t_hi, -guard)
 
 
 def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:

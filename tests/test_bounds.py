@@ -114,7 +114,7 @@ def test_zeta_product_single_factor():
 def test_log_zeta_tail_oracle(J, w):
     """The prime-power sum plus its remainder bound brackets 2^w times
     sum_{j>J} log zeta(2j), and its bounds are at most 2 apart."""
-    lo, hi = b._log_zeta_tail(J, w)
+    lo, hi = sf._log_zeta_tail(J, w)
     with mpmath.workdps(120):
         value = mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(J + 1, J + 400))
         assert lo <= mpmath.ldexp(value, w) <= hi
@@ -125,8 +125,8 @@ def test_log_zeta_tail_oracle(J, w):
 def test_log_zeta_tail_sound_at_any_cutoff(J, M, monkeypatch):
     """A cut-off M far below the request widens the tail but keeps it sound:
     the bound on the omitted prime powers holds for every M."""
-    monkeypatch.setattr(b, "_prime_power_cutoff", lambda *_: M)
-    lo, hi = b._log_zeta_tail(J, 300)
+    monkeypatch.setattr(sf, "_prime_power_cutoff", lambda *_: M)
+    lo, hi = sf._log_zeta_tail(J, 300)
     with mpmath.workdps(120):
         value = mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in range(J + 1, J + 400))
         assert lo <= mpmath.ldexp(value, 300) <= hi
@@ -163,18 +163,31 @@ def test_zeta_product_cutoff_stays_small_at_high_precision(monkeypatch):
     """At 4096 bits the prime powers of the tail stop below 2^14, and the
     enclosure still delivers the bits asked for."""
     cutoffs = []
-    real_cutoff = b._prime_power_cutoff
+    real_cutoff = sf._prime_power_cutoff
 
     def recording_cutoff(J, w):
         cutoffs.append(real_cutoff(J, w))
         return cutoffs[-1]
 
-    monkeypatch.setattr(b, "_prime_power_cutoff", recording_cutoff)
-    monkeypatch.setattr(sf, "_POINT_CACHE", {})  # a cached 4096-bit product runs no kernel
+    monkeypatch.setattr(sf, "_prime_power_cutoff", recording_cutoff)
+    # a cached 4096-bit product, or its cached log, runs no kernel
+    monkeypatch.setattr(sf, "_POINT_CACHE", {})
+    monkeypatch.setattr(sf, "_LOG_MEMO", {})
     prec = 4096
     iv = b.zeta_product_enclosure(prec)
     assert cutoffs and max(cutoffs) < 2**14
     assert iv.width() * 2**prec <= iv.lo
+
+
+def test_bounds_binds_no_private_specfun_object():
+    """Only specfun decides how a special value is cached and guarded: no
+    name in bounds is bound to a private function or cache of specfun."""
+    private = [
+        value for name, value in vars(sf).items()
+        if name.startswith("_") and not name.startswith("__")
+        and (callable(value) or isinstance(value, dict))
+    ]
+    assert [name for name, value in vars(b).items() if any(value is p for p in private)] == []
 
 
 def test_zeta_product_partial_monotone():

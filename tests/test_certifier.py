@@ -741,14 +741,15 @@ def test_ranks_above_four_reuse_the_rank_four_evidence(monkeypatch):
     of ranks 5 to 8 at the same precision run no kernel: they add no point
     and no logarithm to the caches and never sum the zeta-product tail."""
     tails = []
-    log_zeta_tail = bounds._log_zeta_tail
+    log_zeta_tail = specfun._log_zeta_tail
 
     def counted(*args):
         tails.append(args)
         return log_zeta_tail(*args)
 
-    monkeypatch.setattr(bounds, "_log_zeta_tail", counted)
+    monkeypatch.setattr(specfun, "_log_zeta_tail", counted)
     monkeypatch.setattr(specfun, "_POINT_CACHE", {})
+    monkeypatch.setattr(specfun, "_LOG_MEMO", {})
     assert ct.run_case(4, precision_bits=192).all_proved
     assert tails
     points, logs = len(specfun._POINT_CACHE), len(specfun._LOG_MEMO)
@@ -770,6 +771,56 @@ def test_report_bytes_do_not_depend_on_history(n):
             assert ct.emit_report(ct.run_case(n, precision_bits=prec)) == cold, prec
     finally:
         specfun._clear_point_cache()
+
+
+# The SHA-256 of the stdout of each command line.  A change that alters
+# these bytes on purpose pastes the fresh table that a mismatch prints, and
+# names the changed outputs and the reason in CHANGES.md.
+PINNED_DIGESTS = {
+    "prove --all --format json":
+        "61c9717c77b8433198bef74df1c426dea82a0c35c3245d6924bc694b48efe136",
+    "prove --all --format text":
+        "7f9c0ba8494db6671bfce94c314261717ff48d74130e4b21bc1f17414b64a219",
+    "prove --n 2 --precision 16 --format json":
+        "406c85b6a32866f3dffb605082e93d3af5475124065c3091ffea46e407e8b5c9",
+    "prove --n 2 --precision 256 --format json":
+        "b804233de0d2151a02a4b99620f8ed2a12323031947dbe2f828eaa7d7f703620",
+    "prove --n 2 --precision 2048 --format json":
+        "00441732de2f943c317019265a1c486bc5ee780040376f940777a63198d9af49",
+    "prove --n 3 --precision 16 --format json":
+        "999b1e60431ad9334a453916bb65ac6b9596d590259f00d54e504466dbee53d1",
+    "prove --n 3 --precision 256 --format json":
+        "ada4225e3d4edb9ee64577fe23e5853a409651c383ff940f46cb0da37bf01a7e",
+    "prove --n 3 --precision 2048 --format json":
+        "2027c94c99b61dcede58197e3e5cce39ad35972ae7508d2283832d78ee6571cf",
+    "prove --n 4 --precision 16 --format json":
+        "04216563416469bb0b195662e9c885dcdaa55afd7356c2e355d4edc997d78039",
+    "prove --n 4 --precision 256 --format json":
+        "0a45f51373e3e9a712f5f541280237110c040c04166bc83f02604d3ec65eb8e7",
+    "prove --n 4 --precision 2048 --format json":
+        "125422de1016b349e7791cf601796fdddb6e4033184d4e9123669c08929c8452",
+    "prove --n 9 --precision 64 --format json":
+        "c3a2dc16dd466ec8e44093433dfc03e1b0f290d7d36666ecbdac378531dc4125",
+    "prove --n 64 --precision 64 --format json":
+        "11769f454501b5f3f4e6c681e82fcbe481c5c924909329adedb0944a4e16f9a8",
+    "prove --n 1000 --precision 64 --format json":
+        "e37363e2db29cb8799322a16fd5ca6e47b3524db49c5927ed164cc4ce79f9430",
+    "optimize --case n2":
+        "ac8543c27539addc495e41ce4c052b5e60306e3718b4dd10d29a7912495bf21d",
+    "optimize --case n3":
+        "a1c36f42e95765c7c549b28c321c07841c4f9f7788416144e53a7edea76db803",
+}
+
+
+def test_outputs_match_pinned_digests(capsysbinary):
+    """Each pinned command line, run in this process after whatever ran
+    before it, exits 0 and prints the bytes whose digest is pinned."""
+    fresh = {}
+    for line in PINNED_DIGESTS:
+        assert cli.main(line.split()) == cli.EXIT_OK, line
+        fresh[line] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    table = "".join(f'    "{line}":\n        "{digest}",\n' for line, digest in fresh.items())
+    assert fresh == PINNED_DIGESTS, "fresh digests:\n" + table
 
 
 @pytest.mark.parametrize(

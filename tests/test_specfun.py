@@ -15,7 +15,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covcert.bounds import pi_n_coefficient
+from covcert.bounds import pi_n_coefficient, zeta_product_enclosure
 from covcert.report import Comparison, compare
 from covcert.rigor import Interval
 from covcert import numberfields as nf
@@ -603,6 +603,10 @@ _factor_tables = st.lists(
 
 
 def _mp_log(x):
+    if x == sf.ZETA_PRODUCT:
+        # the factors j > J that the sum omits change it by less than 4^-J
+        terms = range(1, mpmath.mp.prec // 2 + 10)
+        return mpmath.fsum(mpmath.log(mpmath.zeta(2 * j)) for j in terms)
     if isinstance(x, tuple) and x[0] == "gamma":
         return mpmath.loggamma(_mp(x[1]))
     if isinstance(x, tuple):
@@ -701,15 +705,17 @@ _ONE_POINT_ENCLOSURES = {
     "L": (lambda p: sf.dirichlet_L_enclosure(5, Interval.exact(2), p), ((sf.L(5, 2), 1),)),
     # zeta_K(2) = r pi^4 / sqrt(5) with r = 2/75 for Q(sqrt 5)
     "zeta_K": (_zeta_K_2251, ((Fraction(2, 75), 1), (sf.PI, 4), (Fraction(5), Fraction(-1, 2)))),
+    "zeta_product": (zeta_product_enclosure, ((sf.ZETA_PRODUCT, 1),)),
 }
 
 
 @pytest.mark.parametrize("name", list(_ONE_POINT_ENCLOSURES))
 def test_special_values_are_one_point_each(monkeypatch, name):
     """From cold caches, alpha(11/5), Gamma(11/10), pi, zeta(11/5),
-    L(2, chi_5) and zeta_K(2) of 2.2.5.1 each leave one cached point, of
-    kind exp: the product of their own factor table, with no point keyed by
-    an endpoint of an interval and no Hurwitz or pi point beside it."""
+    L(2, chi_5), zeta_K(2) of 2.2.5.1 and the zeta product of ``bounds``
+    each leave one cached point, of kind exp: the product of their own
+    factor table, with no point keyed by an endpoint of an interval and no
+    Hurwitz or pi point beside it."""
     monkeypatch.setattr(sf, "_POINT_CACHE", {})
     monkeypatch.setattr(sf, "_LOG_MEMO", {})
     enclose, table = _ONE_POINT_ENCLOSURES[name]
@@ -723,12 +729,14 @@ def test_special_values_are_one_point_each(monkeypatch, name):
 @example(sf.GAMMA(Fraction(11, 10)), 64)
 @example(sf.L(24, 40), 128)  # L - 1 is about 5^-40, so log L is near 2^-93
 @example(sf.L(5, Fraction(11, 10)), 256)  # the terms of the signed sum nearly cancel
+@example(sf.ZETA_PRODUCT, 200)
 @settings(deadline=None, max_examples=30)
 def test_log_memo_brackets_pi_gamma_and_zeta(x, w):
     """The memo's bounds on 2^w log x for the bases that are not rationals:
     log pi and log L(s, chi_D) are one log series at the kernel's lower end
-    plus the bracket's relative width, and log Gamma(x) is the Stirling
-    kernel."""
+    plus the bracket's relative width, log Gamma(x) is the Stirling kernel,
+    and the log of the zeta product sums a closed-form head and a
+    prime-power tail."""
     lo, hi = sf._log_memo(x, w)
     _assert_brackets(lo, hi, w, lambda: _mp_log(x))
 
