@@ -208,6 +208,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
     2: {
         "degree_threshold": _degree_threshold_n2,
         "discriminant_cutoffs": _discriminant_cutoffs_n2,
+        "zeta_product_bound": _zeta_product_bound,
         "refined_cutoffs": _refined_cutoffs_n2,
         **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D in ((3, 49), (2, 8), (2, 5))},
         "local_nonspecial_factor": partial(_local_nonspecial_factor, 3, 2),
@@ -216,6 +217,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
     },
     3: {
         "degree_threshold": _degree_threshold_n3,
+        "zeta_product_bound": _zeta_product_bound,
         "discriminant_cutoffs": _discriminant_cutoffs_n3,
         "refined_cutoffs": _refined_cutoffs_n3,
         "verdict_d2_D5": partial(_verdict, 2, 5, 3),

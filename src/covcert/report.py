@@ -189,6 +189,14 @@ _LOCAL_STAGE = {
     ),
     "A2": ((), AXIOMS["A2"], ()),
 }
+# every rank class's cutoffs or conclusion take the zeta product's bound 1.83
+_ZETA_PRODUCT_BOUND = {
+    "zeta_product_bound": (
+        (),
+        "the infinite product of zeta at even integers is below 1.83",
+        (_lt(ZETA_PRODUCT_UPPER),),
+    ),
+}
 STEP_PLANS: dict[int, dict[str, tuple]] = {
     2: {
         **_AXIOMS_FIRST,
@@ -202,8 +210,9 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "coarse cutoffs bound the discriminants of the candidate fields of degrees 2 to 5",
             (_lt(),) * 4,
         ),
+        **_ZETA_PRODUCT_BOUND,
         "refined_cutoffs": (
-            ("discriminant_cutoffs",),
+            ("discriminant_cutoffs", "zeta_product_bound"),
             "refined cutoffs exclude all candidates of degree 4 and 5, all cubic candidates except "
             "discriminant 49, and all quadratic candidates except discriminants 5 and 8",
             (_lt(14641), _lt(725), _gt(49), _lt(81), _gt(8), _lt(12)),
@@ -240,14 +249,15 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "the optimized rank-3 degree threshold lies below 4, excluding degrees 4 and higher",
             (_lt(4),),
         ),
+        **_ZETA_PRODUCT_BOUND,
         "discriminant_cutoffs": (
-            ("degree_threshold",),
+            ("degree_threshold", "zeta_product_bound"),
             "coarse cutoffs, which take e^0.46 > 1.58, bound the discriminants of the quadratic "
             "and cubic candidate fields",
             (_lt(), _lt(), _gt(E_046_LOWER)),
         ),
         "refined_cutoffs": (
-            ("discriminant_cutoffs",),
+            ("discriminant_cutoffs", "zeta_product_bound"),
             "refined cutoffs exclude every cubic candidate and every quadratic candidate except "
             "discriminant 5",
             (_gt(5), _lt(8), _lt(49)),
@@ -264,11 +274,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "differences in the rank are positive, and the second grows with the rank",
             (_gt(0),) * 3,
         ),
-        "zeta_product_bound": (
-            (),
-            "the infinite product of zeta at even integers is below 1.83",
-            (_lt(ZETA_PRODUCT_UPPER),),
-        ),
+        **_ZETA_PRODUCT_BOUND,
         "high_rank_conclusion": (
             ("inner_factor_ge_one", "zeta_product_bound", "A4"),
             "no field of degree above one yields a smaller covolume at rank {rank}: at rank 4 the "

@@ -69,6 +69,20 @@ def test_dependency_dag(cert_by_rank):
             seen[step.id] = step.verdict
 
 
+@pytest.mark.parametrize("n, users", [
+    (2, ["refined_cutoffs"]),
+    (3, ["discriminant_cutoffs", "refined_cutoffs"]),
+    (4, ["high_rank_conclusion"]),
+])
+def test_every_class_proves_the_zeta_product_bound_it_uses(n, users, cert_by_rank):
+    """Each step whose formula takes prod zeta(2j) < 1.83 (the refined
+    cutoffs, rank 3's coarse cutoffs and the rank >= 4 conclusion) depends
+    on a proved step that records that bound."""
+    cert = cert_by_rank[n]
+    assert [s.id for s in cert.steps if "zeta_product_bound" in s.dependencies] == users
+    assert cert.step("zeta_product_bound").verdict == "Proved"
+
+
 def test_byte_deterministic_reports(cert_by_rank):
     again = ct.run_case(3, precision_bits=PREC)
     assert ct.emit_report(cert_by_rank[3]) == ct.emit_report(again)
@@ -778,21 +792,21 @@ def test_report_bytes_do_not_depend_on_history(n):
 # names the changed outputs and the reason in CHANGES.md.
 PINNED_DIGESTS = {
     "prove --all --format json":
-        "61c9717c77b8433198bef74df1c426dea82a0c35c3245d6924bc694b48efe136",
+        "84344efa698c99f8cc75ae14270a5b0edb158555ea7de2a6f83556482bda3ed9",
     "prove --all --format text":
-        "7f9c0ba8494db6671bfce94c314261717ff48d74130e4b21bc1f17414b64a219",
+        "ef179bc5106e3e8769b6f0b09bcd35c8a43bd94d055ec306f1cdf1d12af5099d",
     "prove --n 2 --precision 16 --format json":
-        "406c85b6a32866f3dffb605082e93d3af5475124065c3091ffea46e407e8b5c9",
+        "0731035a2071d37cfb4f575e0932db64f4513fa253a6dc43b9583cd830219b30",
     "prove --n 2 --precision 256 --format json":
-        "b804233de0d2151a02a4b99620f8ed2a12323031947dbe2f828eaa7d7f703620",
+        "e514c1b3f7a6b006dab6348e034927b1707e197a847fba29b77771694fc8e07d",
     "prove --n 2 --precision 2048 --format json":
-        "00441732de2f943c317019265a1c486bc5ee780040376f940777a63198d9af49",
+        "7d9307a71162de16840b927d2ac72aa431fb2eee52908cac7ff6336362d0db73",
     "prove --n 3 --precision 16 --format json":
-        "999b1e60431ad9334a453916bb65ac6b9596d590259f00d54e504466dbee53d1",
+        "55c8dedd3541b28a92a6578d12b9c3d1c0e8a148fffb6c22f15773ea7ccd2def",
     "prove --n 3 --precision 256 --format json":
-        "ada4225e3d4edb9ee64577fe23e5853a409651c383ff940f46cb0da37bf01a7e",
+        "1b8ecdcfcf386ef1ace520b4ea94082a83befed032e8ea7e74deb9ed41f5a22f",
     "prove --n 3 --precision 2048 --format json":
-        "2027c94c99b61dcede58197e3e5cce39ad35972ae7508d2283832d78ee6571cf",
+        "9f189a5a1b38fa49ce8db592a4b2b66dabf54218c11125640f14dd8feb12b7ce",
     "prove --n 4 --precision 16 --format json":
         "04216563416469bb0b195662e9c885dcdaa55afd7356c2e355d4edc997d78039",
     "prove --n 4 --precision 256 --format json":
