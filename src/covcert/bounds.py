@@ -375,7 +375,7 @@ def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
     """The (A, E) table at ``path``, by default ``odlyzko.csv`` of the data
     directory: CSV rows of plain decimals, digits with an optional fraction
     part and no sign or exponent."""
-    p = Path(path) if path else data_dir() / "odlyzko.csv"
+    p = data_dir() / "odlyzko.csv" if path is None else Path(path)
     return _table_at(p.resolve())
 
 

@@ -116,18 +116,17 @@ def _prime(text: str) -> int:
 
 
 # Each command's help and arguments, as (name, add_argument keywords) in
-# order: ``build_parser`` replays them and ``_plain_args`` reads them.
-_DATA_ARGS = (
-    ("--odlyzko", {"help": "path to the bound-pair table", "default": None}),
-    ("--fields", {"help": "path to the field catalog", "default": None}),
-    (
-        "--precision",
-        {
-            "type": _int_between(16, 8192),
-            "default": 256,
-            "help": "working precision in bits (16 to 8192)",
-        },
-    ),
+# order: ``build_parser`` replays them and ``_plain_args`` reads them.  A
+# command takes only the data paths it reads.
+_ODLYZKO = ("--odlyzko", {"help": "path to the bound-pair table", "default": None})
+_FIELDS = ("--fields", {"help": "path to the field catalog", "default": None})
+_PRECISION = (
+    "--precision",
+    {
+        "type": _int_between(16, 8192),
+        "default": 256,
+        "help": "working precision in bits (16 to 8192)",
+    },
 )
 _ARGUMENTS = {
     "prove": (
@@ -152,12 +151,14 @@ _ARGUMENTS = {
                 },
             ),
             ("--format", {"choices": ("json", "text"), "default": "text", "dest": "fmt"}),
-            *_DATA_ARGS,
+            _ODLYZKO,
+            _FIELDS,
+            _PRECISION,
         ),
     ),
     "optimize": (
         "run a parameter grid search",
-        (("--case", {"choices": ("n2", "n3"), "required": True}), *_DATA_ARGS),
+        (("--case", {"choices": ("n2", "n3"), "required": True}), _ODLYZKO, _PRECISION),
     ),
     "verify": ("re-check a JSON report", (("report", {"help": "path to the report file"}),)),
     "field": (
@@ -167,7 +168,8 @@ _ARGUMENTS = {
             ("--op", {"choices": ("zeta", "units", "splitting"), "required": True}),
             ("--s", {"type": _integer, "default": 2, "help": "zeta argument (even)"}),
             ("--p", {"type": _prime, "default": 2, "help": "prime below 2^32 for splitting"}),
-            *_DATA_ARGS,
+            _FIELDS,
+            _PRECISION,
         ),
     ),
 }

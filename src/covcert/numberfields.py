@@ -237,7 +237,7 @@ def read_data_file(path: Path) -> bytes:
 
 def default_catalog(path: Optional[str] = None) -> Tuple[NumberFieldRecord, ...]:
     """The catalog at ``path``, by default ``fields.catalog`` of the data directory."""
-    p = Path(path) if path else data_dir() / "fields.catalog"
+    p = data_dir() / "fields.catalog" if path is None else Path(path)
     return _catalog_at(p.resolve())
 
 

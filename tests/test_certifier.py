@@ -1127,6 +1127,9 @@ BAD_FLAGS = [
     ),
     (["prove", "--all", "--n", "5"], "not allowed with argument"),
     (["prove", "--n", "2", "--all"], "not allowed with argument"),
+    # a command takes only the data paths it reads
+    (["optimize", "--case", "n3", "--fields", "x"], "unrecognized arguments: --fields x"),
+    (["field", "2.2.5.1", "--op", "units", "--odlyzko", "x"], "unrecognized arguments: --odlyzko x"),
 ]
 
 
@@ -1319,6 +1322,11 @@ BAD_INPUT = [
     ({}, ["prove", "--n", "3", "--odlyzko", LONG_MISSING_PATH]),
     ({}, ["verify", "{tmp}/not_json.json"]),
     ({}, ["prove", "--n", "2", "--fields", "{tmp}/malformed"]),
+    # an empty path names no file: it is not the vendored one
+    ({}, ["prove", "--n", "4", "--precision", "16", "--fields", ""]),
+    ({}, ["prove", "--n", "4", "--precision", "16", "--odlyzko", ""]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", ""]),
+    ({}, ["field", "2.2.5.1", "--op", "units", "--fields", ""]),
 ]
 
 
