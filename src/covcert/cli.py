@@ -120,14 +120,8 @@ def _prime(text: str) -> int:
 # command takes only the data paths it reads.
 _ODLYZKO = ("--odlyzko", {"help": "path to the bound-pair table", "default": None})
 _FIELDS = ("--fields", {"help": "path to the field catalog", "default": None})
-_PRECISION = (
-    "--precision",
-    {
-        "type": _int_between(16, 8192),
-        "default": 256,
-        "help": "working precision in bits (16 to 8192)",
-    },
-)
+_PRECISION = ("--precision", {"type": _int_between(16, 8192), "default": 256,
+                              "help": "working precision in bits (16 to 8192)"})
 _ARGUMENTS = {
     "prove": (
         "run the pipeline for one or all ranks",
@@ -151,9 +145,7 @@ _ARGUMENTS = {
                 },
             ),
             ("--format", {"choices": ("json", "text"), "default": "text", "dest": "fmt"}),
-            _ODLYZKO,
-            _FIELDS,
-            _PRECISION,
+            _ODLYZKO, _FIELDS, _PRECISION,
         ),
     ),
     "optimize": (
@@ -168,8 +160,7 @@ _ARGUMENTS = {
             ("--op", {"choices": ("zeta", "units", "splitting"), "required": True}),
             ("--s", {"type": _integer, "default": 2, "help": "zeta argument (even)"}),
             ("--p", {"type": _prime, "default": 2, "help": "prime below 2^32 for splitting"}),
-            _FIELDS,
-            _PRECISION,
+            _FIELDS, _PRECISION,
         ),
     ),
 }
