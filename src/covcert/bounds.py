@@ -18,6 +18,8 @@ whose bases include Gamma and zeta, and the infinite zeta product are each
 one factor table: one cached point of ``specfun.power_product`` or
 ``log_power_product``, whose precision inside is specfun's choice alone.
 
+``load_odlyzko_table`` parses the bound-pair table; ``numberfields.load_data_file`` reads it.
+
 All decimal constants appearing in the formulas are stored as exact
 rationals; printed decimal values in certificates are reporting artifacts
 only and never feed back into a comparison.
@@ -29,7 +31,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import report
@@ -37,10 +38,9 @@ from .report import InputError
 from .rigor import Comparison, Interval, Rational, iv_compare
 from .numberfields import (
     NumberFieldRecord,
-    data_dir,
     data_fields,
     dedekind_zeta_exact_coeff,
-    read_data_file,
+    load_data_file,
 )
 from .specfun import (
     EULER, PI, ZETA_PRODUCT, alpha_factors, log_power_product, power_product, zeta_even_exact,
@@ -375,19 +375,15 @@ def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
     """The (A, E) table at ``path``, by default ``odlyzko.csv`` of the data
     directory: CSV rows of plain decimals, digits with an optional fraction
     part and no sign or exponent."""
-    p = data_dir() / "odlyzko.csv" if path is None else Path(path)
-    return _table_at(p.resolve())
+    return load_data_file("odlyzko.csv", path, _table_rows)
 
 
 _PLAIN_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?")
 
 
-@lru_cache(maxsize=4)
-def _table_at(path: Path) -> Tuple[OdlyzkoPair, ...]:
-    # keyed on the resolved path, as numberfields._catalog_at; a file that
-    # fails to load raises again on the next call, since errors are not cached
+def _table_rows(data: bytes) -> Tuple[OdlyzkoPair, ...]:
     pairs: List[OdlyzkoPair] = []
-    for lineno, (A, E) in data_fields(read_data_file(path), ",", 2, MalformedTable):
+    for lineno, (A, E) in data_fields(data, ",", 2, MalformedTable):
         for field in (A, E):
             # Fraction alone would also take an exponent and expand it
             # ("1e5000" to 5001 digits), as report._endpoint refuses to

@@ -30,24 +30,12 @@ from typing import Callable, Dict, Optional
 
 from .rigor import Interval
 from . import bounds, localfactors, numberfields
+from .numberfields import DataMissing
 from .report import (  # noqa: F401  (re-exported)
     AXIOMS, FINAL_CONCLUSION, SCHEMA_VERSION, SURVIVING_FIELDS, Certificate, CertificateStep,
     RecordedComparison, SchemaMismatch, TamperDetected, compare, emit_report, rank_class,
     render, step_plan, step_verdict, verify_report,
 )
-
-
-class DataMissing(FileNotFoundError):
-    """A required data file is absent."""
-
-
-def _load_inputs(odlyzko_path: Optional[str], fields_path: Optional[str]):
-    try:
-        table = bounds.load_odlyzko_table(odlyzko_path)
-        catalog = numberfields.default_catalog(fields_path)
-    except FileNotFoundError as exc:
-        raise DataMissing(str(exc)) from exc
-    return table, catalog
 
 
 # Witness points for the degree thresholds: the minima that
@@ -246,7 +234,8 @@ def run_case(
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
-    table, catalog = _load_inputs(odlyzko_path, fields_path)
+    table = bounds.load_odlyzko_table(odlyzko_path)
+    catalog = numberfields.default_catalog(fields_path)
     evidence = _EVIDENCE[rank_class(n)]
     return render(n, precision_bits, {
         step_id: evidence[step_id](table, catalog, precision_bits)

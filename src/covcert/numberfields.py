@@ -4,7 +4,8 @@ Covers the candidate field catalog (a vendored snapshot with checksums),
 fundamental units from Pell's equation, totally-positive unit indices from
 exact Sturm counts of the roots between -1, 0 and 1, Dedekind zeta
 enclosures, and prime splitting data from one F_p route, the degree of
-gcd(x^p - x, f mod p), for every prime.
+gcd(x^p - x, f mod p), for every prime.  ``load_data_file`` alone reads a
+data file, the catalog and ``bounds``' table alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar,
 )
 
 # CPython's builtin SHA-256, which hashlib itself falls back to.  It loads
@@ -33,6 +34,12 @@ from .report import InputError
 from .rigor import Interval, Rational
 from . import specfun
 from .specfun import PI, dirichlet_L_even_coeff, power_product, zeta_even_exact
+
+T = TypeVar("T")
+
+
+class DataMissing(FileNotFoundError):
+    """A required data file is absent."""
 
 
 class MalformedCatalog(InputError):
@@ -194,7 +201,7 @@ def data_fields(
         yield lineno, fields
 
 
-def load_catalog(data: bytes) -> List[NumberFieldRecord]:
+def load_catalog(data: bytes) -> Tuple[NumberFieldRecord, ...]:
     """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv)."""
     records = []
     for lineno, fields in data_fields(data, "|", 5, MalformedCatalog):
@@ -204,15 +211,11 @@ def load_catalog(data: bytes) -> List[NumberFieldRecord]:
         except ValueError as exc:
             raise MalformedCatalog(f"line {lineno}: {exc}") from exc
         records.append(NumberFieldRecord(fields[0].strip(), d, D, h, coeffs))
-    records.sort(key=lambda r: (r.degree, r.discriminant))
-    return records
+    return tuple(sorted(records, key=lambda r: (r.degree, r.discriminant)))
 
 
 def data_dir() -> Path:
-    override = os.environ.get("COVCERT_DATA_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+    return Path(os.environ.get("COVCERT_DATA_DIR") or Path(__file__).parent / "data")
 
 
 def _manifest_digests(manifest: Path) -> Dict[str, str]:
@@ -235,16 +238,27 @@ def read_data_file(path: Path) -> bytes:
     return data
 
 
+def load_data_file(name: str, path: Optional[str], parse: Callable[[bytes], T]) -> T:
+    """``parse`` of the checked bytes at ``path``, or of ``name`` in ``data_dir()``
+    if None.  An empty path is an ``InputError``, a missing file ``DataMissing``.
+    Results, not errors, are cached by parser and resolved path."""
+    if path == "":
+        raise InputError(f"{name}: an empty path names no file")
+    resolved = (data_dir() / name if path is None else Path(path)).resolve()
+    try:
+        return _parsed(parse, resolved)
+    except FileNotFoundError as exc:
+        raise DataMissing(f"{name}: no file at {resolved}") from exc
+
+
+@lru_cache(maxsize=8)
+def _parsed(parse: Callable[[bytes], T], path: Path) -> T:
+    return parse(read_data_file(path))
+
+
 def default_catalog(path: Optional[str] = None) -> Tuple[NumberFieldRecord, ...]:
     """The catalog at ``path``, by default ``fields.catalog`` of the data directory."""
-    p = data_dir() / "fields.catalog" if path is None else Path(path)
-    return _catalog_at(p.resolve())
-
-
-@lru_cache(maxsize=4)
-def _catalog_at(path: Path) -> Tuple[NumberFieldRecord, ...]:
-    # keyed on the resolved path, so a changed COVCERT_DATA_DIR is read afresh
-    return tuple(load_catalog(read_data_file(path)))
+    return load_data_file("fields.catalog", path, load_catalog)
 
 
 def fields_by_degree_below(

@@ -11,7 +11,6 @@ import random
 import shutil
 import subprocess
 import sys
-import tomllib
 from fractions import Fraction
 from pathlib import Path
 from string import Formatter
@@ -1342,6 +1341,26 @@ def test_cli_bad_input(env, argv, bad_data, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     if any(len(arg) > 200 for arg in argv):  # a long path is echoed in part
         assert len(err.encode()) < 160, err[:200]
+    if "" in argv:  # an empty path names the data file it stood for, not the working directory
+        name = {"--fields": "fields.catalog", "--odlyzko": "odlyzko.csv"}[argv[argv.index("") - 1]]
+        assert name in err and os.getcwd() not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--n", "3", "--fields", "{missing}"],
+        ["optimize", "--case", "n3", "--odlyzko", "{missing}"],
+        ["field", "2.2.5.1", "--op", "units", "--fields", "{missing}"],
+    ],
+    ids=["prove", "optimize", "field"],
+)
+def test_cli_missing_data_file(argv, tmp_path, capsys):
+    """A missing data file exits 3 as DataMissing under every command that reads one."""
+    missing = str(tmp_path / "missing.csv")
+    assert cli.main([arg.format(missing=missing) for arg in argv]) == cli.EXIT_DATA_MISSING
+    err = capsys.readouterr().err
+    assert err.startswith("DataMissing: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture
@@ -1361,7 +1380,7 @@ def opened(monkeypatch):
 def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch, opened):
     """Each load hashes and parses one read, once per path; a changed data
     directory is read afresh."""
-    bounds._table_at.cache_clear()
+    numberfields._parsed.cache_clear()
     bounds.load_odlyzko_table()
     bounds.load_odlyzko_table()
     assert opened.count("odlyzko.csv") == 1
@@ -1414,7 +1433,7 @@ def test_data_files_hashed_without_builtin_sha256():
 def test_prove_all_reads_the_table_once(bad_data, opened, capsysbinary):
     """``prove --all`` reads the bound-pair table once for its seven ranks; a
     malformed table is not cached and exits 3 on every attempt."""
-    bounds._table_at.cache_clear()
+    numberfields._parsed.cache_clear()
     assert cli.main(["prove", "--all", "--precision", str(PREC)]) == cli.EXIT_OK
     assert opened.count("odlyzko.csv") == 1
     malformed = ["prove", "--n", "3", "--odlyzko", f"{bad_data['tmp']}/malformed"]
@@ -1558,6 +1577,7 @@ def test_console_script_entry_point_resolves():
     """pyproject.toml's ``[project.scripts] covcert`` names the callable
     ``covcert.cli.run``, so a renamed entry point fails here, not only in
     an installed script."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
         entry = tomllib.load(f)["project"]["scripts"]["covcert"]
     module, _, name = entry.partition(":")

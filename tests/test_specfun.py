@@ -251,10 +251,18 @@ def test_zeta_cross_consistency_even_integers():
 
 def _mp_L(D, s):
     """L(s, chi_D) = D^-s sum_a chi_D(a) zeta(s, a/D) by mpmath's Hurwitz
-    zeta, a route independent of the kernel's; zeta(s) at D = 1."""
-    chi = {a: sf.dirichlet_character(D, a) for a in range(1, D + 1)}
-    terms = (c * mpmath.zeta(s, mpmath.mpf(a) / D) for a, c in chi.items() if c)
-    return mpmath.mpf(D) ** -s * mpmath.fsum(terms)
+    zeta, a route independent of the kernel's; zeta(s) at D = 1.  Memoized
+    per (D, s, working precision), since the Hurwitz sums dominate the
+    oracles' time."""
+    return _mp_L_at(D, s, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _mp_L_at(D, s, prec):
+    with mpmath.workprec(prec):
+        chi = {a: sf.dirichlet_character(D, a) for a in range(1, D + 1)}
+        terms = (c * mpmath.zeta(s, mpmath.mpf(a) / D) for a, c in chi.items() if c)
+        return mpmath.mpf(D) ** -s * mpmath.fsum(terms)
 
 
 @pytest.mark.parametrize("D", sf.SUPPORTED_L_MODULI)
@@ -654,6 +662,34 @@ _special_tables = st.lists(
 ).map(tuple)
 
 
+def _written_bits(r: Fraction) -> int:
+    return max(r.numerator.bit_length(), r.denominator.bit_length())
+
+
+def _near_zero_bits(r: Fraction) -> int:
+    """About -log2 |log r| for r near 1: log r is about (r - 1)."""
+    return max(r.denominator.bit_length() - abs(r.numerator - r.denominator).bit_length() + 1, 0)
+
+
+def _oracle_bits(x) -> int:
+    """Bits beyond the asked precision at which mpmath holds log x to that
+    precision relative to its own size: the bits of the base as written, so
+    that its numerator and denominator are exact, and the zero bits of log x
+    near 0.  Near its zeros at 1 and 2, lnGamma(x) is about -0.58 (x - 1) or
+    0.42 (x - 2); log L(s, chi_D) is about chi_D(m) m^-s, m >= 2 the least
+    with chi_D(m) != 0.  Worked out here, not by specfun's ``_near_one_shift``,
+    so that the oracle's precision does not come from the code it checks."""
+    if x in (sf.PI, sf.EULER, sf.ZETA_PRODUCT):
+        return 0
+    if not isinstance(x, tuple):
+        return _written_bits(x) + _near_zero_bits(x)
+    if x[0] == "gamma":
+        return _written_bits(x[1]) + max(_near_zero_bits(x[1]), _near_zero_bits(x[1] / 2) + 2)
+    _, D, s = x
+    m = next(k for k in range(2, D + 2) if sf.dirichlet_character(D, k))
+    return _written_bits(s) + math.ceil(s * math.log2(m)) + 1
+
+
 @given(_special_tables, st.integers(min_value=16, max_value=2100))
 @example(sf.alpha_factors(Fraction(11, 5)), 2048)
 @example(((sf.ZETA(60), 1),), 64)
@@ -662,14 +698,23 @@ _special_tables = st.lists(
 @example(((sf.GAMMA(2 - Fraction(1, 2**150)), -3), (sf.PI, Fraction(1, 2))), 1024)
 @example(((sf.L(24, 40), 1),), 1024)  # log L near 2^-93: the near-one shift
 @example(((sf.L(5, Fraction(11, 10)), 2), (sf.L(13, 3), -1)), 300)
+@example(((sf.GAMMA(Fraction(693, 100)), 10),), 16)  # value 2^-128 from the ends, not 2^-(p + 47)
+@example(((sf.ZETA(2), 1), (sf.PI, -2), (Fraction(6), 1)), 16)  # zeta(2) = pi^2/6: terms that cancel
 @settings(deadline=None, max_examples=25)
 def test_gamma_and_zeta_tables_against_mpmath(factors, prec):
     """Tables with Gamma, zeta and L bases keep the promise of the rational ones:
     both enclosures hold the mpmath value, the product keeps p - 16 relative
-    bits, and the log sum p - 16 bits relative to its terms' magnitudes."""
+    bits, and the log sum p - 16 bits relative to its terms' magnitudes.  An
+    enclosure's ends lie at least 2^-rung of its magnitude from its value,
+    rung <= max(p + 47, 128) (``specfun._cached_point``), and a log sum
+    whose terms cancel is a few units of 2^-(rung + 32 + g) wide, g < 24 the
+    kernel's guard bits.  So the oracle runs at max(p + 48, 128), plus the
+    bits its bases need, plus 128 for those 32 + g, the terms' sizes (below
+    2^14) and mpmath's last bits."""
     product = sf.power_product(factors, prec)
     log_sum = sf.log_power_product(factors, prec)
-    with mpmath.workprec(prec + 800):
+    bits = max(prec + 48, 128) + max(_oracle_bits(x) for x, _ in factors) + 128
+    with mpmath.workprec(bits):
         terms = [_mp(Fraction(c)) * _mp_log(x) for x, c in factors]
         assert _contains_mp(product, mpmath.exp(mpmath.fsum(terms)))
         assert _contains_mp(log_sum, mpmath.fsum(terms))
