@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
 3 data missing, unreadable or malformed, a bound-pair table with no row for
 the search, a report that does not parse, or an unsupported field
-operation, 4 an unresolved tie at maximum precision, 141 (128 + SIGPIPE, as
+operation, 4 an unresolved tie at the asked precision, 141 (128 + SIGPIPE, as
 a shell reports for ``yes | head -1``) stdout was a pipe whose reader went
 away.
 
@@ -77,6 +77,12 @@ EXIT_STEP_FAILED = 2
 EXIT_DATA_MISSING = 3
 EXIT_TIE = 4
 EXIT_BROKEN_PIPE = 141
+
+# the interpreter's limit on the digits of an int read or written as text,
+# whatever PYTHONINTMAXSTRDIGITS says: Python's default, which every endpoint
+# up to --precision 8192 fits (about 2470 digits), while ``verify`` still
+# rejects a longer integer as malformed
+INT_MAX_STR_DIGITS = 4300
 
 
 def _type_error(message: str) -> Exception:
@@ -359,8 +365,11 @@ def run() -> None:
     with exit 141 and writes nothing to stderr.  A ``SystemExit`` (help,
     usage errors) or any other uncaught exception leaves the normal way, and
     so does a flush that fails for another reason, e.g. a full disk, so the
-    interpreter reports it as before.
+    interpreter reports it as before.  The integer-digit limit is set to
+    ``INT_MAX_STR_DIGITS`` first, so the environment cannot change it.
     """
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 on
+        sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
     try:
         code = main()
     except BrokenPipeError:

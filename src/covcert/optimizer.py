@@ -7,9 +7,9 @@ only the searches.  Proofs evaluate the thresholds at the stated minima and
 never import this module.
 
 Every comparison used to select a minimum is a certified interval
-comparison.  When enclosures overlap at the minimum, the search refines
-precision up to four times the starting precision, and any remaining
-overlaps are reported as ties rather than silently broken.
+comparison at the asked precision.  A point whose enclosure overlaps the
+running minimum is reported as a tie rather than silently broken, as a
+proof step records a ``Tie``; a rerun at a higher precision may resolve it.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def _minimize(
 ) -> Tuple[Interval, Tuple[Fraction, Fraction, Optional[Fraction]], List]:
     """Deterministic reduction: scan points in lexicographic order.
 
-    ``evaluate`` returns None for infeasible points.  Overlapping
-    candidates at the running minimum are re-evaluated at 2x and 4x
-    precision before being recorded as ties.
+    ``evaluate`` returns None for infeasible points.  Every point is
+    evaluated once, at ``precision_bits``; one that overlaps the running
+    minimum is recorded as a tie.
     """
     ordered = sorted(points, key=lambda p: (p[0], p[1], p[2] if p[2] is not None else 0))
     best_key = None
@@ -75,16 +75,6 @@ def _minimize(
             best_key, best_val = key, val
             continue
         verdict = iv_compare(val, best_val)
-        if verdict is Comparison.OVERLAP:
-            for factor in (2, 4):
-                refined_new = evaluate(key, precision_bits * factor)
-                refined_best = evaluate(best_key, precision_bits * factor)
-                if refined_new is None or refined_best is None:
-                    break
-                val, best_val = refined_new, refined_best
-                verdict = iv_compare(val, best_val)
-                if verdict is not Comparison.OVERLAP:
-                    break
         if verdict is Comparison.CERTAINLY_LESS:
             best_key, best_val = key, val
             ties = []
@@ -109,7 +99,8 @@ def _search(
     if not table:
         raise EmptyTable("bound-pair table is empty")
     by_key = {(p.A, p.E): p for p in table}
-    points = [(p.A, p.E, t) for p in table for t in ts]
+    # a repeated row is one point: its enclosure would overlap itself
+    points = [(A, E, t) for A, E in by_key for t in ts]
 
     def evaluate(key, prec):
         try:

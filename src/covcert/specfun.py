@@ -738,14 +738,8 @@ def zeta_real_enclosure(s: Interval, precision_bits: int = 256) -> Interval:
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for n >= 0."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
+    """Kronecker symbol (a|n) for n >= 1."""
     result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
     # factor out twos from n
     while n % 2 == 0:
         n //= 2

@@ -248,6 +248,10 @@ def _anchor_null(doc):
     _step(doc, "degree_threshold")["anchor"] = None
 
 
+def _dependency_not_string(doc):
+    _step(doc, "degree_threshold")["dependencies"].append(7)
+
+
 def _cut_and_unknown_verdict(doc):
     _cut_to_two_steps(doc)
     doc["steps"].append(dict(doc["steps"][-1], id="extra", verdict="Plausible"))
@@ -277,6 +281,7 @@ def _cut_and_unknown_verdict(doc):
         (_rank_not_int, ct.SchemaMismatch),
         (_precision_below_16, ct.SchemaMismatch),
         (_step_precision_differs, ct.SchemaMismatch),
+        (_dependency_not_string, ct.SchemaMismatch),
         (_tie_without_overlap, ct.TamperDetected),
         (_failed_with_overlap, ct.TamperDetected),
     ],
@@ -287,6 +292,17 @@ def test_verify_rejects_forged_and_malformed(cert_by_rank, mutate, error):
     mutate(doc)
     with pytest.raises(error):
         ct.verify_report(json.dumps(doc).encode())
+
+
+def test_cli_verify_names_a_dependency_that_is_not_a_string(cert_by_rank, tmp_path, capsys):
+    doc = json.loads(ct.emit_report(cert_by_rank[2]).decode())
+    _dependency_not_string(doc)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_DATA_MISSING
+    assert capsys.readouterr().err == (
+        "SchemaMismatch: step degree_threshold: dependency 7 is not a string\n"
+    )
 
 
 def test_verify_rejects_forged_rank9_reports():
@@ -1326,6 +1342,8 @@ BAD_INPUT = [
     ({}, ["prove", "--n", "4", "--precision", "16", "--odlyzko", ""]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", ""]),
     ({}, ["field", "2.2.5.1", "--op", "units", "--fields", ""]),
+    # UnsupportedField: no splitting rule for a quartic field
+    ({}, ["field", "4.4.725.1", "--op", "splitting", "--p", "5"]),
 ]
 
 
@@ -1571,6 +1589,48 @@ def test_process_entry_matches_main(cert_by_rank, tmp_path, monkeypatch, capsysb
             )
         assert (proc.returncode, out_path.read_bytes(), err_path.read_bytes()) == expected, argv
         assert expected[1] or expected[2], argv
+
+
+def _widened_endpoint(data: bytes) -> bytes:
+    """A report with its first fraction endpoint p/q written as (p 10^k)/(q 10^k),
+    its numerator longer than ``cli.INT_MAX_STR_DIGITS`` digits."""
+    doc = json.loads(data)
+    for step in doc["steps"]:
+        for enclosure in step["enclosures"]:
+            for i, text in enumerate(enclosure):
+                if "/" in text:
+                    num, den = text.split("/")
+                    zeros = "0" * cli.INT_MAX_STR_DIGITS
+                    enclosure[i] = f"{num}{zeros}/{den}{zeros}"
+                    return json.dumps(doc).encode()
+    raise AssertionError("no fraction endpoint")
+
+
+def test_integer_digit_limit_of_the_environment_is_ignored(tmp_path):
+    """With PYTHONINTMAXSTRDIGITS at 640, below a 4096-bit report's longest
+    endpoint, or at 0, no limit, a ``python -m covcert.cli`` process writes
+    the same report as without it and verifies it; an endpoint longer than
+    ``cli.INT_MAX_STR_DIGITS`` digits is still malformed (exit 3)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(covcert.__file__).parent.parent)}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    prove = [sys.executable, "-m", "covcert.cli", "prove", "--n", "4", "--precision", "4096",
+             "--format", "json"]
+    honest = subprocess.run(prove, capture_output=True, env=env, timeout=120, check=True).stdout
+    assert max(len(part) for part in honest.replace(b"/", b'"').split(b'"')) > 640
+    path, widened = tmp_path / "report.json", tmp_path / "widened.json"
+    widened.write_bytes(_widened_endpoint(honest))
+    for digits in ("640", "0"):
+        limited = {**env, "PYTHONINTMAXSTRDIGITS": digits}
+        proc = subprocess.run(prove, capture_output=True, env=limited, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, honest, b""), digits
+        path.write_bytes(proc.stdout)
+        for report_path, code, out in ((path, 0, b"verdict: Proved\n"), (widened, 3, b"")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "covcert.cli", "verify", str(report_path)],
+                capture_output=True, env=limited, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (code, out), (digits, report_path)
+        assert b"SchemaMismatch" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_console_script_entry_point_resolves():

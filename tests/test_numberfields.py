@@ -345,7 +345,8 @@ def _mp_zeta_K(field, s):
         characters = [[1]]
     elif field.degree == 2:
         D = field.discriminant
-        characters = [[1], [sf.dirichlet_character(D, k) for k in range(D)]]
+        # chi_D has period D and takes k >= 1, so chi_D(0) is read as chi_D(D)
+        characters = [[1], [sf.dirichlet_character(D, k or D) for k in range(D)]]
     else:
         log3 = {pow(3, e, 7): e for e in range(6)}
         omega = mpmath.exp(2j * mpmath.pi / 3)

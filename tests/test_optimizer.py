@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from covcert import certifier
+from covcert import certifier, cli
 from covcert import optimizer as opt
 from covcert.bounds import (
     DenominatorNotPositive,
@@ -13,6 +13,7 @@ from covcert.bounds import (
     OdlyzkoPair,
     n2_degree_threshold,
 )
+from covcert.rigor import Interval
 
 PREC = 160
 
@@ -113,3 +114,81 @@ def test_optimize_n3_without_best_row(table):
     result = opt.optimize_n3(reduced, precision_bits=PREC)
     full = opt.optimize_n3(table, precision_bits=PREC)
     assert result.best_value.lo > full.best_value.hi
+
+
+def _point_values(values):
+    """An ``evaluate`` over points (A, 0, None) that records each call's
+    precision and returns the interval ``values`` holds for A, or None."""
+    calls = []
+
+    def evaluate(key, prec):
+        calls.append(prec)
+        return values[key[0]]
+
+    return evaluate, calls
+
+
+def test_minimize_ties_at_the_asked_precision():
+    """A point whose enclosure overlaps the running minimum is a tie, and
+    every point is evaluated once, at the asked precision."""
+    values = {
+        Fraction(1): Interval(Fraction(5), Fraction(6)),
+        Fraction(2): Interval(Fraction(11, 2), Fraction(7)),  # overlaps 1's
+        Fraction(3): None,  # infeasible
+        Fraction(4): Interval(Fraction(7), Fraction(8)),  # certainly greater
+    }
+    evaluate, calls = _point_values(values)
+    points = [(A, Fraction(0), None) for A in values]
+    best_val, best_key, ties = opt._minimize(points, evaluate, 32)
+    assert (best_val, best_key) == (values[Fraction(1)], points[0])
+    assert ties == [points[1]]
+    assert calls == [32] * 4
+
+
+def test_minimize_strictly_less_clears_the_ties():
+    """A point certainly below the running minimum replaces it and drops the
+    ties recorded against the old one."""
+    values = {
+        Fraction(1): Interval(Fraction(5), Fraction(6)),
+        Fraction(2): Interval(Fraction(11, 2), Fraction(7)),  # ties with 1
+        Fraction(3): Interval(Fraction(1), Fraction(2)),  # certainly less
+    }
+    evaluate, calls = _point_values(values)
+    points = [(A, Fraction(0), None) for A in values]
+    best_val, best_key, ties = opt._minimize(points, evaluate, 32)
+    assert (best_val, best_key, ties) == (values[Fraction(3)], points[2], [])
+    assert calls == [32] * 3
+
+
+def _optimize(tmp_path, capsys, rows, *args):
+    path = tmp_path / "table.csv"
+    path.write_text("".join(f"{A},{E}\n" for A, E in rows))
+    rc = cli.main(["optimize", *args, "--odlyzko", str(path)])
+    return rc, capsys.readouterr().out
+
+
+NEAR_TIED = [("13.047", "3.8667"), ("13.047", "3.86670000001")]
+
+
+def test_optimize_reports_a_tie_at_the_asked_precision(tmp_path, capsys):
+    """Two rows whose rank-3 thresholds overlap at 16 bits tie there, and
+    exit 4; at 64 bits they are told apart and the smaller wins."""
+    rc, out = _optimize(tmp_path, capsys, NEAR_TIED, "--case", "n3", "--precision", "16")
+    assert rc == cli.EXIT_TIE
+    assert "unresolved ties: 1\n" in out
+    rc, out = _optimize(tmp_path, capsys, NEAR_TIED, "--case", "n3", "--precision", "64")
+    assert rc == cli.EXIT_OK
+    assert "best pair: A = 13047/1000, E = 38667/10000\n" in out
+    assert "unresolved ties" not in out
+
+
+@pytest.mark.parametrize(
+    "case, row", [("n3", ("13.047", "3.8667")), ("n2", ("21.512", "6.0001"))]
+)
+def test_optimize_scans_a_repeated_row_once(tmp_path, capsys, case, row):
+    """A row given twice is one point, not a tie with itself; rows scanned
+    still counts the table's rows."""
+    rc, out = _optimize(tmp_path, capsys, [row, row], "--case", case)
+    assert rc == cli.EXIT_OK
+    assert "unresolved ties" not in out
+    assert "rows scanned: 2\n" in out
