@@ -132,16 +132,10 @@ _ARGUMENTS = {
     "prove": (
         "run the pipeline for one or all ranks",
         (
-            # a string default goes through the type like a given value, so that
-            # argparse still counts an explicit "--n 2" as present next to --all
-            (
-                "--n",
-                {
-                    "type": _int_between(2),
-                    "default": "2",
-                    "help": "rank to certify (at least 2, default 2)",
-                },
-            ),
+            # no default, so that argparse, which counts an option as given only
+            # when its value is not the default, rejects "--n 2 --all"; an absent
+            # --n is rank 2, chosen by _cmd_prove
+            ("--n", {"type": _int_between(2), "help": "rank to certify (at least 2, default 2)"}),
             (
                 "--all",
                 {
@@ -150,7 +144,7 @@ _ARGUMENTS = {
                     "help": "certify every rank from 2 to 8",
                 },
             ),
-            ("--format", {"choices": ("json", "text"), "default": "text", "dest": "fmt"}),
+            ("--format", {"choices": ("json", "text"), "default": "text"}),
             _ODLYZKO, _FIELDS, _PRECISION,
         ),
     ),
@@ -203,9 +197,10 @@ def _plain_args(argv):
     given at most once and followed by its value (``--all`` takes none),
     or the command's next positional.  No value starts with ``-``, each
     passes its type and choices, every required option and positional is
-    given, and at most one of ``_EXCLUSIVE`` is.  Defaults are filled in as
-    argparse fills them.  Every other line, help and usage errors included,
-    is argparse's to parse.
+    given, and at most one of ``_EXCLUSIVE`` is.  An absent option takes its
+    default as it stands: argparse would pass a string default through the
+    option's type, so no option with a type has one.  Every other line, help
+    and usage errors included, is argparse's to parse.
     """
     if not argv or argv[0] not in _ARGUMENTS:
         return None
@@ -235,15 +230,9 @@ def _plain_args(argv):
         return None
     namespace = {"command": argv[0]}
     for name, keywords in arguments.items():
-        if name in given:
-            value = given[name]
-        elif keywords.get("required"):
+        if keywords.get("required") and name not in given:
             return None
-        else:
-            value = keywords.get("default")
-            if isinstance(value, str):
-                value = _value(keywords, value)
-        namespace[keywords.get("dest", name.lstrip("-"))] = value
+        namespace[name.lstrip("-")] = given.get(name, keywords.get("default"))
     return types.SimpleNamespace(**namespace)
 
 
@@ -257,7 +246,7 @@ def _value(keywords: dict, text: str):
 
 
 def _cmd_prove(args) -> int:
-    ranks = range(2, 9) if args.all else [args.n]
+    ranks = range(2, 9) if args.all else [2 if args.n is None else args.n]
     worst = EXIT_OK
     for n in ranks:
         cert = certifier.run_case(
@@ -266,7 +255,7 @@ def _cmd_prove(args) -> int:
             odlyzko_path=args.odlyzko,
             fields_path=args.fields,
         )
-        sys.stdout.buffer.write(report.emit_report(cert, args.fmt))
+        sys.stdout.buffer.write(report.emit_report(cert, args.format))
         sys.stdout.flush()
         if cert.has_tie:
             worst = max(worst, EXIT_TIE)

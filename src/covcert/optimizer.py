@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .report import InputError
-from .rigor import Comparison, Interval, Rational, iv_compare
+from .rigor import Comparison, Interval, iv_compare
 from .bounds import (
     DenominatorNotPositive,
     OdlyzkoPair,
@@ -118,14 +118,9 @@ def _search(
     )
 
 
-def optimize_n2(
-    table: Sequence[OdlyzkoPair],
-    t_grid: Optional[Sequence[Rational]] = None,
-    precision_bits: int = 256,
-) -> SearchResult:
+def optimize_n2(table: Sequence[OdlyzkoPair], precision_bits: int = 256) -> SearchResult:
     """Minimize the rank-2 degree threshold over (pair, t) grid points."""
-    ts = tuple(Fraction(t) for t in (t_grid if t_grid is not None else default_t_grid()))
-    return _search(table, ts, n2_degree_threshold, precision_bits)
+    return _search(table, default_t_grid(), n2_degree_threshold, precision_bits)
 
 
 def optimize_n3(

@@ -325,12 +325,6 @@ class Certificate(
 
     __slots__ = ()
 
-    def step(self, step_id: str) -> CertificateStep:
-        for s in self.steps:
-            if s.id == step_id:
-                return s
-        raise KeyError(step_id)
-
     @property
     def all_proved(self) -> bool:
         return all(s.verdict in ("Proved", "Axiom") for s in self.steps)
@@ -488,6 +482,8 @@ def _endpoint(text) -> Ratio:
 def _parse_interval(pair) -> Enclosure:
     """An enclosure recorded as a list of two fraction strings [lo, hi]."""
     try:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise TypeError("not a list of two endpoints")
         lo, hi = map(_endpoint, pair)
         if _below(hi, lo):
             raise ValueError("lo > hi")

@@ -102,9 +102,6 @@ class Interval:
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other: "Interval") -> "Interval":
         products = (
             self.lo * other.lo,
@@ -127,13 +124,6 @@ class Interval:
         )
         return Interval(min(quotients), max(quotients))
 
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
     def pow_int(self, k: int) -> "Interval":
         if k == 0:
             return Interval.exact(1)
@@ -152,7 +142,7 @@ class Interval:
 
     # -- rounding ----------------------------------------------------------
 
-    def coarsen(self, bits: int = 256) -> "Interval":
+    def coarsen(self, bits: int) -> "Interval":
         """Outward-round both endpoints to denominator 2**bits.
 
         Soundness: the result always contains ``self``.  Skips endpoints
@@ -170,7 +160,7 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def coarsen_relative(iv: Interval, bits: int = 256) -> Interval:
+def coarsen_relative(iv: Interval, bits: int) -> Interval:
     """Outward-round while preserving roughly ``bits`` of relative precision.
 
     Plain ``coarsen`` fixes the absolute resolution at 2**-bits, which
@@ -196,22 +186,10 @@ _BINARY_OPS = {
 }
 
 
-def iv_arith(op: str, a: Interval, b=None) -> Interval:
-    """Dispatch-style interface over the interval operations.
-
-    ``op`` is one of add/sub/mul/div (b: Interval), pow_int (b: integer
-    exponent), neg, abs (no b).
-    """
-    if op in _BINARY_OPS:
-        if not isinstance(b, Interval):
-            raise TypeError(f"{op} requires an Interval second operand")
-        return _BINARY_OPS[op](a, b)
-    if op == "pow_int":
-        if not isinstance(b, int):
-            raise TypeError("pow_int requires an integer exponent")
-        return a.pow_int(b)
-    if op == "neg":
-        return -a
-    if op == "abs":
-        return a.abs()
-    raise ValueError(f"unknown interval operation {op!r}")
+def iv_arith(op: str, a: Interval, b: Interval) -> Interval:
+    """Dispatch-style interface over the binary operations add, sub, mul, div."""
+    if op not in _BINARY_OPS:
+        raise ValueError(f"unknown interval operation {op!r}")
+    if not isinstance(b, Interval):
+        raise TypeError(f"{op} requires an Interval second operand")
+    return _BINARY_OPS[op](a, b)

@@ -98,11 +98,11 @@ def _cached_point(key: tuple, prec: int, compute: Callable[[int], tuple]) -> Int
     """The enclosure of the point ``key`` to ``prec`` bits, memoized per (key, prec).
 
     ``compute(w)`` is the bare kernel of the point's exact value v: integers
-    (lo, hi) with lo <= 2^w v <= hi, or (n, lo, hi) with 2^n lo <= 2^w v <= 2^n hi.
-    A miss runs it once, at w = rung + 32, where the rung is the first multiple
-    of 32 at or above prec + GUARD_BITS and at least 128.  The bracket is
-    widened by 2^-rung of its magnitude, and by at least one unit, cut to
-    rung + 8 bits, and rounded outward to prec + 8 relative bits.
+    (n, lo, hi) with 2^n lo <= 2^w v <= 2^n hi.  A miss runs it once, at
+    w = rung + 32, where the rung is the first multiple of 32 at or above
+    prec + GUARD_BITS and at least 128.  The bracket is widened by 2^-rung
+    of its magnitude, and by at least one unit, cut to rung + 8 bits, and
+    rounded outward to prec + 8 relative bits.
 
     The result depends on (key, prec) alone, and results nest: a bracket at
     a higher rung, 32 or more bits up, is narrower than the widening of every
@@ -113,18 +113,13 @@ def _cached_point(key: tuple, prec: int, compute: Callable[[int], tuple]) -> Int
     if view is None:
         rung = max(-(-(prec + GUARD_BITS) // 32) * 32, 128)
         work = rung + 32
-        *n, lo, hi = compute(work)  # n is absent when the kernel is not scaled
+        n, lo, hi = compute(work)
         magnitude = max(-lo, hi)
         pad = _ceil_shift(magnitude, rung)
         cut = max(magnitude.bit_length() - rung - 8, 0)
-        core = _dyadic((lo - pad) >> cut, _ceil_shift(hi + pad, cut), work - cut - sum(n))
+        core = _dyadic((lo - pad) >> cut, _ceil_shift(hi + pad, cut), work - cut - n)
         view = _POINT_CACHE[key, prec] = coarsen_relative(core, prec + 8)
     return view
-
-
-def _clear_point_cache() -> None:
-    """Test hook: reset memoized enclosures."""
-    _POINT_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_every_class_proves_the_zeta_product_bound_it_uses(n, users, cert_by_ran
     on a proved step that records that bound."""
     cert = cert_by_rank[n]
     assert [s.id for s in cert.steps if "zeta_product_bound" in s.dependencies] == users
-    assert cert.step("zeta_product_bound").verdict == "Proved"
+    assert next(s for s in cert.steps if s.id == "zeta_product_bound").verdict == "Proved"
 
 
 def test_byte_deterministic_reports(cert_by_rank):
@@ -182,6 +182,15 @@ def _enclosure_not_fractions(doc):
     _step(doc, "degree_threshold")["enclosures"] = [["x", "y"]]
 
 
+def _enclosure_object(doc):
+    enclosures = _step(doc, "degree_threshold")["enclosures"]
+    enclosures[0] = dict.fromkeys(enclosures[0], 0)
+
+
+def _enclosure_string(doc):
+    _step(doc, "degree_threshold")["enclosures"][0] = "12"
+
+
 def _rank_not_int(doc):
     doc["rank"] = "seven"
 
@@ -278,6 +287,8 @@ def _cut_and_unknown_verdict(doc):
         (_zero_denominator, ct.SchemaMismatch),
         (_enclosure_reversed, ct.SchemaMismatch),
         (_enclosure_not_fractions, ct.SchemaMismatch),
+        (_enclosure_object, ct.SchemaMismatch),
+        (_enclosure_string, ct.SchemaMismatch),
         (_rank_not_int, ct.SchemaMismatch),
         (_precision_below_16, ct.SchemaMismatch),
         (_step_precision_differs, ct.SchemaMismatch),
@@ -524,7 +535,7 @@ def test_rank2_cutoffs_compare_every_degree(tmp_path):
     path = tmp_path / "no_quintic.catalog"
     path.write_text("".join(x for x in catalog.splitlines(True) if not x.startswith("5.")))
     cert = ct.run_case(2, precision_bits=64, fields_path=str(path))
-    comparisons = cert.step("discriminant_cutoffs").comparisons
+    comparisons = next(s for s in cert.steps if s.id == "discriminant_cutoffs").comparisons
     assert len(comparisons) == 4 and comparisons[3].lhs == Interval.exact(0)
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
 
@@ -641,6 +652,43 @@ def test_cli_missing_data():
     assert rc == 3
 
 
+def _zeta_product_side(lo, hi):
+    """Evidence for the zeta-product step whose one side is [lo, hi]."""
+
+    def evidence(table, catalog, prec):
+        side = Interval(lo, hi)
+        return "reference covolume constant bound", [side], [side]
+
+    return evidence
+
+
+@pytest.mark.parametrize("lo, hi, verdict, code", [
+    (Fraction(182, 100), Fraction(184, 100), "Tie", cli.EXIT_TIE),
+    (2, 2, "Failed", cli.EXIT_STEP_FAILED),
+])
+def test_cli_prove_exits_with_the_step_verdict(lo, hi, verdict, code, monkeypatch, capsysbinary):
+    """A zeta-product side that overlaps 183/100 ties and exits 4; one of
+    [2, 2] fails and exits 2.  Either way the report concludes nothing."""
+    monkeypatch.setitem(ct._EVIDENCE[4], "zeta_product_bound", _zeta_product_side(lo, hi))
+    assert cli.main(["prove", "--n", "4", "--format", "json"]) == code
+    doc = json.loads(capsysbinary.readouterr().out)
+    assert _step(doc, "zeta_product_bound")["verdict"] == verdict
+    assert doc["final_conclusion"] == ""
+
+
+def test_cli_prove_all_exits_with_the_worst_code(monkeypatch, capsysbinary):
+    """Rank 2 failed and ranks 4 to 8 tied: prove --all exits 4, the worse code."""
+    monkeypatch.setitem(ct._EVIDENCE[2], "zeta_product_bound", _zeta_product_side(2, 2))
+    monkeypatch.setitem(
+        ct._EVIDENCE[4], "zeta_product_bound",
+        _zeta_product_side(Fraction(182, 100), Fraction(184, 100)),
+    )
+    assert cli.main(["prove", "--all", "--format", "json"]) == cli.EXIT_TIE
+    docs = [json.loads(line) for line in capsysbinary.readouterr().out.splitlines()]
+    verdicts = [_step(doc, "zeta_product_bound")["verdict"] for doc in docs]
+    assert verdicts == ["Failed", "Proved"] + ["Tie"] * 5
+
+
 def test_cli_field_ops(capsys):
     assert cli.main(["field", "2.2.5.1", "--op", "units"]) == 0
     out = capsys.readouterr().out
@@ -673,7 +721,7 @@ def test_proof_path_does_not_search(monkeypatch):
     for n in (2, 3):
         cert = ct.run_case(n, precision_bits=PREC)
         assert cert.all_proved, n
-        assert cert.step("degree_threshold").verdict == "Proved", n
+        assert next(s for s in cert.steps if s.id == "degree_threshold").verdict == "Proved", n
 
 
 def test_l35_witness_is_only_passing_row(table):
@@ -756,11 +804,11 @@ def test_proof_computes_no_point_far_above_its_precision(monkeypatch, n):
         return cached_point(key, prec, run)
 
     monkeypatch.setattr(specfun, "_cached_point", recorded)
-    specfun._clear_point_cache()
+    specfun._POINT_CACHE.clear()
     try:
         assert ct.run_case(n, precision_bits=2048).all_proved
     finally:
-        specfun._clear_point_cache()
+        specfun._POINT_CACHE.clear()
     assert computed
     assert max(q for _, q in computed) <= 2048 + 128, sorted(computed, key=lambda c: -c[1])[:3]
 
@@ -794,12 +842,12 @@ def test_report_bytes_do_not_depend_on_history(n):
     1500-bit run."""
     try:
         for prec in (96, 256, 1024):
-            specfun._clear_point_cache()
+            specfun._POINT_CACHE.clear()
             cold = ct.emit_report(ct.run_case(n, precision_bits=prec))
             ct.run_case(n, precision_bits=1500)
             assert ct.emit_report(ct.run_case(n, precision_bits=prec)) == cold, prec
     finally:
-        specfun._clear_point_cache()
+        specfun._POINT_CACHE.clear()
 
 
 # The SHA-256 of the stdout of each command line.  A change that alters
@@ -1238,6 +1286,7 @@ def test_plain_args_agree_with_argparse(argv):
 # workflow run; each must skip argparse
 PLAIN_LINES = [
     ["prove", "--all", "--format", "json"],
+    ["prove", "--format", "json"],
     *(["prove", "--n", str(n), "--format", "json"] for n in range(2, 9)),
     *(
         ["prove", "--n", str(n), "--precision", "64", "--format", "json"]

@@ -85,7 +85,7 @@ def test_optimize_n2_order_independent(table):
 
 def test_optimize_n2_single_row():
     row = OdlyzkoPair(Fraction("21.512"), Fraction("6.0001"))
-    result = opt.optimize_n2([row], t_grid=[Fraction(6, 5)], precision_bits=PREC)
+    result = opt._search([row], [Fraction(6, 5)], n2_degree_threshold, PREC)
     assert result.best_pair == row
     assert abs(result.best_value.midpoint() - N2_TARGET) < Fraction(1, 10**6)
 
@@ -94,7 +94,7 @@ def test_optimize_n2_finer_grid_barely_improves(table):
     """Refining the t grid near the optimum moves the value by < 0.05."""
     best_pair = OdlyzkoPair(Fraction("21.512"), Fraction("6.0001"))
     fine = [Fraction(k, 100) for k in range(100, 141)]
-    result = opt.optimize_n2([best_pair], t_grid=fine, precision_bits=PREC)
+    result = opt._search([best_pair], fine, n2_degree_threshold, PREC)
     assert result.best_value.hi <= N2_TARGET + Fraction(1, 10**6)
     assert result.best_value.lo > N2_TARGET - Fraction(5, 100)
 

@@ -417,7 +417,7 @@ def test_refinement_never_widens(make):
 
 
 def test_point_cache_intersection_is_sound():
-    sf._clear_point_cache()
+    sf._POINT_CACHE.clear()
     wide = sf.power_product(((sf.EULER, Fraction(1)),), 64)
     narrow = sf.power_product(((sf.EULER, Fraction(1)),), 256)
     assert narrow.subset_of(wide)
@@ -432,17 +432,17 @@ def test_point_value_does_not_depend_on_history():
 
     def kernel(w):  # bounds on 2^w x, one unit either side of the floor
         floor = (x.numerator << w) // x.denominator
-        return floor - 1, floor + 2
+        return 0, floor - 1, floor + 2
 
     try:
-        sf._clear_point_cache()
+        sf._POINT_CACHE.clear()
         cold = sf._cached_point(("synthetic",), 64, kernel)
-        sf._clear_point_cache()
+        sf._POINT_CACHE.clear()
         narrow = sf._cached_point(("synthetic",), 256, kernel)
         assert sf._cached_point(("synthetic",), 64, kernel) == cold
         assert narrow.subset_of(cold) and narrow.lo < x < narrow.hi
     finally:
-        sf._clear_point_cache()
+        sf._POINT_CACHE.clear()
 
 
 _REFINEMENT_CASES = list(_refinement_cases())
@@ -459,16 +459,16 @@ def test_point_cache_is_pure_and_nests(case, precs):
     make = _REFINEMENT_CASES[case]
     values = {}
     try:
-        sf._clear_point_cache()
+        sf._POINT_CACHE.clear()
         for prec in precs:
             values[prec] = make(prec)
-            sf._clear_point_cache()
+            sf._POINT_CACHE.clear()
             assert make(prec) == values[prec], prec
         ordered = sorted(values)
         for low, high in zip(ordered, ordered[1:]):
             assert values[high].subset_of(values[low]), (low, high)
     finally:
-        sf._clear_point_cache()
+        sf._POINT_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
