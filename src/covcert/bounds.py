@@ -118,6 +118,7 @@ def zeta_product_enclosure(precision_bits: int = 256) -> Interval:
 # the global-stage quotient against the lattice covolume S(Lambda)
 
 
+@lru_cache(maxsize=None)
 def s_lambda_quotient(
     field: NumberFieldRecord, n: int, precision_bits: int = 256
 ) -> Interval:
@@ -137,22 +138,16 @@ def s_lambda_quotient(
     return Interval.exact(psi_n_exact(n) * (1 << (2 * d - 1)) / S)
 
 
-def adjust_by_unit_index(
-    quotient: Interval, field: NumberFieldRecord, unit_index: int
+def adjusted_quotient(
+    field: NumberFieldRecord, n: int, unit_index: int, precision_bits: int = 256
 ) -> Interval:
-    """A quotient of ``s_lambda_quotient`` rescaled by unit_index / 2^(2d-1).
+    """The quotient of ``s_lambda_quotient`` rescaled by unit_index / 2^(2d-1).
 
     The model lattice's covolume carries a factor 2^(2d-1) / [U^+ : U^2];
     values below 1 certify that the field cannot beat the rational lattice.
     """
-    return quotient * Interval.exact(Fraction(unit_index, 1 << (2 * field.degree - 1)))
-
-
-def adjusted_quotient(
-    field: NumberFieldRecord, n: int, unit_index: int, precision_bits: int = 256
-) -> Interval:
-    """The quotient of ``s_lambda_quotient`` adjusted by its unit index."""
-    return adjust_by_unit_index(s_lambda_quotient(field, n), field, unit_index)
+    scale = Fraction(unit_index, 1 << (2 * field.degree - 1))
+    return s_lambda_quotient(field, n) * Interval.exact(scale)
 
 
 # ---------------------------------------------------------------------------

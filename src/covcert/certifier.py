@@ -132,7 +132,7 @@ def _verdict(d: int, D: int, n: int, table, catalog, prec: int):
     fld = numberfields.field_by_discriminant(catalog, d, D)
     unit_index = numberfields.totally_positive_index(fld)
     quotient = bounds.s_lambda_quotient(fld, n)
-    adjusted = bounds.adjust_by_unit_index(quotient, fld, unit_index)
+    adjusted = bounds.adjusted_quotient(fld, n, unit_index)
     return (
         f"covolume quotient against the rational lattice, adjusted by unit index {unit_index}, "
         "versus 1",

@@ -126,7 +126,8 @@ def _prime(text: str) -> int:
 # command takes only the data paths it reads.
 _ODLYZKO = ("--odlyzko", {"help": "path to the bound-pair table", "default": None})
 _FIELDS = ("--fields", {"help": "path to the field catalog", "default": None})
-_PRECISION = ("--precision", {"type": _int_between(16, 8192), "default": 256,
+_PRECISION = ("--precision", {"type": _int_between(report.MIN_PRECISION_BITS,
+                                                   report.MAX_PRECISION_BITS), "default": 256,
                               "help": "working precision in bits (16 to 8192)"})
 _ARGUMENTS = {
     "prove": (

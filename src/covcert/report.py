@@ -21,6 +21,8 @@ from collections import namedtuple
 from enum import Enum
 
 SCHEMA_VERSION = 1
+# the precisions a report may record, in bits, and ``--precision`` accepts
+MIN_PRECISION_BITS, MAX_PRECISION_BITS = 16, 8192
 
 FINAL_CONCLUSION = "Sp_{2n}(Z) uniquely minimal (mod axioms)"
 
@@ -364,10 +366,9 @@ def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
             CertificateStep(step_id, claim.format(rank=rank), anchor, tuple(enclosures),
                             tuple(comparisons), verdict, dependencies, precision_bits)
         )
-    proved = all(s.verdict in ("Proved", "Axiom") for s in steps)
-    conclusion = FINAL_CONCLUSION if proved else ""
     survivors = list(SURVIVING_FIELDS[rank_class(rank)])
-    return Certificate(rank, precision_bits, tuple(steps), survivors, conclusion)
+    cert = Certificate(rank, precision_bits, tuple(steps), survivors, "")
+    return cert._replace(final_conclusion=FINAL_CONCLUSION) if cert.all_proved else cert
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +493,15 @@ def _parse_interval(pair) -> Enclosure:
         raise SchemaMismatch(f"enclosure {pair!r:.80} does not parse: {exc}") from exc
 
 
+def _wider_than(iv, bits: int) -> bool:
+    """(hi - lo) 2^bits > max(|lo|, |hi|): fewer than ``bits`` relative bits.
+    A point never is.  Each side is multiplied by both denominators."""
+    lo, hi = iv
+    width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    return (width << bits) > max(abs(lo.numerator) * hi.denominator,
+                                 abs(hi.numerator) * lo.denominator)
+
+
 _ABSENT = type("Absent", (), {"__repr__": lambda self: "absent"})()  # a key or item lacking
 
 
@@ -515,13 +525,16 @@ def verify_report(stream: bytes) -> str:
     tamper error: SchemaMismatch for a report that does not parse as this
     schema (among others: an enclosure that is not an interval of fractions
     written as ``emit_report`` writes them, a rank that is not an integer, a
-    dependency that is not a string, an unknown verdict, a precision below
-    16 bits or not equal to every step's).  Then TamperDetected for a rank
-    below 2, an anchor that is not a string, or a report that is not, field
-    for field, what ``render`` makes of its rank's plan and its recorded
-    evidence (anchors, enclosures and computed sides).  Only exact integer
-    arithmetic is used.  What it does not recompute it trusts: the computed
-    sides of the comparisons, and the catalog data behind the candidate lists.
+    dependency that is not a string, an unknown verdict, a precision outside
+    16 to 8192 bits or not equal to every step's).  Then TamperDetected for
+    a recorded interval, an enclosure or a comparison side, that is not a
+    point and has fewer relative bits than the recorded precision
+    (``_wider_than``), a rank below 2, an anchor that is not a string, or a
+    report that is not, field for field, what ``render`` makes of its rank's
+    plan and its recorded evidence (anchors, enclosures and computed sides).
+    Only exact integer arithmetic is used.  What it does not recompute it
+    trusts: the computed sides of the comparisons, and the catalog data
+    behind the candidate lists.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -532,9 +545,10 @@ def verify_report(stream: bytes) -> str:
         raise SchemaMismatch(f"unsupported schema version {version!r:.80}")
     rank = _typed(doc, "rank", int)
     precision_bits = _typed(doc, "precision_bits", int)
-    if precision_bits < 16:
-        raise SchemaMismatch(f"precision_bits {precision_bits} is below 16")
-    recorded = {}
+    if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
+        raise SchemaMismatch(f"precision_bits {precision_bits} is outside "
+                             f"{MIN_PRECISION_BITS} to {MAX_PRECISION_BITS}")
+    recorded = []
     for s in _typed(doc, "steps", list):
         step_id = _typed(s, "id", str)
         if _typed(s, "precision_bits", int) != precision_bits:
@@ -554,12 +568,17 @@ def verify_report(stream: bytes) -> str:
         verdict = s.get("verdict")
         if verdict not in ("Proved", "Failed", "Tie", "Axiom"):
             raise SchemaMismatch(f"unknown verdict {verdict!r:.80}")
-        recorded[step_id] = (s.get("anchor"), sides, enclosures)
+        recorded.append((step_id, s.get("anchor"), sides, enclosures))
+    for step_id, _, sides, enclosures in recorded:
+        for iv in enclosures + [iv for side in sides for iv in side]:
+            if _wider_than(iv, precision_bits):
+                raise TamperDetected(f"step {step_id}: interval {_iv_json(iv)!r:.80} has "
+                                     f"fewer than its {precision_bits} bits of precision")
     if rank < 2:
         raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
     plan = step_plan(rank)
     evidence = {}
-    for step_id, (anchor, sides, enclosures) in recorded.items():
+    for step_id, anchor, sides, enclosures in recorded:
         if not isinstance(anchor, str):
             raise TamperDetected(f"step {step_id}: anchor {anchor!r:.80} is not a string")
         if step_id in plan:

@@ -199,6 +199,11 @@ def _precision_below_16(doc):
     doc["precision_bits"] = -1
 
 
+def _precision_above_8192(doc):
+    """One bit more than ``--precision`` accepts."""
+    _precision_raised(doc, 8193)
+
+
 def _step_precision_differs(doc):
     _step(doc, "degree_threshold")["precision_bits"] += 1
 
@@ -291,6 +296,7 @@ def _cut_and_unknown_verdict(doc):
         (_enclosure_string, ct.SchemaMismatch),
         (_rank_not_int, ct.SchemaMismatch),
         (_precision_below_16, ct.SchemaMismatch),
+        (_precision_above_8192, ct.SchemaMismatch),
         (_step_precision_differs, ct.SchemaMismatch),
         (_dependency_not_string, ct.SchemaMismatch),
         (_tie_without_overlap, ct.TamperDetected),
@@ -448,6 +454,12 @@ def _survivor_dropped(doc):
     doc["surviving_fields_after_global"] = ["1.1.1.1"]
 
 
+def _precision_raised(doc, bits=8192):
+    """A report that claims more bits than it was proved at, at the top and in every step."""
+    for record in (doc, *doc["steps"]):
+        record["precision_bits"] = bits
+
+
 @pytest.mark.parametrize(
     "n, mutate",
     [
@@ -469,6 +481,7 @@ def _survivor_dropped(doc):
         (4, _constant_side_respelled),
         (4, _not_proved_conclusion_edited),
         (4, _not_proved_conclusion_dropped),
+        (4, _precision_raised),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -480,7 +493,8 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     surviving fields that are not the plan's, a step the plan no longer has,
     a key that the rendering lacks (at the top, in a step, in a comparison),
     a rewritten axiom anchor, a constant side spelled other than in lowest
-    terms, and a NotProved report with another conclusion or none."""
+    terms, a NotProved report with another conclusion or none, and a
+    precision raised above the one its enclosures deliver."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -506,7 +520,8 @@ def test_verify_rejects_an_over_long_integer(cert_by_rank):
 
 @pytest.mark.parametrize(
     "n, bits",
-    [(n, bits) for bits in (16, 256) for n in (2, 3, 4, 9, 64)] + [(2, 2048), (3, 2048), (4, 2048)],
+    [(n, bits) for bits in (16, 256) for n in (2, 3, 4, 9, 64)]
+    + [(2, 2048), (3, 2048), (4, 2048), (4, 4096), (4, 8192)],
 )
 def test_honest_reports_follow_the_plan(n, bits):
     """run_case states its rank class's plan: every step in order, with the
@@ -595,21 +610,36 @@ def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
                 ), step.id
 
 
-def test_each_candidate_quotient_is_evaluated_once(monkeypatch):
-    """run_case evaluates the exact quotient once per candidate field: three
-    at rank 2 (D = 49, 8, 5) and one at rank 3 (D = 5)."""
-    calls = []
-    quotient = bounds.s_lambda_quotient
+def test_each_candidate_quotient_is_evaluated_once(capsys):
+    """prove --all evaluates the exact quotient once per candidate field and
+    rank: three at rank 2 (D = 49, 8, 5) and one at rank 3 (D = 5).  A
+    verdict step's second use of it, through adjusted_quotient, is a hit."""
+    bounds.s_lambda_quotient.cache_clear()
+    assert cli.main(["prove", "--all", "--format", "json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    info = bounds.s_lambda_quotient.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
 
-    def counted(*args):
-        calls.append(args)
-        return quotient(*args)
 
-    monkeypatch.setattr(bounds, "s_lambda_quotient", counted)
-    for n, expected in ((2, 3), (3, 1)):
-        calls.clear()
-        ct.run_case(n, precision_bits=64)
-        assert len(calls) == expected, n
+def test_verdict_steps_record_what_adjusted_quotient_returns(monkeypatch):
+    """Each verdict step compares with 1 the very interval that
+    bounds.adjusted_quotient, the route acceptance criterion 7 checks,
+    returns for its field, rank and unit index."""
+    returned = {}
+    adjusted_quotient = bounds.adjusted_quotient
+
+    def recorded(field, n, unit_index):
+        value = adjusted_quotient(field, n, unit_index)
+        returned[f"verdict_d{field.degree}_D{field.discriminant}", n] = value
+        return value
+
+    monkeypatch.setattr(bounds, "adjusted_quotient", recorded)
+    for n in (2, 3):
+        for step in ct.run_case(n, precision_bits=64).steps:
+            if step.id.startswith("verdict_"):
+                value = returned.pop((step.id, n))
+                assert step.enclosures[1] is value and step.comparisons[0].lhs is value
+    assert not returned
 
 
 def test_data_missing():
@@ -967,7 +997,8 @@ def test_step_without_comparisons_is_not_proved(cert_by_rank):
     """A step emptied of its comparisons departs from its plan.  A step
     that keeps them but does not hold, on one overlapped comparison, leaves
     a plan-shaped report NotProved, though a later step depends on it
-    (high_rank_conclusion on inner_factor_ge_one)."""
+    (high_rank_conclusion on inner_factor_ge_one).  Its overlapping side is
+    the point 0: an interval about 0 is wider than any precision allows."""
     for overlapped in (False, True):
         doc = json.loads(ct.emit_report(cert_by_rank[4]))
         doc["final_conclusion"] = ""
@@ -977,7 +1008,7 @@ def test_step_without_comparisons_is_not_proved(cert_by_rank):
             with pytest.raises(ct.TamperDetected, match="not its plan's"):
                 ct.verify_report(json.dumps(doc).encode())
         else:
-            step["comparisons"][0].update(lhs=["-1", "1"], relation="Overlap")
+            step["comparisons"][0].update(lhs=["0", "0"], relation="Overlap")
             step["verdict"] = "Tie"
             assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
@@ -1599,6 +1630,8 @@ PROCESS_ARGV = [
     (["verify", "{tampered}"], 2),
     (["verify", "{malformed}"], 3),
     (["verify", "{missing}"], 3),
+    (["verify", "{raised}"], 2),
+    (["verify", "{beyond}"], 3),
     (["verify"], 2),
     (["verify", "-h"], 0),
     (["verify", "{honest}", "{honest}"], 2),
@@ -1613,12 +1646,19 @@ def test_process_entry_matches_main(cert_by_rank, tmp_path, monkeypatch, capsysb
     """A ``python -m covcert.cli`` process gives the exit code, stdout and
     stderr of ``cli.main`` in this process, for plain command lines, the
     parser's help and usage errors, and ``prove``.  Stdout goes to a file,
-    block-buffered, so a report line reaches it only through ``run``'s flush."""
-    paths = {name: tmp_path / f"{name}.json" for name in ("honest", "tampered", "malformed", "missing")}
+    block-buffered, so a report line reaches it only through ``run``'s flush.
+    A report that claims 8192 bits it was not proved at is tampered, and one
+    that claims 8193, more than ``--precision`` accepts, is malformed."""
+    names = ("honest", "tampered", "malformed", "missing", "raised", "beyond")
+    paths = {name: tmp_path / f"{name}.json" for name in names}
     paths["honest"].write_bytes(ct.emit_report(cert_by_rank[4]))
     doc = json.loads(paths["honest"].read_bytes())
     _step(doc, "high_rank_conclusion")["verdict"] = "Failed"
     paths["tampered"].write_text(json.dumps(doc))
+    for name, mutate in (("raised", _precision_raised), ("beyond", _precision_above_8192)):
+        doc = json.loads(paths["honest"].read_bytes())
+        mutate(doc)
+        paths[name].write_text(json.dumps(doc))
     paths["malformed"].write_text("{not json")
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
     env = {**os.environ, "PYTHONPATH": str(Path(covcert.__file__).parent.parent)}
