@@ -118,7 +118,6 @@ def zeta_product_enclosure(precision_bits: int = 256) -> Interval:
 # the global-stage quotient against the lattice covolume S(Lambda)
 
 
-@lru_cache(maxsize=None)
 def s_lambda_quotient(
     field: NumberFieldRecord, n: int, precision_bits: int = 256
 ) -> Interval:

@@ -6,12 +6,14 @@ Subcommands:
   verify    re-check a previously emitted JSON report
   field     inspect one catalog field (zeta values, units, splitting)
 
-Exit codes: 0 all proved, 2 a step failed or a report was tampered with,
-3 data missing, unreadable or malformed, a bound-pair table with no row for
-the search, a report that does not parse, or an unsupported field
-operation, 4 an unresolved tie at the asked precision, 141 (128 + SIGPIPE, as
-a shell reports for ``yes | head -1``) stdout was a pipe whose reader went
-away.
+Exit codes: 0 all proved, 2 a step failed, a report was tampered with
+(among others, one whose enclosures are not those its steps' computed sides
+render) or a usage error (such as ``prove --odlyzko``: only ``optimize``
+reads the bound-pair table), 3 data missing, unreadable or malformed, an
+``optimize`` table with no row or no feasible point, a report that does not
+parse, or an unsupported field operation, 4 an unresolved tie at the asked
+precision, 141 (128 + SIGPIPE, as a shell reports for ``yes | head -1``)
+stdout was a pipe whose reader went away.
 
 Only ``report`` is imported eagerly.  The seven proof layers are bound with
 ``importlib.util.LazyLoader``: each is registered in ``sys.modules`` and on
@@ -123,7 +125,8 @@ def _prime(text: str) -> int:
 
 # Each command's help and arguments, as (name, add_argument keywords) in
 # order: ``build_parser`` replays them and ``_plain_args`` reads them.  A
-# command takes only the data paths it reads.
+# command takes only the data paths it reads: ``prove`` reads the catalog
+# but not the bound-pair table, whose rows it needs are stated witnesses.
 _ODLYZKO = ("--odlyzko", {"help": "path to the bound-pair table", "default": None})
 _FIELDS = ("--fields", {"help": "path to the field catalog", "default": None})
 _PRECISION = ("--precision", {"type": _int_between(report.MIN_PRECISION_BITS,
@@ -146,7 +149,7 @@ _ARGUMENTS = {
                 },
             ),
             ("--format", {"choices": ("json", "text"), "default": "text"}),
-            _ODLYZKO, _FIELDS, _PRECISION,
+            _FIELDS, _PRECISION,
         ),
     ),
     "optimize": (
@@ -250,12 +253,7 @@ def _cmd_prove(args) -> int:
     ranks = range(2, 9) if args.all else [2 if args.n is None else args.n]
     worst = EXIT_OK
     for n in ranks:
-        cert = certifier.run_case(
-            n,
-            precision_bits=args.precision,
-            odlyzko_path=args.odlyzko,
-            fields_path=args.fields,
-        )
+        cert = certifier.run_case(n, precision_bits=args.precision, fields_path=args.fields)
         sys.stdout.buffer.write(report.emit_report(cert, args.format))
         sys.stdout.flush()
         if cert.has_tie:

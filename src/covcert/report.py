@@ -6,6 +6,8 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, and ``render`` turns a plan and its evidence into a
 certificate: the prover renders what it computed, and the checker renders
 what a report records and accepts the report only if it is that rendering.
+A step's evidence is an anchor and the computed sides of its comparisons;
+``render`` derives the step's enclosures from those sides.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -173,8 +175,8 @@ def _candidate(d: int, D: int, survives: bool) -> dict[str, tuple]:
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
 # required relations and constant sides from it, and the evidence supplies
-# only computed sides, enclosures and anchors.  So a consistent subset of a
-# proof, or a proof of another statement, is no rendering of a plan.
+# only anchors and computed sides.  So a consistent subset of a proof, or a
+# proof of another statement, is no rendering of a plan.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
     "local_special_factor": (
@@ -346,21 +348,26 @@ AXIOM_ANCHOR = "structural input, outside certified numerics"
 def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
     """The certificate of a rank's plan and its evidence, for the prover and
     the checker alike.  ``evidence`` maps each step id of the plan but the
-    axioms to (anchor, sides, enclosures); a side is a pair (lhs, rhs), or
-    lhs alone where the plan fixes the right side to a constant.  All else
-    comes from the plan, ``compare`` and ``step_verdict``.  A missing step
-    raises KeyError, and another number of sides than the plan's ValueError.
+    axioms to (anchor, sides); a side is a pair (lhs, rhs), or lhs alone
+    where the plan fixes the right side to a constant.  A step's enclosures
+    are its computed sides, each lhs and each rhs the plan does not fix, in
+    comparison order, with equal intervals listed once.  All else comes from
+    the plan, ``compare`` and ``step_verdict``.  A missing step raises
+    KeyError, and another number of sides than the plan's ValueError.
     """
     steps = []
     for step_id, (dependencies, claim, planned) in step_plan(rank).items():
-        if step_id in AXIOMS:
-            anchor, sides, enclosures = AXIOM_ANCHOR, (), ()
-        else:
-            anchor, sides, enclosures = evidence[step_id]
-        comparisons = []
+        anchor, sides = (AXIOM_ANCHOR, ()) if step_id in AXIOMS else evidence[step_id]
+        comparisons, enclosures = [], []
         for given, (required, constant) in zip(sides, planned, strict=True):
-            lhs, rhs = given if constant is None else (given, Enclosure(constant, constant))
+            if constant is None:
+                lhs, rhs = computed = given
+            else:
+                lhs, rhs, computed = given, Enclosure(constant, constant), (given,)
             comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
+            for iv in computed:
+                if iv not in enclosures:  # by value: Interval and Ratio equality
+                    enclosures.append(iv)
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(
             CertificateStep(step_id, claim.format(rank=rank), anchor, tuple(enclosures),
@@ -514,7 +521,7 @@ def _difference(recorded, rendered, path: str = "") -> str:
             if a.get(key, _ABSENT) != b.get(key, _ABSENT):
                 where = f"{path}[{key}]" if kind is list else f"{path}.{key}" if path else key
                 return _difference(a.get(key, _ABSENT), b.get(key, _ABSENT), where)
-    return f"{path} is {recorded!r:.80}, not its plan's {rendered!r:.80}"
+    return f"{path} is {recorded!r:.80}, not its rendering's {rendered!r:.80}"
 
 
 def verify_report(stream: bytes) -> str:
@@ -527,14 +534,14 @@ def verify_report(stream: bytes) -> str:
     written as ``emit_report`` writes them, a rank that is not an integer, a
     dependency that is not a string, an unknown verdict, a precision outside
     16 to 8192 bits or not equal to every step's).  Then TamperDetected for
-    a recorded interval, an enclosure or a comparison side, that is not a
-    point and has fewer relative bits than the recorded precision
-    (``_wider_than``), a rank below 2, an anchor that is not a string, or a
-    report that is not, field for field, what ``render`` makes of its rank's
-    plan and its recorded evidence (anchors, enclosures and computed sides).
-    Only exact integer arithmetic is used.  What it does not recompute it
-    trusts: the computed sides of the comparisons, and the catalog data
-    behind the candidate lists.
+    a recorded comparison side that is not a point and has fewer relative
+    bits than the recorded precision (``_wider_than``), a rank below 2, an
+    anchor that is not a string, or a report that is not, field for field,
+    what ``render`` makes of its rank's plan and its recorded anchors and
+    computed sides; so each step's enclosures must be the ones ``render``
+    derives from those sides.  Only exact integer arithmetic is used.  What
+    it does not recompute it trusts: the computed sides of the comparisons,
+    and the catalog data behind the candidate lists.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -555,7 +562,8 @@ def verify_report(stream: bytes) -> str:
             raise SchemaMismatch(
                 f"step {step_id}: precision_bits differs from the report's"
             )
-        enclosures = [_parse_interval(e) for e in _typed(s, "enclosures", list)]
+        for e in _typed(s, "enclosures", list):  # rendered from the sides, parsed for the schema
+            _parse_interval(e)
         for dep in _typed(s, "dependencies", list):
             if not isinstance(dep, str):
                 raise SchemaMismatch(f"step {step_id}: dependency {dep!r:.80} is not a string")
@@ -568,9 +576,9 @@ def verify_report(stream: bytes) -> str:
         verdict = s.get("verdict")
         if verdict not in ("Proved", "Failed", "Tie", "Axiom"):
             raise SchemaMismatch(f"unknown verdict {verdict!r:.80}")
-        recorded.append((step_id, s.get("anchor"), sides, enclosures))
-    for step_id, _, sides, enclosures in recorded:
-        for iv in enclosures + [iv for side in sides for iv in side]:
+        recorded.append((step_id, s.get("anchor"), sides))
+    for step_id, _, sides in recorded:
+        for iv in (iv for side in sides for iv in side):
             if _wider_than(iv, precision_bits):
                 raise TamperDetected(f"step {step_id}: interval {_iv_json(iv)!r:.80} has "
                                      f"fewer than its {precision_bits} bits of precision")
@@ -578,14 +586,14 @@ def verify_report(stream: bytes) -> str:
         raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
     plan = step_plan(rank)
     evidence = {}
-    for step_id, anchor, sides, enclosures in recorded:
+    for step_id, anchor, sides in recorded:
         if not isinstance(anchor, str):
             raise TamperDetected(f"step {step_id}: anchor {anchor!r:.80} is not a string")
         if step_id in plan:
             planned = plan[step_id][2]
             sides = [lhs if constant is not None else (lhs, rhs)
                      for (lhs, rhs), (_, constant) in zip(sides, planned)]
-            evidence[step_id] = (anchor, sides, enclosures)
+            evidence[step_id] = (anchor, sides)
     try:
         cert = render(rank, precision_bits, evidence)
     except KeyError as exc:

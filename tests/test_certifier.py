@@ -102,7 +102,7 @@ def test_json_schema_basics(cert_by_rank):
 def test_text_report_contents(cert_by_rank):
     text = ct.emit_report(cert_by_rank[2], "text").decode()
     assert "rank: 2" in text
-    assert "1568/79" in ct.emit_report(cert_by_rank[2]).decode()
+    assert "49/79" in ct.emit_report(cert_by_rank[2]).decode()
     assert "conclusion: " + ct.FINAL_CONCLUSION in text
     with pytest.raises(ValueError):
         ct.emit_report(cert_by_rank[2], "xml")
@@ -436,6 +436,7 @@ def _overlapped(doc):
     """The report NotProved, as it verifies: zeta_product_bound ties."""
     step = _step(doc, "zeta_product_bound")
     step["comparisons"][0].update(lhs=step["comparisons"][0]["rhs"], relation="Overlap")
+    step["enclosures"] = [step["comparisons"][0]["rhs"]]  # the computed side, rendered
     step["verdict"] = "Tie"
     doc["final_conclusion"] = ""
 
@@ -452,6 +453,24 @@ def _not_proved_conclusion_dropped(doc):
 
 def _survivor_dropped(doc):
     doc["surviving_fields_after_global"] = ["1.1.1.1"]
+
+
+def _threshold_enclosure_rewritten(doc):
+    """The value the benchmark's search-target check reads, moved off the computed side."""
+    _step(doc, "degree_threshold")["enclosures"] = [["59/10", "59/10"]]
+
+
+def _verdict_enclosures_emptied(doc):
+    _step(doc, "verdict_d2_D5")["enclosures"] = []
+
+
+def _zeta_product_enclosure_repeated(doc):
+    enclosures = _step(doc, "zeta_product_bound")["enclosures"]
+    enclosures.append(enclosures[0])
+
+
+def _cutoff_enclosures_reversed(doc):
+    _step(doc, "discriminant_cutoffs")["enclosures"].reverse()
 
 
 def _precision_raised(doc, bits=8192):
@@ -482,6 +501,10 @@ def _precision_raised(doc, bits=8192):
         (4, _not_proved_conclusion_edited),
         (4, _not_proved_conclusion_dropped),
         (4, _precision_raised),
+        (2, _threshold_enclosure_rewritten),
+        (2, _verdict_enclosures_emptied),
+        (2, _zeta_product_enclosure_repeated),
+        (2, _cutoff_enclosures_reversed),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -493,8 +516,10 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     surviving fields that are not the plan's, a step the plan no longer has,
     a key that the rendering lacks (at the top, in a step, in a comparison),
     a rewritten axiom anchor, a constant side spelled other than in lowest
-    terms, a NotProved report with another conclusion or none, and a
-    precision raised above the one its enclosures deliver."""
+    terms, a NotProved report with another conclusion or none, a
+    precision raised above the one its enclosures deliver, and enclosures
+    other than the step's computed sides (rewritten, emptied, repeated or
+    reordered)."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -581,8 +606,9 @@ def test_verify_corpus_keeps_its_exit_codes(cert_by_rank, tmp_path, capsys):
 
 
 def test_global_stage_quotients_are_exact(cert_by_rank):
-    """Each verdict step records the exact quotient and the quotient adjusted
-    by its unit index, and compares the adjusted one with 1."""
+    """Each verdict step records the exact quotient adjusted by its unit
+    index, and compares it with 1.  The raw quotient is the adjusted one
+    times 2^(2d - 1) over the unit index, both of which the step states."""
     catalog = numberfields.default_catalog()
     for n in (2, 3):
         steps = [s for s in cert_by_rank[n].steps if s.id.startswith("verdict_")]
@@ -592,7 +618,9 @@ def test_global_stage_quotients_are_exact(cert_by_rank):
             field = numberfields.field_by_discriminant(catalog, d, D)
             index = numberfields.totally_positive_index(field)
             adjusted = bounds.adjusted_quotient(field, n, index)
-            assert step.enclosures == (bounds.s_lambda_quotient(field, n), adjusted), step.id
+            assert step.enclosures == (adjusted,), step.id
+            raw = adjusted * Interval.exact(Fraction(1 << (2 * d - 1), index))
+            assert raw == bounds.s_lambda_quotient(field, n), step.id
             assert [c.lhs for c in step.comparisons] == [adjusted], step.id
             rhs = step.comparisons[0].rhs  # the plan's constant, compared by value
             assert (rhs.lo, rhs.hi) == (1, 1), step.id
@@ -610,15 +638,21 @@ def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
                 ), step.id
 
 
-def test_each_candidate_quotient_is_evaluated_once(capsys):
+def test_each_candidate_quotient_is_evaluated_once(monkeypatch, capsys):
     """prove --all evaluates the exact quotient once per candidate field and
-    rank: three at rank 2 (D = 49, 8, 5) and one at rank 3 (D = 5).  A
-    verdict step's second use of it, through adjusted_quotient, is a hit."""
-    bounds.s_lambda_quotient.cache_clear()
+    rank: three at rank 2 (D = 49, 8, 5) and one at rank 3 (D = 5), each
+    through adjusted_quotient."""
+    calls = []
+    s_lambda_quotient = bounds.s_lambda_quotient
+
+    def counted(field, n, *args):
+        calls.append((field.discriminant, n))
+        return s_lambda_quotient(field, n, *args)
+
+    monkeypatch.setattr(bounds, "s_lambda_quotient", counted)
     assert cli.main(["prove", "--all", "--format", "json"]) == cli.EXIT_OK
     capsys.readouterr()
-    info = bounds.s_lambda_quotient.cache_info()
-    assert (info.misses, info.hits) == (4, 4)
+    assert calls == [(49, 2), (8, 2), (5, 2), (5, 3)]
 
 
 def test_verdict_steps_record_what_adjusted_quotient_returns(monkeypatch):
@@ -638,13 +672,13 @@ def test_verdict_steps_record_what_adjusted_quotient_returns(monkeypatch):
         for step in ct.run_case(n, precision_bits=64).steps:
             if step.id.startswith("verdict_"):
                 value = returned.pop((step.id, n))
-                assert step.enclosures[1] is value and step.comparisons[0].lhs is value
+                assert step.enclosures == (value,) and step.comparisons[0].lhs is value
     assert not returned
 
 
 def test_data_missing():
-    with pytest.raises(ct.DataMissing):
-        ct.run_case(3, precision_bits=PREC, odlyzko_path="/nonexistent/table.csv")
+    with pytest.raises(numberfields.DataMissing):
+        ct.run_case(3, precision_bits=PREC, fields_path="/nonexistent/fields.catalog")
 
 
 def test_rank_validation():
@@ -678,16 +712,15 @@ def test_cli_prove_and_verify(tmp_path, capsysbinary):
 
 
 def test_cli_missing_data():
-    rc = cli.main(["prove", "--n", "3", "--odlyzko", "/nonexistent/t.csv"])
+    rc = cli.main(["optimize", "--case", "n3", "--odlyzko", "/nonexistent/t.csv"])
     assert rc == 3
 
 
 def _zeta_product_side(lo, hi):
     """Evidence for the zeta-product step whose one side is [lo, hi]."""
 
-    def evidence(table, catalog, prec):
-        side = Interval(lo, hi)
-        return "reference covolume constant bound", [side], [side]
+    def evidence(catalog, prec):
+        return "reference covolume constant bound", [Interval(lo, hi)]
 
     return evidence
 
@@ -739,7 +772,7 @@ def test_cli_optimize(capsys):
 
 def test_rank3_witness_is_search_minimum(table):
     best = optimizer.optimize_n3(table, precision_bits=PREC).best_pair
-    assert best == OdlyzkoPair(*ct.N3_WITNESS)
+    assert best == ct.N3_WITNESS
 
 
 def test_proof_path_does_not_search(monkeypatch):
@@ -756,7 +789,7 @@ def test_proof_path_does_not_search(monkeypatch):
 
 def test_l35_witness_is_only_passing_row(table):
     passing = [p for p in table if all(bounds.lemma35_conditions(p, PREC).values())]
-    assert passing == [OdlyzkoPair(*ct.L35_WITNESS)]
+    assert passing == [ct.L35_WITNESS]
 
 
 def test_high_rank_proof_has_no_rank_chain(monkeypatch):
@@ -885,21 +918,21 @@ def test_report_bytes_do_not_depend_on_history(n):
 # names the changed outputs and the reason in CHANGES.md.
 PINNED_DIGESTS = {
     "prove --all --format json":
-        "84344efa698c99f8cc75ae14270a5b0edb158555ea7de2a6f83556482bda3ed9",
+        "e0f9fb17411b2f490ea6ba70814629f1643e4675d15ec43977a30e7f1806a9fa",
     "prove --all --format text":
-        "ef179bc5106e3e8769b6f0b09bcd35c8a43bd94d055ec306f1cdf1d12af5099d",
+        "4febcdb72411599c96af840e1ffecb7f70cab1eaa4faa56780753dcde85e4a04",
     "prove --n 2 --precision 16 --format json":
-        "0731035a2071d37cfb4f575e0932db64f4513fa253a6dc43b9583cd830219b30",
+        "d67b85229cbd0175a1b62d14a2253406a6377fbee9a6740dad864baad7d4f9d6",
     "prove --n 2 --precision 256 --format json":
-        "e514c1b3f7a6b006dab6348e034927b1707e197a847fba29b77771694fc8e07d",
+        "7331afbece7f60b1fd421cf9f9f08f9f95cf0efd38b1bb7579f8533ecd8edca0",
     "prove --n 2 --precision 2048 --format json":
-        "7d9307a71162de16840b927d2ac72aa431fb2eee52908cac7ff6336362d0db73",
+        "1b37a33c19a7497f1845c920f7c7001277bae88495432fb70e008594b0a89d77",
     "prove --n 3 --precision 16 --format json":
-        "55c8dedd3541b28a92a6578d12b9c3d1c0e8a148fffb6c22f15773ea7ccd2def",
+        "cc12f79883c33adbf4a0a597999a52f736a66f51b20157b258f8996356a55674",
     "prove --n 3 --precision 256 --format json":
-        "1b8ecdcfcf386ef1ace520b4ea94082a83befed032e8ea7e74deb9ed41f5a22f",
+        "8f552c941134219973a1d936ca734e27341f18d95f7195e9e728bf61199ca359",
     "prove --n 3 --precision 2048 --format json":
-        "9f189a5a1b38fa49ce8db592a4b2b66dabf54218c11125640f14dd8feb12b7ce",
+        "fa7c7e71ff3eabeedeeaa2853f7290ed07906d80918e90ad0ca82dcc8074d6b4",
     "prove --n 4 --precision 16 --format json":
         "04216563416469bb0b195662e9c885dcdaa55afd7356c2e355d4edc997d78039",
     "prove --n 4 --precision 256 --format json":
@@ -971,19 +1004,42 @@ def test_rank3_cutoffs_check_their_e046_constant(cert_by_rank, tmp_path):
     assert edited["enclosures"][:2] != honest["enclosures"][:2]  # the cutoffs
 
 
-@pytest.mark.parametrize(
-    "n, witness", [(2, ct.N2_WITNESS[:2]), (3, ct.N3_WITNESS), (4, ct.L35_WITNESS)]
-)
-def test_missing_witness_row(tmp_path, table, n, witness):
-    # the vendored rows as written, since the table takes plain decimals only
+def _vendored_rows():
+    """The rows of the vendored bound-pair table as written, each an (A, E) of Fractions."""
     vendored = Path(numberfields.__file__).parent / "data" / "odlyzko.csv"
-    lines = [line for line in vendored.read_text().splitlines() if line[:1].isdigit()]
-    rows = [line for line in lines if tuple(map(Fraction, line.split(","))) != witness]
+    return {
+        tuple(map(Fraction, line.split(","))): line
+        for line in vendored.read_text().splitlines() if line[:1].isdigit()
+    }
+
+
+@pytest.mark.parametrize("witness", [ct.N2_WITNESS[0], ct.N3_WITNESS, ct.L35_WITNESS])
+def test_witness_rows_are_rows_of_the_vendored_table(witness):
+    """Each bound pair the proof evaluates is a row of the vendored table,
+    the table that axiom A3 takes as valid, though the proof reads no table."""
+    assert tuple(witness) in _vendored_rows()
+    assert witness in bounds.load_odlyzko_table()
+
+
+@pytest.mark.parametrize(
+    "n, witness", [(2, ct.N2_WITNESS[0]), (3, ct.N3_WITNESS), (4, ct.L35_WITNESS)]
+)
+def test_missing_witness_row(tmp_path, table, n, witness, capsys):
+    """The witnesses are the table's optima: over the vendored table without
+    a witness row, ``optimize`` finds another best pair at ranks 2 and 3,
+    and at rank 4 no row passes Lemma 3.5's conditions."""
+    rows = [line for row, line in _vendored_rows().items() if row != tuple(witness)]
     assert len(rows) == len(table) - 1
     path = tmp_path / "odlyzko.csv"
     path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(ct.DataMissing):
-        ct.run_case(n, precision_bits=PREC, odlyzko_path=str(path))
+    if n == 4:
+        passing = [p for p in bounds.load_odlyzko_table(str(path))
+                   if all(bounds.lemma35_conditions(p, PREC).values())]
+        assert passing == []
+    else:
+        assert cli.main(["optimize", "--case", f"n{n}", "--odlyzko", str(path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "best pair: " in out and f"A = {witness.A}, E = {witness.E}" not in out
 
 
 def test_overlap_gives_tie_that_verifies(cert_by_rank):
@@ -1009,6 +1065,7 @@ def test_step_without_comparisons_is_not_proved(cert_by_rank):
                 ct.verify_report(json.dumps(doc).encode())
         else:
             step["comparisons"][0].update(lhs=["0", "0"], relation="Overlap")
+            step["enclosures"][0] = ["0", "0"]
             step["verdict"] = "Tie"
             assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
@@ -1053,8 +1110,8 @@ def test_run_case_walks_the_plan(n, monkeypatch):
     full = evidence[step_id]
 
     def short(*args):
-        anchor, sides, enclosures = full(*args)
-        return anchor, sides[:-1], enclosures
+        anchor, sides = full(*args)
+        return anchor, sides[:-1]
 
     monkeypatch.setitem(evidence, step_id, short)
     with pytest.raises(ValueError, match="longer than argument 1"):
@@ -1224,6 +1281,8 @@ BAD_FLAGS = [
     # a command takes only the data paths it reads
     (["optimize", "--case", "n3", "--fields", "x"], "unrecognized arguments: --fields x"),
     (["field", "2.2.5.1", "--op", "units", "--odlyzko", "x"], "unrecognized arguments: --odlyzko x"),
+    # prove reads no bound-pair table: its witness rows are stated
+    (["prove", "--n", "3", "--odlyzko", "x"], "unrecognized arguments: --odlyzko x"),
 ]
 
 
@@ -1389,7 +1448,7 @@ BAD_INPUT = [
     ({}, ["field", "2.2.5.1", "--op", "zeta", "--s", "3"]),
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/malformed"]),
     ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/malformed"]),
-    ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/malformed"]),
+    ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/malformed"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/malformed"]),
     ({"COVCERT_DATA_DIR": "{data}"}, ["prove", "--n", "3"]),
     ({"COVCERT_DATA_DIR": "{data}"}, ["field", "2.2.5.1", "--op", "units"]),
@@ -1398,8 +1457,8 @@ BAD_INPUT = [
     ({}, ["verify", "{tmp}/deep.json"]),
     ({"COVCERT_DATA_DIR": "{torn}"}, ["prove", "--n", "3"]),
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/latin1"]),
-    ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/latin1"]),
-    ({}, ["prove", "--n", "3", "--odlyzko", "{tmp}/exponent"]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/latin1"]),
+    ({}, ["optimize", "--case", "n3", "--precision", "16", "--odlyzko", "{tmp}/exponent"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/exponent"]),
     ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/exponent"]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"]),
@@ -1408,18 +1467,18 @@ BAD_INPUT = [
     ({}, ["verify", "{tmp}/long_int.json"]),
     # a file name longer than the system allows (ENAMETOOLONG)
     ({}, ["verify", "{tmp}/" + "x" * 300]),
-    ({}, ["prove", "--n", "4", "--odlyzko", "{tmp}/" + "x" * 300]),
+    ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/" + "x" * 300]),
     ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/" + "x" * 300]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/" + "x" * 300]),
     # a missing path thousands of characters long, each name within the limit
     ({}, ["verify", LONG_MISSING_PATH]),
     ({}, ["prove", "--n", "3", "--fields", LONG_MISSING_PATH]),
-    ({}, ["prove", "--n", "3", "--odlyzko", LONG_MISSING_PATH]),
+    ({}, ["optimize", "--case", "n3", "--odlyzko", LONG_MISSING_PATH]),
     ({}, ["verify", "{tmp}/not_json.json"]),
     ({}, ["prove", "--n", "2", "--fields", "{tmp}/malformed"]),
     # an empty path names no file: it is not the vendored one
     ({}, ["prove", "--n", "4", "--precision", "16", "--fields", ""]),
-    ({}, ["prove", "--n", "4", "--precision", "16", "--odlyzko", ""]),
+    ({}, ["optimize", "--case", "n2", "--odlyzko", ""]),
     ({}, ["optimize", "--case", "n3", "--odlyzko", ""]),
     ({}, ["field", "2.2.5.1", "--op", "units", "--fields", ""]),
     # UnsupportedField: no splitting rule for a quartic field
@@ -1529,12 +1588,13 @@ def test_data_files_hashed_without_builtin_sha256():
 
 
 def test_prove_all_reads_the_table_once(bad_data, opened, capsysbinary):
-    """``prove --all`` reads the bound-pair table once for its seven ranks; a
-    malformed table is not cached and exits 3 on every attempt."""
+    """``prove --all`` reads the field catalog once for its seven ranks and
+    never opens the bound-pair table.  ``optimize`` does not cache a
+    malformed table and exits 3 on it every time."""
     numberfields._parsed.cache_clear()
     assert cli.main(["prove", "--all", "--precision", str(PREC)]) == cli.EXIT_OK
-    assert opened.count("odlyzko.csv") == 1
-    malformed = ["prove", "--n", "3", "--odlyzko", f"{bad_data['tmp']}/malformed"]
+    assert (opened.count("fields.catalog"), opened.count("odlyzko.csv")) == (1, 0)
+    malformed = ["optimize", "--case", "n3", "--odlyzko", f"{bad_data['tmp']}/malformed"]
     assert cli.main(malformed) == cli.main(malformed) == cli.EXIT_DATA_MISSING
     assert capsysbinary.readouterr().err.count(b"MalformedTable") == 2
 

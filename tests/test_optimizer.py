@@ -62,7 +62,7 @@ def test_optimize_n2_full_table(table):
     assert result.best_pair == OdlyzkoPair(Fraction("21.512"), Fraction("6.0001"))
     assert result.best_t == Fraction(6, 5)
     # the proof checks this point instead of repeating the search
-    assert (result.best_pair.A, result.best_pair.E, result.best_t) == certifier.N2_WITNESS
+    assert (result.best_pair, result.best_t) == certifier.N2_WITNESS
     assert result.ties == ()
     assert result.rows_scanned == 32
     assert abs(result.best_value.midpoint() - N2_TARGET) < Fraction(1, 10**6)
