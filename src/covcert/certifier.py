@@ -12,14 +12,15 @@ They are re-exported here.
 
 ``report.STEP_PLANS`` is the proof's one statement, and ``report.render``
 the one rule that turns a plan and its evidence into a certificate: every
-step's id, position, dependencies, claim, required relations, constant
+step's id, position, dependencies, claim, required relations, right
 sides, enclosures and verdict, the surviving fields and the conclusion.
 The checker renders a report's recorded evidence with the same function.
-This module supplies only the evidence, an anchor and the computed sides of
-each step, looked up by step id in ``_EVIDENCE``, and ``run_case`` does
-nothing else: it loads the field catalog, evaluates the evidence in plan
-order and renders it.  The bound pairs the proof evaluates are stated
-witnesses, rows of the vendored table; ``prove`` does not read the table.
+This module supplies only the evidence, an anchor and the left sides of
+each step's comparisons, looked up by step id in ``_EVIDENCE``, and
+``run_case`` does nothing else: it loads the field catalog, evaluates the
+evidence in plan order and renders it.  The bound pairs the proof
+evaluates are stated witnesses, rows of the vendored table; ``prove`` does
+not read the table.
 Non-numerical inputs (structural group theory, the validity of the
 vendored bound table, and so on) are the axiom steps A1 through A5, which
 the plan places like any other step.
@@ -35,8 +36,8 @@ from .rigor import Interval
 from . import bounds, localfactors, numberfields
 from .bounds import OdlyzkoPair
 from .report import (  # noqa: F401  (re-exported)
-    AXIOMS, FINAL_CONCLUSION, SCHEMA_VERSION, Certificate, CertificateStep, SchemaMismatch,
-    TamperDetected, emit_report, rank_class, render, step_plan, verify_report,
+    AXIOMS, CANDIDATE_FIELDS, FINAL_CONCLUSION, SCHEMA_VERSION, Certificate, CertificateStep,
+    SchemaMismatch, TamperDetected, emit_report, rank_class, render, step_plan, verify_report,
 )
 
 
@@ -52,10 +53,10 @@ N3_WITNESS = OdlyzkoPair("13.047", "3.8667")
 L35_WITNESS = OdlyzkoPair("6.894", "2.2667")
 
 
-# The evidence for one step: its anchor and the computed sides of its
-# planned comparisons (a pair, or the left side alone where the plan fixes
-# the right).  Each takes the field catalog and the precision in bits, and
-# is the same at every rank of its class.
+# The evidence for one step: its anchor and the left sides of its planned
+# comparisons, whose right sides the plan fixes.  Each takes the field
+# catalog and the precision in bits, and is the same at every rank of its
+# class.
 
 
 def _degree_threshold_n2(catalog, prec: int):
@@ -64,16 +65,16 @@ def _degree_threshold_n2(catalog, prec: int):
     return f"grid minimum at (A, E, t) = ({pair.A}, {pair.E}, {t})", [value]
 
 
+# A field whose discriminant lies inside a cutoff's enclosure may be below the
+# cutoff, so the candidates are the catalog's fields below its upper end.
 def _discriminant_cutoffs_n2(catalog, prec: int):
     cuts = {d: bounds.n2_D_bound(d, prec) for d in (2, 3, 4, 5)}
-    counts = {
-        d: [f.discriminant for f in numberfields.fields_by_degree_below(catalog, d, cuts[d].lo)]
-        for d in (2, 3, 4, 5)
-    }
+    counts = {d: len(numberfields.fields_by_degree_below(catalog, d, cut.hi))
+              for d, cut in cuts.items()}
     return (
         "catalog pruning by the coarse cutoffs, leaving candidate counts "
-        + ", ".join(f"{len(counts[d])} at degree {d}" for d in (2, 3, 4, 5)),
-        [(Interval.exact(max(counts[d], default=0)), cuts[d]) for d in (2, 3, 4, 5)],
+        + ", ".join(f"{counts[d]} at degree {d}" for d in counts),
+        list(cuts.values()),
     )
 
 
@@ -93,16 +94,12 @@ def _degree_threshold_n3(catalog, prec: int):
 def _discriminant_cutoffs_n3(catalog, prec: int):
     cut2 = bounds.n3_D_bound(2, prec)
     cut3 = bounds.n3_D_bound(3, prec)
-    quad = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 2, cut2.lo)]
-    cubic = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 3, cut3.lo)]
+    quad = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 2, cut2.hi)]
+    cubic = [f.discriminant for f in numberfields.fields_by_degree_below(catalog, 3, cut3.hi)]
     return (
         f"catalog pruning by the coarse cutoffs, leaving quadratic candidates {quad} and "
         f"cubic candidates {cubic}",
-        [
-            (Interval.exact(max(quad, default=0)), cut2),
-            (Interval.exact(max(cubic, default=0)), cut3),
-            bounds.e046_enclosure(prec),
-        ],
+        [cut2, cut3, bounds.e046_enclosure(prec)],
     )
 
 
@@ -181,7 +178,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "discriminant_cutoffs": _discriminant_cutoffs_n2,
         "zeta_product_bound": _zeta_product_bound,
         "refined_cutoffs": _refined_cutoffs_n2,
-        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D in ((3, 49), (2, 8), (2, 5))},
+        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D, _ in CANDIDATE_FIELDS[2]},
         "local_nonspecial_factor": partial(_local_nonspecial_factor, 3, 2),
         "local_T_values": _local_T_values,
         **{f"local_exclusion_{i}": partial(_local_exclusion, i) for i in range(3)},
@@ -191,7 +188,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "zeta_product_bound": _zeta_product_bound,
         "discriminant_cutoffs": _discriminant_cutoffs_n3,
         "refined_cutoffs": _refined_cutoffs_n3,
-        "verdict_d2_D5": partial(_verdict, 2, 5, 3),
+        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 3) for d, D, _ in CANDIDATE_FIELDS[3]},
         **_LOCAL_EVIDENCE,
     },
     4: {

@@ -6,8 +6,9 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, and ``render`` turns a plan and its evidence into a
 certificate: the prover renders what it computed, and the checker renders
 what a report records and accepts the report only if it is that rendering.
-A step's evidence is an anchor and the computed sides of its comparisons;
-``render`` derives the step's enclosures from those sides.
+A step's evidence is an anchor and the left sides of its comparisons, which
+the prover computes; every right side is a constant of the plan, and
+``render`` derives the step's enclosures from the left sides.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -148,34 +149,47 @@ XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 
 # A planned step is a triple: the steps it depends on, its claim (a template
 # whose one field is {rank}) and its planned comparisons.  A planned
 # comparison is the relation it requires and the exact constant (an int or a
-# Ratio in lowest terms, as a report writes it) that its right side equals,
-# or None where the prover computes that side.
-def _gt(constant=None) -> tuple[str, Ratio | None]:
+# Ratio in lowest terms, as a report writes it) that its right side equals;
+# the prover computes its left side.
+def _gt(constant) -> tuple[str, Ratio | int]:
     return (Comparison.CERTAINLY_GREATER.value, constant)
 
 
-def _lt(constant=None) -> tuple[str, Ratio | None]:
+def _lt(constant) -> tuple[str, Ratio | int]:
     return (Comparison.CERTAINLY_LESS.value, constant)
 
 
-def _candidate(d: int, D: int, survives: bool) -> dict[str, tuple]:
-    """The global-stage step of the candidate field (d, D): its covolume
-    quotient, adjusted by its unit index, against 1."""
+# The candidate fields (d, D) that each rank class's refined cutoffs leave,
+# in plan order, and whether each survives its global stage.  A candidate's
+# catalog label is d.d.D.1.
+CANDIDATE_FIELDS = {2: ((3, 49, False), (2, 8, False), (2, 5, True)), 3: ((2, 5, False),), 4: ()}
+# The fields that survive each rank class's global stage: the rational
+# field and the surviving candidates.
+SURVIVING_FIELDS = {
+    rank: ("1.1.1.1", *(f"{d}.{d}.{D}.1" for d, D, survives in fields if survives))
+    for rank, fields in CANDIDATE_FIELDS.items()
+}
+
+
+def _global_stage(rank: int) -> dict[str, tuple]:
+    """The global-stage steps of a rank class, one for each candidate field
+    (d, D): its covolume quotient, adjusted by its unit index, against 1."""
     return {
         f"verdict_d{d}_D{D}": (
             ("refined_cutoffs",),
             f"field (d, D) = ({d}, {D}) "
             + ("survives the global stage" if survives else "is excluded"),
             (_gt(1) if survives else _lt(1),),
-        ),
+        )
+        for d, D, survives in CANDIDATE_FIELDS[rank]
     }
 
 
 # The steps that a proof of each rank class consists of, in order, each with
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
-# required relations and constant sides from it, and the evidence supplies
-# only anchors and computed sides.  So a consistent subset of a proof, or a
+# required relations and right sides from it, and the evidence supplies only
+# anchors and left sides.  So a consistent subset of a proof, or a
 # proof of another statement, is no rendering of a plan.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
@@ -211,8 +225,10 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
         ),
         "discriminant_cutoffs": (
             ("degree_threshold",),
-            "coarse cutoffs bound the discriminants of the candidate fields of degrees 2 to 5",
-            (_lt(),) * 4,
+            "coarse cutoffs bound the discriminants of the candidate fields of degrees 2 to 5 and "
+            "lie below 28, 257, 2225 and 24217, below which the catalog lists every totally real "
+            "field of its degree",
+            (_lt(28), _lt(257), _lt(2225), _lt(24217)),
         ),
         **_ZETA_PRODUCT_BOUND,
         "refined_cutoffs": (
@@ -221,9 +237,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "discriminant 49, and all quadratic candidates except discriminants 5 and 8",
             (_lt(14641), _lt(725), _gt(49), _lt(81), _gt(8), _lt(12)),
         ),
-        **_candidate(3, 49, survives=False),
-        **_candidate(2, 8, survives=False),
-        **_candidate(2, 5, survives=True),
+        **_global_stage(2),
         "local_nonspecial_factor": (
             (),
             "non-special local factors at rank {rank} exceed the component bound",
@@ -257,8 +271,9 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
         "discriminant_cutoffs": (
             ("degree_threshold", "zeta_product_bound"),
             "coarse cutoffs, which take e^0.46 > 1.58, bound the discriminants of the quadratic "
-            "and cubic candidate fields",
-            (_lt(), _lt(), _gt(E_046_LOWER)),
+            "and cubic candidate fields and lie below 12 and 81, below which the catalog lists "
+            "every totally real quadratic and cubic field",
+            (_lt(12), _lt(81), _gt(E_046_LOWER)),
         ),
         "refined_cutoffs": (
             ("discriminant_cutoffs", "zeta_product_bound"),
@@ -266,7 +281,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "discriminant 5",
             (_gt(5), _lt(8), _lt(49)),
         ),
-        **_candidate(2, 5, survives=False),
+        **_global_stage(3),
         **_LOCAL_STAGE,
     },
     4: {
@@ -289,11 +304,6 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
         **_LOCAL_STAGE,
     },
 }
-
-
-# The fields that survive each rank class's global stage: the rational
-# field, and at rank 2 the one candidate its plan keeps, verdict_d2_D5.
-SURVIVING_FIELDS = {2: ("1.1.1.1", "2.2.5.1"), 3: ("1.1.1.1",), 4: ("1.1.1.1",)}
 
 
 def rank_class(rank: int) -> int:
@@ -348,26 +358,21 @@ AXIOM_ANCHOR = "structural input, outside certified numerics"
 def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
     """The certificate of a rank's plan and its evidence, for the prover and
     the checker alike.  ``evidence`` maps each step id of the plan but the
-    axioms to (anchor, sides); a side is a pair (lhs, rhs), or lhs alone
-    where the plan fixes the right side to a constant.  A step's enclosures
-    are its computed sides, each lhs and each rhs the plan does not fix, in
-    comparison order, with equal intervals listed once.  All else comes from
-    the plan, ``compare`` and ``step_verdict``.  A missing step raises
-    KeyError, and another number of sides than the plan's ValueError.
+    axioms to (anchor, sides), the left sides of its comparisons; each right
+    side is the plan's constant.  A step's enclosures are its distinct left
+    sides, in comparison order.  All else comes from the plan, ``compare``
+    and ``step_verdict``.  A missing step raises KeyError, and another
+    number of sides than the plan's ValueError.
     """
     steps = []
     for step_id, (dependencies, claim, planned) in step_plan(rank).items():
         anchor, sides = (AXIOM_ANCHOR, ()) if step_id in AXIOMS else evidence[step_id]
         comparisons, enclosures = [], []
-        for given, (required, constant) in zip(sides, planned, strict=True):
-            if constant is None:
-                lhs, rhs = computed = given
-            else:
-                lhs, rhs, computed = given, Enclosure(constant, constant), (given,)
+        for lhs, (required, constant) in zip(sides, planned, strict=True):
+            rhs = Enclosure(constant, constant)
             comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
-            for iv in computed:
-                if iv not in enclosures:  # by value: Interval and Ratio equality
-                    enclosures.append(iv)
+            if lhs not in enclosures:  # by value: Interval and Ratio equality
+                enclosures.append(lhs)
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(
             CertificateStep(step_id, claim.format(rank=rank), anchor, tuple(enclosures),
@@ -534,14 +539,14 @@ def verify_report(stream: bytes) -> str:
     written as ``emit_report`` writes them, a rank that is not an integer, a
     dependency that is not a string, an unknown verdict, a precision outside
     16 to 8192 bits or not equal to every step's).  Then TamperDetected for
-    a recorded comparison side that is not a point and has fewer relative
-    bits than the recorded precision (``_wider_than``), a rank below 2, an
-    anchor that is not a string, or a report that is not, field for field,
-    what ``render`` makes of its rank's plan and its recorded anchors and
-    computed sides; so each step's enclosures must be the ones ``render``
-    derives from those sides.  Only exact integer arithmetic is used.  What
-    it does not recompute it trusts: the computed sides of the comparisons,
-    and the catalog data behind the candidate lists.
+    a recorded left side that is not a point and has fewer relative bits
+    than the recorded precision (``_wider_than``), a rank below 2, an anchor
+    that is not a string, or a report that is not, field for field, what
+    ``render`` makes of its rank's plan and its recorded anchors and left
+    sides; so each right side must be its plan's constant, and each step's
+    enclosures its distinct left sides.  Only exact integer arithmetic is
+    used.  What it does not recompute it trusts: the left sides, and the
+    catalog data behind the candidate lists.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -569,8 +574,8 @@ def verify_report(stream: bytes) -> str:
                 raise SchemaMismatch(f"step {step_id}: dependency {dep!r:.80} is not a string")
         sides = []
         for c in _typed(s, "comparisons", list):
-            sides.append((_parse_interval(_typed(c, "lhs", list)),
-                          _parse_interval(_typed(c, "rhs", list))))
+            sides.append(_parse_interval(_typed(c, "lhs", list)))
+            _parse_interval(_typed(c, "rhs", list))  # rendered from the plan
             _typed(c, "relation", str)
             _typed(c, "required", str)
         verdict = s.get("verdict")
@@ -578,22 +583,17 @@ def verify_report(stream: bytes) -> str:
             raise SchemaMismatch(f"unknown verdict {verdict!r:.80}")
         recorded.append((step_id, s.get("anchor"), sides))
     for step_id, _, sides in recorded:
-        for iv in (iv for side in sides for iv in side):
+        for iv in sides:
             if _wider_than(iv, precision_bits):
                 raise TamperDetected(f"step {step_id}: interval {_iv_json(iv)!r:.80} has "
                                      f"fewer than its {precision_bits} bits of precision")
     if rank < 2:
         raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
-    plan = step_plan(rank)
     evidence = {}
     for step_id, anchor, sides in recorded:
         if not isinstance(anchor, str):
             raise TamperDetected(f"step {step_id}: anchor {anchor!r:.80} is not a string")
-        if step_id in plan:
-            planned = plan[step_id][2]
-            sides = [lhs if constant is not None else (lhs, rhs)
-                     for (lhs, rhs), (_, constant) in zip(sides, planned)]
-            evidence[step_id] = (anchor, sides)
+        evidence[step_id] = (anchor, sides)
     try:
         cert = render(rank, precision_bits, evidence)
     except KeyError as exc:

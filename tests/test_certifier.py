@@ -473,6 +473,12 @@ def _cutoff_enclosures_reversed(doc):
     _step(doc, "discriminant_cutoffs")["enclosures"].reverse()
 
 
+def _coarse_constant_raised(doc):
+    """The quadratic cutoff checked against 30 in place of the least
+    discriminant above the candidates, 28."""
+    _step(doc, "discriminant_cutoffs")["comparisons"][0]["rhs"] = ["30", "30"]
+
+
 def _precision_raised(doc, bits=8192):
     """A report that claims more bits than it was proved at, at the top and in every step."""
     for record in (doc, *doc["steps"]):
@@ -505,6 +511,7 @@ def _precision_raised(doc, bits=8192):
         (2, _verdict_enclosures_emptied),
         (2, _zeta_product_enclosure_repeated),
         (2, _cutoff_enclosures_reversed),
+        (2, _coarse_constant_raised),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -517,9 +524,9 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     a key that the rendering lacks (at the top, in a step, in a comparison),
     a rewritten axiom anchor, a constant side spelled other than in lowest
     terms, a NotProved report with another conclusion or none, a
-    precision raised above the one its enclosures deliver, and enclosures
-    other than the step's computed sides (rewritten, emptied, repeated or
-    reordered)."""
+    precision raised above the one its enclosures deliver, enclosures
+    other than the step's left sides (rewritten, emptied, repeated or
+    reordered), and a coarse cutoff's constant raised."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -560,9 +567,8 @@ def test_honest_reports_follow_the_plan(n, bits):
         assert len(step.comparisons) == len(planned), step.id
         for c, (required, constant) in zip(step.comparisons, planned):
             assert c.required == required, step.id
-            if constant is not None:  # an int or a report.Ratio, compared by value
-                value = Fraction(constant.numerator, constant.denominator)
-                assert (c.rhs.lo, c.rhs.hi) == (value, value), step.id
+            value = Fraction(constant.numerator, constant.denominator)  # an int or a Ratio
+            assert (c.rhs.lo, c.rhs.hi) == (value, value), step.id
         assert step.verdict == ("Axiom" if step.id in report.AXIOMS else "Proved"), step.id
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
 
@@ -570,14 +576,53 @@ def test_honest_reports_follow_the_plan(n, bits):
 def test_rank2_cutoffs_compare_every_degree(tmp_path):
     """A degree with no candidate in the catalog still records its cutoff
     comparison, so a rank-2 proof from a catalog without quintic fields
-    keeps its plan's four comparisons and verifies."""
+    keeps its plan's four comparisons, the quintic one its cutoff against
+    24217, and verifies."""
     catalog = (Path(numberfields.__file__).parent / "data" / "fields.catalog").read_text()
     path = tmp_path / "no_quintic.catalog"
     path.write_text("".join(x for x in catalog.splitlines(True) if not x.startswith("5.")))
     cert = ct.run_case(2, precision_bits=64, fields_path=str(path))
     comparisons = next(s for s in cert.steps if s.id == "discriminant_cutoffs").comparisons
-    assert len(comparisons) == 4 and comparisons[3].lhs == Interval.exact(0)
+    assert len(comparisons) == 4
+    assert comparisons[3].lhs == bounds.n2_D_bound(5, 64)
+    assert (comparisons[3].rhs.lo, comparisons[3].rhs.hi) == (24217, 24217)
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
+
+
+# Each coarse cutoff's bound, the least discriminant of a totally real
+# field of its degree above the candidates, by rank and degree.
+COARSE_BOUNDS = {(2, 2): 28, (2, 3): 257, (2, 4): 2225, (2, 5): 24217, (3, 2): 12, (3, 3): 81}
+
+
+@pytest.mark.parametrize("n, d", list(COARSE_BOUNDS))
+def test_a_cutoff_past_its_bound_fails(n, d, monkeypatch, capsys):
+    """Each coarse comparison can fail: with one cutoff moved to its bound
+    plus 1, discriminant_cutoffs is Failed and prove exits 2."""
+    cutoff = {2: bounds.n2_D_bound, 3: bounds.n3_D_bound}[n]
+
+    def moved(degree, prec):
+        return Interval.exact(COARSE_BOUNDS[n, d] + 1) if degree == d else cutoff(degree, prec)
+
+    monkeypatch.setattr(bounds, cutoff.__name__, moved)
+    cert = ct.run_case(n, precision_bits=64)
+    assert next(s for s in cert.steps if s.id == "discriminant_cutoffs").verdict == "Failed"
+    assert cli.main(["prove", "--n", str(n), "--precision", "64"]) == cli.EXIT_STEP_FAILED
+    capsys.readouterr()
+
+
+def test_candidates_lie_below_the_cutoffs_upper_end(monkeypatch):
+    """A field whose discriminant lies inside a cutoff's enclosure is a
+    candidate: a quadratic cutoff of [47/2, 49/2] keeps 24 among 7."""
+    n2_D_bound = bounds.n2_D_bound
+
+    def widened(d, prec):
+        return Interval(Fraction(47, 2), Fraction(49, 2)) if d == 2 else n2_D_bound(d, prec)
+
+    monkeypatch.setattr(bounds, "n2_D_bound", widened)
+    cert = ct.run_case(2, precision_bits=64)
+    step = next(s for s in cert.steps if s.id == "discriminant_cutoffs")
+    assert "candidate counts 7 at degree 2," in step.anchor
+    assert step.verdict == "Proved"
 
 
 def test_verify_corpus_keeps_its_exit_codes(cert_by_rank, tmp_path, capsys):
@@ -918,21 +963,21 @@ def test_report_bytes_do_not_depend_on_history(n):
 # names the changed outputs and the reason in CHANGES.md.
 PINNED_DIGESTS = {
     "prove --all --format json":
-        "e0f9fb17411b2f490ea6ba70814629f1643e4675d15ec43977a30e7f1806a9fa",
+        "2d46f9919ec17d38e5fd1636018ec0006df314cf6f39a9ce867e50e24c1bfad7",
     "prove --all --format text":
-        "4febcdb72411599c96af840e1ffecb7f70cab1eaa4faa56780753dcde85e4a04",
+        "e9d9818499c73feca76d1baf52115d719eb08400d37cb378d0d139fef41f3606",
     "prove --n 2 --precision 16 --format json":
-        "d67b85229cbd0175a1b62d14a2253406a6377fbee9a6740dad864baad7d4f9d6",
+        "e4c62ffc917be0b7ae8b5436e95a7e7c5569e802025b2d3dd05e0c6243fdedb1",
     "prove --n 2 --precision 256 --format json":
-        "7331afbece7f60b1fd421cf9f9f08f9f95cf0efd38b1bb7579f8533ecd8edca0",
+        "6b7707375996d3d1301ef5c220472aa83d016a881d661478870e242affde5cc8",
     "prove --n 2 --precision 2048 --format json":
-        "1b37a33c19a7497f1845c920f7c7001277bae88495432fb70e008594b0a89d77",
+        "d08ff4cdbdf24f51e71dc328db4e0739d7fb87aa33baeb31898e822dc45f73bf",
     "prove --n 3 --precision 16 --format json":
-        "cc12f79883c33adbf4a0a597999a52f736a66f51b20157b258f8996356a55674",
+        "543cab73c73e6502388472d3dcc9513211917e77492f3cbf30115c0800d7c648",
     "prove --n 3 --precision 256 --format json":
-        "8f552c941134219973a1d936ca734e27341f18d95f7195e9e728bf61199ca359",
+        "fa415fc3c72a1dfbc3c01b09ce89df15c6dd84e81872913f775caa71043b8bbb",
     "prove --n 3 --precision 2048 --format json":
-        "fa7c7e71ff3eabeedeeaa2853f7290ed07906d80918e90ad0ca82dcc8074d6b4",
+        "a0ff0a45727fff8de044e40be15786363438c170ad30215dbeebc03236846af9",
     "prove --n 4 --precision 16 --format json":
         "04216563416469bb0b195662e9c885dcdaa55afd7356c2e355d4edc997d78039",
     "prove --n 4 --precision 256 --format json":
