@@ -12,11 +12,12 @@ They are re-exported here.
 
 ``report.STEP_PLANS`` is the proof's one statement, and ``report.render``
 the one rule that turns a plan and its evidence into a certificate: every
-step's id, position, dependencies, claim, required relations, right
-sides, enclosures and verdict, the surviving fields and the conclusion.
-The checker renders a report's recorded evidence with the same function.
-This module supplies only the evidence, an anchor and the left sides of
-each step's comparisons, looked up by step id in ``_EVIDENCE``, and
+step's id, position, dependencies, claim, comparisons (each enclosure
+against each of its quantity's planned bounds) and verdict, the surviving
+fields and the conclusion.  The checker renders a report's recorded
+evidence with the same function.  This module supplies only the evidence,
+an anchor and one enclosure for each quantity the step's plan bounds,
+looked up by step id in ``_EVIDENCE``, and
 ``run_case`` does nothing else: it loads the field catalog, evaluates the
 evidence in plan order and renders it.  The bound pairs the proof
 evaluates are stated witnesses, rows of the vendored table; ``prove`` does
@@ -53,10 +54,9 @@ N3_WITNESS = OdlyzkoPair("13.047", "3.8667")
 L35_WITNESS = OdlyzkoPair("6.894", "2.2667")
 
 
-# The evidence for one step: its anchor and the left sides of its planned
-# comparisons, whose right sides the plan fixes.  Each takes the field
-# catalog and the precision in bits, and is the same at every rank of its
-# class.
+# The evidence for one step: its anchor and one enclosure for each quantity
+# that its plan bounds.  Each takes the field catalog and the precision in
+# bits, and is the same at every rank of its class.
 
 
 def _degree_threshold_n2(catalog, prec: int):
@@ -78,11 +78,10 @@ def _discriminant_cutoffs_n2(catalog, prec: int):
     )
 
 
-def _refined_cutoffs_n2(catalog, prec: int):
-    protos = {d: bounds.proto_D_bound(2, d, 1, prec) for d in (2, 3, 4, 5)}
+def _refined_cutoffs(n: int, degrees, catalog, prec: int):
     return (
         "sharpened discriminant cutoffs with unit-index powers",
-        [protos[5], protos[4], protos[3], protos[3], protos[2], protos[2]],
+        [bounds.proto_D_bound(n, d, 1, prec) for d in degrees],
     )
 
 
@@ -101,12 +100,6 @@ def _discriminant_cutoffs_n3(catalog, prec: int):
         f"cubic candidates {cubic}",
         [cut2, cut3, bounds.e046_enclosure(prec)],
     )
-
-
-def _refined_cutoffs_n3(catalog, prec: int):
-    proto2 = bounds.proto_D_bound(3, 2, 1, prec)
-    proto3 = bounds.proto_D_bound(3, 3, 1, prec)
-    return "sharpened discriminant cutoffs with unit-index powers", [proto2, proto2, proto3]
 
 
 def _verdict(d: int, D: int, n: int, catalog, prec: int):
@@ -163,8 +156,7 @@ def _local_T_values(catalog, prec: int):
 
 
 def _local_exclusion(i: int, catalog, prec: int):
-    frag = localfactors.qsqrt5_local_exclusion(catalog)[i]
-    return frag.detail, [Interval.exact(v) for v in frag.values]
+    return localfactors.qsqrt5_local_exclusion(catalog)[i]
 
 
 # Each rank class's evidence, by the id of every step of its plan but the axioms.
@@ -177,7 +169,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "degree_threshold": _degree_threshold_n2,
         "discriminant_cutoffs": _discriminant_cutoffs_n2,
         "zeta_product_bound": _zeta_product_bound,
-        "refined_cutoffs": _refined_cutoffs_n2,
+        "refined_cutoffs": partial(_refined_cutoffs, 2, (5, 4, 3, 2)),
         **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D, _ in CANDIDATE_FIELDS[2]},
         "local_nonspecial_factor": partial(_local_nonspecial_factor, 3, 2),
         "local_T_values": _local_T_values,
@@ -187,7 +179,7 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "degree_threshold": _degree_threshold_n3,
         "zeta_product_bound": _zeta_product_bound,
         "discriminant_cutoffs": _discriminant_cutoffs_n3,
-        "refined_cutoffs": _refined_cutoffs_n3,
+        "refined_cutoffs": partial(_refined_cutoffs, 3, (2, 3)),
         **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 3) for d, D, _ in CANDIDATE_FIELDS[3]},
         **_LOCAL_EVIDENCE,
     },
@@ -203,9 +195,10 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
 def run_case(n: int, precision_bits: int = 256, fields_path: Optional[str] = None) -> Certificate:
     """Execute the full exclusion pipeline for one rank: evaluate the evidence
     of ``_EVIDENCE`` for each step of its class's plan but the axioms, in plan
-    order, and render the certificate with ``report.render``.  Evidence with
-    another number of sides than the plan has comparisons is a fault of this
-    module that no input reaches: ValueError.
+    order, and render the certificate with ``report.render``, which makes
+    each step's comparisons from its enclosures and the plan.  Evidence with
+    another number of enclosures than the plan has quantities is a fault of
+    this module that no input reaches: ValueError.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")

@@ -7,7 +7,7 @@ Subcommands:
   field     inspect one catalog field (zeta values, units, splitting)
 
 Exit codes: 0 all proved, 2 a step failed, a report was tampered with
-(among others, one whose enclosures are not those its steps' left sides
+(among others, one whose comparisons are not those its enclosures and plan
 render) or a usage error (such as ``prove --odlyzko``: only ``optimize``
 reads the bound-pair table), 3 data missing, unreadable or malformed, an
 ``optimize`` table with no row or no feasible point, a report that does not

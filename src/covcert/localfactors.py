@@ -11,10 +11,10 @@ exclusion argument for the rank-2 survivor field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
 from .report import XI_CARDINALITY_MAX
-from .rigor import Comparison, Interval, RationalLike, iv_compare
+from .rigor import Comparison, Interval, iv_compare
 from . import numberfields
 from .numberfields import padic_square_test, splitting_type
 
@@ -69,14 +69,7 @@ def nonspecial_gt_two(q: int, n: int) -> Comparison:
     return iv_compare(lower, Interval.exact(XI_CARDINALITY_MAX))
 
 
-class ExclusionStep(NamedTuple):
-    detail: str
-    # the left sides; the certifier's step plan states the claim and the
-    # constant each side must exceed
-    values: Tuple[RationalLike, ...]
-
-
-def qsqrt5_local_exclusion(catalog) -> Tuple[ExclusionStep, ...]:
+def qsqrt5_local_exclusion(catalog) -> Tuple[Tuple[str, List[Interval]], ...]:
     """Exclusion of small residue cardinalities for the rank-2 survivor.
 
     A sharp local factor small enough to evade the exclusion inequality
@@ -84,30 +77,25 @@ def qsqrt5_local_exclusion(catalog) -> Tuple[ExclusionStep, ...]:
     quadratic field of discriminant 5: the rational primes 2 and 3 are
     inert, so every residue cardinality is a square >= 4.  The remaining
     rigidity input (ramification parity at the archimedean places) is not
-    checked here; the certifier records it as axiom A1.  The values are the
-    smallest residue cardinality at the places above 2, then above 3, then
-    T(4), T(5) and T(9).
+    checked here; the certifier records it as axiom A1.  Each fragment is
+    the evidence of one step of the rank-2 plan, its anchor and its
+    enclosures, whose bounds the plan states: the smallest residue
+    cardinality at the places above 2, then above 3, then T(4), T(5) and
+    T(9).
     """
     field = numberfields.field_by_discriminant(catalog, 2, 5)
-    steps: List[ExclusionStep] = []
+    steps = []
     for p in (2, 3):
         split = splitting_type(field, p)
         square_check = padic_square_test(field.discriminant, p)
-        steps.append(
-            ExclusionStep(
-                detail=(
-                    f"prime {p} is {split.kind} with residue cardinality "
-                    f"{split.residue_cardinalities[0]}; discriminant is "
-                    f"{'' if square_check else 'not '}a square in the "
-                    f"{p}-adic field"
-                ),
-                values=(min(split.residue_cardinalities),),
-            )
-        )
-    steps.append(
-        ExclusionStep(
-            detail="T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
-            values=tuple(T_factor(q) for q in (4, 5, 9)),
-        )
-    )
+        steps.append((
+            f"prime {p} is {split.kind} with residue cardinality "
+            f"{split.residue_cardinalities[0]}; discriminant is "
+            f"{'' if square_check else 'not '}a square in the {p}-adic field",
+            [Interval.exact(min(split.residue_cardinalities))],
+        ))
+    steps.append((
+        "T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
+        [Interval.exact(T_factor(q)) for q in (4, 5, 9)],
+    ))
     return tuple(steps)

@@ -202,15 +202,20 @@ def data_fields(
 
 
 def load_catalog(data: bytes) -> Tuple[NumberFieldRecord, ...]:
-    """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv)."""
-    records = []
+    """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv).
+    A label appears once: a repeated field would be counted twice."""
+    records, labels = [], set()
     for lineno, fields in data_fields(data, "|", 5, MalformedCatalog):
+        label = fields[0].strip()
+        if label in labels:
+            raise MalformedCatalog(f"line {lineno}: label {label} is repeated")
+        labels.add(label)
         try:
             d, D, h = (int(f) for f in fields[1:4])
             coeffs = tuple(int(c) for c in fields[4].split(","))
         except ValueError as exc:
             raise MalformedCatalog(f"line {lineno}: {exc}") from exc
-        records.append(NumberFieldRecord(fields[0].strip(), d, D, h, coeffs))
+        records.append(NumberFieldRecord(label, d, D, h, coeffs))
     return tuple(sorted(records, key=lambda r: (r.degree, r.discriminant)))
 
 

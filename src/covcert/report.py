@@ -6,9 +6,9 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, and ``render`` turns a plan and its evidence into a
 certificate: the prover renders what it computed, and the checker renders
 what a report records and accepts the report only if it is that rendering.
-A step's evidence is an anchor and the left sides of its comparisons, which
-the prover computes; every right side is a constant of the plan, and
-``render`` derives the step's enclosures from the left sides.
+A step's evidence is an anchor and its enclosures, one for each quantity
+that the prover computes; the plan bounds each quantity by constants, and
+``render`` derives the step's comparisons, one for each bound.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -147,16 +147,16 @@ XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 
 
 
 # A planned step is a triple: the steps it depends on, its claim (a template
-# whose one field is {rank}) and its planned comparisons.  A planned
-# comparison is the relation it requires and the exact constant (an int or a
-# Ratio in lowest terms, as a report writes it) that its right side equals;
-# the prover computes its left side.
-def _gt(constant) -> tuple[str, Ratio | int]:
-    return (Comparison.CERTAINLY_GREATER.value, constant)
+# whose one field is {rank}) and the bounds of each quantity that the prover
+# computes for it, one enclosure each.  A bound is the relation the quantity
+# requires to an exact constant (an int or a Ratio in lowest terms, as a
+# report writes it); ``_gt(49) + _lt(81)`` bounds one quantity on both sides.
+def _gt(constant) -> tuple[tuple[str, Ratio | int]]:
+    return ((Comparison.CERTAINLY_GREATER.value, constant),)
 
 
-def _lt(constant) -> tuple[str, Ratio | int]:
-    return (Comparison.CERTAINLY_LESS.value, constant)
+def _lt(constant) -> tuple[tuple[str, Ratio | int]]:
+    return ((Comparison.CERTAINLY_LESS.value, constant),)
 
 
 # The candidate fields (d, D) that each rank class's refined cutoffs leave,
@@ -189,7 +189,7 @@ def _global_stage(rank: int) -> dict[str, tuple]:
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
 # required relations and right sides from it, and the evidence supplies only
-# anchors and left sides.  So a consistent subset of a proof, or a
+# anchors and enclosures.  So a consistent subset of a proof, or a
 # proof of another statement, is no rendering of a plan.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
@@ -235,7 +235,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             ("discriminant_cutoffs", "zeta_product_bound"),
             "refined cutoffs exclude all candidates of degree 4 and 5, all cubic candidates except "
             "discriminant 49, and all quadratic candidates except discriminants 5 and 8",
-            (_lt(14641), _lt(725), _gt(49), _lt(81), _gt(8), _lt(12)),
+            (_lt(14641), _lt(725), _gt(49) + _lt(81), _gt(8) + _lt(12)),
         ),
         **_global_stage(2),
         "local_nonspecial_factor": (
@@ -279,7 +279,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             ("discriminant_cutoffs", "zeta_product_bound"),
             "refined cutoffs exclude every cubic candidate and every quadratic candidate except "
             "discriminant 5",
-            (_gt(5), _lt(8), _lt(49)),
+            (_gt(5) + _lt(8), _lt(49)),
         ),
         **_global_stage(3),
         **_LOCAL_STAGE,
@@ -358,21 +358,20 @@ AXIOM_ANCHOR = "structural input, outside certified numerics"
 def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
     """The certificate of a rank's plan and its evidence, for the prover and
     the checker alike.  ``evidence`` maps each step id of the plan but the
-    axioms to (anchor, sides), the left sides of its comparisons; each right
-    side is the plan's constant.  A step's enclosures are its distinct left
-    sides, in comparison order.  All else comes from the plan, ``compare``
-    and ``step_verdict``.  A missing step raises KeyError, and another
-    number of sides than the plan's ValueError.
+    axioms to (anchor, enclosures), one enclosure for each planned quantity.
+    Each bound of a quantity gives one comparison, in plan order: its
+    enclosure against the bound's constant.  All else comes from the plan,
+    ``compare`` and ``step_verdict``.  A missing step raises KeyError, and
+    another number of enclosures than the plan's quantities ValueError.
     """
     steps = []
     for step_id, (dependencies, claim, planned) in step_plan(rank).items():
-        anchor, sides = (AXIOM_ANCHOR, ()) if step_id in AXIOMS else evidence[step_id]
-        comparisons, enclosures = [], []
-        for lhs, (required, constant) in zip(sides, planned, strict=True):
-            rhs = Enclosure(constant, constant)
-            comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
-            if lhs not in enclosures:  # by value: Interval and Ratio equality
-                enclosures.append(lhs)
+        anchor, enclosures = (AXIOM_ANCHOR, ()) if step_id in AXIOMS else evidence[step_id]
+        comparisons = []
+        for lhs, quantity in zip(enclosures, planned, strict=True):
+            for required, constant in quantity:
+                rhs = Enclosure(constant, constant)
+                comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(
             CertificateStep(step_id, claim.format(rank=rank), anchor, tuple(enclosures),
@@ -539,14 +538,15 @@ def verify_report(stream: bytes) -> str:
     written as ``emit_report`` writes them, a rank that is not an integer, a
     dependency that is not a string, an unknown verdict, a precision outside
     16 to 8192 bits or not equal to every step's).  Then TamperDetected for
-    a recorded left side that is not a point and has fewer relative bits
+    a recorded enclosure that is not a point and has fewer relative bits
     than the recorded precision (``_wider_than``), a rank below 2, an anchor
-    that is not a string, or a report that is not, field for field, what
-    ``render`` makes of its rank's plan and its recorded anchors and left
-    sides; so each right side must be its plan's constant, and each step's
-    enclosures its distinct left sides.  Only exact integer arithmetic is
-    used.  What it does not recompute it trusts: the left sides, and the
-    catalog data behind the candidate lists.
+    that is not a string, a step with another number of enclosures than its
+    plan's quantities, or a report that is not, field for field, what
+    ``render`` makes of its rank's plan and its recorded anchors and
+    enclosures; so the comparisons must be each enclosure against each of
+    its quantity's planned bounds.  Only exact integer arithmetic is used.
+    What it does not recompute it trusts: the enclosures, and the catalog
+    data behind the candidate lists.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -567,39 +567,37 @@ def verify_report(stream: bytes) -> str:
             raise SchemaMismatch(
                 f"step {step_id}: precision_bits differs from the report's"
             )
-        for e in _typed(s, "enclosures", list):  # rendered from the sides, parsed for the schema
-            _parse_interval(e)
+        enclosures = [_parse_interval(e) for e in _typed(s, "enclosures", list)]
         for dep in _typed(s, "dependencies", list):
             if not isinstance(dep, str):
                 raise SchemaMismatch(f"step {step_id}: dependency {dep!r:.80} is not a string")
-        sides = []
-        for c in _typed(s, "comparisons", list):
-            sides.append(_parse_interval(_typed(c, "lhs", list)))
-            _parse_interval(_typed(c, "rhs", list))  # rendered from the plan
+        for c in _typed(s, "comparisons", list):  # rendered, parsed for the schema
+            _parse_interval(_typed(c, "lhs", list))
+            _parse_interval(_typed(c, "rhs", list))
             _typed(c, "relation", str)
             _typed(c, "required", str)
         verdict = s.get("verdict")
         if verdict not in ("Proved", "Failed", "Tie", "Axiom"):
             raise SchemaMismatch(f"unknown verdict {verdict!r:.80}")
-        recorded.append((step_id, s.get("anchor"), sides))
-    for step_id, _, sides in recorded:
-        for iv in sides:
+        recorded.append((step_id, s.get("anchor"), enclosures))
+    for step_id, _, enclosures in recorded:
+        for iv in enclosures:
             if _wider_than(iv, precision_bits):
                 raise TamperDetected(f"step {step_id}: interval {_iv_json(iv)!r:.80} has "
                                      f"fewer than its {precision_bits} bits of precision")
     if rank < 2:
         raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
     evidence = {}
-    for step_id, anchor, sides in recorded:
+    for step_id, anchor, enclosures in recorded:
         if not isinstance(anchor, str):
             raise TamperDetected(f"step {step_id}: anchor {anchor!r:.80} is not a string")
-        evidence[step_id] = (anchor, sides)
+        evidence[step_id] = (anchor, enclosures)
     try:
         cert = render(rank, precision_bits, evidence)
     except KeyError as exc:
         raise TamperDetected(f"the report lacks its plan's step {exc}") from exc
-    except ValueError as exc:  # zip(strict=True): a step short of its planned comparisons
-        raise TamperDetected(f"a step's comparisons are not its plan's: {exc}") from exc
+    except ValueError as exc:  # zip(strict=True): more or fewer enclosures than quantities
+        raise TamperDetected(f"a step's enclosures are not its plan's: {exc}") from exc
     rendered = _document(cert)
     if doc != rendered:
         raise TamperDetected(_difference(doc, rendered))

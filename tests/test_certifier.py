@@ -479,6 +479,29 @@ def _coarse_constant_raised(doc):
     _step(doc, "discriminant_cutoffs")["comparisons"][0]["rhs"] = ["30", "30"]
 
 
+def _cutoff_met_by_two_values(doc, index, low, high):
+    """The refined cutoff whose bounds are comparisons index and index + 1
+    meets the first with the point low and the second with high, and the
+    enclosures are the step's distinct left sides."""
+    step = _step(doc, "refined_cutoffs")
+    for comparison, value in zip(step["comparisons"][index:index + 2], (low, high)):
+        comparison["lhs"] = [value, value]
+    step["enclosures"] = []
+    for comparison in step["comparisons"]:
+        if comparison["lhs"] not in step["enclosures"]:
+            step["enclosures"].append(comparison["lhs"])
+
+
+def _cubic_cutoff_met_by_two_values(doc):
+    """At rank 2, > 49 met by 60 and < 81 by 70: 5 enclosures for 4 cutoffs."""
+    _cutoff_met_by_two_values(doc, 2, "60", "70")
+
+
+def _quadratic_cutoff_met_by_two_values(doc):
+    """At rank 3, > 5 met by 6 and < 8 by 7: 3 enclosures for 2 cutoffs."""
+    _cutoff_met_by_two_values(doc, 0, "6", "7")
+
+
 def _precision_raised(doc, bits=8192):
     """A report that claims more bits than it was proved at, at the top and in every step."""
     for record in (doc, *doc["steps"]):
@@ -512,6 +535,8 @@ def _precision_raised(doc, bits=8192):
         (2, _zeta_product_enclosure_repeated),
         (2, _cutoff_enclosures_reversed),
         (2, _coarse_constant_raised),
+        (2, _cubic_cutoff_met_by_two_values),
+        (3, _quadratic_cutoff_met_by_two_values),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -525,8 +550,9 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     a rewritten axiom anchor, a constant side spelled other than in lowest
     terms, a NotProved report with another conclusion or none, a
     precision raised above the one its enclosures deliver, enclosures
-    other than the step's left sides (rewritten, emptied, repeated or
-    reordered), and a coarse cutoff's constant raised."""
+    other than the step's computed quantities (rewritten, emptied, repeated
+    or reordered), a coarse cutoff's constant raised, and a cutoff bounded
+    on both sides that meets each bound with another value."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -557,19 +583,29 @@ def test_verify_rejects_an_over_long_integer(cert_by_rank):
 )
 def test_honest_reports_follow_the_plan(n, bits):
     """run_case states its rank class's plan: every step in order, with the
-    plan's dependencies, claim, required relations and constant sides."""
+    plan's dependencies and claim, one enclosure for each planned quantity,
+    and as comparisons, in plan order, each enclosure against each of its
+    quantity's bounds: the bound's relation required, its constant the right
+    side.  So rank 2's refined_cutoffs has 4 enclosures and 6 comparisons."""
     cert = ct.run_case(n, precision_bits=bits)
     plan = report.step_plan(n)
     assert [s.id for s in cert.steps] == list(plan)
     for step, (dependencies, claim, planned) in zip(cert.steps, plan.values()):
         assert step.dependencies == dependencies, step.id
         assert step.claim == claim.format(rank=n), step.id
-        assert len(step.comparisons) == len(planned), step.id
-        for c, (required, constant) in zip(step.comparisons, planned):
-            assert c.required == required, step.id
+        assert len(step.enclosures) == len(planned), step.id
+        expected = [(enclosure, required, constant)
+                    for enclosure, quantity in zip(step.enclosures, planned)
+                    for required, constant in quantity]
+        assert len(step.comparisons) == len(expected), step.id
+        for c, (enclosure, required, constant) in zip(step.comparisons, expected):
+            assert c.lhs is enclosure and c.required == required, step.id
             value = Fraction(constant.numerator, constant.denominator)  # an int or a Ratio
             assert (c.rhs.lo, c.rhs.hi) == (value, value), step.id
         assert step.verdict == ("Axiom" if step.id in report.AXIOMS else "Proved"), step.id
+    if n == 2:
+        refined = next(s for s in cert.steps if s.id == "refined_cutoffs")
+        assert (len(refined.enclosures), len(refined.comparisons)) == (4, 6)
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
 
 
@@ -1095,24 +1131,27 @@ def test_overlap_gives_tie_that_verifies(cert_by_rank):
 
 
 def test_step_without_comparisons_is_not_proved(cert_by_rank):
-    """A step emptied of its comparisons departs from its plan.  A step
-    that keeps them but does not hold, on one overlapped comparison, leaves
-    a plan-shaped report NotProved, though a later step depends on it
-    (high_rank_conclusion on inner_factor_ge_one).  Its overlapping side is
-    the point 0: an interval about 0 is wider than any precision allows."""
-    for overlapped in (False, True):
+    """A step emptied of its comparisons is not the rendering of its
+    enclosures, and one emptied of its enclosures falls short of its plan's
+    quantities.  A step that keeps both but does not hold, on one overlapped
+    comparison, leaves a plan-shaped report NotProved, though a later step
+    depends on it (high_rank_conclusion on inner_factor_ge_one).  Its
+    overlapping side is the point 0: an interval about 0 is wider than any
+    precision allows."""
+    for emptied, message in (("comparisons", "not its rendering's"),
+                             ("enclosures", "enclosures are not its plan's")):
         doc = json.loads(ct.emit_report(cert_by_rank[4]))
         doc["final_conclusion"] = ""
-        step = _step(doc, "inner_factor_ge_one")
-        if not overlapped:
-            step.update(comparisons=[], verdict="Failed")
-            with pytest.raises(ct.TamperDetected, match="not its plan's"):
-                ct.verify_report(json.dumps(doc).encode())
-        else:
-            step["comparisons"][0].update(lhs=["0", "0"], relation="Overlap")
-            step["enclosures"][0] = ["0", "0"]
-            step["verdict"] = "Tie"
-            assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
+        _step(doc, "inner_factor_ge_one").update({emptied: [], "verdict": "Failed"})
+        with pytest.raises(ct.TamperDetected, match=message):
+            ct.verify_report(json.dumps(doc).encode())
+    doc = json.loads(ct.emit_report(cert_by_rank[4]))
+    doc["final_conclusion"] = ""
+    step = _step(doc, "inner_factor_ge_one")
+    step["comparisons"][0].update(lhs=["0", "0"], relation="Overlap")
+    step["enclosures"][0] = ["0", "0"]
+    step["verdict"] = "Tie"
+    assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
 
 def test_off_plan_report_with_a_failing_step_is_tampered():
@@ -1474,6 +1513,7 @@ def bad_data(tmp_path):
     (tmp_path / "no_quadratic.catalog").write_text(
         "".join(line for line in lines if not line.startswith("2."))
     )
+    (tmp_path / "repeated.catalog").write_text("".join(lines) + "2.2.5.1|2|5|1|-1,-1,1\n")
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     (tmp_path / "long_int.json").write_text('{"schema_version": 1, "rank": ' + "9" * 5001 + "}")
     (tmp_path / "latin1").write_bytes(b"\xff\xfe not UTF-8\n")
@@ -1528,6 +1568,8 @@ BAD_INPUT = [
     ({}, ["field", "2.2.5.1", "--op", "units", "--fields", ""]),
     # UnsupportedField: no splitting rule for a quartic field
     ({}, ["field", "4.4.725.1", "--op", "splitting", "--p", "5"]),
+    # a repeated record, which would be counted as a second candidate
+    ({}, ["prove", "--n", "3", "--fields", "{tmp}/repeated.catalog"]),
 ]
 
 

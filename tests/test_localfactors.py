@@ -71,14 +71,16 @@ def test_nonspecial_gt_two():
 
 
 def test_qsqrt5_exclusion_chain(catalog):
-    """Each fragment's values exceed the constants of its planned step."""
+    """Each fragment is its planned step's evidence, (anchor, enclosures):
+    one exact enclosure for each planned quantity, above its constant."""
     steps = lf.qsqrt5_local_exclusion(catalog)
     plan = report.STEP_PLANS[2]
     assert len(steps) == 3
-    for i, step in enumerate(steps):
+    for i, (_, enclosures) in enumerate(steps):
         _, _, planned = plan[f"local_exclusion_{i}"]
-        assert len(step.values) == len(planned)
-        for value, (required, constant) in zip(step.values, planned):
-            assert (required, value > constant) == ("CertainlyGreater", True), (i, value)
+        assert len(enclosures) == len(planned)
+        for value, ((required, constant),) in zip(enclosures, planned):
+            assert value.lo == value.hi, (i, value)
+            assert (required, value.lo > constant) == ("CertainlyGreater", True), (i, value)
     assert "residue cardinality 2" in plan["local_exclusion_0"][1]
-    assert "inert" in steps[0].detail
+    assert "inert" in steps[0][0]

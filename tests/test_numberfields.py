@@ -84,6 +84,8 @@ def test_load_catalog_errors():
     with pytest.raises(nf.InvariantViolation, match="discriminant 3136"):
         # 8 f(x/2) for the cubic of 3.3.49.1: the same field, index 8
         nf.load_catalog(b"3.3.49.1|3|49|1|-8,-8,2,1")
+    with pytest.raises(nf.MalformedCatalog, match="line 3: label 2.2.5.1 is repeated"):
+        nf.load_catalog(b"2.2.5.1|2|5|1|-1,-1,1\n2.2.8.1|2|8|1|-2,0,1\n2.2.5.1|2|5|1|-1,-1,1")
 
 
 def test_checksum_detects_corruption(tmp_path):
