@@ -78,10 +78,10 @@ def qsqrt5_local_exclusion(catalog) -> Tuple[Tuple[str, List[Interval]], ...]:
     inert, so every residue cardinality is a square >= 4.  The remaining
     rigidity input (ramification parity at the archimedean places) is not
     checked here; the certifier records it as axiom A1.  Each fragment is
-    the evidence of one step of the rank-2 plan, its anchor and its
-    enclosures, whose bounds the plan states: the smallest residue
-    cardinality at the places above 2, then above 3, then T(4), T(5) and
-    T(9).
+    the evidence of one step of the rank-2 plan, its anchor (the splitting
+    that the catalog's field gives) and its enclosure, whose bound the plan
+    states: the smallest residue cardinality at the places above 2, then
+    above 3.  The plan states T(4), T(5) and T(9) at the remaining places.
     """
     field = numberfields.field_by_discriminant(catalog, 2, 5)
     steps = []
@@ -94,8 +94,4 @@ def qsqrt5_local_exclusion(catalog) -> Tuple[Tuple[str, List[Interval]], ...]:
             f"{'' if square_check else 'not '}a square in the {p}-adic field",
             [Interval.exact(min(split.residue_cardinalities))],
         ))
-    steps.append((
-        "T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
-        [Interval.exact(T_factor(q)) for q in (4, 5, 9)],
-    ))
     return tuple(steps)

@@ -203,19 +203,27 @@ def data_fields(
 
 def load_catalog(data: bytes) -> Tuple[NumberFieldRecord, ...]:
     """Parse the line-delimited catalog: label|d_K|D_K|h_K|poly_coeffs(csv).
-    A label appears once: a repeated field would be counted twice."""
-    records, labels = [], set()
+    A repeated field would be counted twice, so a label and a defining
+    polynomial appear once, and so does a quadratic discriminant, which
+    determines its field.  Isomorphic fields of higher degree with other
+    polynomials are not detected."""
+    records, seen = [], set()
     for lineno, fields in data_fields(data, "|", 5, MalformedCatalog):
         label = fields[0].strip()
-        if label in labels:
-            raise MalformedCatalog(f"line {lineno}: label {label} is repeated")
-        labels.add(label)
         try:
             d, D, h = (int(f) for f in fields[1:4])
             coeffs = tuple(int(c) for c in fields[4].split(","))
         except ValueError as exc:
             raise MalformedCatalog(f"line {lineno}: {exc}") from exc
-        records.append(NumberFieldRecord(label, d, D, h, coeffs))
+        record = NumberFieldRecord(label, d, D, h, coeffs)
+        keys = [("label", label), ("polynomial", ",".join(map(str, coeffs)))]
+        if d == 2:
+            keys.append(("quadratic discriminant", D))
+        for key in keys:
+            if key in seen:
+                raise MalformedCatalog(f"line {lineno}: {key[0]} {key[1]} is repeated")
+            seen.add(key)
+        records.append(record)
     return tuple(sorted(records, key=lambda r: (r.degree, r.discriminant)))
 
 

@@ -6,9 +6,12 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, and ``render`` turns a plan and its evidence into a
 certificate: the prover renders what it computed, and the checker renders
 what a report records and accepts the report only if it is that rendering.
-A step's evidence is an anchor and its enclosures, one for each quantity
-that the prover computes; the plan bounds each quantity by constants, and
-``render`` derives the step's comparisons, one for each bound.
+A step's evidence is its enclosures, one for each quantity that the prover
+computes, and its anchor where the plan states none; the plan bounds each
+quantity by constants, and ``render`` derives the step's comparisons, one
+for each bound.  The plan states the bound table's witness rows and every
+anchor that reads no catalog; the prover states the rest: the candidate
+counts and lists, a unit index and a prime's splitting.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -84,8 +87,9 @@ class Ratio:
     constant of the plan.  It equals another exact rational of the same
     value and has no order: ``compare`` and ``_below`` decide one, so that
     no ordering of its fields, such as a tuple's, can stand in for it.
-    An endpoint keeps the ``text`` it was read from, which ``_frac_str``
-    writes back unchanged."""
+    An endpoint keeps the ``text`` it was read from, which ``str`` writes
+    back unchanged; else ``str`` writes p/q, or p for q = 1, as it does a
+    ``Fraction``."""
 
     __slots__ = ("numerator", "denominator", "text")
 
@@ -102,6 +106,11 @@ class Ratio:
         return _equal(self, other)
 
     __hash__ = None
+
+    def __str__(self) -> str:
+        if self.text is not None:
+            return self.text
+        return str(self.numerator) + (f"/{self.denominator}" if self.denominator != 1 else "")
 
     def __repr__(self) -> str:
         return f"Ratio({self.numerator}, {self.denominator})"
@@ -144,13 +153,22 @@ def step_verdict(comparisons: list[RecordedComparison]) -> str:
 ZETA_PRODUCT_UPPER = Ratio(183, 100)  # the product of zeta(2j) over j >= 1 is below it
 E_046_LOWER = Ratio(79, 50)  # below e^0.46; the rank-3 cutoffs take it in its place
 XI_CARDINALITY_MAX = 2  # the component group dividing a non-special factor has 1 or 2 elements
+# Rows (A, E) of the vendored bound table at which the proof evaluates the
+# rank-2 threshold (with t), the rank-3 one and both rank >= 4 induction steps:
+# a step needs only some row below its bound, so the search is left to ``covcert optimize``.
+N2_WITNESS = (Ratio(2689, 125), Ratio(60001, 10000), Ratio(6, 5))  # (21.512, 6.0001, 1.2)
+N3_WITNESS = (Ratio(13047, 1000), Ratio(38667, 10000))  # (13.047, 3.8667)
+L35_WITNESS = (Ratio(3447, 500), Ratio(22667, 10000))  # (6.894, 2.2667)
 
 
-# A planned step is a triple: the steps it depends on, its claim (a template
-# whose one field is {rank}) and the bounds of each quantity that the prover
-# computes for it, one enclosure each.  A bound is the relation the quantity
-# requires to an exact constant (an int or a Ratio in lowest terms, as a
-# report writes it); ``_gt(49) + _lt(81)`` bounds one quantity on both sides.
+# A planned step is a 4-tuple: the steps it depends on, its claim (a template
+# whose one field is {rank}), its anchor and the bounds of each quantity that
+# the prover computes for it, one enclosure each.  The anchor is the plan's
+# text wherever it reads no catalog, and None where the prover states it: the
+# candidate counts and lists, a unit index, a prime's splitting.  A bound is
+# the relation the quantity requires to an exact constant (an int or a Ratio
+# in lowest terms, as a report writes it); ``_gt(49) + _lt(81)`` bounds one
+# quantity on both sides.
 def _gt(constant) -> tuple[tuple[str, Ratio | int]]:
     return ((Comparison.CERTAINLY_GREATER.value, constant),)
 
@@ -158,6 +176,8 @@ def _gt(constant) -> tuple[tuple[str, Ratio | int]]:
 def _lt(constant) -> tuple[tuple[str, Ratio | int]]:
     return ((Comparison.CERTAINLY_LESS.value, constant),)
 
+
+AXIOM_ANCHOR = "structural input, outside certified numerics"
 
 # The candidate fields (d, D) that each rank class's refined cutoffs leave,
 # in plan order, and whether each survives its global stage.  A candidate's
@@ -179,6 +199,7 @@ def _global_stage(rank: int) -> dict[str, tuple]:
             ("refined_cutoffs",),
             f"field (d, D) = ({d}, {D}) "
             + ("survives the global stage" if survives else "is excluded"),
+            None,
             (_gt(1) if survives else _lt(1),),
         )
         for d, D, survives in CANDIDATE_FIELDS[rank]
@@ -188,39 +209,45 @@ def _global_stage(rank: int) -> dict[str, tuple]:
 # The steps that a proof of each rank class consists of, in order, each with
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
-# required relations and right sides from it, and the evidence supplies only
-# anchors and enclosures.  So a consistent subset of a proof, or a
-# proof of another statement, is no rendering of a plan.
-_AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], ()) for axiom in ("A5", "A4", "A3")}
+# required relations and right sides from it, and every anchor it states, and
+# the evidence supplies only enclosures and the anchors that read the
+# catalog.  So a consistent subset of a proof, or a proof of another
+# statement, is no rendering of a plan.
+_AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], AXIOM_ANCHOR, ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
     "local_special_factor": (
         (),
         "smallest special non-hyperspecial local factor at rank {rank} exceeds the exclusion "
         "threshold: it does at ranks 3 and 4 and gains factors >= 1 from rank n to n + 2",
+        "local covolume factor lower bounds at ranks 3 and 4",
         (_gt(10), _gt(10)),
     ),
     "local_nonspecial_factor": (
         (),
         "non-special local factors at rank {rank} exceed the component bound: h(2, 3) does, "
         "and h(2, n + 1)/h(2, n) = 2(1 - 4^-(n+1)) exceeds 1 at n = 3 and grows with n",
+        "volume rigidity lower bound at rank 3 and its growth to rank 4",
         (_gt(XI_CARDINALITY_MAX), _gt(1)),
     ),
-    "A2": ((), AXIOMS["A2"], ()),
+    "A2": ((), AXIOMS["A2"], AXIOM_ANCHOR, ()),
 }
 # every rank class's cutoffs or conclusion take the zeta product's bound 1.83
 _ZETA_PRODUCT_BOUND = {
     "zeta_product_bound": (
         (),
         "the infinite product of zeta at even integers is below 1.83",
+        "reference covolume constant bound",
         (_lt(ZETA_PRODUCT_UPPER),),
     ),
 }
+_REFINED_ANCHOR = "sharpened discriminant cutoffs with unit-index powers"
 STEP_PLANS: dict[int, dict[str, tuple]] = {
     2: {
         **_AXIOMS_FIRST,
         "degree_threshold": (
             ("A3",),
             "the optimized rank-2 degree threshold lies below 6, excluding degrees 6 and higher",
+            "grid minimum at (A, E, t) = ({}, {}, {})".format(*N2_WITNESS),
             (_lt(6),),
         ),
         "discriminant_cutoffs": (
@@ -228,6 +255,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "coarse cutoffs bound the discriminants of the candidate fields of degrees 2 to 5 and "
             "lie below 28, 257, 2225 and 24217, below which the catalog lists every totally real "
             "field of its degree",
+            None,
             (_lt(28), _lt(257), _lt(2225), _lt(24217)),
         ),
         **_ZETA_PRODUCT_BOUND,
@@ -235,29 +263,35 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             ("discriminant_cutoffs", "zeta_product_bound"),
             "refined cutoffs exclude all candidates of degree 4 and 5, all cubic candidates except "
             "discriminant 49, and all quadratic candidates except discriminants 5 and 8",
+            _REFINED_ANCHOR,
             (_lt(14641), _lt(725), _gt(49) + _lt(81), _gt(8) + _lt(12)),
         ),
         **_global_stage(2),
         "local_nonspecial_factor": (
             (),
             "non-special local factors at rank {rank} exceed the component bound",
+            "volume rigidity lower bound",
             (_gt(XI_CARDINALITY_MAX),),
         ),
         "local_T_values": (
-            (), "rank-2 sharp factor values T(2) = 5/2 and T(3) = 10", (_gt(2), _gt(5))
+            (),
+            "rank-2 sharp factor values T(2) = 5/2 and T(3) = 10",
+            "closed-form local factors at small residue cardinality",
+            (_gt(2), _gt(5)),
         ),
         "local_exclusion_0": (
-            ("local_T_values",), "no place above 2 has residue cardinality 2", (_gt(2),)
+            ("local_T_values",), "no place above 2 has residue cardinality 2", None, (_gt(2),)
         ),
         "local_exclusion_1": (
-            ("local_T_values",), "no place above 3 has residue cardinality 3", (_gt(3),)
+            ("local_T_values",), "no place above 3 has residue cardinality 3", None, (_gt(3),)
         ),
         "local_exclusion_2": (
             ("local_T_values",),
             "sharp factors at the remaining places satisfy the exclusion inequality",
+            "T(q) > 25 for q >= 4 and T(4), T(5), T(9) each exceed 10",
             (_gt(10),) * 3,
         ),
-        "A1": (("local_T_values",), AXIOMS["A1"], ()),
+        "A1": (("local_T_values",), AXIOMS["A1"], AXIOM_ANCHOR, ()),
         "A2": _LOCAL_STAGE["A2"],
     },
     3: {
@@ -265,6 +299,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
         "degree_threshold": (
             ("A3",),
             "the optimized rank-3 degree threshold lies below 4, excluding degrees 4 and higher",
+            "table minimum at (A, E) = ({}, {})".format(*N3_WITNESS),
             (_lt(4),),
         ),
         **_ZETA_PRODUCT_BOUND,
@@ -273,12 +308,14 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "coarse cutoffs, which take e^0.46 > 1.58, bound the discriminants of the quadratic "
             "and cubic candidate fields and lie below 12 and 81, below which the catalog lists "
             "every totally real quadratic and cubic field",
+            None,
             (_lt(12), _lt(81), _gt(E_046_LOWER)),
         ),
         "refined_cutoffs": (
             ("discriminant_cutoffs", "zeta_product_bound"),
             "refined cutoffs exclude every cubic candidate and every quadratic candidate except "
             "discriminant 5",
+            _REFINED_ANCHOR,
             (_gt(5) + _lt(8), _lt(49)),
         ),
         **_global_stage(3),
@@ -291,6 +328,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "the degree-power base at rank {rank} is at least one, so the lower bound is "
             "increasing in the degree: at rank 4 its log and the log's first and second "
             "differences in the rank are positive, and the second grows with the rank",
+            "monotonicity in the field degree, via the logarithm of the base at rank 4",
             (_gt(0),) * 3,
         ),
         **_ZETA_PRODUCT_BOUND,
@@ -299,6 +337,7 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "no field of degree above one yields a smaller covolume at rank {rank}: at rank 4 the "
             "normalized lower bound at degree 2 exceeds 1.83 and its log's first and second "
             "differences in the rank are positive, and the second grows with the rank",
+            "the normalized lower bound at degree 2, at rank 4",
             (_gt(ZETA_PRODUCT_UPPER), _gt(0), _gt(0)),
         ),
         **_LOCAL_STAGE,
@@ -352,30 +391,32 @@ class Certificate(
 # rendering
 
 
-AXIOM_ANCHOR = "structural input, outside certified numerics"
-
-
 def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
     """The certificate of a rank's plan and its evidence, for the prover and
     the checker alike.  ``evidence`` maps each step id of the plan but the
-    axioms to (anchor, enclosures), one enclosure for each planned quantity.
-    Each bound of a quantity gives one comparison, in plan order: its
-    enclosure against the bound's constant.  All else comes from the plan,
-    ``compare`` and ``step_verdict``.  A missing step raises KeyError, and
-    another number of enclosures than the plan's quantities ValueError.
+    axioms to (anchor, enclosures), one enclosure for each planned quantity;
+    its anchor is taken only where the plan states none.  Each bound of a
+    quantity gives one comparison, in plan order: its enclosure against the
+    bound's constant.  All else comes from the plan, ``compare`` and
+    ``step_verdict``.  A missing step raises KeyError, and another number of
+    enclosures than the plan's quantities ValueError, naming the step.
     """
     steps = []
-    for step_id, (dependencies, claim, planned) in step_plan(rank).items():
-        anchor, enclosures = (AXIOM_ANCHOR, ()) if step_id in AXIOMS else evidence[step_id]
+    for step_id, (dependencies, claim, planned_anchor, planned) in step_plan(rank).items():
+        anchor, enclosures = (None, ()) if step_id in AXIOMS else evidence[step_id]
+        if len(enclosures) != len(planned):
+            raise ValueError(f"step {step_id}: its {len(enclosures)} enclosures are not "
+                             f"its plan's {len(planned)}")
         comparisons = []
-        for lhs, quantity in zip(enclosures, planned, strict=True):
+        for lhs, quantity in zip(enclosures, planned):
             for required, constant in quantity:
                 rhs = Enclosure(constant, constant)
                 comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(
-            CertificateStep(step_id, claim.format(rank=rank), anchor, tuple(enclosures),
-                            tuple(comparisons), verdict, dependencies, precision_bits)
+            CertificateStep(step_id, claim.format(rank=rank), planned_anchor or anchor,
+                            tuple(enclosures), tuple(comparisons), verdict, dependencies,
+                            precision_bits)
         )
     survivors = list(SURVIVING_FIELDS[rank_class(rank)])
     cert = Certificate(rank, precision_bits, tuple(steps), survivors, "")
@@ -386,16 +427,10 @@ def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
 # serialization
 
 
-def _frac_str(x) -> str:
-    """x as a report writes it: an endpoint as it was read, else p/q, or p for q = 1."""
-    text = getattr(x, "text", None)
-    if text is not None:
-        return text
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _iv_json(iv) -> list[str]:
-    return [_frac_str(iv.lo), _frac_str(iv.hi)]
+    """An interval as a report writes it: each endpoint as it was read, else
+    p/q, or p for q = 1 (``str`` of a Ratio, a Fraction or an int)."""
+    return [str(iv.lo), str(iv.hi)]
 
 
 def _sig12(x) -> str:
@@ -479,7 +514,7 @@ def _typed(obj, key: str, kind: type):
 
 
 def _endpoint(text) -> Ratio:
-    """An endpoint as ``_frac_str`` writes it, -?[0-9]+ or -?[0-9]+/[0-9]+,
+    """An endpoint as ``_iv_json`` writes it, -?[0-9]+ or -?[0-9]+/[0-9]+,
     with a nonzero denominator, keeping its text.  Only ASCII digits are
     taken: ``int`` alone would also take other scripts' digits, and
     ``Fraction`` an exponent, which it expands ("1e10000000" to ten million
@@ -541,12 +576,14 @@ def verify_report(stream: bytes) -> str:
     a recorded enclosure that is not a point and has fewer relative bits
     than the recorded precision (``_wider_than``), a rank below 2, an anchor
     that is not a string, a step with another number of enclosures than its
-    plan's quantities, or a report that is not, field for field, what
-    ``render`` makes of its rank's plan and its recorded anchors and
-    enclosures; so the comparisons must be each enclosure against each of
-    its quantity's planned bounds.  Only exact integer arithmetic is used.
-    What it does not recompute it trusts: the enclosures, and the catalog
-    data behind the candidate lists.
+    plan's quantities (the error names the step), or a report that is not,
+    field for field, what ``render`` makes of its rank's plan and its
+    recorded anchors and enclosures; so the comparisons must be each
+    enclosure against each of its quantity's planned bounds, and an anchor
+    that the plan states must be the plan's.  Only exact integer arithmetic
+    is used.  What it does not recompute it trusts: the enclosures, and the
+    anchors that read the catalog (the candidate counts and lists, the unit
+    index, a prime's splitting) with the catalog data behind them.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -596,8 +633,8 @@ def verify_report(stream: bytes) -> str:
         cert = render(rank, precision_bits, evidence)
     except KeyError as exc:
         raise TamperDetected(f"the report lacks its plan's step {exc}") from exc
-    except ValueError as exc:  # zip(strict=True): more or fewer enclosures than quantities
-        raise TamperDetected(f"a step's enclosures are not its plan's: {exc}") from exc
+    except ValueError as exc:  # a step with more or fewer enclosures than quantities
+        raise TamperDetected(str(exc)) from exc
     rendered = _document(cert)
     if doc != rendered:
         raise TamperDetected(_difference(doc, rendered))

@@ -428,6 +428,22 @@ def _axiom_anchor_rewritten(doc):
     _step(doc, "A5")["anchor"] = "A5 is proved in the appendix"
 
 
+def _threshold_anchor_cites_rank3_row(doc):
+    """The rank-2 threshold claimed at the rank-3 witness row, which the
+    benchmark's search-target check would read."""
+    _step(doc, "degree_threshold")["anchor"] = (
+        "grid minimum at (A, E, t) = (13047/1000, 38667/10000, 6/5)"
+    )
+
+
+def _conclusion_anchor_rewritten(doc):
+    _step(doc, "high_rank_conclusion")["anchor"] = "the normalized bound at degree 3, at rank 4"
+
+
+def _special_factor_anchor_rewritten(doc):
+    _step(doc, "local_special_factor")["anchor"] = "local covolume factors at ranks 5 and 6"
+
+
 def _constant_side_respelled(doc):
     _step(doc, "high_rank_conclusion")["comparisons"][0]["rhs"] = ["366/200", "366/200"]
 
@@ -526,6 +542,9 @@ def _precision_raised(doc, bits=8192):
         (4, _step_key_added),
         (4, _comparison_key_added),
         (4, _axiom_anchor_rewritten),
+        (2, _threshold_anchor_cites_rank3_row),
+        (4, _conclusion_anchor_rewritten),
+        (3, _special_factor_anchor_rewritten),
         (4, _constant_side_respelled),
         (4, _not_proved_conclusion_edited),
         (4, _not_proved_conclusion_dropped),
@@ -547,7 +566,9 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     1.83 replaced by 0), a flipped relation, a dropped comparison,
     surviving fields that are not the plan's, a step the plan no longer has,
     a key that the rendering lacks (at the top, in a step, in a comparison),
-    a rewritten axiom anchor, a constant side spelled other than in lowest
+    a rewritten anchor that the plan states (an axiom's, the rank-2
+    threshold's citing the rank-3 row, the conclusion's, a local factor's),
+    a constant side spelled other than in lowest
     terms, a NotProved report with another conclusion or none, a
     precision raised above the one its enclosures deliver, enclosures
     other than the step's computed quantities (rewritten, emptied, repeated
@@ -583,16 +604,18 @@ def test_verify_rejects_an_over_long_integer(cert_by_rank):
 )
 def test_honest_reports_follow_the_plan(n, bits):
     """run_case states its rank class's plan: every step in order, with the
-    plan's dependencies and claim, one enclosure for each planned quantity,
-    and as comparisons, in plan order, each enclosure against each of its
-    quantity's bounds: the bound's relation required, its constant the right
-    side.  So rank 2's refined_cutoffs has 4 enclosures and 6 comparisons."""
+    plan's dependencies, claim and anchor where the plan states one, one
+    enclosure for each planned quantity, and as comparisons, in plan order,
+    each enclosure against each of its quantity's bounds: the bound's
+    relation required, its constant the right side.  So rank 2's
+    refined_cutoffs has 4 enclosures and 6 comparisons."""
     cert = ct.run_case(n, precision_bits=bits)
     plan = report.step_plan(n)
     assert [s.id for s in cert.steps] == list(plan)
-    for step, (dependencies, claim, planned) in zip(cert.steps, plan.values()):
+    for step, (dependencies, claim, anchor, planned) in zip(cert.steps, plan.values()):
         assert step.dependencies == dependencies, step.id
         assert step.claim == claim.format(rank=n), step.id
+        assert step.anchor == anchor if anchor else isinstance(step.anchor, str), step.id
         assert len(step.enclosures) == len(planned), step.id
         expected = [(enclosure, required, constant)
                     for enclosure, quantity in zip(step.enclosures, planned)
@@ -896,7 +919,7 @@ def test_reports_from_rank_four_on_differ_only_in_rank_and_claims():
     def without_rank(n):
         doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
         claims = [step.pop("claim") for step in doc["steps"]]
-        assert claims == [claim.format(rank=n) for _, claim, _ in report.step_plan(n).values()]
+        assert claims == [claim.format(rank=n) for _, claim, _, _ in report.step_plan(n).values()]
         assert doc.pop("rank") == n
         return doc
 
@@ -1154,6 +1177,16 @@ def test_step_without_comparisons_is_not_proved(cert_by_rank):
     assert ct.verify_report(json.dumps(doc).encode()) == "NotProved"
 
 
+def test_clipped_step_is_named(cert_by_rank):
+    """A step with an enclosure fewer than its plan's quantities is
+    tampered, and the error names the step and both counts."""
+    doc = json.loads(ct.emit_report(cert_by_rank[3]))
+    _step(doc, "refined_cutoffs")["enclosures"].pop()
+    with pytest.raises(ct.TamperDetected,
+                       match="step refined_cutoffs: its 1 enclosures are not its plan's 2"):
+        ct.verify_report(json.dumps(doc).encode())
+
+
 def test_off_plan_report_with_a_failing_step_is_tampered():
     """A one-step rank-1 report follows no plan, whatever its verdicts."""
     step = ct.CertificateStep("empty", "claim", "anchor", (), (), "Failed", (), PREC)
@@ -1164,19 +1197,22 @@ def test_off_plan_report_with_a_failing_step_is_tampered():
 
 def test_plans_depend_only_on_earlier_steps_and_known_axioms():
     """Each planned dependency names an earlier step of its plan; the axiom
-    steps are exactly A1-A5, each claiming its axiom's text with no
-    comparison; every claim is a template whose only field is {rank}."""
+    steps are exactly A1-A5, each claiming its axiom's text with the axiom
+    anchor and no comparison; every claim is a template whose only field is
+    {rank}; an anchor is text or None, which the prover states."""
     planned_axioms = set()
     for rank, plan in report.STEP_PLANS.items():
         earlier = set()
-        for step_id, (dependencies, claim, comparisons) in plan.items():
+        for step_id, (dependencies, claim, anchor, comparisons) in plan.items():
             assert set(dependencies) <= earlier, (rank, step_id)
             earlier.add(step_id)
             fields = {field for _, field, _, _ in Formatter().parse(claim)}
             assert fields <= {None, "rank"}, (rank, step_id)
             assert (step_id in report.AXIOMS) == (step_id[0] == "A"), step_id
+            assert anchor is None or isinstance(anchor, str), (rank, step_id)
             if step_id in report.AXIOMS:
-                assert (claim, comparisons) == (report.AXIOMS[step_id], ()), step_id
+                expected = (report.AXIOMS[step_id], report.AXIOM_ANCHOR, ())
+                assert (claim, anchor, comparisons) == expected, step_id
             else:
                 assert comparisons, (rank, step_id)
         planned_axioms |= set(plan) & set(report.AXIOMS)
@@ -1187,7 +1223,8 @@ def test_plans_depend_only_on_earlier_steps_and_known_axioms():
 def test_run_case_walks_the_plan(n, monkeypatch):
     """The prover's evidence covers exactly its class's plan steps that are
     not axioms, and evidence with one side fewer than the plan's
-    comparisons stops the proof."""
+    comparisons stops the proof with an error that names the step and both
+    counts."""
     evidence = ct._EVIDENCE[report.rank_class(n)]
     assert set(evidence) == set(report.step_plan(n)) - set(report.AXIOMS)
     step_id = next(step_id for step_id in report.step_plan(n) if step_id in evidence)
@@ -1198,7 +1235,9 @@ def test_run_case_walks_the_plan(n, monkeypatch):
         return anchor, sides[:-1]
 
     monkeypatch.setitem(evidence, step_id, short)
-    with pytest.raises(ValueError, match="longer than argument 1"):
+    quantities = len(report.step_plan(n)[step_id][3])
+    message = f"step {step_id}: its {quantities - 1} enclosures are not its plan's {quantities}"
+    with pytest.raises(ValueError, match=message):
         ct.run_case(n, precision_bits=64)
 
 
@@ -1514,6 +1553,7 @@ def bad_data(tmp_path):
         "".join(line for line in lines if not line.startswith("2."))
     )
     (tmp_path / "repeated.catalog").write_text("".join(lines) + "2.2.5.1|2|5|1|-1,-1,1\n")
+    (tmp_path / "relabelled.catalog").write_text("".join(lines) + "2.2.5.2|2|5|1|-1,-1,1\n")
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     (tmp_path / "long_int.json").write_text('{"schema_version": 1, "rank": ' + "9" * 5001 + "}")
     (tmp_path / "latin1").write_bytes(b"\xff\xfe not UTF-8\n")
@@ -1570,6 +1610,8 @@ BAD_INPUT = [
     ({}, ["field", "4.4.725.1", "--op", "splitting", "--p", "5"]),
     # a repeated record, which would be counted as a second candidate
     ({}, ["prove", "--n", "3", "--fields", "{tmp}/repeated.catalog"]),
+    # the same field under a new label
+    ({}, ["prove", "--n", "3", "--precision", "64", "--fields", "{tmp}/relabelled.catalog"]),
 ]
 
 

@@ -71,16 +71,24 @@ def test_nonspecial_gt_two():
 
 
 def test_qsqrt5_exclusion_chain(catalog):
-    """Each fragment is its planned step's evidence, (anchor, enclosures):
-    one exact enclosure for each planned quantity, above its constant."""
+    """Each fragment is the evidence of a planned step whose anchor the
+    prover states, (anchor, enclosures): one exact enclosure for each
+    planned quantity, above its constant.  The third step's anchor is the
+    plan's, and its quantities T(4), T(5) and T(9) exceed their constants."""
     steps = lf.qsqrt5_local_exclusion(catalog)
     plan = report.STEP_PLANS[2]
-    assert len(steps) == 3
+    assert len(steps) == 2
+    assert plan["local_exclusion_2"][2] is not None
     for i, (_, enclosures) in enumerate(steps):
-        _, _, planned = plan[f"local_exclusion_{i}"]
+        _, _, anchor, planned = plan[f"local_exclusion_{i}"]
+        assert anchor is None, i
         assert len(enclosures) == len(planned)
         for value, ((required, constant),) in zip(enclosures, planned):
             assert value.lo == value.hi, (i, value)
             assert (required, value.lo > constant) == ("CertainlyGreater", True), (i, value)
+    _, _, _, planned = plan["local_exclusion_2"]
+    assert len(planned) == 3
+    for q, ((required, constant),) in zip((4, 5, 9), planned):
+        assert (required, lf.T_factor(q) > constant) == ("CertainlyGreater", True), q
     assert "residue cardinality 2" in plan["local_exclusion_0"][1]
     assert "inert" in steps[0][0]

@@ -86,6 +86,11 @@ def test_load_catalog_errors():
         nf.load_catalog(b"3.3.49.1|3|49|1|-8,-8,2,1")
     with pytest.raises(nf.MalformedCatalog, match="line 3: label 2.2.5.1 is repeated"):
         nf.load_catalog(b"2.2.5.1|2|5|1|-1,-1,1\n2.2.8.1|2|8|1|-2,0,1\n2.2.5.1|2|5|1|-1,-1,1")
+    # the same field under another label: its polynomial, or at degree 2 its discriminant
+    with pytest.raises(nf.MalformedCatalog, match="line 2: polynomial -1,-3,0,1 is repeated"):
+        nf.load_catalog(b"3.3.81.1|3|81|1|-1,-3,0,1\n3.3.81.2|3|81|1|-1,-3,0,1")
+    with pytest.raises(nf.MalformedCatalog, match="line 2: quadratic discriminant 5 is repeated"):
+        nf.load_catalog(b"2.2.5.1|2|5|1|-1,-1,1\n2.2.5.2|2|5|1|-5,0,1")
 
 
 def test_checksum_detects_corruption(tmp_path):
