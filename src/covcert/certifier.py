@@ -15,10 +15,10 @@ the one rule that turns a plan and its evidence into a certificate: every
 step's id, position, dependencies, claim, comparisons (each enclosure
 against each of its quantity's planned bounds) and verdict, the surviving
 fields and the conclusion.  The checker renders a report's recorded
-evidence with the same function.  This module supplies only the evidence,
-looked up by step id in ``_EVIDENCE``: one enclosure for each quantity the
-step's plan bounds, and an anchor where the plan states none, because the
-anchor reads the catalog.  ``run_case`` does nothing else: it loads the
+evidence with the same function.  This module supplies only the evidence
+the plan does not state, by step id in ``_EVIDENCE``: the computed
+enclosures, one for each quantity the step's plan bounds, and the anchors
+that read the catalog.  ``run_case`` does nothing else: it loads the
 field catalog, evaluates the evidence in plan order and renders it.  The
 bound pairs the proof evaluates are the witness rows that ``report``
 states, rows of the vendored table; ``prove`` does not read the table.
@@ -33,12 +33,11 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, Optional
 
-from .rigor import Interval
 from . import bounds, localfactors, numberfields, report
 from .bounds import OdlyzkoPair
 from .report import (  # noqa: F401  (re-exported)
-    AXIOMS, CANDIDATE_FIELDS, FINAL_CONCLUSION, SCHEMA_VERSION, Certificate, CertificateStep,
-    SchemaMismatch, TamperDetected, emit_report, rank_class, render, step_plan, verify_report,
+    CANDIDATE_FIELDS, FINAL_CONCLUSION, SCHEMA_VERSION, Certificate, CertificateStep,
+    SchemaMismatch, TamperDetected, emit_report, rank_class, render, verify_report,
 )
 
 
@@ -87,18 +86,12 @@ def _verdict(d: int, D: int, n: int, catalog, prec: int):
     )
 
 
-# Each rank class's evidence, by the id of every step of its plan but the
-# axioms: a callable of (catalog, prec) that returns (anchor, enclosures),
+# Each rank class's evidence, by the id of every step that its plan does not
+# state: a callable of (catalog, prec) that returns (anchor, enclosures),
 # one enclosure for each quantity the plan bounds.  Its anchor is None where
 # the plan states it.  Each calls its layer functions by module attribute when
 # the proof runs, so a replaced function is the one evaluated.  The induction
 # steps record a quantity at rank 4 and its log's first and second differences.
-_LOCAL_EVIDENCE = {
-    "local_special_factor": lambda catalog, prec: (
-        None, [Interval.exact(localfactors.eprime_special(n, 2)) for n in (3, 4)]),
-    "local_nonspecial_factor": lambda catalog, prec: (
-        None, [h3 := localfactors.h_rigidity(2, 3), localfactors.h_rigidity(2, 4) / h3]),
-}
 _ZETA_PRODUCT_EVIDENCE = {
     "zeta_product_bound": lambda catalog, prec: (None, [bounds.zeta_product_enclosure(prec)]),
 }
@@ -111,14 +104,8 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "refined_cutoffs": lambda catalog, prec: (
             None, [bounds.proto_D_bound(2, d, 1, prec) for d in (5, 4, 3, 2)]),
         **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D, _ in CANDIDATE_FIELDS[2]},
-        "local_nonspecial_factor": lambda catalog, prec: (
-            None, [localfactors.h_rigidity(3, 2)]),
-        "local_T_values": lambda catalog, prec: (
-            None, [Interval.exact(localfactors.T_factor(q)) for q in (2, 3)]),
         **{f"local_exclusion_{i}": lambda catalog, prec, i=i: (
             localfactors.qsqrt5_local_exclusion(catalog)[i]) for i in range(2)},
-        "local_exclusion_2": lambda catalog, prec: (
-            None, [Interval.exact(localfactors.T_factor(q)) for q in (4, 5, 9)]),
     },
     3: {
         "degree_threshold": lambda catalog, prec: (
@@ -128,7 +115,6 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "refined_cutoffs": lambda catalog, prec: (
             None, [bounds.proto_D_bound(3, d, 1, prec) for d in (2, 3)]),
         **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 3) for d, D, _ in CANDIDATE_FIELDS[3]},
-        **_LOCAL_EVIDENCE,
     },
     4: {
         "inner_factor_ge_one": lambda catalog, prec: (None, [
@@ -138,15 +124,14 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "high_rank_conclusion": lambda catalog, prec: (None, [
             bounds.normalized_O(4, 2, L35_WITNESS, prec),
             *bounds.log_differences(L35_WITNESS.A**2, L35_WITNESS.E, prec)]),
-        **_LOCAL_EVIDENCE,
     },
 }
 
 
 def run_case(n: int, precision_bits: int = 256, fields_path: Optional[str] = None) -> Certificate:
-    """Execute the full exclusion pipeline for one rank: evaluate the evidence
-    of ``_EVIDENCE`` for each step of its class's plan but the axioms, in plan
-    order, and render the certificate with ``report.render``, which makes
+    """Execute the full exclusion pipeline for one rank: evaluate each entry
+    of its class's ``_EVIDENCE``, in plan order, and render the certificate
+    with ``report.render``, which adds the points the plan states and makes
     each step's comparisons from its enclosures and the plan.  Evidence with
     another number of enclosures than the plan has quantities is a fault of
     this module that no input reaches: ValueError.
@@ -155,7 +140,4 @@ def run_case(n: int, precision_bits: int = 256, fields_path: Optional[str] = Non
         raise ValueError("rank must be >= 2")
     catalog = numberfields.default_catalog(fields_path)
     evidence = _EVIDENCE[rank_class(n)]
-    return render(n, precision_bits, {
-        step_id: evidence[step_id](catalog, precision_bits)
-        for step_id in step_plan(n) if step_id not in AXIOMS
-    })
+    return render(n, precision_bits, {key: f(catalog, precision_bits) for key, f in evidence.items()})

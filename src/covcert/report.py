@@ -6,12 +6,11 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, and ``render`` turns a plan and its evidence into a
 certificate: the prover renders what it computed, and the checker renders
 what a report records and accepts the report only if it is that rendering.
-A step's evidence is its enclosures, one for each quantity that the prover
-computes, and its anchor where the plan states none; the plan bounds each
-quantity by constants, and ``render`` derives the step's comparisons, one
-for each bound.  The plan states the bound table's witness rows and every
-anchor that reads no catalog; the prover states the rest: the candidate
-counts and lists, a unit index and a prime's splitting.
+A step's evidence is its enclosures, one for each quantity, and its anchor
+where the plan states none; the plan bounds each quantity by constants, and
+``render`` derives the step's comparisons, one for each bound.  The plan
+states the witness rows, the exact local factors and every anchor that reads
+no catalog; the prover states the computed enclosures and the other anchors.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -162,8 +161,8 @@ L35_WITNESS = (Ratio(3447, 500), Ratio(22667, 10000))  # (6.894, 2.2667)
 
 
 # A planned step is a 4-tuple: the steps it depends on, its claim (a template
-# whose one field is {rank}), its anchor and the bounds of each quantity that
-# the prover computes for it, one enclosure each.  The anchor is the plan's
+# whose one field is {rank}), its anchor and the bounds of each of its
+# quantities, one enclosure each.  The anchor is the plan's
 # text wherever it reads no catalog, and None where the prover states it: the
 # candidate counts and lists, a unit index, a prime's splitting.  A bound is
 # the relation the quantity requires to an exact constant (an int or a Ratio
@@ -209,10 +208,10 @@ def _global_stage(rank: int) -> dict[str, tuple]:
 # The steps that a proof of each rank class consists of, in order, each with
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
-# required relations and right sides from it, and every anchor it states, and
-# the evidence supplies only enclosures and the anchors that read the
-# catalog.  So a consistent subset of a proof, or a proof of another
-# statement, is no rendering of a plan.
+# required relations and right sides from it, and every anchor and point it
+# states, and the evidence supplies only computed enclosures and the anchors
+# that read the catalog.  So a consistent subset of a proof, or a proof of
+# another statement, is no rendering of a plan.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], AXIOM_ANCHOR, ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
     "local_special_factor": (
@@ -345,6 +344,18 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
 }
 
 
+# The exact local factors, which read neither the catalog nor the precision,
+# as points that the plan states, and none for an axiom: e'(3, 2), e'(4, 2);
+# h(2, 3), h(2, 4)/h(2, 3), or h(3, 2) at rank 2; T(2), T(3); T(4), T(5), T(9).
+_LOCAL_FACTORS = {**dict.fromkeys(AXIOMS, ()), "local_special_factor": (35, 189),
+                  "local_nonspecial_factor": (Ratio(945, 256), Ratio(255, 128))}
+STATED_POINTS: dict[int, dict[str, tuple]] = {
+    2: {**dict.fromkeys(AXIOMS, ()), "local_nonspecial_factor": (Ratio(160, 27),),
+        "local_T_values": (Ratio(5, 2), 10), "local_exclusion_2": (Ratio(51, 2), 52, 328)},
+    3: _LOCAL_FACTORS, 4: _LOCAL_FACTORS,
+}
+
+
 def rank_class(rank: int) -> int:
     """The class of a rank, its key in ``STEP_PLANS``: 2, 3, or 4 from rank 4 on."""
     return min(rank, 4)
@@ -393,17 +404,18 @@ class Certificate(
 
 def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
     """The certificate of a rank's plan and its evidence, for the prover and
-    the checker alike.  ``evidence`` maps each step id of the plan but the
-    axioms to (anchor, enclosures), one enclosure for each planned quantity;
-    its anchor is taken only where the plan states none.  Each bound of a
-    quantity gives one comparison, in plan order: its enclosure against the
-    bound's constant.  All else comes from the plan, ``compare`` and
-    ``step_verdict``.  A missing step raises KeyError, and another number of
-    enclosures than the plan's quantities ValueError, naming the step.
+    the checker alike.  A step takes the points that ``STATED_POINTS`` states
+    for it (an axiom none), else its ``evidence``: (anchor, enclosures), one
+    enclosure for each planned quantity, the anchor taken where the plan has
+    none.  Each bound of a quantity gives one comparison, in plan order: its
+    enclosure against the bound's constant.  All else comes from the plan,
+    ``compare`` and ``step_verdict``.  A missing step raises KeyError, and
+    another number of enclosures than the plan's quantities ValueError, naming the step.
     """
-    steps = []
+    stated, steps = STATED_POINTS[rank_class(rank)], []
     for step_id, (dependencies, claim, planned_anchor, planned) in step_plan(rank).items():
-        anchor, enclosures = (None, ()) if step_id in AXIOMS else evidence[step_id]
+        anchor, enclosures = ((None, [Enclosure(x, x) for x in stated[step_id]])
+                              if step_id in stated else evidence[step_id])
         if len(enclosures) != len(planned):
             raise ValueError(f"step {step_id}: its {len(enclosures)} enclosures are not "
                              f"its plan's {len(planned)}")
@@ -580,10 +592,10 @@ def verify_report(stream: bytes) -> str:
     field for field, what ``render`` makes of its rank's plan and its
     recorded anchors and enclosures; so the comparisons must be each
     enclosure against each of its quantity's planned bounds, and an anchor
-    that the plan states must be the plan's.  Only exact integer arithmetic
-    is used.  What it does not recompute it trusts: the enclosures, and the
-    anchors that read the catalog (the candidate counts and lists, the unit
-    index, a prime's splitting) with the catalog data behind them.
+    or a point that the plan states must be the plan's.  Only exact integer
+    arithmetic is used.  What it does not recompute it trusts: the computed
+    enclosures, and the anchors that read the catalog (the candidates, the
+    unit index, a prime's splitting) with the catalog data behind them.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))

@@ -714,7 +714,10 @@ def _log_zeta_product(w: int) -> Tuple[int, int]:
     c = num/den enters unreduced: its gcd would cost more than its log."""
     J = -(-w // 24)
     head = [zeta_even_exact(j) for j in range(1, J + 1)]
-    num, den = math.prod(c.numerator for c in head), math.prod(c.denominator for c in head)
+    num, den = [c.numerator for c in head], [c.denominator for c in head]
+    while len(num) > 1:  # a balanced product tree: like-sized operands cost far less than math.prod
+        num, den = ([math.prod(x[i:i + 2]) for i in range(0, len(x), 2)] for x in (num, den))
+    (num,), (den,) = num, den
     pi_power = ((PI, J * (J + 1)),)
     guard = _guard_bits(pi_power, w)
     (c_lo, c_hi), (p_lo, p_hi), (t_lo, t_hi) = (

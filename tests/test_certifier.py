@@ -524,6 +524,30 @@ def _precision_raised(doc, bits=8192):
         record["precision_bits"] = bits
 
 
+def _local_factor_recorded_as(doc, step_id, index, value):
+    """The exact local factor that the plan states as the step's enclosure
+    index recorded as the point value, with its one comparison's left side
+    rewritten to match."""
+    step = _step(doc, step_id)
+    step["enclosures"][index] = step["comparisons"][index]["lhs"] = [value, value]
+
+
+def _t2_set_to_five(doc):
+    _local_factor_recorded_as(doc, "local_T_values", 0, "5")
+
+
+def _t9_doubled(doc):
+    _local_factor_recorded_as(doc, "local_exclusion_2", 2, "656")
+
+
+def _h23_doubled(doc):
+    _local_factor_recorded_as(doc, "local_nonspecial_factor", 0, "945/128")
+
+
+def _eprime32_doubled(doc):
+    _local_factor_recorded_as(doc, "local_special_factor", 0, "70")
+
+
 @pytest.mark.parametrize(
     "n, mutate",
     [
@@ -556,6 +580,10 @@ def _precision_raised(doc, bits=8192):
         (2, _coarse_constant_raised),
         (2, _cubic_cutoff_met_by_two_values),
         (3, _quadratic_cutoff_met_by_two_values),
+        (2, _t2_set_to_five),
+        (2, _t9_doubled),
+        (3, _h23_doubled),
+        (4, _eprime32_doubled),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -572,12 +600,142 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     terms, a NotProved report with another conclusion or none, a
     precision raised above the one its enclosures deliver, enclosures
     other than the step's computed quantities (rewritten, emptied, repeated
-    or reordered), a coarse cutoff's constant raised, and a cutoff bounded
-    on both sides that meets each bound with another value."""
+    or reordered), a coarse cutoff's constant raised, a cutoff bounded
+    on both sides that meets each bound with another value, and an exact
+    local factor that the plan states recorded as another value that still
+    meets its bound (T(2) as 5, T(9), h(2, 3) and e'(3, 2) doubled)."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
         ct.verify_report(json.dumps(doc).encode())
+
+
+# What a 64-bit report of each rank class may be forged into and still verify
+# Proved, as (rank class, step id, field, mutation): a field is a path in the
+# step, and a mutation is one of ``_mutants``.  The anchors read the catalog:
+# a candidate count or list, a unit index, a prime's splitting.  The enclosures
+# are computed, and the checker trusts them within their planned bounds.
+_BY_1001 = "rescaled by 1001/1000"
+_BY_2 = "rescaled by 2"
+TRUSTED = {
+    (2, "discriminant_cutoffs", "anchor", "extended"),
+    (2, "verdict_d3_D49", "anchor", "extended"),
+    (2, "verdict_d2_D8", "anchor", "extended"),
+    (2, "verdict_d2_D5", "anchor", "extended"),
+    (2, "local_exclusion_0", "anchor", "extended"),
+    (2, "local_exclusion_1", "anchor", "extended"),
+    (3, "discriminant_cutoffs", "anchor", "extended"),
+    (3, "verdict_d2_D5", "anchor", "extended"),
+    (2, "degree_threshold", "enclosures[0]", _BY_1001),
+    (2, "discriminant_cutoffs", "enclosures[0]", _BY_1001),
+    (2, "discriminant_cutoffs", "enclosures[1]", _BY_1001),
+    (2, "discriminant_cutoffs", "enclosures[2]", _BY_1001),
+    (2, "discriminant_cutoffs", "enclosures[3]", _BY_1001),
+    (2, "zeta_product_bound", "enclosures[0]", _BY_1001),
+    (2, "refined_cutoffs", "enclosures[0]", _BY_1001),
+    (2, "refined_cutoffs", "enclosures[0]", _BY_2),
+    (2, "refined_cutoffs", "enclosures[1]", _BY_1001),
+    (2, "refined_cutoffs", "enclosures[2]", _BY_1001),
+    (2, "refined_cutoffs", "enclosures[3]", _BY_1001),
+    (2, "verdict_d3_D49", "enclosures[0]", _BY_1001),
+    (2, "verdict_d2_D8", "enclosures[0]", _BY_1001),
+    (2, "verdict_d2_D8", "enclosures[0]", _BY_2),
+    (2, "verdict_d2_D5", "enclosures[0]", _BY_1001),
+    (2, "verdict_d2_D5", "enclosures[0]", _BY_2),
+    (2, "local_exclusion_0", "enclosures[0]", _BY_1001),
+    (2, "local_exclusion_0", "enclosures[0]", _BY_2),
+    (2, "local_exclusion_1", "enclosures[0]", _BY_1001),
+    (2, "local_exclusion_1", "enclosures[0]", _BY_2),
+    (3, "degree_threshold", "enclosures[0]", _BY_1001),
+    (3, "zeta_product_bound", "enclosures[0]", _BY_1001),
+    (3, "discriminant_cutoffs", "enclosures[0]", _BY_1001),
+    (3, "discriminant_cutoffs", "enclosures[1]", _BY_1001),
+    (3, "discriminant_cutoffs", "enclosures[2]", _BY_1001),
+    (3, "discriminant_cutoffs", "enclosures[2]", _BY_2),
+    (3, "refined_cutoffs", "enclosures[0]", _BY_1001),
+    (3, "refined_cutoffs", "enclosures[1]", _BY_1001),
+    (3, "verdict_d2_D5", "enclosures[0]", _BY_1001),
+    (3, "verdict_d2_D5", "enclosures[0]", _BY_2),
+    (4, "inner_factor_ge_one", "enclosures[0]", _BY_1001),
+    (4, "inner_factor_ge_one", "enclosures[0]", _BY_2),
+    (4, "inner_factor_ge_one", "enclosures[1]", _BY_1001),
+    (4, "inner_factor_ge_one", "enclosures[1]", _BY_2),
+    (4, "inner_factor_ge_one", "enclosures[2]", _BY_1001),
+    (4, "inner_factor_ge_one", "enclosures[2]", _BY_2),
+    (4, "zeta_product_bound", "enclosures[0]", _BY_1001),
+    (4, "high_rank_conclusion", "enclosures[0]", _BY_1001),
+    (4, "high_rank_conclusion", "enclosures[0]", _BY_2),
+    (4, "high_rank_conclusion", "enclosures[1]", _BY_1001),
+    (4, "high_rank_conclusion", "enclosures[1]", _BY_2),
+    (4, "high_rank_conclusion", "enclosures[2]", _BY_1001),
+    (4, "high_rank_conclusion", "enclosures[2]", _BY_2),
+}
+
+
+def _leaves(node, path=()):
+    """(path, value) for each leaf of a JSON document, the path being its keys and indices."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, key))
+    else:
+        yield path, node
+
+
+def _mutants(honest):
+    """(step id, field, mutation) and the mutated document, for each of two
+    kinds of mutation of an honest report.  One changes a single leaf: an
+    endpoint scaled by 1001/1000, an integer raised by 1, another string
+    extended; an endpoint 0 is left out, as scaling leaves it.  The other
+    rescales an enclosure by 1001/1000 or by 2 and rewrites the left sides
+    that recorded it to match.  A top-level field has the step id None."""
+    for path, value in _leaves(honest):
+        if isinstance(value, int):
+            mutated, mutation = value + 1, "raised"
+        elif len(path) > 3 and (path[-3] == "enclosures" or path[-2] in ("lhs", "rhs")):
+            mutated, mutation = str(Fraction(value) * Fraction(1001, 1000)), "scaled"
+        else:
+            mutated, mutation = value + "!", "extended"
+        if mutated == value:
+            continue
+        doc = json.loads(json.dumps(honest))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = mutated
+        step_id = honest["steps"][path[1]]["id"] if path[0] == "steps" and len(path) > 2 else None
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[2 * bool(step_id):])
+        yield (step_id, field.lstrip("."), mutation), doc
+    for i, step in enumerate(honest["steps"]):
+        for j, old in enumerate(step["enclosures"]):
+            for factor, mutation in ((Fraction(1001, 1000), _BY_1001), (2, _BY_2)):
+                doc = json.loads(json.dumps(honest))
+                forged = doc["steps"][i]
+                forged["enclosures"][j] = new = [str(Fraction(x) * factor) for x in old]
+                for comparison in forged["comparisons"]:
+                    if comparison["lhs"] == old:
+                        comparison["lhs"] = new
+                yield (step["id"], f"enclosures[{j}]", mutation), doc
+
+
+def test_verify_trusts_only_the_trusted_surface():
+    """Every mutant of an honest 64-bit report of each rank class is
+    rejected, by TamperDetected, SchemaMismatch or a NotProved verdict,
+    except those of TRUSTED, which verify Proved: so a change that closes a
+    hole must remove its entry, and one that opens a hole must add one.  The
+    plan states the exact local factors, so none of them is trusted."""
+    accepted, labels = set(), []
+    for rank_class in (2, 3, 4):
+        honest = json.loads(ct.emit_report(ct.run_case(rank_class, precision_bits=64)))
+        for label, doc in _mutants(honest):
+            labels.append((rank_class, *label))
+            try:
+                verdict = ct.verify_report(json.dumps(doc).encode())
+            except (ct.TamperDetected, ct.SchemaMismatch):
+                continue
+            if verdict == "Proved":
+                accepted.add(labels[-1])
+    assert len(labels) == len(set(labels))
+    assert (sorted(accepted - TRUSTED), sorted(TRUSTED - accepted)) == ([], [])
 
 
 @pytest.mark.parametrize("endpoint", ["1e400", "100.5", "+100", "\u0661\u0660\u0660"])
@@ -733,12 +891,16 @@ def test_global_stage_quotients_are_exact(cert_by_rank):
 
 def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
     """A Proved step whose every comparison sets an exact point against the
-    constant 0 proves nothing."""
+    constant 0 proves nothing.  An endpoint is a Fraction, or a Ratio where
+    the plan states the enclosure."""
     for n in (2, 3):
         for step in cert_by_rank[n].steps:
             if step.verdict == "Proved":
                 assert not all(
-                    c.lhs.is_point() and (c.rhs.lo, c.rhs.hi) == (0, 0) for c in step.comparisons
+                    Fraction(c.lhs.lo.numerator, c.lhs.lo.denominator)
+                    == Fraction(c.lhs.hi.numerator, c.lhs.hi.denominator)
+                    and (c.rhs.lo, c.rhs.hi) == (0, 0)
+                    for c in step.comparisons
                 ), step.id
 
 
@@ -1074,11 +1236,13 @@ def test_outputs_match_pinned_digests(capsysbinary):
 )
 def test_every_enclosure_delivers_the_requested_bits(n, prec):
     """Each recorded enclosure is narrower than 2^-(p - 16) relative to its
-    magnitude, where p is the precision the report was asked for."""
+    magnitude, where p is the precision the report was asked for.  An
+    endpoint is a Fraction, or a Ratio where the plan states the enclosure."""
     floor = prec - 16
     for step in ct.run_case(n, precision_bits=prec).steps:
         for e in step.enclosures:
-            assert (e.hi - e.lo) * 2**floor <= max(abs(e.lo), abs(e.hi)), (step.id, e)
+            lo, hi = (Fraction(x.numerator, x.denominator) for x in (e.lo, e.hi))
+            assert (hi - lo) * 2**floor <= max(abs(lo), abs(hi)), (step.id, e)
 
 
 def test_rank3_cutoffs_check_their_e046_constant(cert_by_rank, tmp_path):
@@ -1221,12 +1385,13 @@ def test_plans_depend_only_on_earlier_steps_and_known_axioms():
 
 @pytest.mark.parametrize("n", [2, 3, 9])
 def test_run_case_walks_the_plan(n, monkeypatch):
-    """The prover's evidence covers exactly its class's plan steps that are
-    not axioms, and evidence with one side fewer than the plan's
-    comparisons stops the proof with an error that names the step and both
-    counts."""
+    """The prover's evidence covers exactly its class's plan steps whose
+    enclosures the plan does not state, and evidence with one side fewer
+    than the plan's comparisons stops the proof with an error that names the
+    step and both counts."""
     evidence = ct._EVIDENCE[report.rank_class(n)]
-    assert set(evidence) == set(report.step_plan(n)) - set(report.AXIOMS)
+    stated = report.STATED_POINTS[report.rank_class(n)]
+    assert set(evidence) == set(report.step_plan(n)) - set(stated)
     step_id = next(step_id for step_id in report.step_plan(n) if step_id in evidence)
     full = evidence[step_id]
 
@@ -1764,7 +1929,8 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     malformed report every proof layer stays registered but unexecuted, and
     argparse, gettext and locale are not imported, nor are fractions,
     decimal and numbers: the checker decides by integer arithmetic.
-    ``prove`` in the same process executes every layer but the search, and
+    ``prove`` at rank 4 in the same process executes every layer but the
+    search and ``localfactors``, whose exact factors the plan states, and
     still imports neither argparse, gettext and locale (its command line is
     plain) nor hashlib and OpenSSL's _hashlib (the data files are hashed by
     the builtin SHA-256)."""
@@ -1787,8 +1953,7 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     ).stdout.splitlines()
     results = json.loads(out[-1])
     assert results[:4] == [[0, []], [2, []], [3, []], []]
-    assert results[4] == [0, ["rigor", "specfun", "numberfields", "bounds", "localfactors",
-                              "certifier"]]
+    assert results[4] == [0, ["rigor", "specfun", "numberfields", "bounds", "certifier"]]
     assert results[5] == []
 
 

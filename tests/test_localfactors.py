@@ -92,3 +92,31 @@ def test_qsqrt5_exclusion_chain(catalog):
         assert (required, lf.T_factor(q) > constant) == ("CertainlyGreater", True), q
     assert "residue cardinality 2" in plan["local_exclusion_0"][1]
     assert "inert" in steps[0][0]
+
+
+def test_the_plan_states_the_closed_forms():
+    """Each point that the plan states is its closed form here, spelled as
+    the prover's Fraction would be: e'(3, 2) and e'(4, 2), h(2, 3) and
+    h(2, 4)/h(2, 3) (h(3, 2) at rank 2), T(2) and T(3), and T(4), T(5) and
+    T(9).  Every other step that the plan states is an axiom, with none."""
+    h = {(q, n): lf.h_rigidity(q, n).lo for q, n in ((2, 3), (2, 4), (3, 2))}
+    local = {
+        "local_special_factor": [lf.eprime_special(n, 2) for n in (3, 4)],
+        "local_nonspecial_factor": [h[2, 3], h[2, 4] / h[2, 3]],
+    }
+    expected = {
+        2: {
+            "local_nonspecial_factor": [h[3, 2]],
+            "local_T_values": [lf.T_factor(q) for q in (2, 3)],
+            "local_exclusion_2": [lf.T_factor(q) for q in (4, 5, 9)],
+        },
+        3: local,
+        4: local,
+    }
+    for rank_class, stated in report.STATED_POINTS.items():
+        factors = {step_id: points for step_id, points in stated.items() if points}
+        assert set(factors) <= set(report.STEP_PLANS[rank_class]), rank_class
+        assert set(stated) - set(factors) == set(report.AXIOMS), rank_class
+        assert {step_id: [str(x) for x in points] for step_id, points in factors.items()} == {
+            step_id: [str(x) for x in values] for step_id, values in expected[rank_class].items()
+        }, rank_class
