@@ -35,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import report
 from .report import InputError
-from .rigor import Comparison, Interval, Rational, iv_compare
+from .rigor import Comparison, Interval, iv_compare
 from .numberfields import (
     NumberFieldRecord,
     data_fields,
@@ -170,7 +170,7 @@ def _pi_n(n: int, c: Fraction = Fraction(1)) -> tuple:
     return (pi_n_coefficient(n), c), (PI, -n * (n + 1) * c)
 
 
-def log_inner_factor(n: int, A: Rational, precision_bits: int = 256) -> Interval:
+def log_inner_factor(n: int, A: Fraction, precision_bits: int = 256) -> Interval:
     """Log of the degree-power base 7.6 e^0.46 A^f(n) Pi(n) of O(n, d, A, E)."""
     inner = ((_COEFF_7_6, 1), (EULER, _COEFF_0_46), (A, f_n(n)), *_pi_n(n))
     return log_power_product(inner, precision_bits)
@@ -187,7 +187,7 @@ def normalized_O(n: int, d: int, pair: OdlyzkoPair, precision_bits: int = 256) -
     )
 
 
-def log_differences(A: Rational, E: Rational, precision_bits: int = 256) -> Tuple[Interval, ...]:
+def log_differences(A: Fraction, E: Fraction, precision_bits: int = 256) -> Tuple[Interval, ...]:
     """The first and second differences at n = 4 of l(n) = log(c (A e^-E)^f(n) Pi(n)), c > 0.
 
     With a = log A - E, l(n + 1) - l(n) = (2n + 3/2) a + log (2n + 1)! - (2n + 2) log 2 pi and
@@ -268,7 +268,7 @@ def _n2_t_terms(t: Fraction, precision_bits: int) -> _N2Terms:
     )
 
 
-def n2_degree_threshold(pair: OdlyzkoPair, t: Rational, precision_bits: int = 256) -> Interval:
+def n2_degree_threshold(pair: OdlyzkoPair, t: Fraction, precision_bits: int = 256) -> Interval:
     """Rank-2 degree threshold at one (A, E, t).
 
     The denominator, the log of the base eta * A^(4.5 - t/2) * alpha(t + 1),
@@ -366,9 +366,9 @@ def n2_D_bound(d: int, precision_bits: int = 256) -> Interval:
 
 
 def load_odlyzko_table(path: Optional[str] = None) -> Tuple[OdlyzkoPair, ...]:
-    """The (A, E) table at ``path``, by default ``odlyzko.csv`` of the data
-    directory: CSV rows of plain decimals, digits with an optional fraction
-    part and no sign or exponent."""
+    """The (A, E) table at ``path``, by default the vendored ``odlyzko.csv``:
+    CSV rows of plain decimals, digits with an optional fraction part and no
+    sign or exponent."""
     return load_data_file("odlyzko.csv", path, _table_rows)
 
 

@@ -11,7 +11,6 @@ data file, the catalog and ``bounds``' table alike.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -31,7 +30,7 @@ except ImportError:
         from hashlib import sha256
 
 from .report import InputError
-from .rigor import Interval, Rational
+from .rigor import Interval
 from . import specfun
 from .specfun import PI, dirichlet_L_even_coeff, power_product, zeta_even_exact
 
@@ -139,6 +138,10 @@ def sturm_real_root_count(coeffs: Sequence[int]) -> int:
 # field records and the catalog
 
 
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 def _cubic_discriminant(polynomial: Sequence[int]) -> int:
     """Discriminant of x^3 + b x^2 + c x + d, from ascending coefficients."""
     d, c, b, _ = polynomial
@@ -168,6 +171,17 @@ class NumberFieldRecord(_FieldRecordFields):
         if degree > 1:
             if sturm_real_root_count(polynomial) != degree:
                 raise InvariantViolation(f"{label}: not totally real")
+        if degree == 2:
+            # D is no square (x^2 - 1 passes the Sturm check, and Pell's equation
+            # for D = 4 has no solution to find), and disc(poly) = D * square
+            c, b, _ = polynomial
+            poly_disc = b * b - 4 * c
+            if (_is_square(discriminant) or poly_disc % discriminant
+                    or not _is_square(poly_disc // discriminant)):
+                raise InvariantViolation(
+                    f"{label}: polynomial discriminant {poly_disc} is not the "
+                    f"non-square field discriminant {discriminant} times a square"
+                )
         if degree == 3:
             # the splitting law reads ramified primes assuming index 1
             poly_disc = _cubic_discriminant(polynomial)
@@ -227,8 +241,8 @@ def load_catalog(data: bytes) -> Tuple[NumberFieldRecord, ...]:
     return tuple(sorted(records, key=lambda r: (r.degree, r.discriminant)))
 
 
-def data_dir() -> Path:
-    return Path(os.environ.get("COVCERT_DATA_DIR") or Path(__file__).parent / "data")
+# the vendored data files; ``--fields`` and ``--odlyzko`` name any others
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def _manifest_digests(manifest: Path) -> Dict[str, str]:
@@ -252,12 +266,12 @@ def read_data_file(path: Path) -> bytes:
 
 
 def load_data_file(name: str, path: Optional[str], parse: Callable[[bytes], T]) -> T:
-    """``parse`` of the checked bytes at ``path``, or of ``name`` in ``data_dir()``
+    """``parse`` of the checked bytes at ``path``, or of the vendored ``name``
     if None.  An empty path is an ``InputError``, a missing file ``DataMissing``.
     Results, not errors, are cached by parser and resolved path."""
     if path == "":
         raise InputError(f"{name}: an empty path names no file")
-    resolved = (data_dir() / name if path is None else Path(path)).resolve()
+    resolved = (DATA_DIR / name if path is None else Path(path)).resolve()
     try:
         return _parsed(parse, resolved)
     except FileNotFoundError as exc:
@@ -270,12 +284,12 @@ def _parsed(parse: Callable[[bytes], T], path: Path) -> T:
 
 
 def default_catalog(path: Optional[str] = None) -> Tuple[NumberFieldRecord, ...]:
-    """The catalog at ``path``, by default ``fields.catalog`` of the data directory."""
+    """The catalog at ``path``, by default the vendored ``fields.catalog``."""
     return load_data_file("fields.catalog", path, load_catalog)
 
 
 def fields_by_degree_below(
-    catalog: Iterable[NumberFieldRecord], degree: int, bound: Rational
+    catalog: Iterable[NumberFieldRecord], degree: int, bound: Fraction
 ) -> List[NumberFieldRecord]:
     return [f for f in catalog if f.degree == degree and f.discriminant < bound]
 

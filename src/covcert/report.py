@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from enum import Enum
 
 SCHEMA_VERSION = 1
 # the precisions a report may record, in bits, and ``--precision`` accepts
@@ -59,7 +58,9 @@ class TamperDetected(ValueError):
     """Recorded comparisons or verdicts are internally inconsistent."""
 
 
-class Comparison(Enum):
+class Comparison:
+    """The three relations of two intervals, each the string a report records."""
+
     CERTAINLY_LESS = "CertainlyLess"
     CERTAINLY_GREATER = "CertainlyGreater"
     OVERLAP = "Overlap"
@@ -121,7 +122,7 @@ class Enclosure(namedtuple("Enclosure", "lo hi")):
     __slots__ = ()
 
 
-def compare(a, b) -> Comparison:
+def compare(a, b) -> str:
     """Certain order of two intervals, or OVERLAP when they intersect."""
     if _below(a.hi, b.lo):
         return Comparison.CERTAINLY_LESS
@@ -141,7 +142,7 @@ def step_verdict(comparisons: list[RecordedComparison]) -> str:
     """Proved when there is a comparison and all hold; else Tie on an overlap, else Failed."""
     if comparisons and all(c.relation == c.required for c in comparisons):
         return "Proved"
-    tie = any(c.relation == Comparison.OVERLAP.value for c in comparisons)
+    tie = any(c.relation == Comparison.OVERLAP for c in comparisons)
     return "Tie" if tie else "Failed"
 
 
@@ -169,11 +170,11 @@ L35_WITNESS = (Ratio(3447, 500), Ratio(22667, 10000))  # (6.894, 2.2667)
 # in lowest terms, as a report writes it); ``_gt(49) + _lt(81)`` bounds one
 # quantity on both sides.
 def _gt(constant) -> tuple[tuple[str, Ratio | int]]:
-    return ((Comparison.CERTAINLY_GREATER.value, constant),)
+    return ((Comparison.CERTAINLY_GREATER, constant),)
 
 
 def _lt(constant) -> tuple[tuple[str, Ratio | int]]:
-    return ((Comparison.CERTAINLY_LESS.value, constant),)
+    return ((Comparison.CERTAINLY_LESS, constant),)
 
 
 AXIOM_ANCHOR = "structural input, outside certified numerics"
@@ -423,7 +424,7 @@ def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
         for lhs, quantity in zip(enclosures, planned):
             for required, constant in quantity:
                 rhs = Enclosure(constant, constant)
-                comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs).value, required))
+                comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs), required))
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(
             CertificateStep(step_id, claim.format(rank=rank), planned_anchor or anchor,

@@ -19,7 +19,7 @@ from typing import Union
 # the relation lives with the certificate format, so a re-checker needs only report
 from .report import Comparison, compare
 
-Rational = Fraction
+iv_compare = compare
 
 RationalLike = Union[Fraction, int, str]
 
@@ -172,10 +172,6 @@ def coarsen_relative(iv: Interval, bits: int) -> Interval:
         return iv
     extra = magnitude.denominator.bit_length() - magnitude.numerator.bit_length()
     return iv.coarsen(bits + max(extra + 1, 0))
-
-
-def iv_compare(a: Interval, b: Interval) -> Comparison:
-    return compare(a, b)
 
 
 _BINARY_OPS = {

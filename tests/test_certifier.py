@@ -513,6 +513,12 @@ def _cubic_cutoff_met_by_two_values(doc):
     _cutoff_met_by_two_values(doc, 2, "60", "70")
 
 
+def _cubic_cutoff_upper_side_met_by_60(doc):
+    """At rank 2, < 81 met by 60 in the comparison alone: its enclosure
+    stays the computed one."""
+    _step(doc, "refined_cutoffs")["comparisons"][3]["lhs"] = ["60", "60"]
+
+
 def _quadratic_cutoff_met_by_two_values(doc):
     """At rank 3, > 5 met by 6 and < 8 by 7: 3 enclosures for 2 cutoffs."""
     _cutoff_met_by_two_values(doc, 0, "6", "7")
@@ -579,6 +585,7 @@ def _eprime32_doubled(doc):
         (2, _cutoff_enclosures_reversed),
         (2, _coarse_constant_raised),
         (2, _cubic_cutoff_met_by_two_values),
+        (2, _cubic_cutoff_upper_side_met_by_60),
         (3, _quadratic_cutoff_met_by_two_values),
         (2, _t2_set_to_five),
         (2, _t9_doubled),
@@ -601,7 +608,8 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     precision raised above the one its enclosures deliver, enclosures
     other than the step's computed quantities (rewritten, emptied, repeated
     or reordered), a coarse cutoff's constant raised, a cutoff bounded
-    on both sides that meets each bound with another value, and an exact
+    on both sides that meets each bound with another value, or one bound
+    with a left side that is not its enclosure, and an exact
     local factor that the plan states recorded as another value that still
     meets its bound (T(2) as 5, T(9), h(2, 3) and e'(3, 2) doubled)."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
@@ -1719,6 +1727,7 @@ def bad_data(tmp_path):
     )
     (tmp_path / "repeated.catalog").write_text("".join(lines) + "2.2.5.1|2|5|1|-1,-1,1\n")
     (tmp_path / "relabelled.catalog").write_text("".join(lines) + "2.2.5.2|2|5|1|-1,-1,1\n")
+    (tmp_path / "reducible.catalog").write_text("".join(lines) + "2.2.4.1|2|4|1|-1,0,1\n")
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     (tmp_path / "long_int.json").write_text('{"schema_version": 1, "rank": ' + "9" * 5001 + "}")
     (tmp_path / "latin1").write_bytes(b"\xff\xfe not UTF-8\n")
@@ -1734,58 +1743,56 @@ def bad_data(tmp_path):
 
 LONG_MISSING_PATH = "{tmp}/missing/" + "/".join(["y" * 200] * 19)
 BAD_INPUT = [
-    ({}, ["field", "4.4.725.1", "--op", "zeta"]),
-    ({}, ["field", "2.2.5.1", "--op", "zeta", "--s", "3"]),
-    ({}, ["prove", "--n", "3", "--fields", "{tmp}/malformed"]),
-    ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/malformed"]),
-    ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/malformed"]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/malformed"]),
-    ({"COVCERT_DATA_DIR": "{data}"}, ["prove", "--n", "3"]),
-    ({"COVCERT_DATA_DIR": "{data}"}, ["field", "2.2.5.1", "--op", "units"]),
-    ({}, ["prove", "--n", "2", "--precision", "64", "--fields", "{tmp}/no_49.catalog"]),
-    ({}, ["verify", "{tmp}"]),
-    ({}, ["verify", "{tmp}/deep.json"]),
-    ({"COVCERT_DATA_DIR": "{torn}"}, ["prove", "--n", "3"]),
-    ({}, ["prove", "--n", "3", "--fields", "{tmp}/latin1"]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/latin1"]),
-    ({}, ["optimize", "--case", "n3", "--precision", "16", "--odlyzko", "{tmp}/exponent"]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/exponent"]),
-    ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/exponent"]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"]),
-    ({}, ["prove", "--n", "3", "--fields", "{tmp}/no_quadratic.catalog"]),
-    ({}, ["verify", "{tmp}/long_int.json"]),
+    ["field", "4.4.725.1", "--op", "zeta"],
+    ["field", "2.2.5.1", "--op", "zeta", "--s", "3"],
+    ["prove", "--n", "3", "--fields", "{tmp}/malformed"],
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/malformed"],
+    ["optimize", "--case", "n2", "--odlyzko", "{tmp}/malformed"],
+    ["optimize", "--case", "n3", "--odlyzko", "{tmp}/malformed"],
+    ["prove", "--n", "3", "--fields", "{data}/fields.catalog"],
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{data}/fields.catalog"],
+    ["prove", "--n", "2", "--precision", "64", "--fields", "{tmp}/no_49.catalog"],
+    ["verify", "{tmp}"],
+    ["verify", "{tmp}/deep.json"],
+    ["prove", "--n", "3", "--fields", "{torn}/fields.catalog"],
+    ["prove", "--n", "3", "--fields", "{tmp}/latin1"],
+    ["optimize", "--case", "n3", "--odlyzko", "{tmp}/latin1"],
+    ["optimize", "--case", "n3", "--precision", "16", "--odlyzko", "{tmp}/exponent"],
+    ["optimize", "--case", "n3", "--odlyzko", "{tmp}/exponent"],
+    ["optimize", "--case", "n2", "--odlyzko", "{tmp}/exponent"],
+    ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"],
+    ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"],
+    ["prove", "--n", "3", "--fields", "{tmp}/no_quadratic.catalog"],
+    ["verify", "{tmp}/long_int.json"],
     # a file name longer than the system allows (ENAMETOOLONG)
-    ({}, ["verify", "{tmp}/" + "x" * 300]),
-    ({}, ["optimize", "--case", "n2", "--odlyzko", "{tmp}/" + "x" * 300]),
-    ({}, ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/" + "x" * 300]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", "{tmp}/" + "x" * 300]),
+    ["verify", "{tmp}/" + "x" * 300],
+    ["optimize", "--case", "n2", "--odlyzko", "{tmp}/" + "x" * 300],
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/" + "x" * 300],
+    ["optimize", "--case", "n3", "--odlyzko", "{tmp}/" + "x" * 300],
     # a missing path thousands of characters long, each name within the limit
-    ({}, ["verify", LONG_MISSING_PATH]),
-    ({}, ["prove", "--n", "3", "--fields", LONG_MISSING_PATH]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", LONG_MISSING_PATH]),
-    ({}, ["verify", "{tmp}/not_json.json"]),
-    ({}, ["prove", "--n", "2", "--fields", "{tmp}/malformed"]),
+    ["verify", LONG_MISSING_PATH],
+    ["prove", "--n", "3", "--fields", LONG_MISSING_PATH],
+    ["optimize", "--case", "n3", "--odlyzko", LONG_MISSING_PATH],
+    ["verify", "{tmp}/not_json.json"],
+    ["prove", "--n", "2", "--fields", "{tmp}/malformed"],
     # an empty path names no file: it is not the vendored one
-    ({}, ["prove", "--n", "4", "--precision", "16", "--fields", ""]),
-    ({}, ["optimize", "--case", "n2", "--odlyzko", ""]),
-    ({}, ["optimize", "--case", "n3", "--odlyzko", ""]),
-    ({}, ["field", "2.2.5.1", "--op", "units", "--fields", ""]),
+    ["prove", "--n", "4", "--precision", "16", "--fields", ""],
+    ["optimize", "--case", "n2", "--odlyzko", ""],
+    ["optimize", "--case", "n3", "--odlyzko", ""],
+    ["field", "2.2.5.1", "--op", "units", "--fields", ""],
     # UnsupportedField: no splitting rule for a quartic field
-    ({}, ["field", "4.4.725.1", "--op", "splitting", "--p", "5"]),
+    ["field", "4.4.725.1", "--op", "splitting", "--p", "5"],
     # a repeated record, which would be counted as a second candidate
-    ({}, ["prove", "--n", "3", "--fields", "{tmp}/repeated.catalog"]),
+    ["prove", "--n", "3", "--fields", "{tmp}/repeated.catalog"],
     # the same field under a new label
-    ({}, ["prove", "--n", "3", "--precision", "64", "--fields", "{tmp}/relabelled.catalog"]),
+    ["prove", "--n", "3", "--precision", "64", "--fields", "{tmp}/relabelled.catalog"],
+    # a square discriminant, whose units Pell's equation would seek forever
+    ["field", "2.2.4.1", "--op", "units", "--fields", "{tmp}/reducible.catalog"],
 ]
 
 
-@pytest.mark.parametrize(
-    "env, argv", BAD_INPUT, ids=[f"argv{i}" for i in range(len(BAD_INPUT))]
-)
-def test_cli_bad_input(env, argv, bad_data, monkeypatch, capsys):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value.format(**bad_data))
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=[f"argv{i}" for i in range(len(BAD_INPUT))])
+def test_cli_bad_input(argv, bad_data, capsys):
     rc = cli.main([arg.format(**bad_data) for arg in argv])
     assert rc == cli.EXIT_DATA_MISSING
     err = capsys.readouterr().err
@@ -1828,18 +1835,17 @@ def opened(monkeypatch):
     return names
 
 
-def test_data_files_read_once_and_cached_by_path(bad_data, monkeypatch, opened):
-    """Each load hashes and parses one read, once per path; a changed data
-    directory is read afresh."""
+def test_data_files_read_once_and_cached_by_path(bad_data, opened):
+    """Each load hashes and parses one read, once per path; another path is
+    read afresh."""
     numberfields._parsed.cache_clear()
     bounds.load_odlyzko_table()
     bounds.load_odlyzko_table()
     assert opened.count("odlyzko.csv") == 1
     numberfields.default_catalog()
-    monkeypatch.setenv("COVCERT_DATA_DIR", bad_data["data"])  # its catalog fails its checksum
     opened.clear()
-    with pytest.raises(numberfields.InvariantViolation):
-        numberfields.default_catalog()
+    with pytest.raises(numberfields.InvariantViolation):  # it fails its checksum
+        numberfields.default_catalog(f"{bad_data['data']}/fields.catalog")
     assert opened.count("fields.catalog") == 1
 
 

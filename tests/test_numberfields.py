@@ -93,6 +93,26 @@ def test_load_catalog_errors():
         nf.load_catalog(b"2.2.5.1|2|5|1|-1,-1,1\n2.2.5.2|2|5|1|-5,0,1")
 
 
+def test_load_catalog_checks_quadratic_discriminants(catalog):
+    """A quadratic record's D is no square, and its polynomial's discriminant
+    b^2 - 4c is D times a square, as the catalog's header states."""
+    for record in (
+        b"2.2.4.1|2|4|1|-1,0,1",  # x^2 - 1: reducible, and 4 a square
+        b"2.2.1.1|2|1|1|-1,0,1",  # D a square again, then negative
+        b"2.2.0.1|2|0|1|-1,0,1",
+        b"2.2.-4.1|2|-4|1|-1,0,1",
+        b"2.2.5.1|2|5|1|-2,0,1",  # x^2 - 2, of discriminant 8
+        b"2.2.5.1|2|5|1|-3,-1,1",  # x^2 - x - 3, of discriminant 13
+    ):
+        with pytest.raises(nf.InvariantViolation, match="times a square"):
+            nf.load_catalog(record)
+    # x^2 - 5, of discriminant 20 = 5 * 2^2, defines the field of 2.2.5.1
+    assert nf.load_catalog(b"2.2.5.1|2|5|1|-5,0,1")[0].discriminant == 5
+    quadratics = [f for f in catalog if f.degree == 2]
+    assert len(quadratics) == 7
+    assert all(f.polynomial[1] ** 2 - 4 * f.polynomial[0] == f.discriminant for f in quadratics)
+
+
 def test_checksum_detects_corruption(tmp_path):
     data = tmp_path / "fields.catalog"
     data.write_text("1.1.1.1|1|1|1|0,1\n")

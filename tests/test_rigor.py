@@ -1,5 +1,6 @@
 """Property tests for the interval arithmetic substrate."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covcert import report
+from covcert import certifier, report
 from covcert.numberfields import InvariantViolation, NumberFieldRecord
 from covcert.report import Enclosure
 from covcert.rigor import (
@@ -120,6 +121,26 @@ def test_compare_examples():
     assert iv_compare(Interval(1, 2), Interval(3, 4)) is Comparison.CERTAINLY_LESS
     assert iv_compare(Interval(1, 3), Interval(2, 4)) is Comparison.OVERLAP
     assert iv_compare(Interval(5, 6), Interval(1, 2)) is Comparison.CERTAINLY_GREATER
+
+
+def test_compare_returns_the_relation_a_report_records():
+    """``compare`` returns the very string that ``render`` records and a
+    JSON report holds, for each of the three outcomes: a rank-3 proof
+    whose zeta product enclosure is moved onto its bound 1.83 overlaps."""
+    assert iv_compare is report.compare
+    proof = certifier.run_case(3, precision_bits=64)
+    evidence = {s.id: (s.anchor, s.enclosures) for s in proof.steps}
+    bound = Enclosure(report.ZETA_PRODUCT_UPPER, report.ZETA_PRODUCT_UPPER)
+    evidence["zeta_product_bound"] = (None, [bound])
+    cert = report.render(3, 64, evidence)
+    doc = json.loads(report.emit_report(cert))
+    recorded = []
+    for step, step_doc in zip(cert.steps, doc["steps"], strict=True):
+        for c, c_doc in zip(step.comparisons, step_doc["comparisons"], strict=True):
+            assert type(c.relation) is str
+            assert c.relation == report.compare(c.lhs, c.rhs) == c_doc["relation"]
+            recorded.append(c.relation)
+    assert set(recorded) == {"CertainlyLess", "CertainlyGreater", "Overlap"}
 
 
 def test_arith_examples():
