@@ -17,11 +17,12 @@ against each of its quantity's planned bounds) and verdict, the surviving
 fields and the conclusion.  The checker renders a report's recorded
 evidence with the same function.  This module supplies only the evidence
 the plan does not state, by step id in ``_EVIDENCE``: the computed
-enclosures, one for each quantity the step's plan bounds, and the anchors
-that read the catalog.  ``run_case`` does nothing else: it loads the
-field catalog, evaluates the evidence in plan order and renders it.  The
-bound pairs the proof evaluates are the witness rows that ``report``
-states, rows of the vendored table; ``prove`` does not read the table.
+enclosures, one for each quantity the step's plan bounds, and the coarse
+cutoffs' candidate counts and lists.  ``run_case`` does nothing else: it
+loads the catalog, looks up the plan's candidate fields in it, evaluates
+the evidence in plan order and renders it.  The bound pairs the proof
+evaluates are the witness rows that ``report`` states, rows of the
+vendored table; ``prove`` does not read the table.
 Non-numerical inputs (structural group theory, the validity of the
 vendored bound table, and so on) are the axiom steps A1 through A5, which
 the plan places like any other step.
@@ -30,10 +31,9 @@ the plan places like any other step.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, Optional
 
-from . import bounds, localfactors, numberfields, report
+from . import bounds, numberfields, report
 from .bounds import OdlyzkoPair
 from .report import (  # noqa: F401  (re-exported)
     CANDIDATE_FIELDS, FINAL_CONCLUSION, SCHEMA_VERSION, Certificate, CertificateStep,
@@ -76,16 +76,6 @@ def _discriminant_cutoffs_n3(catalog, prec: int):
     )
 
 
-def _verdict(d: int, D: int, n: int, catalog, prec: int):
-    fld = numberfields.field_by_discriminant(catalog, d, D)
-    unit_index = numberfields.totally_positive_index(fld)
-    return (
-        f"covolume quotient against the rational lattice, adjusted by unit index {unit_index}, "
-        "versus 1",
-        [bounds.adjusted_quotient(fld, n, unit_index)],
-    )
-
-
 # Each rank class's evidence, by the id of every step that its plan does not
 # state: a callable of (catalog, prec) that returns (anchor, enclosures),
 # one enclosure for each quantity the plan bounds.  Its anchor is None where
@@ -103,9 +93,6 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         **_ZETA_PRODUCT_EVIDENCE,
         "refined_cutoffs": lambda catalog, prec: (
             None, [bounds.proto_D_bound(2, d, 1, prec) for d in (5, 4, 3, 2)]),
-        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 2) for d, D, _ in CANDIDATE_FIELDS[2]},
-        **{f"local_exclusion_{i}": lambda catalog, prec, i=i: (
-            localfactors.qsqrt5_local_exclusion(catalog)[i]) for i in range(2)},
     },
     3: {
         "degree_threshold": lambda catalog, prec: (
@@ -114,7 +101,6 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
         "discriminant_cutoffs": _discriminant_cutoffs_n3,
         "refined_cutoffs": lambda catalog, prec: (
             None, [bounds.proto_D_bound(3, d, 1, prec) for d in (2, 3)]),
-        **{f"verdict_d{d}_D{D}": partial(_verdict, d, D, 3) for d, D, _ in CANDIDATE_FIELDS[3]},
     },
     4: {
         "inner_factor_ge_one": lambda catalog, prec: (None, [
@@ -129,8 +115,9 @@ _EVIDENCE: Dict[int, Dict[str, Callable]] = {
 
 
 def run_case(n: int, precision_bits: int = 256, fields_path: Optional[str] = None) -> Certificate:
-    """Execute the full exclusion pipeline for one rank: evaluate each entry
-    of its class's ``_EVIDENCE``, in plan order, and render the certificate
+    """Execute the full exclusion pipeline for one rank: look up its class's
+    candidate fields (UnsupportedField for one the catalog lacks), evaluate
+    each entry of its ``_EVIDENCE`` in plan order, and render the certificate
     with ``report.render``, which adds the points the plan states and makes
     each step's comparisons from its enclosures and the plan.  Evidence with
     another number of enclosures than the plan has quantities is a fault of
@@ -139,5 +126,7 @@ def run_case(n: int, precision_bits: int = 256, fields_path: Optional[str] = Non
     if n < 2:
         raise ValueError("rank must be >= 2")
     catalog = numberfields.default_catalog(fields_path)
+    for d, D, _ in CANDIDATE_FIELDS[rank_class(n)]:
+        numberfields.field_by_discriminant(catalog, d, D)
     evidence = _EVIDENCE[rank_class(n)]
     return render(n, precision_bits, {key: f(catalog, precision_bits) for key, f in evidence.items()})

@@ -3,20 +3,17 @@
 Each finite place contributes a factor e'(P_v) >= 1 to the covolume; a
 lattice can only undercut the reference one if the product of these
 factors stays below 5 * 2^(#T), where #T counts the non-hyperspecial
-places.  This module provides the closed forms for the special factors,
-the rigidity lower bound h(q, n) for non-special ones, and the composed
-exclusion argument for the rank-2 survivor field.
+places.  This module provides the closed forms for the special factors and
+the rigidity lower bound h(q, n) for non-special ones.  No proof calls them:
+they are the reference for the values that ``report.STATED_POINTS`` states.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
 
 from .report import XI_CARDINALITY_MAX
 from .rigor import Comparison, Interval, iv_compare
-from . import numberfields
-from .numberfields import padic_square_test, splitting_type
 
 
 def T_factor(q: int) -> Fraction:
@@ -67,31 +64,3 @@ def nonspecial_gt_two(q: int, n: int) -> Comparison:
     else:
         lower = h_rigidity(q, n)
     return iv_compare(lower, Interval.exact(XI_CARDINALITY_MAX))
-
-
-def qsqrt5_local_exclusion(catalog) -> Tuple[Tuple[str, List[Interval]], ...]:
-    """Exclusion of small residue cardinalities for the rank-2 survivor.
-
-    A sharp local factor small enough to evade the exclusion inequality
-    would need residue cardinality 2 or 3.  Both are ruled out for the
-    quadratic field of discriminant 5: the rational primes 2 and 3 are
-    inert, so every residue cardinality is a square >= 4.  The remaining
-    rigidity input (ramification parity at the archimedean places) is not
-    checked here; the certifier records it as axiom A1.  Each fragment is
-    the evidence of one step of the rank-2 plan, its anchor (the splitting
-    that the catalog's field gives) and its enclosure, whose bound the plan
-    states: the smallest residue cardinality at the places above 2, then
-    above 3.  The plan states T(4), T(5) and T(9) at the remaining places.
-    """
-    field = numberfields.field_by_discriminant(catalog, 2, 5)
-    steps = []
-    for p in (2, 3):
-        split = splitting_type(field, p)
-        square_check = padic_square_test(field.discriminant, p)
-        steps.append((
-            f"prime {p} is {split.kind} with residue cardinality "
-            f"{split.residue_cardinalities[0]}; discriminant is "
-            f"{'' if square_check else 'not '}a square in the {p}-adic field",
-            [Interval.exact(min(split.residue_cardinalities))],
-        ))
-    return tuple(steps)

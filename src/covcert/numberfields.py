@@ -3,9 +3,10 @@
 Covers the candidate field catalog (a vendored snapshot with checksums),
 fundamental units from Pell's equation, totally-positive unit indices from
 exact Sturm counts of the roots between -1, 0 and 1, Dedekind zeta
-enclosures, and prime splitting data from one F_p route, the degree of
-gcd(x^p - x, f mod p), for every prime.  ``load_data_file`` alone reads a
-data file, the catalog and ``bounds``' table alike.
+enclosures, and prime splitting data: a quadratic field's from the
+Kronecker symbol (D/p), a cubic field's from the degree of
+gcd(x^p - x, f mod p) over F_p.  ``load_data_file`` alone reads a data
+file, the catalog and ``bounds``' table alike.
 """
 
 from __future__ import annotations

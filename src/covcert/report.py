@@ -9,8 +9,8 @@ what a report records and accepts the report only if it is that rendering.
 A step's evidence is its enclosures, one for each quantity, and its anchor
 where the plan states none; the plan bounds each quantity by constants, and
 ``render`` derives the step's comparisons, one for each bound.  The plan
-states the witness rows, the exact local factors and every anchor that reads
-no catalog; the prover states the computed enclosures and the other anchors.
+states the witness rows, every exact rational and every anchor but the coarse
+cutoffs'; the prover states the computed enclosures and those anchors.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -164,8 +164,8 @@ L35_WITNESS = (Ratio(3447, 500), Ratio(22667, 10000))  # (6.894, 2.2667)
 # A planned step is a 4-tuple: the steps it depends on, its claim (a template
 # whose one field is {rank}), its anchor and the bounds of each of its
 # quantities, one enclosure each.  The anchor is the plan's
-# text wherever it reads no catalog, and None where the prover states it: the
-# candidate counts and lists, a unit index, a prime's splitting.  A bound is
+# text, or None where the prover states it: the coarse cutoffs' candidate
+# counts and lists, which read the catalog.  A bound is
 # the relation the quantity requires to an exact constant (an int or a Ratio
 # in lowest terms, as a report writes it); ``_gt(49) + _lt(81)`` bounds one
 # quantity on both sides.
@@ -193,13 +193,13 @@ SURVIVING_FIELDS = {
 
 def _global_stage(rank: int) -> dict[str, tuple]:
     """The global-stage steps of a rank class, one for each candidate field
-    (d, D): its covolume quotient, adjusted by its unit index, against 1."""
+    (d, D): its covolume quotient, adjusted by its unit index (1), against 1."""
     return {
         f"verdict_d{d}_D{D}": (
             ("refined_cutoffs",),
             f"field (d, D) = ({d}, {D}) "
             + ("survives the global stage" if survives else "is excluded"),
-            None,
+            "covolume quotient against the rational lattice, adjusted by unit index 1, versus 1",
             (_gt(1) if survives else _lt(1),),
         )
         for d, D, survives in CANDIDATE_FIELDS[rank]
@@ -210,8 +210,8 @@ def _global_stage(rank: int) -> dict[str, tuple]:
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
 # required relations and right sides from it, and every anchor and point it
-# states, and the evidence supplies only computed enclosures and the anchors
-# that read the catalog.  So a consistent subset of a proof, or a proof of
+# states, and the evidence supplies only computed enclosures and the coarse
+# cutoffs' anchors.  So a consistent subset of a proof, or a proof of
 # another statement, is no rendering of a plan.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], AXIOM_ANCHOR, ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
@@ -279,12 +279,10 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "closed-form local factors at small residue cardinality",
             (_gt(2), _gt(5)),
         ),
-        "local_exclusion_0": (
-            ("local_T_values",), "no place above 2 has residue cardinality 2", None, (_gt(2),)
-        ),
-        "local_exclusion_1": (
-            ("local_T_values",), "no place above 3 has residue cardinality 3", None, (_gt(3),)
-        ),
+        **{f"local_exclusion_{i}": (  # the survivor 2.2.5.1's smallest residue cardinality
+            ("local_T_values",), f"no place above {p} has residue cardinality {p}",
+            f"prime {p} is inert with residue cardinality {p * p}; discriminant is not a square "
+            f"in the {p}-adic field", (_gt(p),)) for i, p in enumerate((2, 3))},
         "local_exclusion_2": (
             ("local_T_values",),
             "sharp factors at the remaining places satisfy the exclusion inequality",
@@ -345,15 +343,18 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
 }
 
 
-# The exact local factors, which read neither the catalog nor the precision,
-# as points that the plan states, and none for an axiom: e'(3, 2), e'(4, 2);
-# h(2, 3), h(2, 4)/h(2, 3), or h(3, 2) at rank 2; T(2), T(3); T(4), T(5), T(9).
+# The exact rationals, which read neither the catalog nor the precision, as
+# points that the plan states, and none for an axiom: e'(3, 2), e'(4, 2); h(2, 3),
+# h(2, 4)/h(2, 3), or h(3, 2) at rank 2; each candidate's adjusted quotient;
+# T(2), T(3); 2.2.5.1's residue cardinalities above 2 and 3; T(4), T(5), T(9).
 _LOCAL_FACTORS = {**dict.fromkeys(AXIOMS, ()), "local_special_factor": (35, 189),
                   "local_nonspecial_factor": (Ratio(945, 256), Ratio(255, 128))}
 STATED_POINTS: dict[int, dict[str, tuple]] = {
     2: {**dict.fromkeys(AXIOMS, ()), "local_nonspecial_factor": (Ratio(160, 27),),
-        "local_T_values": (Ratio(5, 2), 10), "local_exclusion_2": (Ratio(51, 2), 52, 328)},
-    3: _LOCAL_FACTORS, 4: _LOCAL_FACTORS,
+        "verdict_d3_D49": (Ratio(49, 79),), "verdict_d2_D8": (Ratio(4, 11),), "verdict_d2_D5": (5,),
+        "local_T_values": (Ratio(5, 2), 10), "local_exclusion_0": (4,), "local_exclusion_1": (9,),
+        "local_exclusion_2": (Ratio(51, 2), 52, 328)},
+    3: {**_LOCAL_FACTORS, "verdict_d2_D5": (Ratio(25, 67),)}, 4: _LOCAL_FACTORS,
 }
 
 
@@ -595,8 +596,8 @@ def verify_report(stream: bytes) -> str:
     enclosure against each of its quantity's planned bounds, and an anchor
     or a point that the plan states must be the plan's.  Only exact integer
     arithmetic is used.  What it does not recompute it trusts: the computed
-    enclosures, and the anchors that read the catalog (the candidates, the
-    unit index, a prime's splitting) with the catalog data behind them.
+    enclosures, and the coarse cutoffs' anchors, whose candidate counts and
+    lists read the catalog, with the catalog data behind them.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from covcert import bounds, numberfields
@@ -15,3 +17,27 @@ def catalog():
 @pytest.fixture(scope="session")
 def table():
     return bounds.load_odlyzko_table()
+
+
+@pytest.fixture
+def calls_of():
+    """calls_of(run, *functions): the names of the given functions that
+    run() calls, by any route: a profile hook matches each call's code
+    object, so a function imported under another name is caught too."""
+
+    def calls(run, *functions):
+        codes = {f.__code__: f.__name__ for f in functions}
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                seen.add(codes[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    return calls

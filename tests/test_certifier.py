@@ -530,8 +530,8 @@ def _precision_raised(doc, bits=8192):
         record["precision_bits"] = bits
 
 
-def _local_factor_recorded_as(doc, step_id, index, value):
-    """The exact local factor that the plan states as the step's enclosure
+def _point_recorded_as(doc, step_id, index, value):
+    """The exact rational that the plan states as the step's enclosure
     index recorded as the point value, with its one comparison's left side
     rewritten to match."""
     step = _step(doc, step_id)
@@ -539,19 +539,32 @@ def _local_factor_recorded_as(doc, step_id, index, value):
 
 
 def _t2_set_to_five(doc):
-    _local_factor_recorded_as(doc, "local_T_values", 0, "5")
+    _point_recorded_as(doc, "local_T_values", 0, "5")
 
 
 def _t9_doubled(doc):
-    _local_factor_recorded_as(doc, "local_exclusion_2", 2, "656")
+    _point_recorded_as(doc, "local_exclusion_2", 2, "656")
 
 
 def _h23_doubled(doc):
-    _local_factor_recorded_as(doc, "local_nonspecial_factor", 0, "945/128")
+    _point_recorded_as(doc, "local_nonspecial_factor", 0, "945/128")
 
 
 def _eprime32_doubled(doc):
-    _local_factor_recorded_as(doc, "local_special_factor", 0, "70")
+    _point_recorded_as(doc, "local_special_factor", 0, "70")
+
+
+def _d8_quotient_set_to_8_11(doc):
+    _point_recorded_as(doc, "verdict_d2_D8", 0, "8/11")
+
+
+def _residue_cardinality_above_2_set_to_8(doc):
+    _point_recorded_as(doc, "local_exclusion_0", 0, "8")
+
+
+def _unit_index_anchor_set_to_2(doc):
+    step = _step(doc, "verdict_d2_D5")
+    step["anchor"] = step["anchor"].replace("unit index 1", "unit index 2")
 
 
 @pytest.mark.parametrize(
@@ -591,6 +604,9 @@ def _eprime32_doubled(doc):
         (2, _t9_doubled),
         (3, _h23_doubled),
         (4, _eprime32_doubled),
+        (2, _d8_quotient_set_to_8_11),
+        (3, _unit_index_anchor_set_to_2),
+        (2, _residue_cardinality_above_2_set_to_8),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -602,7 +618,8 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     surviving fields that are not the plan's, a step the plan no longer has,
     a key that the rendering lacks (at the top, in a step, in a comparison),
     a rewritten anchor that the plan states (an axiom's, the rank-2
-    threshold's citing the rank-3 row, the conclusion's, a local factor's),
+    threshold's citing the rank-3 row, the conclusion's, a local factor's,
+    a verdict's unit index),
     a constant side spelled other than in lowest
     terms, a NotProved report with another conclusion or none, a
     precision raised above the one its enclosures deliver, enclosures
@@ -610,8 +627,9 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     or reordered), a coarse cutoff's constant raised, a cutoff bounded
     on both sides that meets each bound with another value, or one bound
     with a left side that is not its enclosure, and an exact
-    local factor that the plan states recorded as another value that still
-    meets its bound (T(2) as 5, T(9), h(2, 3) and e'(3, 2) doubled)."""
+    rational that the plan states recorded as another value that still
+    meets its bound (T(2) as 5, T(9), h(2, 3) and e'(3, 2) doubled, the
+    quotient of 2.2.8.1 as 8/11, a residue cardinality 4 as 8)."""
     doc = json.loads(ct.emit_report(ct.run_case(n, precision_bits=64)))
     mutate(doc)
     with pytest.raises(ct.TamperDetected):
@@ -620,20 +638,14 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
 
 # What a 64-bit report of each rank class may be forged into and still verify
 # Proved, as (rank class, step id, field, mutation): a field is a path in the
-# step, and a mutation is one of ``_mutants``.  The anchors read the catalog:
-# a candidate count or list, a unit index, a prime's splitting.  The enclosures
+# step, and a mutation is one of ``_mutants``.  The anchors are the coarse
+# cutoffs', whose candidate counts and lists read the catalog.  The enclosures
 # are computed, and the checker trusts them within their planned bounds.
 _BY_1001 = "rescaled by 1001/1000"
 _BY_2 = "rescaled by 2"
 TRUSTED = {
     (2, "discriminant_cutoffs", "anchor", "extended"),
-    (2, "verdict_d3_D49", "anchor", "extended"),
-    (2, "verdict_d2_D8", "anchor", "extended"),
-    (2, "verdict_d2_D5", "anchor", "extended"),
-    (2, "local_exclusion_0", "anchor", "extended"),
-    (2, "local_exclusion_1", "anchor", "extended"),
     (3, "discriminant_cutoffs", "anchor", "extended"),
-    (3, "verdict_d2_D5", "anchor", "extended"),
     (2, "degree_threshold", "enclosures[0]", _BY_1001),
     (2, "discriminant_cutoffs", "enclosures[0]", _BY_1001),
     (2, "discriminant_cutoffs", "enclosures[1]", _BY_1001),
@@ -645,15 +657,6 @@ TRUSTED = {
     (2, "refined_cutoffs", "enclosures[1]", _BY_1001),
     (2, "refined_cutoffs", "enclosures[2]", _BY_1001),
     (2, "refined_cutoffs", "enclosures[3]", _BY_1001),
-    (2, "verdict_d3_D49", "enclosures[0]", _BY_1001),
-    (2, "verdict_d2_D8", "enclosures[0]", _BY_1001),
-    (2, "verdict_d2_D8", "enclosures[0]", _BY_2),
-    (2, "verdict_d2_D5", "enclosures[0]", _BY_1001),
-    (2, "verdict_d2_D5", "enclosures[0]", _BY_2),
-    (2, "local_exclusion_0", "enclosures[0]", _BY_1001),
-    (2, "local_exclusion_0", "enclosures[0]", _BY_2),
-    (2, "local_exclusion_1", "enclosures[0]", _BY_1001),
-    (2, "local_exclusion_1", "enclosures[0]", _BY_2),
     (3, "degree_threshold", "enclosures[0]", _BY_1001),
     (3, "zeta_product_bound", "enclosures[0]", _BY_1001),
     (3, "discriminant_cutoffs", "enclosures[0]", _BY_1001),
@@ -662,8 +665,6 @@ TRUSTED = {
     (3, "discriminant_cutoffs", "enclosures[2]", _BY_2),
     (3, "refined_cutoffs", "enclosures[0]", _BY_1001),
     (3, "refined_cutoffs", "enclosures[1]", _BY_1001),
-    (3, "verdict_d2_D5", "enclosures[0]", _BY_1001),
-    (3, "verdict_d2_D5", "enclosures[0]", _BY_2),
     (4, "inner_factor_ge_one", "enclosures[0]", _BY_1001),
     (4, "inner_factor_ge_one", "enclosures[0]", _BY_2),
     (4, "inner_factor_ge_one", "enclosures[1]", _BY_1001),
@@ -730,7 +731,9 @@ def test_verify_trusts_only_the_trusted_surface():
     rejected, by TamperDetected, SchemaMismatch or a NotProved verdict,
     except those of TRUSTED, which verify Proved: so a change that closes a
     hole must remove its entry, and one that opens a hole must add one.  The
-    plan states the exact local factors, so none of them is trusted."""
+    plan states every exact rational (the local factors, the global stage's
+    quotients, the rank-2 exclusion's residue cardinalities) and every anchor
+    but the coarse cutoffs', so none of them is trusted."""
     accepted, labels = set(), []
     for rank_class in (2, 3, 4):
         honest = json.loads(ct.emit_report(ct.run_case(rank_class, precision_bits=64)))
@@ -888,10 +891,10 @@ def test_global_stage_quotients_are_exact(cert_by_rank):
             field = numberfields.field_by_discriminant(catalog, d, D)
             index = numberfields.totally_positive_index(field)
             adjusted = bounds.adjusted_quotient(field, n, index)
-            assert step.enclosures == (adjusted,), step.id
+            assert step.enclosures == ((adjusted.lo, adjusted.hi),), step.id
             raw = adjusted * Interval.exact(Fraction(1 << (2 * d - 1), index))
             assert raw == bounds.s_lambda_quotient(field, n), step.id
-            assert [c.lhs for c in step.comparisons] == [adjusted], step.id
+            assert [c.lhs for c in step.comparisons] == list(step.enclosures), step.id
             rhs = step.comparisons[0].rhs  # the plan's constant, compared by value
             assert (rhs.lo, rhs.hi) == (1, 1), step.id
             assert f"unit index {index}" in step.anchor, step.id
@@ -912,42 +915,38 @@ def test_no_proved_step_only_compares_one_with_zero(cert_by_rank):
                 ), step.id
 
 
-def test_each_candidate_quotient_is_evaluated_once(monkeypatch, capsys):
-    """prove --all evaluates the exact quotient once per candidate field and
-    rank: three at rank 2 (D = 49, 8, 5) and one at rank 3 (D = 5), each
-    through adjusted_quotient."""
-    calls = []
-    s_lambda_quotient = bounds.s_lambda_quotient
-
-    def counted(field, n, *args):
-        calls.append((field.discriminant, n))
-        return s_lambda_quotient(field, n, *args)
-
-    monkeypatch.setattr(bounds, "s_lambda_quotient", counted)
-    assert cli.main(["prove", "--all", "--format", "json"]) == cli.EXIT_OK
+def test_each_candidate_quotient_is_evaluated_once(capsys, calls_of, catalog):
+    """Each candidate field's quotient is evaluated once, where the plan's
+    stated value is checked against it (test_the_plan_states_the_closed_forms):
+    prove --all calls neither s_lambda_quotient nor adjusted_quotient, nor
+    totally_positive_index for the unit index.  A direct call is seen."""
+    quotients = (bounds.s_lambda_quotient, bounds.adjusted_quotient,
+                 numberfields.totally_positive_index)
+    field = numberfields.field_by_discriminant(catalog, 2, 5)
+    seen = calls_of(lambda: bounds.adjusted_quotient(field, 2, 1), *quotients)
+    assert seen == {"s_lambda_quotient", "adjusted_quotient"}
+    proved = calls_of(lambda: cli.main(["prove", "--all", "--format", "json"]), *quotients)
     capsys.readouterr()
-    assert calls == [(49, 2), (8, 2), (5, 2), (5, 3)]
+    assert proved == set()
 
 
-def test_verdict_steps_record_what_adjusted_quotient_returns(monkeypatch):
-    """Each verdict step compares with 1 the very interval that
+def test_verdict_steps_record_what_adjusted_quotient_returns(calls_of, catalog):
+    """Each verdict step compares with 1 the point that
     bounds.adjusted_quotient, the route acceptance criterion 7 checks,
-    returns for its field, rank and unit index."""
-    returned = {}
-    adjusted_quotient = bounds.adjusted_quotient
-
-    def recorded(field, n, unit_index):
-        value = adjusted_quotient(field, n, unit_index)
-        returned[f"verdict_d{field.degree}_D{field.discriminant}", n] = value
-        return value
-
-    monkeypatch.setattr(bounds, "adjusted_quotient", recorded)
+    returns for its field, rank and unit index, spelled as the prover's
+    Fraction; the plan states it, and run_case does not call the function."""
     for n in (2, 3):
-        for step in ct.run_case(n, precision_bits=64).steps:
+        certs = []
+        run = lambda: certs.append(ct.run_case(n, precision_bits=64))
+        assert calls_of(run, bounds.adjusted_quotient) == set(), n
+        for step in certs[0].steps:
             if step.id.startswith("verdict_"):
-                value = returned.pop((step.id, n))
-                assert step.enclosures == (value,) and step.comparisons[0].lhs is value
-    assert not returned
+                d, D = (int(x[1:]) for x in step.id.split("_")[1:])
+                field = numberfields.field_by_discriminant(catalog, d, D)
+                value = bounds.adjusted_quotient(
+                    field, n, numberfields.totally_positive_index(field))
+                assert [str(x) for x in step.enclosures[0]] == [str(value.lo), str(value.hi)]
+                assert step.comparisons[0].lhs is step.enclosures[0], step.id
 
 
 def test_data_missing():
@@ -1924,6 +1923,8 @@ results = [(cli.main(["verify", path]), executed()) for path in sys.argv[1:]]
 results.append([name for name in ("argparse", "gettext", "locale", "fractions", "decimal",
                                   "numbers") if name in sys.modules])
 results.append((cli.main(["prove", "--n", "4", "--precision", "64"]), executed()))
+results.append([(cli.main(["prove", "--n", n, "--precision", "64"]), executed())
+                for n in ("2", "3")])
 results.append([name for name in ("argparse", "gettext", "locale", "hashlib", "_hashlib")
                 if name in sys.modules])
 print(json.dumps(results))
@@ -1939,7 +1940,9 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     search and ``localfactors``, whose exact factors the plan states, and
     still imports neither argparse, gettext and locale (its command line is
     plain) nor hashlib and OpenSSL's _hashlib (the data files are hashed by
-    the builtin SHA-256)."""
+    the builtin SHA-256).  ``prove`` at ranks 2 and 3 executes no
+    ``localfactors`` either: the plan states their global stage and the
+    rank-2 local exclusion."""
     honest = tmp_path / "honest.json"
     honest.write_bytes(ct.emit_report(cert_by_rank[4]))
     doc = json.loads(honest.read_bytes())
@@ -1960,7 +1963,8 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     results = json.loads(out[-1])
     assert results[:4] == [[0, []], [2, []], [3, []], []]
     assert results[4] == [0, ["rigor", "specfun", "numberfields", "bounds", "certifier"]]
-    assert results[5] == []
+    assert results[5] == [[0, results[4][1]]] * 2
+    assert results[6] == []
 
 
 def test_verify_imports_neither_pathlib_nor_typing(cert_by_rank, tmp_path):

@@ -1,12 +1,12 @@
-"""Tests for the local-factor arithmetic and the rank-2 exclusion chain."""
+"""Tests for the local-factor arithmetic and the plan's rank-2 exclusion chain."""
 
 from fractions import Fraction
 
 import pytest
 
 from covcert.rigor import Comparison, Interval
+from covcert import bounds, cli, numberfields, report
 from covcert import localfactors as lf
-from covcert import report
 
 
 def test_T_factor_values():
@@ -70,49 +70,70 @@ def test_nonspecial_gt_two():
             assert lf.nonspecial_gt_two(q, n) is Comparison.CERTAINLY_GREATER, (q, n)
 
 
-def test_qsqrt5_exclusion_chain(catalog):
-    """Each fragment is the evidence of a planned step whose anchor the
-    prover states, (anchor, enclosures): one exact enclosure for each
-    planned quantity, above its constant.  The third step's anchor is the
-    plan's, and its quantities T(4), T(5) and T(9) exceed their constants."""
-    steps = lf.qsqrt5_local_exclusion(catalog)
-    plan = report.STEP_PLANS[2]
-    assert len(steps) == 2
-    assert plan["local_exclusion_2"][2] is not None
-    for i, (_, enclosures) in enumerate(steps):
-        _, _, anchor, planned = plan[f"local_exclusion_{i}"]
-        assert anchor is None, i
-        assert len(enclosures) == len(planned)
-        for value, ((required, constant),) in zip(enclosures, planned):
-            assert value.lo == value.hi, (i, value)
-            assert (required, value.lo > constant) == ("CertainlyGreater", True), (i, value)
-    _, _, _, planned = plan["local_exclusion_2"]
-    assert len(planned) == 3
+def test_qsqrt5_exclusion_chain(capsys, calls_of):
+    """The rank-2 exclusion chain is the plan's: the residue cardinalities 4
+    and 9 of the survivor 2.2.5.1 above 2 and 3, each above its prime, and
+    T(4), T(5) and T(9) above their constants, each step with the plan's
+    anchor.  prove --all evaluates none of it: it calls neither the
+    splitting rules nor the global stage's quotients."""
+    plan, stated = report.STEP_PLANS[2], report.STATED_POINTS[2]
+    for i, p in enumerate((2, 3)):
+        _, claim, anchor, (((required, constant),),) = plan[f"local_exclusion_{i}"]
+        assert anchor is not None and f"residue cardinality {p}" in claim, i
+        assert (required, constant, stated[f"local_exclusion_{i}"]) == (
+            "CertainlyGreater", p, (p * p,)), i
+    _, _, anchor, planned = plan["local_exclusion_2"]
+    assert anchor is not None and len(planned) == 3
     for q, ((required, constant),) in zip((4, 5, 9), planned):
         assert (required, lf.T_factor(q) > constant) == ("CertainlyGreater", True), q
-    assert "residue cardinality 2" in plan["local_exclusion_0"][1]
-    assert "inert" in steps[0][0]
+    proved = calls_of(lambda: cli.main(["prove", "--all", "--format", "json"]),
+                      numberfields.splitting_type, numberfields.padic_square_test,
+                      bounds.s_lambda_quotient, bounds.adjusted_quotient)
+    capsys.readouterr()
+    assert proved == set()
 
 
-def test_the_plan_states_the_closed_forms():
+def test_the_plan_states_the_closed_forms(catalog):
     """Each point that the plan states is its closed form here, spelled as
     the prover's Fraction would be: e'(3, 2) and e'(4, 2), h(2, 3) and
     h(2, 4)/h(2, 3) (h(3, 2) at rank 2), T(2) and T(3), and T(4), T(5) and
-    T(9).  Every other step that the plan states is an axiom, with none."""
+    T(9); each candidate field's quotient, adjusted by its unit index, which
+    its anchor states; and the smallest residue cardinalities of 2.2.5.1
+    above 2 and 3, whose splitting and 2- and 3-adic squareness its anchors
+    state.  Every other step that the plan states is an axiom, with none."""
     h = {(q, n): lf.h_rigidity(q, n).lo for q, n in ((2, 3), (2, 4), (3, 2))}
     local = {
         "local_special_factor": [lf.eprime_special(n, 2) for n in (3, 4)],
         "local_nonspecial_factor": [h[2, 3], h[2, 4] / h[2, 3]],
     }
+    survivor = numberfields.field_by_discriminant(catalog, 2, 5)
+    splits = [numberfields.splitting_type(survivor, p) for p in (2, 3)]
     expected = {
         2: {
             "local_nonspecial_factor": [h[3, 2]],
             "local_T_values": [lf.T_factor(q) for q in (2, 3)],
+            **{f"local_exclusion_{i}": [min(split.residue_cardinalities)]
+               for i, split in enumerate(splits)},
             "local_exclusion_2": [lf.T_factor(q) for q in (4, 5, 9)],
         },
-        3: local,
+        3: dict(local),
         4: local,
     }
+    for rank_class, fields in report.CANDIDATE_FIELDS.items():
+        for d, D, _ in fields:
+            field = numberfields.field_by_discriminant(catalog, d, D)
+            index = numberfields.totally_positive_index(field)
+            quotient = bounds.adjusted_quotient(field, rank_class, index)
+            assert quotient.lo == quotient.hi, (rank_class, D)
+            expected[rank_class][f"verdict_d{d}_D{D}"] = [quotient.lo]
+            anchor = report.STEP_PLANS[rank_class][f"verdict_d{d}_D{D}"][2]
+            assert f"adjusted by unit index {index}," in anchor, (rank_class, D)
+    for i, (p, split) in enumerate(zip((2, 3), splits)):
+        square = numberfields.padic_square_test(survivor.discriminant, p)
+        assert report.STEP_PLANS[2][f"local_exclusion_{i}"][2] == (
+            f"prime {p} is {split.kind} with residue cardinality "
+            f"{split.residue_cardinalities[0]}; discriminant is "
+            f"{'' if square else 'not '}a square in the {p}-adic field"), p
     for rank_class, stated in report.STATED_POINTS.items():
         factors = {step_id: points for step_id, points in stated.items() if points}
         assert set(factors) <= set(report.STEP_PLANS[rank_class]), rank_class
