@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 all proved, 2 a step failed, a report was tampered with
 (among others, one whose comparisons are not those its enclosures and plan
-render) or a usage error (such as ``prove --odlyzko``: only ``optimize``
-reads the bound-pair table), 3 data missing, unreadable or malformed, an
+render) or a usage error (such as ``prove --odlyzko`` or ``prove --fields``:
+only ``optimize`` reads the bound-pair table and only ``field`` the
+catalog), 3 data missing, unreadable or malformed, an
 ``optimize`` table with no row or no feasible point, a report that does not
 parse, or an unsupported field operation, 4 an unresolved tie at the asked
 precision, 141 (128 + SIGPIPE, as a shell reports for ``yes | head -1``)
@@ -125,8 +126,9 @@ def _prime(text: str) -> int:
 
 # Each command's help and arguments, as (name, add_argument keywords) in
 # order: ``build_parser`` replays them and ``_plain_args`` reads them.  A
-# command takes only the data paths it reads: ``prove`` reads the catalog
-# but not the bound-pair table, whose rows it needs are stated witnesses.
+# command takes only the data paths it reads: ``prove`` reads neither the
+# bound-pair table nor the catalog, since its plan states the witness rows
+# and the coarse cutoffs' candidates.
 _ODLYZKO = ("--odlyzko", {"help": "path to the bound-pair table", "default": None})
 _FIELDS = ("--fields", {"help": "path to the field catalog", "default": None})
 _PRECISION = ("--precision", {"type": _int_between(report.MIN_PRECISION_BITS,
@@ -149,7 +151,7 @@ _ARGUMENTS = {
                 },
             ),
             ("--format", {"choices": ("json", "text"), "default": "text"}),
-            _FIELDS, _PRECISION,
+            _PRECISION,
         ),
     ),
     "optimize": (
@@ -253,7 +255,7 @@ def _cmd_prove(args) -> int:
     ranks = range(2, 9) if args.all else [2 if args.n is None else args.n]
     worst = EXIT_OK
     for n in ranks:
-        cert = certifier.run_case(n, precision_bits=args.precision, fields_path=args.fields)
+        cert = certifier.run_case(n, precision_bits=args.precision)
         sys.stdout.buffer.write(report.emit_report(cert, args.format))
         sys.stdout.flush()
         if cert.has_tie:

@@ -289,12 +289,6 @@ def default_catalog(path: Optional[str] = None) -> Tuple[NumberFieldRecord, ...]
     return load_data_file("fields.catalog", path, load_catalog)
 
 
-def fields_by_degree_below(
-    catalog: Iterable[NumberFieldRecord], degree: int, bound: Fraction
-) -> List[NumberFieldRecord]:
-    return [f for f in catalog if f.degree == degree and f.discriminant < bound]
-
-
 def field_by_label(catalog: Iterable[NumberFieldRecord], label: str) -> NumberFieldRecord:
     for f in catalog:
         if f.label == label:

@@ -6,11 +6,11 @@ JSON report without trusting the code that produced it.  ``STEP_PLANS``
 states the proof, and ``render`` turns a plan and its evidence into a
 certificate: the prover renders what it computed, and the checker renders
 what a report records and accepts the report only if it is that rendering.
-A step's evidence is its enclosures, one for each quantity, and its anchor
-where the plan states none; the plan bounds each quantity by constants, and
-``render`` derives the step's comparisons, one for each bound.  The plan
-states the witness rows, every exact rational and every anchor but the coarse
-cutoffs'; the prover states the computed enclosures and those anchors.
+A step's evidence is its enclosures, one for each quantity; the plan bounds
+each quantity by constants, and ``render`` derives the step's comparisons,
+one for each bound.  The plan states the witness rows, every exact rational
+and every anchor, the coarse cutoffs' candidates among them; the prover
+states only the computed enclosures.
 An interval is any object with exact ``lo`` and ``hi``: ``rigor.Interval``,
 whose endpoints are ``Fraction``s, or the checker's ``Enclosure``, whose
 endpoints are ``Ratio``s.  Every relation between endpoints (an int is one
@@ -163,12 +163,9 @@ L35_WITNESS = (Ratio(3447, 500), Ratio(22667, 10000))  # (6.894, 2.2667)
 
 # A planned step is a 4-tuple: the steps it depends on, its claim (a template
 # whose one field is {rank}), its anchor and the bounds of each of its
-# quantities, one enclosure each.  The anchor is the plan's
-# text, or None where the prover states it: the coarse cutoffs' candidate
-# counts and lists, which read the catalog.  A bound is
-# the relation the quantity requires to an exact constant (an int or a Ratio
-# in lowest terms, as a report writes it); ``_gt(49) + _lt(81)`` bounds one
-# quantity on both sides.
+# quantities, one enclosure each.  A bound is the relation the quantity
+# requires to an exact constant (an int or a Ratio in lowest terms, as a report
+# writes it); ``_gt(49) + _lt(81)`` bounds one quantity on both sides.
 def _gt(constant) -> tuple[tuple[str, Ratio | int]]:
     return ((Comparison.CERTAINLY_GREATER, constant),)
 
@@ -209,10 +206,13 @@ def _global_stage(rank: int) -> dict[str, tuple]:
 # The steps that a proof of each rank class consists of, in order, each with
 # its whole statement.  Every rank from 4 on shares one plan.  This is the
 # proof's one description: ``render`` takes every step's claim, dependencies,
-# required relations and right sides from it, and every anchor and point it
-# states, and the evidence supplies only computed enclosures and the coarse
-# cutoffs' anchors.  So a consistent subset of a proof, or a proof of
-# another statement, is no rendering of a plan.
+# anchor, required relations and right sides from it, and every point it
+# states, and the evidence supplies only computed enclosures.  So a consistent
+# subset of a proof, or a proof of another statement, is no rendering of a
+# plan.  The coarse cutoffs' anchors state their candidates: the vendored
+# catalog's fields of each degree whose discriminant is below the cutoff's
+# upper end, which may lie inside its enclosure; the fields are the same at
+# every precision the prover accepts.
 _AXIOMS_FIRST = {axiom: ((), AXIOMS[axiom], AXIOM_ANCHOR, ()) for axiom in ("A5", "A4", "A3")}
 _LOCAL_STAGE = {
     "local_special_factor": (
@@ -255,7 +255,8 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "coarse cutoffs bound the discriminants of the candidate fields of degrees 2 to 5 and "
             "lie below 28, 257, 2225 and 24217, below which the catalog lists every totally real "
             "field of its degree",
-            None,
+            "catalog pruning by the coarse cutoffs, leaving candidate counts 7 at degree 2, "
+            "5 at degree 3, 6 at degree 4, 1 at degree 5",
             (_lt(28), _lt(257), _lt(2225), _lt(24217)),
         ),
         **_ZETA_PRODUCT_BOUND,
@@ -306,7 +307,8 @@ STEP_PLANS: dict[int, dict[str, tuple]] = {
             "coarse cutoffs, which take e^0.46 > 1.58, bound the discriminants of the quadratic "
             "and cubic candidate fields and lie below 12 and 81, below which the catalog lists "
             "every totally real quadratic and cubic field",
-            None,
+            "catalog pruning by the coarse cutoffs, leaving quadratic candidates [5, 8] and "
+            "cubic candidates [49]",
             (_lt(12), _lt(81), _gt(E_046_LOWER)),
         ),
         "refined_cutoffs": (
@@ -407,17 +409,16 @@ class Certificate(
 def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
     """The certificate of a rank's plan and its evidence, for the prover and
     the checker alike.  A step takes the points that ``STATED_POINTS`` states
-    for it (an axiom none), else its ``evidence``: (anchor, enclosures), one
-    enclosure for each planned quantity, the anchor taken where the plan has
-    none.  Each bound of a quantity gives one comparison, in plan order: its
-    enclosure against the bound's constant.  All else comes from the plan,
+    for it (an axiom none), else its ``evidence``: its enclosures, one for
+    each planned quantity.  Each bound of a quantity gives one comparison, in
+    plan order: its enclosure against the bound's constant.  All else comes from the plan,
     ``compare`` and ``step_verdict``.  A missing step raises KeyError, and
     another number of enclosures than the plan's quantities ValueError, naming the step.
     """
     stated, steps = STATED_POINTS[rank_class(rank)], []
-    for step_id, (dependencies, claim, planned_anchor, planned) in step_plan(rank).items():
-        anchor, enclosures = ((None, [Enclosure(x, x) for x in stated[step_id]])
-                              if step_id in stated else evidence[step_id])
+    for step_id, (dependencies, claim, anchor, planned) in step_plan(rank).items():
+        enclosures = ([Enclosure(x, x) for x in stated[step_id]]
+                      if step_id in stated else evidence[step_id])
         if len(enclosures) != len(planned):
             raise ValueError(f"step {step_id}: its {len(enclosures)} enclosures are not "
                              f"its plan's {len(planned)}")
@@ -428,7 +429,7 @@ def render(rank: int, precision_bits: int, evidence: dict) -> Certificate:
                 comparisons.append(RecordedComparison(lhs, rhs, compare(lhs, rhs), required))
         verdict = "Axiom" if step_id in AXIOMS else step_verdict(comparisons)
         steps.append(
-            CertificateStep(step_id, claim.format(rank=rank), planned_anchor or anchor,
+            CertificateStep(step_id, claim.format(rank=rank), anchor,
                             tuple(enclosures), tuple(comparisons), verdict, dependencies,
                             precision_bits)
         )
@@ -588,16 +589,14 @@ def verify_report(stream: bytes) -> str:
     dependency that is not a string, an unknown verdict, a precision outside
     16 to 8192 bits or not equal to every step's).  Then TamperDetected for
     a recorded enclosure that is not a point and has fewer relative bits
-    than the recorded precision (``_wider_than``), a rank below 2, an anchor
-    that is not a string, a step with another number of enclosures than its
-    plan's quantities (the error names the step), or a report that is not,
-    field for field, what ``render`` makes of its rank's plan and its
-    recorded anchors and enclosures; so the comparisons must be each
-    enclosure against each of its quantity's planned bounds, and an anchor
-    or a point that the plan states must be the plan's.  Only exact integer
-    arithmetic is used.  What it does not recompute it trusts: the computed
-    enclosures, and the coarse cutoffs' anchors, whose candidate counts and
-    lists read the catalog, with the catalog data behind them.
+    than the recorded precision (``_wider_than``), a rank below 2, a step
+    with another number of enclosures than its plan's quantities (the error
+    names the step), or a report that is not, field for field, what
+    ``render`` makes of its rank's plan and its recorded enclosures; so the
+    comparisons must be each enclosure against each of its quantity's
+    planned bounds, and every anchor and every point that the plan states
+    must be the plan's.  Only exact integer arithmetic is used.  What it does
+    not recompute it trusts: the computed enclosures.
     """
     try:
         doc = json.loads(stream.decode("utf-8"))
@@ -630,21 +629,16 @@ def verify_report(stream: bytes) -> str:
         verdict = s.get("verdict")
         if verdict not in ("Proved", "Failed", "Tie", "Axiom"):
             raise SchemaMismatch(f"unknown verdict {verdict!r:.80}")
-        recorded.append((step_id, s.get("anchor"), enclosures))
-    for step_id, _, enclosures in recorded:
+        recorded.append((step_id, enclosures))
+    for step_id, enclosures in recorded:
         for iv in enclosures:
             if _wider_than(iv, precision_bits):
                 raise TamperDetected(f"step {step_id}: interval {_iv_json(iv)!r:.80} has "
                                      f"fewer than its {precision_bits} bits of precision")
     if rank < 2:
         raise TamperDetected(f"rank {rank} is outside the plans, which start at rank 2")
-    evidence = {}
-    for step_id, anchor, enclosures in recorded:
-        if not isinstance(anchor, str):
-            raise TamperDetected(f"step {step_id}: anchor {anchor!r:.80} is not a string")
-        evidence[step_id] = (anchor, enclosures)
     try:
-        cert = render(rank, precision_bits, evidence)
+        cert = render(rank, precision_bits, dict(recorded))
     except KeyError as exc:
         raise TamperDetected(f"the report lacks its plan's step {exc}") from exc
     except ValueError as exc:  # a step with more or fewer enclosures than quantities

@@ -15,6 +15,17 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
+def candidates(catalog):
+    """candidates(degree, cutoff): the discriminants of the catalog's fields
+    of that degree below the cutoff's upper end, the rule by which the plan
+    states the coarse cutoffs' candidates: a field whose discriminant lies
+    inside a cutoff's enclosure may lie below the cutoff."""
+    return lambda degree, cutoff: [
+        f.discriminant for f in catalog if f.degree == degree and f.discriminant < cutoff.hi
+    ]
+
+
+@pytest.fixture(scope="session")
 def table():
     return bounds.load_odlyzko_table()
 

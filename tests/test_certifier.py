@@ -567,6 +567,18 @@ def _unit_index_anchor_set_to_2(doc):
     step["anchor"] = step["anchor"].replace("unit index 1", "unit index 2")
 
 
+def _coarse_anchor_counts_rewritten(doc):
+    """The rank-2 candidate counts of a catalog without 5.5.14641.1."""
+    step = _step(doc, "discriminant_cutoffs")
+    step["anchor"] = step["anchor"].replace("1 at degree 5", "0 at degree 5")
+
+
+def _coarse_anchor_candidates_rewritten(doc):
+    """The rank-3 candidates of a catalog without 3.3.49.1."""
+    step = _step(doc, "discriminant_cutoffs")
+    step["anchor"] = step["anchor"].replace("cubic candidates [49]", "cubic candidates []")
+
+
 @pytest.mark.parametrize(
     "n, mutate",
     [
@@ -607,6 +619,8 @@ def _unit_index_anchor_set_to_2(doc):
         (2, _d8_quotient_set_to_8_11),
         (3, _unit_index_anchor_set_to_2),
         (2, _residue_cardinality_above_2_set_to_8),
+        (2, _coarse_anchor_counts_rewritten),
+        (3, _coarse_anchor_candidates_rewritten),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_") or None,
 )
@@ -617,9 +631,9 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
     1.83 replaced by 0), a flipped relation, a dropped comparison,
     surviving fields that are not the plan's, a step the plan no longer has,
     a key that the rendering lacks (at the top, in a step, in a comparison),
-    a rewritten anchor that the plan states (an axiom's, the rank-2
-    threshold's citing the rank-3 row, the conclusion's, a local factor's,
-    a verdict's unit index),
+    a rewritten anchor (an axiom's, the rank-2 threshold's citing the
+    rank-3 row, the conclusion's, a local factor's, a verdict's unit index,
+    the coarse cutoffs' candidate counts and lists),
     a constant side spelled other than in lowest
     terms, a NotProved report with another conclusion or none, a
     precision raised above the one its enclosures deliver, enclosures
@@ -638,14 +652,11 @@ def test_verify_rejects_forgeries_of_the_plan(n, mutate):
 
 # What a 64-bit report of each rank class may be forged into and still verify
 # Proved, as (rank class, step id, field, mutation): a field is a path in the
-# step, and a mutation is one of ``_mutants``.  The anchors are the coarse
-# cutoffs', whose candidate counts and lists read the catalog.  The enclosures
-# are computed, and the checker trusts them within their planned bounds.
+# step, and a mutation is one of ``_mutants``.  Each is a computed enclosure,
+# which the checker trusts within its planned bounds.
 _BY_1001 = "rescaled by 1001/1000"
 _BY_2 = "rescaled by 2"
 TRUSTED = {
-    (2, "discriminant_cutoffs", "anchor", "extended"),
-    (3, "discriminant_cutoffs", "anchor", "extended"),
     (2, "degree_threshold", "enclosures[0]", _BY_1001),
     (2, "discriminant_cutoffs", "enclosures[0]", _BY_1001),
     (2, "discriminant_cutoffs", "enclosures[1]", _BY_1001),
@@ -733,7 +744,7 @@ def test_verify_trusts_only_the_trusted_surface():
     hole must remove its entry, and one that opens a hole must add one.  The
     plan states every exact rational (the local factors, the global stage's
     quotients, the rank-2 exclusion's residue cardinalities) and every anchor
-    but the coarse cutoffs', so none of them is trusted."""
+    (the coarse cutoffs' candidates among them), so none of them is trusted."""
     accepted, labels = set(), []
     for rank_class in (2, 3, 4):
         honest = json.loads(ct.emit_report(ct.run_case(rank_class, precision_bits=64)))
@@ -773,7 +784,7 @@ def test_verify_rejects_an_over_long_integer(cert_by_rank):
 )
 def test_honest_reports_follow_the_plan(n, bits):
     """run_case states its rank class's plan: every step in order, with the
-    plan's dependencies, claim and anchor where the plan states one, one
+    plan's dependencies, claim and anchor, one
     enclosure for each planned quantity, and as comparisons, in plan order,
     each enclosure against each of its quantity's bounds: the bound's
     relation required, its constant the right side.  So rank 2's
@@ -784,7 +795,7 @@ def test_honest_reports_follow_the_plan(n, bits):
     for step, (dependencies, claim, anchor, planned) in zip(cert.steps, plan.values()):
         assert step.dependencies == dependencies, step.id
         assert step.claim == claim.format(rank=n), step.id
-        assert step.anchor == anchor if anchor else isinstance(step.anchor, str), step.id
+        assert step.anchor == anchor, step.id
         assert len(step.enclosures) == len(planned), step.id
         expected = [(enclosure, required, constant)
                     for enclosure, quantity in zip(step.enclosures, planned)
@@ -798,22 +809,6 @@ def test_honest_reports_follow_the_plan(n, bits):
     if n == 2:
         refined = next(s for s in cert.steps if s.id == "refined_cutoffs")
         assert (len(refined.enclosures), len(refined.comparisons)) == (4, 6)
-    assert ct.verify_report(ct.emit_report(cert)) == "Proved"
-
-
-def test_rank2_cutoffs_compare_every_degree(tmp_path):
-    """A degree with no candidate in the catalog still records its cutoff
-    comparison, so a rank-2 proof from a catalog without quintic fields
-    keeps its plan's four comparisons, the quintic one its cutoff against
-    24217, and verifies."""
-    catalog = (Path(numberfields.__file__).parent / "data" / "fields.catalog").read_text()
-    path = tmp_path / "no_quintic.catalog"
-    path.write_text("".join(x for x in catalog.splitlines(True) if not x.startswith("5.")))
-    cert = ct.run_case(2, precision_bits=64, fields_path=str(path))
-    comparisons = next(s for s in cert.steps if s.id == "discriminant_cutoffs").comparisons
-    assert len(comparisons) == 4
-    assert comparisons[3].lhs == bounds.n2_D_bound(5, 64)
-    assert (comparisons[3].rhs.lo, comparisons[3].rhs.hi) == (24217, 24217)
     assert ct.verify_report(ct.emit_report(cert)) == "Proved"
 
 
@@ -838,19 +833,12 @@ def test_a_cutoff_past_its_bound_fails(n, d, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_candidates_lie_below_the_cutoffs_upper_end(monkeypatch):
-    """A field whose discriminant lies inside a cutoff's enclosure is a
-    candidate: a quadratic cutoff of [47/2, 49/2] keeps 24 among 7."""
-    n2_D_bound = bounds.n2_D_bound
-
-    def widened(d, prec):
-        return Interval(Fraction(47, 2), Fraction(49, 2)) if d == 2 else n2_D_bound(d, prec)
-
-    monkeypatch.setattr(bounds, "n2_D_bound", widened)
-    cert = ct.run_case(2, precision_bits=64)
-    step = next(s for s in cert.steps if s.id == "discriminant_cutoffs")
-    assert "candidate counts 7 at degree 2," in step.anchor
-    assert step.verdict == "Proved"
+def test_candidates_lie_below_the_cutoffs_upper_end(candidates):
+    """The rule by which the plan's coarse-cutoff anchors are checked counts
+    a field whose discriminant lies inside a cutoff's enclosure: a quadratic
+    cutoff of [47/2, 49/2] keeps 24 among 7."""
+    widened = Interval(Fraction(47, 2), Fraction(49, 2))
+    assert candidates(2, widened) == [5, 8, 12, 13, 17, 21, 24]
 
 
 def test_verify_corpus_keeps_its_exit_codes(cert_by_rank, tmp_path, capsys):
@@ -949,11 +937,6 @@ def test_verdict_steps_record_what_adjusted_quotient_returns(calls_of, catalog):
                 assert step.comparisons[0].lhs is step.enclosures[0], step.id
 
 
-def test_data_missing():
-    with pytest.raises(numberfields.DataMissing):
-        ct.run_case(3, precision_bits=PREC, fields_path="/nonexistent/fields.catalog")
-
-
 def test_rank_validation():
     with pytest.raises(ValueError):
         ct.run_case(1, precision_bits=PREC)
@@ -992,8 +975,8 @@ def test_cli_missing_data():
 def _zeta_product_side(lo, hi):
     """Evidence for the zeta-product step whose one side is [lo, hi]."""
 
-    def evidence(catalog, prec):
-        return "reference covolume constant bound", [Interval(lo, hi)]
+    def evidence(prec):
+        return [Interval(lo, hi)]
 
     return evidence
 
@@ -1370,7 +1353,7 @@ def test_plans_depend_only_on_earlier_steps_and_known_axioms():
     """Each planned dependency names an earlier step of its plan; the axiom
     steps are exactly A1-A5, each claiming its axiom's text with the axiom
     anchor and no comparison; every claim is a template whose only field is
-    {rank}; an anchor is text or None, which the prover states."""
+    {rank}; every anchor is text."""
     planned_axioms = set()
     for rank, plan in report.STEP_PLANS.items():
         earlier = set()
@@ -1380,7 +1363,7 @@ def test_plans_depend_only_on_earlier_steps_and_known_axioms():
             fields = {field for _, field, _, _ in Formatter().parse(claim)}
             assert fields <= {None, "rank"}, (rank, step_id)
             assert (step_id in report.AXIOMS) == (step_id[0] == "A"), step_id
-            assert anchor is None or isinstance(anchor, str), (rank, step_id)
+            assert isinstance(anchor, str), (rank, step_id)
             if step_id in report.AXIOMS:
                 expected = (report.AXIOMS[step_id], report.AXIOM_ANCHOR, ())
                 assert (claim, anchor, comparisons) == expected, step_id
@@ -1402,9 +1385,8 @@ def test_run_case_walks_the_plan(n, monkeypatch):
     step_id = next(step_id for step_id in report.step_plan(n) if step_id in evidence)
     full = evidence[step_id]
 
-    def short(*args):
-        anchor, sides = full(*args)
-        return anchor, sides[:-1]
+    def short(prec):
+        return full(prec)[:-1]
 
     monkeypatch.setitem(evidence, step_id, short)
     quantities = len(report.step_plan(n)[step_id][3])
@@ -1576,8 +1558,9 @@ BAD_FLAGS = [
     # a command takes only the data paths it reads
     (["optimize", "--case", "n3", "--fields", "x"], "unrecognized arguments: --fields x"),
     (["field", "2.2.5.1", "--op", "units", "--odlyzko", "x"], "unrecognized arguments: --odlyzko x"),
-    # prove reads no bound-pair table: its witness rows are stated
+    # prove reads no data file: its witness rows and candidates are stated
     (["prove", "--n", "3", "--odlyzko", "x"], "unrecognized arguments: --odlyzko x"),
+    (["prove", "--n", "3", "--fields", "x"], "unrecognized arguments: --fields x"),
 ]
 
 
@@ -1718,12 +1701,6 @@ def bad_data(tmp_path):
     with open(data_dir / "fields.catalog", "a") as f:
         f.write("# edited\n")
     lines = (vendored / "fields.catalog").read_text().splitlines(keepends=True)
-    (tmp_path / "no_49.catalog").write_text(
-        "".join(line for line in lines if not line.startswith("3.3.49.1|"))
-    )
-    (tmp_path / "no_quadratic.catalog").write_text(
-        "".join(line for line in lines if not line.startswith("2."))
-    )
     (tmp_path / "repeated.catalog").write_text("".join(lines) + "2.2.5.1|2|5|1|-1,-1,1\n")
     (tmp_path / "relabelled.catalog").write_text("".join(lines) + "2.2.5.2|2|5|1|-1,-1,1\n")
     (tmp_path / "reducible.catalog").write_text("".join(lines) + "2.2.4.1|2|4|1|-1,0,1\n")
@@ -1744,24 +1721,22 @@ LONG_MISSING_PATH = "{tmp}/missing/" + "/".join(["y" * 200] * 19)
 BAD_INPUT = [
     ["field", "4.4.725.1", "--op", "zeta"],
     ["field", "2.2.5.1", "--op", "zeta", "--s", "3"],
-    ["prove", "--n", "3", "--fields", "{tmp}/malformed"],
+    ["field", "2.2.5.1", "--op", "zeta", "--fields", "{tmp}/malformed"],
     ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/malformed"],
     ["optimize", "--case", "n2", "--odlyzko", "{tmp}/malformed"],
     ["optimize", "--case", "n3", "--odlyzko", "{tmp}/malformed"],
-    ["prove", "--n", "3", "--fields", "{data}/fields.catalog"],
+    ["field", "2.2.5.1", "--op", "zeta", "--fields", "{data}/fields.catalog"],
     ["field", "2.2.5.1", "--op", "units", "--fields", "{data}/fields.catalog"],
-    ["prove", "--n", "2", "--precision", "64", "--fields", "{tmp}/no_49.catalog"],
     ["verify", "{tmp}"],
     ["verify", "{tmp}/deep.json"],
-    ["prove", "--n", "3", "--fields", "{torn}/fields.catalog"],
-    ["prove", "--n", "3", "--fields", "{tmp}/latin1"],
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{torn}/fields.catalog"],
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/latin1"],
     ["optimize", "--case", "n3", "--odlyzko", "{tmp}/latin1"],
     ["optimize", "--case", "n3", "--precision", "16", "--odlyzko", "{tmp}/exponent"],
     ["optimize", "--case", "n3", "--odlyzko", "{tmp}/exponent"],
     ["optimize", "--case", "n2", "--odlyzko", "{tmp}/exponent"],
     ["optimize", "--case", "n3", "--odlyzko", "{tmp}/infeasible"],
     ["optimize", "--case", "n3", "--odlyzko", "{tmp}/comments_only"],
-    ["prove", "--n", "3", "--fields", "{tmp}/no_quadratic.catalog"],
     ["verify", "{tmp}/long_int.json"],
     # a file name longer than the system allows (ENAMETOOLONG)
     ["verify", "{tmp}/" + "x" * 300],
@@ -1770,21 +1745,21 @@ BAD_INPUT = [
     ["optimize", "--case", "n3", "--odlyzko", "{tmp}/" + "x" * 300],
     # a missing path thousands of characters long, each name within the limit
     ["verify", LONG_MISSING_PATH],
-    ["prove", "--n", "3", "--fields", LONG_MISSING_PATH],
+    ["field", "2.2.5.1", "--op", "units", "--fields", LONG_MISSING_PATH],
     ["optimize", "--case", "n3", "--odlyzko", LONG_MISSING_PATH],
     ["verify", "{tmp}/not_json.json"],
-    ["prove", "--n", "2", "--fields", "{tmp}/malformed"],
+    ["field", "3.3.49.1", "--op", "splitting", "--p", "7", "--fields", "{tmp}/malformed"],
     # an empty path names no file: it is not the vendored one
-    ["prove", "--n", "4", "--precision", "16", "--fields", ""],
+    ["field", "2.2.5.1", "--op", "zeta", "--precision", "16", "--fields", ""],
     ["optimize", "--case", "n2", "--odlyzko", ""],
     ["optimize", "--case", "n3", "--odlyzko", ""],
     ["field", "2.2.5.1", "--op", "units", "--fields", ""],
     # UnsupportedField: no splitting rule for a quartic field
     ["field", "4.4.725.1", "--op", "splitting", "--p", "5"],
-    # a repeated record, which would be counted as a second candidate
-    ["prove", "--n", "3", "--fields", "{tmp}/repeated.catalog"],
+    # a repeated record, which would list its field twice
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/repeated.catalog"],
     # the same field under a new label
-    ["prove", "--n", "3", "--precision", "64", "--fields", "{tmp}/relabelled.catalog"],
+    ["field", "2.2.5.1", "--op", "units", "--fields", "{tmp}/relabelled.catalog"],
     # a square discriminant, whose units Pell's equation would seek forever
     ["field", "2.2.4.1", "--op", "units", "--fields", "{tmp}/reducible.catalog"],
 ]
@@ -1806,11 +1781,10 @@ def test_cli_bad_input(argv, bad_data, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["prove", "--n", "3", "--fields", "{missing}"],
         ["optimize", "--case", "n3", "--odlyzko", "{missing}"],
         ["field", "2.2.5.1", "--op", "units", "--fields", "{missing}"],
     ],
-    ids=["prove", "optimize", "field"],
+    ids=["optimize", "field"],
 )
 def test_cli_missing_data_file(argv, tmp_path, capsys):
     """A missing data file exits 3 as DataMissing under every command that reads one."""
@@ -1886,13 +1860,14 @@ def test_data_files_hashed_without_builtin_sha256():
     assert out.split() == ["True", "True", "True"]
 
 
-def test_prove_all_reads_the_table_once(bad_data, opened, capsysbinary):
-    """``prove --all`` reads the field catalog once for its seven ranks and
-    never opens the bound-pair table.  ``optimize`` does not cache a
-    malformed table and exits 3 on it every time."""
+def test_prove_all_opens_no_data_file(bad_data, opened, capsysbinary):
+    """``prove --all`` opens no file, neither the field catalog nor the
+    bound-pair table: its plan states the witness rows and the coarse
+    cutoffs' candidates.  ``optimize`` does not cache a malformed table and exits 3
+    on it every time."""
     numberfields._parsed.cache_clear()
     assert cli.main(["prove", "--all", "--precision", str(PREC)]) == cli.EXIT_OK
-    assert (opened.count("fields.catalog"), opened.count("odlyzko.csv")) == (1, 0)
+    assert opened == []
     malformed = ["optimize", "--case", "n3", "--odlyzko", f"{bad_data['tmp']}/malformed"]
     assert cli.main(malformed) == cli.main(malformed) == cli.EXIT_DATA_MISSING
     assert capsysbinary.readouterr().err.count(b"MalformedTable") == 2
@@ -1939,8 +1914,7 @@ def test_verify_executes_no_layer(cert_by_rank, tmp_path):
     ``prove`` at rank 4 in the same process executes every layer but the
     search and ``localfactors``, whose exact factors the plan states, and
     still imports neither argparse, gettext and locale (its command line is
-    plain) nor hashlib and OpenSSL's _hashlib (the data files are hashed by
-    the builtin SHA-256).  ``prove`` at ranks 2 and 3 executes no
+    plain) nor hashlib and OpenSSL's _hashlib (it reads no data file).  ``prove`` at ranks 2 and 3 executes no
     ``localfactors`` either: the plan states their global stage and the
     rank-2 local exclusion."""
     honest = tmp_path / "honest.json"

@@ -93,14 +93,16 @@ def test_qsqrt5_exclusion_chain(capsys, calls_of):
     assert proved == set()
 
 
-def test_the_plan_states_the_closed_forms(catalog):
+def test_the_plan_states_the_closed_forms(catalog, candidates):
     """Each point that the plan states is its closed form here, spelled as
     the prover's Fraction would be: e'(3, 2) and e'(4, 2), h(2, 3) and
     h(2, 4)/h(2, 3) (h(3, 2) at rank 2), T(2) and T(3), and T(4), T(5) and
     T(9); each candidate field's quotient, adjusted by its unit index, which
     its anchor states; and the smallest residue cardinalities of 2.2.5.1
     above 2 and 3, whose splitting and 2- and 3-adic squareness its anchors
-    state.  Every other step that the plan states is an axiom, with none."""
+    state.  Every other step that the plan states is an axiom, with none.
+    The coarse cutoffs' anchors state the vendored catalog's candidates
+    below each cutoff's upper end, the same at 16, 256, 2048 and 8192 bits."""
     h = {(q, n): lf.h_rigidity(q, n).lo for q, n in ((2, 3), (2, 4), (3, 2))}
     local = {
         "local_special_factor": [lf.eprime_special(n, 2) for n in (3, 4)],
@@ -134,6 +136,15 @@ def test_the_plan_states_the_closed_forms(catalog):
             f"prime {p} is {split.kind} with residue cardinality "
             f"{split.residue_cardinalities[0]}; discriminant is "
             f"{'' if square else 'not '}a square in the {p}-adic field"), p
+    for bits in (16, 256, 2048, 8192):
+        counts = [len(candidates(d, bounds.n2_D_bound(d, bits))) for d in (2, 3, 4, 5)]
+        assert report.STEP_PLANS[2]["discriminant_cutoffs"][2] == (
+            "catalog pruning by the coarse cutoffs, leaving candidate counts "
+            + ", ".join(f"{count} at degree {d}" for d, count in zip((2, 3, 4, 5), counts))), bits
+        quadratic, cubic = (candidates(d, bounds.n3_D_bound(d, bits)) for d in (2, 3))
+        assert report.STEP_PLANS[3]["discriminant_cutoffs"][2] == (
+            f"catalog pruning by the coarse cutoffs, leaving quadratic candidates {quadratic} "
+            f"and cubic candidates {cubic}"), bits
     for rank_class, stated in report.STATED_POINTS.items():
         factors = {step_id: points for step_id, points in stated.items() if points}
         assert set(factors) <= set(report.STEP_PLANS[rank_class]), rank_class

@@ -21,11 +21,10 @@ PREC = 160
 # catalog
 
 
-def test_catalog_counts_at_cutoffs(catalog):
-    assert len(nf.fields_by_degree_below(catalog, 2, Fraction("25.74"))) == 7
-    assert len(nf.fields_by_degree_below(catalog, 3, Fraction("231.65"))) == 5
-    assert len(nf.fields_by_degree_below(catalog, 4, Fraction("2084.50"))) == 6
-    assert len(nf.fields_by_degree_below(catalog, 5, Fraction("18757.18"))) == 1
+def test_catalog_counts_at_cutoffs(candidates):
+    cutoffs = {2: "25.74", 3: "231.65", 4: "2084.50", 5: "18757.18"}
+    counts = [len(candidates(d, Interval.exact(Fraction(c)))) for d, c in cutoffs.items()]
+    assert counts == [7, 5, 6, 1]
 
 
 def test_catalog_discriminant_sets(catalog):

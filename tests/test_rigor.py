@@ -129,9 +129,9 @@ def test_compare_returns_the_relation_a_report_records():
     whose zeta product enclosure is moved onto its bound 1.83 overlaps."""
     assert iv_compare is report.compare
     proof = certifier.run_case(3, precision_bits=64)
-    evidence = {s.id: (s.anchor, s.enclosures) for s in proof.steps}
+    evidence = {s.id: s.enclosures for s in proof.steps}
     bound = Enclosure(report.ZETA_PRODUCT_UPPER, report.ZETA_PRODUCT_UPPER)
-    evidence["zeta_product_bound"] = (None, [bound])
+    evidence["zeta_product_bound"] = [bound]
     cert = report.render(3, 64, evidence)
     doc = json.loads(report.emit_report(cert))
     recorded = []
